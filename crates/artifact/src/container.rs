@@ -4,7 +4,7 @@
 //! ```text
 //! offset 0    header (64 bytes, little-endian):
 //!               magic        [4]  b"BIQM"
-//!               version      u16  = 1
+//!               version      u16  = 3
 //!               reserved     u16
 //!               file_len     u64  total bytes, header included
 //!               manifest_off u64  ┐ model manifest (opaque to this module,
@@ -22,7 +22,7 @@
 //!
 //! Sections are raw little-endian element arrays. The 64-byte alignment is
 //! the load-bearing property: a loaded file is one [`Bytes`] buffer, and
-//! every section can be reinterpreted in place as `&[u16]`/`&[f32]`/`&[u64]`
+//! every section can be reinterpreted in place as `&[u8]`/`&[f32]`/`&[u64]`
 //! ([`Artifact::section_view`]) — loading is a validation pass plus a
 //! handful of plan rebuilds, never a payload copy.
 
@@ -33,8 +33,12 @@ use std::fmt;
 /// Magic of a compiled-model artifact.
 pub const MAGIC_MODEL: &[u8; 4] = b"BIQM";
 
-/// Container format version this build writes and reads.
-pub const VERSION: u16 = 2;
+/// Container format version this build writes and reads. Version 3 stores
+/// BiQGEMM key sections `⌈µ/8⌉` bytes per key ([`ElemKind::U8`] for µ ≤ 8);
+/// versions 1–2 stored every key as `u16` and are refused with
+/// [`ArtifactError::BadVersion`] — recompile the model, there is no
+/// conversion path.
+pub const VERSION: u16 = 3;
 
 /// Header size; also the alignment every section offset honours.
 pub const HEADER_LEN: usize = 64;
@@ -73,11 +77,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 pub enum ElemKind {
-    /// Raw bytes.
+    /// Raw bytes (BiQGEMM keys at µ ≤ 8).
     U8 = 0,
     /// `i8` (int8 weight values).
     I8 = 1,
-    /// Little-endian `u16` (BiQGEMM keys).
+    /// Little-endian `u16` (BiQGEMM keys at µ 9–16).
     U16 = 2,
     /// Little-endian `u32`.
     U32 = 3,

@@ -20,7 +20,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// Section `kind` tags referenced by manifests (free-form u32 namespace of
 /// the container TOC).
 pub mod sec {
-    /// BiQGEMM key matrix (`u16`).
+    /// BiQGEMM key matrix (`u8` for µ ≤ 8, `u16` for µ 9–16).
     pub const KEYS: u32 = 1;
     /// BiQGEMM stacked per-key-row scales (`f32`).
     pub const SCALES: u32 = 2;
@@ -112,7 +112,7 @@ pub enum PayloadRefs {
     },
     /// BiQGEMM keys + stacked scales.
     Biq {
-        /// `(bits·m) × ⌈n/µ⌉` u16 key section.
+        /// `(bits·m) × ⌈n/µ⌉` key section, `⌈µ/8⌉` bytes per key.
         keys: SectionId,
         /// `bits·m` f32 scale section.
         scales: SectionId,

@@ -16,7 +16,7 @@ use biq_gemm::int8::Int8Weights;
 use biq_gemm::xnor::XnorWeights;
 use biq_matrix::store::PodStore;
 use biq_matrix::Matrix;
-use biq_quant::packing::{KeyMatrix, PackedRowsU64};
+use biq_quant::packing::{key_bytes, KeyMatrix, KeyStore, PackedRowsU64};
 use biq_runtime::{
     compile, BackendSpec, CompiledOp, ExecutionPlan, KernelRequest, PackedPayload, PlanBuilder,
     Threading, WeightSource,
@@ -29,8 +29,14 @@ fn bad(msg: impl Into<String>) -> ArtifactError {
 
 // ---------------------------------------------------------------- snapshot
 
-fn u16_bytes(v: &[u16]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+/// Element kind of a BiQGEMM key section at LUT-unit `mu`: the stored key
+/// width ([`key_bytes`]) decides it, nothing else.
+fn key_elem(mu: usize) -> ElemKind {
+    if key_bytes(mu) == 1 {
+        ElemKind::U8
+    } else {
+        ElemKind::U16
+    }
 }
 
 fn u64_bytes(v: &[u64]) -> Vec<u8> {
@@ -56,15 +62,14 @@ pub fn snapshot_layer(
         PackedPayload::Dense(w) => {
             PayloadRefs::Dense { dense: builder.add_f32_section(sec::DENSE, layer, w.as_slice()) }
         }
-        PackedPayload::Biq(w) => PayloadRefs::Biq {
-            keys: builder.add_section(
-                sec::KEYS,
-                ElemKind::U16,
-                layer,
-                u16_bytes(w.keys().as_slice()),
-            ),
-            scales: builder.add_f32_section(sec::SCALES, layer, w.scales()),
-        },
+        PackedPayload::Biq(w) => {
+            let mut keys = Vec::with_capacity(w.keys().storage_bytes());
+            w.keys().encode_le(&mut keys);
+            PayloadRefs::Biq {
+                keys: builder.add_section(sec::KEYS, key_elem(w.mu()), layer, keys),
+                scales: builder.add_f32_section(sec::SCALES, layer, w.scales()),
+            }
+        }
         PackedPayload::Xnor(w) => PayloadRefs::Xnor {
             planes: w
                 .planes()
@@ -158,11 +163,17 @@ pub fn load_weights(
         (PayloadRefs::Biq { keys, scales }, BackendSpec::Biq { bits, .. }) => {
             let mu = lm.cfg.mu;
             let key_rows = bits.checked_mul(m).ok_or_else(|| bad("key row count overflow"))?;
-            let kview = artifact.section_view::<u16>(*keys, ElemKind::U16)?;
-            // One validating scan (key ranges + length), zero copies; the
+            // The section's element kind must be the one µ implies (a
+            // mismatch is a manifest error, not a reinterpretation); then
+            // one validating pass (length + key ranges), zero copies — the
             // fallible constructor errors instead of asserting on hostile
             // input.
-            let keys = KeyMatrix::try_from_shared(key_rows, n, mu, kview).map_err(bad)?;
+            let store = match key_elem(mu) {
+                ElemKind::U8 => KeyStore::U8(artifact.section_view(*keys, ElemKind::U8)?.into()),
+                _ => KeyStore::U16(artifact.section_view(*keys, ElemKind::U16)?.into()),
+            };
+            let keys =
+                KeyMatrix::try_new(key_rows, n, mu, store).map_err(|e| bad(e.to_string()))?;
             let scales = f32_view(artifact, *scales, key_rows, "biq scales")?;
             Ok(LoadedWeights::Biq(BiqWeights::from_parts_store(keys, scales, m, n, bits)))
         }

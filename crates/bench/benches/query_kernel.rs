@@ -80,6 +80,8 @@ fn bench_arena_reuse(c: &mut Criterion) {
 /// tiles). The end-to-end b = 1 numbers live in `arena_reuse` and
 /// `BENCH_simd.json`; this group isolates the gather body itself.
 fn bench_width1_gather(c: &mut Criterion) {
+    use biq_matrix::MatrixRng;
+    use biq_quant::packing::KeyMatrix;
     use biqgemm_core::simd::{lut_gather, supported_levels};
     let mut group = c.benchmark_group("width1_gather");
     group.sample_size(20);
@@ -87,21 +89,21 @@ fn bench_width1_gather(c: &mut Criterion) {
     let chunks = n / mu;
     let table = 1usize << mu;
     // One width-1 bank (chunk c's table at bank[c*table..][..table]) and a
-    // deterministic key row per output row — no Criterion-visible setup in
-    // the timed body.
+    // seeded key row per output row — no Criterion-visible setup in the
+    // timed body. Keys reach the kernel the way they do in production: as
+    // tiles of a validated `KeyMatrix`.
     let bank: Vec<f32> = (0..chunks * table)
         .map(|i| ((i as u32).wrapping_mul(2654435761) >> 8) as f32 / 1e7 - 0.8)
         .collect();
-    let keys: Vec<u16> = (0..m * chunks)
-        .map(|i| ((i as u32).wrapping_mul(40503) as usize >> 4) as u16 % table as u16)
-        .collect();
+    let keys = KeyMatrix::pack(&MatrixRng::seed_from(40503).signs(m, n), mu);
+    let tile = keys.tile(0..m, 0, chunks);
     for level in supported_levels() {
         let k = biqgemm_core::KernelRequest::Exact(level).resolve().expect("supported");
         group.bench_function(level.name(), |bch| {
             bch.iter(|| {
                 let mut acc = 0.0f32;
-                for row in keys.chunks_exact(chunks) {
-                    acc += lut_gather(black_box(&bank), table, row, k);
+                for i in 0..m {
+                    acc += lut_gather(black_box(&bank), table, tile.row(i), k);
                 }
                 black_box(acc)
             });

@@ -254,6 +254,13 @@ impl BufMut for BytesMut {
     }
 }
 
+/// As in the real crate: a plain `Vec<u8>` is an append-only sink too.
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
 

@@ -19,6 +19,7 @@ use crate::lut::{build_lut_bruteforce, build_lut_dp_level};
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use biq_matrix::reshape::ChunkedInput;
+use biq_quant::packing::KeyTile;
 
 /// A reusable bank of lookup tables for one (chunk-tile × batch-tile).
 #[derive(Debug)]
@@ -237,18 +238,18 @@ impl LutBank {
     /// # Panics
     /// Debug-panics when called on a BatchMajor bank.
     #[inline]
-    pub fn entry_vec(&self, chunk_local: usize, key: u16) -> &[f32] {
+    pub fn entry_vec(&self, chunk_local: usize, key: usize) -> &[f32] {
         debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(chunk_local < self.num_chunks);
-        let off = (chunk_local * self.table + key as usize) * self.nb;
+        let off = (chunk_local * self.table + key) * self.nb;
         &self.data[off..off + self.nb]
     }
 
     /// BatchMajor: the scalar entry for `(chunk_local, batch_local, key)`.
     #[inline]
-    pub fn entry(&self, chunk_local: usize, batch_local: usize, key: u16) -> f32 {
+    pub fn entry(&self, chunk_local: usize, batch_local: usize, key: usize) -> f32 {
         debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        self.data[(chunk_local * self.nb + batch_local) * self.table + key as usize]
+        self.data[(chunk_local * self.nb + batch_local) * self.table + key]
     }
 
     /// BatchMajor: the contiguous `2^µ` table for `(chunk_local,
@@ -260,61 +261,33 @@ impl LutBank {
         &self.data[off..off + self.table]
     }
 
-    /// Single-batch gather: with `nb == 1` both layouts store entry
-    /// `(chunk c, key)` at `c·2^µ + key`; sums the entries selected by one
-    /// key row in the **canonical accumulation-tree order** at the
-    /// resolved kernel level `k` — see [`crate::simd::lut_gather`]. That
+    /// Row-batched single-batch gather: with `nb == 1` both layouts store
+    /// entry `(chunk c, key)` at `c·2^µ + key`; for each row `i` of the key
+    /// tile, `y[i · y_stride] += scales[i] · Σ_c entry(c, keys_i[c])`, each
+    /// row summed in the **canonical accumulation-tree order** at the
+    /// resolved kernel level — see [`crate::simd::lut_gather_rows`]. That
     /// is the same per-lane order as [`LutBank::query_fused`], so a column
     /// packed into a width-1 batch tile rounds bit-for-bit like one packed
-    /// into any wider tile (batch-packing invariance;
-    /// `batch_invariance.rs` pins it) — and because the tree *is* the
-    /// natural SIMD shape, the b = 1 path is fast again instead of paying
-    /// for that invariance with a sequential chain.
-    ///
-    /// # Panics
-    /// Debug-panics unless exactly one batch column is resident.
-    #[inline]
-    pub fn gather(&self, keys: &[u16], k: ResolvedKernel) -> f32 {
-        debug_assert_eq!(self.nb, 1);
-        debug_assert!(keys.len() <= self.num_chunks);
-        simd::lut_gather(&self.data[..self.num_chunks * self.table], self.table, keys, k)
-    }
-
-    /// Row-batched single-batch gather: for each row `i` of the key slab,
-    /// `y[i · y_stride] += scales[i] · gather(row_i)` — row for row the
-    /// identical canonical-tree sum as [`LutBank::gather`], but dispatched
-    /// and validated once per row tile instead of once per output row,
-    /// with consecutive rows' gathers interleaved on x86. This is the
-    /// b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
+    /// into any wider tile (batch-packing invariance; `batch_invariance.rs`
+    /// pins it). Dispatched once per row tile, consecutive rows' gathers
+    /// interleaved on x86: this is the b = 1 serving hot loop.
     ///
     /// # Panics
     /// Debug-panics unless exactly one batch column is resident; panics on
-    /// slab/output geometry mismatches per the kernel dispatcher.
-    #[allow(clippy::too_many_arguments)]
+    /// tile/output geometry mismatches per the kernel dispatcher.
     #[inline]
     pub fn gather_rows(
         &self,
-        keys: &[u16],
-        key_stride: usize,
-        nc: usize,
+        keys: KeyTile<'_>,
         scales: &[f32],
         y: &mut [f32],
         y_stride: usize,
         k: ResolvedKernel,
     ) {
         debug_assert_eq!(self.nb, 1);
-        debug_assert!(nc <= self.num_chunks);
-        simd::lut_gather_rows(
-            y,
-            y_stride,
-            scales,
-            &self.data[..self.num_chunks * self.table],
-            self.table,
-            keys,
-            key_stride,
-            nc,
-            k,
-        );
+        debug_assert!(keys.nc() <= self.num_chunks);
+        let bank = &self.data[..self.num_chunks * self.table];
+        simd::lut_gather_rows(y, y_stride, scales, bank, self.table, keys, k);
     }
 
     /// Fused Algorithm 2 query for one key row (KeyMajor):
@@ -326,9 +299,9 @@ impl LutBank {
     /// Panics (or debug-panics) on a BatchMajor bank, a key row longer
     /// than the resident chunks, or `y` shorter than the resident batch.
     #[inline]
-    pub fn query_fused(&self, keys: &[u16], scale: f32, y: &mut [f32], k: ResolvedKernel) {
+    pub fn query_fused(&self, keys: KeyTile<'_>, scale: f32, y: &mut [f32], k: ResolvedKernel) {
         debug_assert_eq!(self.layout, LutLayout::KeyMajor);
-        debug_assert!(keys.len() <= self.num_chunks);
+        debug_assert!(keys.nc() <= self.num_chunks);
         simd::lut_query_fused(y, scale, &self.data, self.table, self.nb, keys, k);
     }
 
@@ -401,6 +374,7 @@ mod tests {
     use crate::mmu::key_dot;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
+    use biq_quant::packing::KeyMatrix;
 
     fn sk() -> ResolvedKernel {
         ResolvedKernel::scalar()
@@ -418,8 +392,8 @@ mod tests {
                 for k in 0..(1usize << sub.len()) {
                     let expected = key_dot(k as u16, sub);
                     let got = match bank.layout() {
-                        LutLayout::KeyMajor => bank.entry_vec(c, k as u16)[a],
-                        LutLayout::BatchMajor => bank.entry(c, a, k as u16),
+                        LutLayout::KeyMajor => bank.entry_vec(c, k)[a],
+                        LutLayout::BatchMajor => bank.entry(c, a, k),
                     };
                     assert!(
                         (got - expected).abs() < 1e-4,
@@ -481,7 +455,7 @@ mod tests {
         dp.build(&input, 0, 4, 0, 4, LutBuildMethod::DynamicProgramming, &mut prof, sk());
         bf.build(&input, 0, 4, 0, 4, LutBuildMethod::Gemm, &mut prof, sk());
         for c in 0..4 {
-            for k in 0..16u16 {
+            for k in 0..16 {
                 assert_eq!(dp.entry_vec(c, k), bf.entry_vec(c, k));
             }
         }
@@ -524,17 +498,18 @@ mod tests {
         let mut prof = PhaseProfile::new();
         let mut reference = LutBank::new(4, LutLayout::KeyMajor);
         reference.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-        let keys: Vec<u16> = (0..7u16).map(|c| (c * 3) % 16).collect();
+        let key_matrix = KeyMatrix::pack(&g.signs(1, 26), 4);
+        let keys = key_matrix.tile(0..1, 0, 7);
         let mut y_ref = vec![0.0f32; 7];
-        reference.query_fused(&keys, 1.25, &mut y_ref, sk());
+        reference.query_fused(keys, 1.25, &mut y_ref, sk());
         for level in crate::simd::supported_levels() {
             let k = KernelRequest::Exact(level).resolve().unwrap();
             let mut bank = LutBank::new(4, LutLayout::KeyMajor);
             bank.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, k);
             for c in 0..7 {
-                for key in 0..16u16 {
+                for key in 0..16usize {
                     let sub = input.chunk(0, c);
-                    if (key as usize) < (1usize << sub.len()) {
+                    if key < (1usize << sub.len()) {
                         assert_eq!(
                             bank.entry_vec(c, key),
                             reference.entry_vec(c, key),
@@ -544,7 +519,7 @@ mod tests {
                 }
             }
             let mut y = vec![0.0f32; 7];
-            bank.query_fused(&keys, 1.25, &mut y, k);
+            bank.query_fused(keys, 1.25, &mut y, k);
             assert_eq!(y, y_ref, "level={level}");
         }
     }

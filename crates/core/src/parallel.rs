@@ -294,7 +294,7 @@ fn shared_lut(
                         let scale = w.scale(r);
                         let out_row = r % m;
                         let yoff = (out_row - row0) * b + b0;
-                        let krow = &keys.key_row(r)[c0..c0 + nc];
+                        let krow = keys.tile(r..r + 1, c0, nc);
                         if nb == 1 {
                             // Width-1 tile: both layouts coincide, and the
                             // canonical-order gather is the fast (and
@@ -321,8 +321,8 @@ fn shared_lut(
                                 let yrow = &mut yblock[yoff..yoff + nb];
                                 for (a, yv) in yrow.iter_mut().enumerate() {
                                     let mut s = simd::TreeAccumulator::new();
-                                    for (ci, &key) in krow.iter().enumerate() {
-                                        s.push(bank[(ci * nb + a) * table + key as usize]);
+                                    for ci in 0..nc {
+                                        s.push(bank[(ci * nb + a) * table + krow.key(0, ci)]);
                                     }
                                     *yv += scale * s.finish();
                                 }

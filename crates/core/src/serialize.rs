@@ -5,11 +5,17 @@
 //! ```text
 //! BIQW: magic[4] mu:u8 bits:u8 m:u64 n:u64
 //!       scales (bits·m × f32)
-//!       keys   (bits·m · ⌈n/µ⌉ × u16)
+//!       keys   (bits·m · ⌈n/µ⌉ × ⌈µ/8⌉ bytes: u8 for µ ≤ 8, else u16)
+//!       EOF
 //! ```
+//!
+//! The format carries no version field; the key width follows from µ alone
+//! ([`biq_quant::packing::key_bytes`]), and the payload must end with its
+//! last key, so a file written with the old fixed `u16` width is refused
+//! (trailing bytes) instead of being misread.
 
 use crate::weights::BiqWeights;
-use biq_quant::packing::KeyMatrix;
+use biq_quant::packing::{KeyError, KeyMatrix};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
@@ -41,9 +47,8 @@ impl std::error::Error for WeightsDecodeError {}
 
 /// Encodes packed weights.
 pub fn encode_weights(w: &BiqWeights) -> Bytes {
-    let key_count = w.keys().as_slice().len();
     let scale_count = w.scales().len();
-    let mut buf = BytesMut::with_capacity(22 + scale_count * 4 + key_count * 2);
+    let mut buf = BytesMut::with_capacity(22 + scale_count * 4 + w.keys().storage_bytes());
     buf.put_slice(MAGIC_WEIGHTS);
     buf.put_u8(w.mu() as u8);
     buf.put_u8(w.bits() as u8);
@@ -52,9 +57,7 @@ pub fn encode_weights(w: &BiqWeights) -> Bytes {
     for &s in w.scales() {
         buf.put_f32_le(s);
     }
-    for &k in w.keys().as_slice() {
-        buf.put_u16_le(k);
-    }
+    w.keys().encode_le(&mut buf);
     buf.freeze()
 }
 
@@ -72,21 +75,15 @@ pub fn decode_weights(mut data: Bytes) -> Result<BiqWeights, WeightsDecodeError>
     let bits = data.get_u8() as usize;
     let m = data.get_u64_le() as usize;
     let n = data.get_u64_le() as usize;
-    if !(1..=16).contains(&mu) {
-        return Err(WeightsDecodeError::BadHeader(format!("µ = {mu}")));
-    }
     if bits == 0 || bits > 32 {
         return Err(WeightsDecodeError::BadHeader(format!("bits = {bits}")));
     }
     if m == 0 || n == 0 {
         return Err(WeightsDecodeError::BadHeader(format!("shape {m}x{n}")));
     }
-    let key_rows = bits.checked_mul(m).ok_or(WeightsDecodeError::Truncated)?;
-    let chunks = n.div_ceil(mu);
     // Checked sizes: corrupted headers must not overflow or over-allocate.
+    let key_rows = bits.checked_mul(m).ok_or(WeightsDecodeError::Truncated)?;
     let scale_bytes = key_rows.checked_mul(4).ok_or(WeightsDecodeError::Truncated)?;
-    let key_count = key_rows.checked_mul(chunks).ok_or(WeightsDecodeError::Truncated)?;
-    let key_bytes = key_count.checked_mul(2).ok_or(WeightsDecodeError::Truncated)?;
     if data.remaining() < scale_bytes {
         return Err(WeightsDecodeError::Truncated);
     }
@@ -94,28 +91,19 @@ pub fn decode_weights(mut data: Bytes) -> Result<BiqWeights, WeightsDecodeError>
     for _ in 0..key_rows {
         scales.push(data.get_f32_le());
     }
-    if data.remaining() < key_bytes {
-        return Err(WeightsDecodeError::Truncated);
+    // µ, the key count against the remaining bytes, and every key's range
+    // are checked where keys enter: the `KeyMatrix` constructor.
+    let keys = KeyMatrix::decode_le(key_rows, n, mu, &mut data).map_err(|e| match e {
+        KeyError::Truncated => WeightsDecodeError::Truncated,
+        other => WeightsDecodeError::BadHeader(other.to_string()),
+    })?;
+    if data.remaining() > 0 {
+        return Err(WeightsDecodeError::BadHeader(format!(
+            "{} bytes after the last key",
+            data.remaining()
+        )));
     }
-    let mut keys = Vec::with_capacity(key_count);
-    for _ in 0..key_count {
-        keys.push(data.get_u16_le());
-    }
-    // `from_raw` re-validates every key against its chunk width (panics only
-    // on logic errors we have already screened above, so map via catch is
-    // unnecessary — lengths and widths are consistent by construction here,
-    // but key *values* still need the range check it performs).
-    for (idx, &key) in keys.iter().enumerate() {
-        let beta = idx % chunks;
-        let len = mu.min(n - beta * mu);
-        if len < 16 && key >= (1u16 << len) {
-            return Err(WeightsDecodeError::BadHeader(format!(
-                "key {key} at chunk {beta} exceeds {len} bits"
-            )));
-        }
-    }
-    let key_matrix = KeyMatrix::from_raw(key_rows, n, mu, keys);
-    Ok(BiqWeights::from_parts(key_matrix, scales, m, n, bits))
+    Ok(BiqWeights::from_parts(keys, scales, m, n, bits))
 }
 
 #[cfg(test)]
@@ -179,9 +167,8 @@ mod tests {
         let mut g = MatrixRng::seed_from(704);
         let w = BiqWeights::from_signs_unscaled(&g.signs(1, 6), 4); // chunks: 4b, 2b
         let mut raw = encode_weights(&w).to_vec();
-        let off = raw.len() - 2; // last key (2-bit chunk)
+        let off = raw.len() - 1; // last key (2-bit chunk)
         raw[off] = 9;
-        raw[off + 1] = 0;
         assert!(matches!(decode_weights(Bytes::from(raw)), Err(WeightsDecodeError::BadHeader(_))));
     }
 }

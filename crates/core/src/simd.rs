@@ -90,6 +90,26 @@
 //! `biq_runtime`) assert bit-exact equality of every supported level
 //! against scalar across random shapes, µ values and ragged tails.
 //!
+//! ## Keys, their range, and LUT prefetch
+//!
+//! The query kernels never see a raw key slice. They take a
+//! [`KeyTile`] — the window type only a validated
+//! [`biq_quant::packing::KeyMatrix`] can produce — which stores keys
+//! `⌈µ/8⌉` bytes wide (one byte through the shipped µ = 8, `u16` only for
+//! µ 9–16) and carries the invariant **every key `< 2^µ`**. The range check
+//! itself lives where keys enter the program (`KeyMatrix::pack`,
+//! `try_new`, `decode_le`: packing by construction, loaders by one scan —
+//! and byte keys at µ = 8 are in range by type). So the dispatchers here
+//! check `table == 2^µ` and the bank length — O(1) — instead of re-scanning
+//! every key on every call, and the unchecked gathers rest on the type; a
+//! `debug_assert` scan is the checked twin.
+//!
+//! LUT entries are software-prefetched only when the resident tile
+//! (`nc · table · nb · 4 B`, geometry the kernel is handed anyway) exceeds
+//! [`L1_LUT_BYTES`]: a tile that fits L1 is already where a prefetch would
+//! put it, and the b = 1 default tile (32 chunks × 2^8 × 4 B = 32 KiB) is
+//! exactly that case.
+//!
 //! ## Adding a new ISA
 //!
 //! 1. add the variant to [`KernelLevel`] (`name`/`parse`/`rank`), teach
@@ -110,6 +130,7 @@
 //! reachable only through a [`ResolvedKernel`] constructed after a host
 //! support check.
 
+use biq_quant::packing::{KeyTile, Keys};
 use std::fmt;
 
 /// Environment variable forcing the kernel level (`scalar` | `avx2` |
@@ -481,6 +502,80 @@ pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel)
     )
 }
 
+/// One stored key width the bodies are instantiated for. Private: the
+/// public entry points take a [`KeyTile`] and pick the instantiation.
+trait KeyElem: Copy {
+    /// The key as a table index.
+    fn idx(self) -> usize;
+
+    /// Eight consecutive keys zero-extended into `i32` lanes.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `p .. p + 8` readable.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i;
+}
+
+impl KeyElem for u8 {
+    #[inline(always)]
+    fn idx(self) -> usize {
+        usize::from(self)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for AVX2 and 8 readable bytes.
+        unsafe { _mm256_cvtepu8_epi32(_mm_loadl_epi64(p as *const __m128i)) }
+    }
+}
+
+impl KeyElem for u16 {
+    #[inline(always)]
+    fn idx(self) -> usize {
+        usize::from(self)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for AVX2 and 16 readable bytes.
+        unsafe { _mm256_cvtepu16_epi32(_mm_loadu_si128(p as *const __m128i)) }
+    }
+}
+
+/// Runs `$body` with `$ks` bound to the tile's key slab at its stored
+/// width (`&[u8]` or `&[u16]`).
+macro_rules! with_keys {
+    ($tile:expr, $ks:ident => $body:expr) => {
+        match $tile.keys() {
+            Keys::U8($ks) => $body,
+            Keys::U16($ks) => $body,
+        }
+    };
+}
+
+/// LUT tiles up to this many bytes count as L1-resident: the query loops
+/// issue entry prefetches only for larger tiles (module docs).
+pub const L1_LUT_BYTES: usize = 32 * 1024;
+
+/// The O(1) form of the per-call key validation: a [`KeyTile`] proves
+/// every key `< 2^µ`, so keys index a table in bounds iff the table stride
+/// is `2^µ`. Debug builds re-scan the tile as the checked twin.
+///
+/// # Panics
+/// Panics when `table != 2^µ`.
+#[inline]
+fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
+    assert_eq!(table, 1usize << keys.mu(), "table stride must be 2^µ of the key tile");
+    debug_assert!(
+        (0..keys.rows()).all(|i| (0..keys.nc()).all(|c| keys.key(i, c) < table)),
+        "key tile violates its range invariant"
+    );
+}
+
 /// The fused query kernel of Algorithm 2 (KeyMajor layout): for one key
 /// row, accumulate the looked-up batch vectors of every chunk in registers
 /// and apply the per-row scale in the same pass —
@@ -494,8 +589,8 @@ pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel)
 /// `nb == 1` — agree bit for bit.
 ///
 /// # Panics
-/// Panics when `y.len() < nb`, the bank is too short for the key row, or a
-/// key exceeds the table (the packed-key invariant re-checked cheaply).
+/// Panics unless `keys` is a one-row tile with `table == 2^µ`; when
+/// `y.len() < nb` or the bank is too short for the key row.
 #[inline]
 pub fn lut_query_fused(
     y: &mut [f32],
@@ -503,23 +598,24 @@ pub fn lut_query_fused(
     bank: &[f32],
     table: usize,
     nb: usize,
-    keys: &[u16],
+    keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
+    assert_eq!(keys.rows(), 1, "the fused query takes one key row");
     assert!(y.len() >= nb, "output row shorter than the batch tile");
-    assert!(bank.len() >= keys.len() * table * nb, "bank shorter than the key row needs");
-    // Packed keys are validated at construction/load; re-check the max
-    // cheaply so the unsafe gathers below stay in bounds even on misuse.
-    let max_key = keys.iter().fold(0u16, |m, &v| m.max(v));
-    assert!(keys.is_empty() || (max_key as usize) < table, "key {max_key} out of table");
+    assert!(bank.len() >= keys.nc() * table * nb, "bank shorter than the key row needs");
+    assert_keys_fit(&keys, table);
     let y = &mut y[..nb];
-    dispatch!(
+    // Only the x86 bodies prefetch.
+    #[cfg(target_arch = "x86_64")]
+    let pf = keys.nc() * table * nb * 4 > L1_LUT_BYTES;
+    with_keys!(keys, ks => dispatch!(
         k,
-        lut_query_fused_scalar(y, scale, bank, table, nb, keys),
-        avx2::lut_query_fused(y, scale, bank, table, nb, keys),
-        avx512::lut_query_fused(y, scale, bank, table, nb, keys),
-        neon::lut_query_fused(y, scale, bank, table, nb, keys)
-    )
+        lut_query_fused_scalar(y, scale, bank, table, nb, ks),
+        avx2::lut_query_fused(y, scale, bank, table, nb, ks, pf),
+        avx512::lut_query_fused(y, scale, bank, table, nb, ks, pf),
+        neon::lut_query_fused(y, scale, bank, table, nb, ks)
+    ))
 }
 
 /// The width-1 query kernel: `Σ_ci bank[ci·table + keys[ci]]` in the
@@ -533,80 +629,74 @@ pub fn lut_query_fused(
 /// agree bit for bit.
 ///
 /// # Panics
-/// Panics when the bank is too short for the key row or a key exceeds the
-/// table.
+/// Panics unless `keys` is a one-row tile with `table == 2^µ`, or when the
+/// bank is too short for the key row.
 #[inline]
-pub fn lut_gather(bank: &[f32], table: usize, keys: &[u16], k: ResolvedKernel) -> f32 {
-    assert!(bank.len() >= keys.len() * table, "bank shorter than the key row needs");
-    let max_key = keys.iter().fold(0u16, |m, &v| m.max(v));
-    assert!(keys.is_empty() || (max_key as usize) < table, "key {max_key} out of table");
+pub fn lut_gather(bank: &[f32], table: usize, keys: KeyTile<'_>, k: ResolvedKernel) -> f32 {
+    assert_eq!(keys.rows(), 1, "the single-row gather takes one key row");
+    assert!(bank.len() >= keys.nc() * table, "bank shorter than the key row needs");
+    assert_keys_fit(&keys, table);
     // The x86 gather computes entry offsets in i32 lanes.
     #[cfg(target_arch = "x86_64")]
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
-    dispatch!(
+    // Only the x86 bodies prefetch.
+    #[cfg(target_arch = "x86_64")]
+    let pf = keys.nc() * table * 4 > L1_LUT_BYTES;
+    with_keys!(keys, ks => dispatch!(
         k,
-        lut_gather_scalar(bank, table, keys),
-        avx2::lut_gather(bank, table, keys),
+        lut_gather_scalar(bank, table, ks),
+        avx2::lut_gather(bank, table, ks, pf),
         // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        avx2::lut_gather(bank, table, keys),
-        neon::lut_gather(bank, table, keys)
-    )
+        avx2::lut_gather(bank, table, ks, pf),
+        neon::lut_gather(bank, table, ks)
+    ))
 }
 
-/// Row-batched width-1 gather: for each row `i` of the key slab,
+/// Row-batched width-1 gather: for each row `i` of the key tile,
 /// `y[i · y_stride] += scales[i] · Σ bank[c·2^µ + keys_i[c]]`, each row
 /// summed in exactly [`lut_gather`]'s canonical tree order — the results
 /// are bit-identical to calling it row by row. Batching moves the level
-/// dispatch, the validation scan, and the gather set-up out of the
+/// dispatch, the geometry checks, and the gather set-up out of the
 /// per-output-row loop (the b = 1 tile loop calls this once per row tile
 /// instead of once per row), and lets the x86 body interleave two rows'
 /// gathers: the gather unit's latency is the width-1 bottleneck, and
 /// consecutive rows are independent chains.
 ///
-/// `keys` is a row-major slab: row `i` occupies
-/// `keys[i · key_stride ..][.. nc]` (`key_stride ≥ nc` — callers hand a
-/// window of the packed key matrix, whose stride is the full chunk count).
-///
 /// # Panics
-/// Panics when a slice is too short for the described geometry or a key
-/// exceeds the table.
-#[allow(clippy::too_many_arguments)]
+/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
+/// is too short for the described geometry.
 pub fn lut_gather_rows(
     y: &mut [f32],
     y_stride: usize,
     scales: &[f32],
     bank: &[f32],
     table: usize,
-    keys: &[u16],
-    key_stride: usize,
-    nc: usize,
+    keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
-    let nr = scales.len();
+    let (nr, nc, key_stride) = (keys.rows(), keys.nc(), keys.stride());
+    assert_eq!(scales.len(), nr, "one scale per key row");
     if nr == 0 {
         return;
     }
     assert!(y_stride != 0, "y_stride must be positive");
-    assert!(key_stride >= nc, "key slab stride shorter than the row width");
     assert!(y.len() > (nr - 1) * y_stride, "output shorter than the row count needs");
-    assert!(keys.len() >= (nr - 1) * key_stride + nc, "key slab shorter than the rows need");
     assert!(bank.len() >= nc * table, "bank shorter than the key rows need");
-    let mut max_key = 0u16;
-    for row in keys.chunks(key_stride).take(nr) {
-        max_key = row[..nc].iter().fold(max_key, |mk, &v| mk.max(v));
-    }
-    assert!(nc == 0 || (max_key as usize) < table, "key {max_key} out of table");
+    assert_keys_fit(&keys, table);
     // The x86 gather computes entry offsets in i32 lanes.
     #[cfg(target_arch = "x86_64")]
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
-    dispatch!(
+    // Only the x86 bodies prefetch.
+    #[cfg(target_arch = "x86_64")]
+    let pf = nc * table * 4 > L1_LUT_BYTES;
+    with_keys!(keys, ks => dispatch!(
         k,
-        lut_gather_rows_scalar(y, y_stride, scales, bank, table, keys, key_stride, nc),
-        avx2::lut_gather_rows(y, y_stride, scales, bank, table, keys, key_stride, nc),
+        lut_gather_rows_scalar(y, y_stride, scales, bank, table, ks, key_stride, nc),
+        avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc, pf),
         // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        avx2::lut_gather_rows(y, y_stride, scales, bank, table, keys, key_stride, nc),
-        neon::lut_gather_rows(y, y_stride, scales, bank, table, keys, key_stride, nc)
-    )
+        avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc, pf),
+        neon::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
+    ))
 }
 
 // --------------------------------------------------------- scalar bodies
@@ -664,7 +754,8 @@ pub const ACC_TREE_WIDTH: usize = 8;
 /// the chunk group at `ci` accumulates, the LUT entries of chunks
 /// `ci + PREFETCH_CHUNKS ..` are requested into L1 — the keys are known
 /// ahead of time, so the access pattern is perfectly predictable to us
-/// and perfectly opaque to the hardware prefetcher.
+/// and perfectly opaque to the hardware prefetcher. Issued only for tiles
+/// larger than [`L1_LUT_BYTES`].
 #[cfg(target_arch = "x86_64")]
 const PREFETCH_CHUNKS: usize = 16;
 
@@ -718,10 +809,10 @@ impl TreeAccumulator {
 
 /// Scalar emulation of the width-1 gather: 8 residue-class partials, then
 /// the canonical fold. Also the NEON body (no hardware gather there).
-fn lut_gather_scalar(bank: &[f32], table: usize, keys: &[u16]) -> f32 {
+fn lut_gather_scalar<K: KeyElem>(bank: &[f32], table: usize, keys: &[K]) -> f32 {
     let mut p = [0.0f32; ACC_TREE_WIDTH];
     for (c, &key) in keys.iter().enumerate() {
-        p[c % ACC_TREE_WIDTH] += bank[c * table + key as usize];
+        p[c % ACC_TREE_WIDTH] += bank[c * table + key.idx()];
     }
     tree_reduce8(p)
 }
@@ -730,13 +821,13 @@ fn lut_gather_scalar(bank: &[f32], table: usize, keys: &[u16]) -> f32 {
 /// batched entry point changes no bits at the scalar level either. Also
 /// the NEON body.
 #[allow(clippy::too_many_arguments)]
-fn lut_gather_rows_scalar(
+fn lut_gather_rows_scalar<K: KeyElem>(
     y: &mut [f32],
     y_stride: usize,
     scales: &[f32],
     bank: &[f32],
     table: usize,
-    keys: &[u16],
+    keys: &[K],
     key_stride: usize,
     nc: usize,
 ) {
@@ -757,13 +848,13 @@ const SCALAR_SEG: usize = 8;
 /// pre-offset by the same lane index). Each lane keeps
 /// [`ACC_TREE_WIDTH`] partials indexed by `ci % 8` and folds them in the
 /// canonical tree — the exact per-lane order of the vector bodies.
-fn lut_query_fused_scalar(
+fn lut_query_fused_scalar<K: KeyElem>(
     y: &mut [f32],
     scale: f32,
     bank: &[f32],
     table: usize,
     nb: usize,
-    keys: &[u16],
+    keys: &[K],
 ) {
     let lanes = y.len();
     let mut a0 = 0;
@@ -771,7 +862,7 @@ fn lut_query_fused_scalar(
         let w = SCALAR_SEG.min(lanes - a0);
         let mut acc = [[0.0f32; SCALAR_SEG]; ACC_TREE_WIDTH];
         for (ci, &key) in keys.iter().enumerate() {
-            let off = (ci * table + key as usize) * nb + a0;
+            let off = (ci * table + key.idx()) * nb + a0;
             let part = &mut acc[ci % ACC_TREE_WIDTH];
             for (av, &bv) in part[..w].iter_mut().zip(&bank[off..off + w]) {
                 *av += bv;
@@ -796,6 +887,7 @@ fn lut_query_fused_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::KeyElem;
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -933,27 +1025,33 @@ mod avx2 {
         }
     }
 
+    /// `prefetch` asks for LUT-entry prefetches (tile larger than L1).
+    ///
     /// # Safety
-    /// AVX2 must be available; `y.len() == nb`, the bank spans every
-    /// `(chunk, key)` entry, and keys are `< table` (asserted by the
-    /// dispatcher).
+    /// AVX2 must be available; `y.len() ≤ nb`, the bank spans every
+    /// `(chunk, key)` entry for keys `< table`, and `keys` is the slab of a
+    /// `KeyTile` whose `2^µ == table` (checked by the dispatcher).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_query_fused(
+    pub unsafe fn lut_query_fused<K: KeyElem>(
         y: &mut [f32],
         scale: f32,
         bank: &[f32],
         table: usize,
         nb: usize,
-        keys: &[u16],
+        keys: &[K],
+        prefetch: bool,
     ) {
         let lanes = y.len();
         let klen = keys.len();
         let mut a0 = 0;
         // SAFETY: every load reads `(ci·table + key)·nb + a0 .. +8` with
-        // `key < table` and `ci < keys.len()`, which the dispatcher checked
-        // against `bank.len()`; `a0 + 8 <= lanes ≤ nb` bounds the lane
-        // offset (for ragged tails the caller pre-offsets `bank` and hands
-        // a suffix of `y`). Prefetches only dereference in-bounds entries.
+        // `ci < keys.len()` and `key < table` — the latter is the
+        // `KeyTile` range invariant (every key `< 2^µ`, established when
+        // the `KeyMatrix` was built) with the dispatcher's `table == 2^µ`;
+        // the dispatcher checked that extent against `bank.len()`, and
+        // `a0 + 8 <= lanes ≤ nb` bounds the lane offset (for ragged tails
+        // the caller pre-offsets `bank` and hands a suffix of `y`).
+        // Prefetches only form addresses of in-bounds entries.
         unsafe {
             let sv = _mm256_set1_ps(scale);
             while a0 + 8 <= lanes {
@@ -970,10 +1068,10 @@ mod avx2 {
                 let mut acc7 = _mm256_setzero_ps();
                 let base = bank.as_ptr();
                 let ent =
-                    |ci: usize| base.add((ci * table + *keys.get_unchecked(ci) as usize) * nb + a0);
+                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
                 let mut ci = 0;
                 while ci + 8 <= klen {
-                    if ci + super::PREFETCH_CHUNKS + 8 <= klen {
+                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
                         for j in 0..8 {
                             let c = ci + super::PREFETCH_CHUNKS + j;
                             _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
@@ -1029,40 +1127,45 @@ mod avx2 {
     /// bit-transparent when a partial is `-0.0`).
     ///
     /// # Safety
-    /// AVX2 must be available; the bank spans every `(chunk, key)` entry,
-    /// keys are `< table`, and `bank.len() ≤ i32::MAX` (asserted by the
-    /// dispatcher).
+    /// AVX2 must be available; the bank spans every `(chunk, key)` entry
+    /// for keys `< table`, `bank.len() ≤ i32::MAX`, and `keys` is one row
+    /// of a `KeyTile` whose `2^µ == table` (checked by the dispatcher).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather(bank: &[f32], table: usize, keys: &[u16]) -> f32 {
+    pub unsafe fn lut_gather<K: KeyElem>(
+        bank: &[f32],
+        table: usize,
+        keys: &[K],
+        prefetch: bool,
+    ) -> f32 {
         let klen = keys.len();
         let mut p = [0.0f32; super::ACC_TREE_WIDTH];
         let mut ci = 0;
         // SAFETY: every gathered/prefetched index is `c·table + keys[c]`
-        // with `keys[c] < table` and `c < klen`, in bounds per the
-        // dispatcher's bank-length check and representable in i32 lanes
-        // per its range check; the 128-bit key load reads `keys[ci..ci+8]`
-        // under the loop bound.
+        // with `c < klen` and `keys[c] < table` — the `KeyTile` range
+        // invariant (every key `< 2^µ`) with the dispatcher's
+        // `table == 2^µ` — so it is in bounds per the dispatcher's
+        // bank-length check and representable in i32 lanes per its range
+        // check; the 8-key load reads `keys[ci..ci+8]` under the loop
+        // bound.
         unsafe {
             if ci + 8 <= klen {
                 let base = bank.as_ptr();
                 // Entry offset = ci·table + lane·table + key: broadcast,
-                // lane-index multiple, and zero-extended u16 keys.
+                // lane-index multiple, and zero-extended keys.
                 let lane_t = _mm256_mullo_epi32(
                     _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
                     _mm256_set1_epi32(table as i32),
                 );
                 let mut acc = _mm256_setzero_ps();
                 while ci + 8 <= klen {
-                    if ci + super::PREFETCH_CHUNKS + 8 <= klen {
+                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
                         for j in 0..8 {
                             let c = ci + super::PREFETCH_CHUNKS + j;
-                            let off = c * table + *keys.get_unchecked(c) as usize;
+                            let off = c * table + keys.get_unchecked(c).idx();
                             _mm_prefetch::<_MM_HINT_T0>(base.add(off) as *const i8);
                         }
                     }
-                    let kv = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-                        keys.as_ptr().add(ci) as *const __m128i
-                    ));
+                    let kv = K::load8(keys.as_ptr().add(ci));
                     let idx = _mm256_add_epi32(
                         _mm256_add_epi32(_mm256_set1_epi32((ci * table) as i32), lane_t),
                         kv,
@@ -1074,7 +1177,7 @@ mod avx2 {
             }
         }
         for c in ci..klen {
-            p[c % super::ACC_TREE_WIDTH] += bank[c * table + keys[c] as usize];
+            p[c % super::ACC_TREE_WIDTH] += bank[c * table + keys[c].idx()];
         }
         super::tree_reduce8(p)
     }
@@ -1087,28 +1190,35 @@ mod avx2 {
     /// issued for both rows of the pair.
     ///
     /// # Safety
-    /// AVX2 must be available; slab/output geometry, key ranges, and
-    /// `bank.len() ≤ i32::MAX` as asserted by the dispatcher.
+    /// AVX2 must be available; output geometry and `bank.len() ≤ i32::MAX`
+    /// as asserted by the dispatcher, and `keys`/`key_stride`/`nc`/
+    /// `scales.len()` are the slab, stride, width and row count of a
+    /// `KeyTile` whose `2^µ == table`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lut_gather_rows(
+    pub unsafe fn lut_gather_rows<K: KeyElem>(
         y: &mut [f32],
         y_stride: usize,
         scales: &[f32],
         bank: &[f32],
         table: usize,
-        keys: &[u16],
+        keys: &[K],
         key_stride: usize,
         nc: usize,
+        prefetch: bool,
     ) {
         let nr = scales.len();
         let base = bank.as_ptr();
         let mut i = 0;
-        // SAFETY: the dispatcher asserted the slab/output geometry; every
-        // gathered or prefetched offset is `c·table + key` with
-        // `key < table` and `c < nc`, in bounds per its bank-length check
-        // and representable in i32 lanes per its range check; 128-bit key
-        // loads read `row[ci..ci+8]` under the loop bound.
+        // SAFETY: row `i < nr` of the slab is `keys[i·key_stride ..][.. nc]`
+        // by the `KeyTile` geometry, so every key read (8-key loads under
+        // the `ci + 8 <= nc` bound, scalar reads at `c < nc`) is in the
+        // slab; every gathered or prefetched offset is `c·table + key`
+        // with `c < nc` and `key < table` — the `KeyTile` range invariant
+        // (every key `< 2^µ`) with the dispatcher's `table == 2^µ` — so it
+        // is in bounds per the dispatcher's bank-length check and
+        // representable in i32 lanes per its range check; `y`/`scales`
+        // indices follow the dispatcher's output-geometry asserts.
         unsafe {
             if nc >= 8 {
                 let lane_t = _mm256_mullo_epi32(
@@ -1122,20 +1232,18 @@ mod avx2 {
                     let mut acc_b = _mm256_setzero_ps();
                     let mut ci = 0;
                     while ci + 8 <= nc {
-                        if ci + super::PREFETCH_CHUNKS + 8 <= nc {
+                        if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= nc {
                             for j in 0..8 {
                                 let c = ci + super::PREFETCH_CHUNKS + j;
-                                let off_a = c * table + *ka.add(c) as usize;
-                                let off_b = c * table + *kb.add(c) as usize;
+                                let off_a = c * table + (*ka.add(c)).idx();
+                                let off_b = c * table + (*kb.add(c)).idx();
                                 _mm_prefetch::<_MM_HINT_T0>(base.add(off_a) as *const i8);
                                 _mm_prefetch::<_MM_HINT_T0>(base.add(off_b) as *const i8);
                             }
                         }
                         let ct = _mm256_add_epi32(_mm256_set1_epi32((ci * table) as i32), lane_t);
-                        let kva =
-                            _mm256_cvtepu16_epi32(_mm_loadu_si128(ka.add(ci) as *const __m128i));
-                        let kvb =
-                            _mm256_cvtepu16_epi32(_mm_loadu_si128(kb.add(ci) as *const __m128i));
+                        let kva = K::load8(ka.add(ci));
+                        let kvb = K::load8(kb.add(ci));
                         let ga = _mm256_i32gather_ps::<4>(base, _mm256_add_epi32(ct, kva));
                         let gb = _mm256_i32gather_ps::<4>(base, _mm256_add_epi32(ct, kvb));
                         acc_a = _mm256_add_ps(acc_a, ga);
@@ -1147,8 +1255,8 @@ mod avx2 {
                     _mm256_storeu_ps(pa.as_mut_ptr(), acc_a);
                     _mm256_storeu_ps(pb.as_mut_ptr(), acc_b);
                     for c in ci..nc {
-                        pa[c % super::ACC_TREE_WIDTH] += *base.add(c * table + *ka.add(c) as usize);
-                        pb[c % super::ACC_TREE_WIDTH] += *base.add(c * table + *kb.add(c) as usize);
+                        pa[c % super::ACC_TREE_WIDTH] += *base.add(c * table + (*ka.add(c)).idx());
+                        pb[c % super::ACC_TREE_WIDTH] += *base.add(c * table + (*kb.add(c)).idx());
                     }
                     *y.get_unchecked_mut(i * y_stride) +=
                         *scales.get_unchecked(i) * super::tree_reduce8(pa);
@@ -1162,7 +1270,7 @@ mod avx2 {
             while i < nr {
                 let row = std::slice::from_raw_parts(keys.as_ptr().add(i * key_stride), nc);
                 *y.get_unchecked_mut(i * y_stride) +=
-                    *scales.get_unchecked(i) * lut_gather(bank, table, row);
+                    *scales.get_unchecked(i) * lut_gather(bank, table, row, prefetch);
                 i += 1;
             }
         }
@@ -1173,6 +1281,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::KeyElem;
     use std::arch::x86_64::*;
 
     // Every body also enables AVX2: the Avx512 level requires the Avx2
@@ -1346,23 +1455,27 @@ mod avx512 {
     }
 
     /// # Safety
-    /// AVX-512F + AVX2 must be available; bounds as documented on the
-    /// AVX2 body. Both lane widths accumulate in the canonical tree (8
-    /// accumulator vectors, fixed fold), so every lane matches scalar.
+    /// AVX-512F + AVX2 must be available; bounds and the `KeyTile`
+    /// provenance of `keys` as documented on the AVX2 body. Both lane
+    /// widths accumulate in the canonical tree (8 accumulator vectors,
+    /// fixed fold), so every lane matches scalar.
     #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn lut_query_fused(
+    pub unsafe fn lut_query_fused<K: KeyElem>(
         y: &mut [f32],
         scale: f32,
         bank: &[f32],
         table: usize,
         nb: usize,
-        keys: &[u16],
+        keys: &[K],
+        prefetch: bool,
     ) {
         let lanes = y.len();
         let klen = keys.len();
         let mut a0 = 0;
         // SAFETY: loads bounded exactly as in the AVX2 body, 16 then 8
-        // lanes per step; prefetches only dereference in-bounds entries.
+        // lanes per step — `key < table` is the `KeyTile` range invariant
+        // (every key `< 2^µ`) with the dispatcher's `table == 2^µ`;
+        // prefetches only form addresses of in-bounds entries.
         unsafe {
             let sv512 = _mm512_set1_ps(scale);
             while a0 + 16 <= lanes {
@@ -1376,10 +1489,10 @@ mod avx512 {
                 let mut acc7 = _mm512_setzero_ps();
                 let base = bank.as_ptr();
                 let ent =
-                    |ci: usize| base.add((ci * table + *keys.get_unchecked(ci) as usize) * nb + a0);
+                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
                 let mut ci = 0;
                 while ci + 8 <= klen {
-                    if ci + super::PREFETCH_CHUNKS + 8 <= klen {
+                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
                         for j in 0..8 {
                             let c = ci + super::PREFETCH_CHUNKS + j;
                             _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
@@ -1428,7 +1541,15 @@ mod avx512 {
             // SAFETY: AVX2 is part of this level's feature set; bounds
             // shrink with the lane offset exactly as for the scalar tail.
             unsafe {
-                super::avx2::lut_query_fused(&mut y[a0..], scale, &bank[a0..], table, nb, keys);
+                super::avx2::lut_query_fused(
+                    &mut y[a0..],
+                    scale,
+                    &bank[a0..],
+                    table,
+                    nb,
+                    keys,
+                    prefetch,
+                );
             }
         }
     }
@@ -1438,6 +1559,7 @@ mod avx512 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
+    use super::KeyElem;
     use std::arch::aarch64::*;
 
     /// # Safety
@@ -1576,18 +1698,20 @@ mod neon {
     /// 4-lane groups with 8 accumulator vectors realise the canonical
     /// tree per lane.
     #[target_feature(enable = "neon")]
-    pub unsafe fn lut_query_fused(
+    pub unsafe fn lut_query_fused<K: KeyElem>(
         y: &mut [f32],
         scale: f32,
         bank: &[f32],
         table: usize,
         nb: usize,
-        keys: &[u16],
+        keys: &[K],
     ) {
         let lanes = y.len();
         let klen = keys.len();
         let mut a0 = 0;
-        // SAFETY: loads bounded exactly as in the AVX2 body, 4 lanes.
+        // SAFETY: loads bounded exactly as in the AVX2 body, 4 lanes —
+        // `key < table` is the `KeyTile` range invariant (every key
+        // `< 2^µ`) with the dispatcher's `table == 2^µ`.
         unsafe {
             let sv = vdupq_n_f32(scale);
             while a0 + 4 <= lanes {
@@ -1601,7 +1725,7 @@ mod neon {
                 let mut acc7 = vdupq_n_f32(0.0);
                 let base = bank.as_ptr();
                 let ent =
-                    |ci: usize| base.add((ci * table + *keys.get_unchecked(ci) as usize) * nb + a0);
+                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
                 let mut ci = 0;
                 while ci + 8 <= klen {
                     acc0 = vaddq_f32(acc0, vld1q_f32(ent(ci)));
@@ -1654,25 +1778,25 @@ mod neon {
     /// # Safety
     /// NEON is baseline on aarch64; bounds as checked by the dispatcher.
     #[target_feature(enable = "neon")]
-    pub unsafe fn lut_gather(bank: &[f32], table: usize, keys: &[u16]) -> f32 {
+    pub unsafe fn lut_gather<K: KeyElem>(bank: &[f32], table: usize, keys: &[K]) -> f32 {
         super::lut_gather_scalar(bank, table, keys)
     }
 
     /// Row-batched width-1 gather: the scalar row loop (see
     /// [`lut_gather`] for why NEON does not vectorise this body); the
-    /// batching still amortises dispatch and validation per row tile.
+    /// batching still amortises dispatch per row tile.
     ///
     /// # Safety
     /// NEON is baseline on aarch64; geometry as checked by the dispatcher.
     #[target_feature(enable = "neon")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lut_gather_rows(
+    pub unsafe fn lut_gather_rows<K: KeyElem>(
         y: &mut [f32],
         y_stride: usize,
         scales: &[f32],
         bank: &[f32],
         table: usize,
-        keys: &[u16],
+        keys: &[K],
         key_stride: usize,
         nc: usize,
     ) {
@@ -1683,7 +1807,8 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use biq_matrix::MatrixRng;
+    use biq_matrix::{MatrixRng, SignMatrix};
+    use biq_quant::packing::KeyMatrix;
 
     fn vectors(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut g = MatrixRng::seed_from(seed);
@@ -1805,22 +1930,36 @@ mod tests {
         }
     }
 
+    /// One row of `chunks` random µ-bit keys — the only way to obtain a
+    /// [`KeyTile`] is through a validated `KeyMatrix`.
+    fn key_row(g: &mut MatrixRng, chunks: usize, mu: usize) -> KeyMatrix {
+        KeyMatrix::pack(&g.signs(1, chunks * mu), mu)
+    }
+
     #[test]
     fn fused_query_bit_exact_across_levels_and_ragged_widths() {
         let mut g = MatrixRng::seed_from(40);
-        for &(chunks, mu, nb) in
-            &[(1usize, 2usize, 1usize), (3, 4, 5), (7, 4, 8), (5, 6, 9), (9, 8, 16), (4, 8, 33)]
-        {
+        for &(chunks, mu, nb) in &[
+            (1usize, 2usize, 1usize),
+            (3, 4, 5),
+            (7, 4, 8),
+            (5, 6, 9),
+            (9, 8, 16),
+            (4, 8, 33),
+            (40, 8, 8),  // tile > L1: the prefetching arm
+            (11, 10, 5), // u16 keys
+        ] {
             let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table * nb);
-            let keys: Vec<u16> = (0..chunks).map(|c| ((c * 37 + 11) % table) as u16).collect();
+            let km = key_row(&mut g, chunks, mu);
+            let keys = km.tile(0..1, 0, chunks);
             let y0 = g.gaussian_vec(nb);
             let mut want = y0.clone();
-            lut_query_fused_scalar(&mut want, -0.75, &bank, table, nb, &keys);
+            lut_query_fused(&mut want, -0.75, &bank, table, nb, keys, ResolvedKernel::scalar());
             for k in supported_levels() {
                 let k = KernelRequest::Exact(k).resolve().unwrap();
                 let mut got = y0.clone();
-                lut_query_fused(&mut got, -0.75, &bank, table, nb, &keys, k);
+                lut_query_fused(&mut got, -0.75, &bank, table, nb, keys, k);
                 assert_eq!(want, got, "{k} chunks={chunks} µ={mu} nb={nb}");
             }
         }
@@ -1833,19 +1972,21 @@ mod tests {
         // multiply-add — the canonical order written out longhand.
         let mut g = MatrixRng::seed_from(41);
         for chunks in [1usize, 6, 8, 9, 19] {
-            let (table, nb) = (16usize, 11usize);
+            let (mu, nb) = (4usize, 11usize);
+            let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table * nb);
-            let keys: Vec<u16> = (0..chunks).map(|c| ((c * 5 + 3) % table) as u16).collect();
+            let km = key_row(&mut g, chunks, mu);
+            let keys = km.tile(0..1, 0, chunks);
             let mut want = g.gaussian_vec(nb);
             let mut got = want.clone();
             for (a, yv) in want.iter_mut().enumerate() {
                 let mut acc = TreeAccumulator::new();
-                for (ci, &key) in keys.iter().enumerate() {
-                    acc.push(bank[(ci * table + key as usize) * nb + a]);
+                for ci in 0..chunks {
+                    acc.push(bank[(ci * table + keys.key(0, ci)) * nb + a]);
                 }
                 *yv += 2.5 * acc.finish();
             }
-            lut_query_fused(&mut got, 2.5, &bank, table, nb, &keys, ResolvedKernel::scalar());
+            lut_query_fused(&mut got, 2.5, &bank, table, nb, keys, ResolvedKernel::scalar());
             assert_eq!(want, got, "chunks={chunks}");
         }
     }
@@ -1854,21 +1995,32 @@ mod tests {
     fn gather_bit_exact_across_levels_and_matches_fused_width1() {
         // Every level's gather must agree with scalar AND with the fused
         // kernel run at nb == 1 (scale 1 onto a zero output is exact), on
-        // ragged chunk counts straddling the 8-chunk group width.
+        // ragged chunk counts straddling the 8-chunk group width, both key
+        // widths, and both sides of the L1 prefetch threshold.
         let mut g = MatrixRng::seed_from(42);
-        for &(chunks, mu) in
-            &[(1usize, 2usize), (3, 4), (7, 4), (8, 4), (9, 6), (16, 8), (23, 8), (40, 3)]
-        {
+        for &(chunks, mu) in &[
+            (1usize, 2usize),
+            (3, 4),
+            (7, 4),
+            (8, 4),
+            (9, 6),
+            (16, 8),
+            (23, 8),
+            (40, 3),
+            (57, 8),  // tile > L1
+            (19, 12), // u16 keys, tile > L1
+        ] {
             let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table);
-            let keys: Vec<u16> = (0..chunks).map(|c| ((c * 37 + 11) % table) as u16).collect();
-            let want = lut_gather_scalar(&bank, table, &keys);
+            let km = key_row(&mut g, chunks, mu);
+            let keys = km.tile(0..1, 0, chunks);
+            let want = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
             for level in supported_levels() {
                 let k = KernelRequest::Exact(level).resolve().unwrap();
-                let got = lut_gather(&bank, table, &keys, k);
+                let got = lut_gather(&bank, table, keys, k);
                 assert_eq!(want.to_bits(), got.to_bits(), "{level} chunks={chunks} µ={mu}");
                 let mut y = [0.0f32];
-                lut_query_fused(&mut y, 1.0, &bank, table, 1, &keys, k);
+                lut_query_fused(&mut y, 1.0, &bank, table, 1, keys, k);
                 assert_eq!(want.to_bits(), y[0].to_bits(), "fused@1 {level} chunks={chunks}");
             }
         }
@@ -1880,26 +2032,32 @@ mod tests {
         let (chunks, mu) = (21usize, 4usize);
         let table = 1usize << mu;
         let bank = g.gaussian_vec(chunks * table);
-        let keys: Vec<u16> = (0..chunks).map(|c| ((c * 7 + 2) % table) as u16).collect();
+        let km = key_row(&mut g, chunks, mu);
+        let keys = km.tile(0..1, 0, chunks);
         let mut acc = TreeAccumulator::new();
-        for (c, &key) in keys.iter().enumerate() {
-            acc.push(bank[c * table + key as usize]);
+        for c in 0..chunks {
+            acc.push(bank[c * table + keys.key(0, c)]);
         }
-        assert_eq!(acc.finish().to_bits(), lut_gather_scalar(&bank, table, &keys).to_bits());
+        let got = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
+        assert_eq!(acc.finish().to_bits(), got.to_bits());
     }
 
     #[test]
-    #[should_panic(expected = "out of table")]
-    fn fused_query_rejects_oversized_key() {
+    #[should_panic(expected = "table stride must be 2^µ")]
+    fn fused_query_rejects_a_table_narrower_than_the_keys() {
+        // µ = 4 keys may reach 15; a 4-entry table cannot hold them. The
+        // O(1) stride check stands in for the old per-key scan.
+        let km = KeyMatrix::pack(&SignMatrix::ones(1, 4), 4);
         let bank = vec![0.0f32; 16];
         let mut y = vec![0.0f32; 2];
-        lut_query_fused(&mut y, 1.0, &bank, 4, 2, &[9], ResolvedKernel::scalar());
+        lut_query_fused(&mut y, 1.0, &bank, 4, 2, km.tile(0..1, 0, 1), ResolvedKernel::scalar());
     }
 
     #[test]
-    #[should_panic(expected = "out of table")]
-    fn gather_rejects_oversized_key() {
+    #[should_panic(expected = "table stride must be 2^µ")]
+    fn gather_rejects_a_table_narrower_than_the_keys() {
+        let km = KeyMatrix::pack(&SignMatrix::ones(1, 8), 4);
         let bank = vec![0.0f32; 8];
-        lut_gather(&bank, 4, &[5, 1], ResolvedKernel::scalar());
+        lut_gather(&bank, 4, km.tile(0..1, 0, 2), ResolvedKernel::scalar());
     }
 }

@@ -99,13 +99,11 @@ pub(crate) fn run_tiles(
                             // GEMV fast path: with one live batch column the
                             // two layouts coincide (entry (c, key) lives at
                             // c·2^µ + key) and the canonical-order gather runs
-                            // row-batched at the pinned level — dispatch and
-                            // validation once per row tile, consecutive rows'
-                            // gathers interleaved. Key rows map to output rows
-                            // mod m (bit planes), so a tile is split where the
+                            // row-batched at the pinned level — one dispatch
+                            // per row tile, consecutive rows' gathers
+                            // interleaved. Key rows map to output rows mod m
+                            // (bit planes), so a tile is split where the
                             // output row index wraps.
-                            let keys_all = keys.as_slice();
-                            let stride = keys.chunks();
                             let mut r = kr_start + r0;
                             let tile_end = kr_start + r0 + nr;
                             while r < tile_end {
@@ -113,12 +111,8 @@ pub(crate) fn run_tiles(
                                 let out_row = r % m;
                                 debug_assert!(out_row >= y_row0);
                                 let yoff = (out_row - y_row0) * b + b0;
-                                let slab =
-                                    &keys_all[r * stride + c0..(run_end - 1) * stride + c0 + nc];
                                 bank.gather_rows(
-                                    slab,
-                                    stride,
-                                    nc,
+                                    keys.tile(r..run_end, c0, nc),
                                     &w.scales()[r..run_end],
                                     &mut y[yoff..],
                                     b,
@@ -133,7 +127,7 @@ pub(crate) fn run_tiles(
                             let out_row = r % m;
                             debug_assert!(out_row >= y_row0);
                             let yoff = (out_row - y_row0) * b + b0;
-                            let krow = &keys.key_row(r)[c0..c0 + nc];
+                            let krow = keys.tile(r..r + 1, c0, nc);
                             match cfg.layout {
                                 LutLayout::KeyMajor => {
                                     // Fused lookup-accumulate at the pinned
@@ -148,8 +142,8 @@ pub(crate) fn run_tiles(
                                     let yrow = &mut y[yoff..yoff + nb];
                                     for (a, yv) in yrow.iter_mut().enumerate() {
                                         let mut s = TreeAccumulator::new();
-                                        for (ci, &key) in krow.iter().enumerate() {
-                                            s.push(bank.entry(ci, a, key));
+                                        for ci in 0..nc {
+                                            s.push(bank.entry(ci, a, krow.key(0, ci)));
                                         }
                                         *yv += scale * s.finish();
                                     }

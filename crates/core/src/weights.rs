@@ -16,8 +16,10 @@ use biq_quant::MultiBitMatrix;
 ///
 /// Both components live in shared-capable storage: weights deserialized
 /// from a model artifact borrow the artifact buffer (keys via
-/// [`KeyMatrix::from_shared`], scales via [`BiqWeights::from_parts_store`])
-/// instead of re-allocating.
+/// [`KeyMatrix::try_new`] over a view, scales via
+/// [`BiqWeights::from_parts_store`]) instead of re-allocating. The keys are
+/// stored once, `⌈µ/8⌉` bytes each; the query loops read them through
+/// [`KeyMatrix::tile`] windows of that one buffer.
 #[derive(Clone, Debug)]
 pub struct BiqWeights {
     keys: KeyMatrix,

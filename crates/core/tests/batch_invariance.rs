@@ -74,6 +74,24 @@ fn any_slicing_matches_the_full_batch_bit_for_bit() {
 }
 
 #[test]
+fn byte_key_edge_shapes_are_packing_invariant() {
+    // The shapes where the b = 1 gather has least to work with: one row,
+    // n < µ (a single ragged chunk), odd row counts, fewer than 8 chunks
+    // per tile — and µ = 12 across the key-width boundary for contrast.
+    let few_chunks = BiqConfig { tile_chunks: 5, tile_rows: 3, ..BiqConfig::default() };
+    for &(m, n, bits, cfg) in &[
+        (1usize, 64usize, 1usize, BiqConfig::default()),
+        (1, 5, 2, BiqConfig::default()),
+        (9, 72, 1, BiqConfig::default()),
+        (7, 203, 2, few_chunks),
+        (5, 61, 1, BiqConfig { mu: 7, ..few_chunks }),
+        (6, 100, 2, BiqConfig { mu: 12, ..few_chunks }),
+    ] {
+        check_widths(m, n, 12, bits, &cfg);
+    }
+}
+
+#[test]
 fn invariance_holds_at_every_supported_kernel_level() {
     // b = 12: every slicing width 1..=10 leaves a ragged tail somewhere
     // (5, 7, 8, 9, 10 don't divide 12), so each level's gather, fused,

@@ -8,6 +8,7 @@
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
+use biq_quant::packing::KeyMatrix;
 use biqgemm_core::parallel::biqgemm_parallel_into;
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::tiled::biqgemm_serial_into;
@@ -47,10 +48,95 @@ const CASES: &[(usize, usize, usize, usize, usize)] = &[
     (64, 64, 9, 8, 1),
     (5, 3, 2, 8, 1), // n < µ: single ragged chunk
     (30, 50, 7, 4, 2),
-    (40, 37, 13, 8, 1), // ragged n, batch 13 (8 + 5 tail, 13 < 16)
-    (24, 48, 17, 6, 2), // batch 17 (16 + 1 tail)
-    (48, 31, 33, 5, 1), // batch 33 (2×16 + 1, also 4×8 + 1)
+    (40, 37, 13, 8, 1),  // ragged n, batch 13 (8 + 5 tail, 13 < 16)
+    (24, 48, 17, 6, 2),  // batch 17 (16 + 1 tail)
+    (48, 31, 33, 5, 1),  // batch 33 (2×16 + 1, also 4×8 + 1)
+    (21, 100, 4, 12, 2), // µ > 8: the u16 key width
+    (6, 28, 1, 9, 1),    // µ = 9, first width past the byte boundary, n ∤ µ
 ];
+
+/// Byte-key (µ ≤ 8) shapes at the edges of the b = 1 gather: a single
+/// row, `n < µ`, odd row counts (an unpaired last row), fewer than 8
+/// chunks (no full vector group), chunk counts with a ragged `% 8` tail,
+/// and multi-bit planes whose tiles wrap the output-row index.
+const BYTE_KEY_CASES: &[(usize, usize, usize, usize)] = &[
+    // (m, n, mu, bits)
+    (1, 64, 8, 1),
+    (1, 5, 8, 2),
+    (9, 72, 8, 1),
+    (7, 40, 8, 2),
+    (33, 203, 8, 3),
+    (5, 61, 7, 1),
+    (13, 90, 3, 2),
+];
+
+#[test]
+fn byte_key_edge_shapes_bit_exact_vs_scalar() {
+    let mut g = MatrixRng::seed_from(7004);
+    for &(m, n, mu, bits) in BYTE_KEY_CASES {
+        let q = greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits);
+        let w = BiqWeights::from_multibit(&q, mu);
+        assert_eq!(w.keys().storage_bytes(), w.key_rows() * w.chunks(), "one byte per key");
+        for b in [1usize, 3] {
+            let x = g.gaussian_col(n, b, 0.0, 1.0);
+            // Default tiles (whole rows in one gather) and tiny ones
+            // (tiles split mid-row and mid-plane).
+            for (tile_rows, tile_chunks) in [(64usize, 32usize), (4, 3)] {
+                let cfg = BiqConfig { mu, tile_rows, tile_chunks, ..BiqConfig::default() };
+                let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
+                for level in supported_levels() {
+                    let k = exact(level);
+                    let what = format!(
+                        "(m,n,µ,bits,b)=({m},{n},{mu},{bits},{b}) tiles=({tile_rows},\
+                         {tile_chunks}) level={level}"
+                    );
+                    assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
+                    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+                        let cfg = BiqConfig { schedule, ..cfg };
+                        assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over the output's `f32` bit patterns.
+fn digest(y: &[f32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in y {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Output digests recorded at the commit *before* keys became byte-wide
+/// (`u16` keys, per-call key scans, unconditional prefetch): "bit-identical
+/// to before" is pinned here, not assumed. Every level must reproduce them.
+#[test]
+fn golden_digests_from_before_byte_keys() {
+    let small = BiqConfig { tile_rows: 7, tile_chunks: 3, tile_batch: 5, ..BiqConfig::default() };
+    let cases = [
+        // b = 1 gather, default tiles, 26 chunks (3 vector groups + tail).
+        (0x601d_0001, (96, 203, 1, 2), BiqConfig::default(), 0xfb3c_7d35_99fc_bb97),
+        // Fused path, ragged lanes and chunks.
+        (0x601d_0002, (37, 83, 13, 3), small, 0x3e85_3a4d_362f_6066),
+        // µ = 12: the width that stays u16.
+        (0x601d_0003, (21, 100, 4, 2), BiqConfig { mu: 12, ..small }, 0xd63e_c0d2_29b6_45da),
+    ];
+    for (seed, (m, n, b, bits), cfg, want) in cases {
+        let mut g = MatrixRng::seed_from(seed);
+        let q = greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits);
+        let w = BiqWeights::from_multibit(&q, cfg.mu);
+        let x = g.gaussian_col(n, b, 0.0, 1.0);
+        for level in supported_levels() {
+            let got = digest(&serial(&w, &x, &cfg, exact(level)));
+            assert_eq!(got, want, "seed {seed:#x} level={level}: {got:#018x}");
+        }
+    }
+}
 
 #[test]
 fn serial_levels_bit_exact_vs_scalar_across_shapes() {
@@ -115,16 +201,17 @@ fn parallel_levels_bit_exact_vs_scalar_serial() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The width-1 contract: across random shapes/µ — including chunk
-    /// counts with ragged `% 8` tails — the vectorized gather equals the
-    /// fused kernel at `nb = 1` bit for bit, at every supported level.
-    /// This is what lets `layout.rs` route width-1 tiles through
-    /// `lut_gather` while the batcher packs the same column into fused
-    /// runs: both realise the canonical accumulation tree.
+    /// The width-1 contract: across random shapes/µ — both key widths,
+    /// chunk counts with ragged `% 8` tails, tiles on both sides of the
+    /// L1 prefetch threshold — the vectorized gather equals the fused
+    /// kernel at `nb = 1` bit for bit, at every supported level. This is
+    /// what lets `layout.rs` route width-1 tiles through the gather while
+    /// the batcher packs the same column into fused runs: both realise
+    /// the canonical accumulation tree.
     #[test]
     fn gather_equals_fused_at_width_one(
         chunks in 1usize..40,
-        mu in 1usize..=8,
+        mu in 1usize..=12,
         seed in 0u64..1_000_000,
     ) {
         use biqgemm_core::simd::{lut_gather, lut_query_fused};
@@ -133,19 +220,19 @@ proptest! {
         // A width-1 bank: chunk c's table occupies bank[c*table..][..table].
         let bank: Vec<f32> =
             g.gaussian(1, chunks * table, 0.0, 1.0).as_slice().to_vec();
-        let keys: Vec<u16> =
-            (0..chunks).map(|c| ((seed >> (c % 13)) as usize % table) as u16).collect();
+        let km = KeyMatrix::pack(&g.signs(1, chunks * mu), mu);
+        let keys = km.tile(0..1, 0, chunks);
         let scale = 1.0f32;
-        let scalar = lut_gather(&bank, table, &keys, ResolvedKernel::scalar());
+        let scalar = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
         for level in supported_levels() {
             let k = exact(level);
-            let gathered = lut_gather(&bank, table, &keys, k);
+            let gathered = lut_gather(&bank, table, keys, k);
             prop_assert_eq!(
                 gathered.to_bits(), scalar.to_bits(),
                 "gather level={} vs scalar (chunks={}, mu={})", level, chunks, mu
             );
             let mut fused = [0.0f32];
-            lut_query_fused(&mut fused, scale, &bank, table, 1, &keys, k);
+            lut_query_fused(&mut fused, scale, &bank, table, 1, keys, k);
             prop_assert_eq!(
                 fused[0].to_bits(), gathered.to_bits(),
                 "fused@nb=1 level={} vs gather (chunks={}, mu={})", level, chunks, mu
@@ -154,28 +241,27 @@ proptest! {
     }
 
     /// The row-batched gather is the per-row gather, bit for bit: for any
-    /// slab geometry (stride > width, strided outputs, odd row counts that
-    /// leave an unpaired row, ragged `% 8` chunk tails), at every level,
-    /// `lut_gather_rows` accumulates exactly what a per-row
-    /// `y += scale · lut_gather(row)` loop would. This is what lets the
-    /// width-1 tile loop batch whole row tiles into one dispatch.
+    /// tile geometry (a window narrower than the matrix, so stride >
+    /// width; strided outputs; odd row counts that leave an unpaired row;
+    /// ragged `% 8` chunk tails), at every level, `lut_gather_rows`
+    /// accumulates exactly what a per-row `y += scale · lut_gather(row)`
+    /// loop would. This is what lets the width-1 tile loop batch whole
+    /// row tiles into one dispatch.
     #[test]
     fn gather_rows_equals_per_row_gather(
         rows in 1usize..12,
         chunks in 1usize..24,
         extra_stride in 0usize..5,
         y_stride in 1usize..4,
-        mu in 1usize..=8,
+        mu in 1usize..=12,
         seed in 0u64..1_000_000,
     ) {
         use biqgemm_core::simd::{lut_gather, lut_gather_rows};
         let table = 1usize << mu;
-        let stride = chunks + extra_stride;
         let mut g = MatrixRng::seed_from(seed ^ 0xb0b);
         let bank: Vec<f32> = g.gaussian(1, chunks * table, 0.0, 1.0).as_slice().to_vec();
-        let keys: Vec<u16> = (0..(rows - 1) * stride + chunks)
-            .map(|i| ((seed >> (i % 17)) as usize % table) as u16)
-            .collect();
+        let km = KeyMatrix::pack(&g.signs(rows, (chunks + extra_stride) * mu), mu);
+        let keys = km.tile(0..rows, seed as usize % (extra_stride + 1), chunks);
         let scales: Vec<f32> = g.gaussian(1, rows, 0.0, 1.0).as_slice().to_vec();
         let y_init: Vec<f32> = g.gaussian(1, (rows - 1) * y_stride + 1, 0.0, 1.0)
             .as_slice()
@@ -184,17 +270,16 @@ proptest! {
             let k = exact(level);
             let mut want = y_init.clone();
             for (i, &scale) in scales.iter().enumerate() {
-                want[i * y_stride] +=
-                    scale * lut_gather(&bank, table, &keys[i * stride..i * stride + chunks], k);
+                want[i * y_stride] += scale * lut_gather(&bank, table, keys.row(i), k);
             }
             let mut got = y_init.clone();
-            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, &keys, stride, chunks, k);
+            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, keys, k);
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(
                 gb, wb,
                 "level={} rows={} chunks={} stride={} y_stride={}",
-                level, rows, chunks, stride, y_stride
+                level, rows, chunks, keys.stride(), y_stride
             );
         }
     }
@@ -206,7 +291,7 @@ proptest! {
         m in 1usize..48,
         n in 1usize..70,
         b in 1usize..24,
-        mu in 1usize..=9,
+        mu in 1usize..=12,
         bits in 1usize..=3,
         tile_rows in 1usize..12,
         tile_chunks in 1usize..5,

@@ -8,6 +8,7 @@ use biq_matrix::MatrixRng;
 use biq_nn::model::CompiledModel;
 use biq_nn::transformer::LayerBackend;
 use biq_nn::{Linear, QuantMethod};
+use biq_quant::packing::Keys;
 use biq_runtime::{
     BackendSpec, PackedPayload, PlanBuilder, SharedExecutor, Threading, WeightSource,
 };
@@ -64,7 +65,10 @@ fn loaded_biq_payload_borrows_the_artifact_buffer() {
     let CompiledModel::Linear(l) = &loaded else { panic!("kind changed") };
     let op = l.compiled_op();
     let PackedPayload::Biq(w) = op.payload() else { panic!("payload family changed") };
-    let keys = w.keys().as_slice().as_ptr() as usize;
+    let keys = match w.keys().tile(0..w.key_rows(), 0, w.chunks()).keys() {
+        Keys::U8(k) => k.as_ptr() as usize,
+        Keys::U16(k) => k.as_ptr() as usize,
+    };
     let scales = w.scales().as_ptr() as usize;
     assert!(w.keys().is_shared(), "keys must be a shared view, not an owned copy");
     assert!(keys >= base && keys < end, "keys must point into the artifact buffer");

@@ -6,7 +6,9 @@
 //!   run of µ consecutive signs *within a row* becomes one integer key,
 //!   **MSB-first** with `+1 ↦ 1` (`{−1,+1,+1,−1} ↦ 0b0110 = 6`). Keys index
 //!   directly into BiQGEMM's lookup tables. A ragged final chunk of length
-//!   `L < µ` packs into the low `L` bits (its LUT has `2^L` entries).
+//!   `L < µ` packs into the low `L` bits (its LUT has `2^L` entries). Keys
+//!   are stored `⌈µ/8⌉` bytes wide ([`key_bytes`]) and reach the kernels
+//!   only as range-checked [`KeyTile`] windows.
 //! * [`PackedRowsU32`] / [`PackedRowsU64`] — 32/64 consecutive signs per row
 //!   packed **LSB-first** (`bit i ↦ element 32·w + i`), matching the paper's
 //!   Algorithm 3 unpack loop `w_i = (((x >> i) & 1) · 2) − 1`. Used by the
@@ -17,14 +19,120 @@
 
 use biq_matrix::store::{PodStore, PodView};
 use biq_matrix::SignMatrix;
+use bytes::{Buf, BufMut};
+use std::fmt;
+use std::ops::Range;
+
+/// Stored bytes per key at LUT-unit `mu`: `⌈µ/8⌉` — one byte through µ = 8
+/// (the shipped default), two for µ 9–16. This is the *only* place the
+/// width rule lives; every container format and the kernels derive the
+/// width from µ through it.
+#[inline]
+pub const fn key_bytes(mu: usize) -> usize {
+    mu.div_ceil(8)
+}
+
+/// Key storage, one element per key at the width [`key_bytes`] gives.
+/// Either representation is shared-capable, so a key matrix deserialized
+/// from a model artifact borrows the artifact's byte buffer instead of
+/// re-allocating.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum KeyStore {
+    /// One byte per key (µ ≤ 8).
+    U8(PodStore<u8>),
+    /// Two bytes per key (µ 9–16).
+    U16(PodStore<u16>),
+}
+
+impl KeyStore {
+    fn len(&self) -> usize {
+        match self {
+            KeyStore::U8(k) => k.len(),
+            KeyStore::U16(k) => k.len(),
+        }
+    }
+
+    fn elem_bytes(&self) -> usize {
+        match self {
+            KeyStore::U8(_) => 1,
+            KeyStore::U16(_) => 2,
+        }
+    }
+}
+
+/// Why a key buffer is not a valid key matrix.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum KeyError {
+    /// µ outside `1..=16`.
+    BadMu(usize),
+    /// The matrix has no columns.
+    NoColumns,
+    /// The element width disagrees with [`key_bytes`]`(µ)`.
+    Width {
+        /// LUT-unit of the matrix.
+        mu: usize,
+        /// Bytes per element of the offered buffer.
+        elem_bytes: usize,
+    },
+    /// The buffer does not hold `rows · ⌈cols/µ⌉` keys.
+    Length {
+        /// Keys offered.
+        keys: usize,
+        /// Rows claimed.
+        rows: usize,
+        /// Chunks per row implied by `cols` and µ.
+        chunks: usize,
+    },
+    /// A key does not fit its chunk's bit width.
+    OutOfRange {
+        /// Offending key value.
+        key: u16,
+        /// Chunk (key column) it sits in.
+        chunk: usize,
+        /// Bits available in that chunk.
+        bits: usize,
+    },
+    /// A byte stream ended before `rows · ⌈cols/µ⌉` keys were read.
+    Truncated,
+}
+
+impl fmt::Display for KeyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyError::BadMu(mu) => write!(f, "LUT-unit µ must be in 1..=16, got {mu}"),
+            KeyError::NoColumns => write!(f, "key matrix must have columns"),
+            KeyError::Width { mu, elem_bytes } => write!(
+                f,
+                "µ = {mu} keys are {} byte(s) wide, buffer elements are {elem_bytes}",
+                key_bytes(*mu)
+            ),
+            KeyError::Length { keys, rows, chunks } => {
+                write!(
+                    f,
+                    "key buffer length mismatch: {keys} keys for {rows} rows x {chunks} chunks"
+                )
+            }
+            KeyError::OutOfRange { key, chunk, bits } => {
+                write!(f, "key {key} at chunk {chunk} exceeds {bits} bits")
+            }
+            KeyError::Truncated => write!(f, "key payload truncated"),
+        }
+    }
+}
+
+impl std::error::Error for KeyError {}
 
 /// The paper's key matrix: µ-bit row chunks of a binary weight matrix,
-/// stored one `u16` per key (µ ≤ 16).
+/// stored once, [`key_bytes`]`(µ)` bytes per key.
 ///
-/// Key storage is a [`PodStore`], so a key matrix deserialized from a model
-/// artifact borrows the artifact's byte buffer ([`KeyMatrix::from_shared`])
-/// instead of re-allocating — loading a packed model is a validation pass,
-/// not a copy.
+/// **Range invariant:** every stored key is `< 2^L` for its chunk's length
+/// `L ≤ µ` — hence `< 2^µ`, the stride of a lookup table. Every constructor
+/// establishes it (packing by construction, [`KeyMatrix::try_new`] and
+/// [`KeyMatrix::decode_le`] by a load-time scan; byte keys at µ = 8 are in
+/// range by type, so only a ragged last chunk is scanned), the storage is
+/// never handed out mutably, and [`KeyTile`] — the only way the kernels see
+/// keys — carries it to the gather loops, which therefore index tables
+/// without re-checking.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyMatrix {
     rows: usize,
@@ -32,7 +140,56 @@ pub struct KeyMatrix {
     cols: usize,
     mu: usize,
     chunks: usize,
-    keys: PodStore<u16>,
+    keys: KeyStore,
+}
+
+/// First out-of-range key of a row-major `rows × chunks` buffer: full
+/// chunks hold `mu` bits, the last chunk of each row `last_len`. Columns
+/// whose bit width fills the element type are skipped — nothing to check.
+fn find_out_of_range<T: Copy + Into<u16>>(
+    ks: &[T],
+    chunks: usize,
+    mu: usize,
+    last_len: usize,
+) -> Option<KeyError> {
+    let elem_bits = 8 * std::mem::size_of::<T>();
+    if mu >= elem_bits && last_len >= elem_bits {
+        return None; // every value of `T` is in range: no scan at all
+    }
+    let bad = |key: T, chunk: usize, bits: usize| {
+        let key: u16 = key.into();
+        (key >> bits != 0).then_some(KeyError::OutOfRange { key, chunk, bits })
+    };
+    for row in ks.chunks_exact(chunks) {
+        if mu < elem_bits {
+            let full = &row[..chunks - 1];
+            if let Some(e) = full.iter().enumerate().find_map(|(c, &k)| bad(k, c, mu)) {
+                return Some(e);
+            }
+        }
+        if last_len < elem_bits {
+            if let Some(e) = bad(row[chunks - 1], chunks - 1, last_len) {
+                return Some(e);
+            }
+        }
+    }
+    None
+}
+
+/// Row-major keys of `signs`: each run of `mu` signs within a row, MSB-first
+/// with `+1 ↦ 1`, narrowed to the stored element type.
+fn pack_keys<T>(signs: &SignMatrix, mu: usize, narrow: impl Fn(u16) -> T) -> Vec<T> {
+    let (rows, cols) = signs.shape();
+    let mut keys = Vec::with_capacity(rows * cols.div_ceil(mu));
+    for i in 0..rows {
+        keys.extend(
+            signs
+                .row(i)
+                .chunks(mu)
+                .map(|c| narrow(c.iter().fold(0u16, |k, &s| (k << 1) | u16::from(s > 0)))),
+        );
+    }
+    keys
 }
 
 impl KeyMatrix {
@@ -45,101 +202,88 @@ impl KeyMatrix {
         let (rows, cols) = signs.shape();
         assert!(cols > 0, "cannot pack an empty matrix");
         let chunks = cols.div_ceil(mu);
-        let mut keys = Vec::with_capacity(rows * chunks);
-        for i in 0..rows {
-            let row = signs.row(i);
-            for beta in 0..chunks {
-                let start = beta * mu;
-                let end = (start + mu).min(cols);
-                let mut key: u16 = 0;
-                for &s in &row[start..end] {
-                    key = (key << 1) | u16::from(s > 0);
-                }
-                keys.push(key);
-            }
-        }
-        Self { rows, cols, mu, chunks, keys: keys.into() }
+        let keys = if key_bytes(mu) == 1 {
+            // µ ≤ 8 shifts: the key fits a byte.
+            KeyStore::U8(pack_keys(signs, mu, |k| k as u8).into())
+        } else {
+            KeyStore::U16(pack_keys(signs, mu, |k| k).into())
+        };
+        Self { rows, cols, mu, chunks, keys }
     }
 
-    /// Rebuilds a key matrix from raw parts (deserialization path).
-    ///
-    /// # Panics
-    /// Panics if the buffer length mismatches or any key exceeds its chunk's
-    /// bit width — callers performing untrusted decoding should validate
-    /// first (see `serialize::decode_key_matrix`).
-    pub fn from_raw(rows: usize, cols: usize, mu: usize, keys: Vec<u16>) -> Self {
-        Self::from_store(rows, cols, mu, keys.into())
-    }
-
-    /// Rebuilds a key matrix over a zero-copy artifact view — same
-    /// validation as [`KeyMatrix::from_raw`], but the keys stay borrowed
-    /// from the loaded buffer.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`KeyMatrix::from_raw`].
-    pub fn from_shared(rows: usize, cols: usize, mu: usize, keys: PodView<u16>) -> Self {
-        Self::from_store(rows, cols, mu, keys.into())
-    }
-
-    /// Non-panicking [`KeyMatrix::from_shared`] for untrusted input
-    /// (artifact loaders): every key is range-checked in one linear scan,
-    /// and violations come back as errors.
-    pub fn try_from_shared(
-        rows: usize,
-        cols: usize,
-        mu: usize,
-        keys: PodView<u16>,
-    ) -> Result<Self, String> {
-        Self::try_from_store(rows, cols, mu, keys.into())
-    }
-
-    fn from_store(rows: usize, cols: usize, mu: usize, keys: PodStore<u16>) -> Self {
-        Self::try_from_store(rows, cols, mu, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_from_store(
-        rows: usize,
-        cols: usize,
-        mu: usize,
-        keys: PodStore<u16>,
-    ) -> Result<Self, String> {
+    /// Builds a key matrix over an existing buffer — owned, or a zero-copy
+    /// artifact view — after checking µ, the element width against
+    /// [`key_bytes`], the length, and every key against its chunk's bit
+    /// width. This is where untrusted keys enter; violations are errors,
+    /// never panics.
+    pub fn try_new(rows: usize, cols: usize, mu: usize, keys: KeyStore) -> Result<Self, KeyError> {
         if !(1..=16).contains(&mu) {
-            return Err(format!("LUT-unit µ must be in 1..=16, got {mu}"));
+            return Err(KeyError::BadMu(mu));
         }
         if cols == 0 {
-            return Err("key matrix must have columns".into());
+            return Err(KeyError::NoColumns);
+        }
+        if keys.elem_bytes() != key_bytes(mu) {
+            return Err(KeyError::Width { mu, elem_bytes: keys.elem_bytes() });
         }
         let chunks = cols.div_ceil(mu);
-        if keys.len() != rows * chunks {
-            return Err(format!(
-                "key buffer length mismatch: {} keys for {rows} rows x {chunks} chunks",
-                keys.len()
-            ));
+        if rows.checked_mul(chunks) != Some(keys.len()) {
+            return Err(KeyError::Length { keys: keys.len(), rows, chunks });
         }
-        // One linear scan: full chunks are `µ` bits wide, only the final
-        // chunk of each row may be ragged.
         let last_len = cols - (chunks - 1) * mu;
-        let full_cap = if mu == 16 { u32::MAX } else { 1u32 << mu };
-        let last_cap = if last_len == 16 { u32::MAX } else { 1u32 << last_len };
-        let ks = keys.as_slice();
-        for r in 0..rows {
-            let row = &ks[r * chunks..(r + 1) * chunks];
-            for (beta, &key) in row[..chunks - 1].iter().enumerate() {
-                if (key as u32) >= full_cap {
-                    return Err(format!("key {key} at chunk {beta} exceeds {mu} bits"));
-                }
-            }
-            let key = row[chunks - 1];
-            if (key as u32) >= last_cap {
-                return Err(format!("key {key} at chunk {} exceeds {last_len} bits", chunks - 1));
-            }
+        let bad = match &keys {
+            KeyStore::U8(k) => find_out_of_range(k.as_slice(), chunks, mu, last_len),
+            KeyStore::U16(k) => find_out_of_range(k.as_slice(), chunks, mu, last_len),
+        };
+        match bad {
+            Some(e) => Err(e),
+            None => Ok(Self { rows, cols, mu, chunks, keys }),
         }
-        Ok(Self { rows, cols, mu, chunks, keys })
+    }
+
+    /// Reads `rows · ⌈cols/µ⌉` little-endian keys of [`key_bytes`]`(µ)`
+    /// bytes each off `data` (the BIQW/BIQK payload form) and validates
+    /// them like [`KeyMatrix::try_new`]. Sizes are checked against the
+    /// remaining bytes before anything is allocated.
+    pub fn decode_le(
+        rows: usize,
+        cols: usize,
+        mu: usize,
+        data: &mut impl Buf,
+    ) -> Result<Self, KeyError> {
+        if !(1..=16).contains(&mu) {
+            return Err(KeyError::BadMu(mu));
+        }
+        let count = rows.checked_mul(cols.div_ceil(mu)).ok_or(KeyError::Truncated)?;
+        let bytes = count.checked_mul(key_bytes(mu)).ok_or(KeyError::Truncated)?;
+        if data.remaining() < bytes {
+            return Err(KeyError::Truncated);
+        }
+        let keys = if key_bytes(mu) == 1 {
+            let mut k = vec![0u8; count];
+            data.copy_to_slice(&mut k);
+            KeyStore::U8(k.into())
+        } else {
+            KeyStore::U16((0..count).map(|_| data.get_u16_le()).collect::<Vec<_>>().into())
+        };
+        Self::try_new(rows, cols, mu, keys)
+    }
+
+    /// Appends the keys in the little-endian payload form
+    /// [`KeyMatrix::decode_le`] reads ([`KeyMatrix::storage_bytes`] bytes).
+    pub fn encode_le(&self, out: &mut impl BufMut) {
+        match &self.keys {
+            KeyStore::U8(k) => out.put_slice(k.as_slice()),
+            KeyStore::U16(k) => k.iter().for_each(|&key| out.put_u16_le(key)),
+        }
     }
 
     /// True when the keys are a borrowed artifact view.
     pub fn is_shared(&self) -> bool {
-        self.keys.is_shared()
+        match &self.keys {
+            KeyStore::U8(k) => k.is_shared(),
+            KeyStore::U16(k) => k.is_shared(),
+        }
     }
 
     /// Number of key rows (`m`, or `β·m` for stacked multi-bit weights).
@@ -176,20 +320,34 @@ impl KeyMatrix {
     /// Key at `(row, chunk)`.
     #[inline]
     pub fn key(&self, row: usize, beta: usize) -> u16 {
-        debug_assert!(row < self.rows && beta < self.chunks);
-        self.keys[row * self.chunks + beta]
+        assert!(row < self.rows && beta < self.chunks, "key index out of range");
+        let at = row * self.chunks + beta;
+        match &self.keys {
+            KeyStore::U8(k) => u16::from(k[at]),
+            KeyStore::U16(k) => k[at],
+        }
     }
 
-    /// The contiguous key row for `row`.
+    /// The kernels' view of key rows `rows` × key columns `c0 .. c0 + nc`:
+    /// a window of the one stored buffer, carrying the range invariant.
+    ///
+    /// # Panics
+    /// Panics when the window leaves the matrix.
     #[inline]
-    pub fn key_row(&self, row: usize) -> &[u16] {
-        &self.keys[row * self.chunks..(row + 1) * self.chunks]
-    }
-
-    /// The raw key buffer (row-major `rows × chunks`).
-    #[inline]
-    pub fn as_slice(&self) -> &[u16] {
-        self.keys.as_slice()
+    pub fn tile(&self, rows: Range<usize>, c0: usize, nc: usize) -> KeyTile<'_> {
+        assert!(rows.start <= rows.end && rows.end <= self.rows, "key tile rows out of range");
+        assert!(c0 + nc <= self.chunks, "key tile columns out of range");
+        let nr = rows.len();
+        let span = if nr == 0 {
+            0..0
+        } else {
+            rows.start * self.chunks + c0..(rows.end - 1) * self.chunks + c0 + nc
+        };
+        let keys = match &self.keys {
+            KeyStore::U8(k) => Keys::U8(&k.as_slice()[span]),
+            KeyStore::U16(k) => Keys::U16(&k.as_slice()[span]),
+        };
+        KeyTile { keys, stride: self.chunks, rows: nr, nc, mu: self.mu }
     }
 
     /// Unpacks back to a dense sign matrix (inverse of [`Self::pack`]).
@@ -203,9 +361,93 @@ impl KeyMatrix {
         })
     }
 
-    /// Bytes used by the key storage (2 bytes per key as stored here).
+    /// Bytes used by the key storage: [`key_bytes`]`(µ)` per key.
     pub fn storage_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<u16>()
+        self.keys.len() * self.keys.elem_bytes()
+    }
+}
+
+/// A borrowed run of keys at their stored width.
+#[derive(Clone, Copy, Debug)]
+pub enum Keys<'a> {
+    /// One byte per key (µ ≤ 8).
+    U8(&'a [u8]),
+    /// Two bytes per key (µ 9–16).
+    U16(&'a [u16]),
+}
+
+/// A window of a [`KeyMatrix`] — `rows()` key rows × `nc()` key columns —
+/// as the query kernels consume it. Only [`KeyMatrix::tile`] (and
+/// [`KeyTile::row`] on an existing tile) can produce one, so holding a
+/// `KeyTile` proves its geometry is in bounds and **every key in it is
+/// `< 2^µ`**: the matrix validated that at construction and never exposes
+/// its storage mutably. The gather kernels rely on this instead of
+/// re-scanning keys per call.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyTile<'a> {
+    /// Row `i` of the tile is `keys[i · stride ..][.. nc]`.
+    keys: Keys<'a>,
+    stride: usize,
+    rows: usize,
+    nc: usize,
+    mu: usize,
+}
+
+impl<'a> KeyTile<'a> {
+    /// The key slab: row `i` occupies `[i · stride() ..][.. nc()]`, and the
+    /// slab ends with the last row's last key.
+    #[inline]
+    pub fn keys(&self) -> Keys<'a> {
+        self.keys
+    }
+
+    /// Distance between consecutive rows in the slab (`≥ nc()`).
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Key rows in the window.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Key columns (chunks) in the window.
+    #[inline]
+    pub fn nc(&self) -> usize {
+        self.nc
+    }
+
+    /// The LUT-unit of the source matrix; every key is `< 2^µ`.
+    #[inline]
+    pub fn mu(&self) -> usize {
+        self.mu
+    }
+
+    /// The one-row window of row `i`.
+    ///
+    /// # Panics
+    /// Panics when `i ≥ rows()`.
+    #[inline]
+    pub fn row(&self, i: usize) -> KeyTile<'a> {
+        assert!(i < self.rows, "key tile row out of range");
+        let span = i * self.stride..i * self.stride + self.nc;
+        let keys = match self.keys {
+            Keys::U8(k) => Keys::U8(&k[span]),
+            Keys::U16(k) => Keys::U16(&k[span]),
+        };
+        KeyTile { keys, rows: 1, ..*self }
+    }
+
+    /// Key at `(row i, column c)` of the window, as a table index.
+    #[inline]
+    pub fn key(&self, i: usize, c: usize) -> usize {
+        assert!(i < self.rows && c < self.nc, "key tile index out of range");
+        match self.keys {
+            Keys::U8(k) => usize::from(k[i * self.stride + c]),
+            Keys::U16(k) => usize::from(k[i * self.stride + c]),
+        }
     }
 }
 
@@ -436,11 +678,72 @@ mod tests {
     }
 
     #[test]
-    fn key_row_slice_is_contiguous() {
+    fn tile_windows_the_stored_keys() {
         let mut g = MatrixRng::seed_from(33);
-        let s = g.signs(3, 8);
-        let k = KeyMatrix::pack(&s, 4);
-        assert_eq!(k.key_row(1), &[k.key(1, 0), k.key(1, 1)]);
+        for mu in [4usize, 8, 12] {
+            let k = KeyMatrix::pack(&g.signs(5, 6 * mu + 3), mu);
+            let t = k.tile(1..4, 2, 3);
+            assert_eq!((t.rows(), t.nc(), t.stride(), t.mu()), (3, 3, k.chunks(), mu));
+            for i in 0..3 {
+                for c in 0..3 {
+                    assert_eq!(t.key(i, c), usize::from(k.key(1 + i, 2 + c)), "µ={mu}");
+                    assert_eq!(t.row(i).key(0, c), t.key(i, c));
+                }
+            }
+            assert_eq!(k.tile(2..2, 0, k.chunks()).rows(), 0);
+        }
+    }
+
+    #[test]
+    fn width_follows_mu_alone() {
+        let mut g = MatrixRng::seed_from(37);
+        for mu in 1..=16usize {
+            let k = KeyMatrix::pack(&g.signs(3, 2 * mu + 1), mu);
+            assert_eq!(k.storage_bytes(), 3 * 3 * key_bytes(mu), "µ={mu}");
+            assert!(matches!(
+                (mu <= 8, k.tile(0..3, 0, 3).keys()),
+                (true, Keys::U8(_)) | (false, Keys::U16(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_wrong_width_length_and_range() {
+        let u8s = |v: Vec<u8>| KeyStore::U8(v.into());
+        let u16s = |v: Vec<u16>| KeyStore::U16(v.into());
+        assert_eq!(
+            KeyMatrix::try_new(1, 8, 8, u16s(vec![0])),
+            Err(KeyError::Width { mu: 8, elem_bytes: 2 })
+        );
+        assert_eq!(
+            KeyMatrix::try_new(1, 9, 9, u8s(vec![0])),
+            Err(KeyError::Width { mu: 9, elem_bytes: 1 })
+        );
+        assert_eq!(
+            KeyMatrix::try_new(2, 8, 4, u8s(vec![0; 3])),
+            Err(KeyError::Length { keys: 3, rows: 2, chunks: 2 })
+        );
+        // Full 4-bit chunk holding 16; ragged 2-bit chunk holding 4.
+        assert_eq!(
+            KeyMatrix::try_new(1, 6, 4, u8s(vec![16, 0])),
+            Err(KeyError::OutOfRange { key: 16, chunk: 0, bits: 4 })
+        );
+        assert_eq!(
+            KeyMatrix::try_new(1, 6, 4, u8s(vec![15, 4])),
+            Err(KeyError::OutOfRange { key: 4, chunk: 1, bits: 2 })
+        );
+        // µ = 8: full chunks are in range by type, a ragged tail is not.
+        assert!(KeyMatrix::try_new(1, 16, 8, u8s(vec![255, 255])).is_ok());
+        assert_eq!(
+            KeyMatrix::try_new(1, 11, 8, u8s(vec![255, 8])),
+            Err(KeyError::OutOfRange { key: 8, chunk: 1, bits: 3 })
+        );
+        assert_eq!(
+            KeyMatrix::try_new(1, 12, 12, u16s(vec![1 << 12])),
+            Err(KeyError::OutOfRange { key: 1 << 12, chunk: 0, bits: 12 })
+        );
+        assert_eq!(KeyMatrix::try_new(1, 4, 0, u8s(vec![0])), Err(KeyError::BadMu(0)));
+        assert_eq!(KeyMatrix::try_new(1, 0, 4, u8s(vec![])), Err(KeyError::NoColumns));
     }
 
     #[test]
@@ -506,8 +809,9 @@ mod tests {
     fn storage_bytes_reflect_compression() {
         let s = SignMatrix::ones(128, 1024);
         let k = KeyMatrix::pack(&s, 8);
-        // 128 rows * 128 chunks * 2 bytes.
-        assert_eq!(k.storage_bytes(), 128 * 128 * 2);
+        // 128 rows * 128 chunks * 1 byte (µ = 8).
+        assert_eq!(k.storage_bytes(), 128 * 128);
+        assert_eq!(KeyMatrix::pack(&s, 16).storage_bytes(), 128 * 64 * 2);
         let p = PackedRowsU32::pack(&s);
         assert_eq!(p.storage_bytes(), 128 * 32 * 4);
     }

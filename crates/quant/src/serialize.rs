@@ -9,11 +9,17 @@
 //!   per plane: scales (rows × f32) then signs bit-packed
 //!              (rows × ⌈cols/8⌉ bytes, LSB-first, 1 = +1)
 //! BIQK: key matrix
-//!   magic[4] mu:u8 rows:u64 cols:u64 keys (rows·⌈cols/µ⌉ × u16)
+//!   magic[4] mu:u8 rows:u64 cols:u64
+//!   keys (rows·⌈cols/µ⌉ × ⌈µ/8⌉ bytes: u8 for µ ≤ 8, else u16), then EOF
 //! ```
+//!
+//! Neither format carries a version field; the key width is a function of
+//! µ alone ([`crate::packing::key_bytes`]), and a BIQK payload must end
+//! with its last key, so a file written with the old fixed `u16` width is
+//! refused (trailing bytes) instead of being misread.
 
 use crate::binary_coding::{MultiBitMatrix, QuantPlane};
-use crate::packing::KeyMatrix;
+use crate::packing::{KeyError, KeyMatrix};
 use biq_matrix::SignMatrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -55,6 +61,16 @@ impl fmt::Display for SerializeError {
 }
 
 impl std::error::Error for SerializeError {}
+
+impl From<KeyError> for SerializeError {
+    fn from(e: KeyError) -> Self {
+        match e {
+            KeyError::Truncated => SerializeError::Truncated,
+            KeyError::OutOfRange { key, bits, .. } => SerializeError::BadKey { key, bits },
+            other => SerializeError::BadHeader(other.to_string()),
+        }
+    }
+}
 
 /// Encodes a multi-bit quantized matrix (signs bit-packed 8-per-byte).
 pub fn encode_multibit(q: &MultiBitMatrix) -> Bytes {
@@ -142,14 +158,12 @@ pub fn decode_multibit(mut data: Bytes) -> Result<MultiBitMatrix, SerializeError
 
 /// Encodes a key matrix.
 pub fn encode_key_matrix(k: &KeyMatrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(21 + k.as_slice().len() * 2);
+    let mut buf = BytesMut::with_capacity(21 + k.storage_bytes());
     buf.put_slice(MAGIC_KEYS);
     buf.put_u8(k.mu() as u8);
     buf.put_u64_le(k.rows() as u64);
     buf.put_u64_le(k.cols() as u64);
-    for &key in k.as_slice() {
-        buf.put_u16_le(key);
-    }
+    k.encode_le(&mut buf);
     buf.freeze()
 }
 
@@ -166,30 +180,17 @@ pub fn decode_key_matrix(mut data: Bytes) -> Result<KeyMatrix, SerializeError> {
     let mu = data.get_u8() as usize;
     let rows = data.get_u64_le() as usize;
     let cols = data.get_u64_le() as usize;
-    if !(1..=16).contains(&mu) {
-        return Err(SerializeError::BadHeader(format!("µ = {mu}")));
-    }
     if rows == 0 || cols == 0 {
         return Err(SerializeError::BadHeader(format!("shape {rows}x{cols}")));
     }
-    let chunks = cols.div_ceil(mu);
-    let key_bytes =
-        rows.checked_mul(chunks).and_then(|v| v.checked_mul(2)).ok_or(SerializeError::Truncated)?;
-    if data.remaining() < key_bytes {
-        return Err(SerializeError::Truncated);
+    let keys = KeyMatrix::decode_le(rows, cols, mu, &mut data)?;
+    if data.remaining() > 0 {
+        return Err(SerializeError::BadHeader(format!(
+            "{} bytes after the last key",
+            data.remaining()
+        )));
     }
-    let mut keys = Vec::with_capacity(rows * chunks);
-    for _ in 0..rows {
-        for beta in 0..chunks {
-            let key = data.get_u16_le();
-            let len = mu.min(cols - beta * mu);
-            if len < 16 && key >= (1u16 << len) {
-                return Err(SerializeError::BadKey { key, bits: len });
-            }
-            keys.push(key);
-        }
-    }
-    Ok(KeyMatrix::from_raw(rows, cols, mu, keys))
+    Ok(keys)
 }
 
 #[cfg(test)]
@@ -239,13 +240,29 @@ mod tests {
         let k = KeyMatrix::pack(&g.signs(1, 6), 4); // chunks of 4 and 2 bits
         let mut raw = encode_key_matrix(&k).to_vec();
         // Overwrite the second (2-bit) chunk's key with 7 (needs 3 bits).
-        let off = raw.len() - 2;
+        let off = raw.len() - 1;
         raw[off] = 7;
-        raw[off + 1] = 0;
         assert!(matches!(
             decode_key_matrix(Bytes::from(raw)),
             Err(SerializeError::BadKey { key: 7, bits: 2 })
         ));
+    }
+
+    #[test]
+    fn key_matrix_rejects_bad_mu_and_the_old_u16_width() {
+        let mut g = MatrixRng::seed_from(606);
+        let k = KeyMatrix::pack(&g.signs(2, 16), 8);
+        let mut raw = encode_key_matrix(&k).to_vec();
+        raw[4] = 17;
+        assert!(matches!(
+            decode_key_matrix(Bytes::from(raw.clone())),
+            Err(SerializeError::BadHeader(_))
+        ));
+        // The pre-byte-key layout: the same keys, two bytes each.
+        raw[4] = 8;
+        let old: Vec<u8> =
+            raw[..21].iter().copied().chain(raw[21..].iter().flat_map(|&b| [b, 0])).collect();
+        assert!(matches!(decode_key_matrix(Bytes::from(old)), Err(SerializeError::BadHeader(_))));
     }
 
     #[test]

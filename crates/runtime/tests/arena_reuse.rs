@@ -12,16 +12,36 @@ use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation made through the global allocator.
+/// Counts allocations made through the global allocator **per thread, and
+/// only while that thread is inside [`count_allocs`]**. `cargo test` runs
+/// the tests of this binary on parallel threads; a process-wide counter
+/// would charge one test's set-up allocations to another test's measured
+/// region. Thread-local, armed-only counting makes each zero-allocation
+/// assertion see exactly the allocations of its own measured code, at any
+/// `--test-threads`.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisers with no destructor: touching these from inside
+    // the allocator never allocates or registers a TLS destructor.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +58,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Runs `f` as the measured region and returns how many times the calling
+/// thread allocated inside it.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(|n| n.get())
 }
 
 #[test]
@@ -62,16 +88,14 @@ fn serial_small_batch_steady_state_allocates_nothing() {
         // First run may still touch the allocator in theory; it is the
         // warm-up. Steady state starts at run two.
         exec.run_into(&op, &x, &mut y);
-        let before = allocs();
-        for _ in 0..16 {
-            exec.run_into(&op, &x, &mut y);
-        }
-        let after = allocs();
+        let allocs = count_allocs(|| {
+            for _ in 0..16 {
+                exec.run_into(&op, &x, &mut y);
+            }
+        });
         assert_eq!(
-            after - before,
-            0,
-            "b = {b}: query phase allocated {} times in 16 steady-state runs",
-            after - before
+            allocs, 0,
+            "b = {b}: query phase allocated {allocs} times in 16 steady-state runs"
         );
     }
 }
@@ -90,10 +114,8 @@ fn warmed_executor_is_allocation_free_from_the_first_run() {
     let op = compile(&plan, WeightSource::Signs(&signs));
     let mut exec = Executor::warmed_for(&op);
     let mut y = vec![0.0f32; m * b];
-    let before = allocs();
-    exec.run_into(&op, &x, &mut y);
-    let after = allocs();
-    assert_eq!(after - before, 0, "warmed first run allocated {} times", after - before);
+    let allocs = count_allocs(|| exec.run_into(&op, &x, &mut y));
+    assert_eq!(allocs, 0, "warmed first run allocated {allocs} times");
 }
 
 #[test]
@@ -112,11 +134,12 @@ fn fp32_blocked_steady_state_allocates_nothing() {
     let mut exec = Executor::warmed_for(&op);
     let mut y = vec![0.0f32; m * b];
     exec.run_into(&op, &x, &mut y);
-    let before = allocs();
-    for _ in 0..8 {
-        exec.run_into(&op, &x, &mut y);
-    }
-    assert_eq!(allocs() - before, 0, "blocked fp32 steady state allocated");
+    let allocs = count_allocs(|| {
+        for _ in 0..8 {
+            exec.run_into(&op, &x, &mut y);
+        }
+    });
+    assert_eq!(allocs, 0, "blocked fp32 steady state allocated");
 }
 
 #[test]
@@ -145,16 +168,14 @@ fn parallel_steady_state_allocates_nothing_per_worker() {
             let mut exec = Executor::warmed_for(&op);
             let mut y = vec![0.0f32; m * b];
             exec.run_into(&op, &x, &mut y); // warm-up run
-            let before = allocs();
-            for _ in 0..8 {
-                exec.run_into(&op, &x, &mut y);
-            }
-            let after = allocs();
+            let allocs = count_allocs(|| {
+                for _ in 0..8 {
+                    exec.run_into(&op, &x, &mut y);
+                }
+            });
             assert_eq!(
-                after - before,
-                0,
-                "{schedule:?}: parallel steady state allocated {} times in 8 runs",
-                after - before
+                allocs, 0,
+                "{schedule:?}: parallel steady state allocated {allocs} times in 8 runs"
             );
         }
     });
@@ -173,8 +194,8 @@ fn legacy_one_shot_facade_allocates_every_call() {
     let x = g.small_int_col(128, 4, 3);
     let engine = BiqGemm::from_signs(&signs, BiqConfig::default());
     let _ = engine.matmul(&x); // warm anything warmable
-    let before = allocs();
-    let _ = engine.matmul(&x);
-    let per_call = allocs() - before;
+    let per_call = count_allocs(|| {
+        let _ = engine.matmul(&x);
+    });
     assert!(per_call > 0, "one-shot path unexpectedly allocation-free");
 }

@@ -49,7 +49,7 @@
 
 use crate::stats::{OpMeta, OpStats};
 use biq_obs::{MetricValue, Sample};
-use biq_runtime::{compile, BackendSpec, CompiledOp, ExecutionPlan, WeightSource};
+use biq_runtime::{compile, CompiledOp, ExecutionPlan, PackedPayload, WeightSource};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -747,28 +747,28 @@ impl LiveRegistry {
     }
 }
 
-/// Estimated resident bytes of one compiled op: packed payload (from the
-/// plan's backend family and dims) plus the per-worker serial scratch the
-/// plan records. An estimate, not an allocator audit — it tracks the
-/// dominant terms (key matrices, scales, LUT banks) and is stable across
-/// hosts, which is what a budget needs.
+/// Estimated resident bytes of one compiled op: the packed payload **as
+/// stored** (so the key term follows the real key width at any µ) plus the
+/// per-worker serial scratch the plan records. An estimate, not an
+/// allocator audit — it tracks the dominant terms (key matrices, scales,
+/// LUT banks) and is stable across hosts, which is what a budget needs.
 fn op_mem_bytes(op: &CompiledOp) -> u64 {
-    let p = op.plan();
-    let (m, n) = (p.m, p.n);
-    let payload = match p.spec {
-        BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked => 4 * m * n,
-        BackendSpec::Int8 => m * n + 4 * m,
-        BackendSpec::Xnor { bits } => bits * (m * n.div_ceil(64) * 8 + 4 * m),
-        BackendSpec::Biq { bits, .. } => bits * (m * n.div_ceil(8) + 4 * m),
+    let payload = match op.payload() {
+        PackedPayload::Dense(w) => 4 * w.as_slice().len(),
+        PackedPayload::Int8(w) => w.as_slice().len() + 4 * w.row_scales().len(),
+        PackedPayload::Xnor(w) => {
+            w.planes().iter().map(|(scales, words)| 4 * scales.len() + words.storage_bytes()).sum()
+        }
+        PackedPayload::Biq(w) => w.keys().storage_bytes() + 4 * w.scales().len(),
     };
-    (payload + p.scratch.total_bytes()) as u64
+    (payload + op.plan().scratch.total_bytes()) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use biq_matrix::MatrixRng;
-    use biq_runtime::{PlanBuilder, QuantMethod};
+    use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod};
 
     #[test]
     fn register_and_lookup() {
@@ -1005,6 +1005,40 @@ mod tests {
         assert!(!models[0].live);
         assert_eq!(models[0].completed, 7, "retired versions keep traffic counters");
         assert!(matches!(live.unload_model("boot", 0), Err(ModelError::UnknownModel(_)),));
+    }
+
+    #[test]
+    fn memory_gauge_counts_the_stored_key_bytes_at_any_mu() {
+        // µ = 4 and 8 store one byte per key, µ = 12 two; the gauge (and
+        // with it budget admission) must follow the stored width.
+        let (m, n, bits) = (48usize, 100usize, 2usize);
+        for (mu, key_bytes) in [(4usize, 1usize), (8, 1), (12, 2)] {
+            let mut g = MatrixRng::seed_from(70 + mu as u64);
+            let w = g.gaussian(m, n, 0.0, 1.0);
+            let plan = PlanBuilder::new(m, n)
+                .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+                .config(biqgemm_core::BiqConfig::with_mu(mu))
+                .build();
+            let mut reg = ModelRegistry::new();
+            let id = reg.register("fc", &plan, WeightSource::Dense(&w));
+            let PackedPayload::Biq(packed) = reg.get(id).op().payload() else {
+                panic!("biq payload expected")
+            };
+            let stored = packed.keys().storage_bytes();
+            assert_eq!(stored, bits * m * n.div_ceil(mu) * key_bytes, "µ={mu}");
+            let want = (stored + 4 * bits * m + plan.scratch.total_bytes()) as u64;
+
+            let live = LiveRegistry::from_builder(reg, None);
+            let mut samples = Vec::new();
+            live.metric_samples(&mut samples);
+            let mem = samples.iter().find(|s| s.name == "biq_model_memory_bytes").unwrap();
+            assert!(
+                matches!(mem.value, MetricValue::Gauge(v) if v as u64 == want),
+                "µ={mu}: gauge {:?}, stored bytes + scales + scratch = {want}",
+                mem.value
+            );
+            assert_eq!(live.live_bytes(), want, "µ={mu}");
+        }
     }
 
     #[test]
