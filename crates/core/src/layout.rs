@@ -21,12 +21,66 @@ use crate::simd::{self, ResolvedKernel};
 use biq_matrix::reshape::ChunkedInput;
 use biq_quant::packing::KeyTile;
 
+/// Bytes per cache line: the alignment of a bank's first live float.
+const LINE_BYTES: usize = 64;
+
+/// Backing store of a LUT bank: an `f32` buffer whose first live float sits
+/// on a cache-line boundary. With KeyMajor entries of `nb ≡ 0 (mod 16)`
+/// floats every entry is then a whole number of lines, so an entry load in
+/// the query and an entry store in the DP build never straddle two lines —
+/// a plain `Vec<f32>` of tile size is an mmap'd chunk whose payload starts
+/// at 16 mod 64, which splits *every* 64-byte access.
+///
+/// Held by the type, in safe code: the buffer over-allocates one line and
+/// exposes the window starting at the first aligned float; the offset is
+/// recomputed whenever the allocation moves. Growth does not preserve
+/// contents (every bank position is rewritten by a build before a query
+/// reads it); the buffer never shrinks.
+#[derive(Debug, Default)]
+pub(crate) struct LineAlignedBuf {
+    raw: Vec<f32>,
+    /// Index in `raw` of the first line-aligned float.
+    start: usize,
+}
+
+impl LineAlignedBuf {
+    /// Floats available (all zero until written).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.raw.len() - self.start
+    }
+
+    /// Grows the buffer to hold at least `len` floats.
+    pub(crate) fn ensure_len(&mut self, len: usize) {
+        if self.len() >= len {
+            return;
+        }
+        // Release the old block first so growth never holds both.
+        self.raw = Vec::new();
+        self.raw = vec![0.0; len + LINE_BYTES / 4];
+        let misaligned = self.raw.as_ptr() as usize % LINE_BYTES;
+        // `f32` storage is 4-byte aligned, so the distance is whole floats.
+        self.start = (LINE_BYTES - misaligned) % LINE_BYTES / 4;
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.raw[self.start..]
+    }
+
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.raw[self.start..]
+    }
+}
+
 /// A reusable bank of lookup tables for one (chunk-tile × batch-tile).
 #[derive(Debug)]
 pub struct LutBank {
-    data: Vec<f32>,
+    data: LineAlignedBuf,
     scratch: Vec<f32>,
-    /// Per-chunk gathered DP step vectors (`µ × nb`), KeyMajor build only.
+    /// Gathered DP step vectors, `µ × nb` per chunk of the resident tile
+    /// (KeyMajor batched build only).
     steps: Vec<f32>,
     table: usize,
     num_chunks: usize,
@@ -39,7 +93,7 @@ impl LutBank {
     pub fn new(mu: usize, layout: LutLayout) -> Self {
         assert!((1..=16).contains(&mu), "µ must be in 1..=16");
         Self {
-            data: Vec::new(),
+            data: LineAlignedBuf::default(),
             scratch: vec![0.0; 1usize << mu],
             steps: Vec::new(),
             table: 1usize << mu,
@@ -59,14 +113,21 @@ impl LutBank {
     /// following [`LutBank::build`] of that size (or smaller) allocates
     /// nothing. Buffers never shrink.
     pub fn reserve(&mut self, num_chunks: usize, nb: usize) {
-        let needed = num_chunks * self.table * nb;
-        if self.data.len() < needed {
-            self.data.resize(needed, 0.0);
+        self.data.ensure_len(num_chunks * self.table * nb);
+        self.reserve_steps(num_chunks, nb);
+    }
+
+    /// Step vectors for a whole tile: `µ × nb` floats per chunk.
+    fn reserve_steps(&mut self, num_chunks: usize, nb: usize) {
+        let needed = num_chunks * self.mu() * nb;
+        if self.steps.len() < needed {
+            self.steps.resize(needed, 0.0);
         }
-        let mu = self.table.trailing_zeros() as usize;
-        if self.steps.len() < mu.max(1) * nb {
-            self.steps.resize(mu.max(1) * nb, 0.0);
-        }
+    }
+
+    #[inline]
+    fn mu(&self) -> usize {
+        self.table.trailing_zeros() as usize
     }
 
     /// Number of chunks currently resident.
@@ -102,134 +163,104 @@ impl LutBank {
         debug_assert!(batch_start + nb <= input.batch());
         self.num_chunks = num_chunks;
         self.nb = nb;
-        let needed = num_chunks * self.table * nb;
-        if self.data.len() < needed {
-            self.data.resize(needed, 0.0);
-        }
-        // GEMV fast path: with one live batch column the KeyMajor and
-        // BatchMajor layouts coincide (entry (c, key) at c·2^µ + key), so
-        // every chunk is a contiguous single-table DP build. One timing
-        // scope around the whole loop — clock reads per *tile*, not per
-        // chunk, which matters for small-µ banks on virtualised hosts
-        // where each `Instant::now()` is a paravirtual clock read.
-        if nb == 1 && method == LutBuildMethod::DynamicProgramming {
-            let table = self.table;
-            let data = &mut self.data;
-            profile.time_build(|| {
-                for c in 0..num_chunks {
-                    let sub = input.chunk(batch_start, chunk_start + c);
-                    let len = 1usize << sub.len();
-                    let off = c * table;
-                    build_lut_dp_level(sub, &mut data[off..off + len], k);
-                }
-            });
-            return;
-        }
-        for c in 0..num_chunks {
-            match self.layout {
-                LutLayout::BatchMajor => {
-                    for a in 0..nb {
-                        let sub = input.chunk(batch_start + a, chunk_start + c);
+        self.data.ensure_len(num_chunks * self.table * nb);
+        if method == LutBuildMethod::DynamicProgramming {
+            // GEMV fast path: with one live batch column the KeyMajor and
+            // BatchMajor layouts coincide (entry (c, key) at c·2^µ + key),
+            // so every chunk is a contiguous single-table DP build. One
+            // timing scope around the whole loop — clock reads per *tile*,
+            // not per chunk, which matters for small-µ banks on virtualised
+            // hosts where each `Instant::now()` is a paravirtual clock read.
+            if nb == 1 {
+                let table = self.table;
+                let data = self.data.as_mut_slice();
+                profile.time_build(|| {
+                    for c in 0..num_chunks {
+                        let sub = input.chunk(batch_start, chunk_start + c);
                         let len = 1usize << sub.len();
+                        let off = c * table;
+                        build_lut_dp_level(sub, &mut data[off..off + len], k);
+                    }
+                });
+                return;
+            }
+            if self.layout == LutLayout::KeyMajor {
+                self.build_key_major_batched(input, chunk_start, batch_start, profile, k);
+                return;
+            }
+        }
+        let data = self.data.as_mut_slice();
+        for c in 0..num_chunks {
+            for a in 0..nb {
+                let sub = input.chunk(batch_start + a, chunk_start + c);
+                let len = 1usize << sub.len();
+                match self.layout {
+                    LutLayout::BatchMajor => {
                         let off = (c * nb + a) * self.table;
-                        let dst = &mut self.data[off..off + len];
+                        let dst = &mut data[off..off + len];
                         profile.time_build(|| fill_table(method, sub, dst, k));
                     }
+                    // Only the brute-force method reaches here (KeyMajor DP
+                    // builds whole tiles above). It keeps the per-(chunk,
+                    // batch) scratch + scatter structure — it exists for
+                    // the ablation; the scatter is the replace phase.
+                    LutLayout::KeyMajor => {
+                        let scratch = &mut self.scratch[..len];
+                        profile.time_build(|| fill_table(method, sub, scratch, k));
+                        let base = c * self.table * nb + a;
+                        profile.time_replace(|| {
+                            for (key, &v) in scratch.iter().enumerate() {
+                                data[base + key * nb] = v;
+                            }
+                        });
+                    }
                 }
-                LutLayout::KeyMajor => match method {
-                    // nb == 1 DP was handled by the contiguous fast path
-                    // above; here nb ≥ 2.
-                    LutBuildMethod::DynamicProgramming => {
-                        self.build_key_major_batched(
-                            input,
-                            chunk_start,
-                            c,
-                            batch_start,
-                            nb,
-                            profile,
-                            k,
-                        );
-                    }
-                    LutBuildMethod::Gemm => {
-                        // Brute-force path keeps the per-(chunk, batch)
-                        // scratch + scatter structure (it exists for the
-                        // ablation; the scatter is the replace phase).
-                        for a in 0..nb {
-                            let sub = input.chunk(batch_start + a, chunk_start + c);
-                            let len = 1usize << sub.len();
-                            let scratch = &mut self.scratch[..len];
-                            profile.time_build(|| fill_table(method, sub, scratch, k));
-                            let base = c * self.table * nb + a;
-                            let data = &mut self.data;
-                            let scratch = &self.scratch[..len];
-                            profile.time_replace(|| {
-                                for (k, &v) in scratch.iter().enumerate() {
-                                    data[base + k * nb] = v;
-                                }
-                            });
-                        }
-                    }
-                },
             }
         }
     }
 
-    /// Batch-vectorised Algorithm 1 directly in the Fig. 6 layout: table
-    /// entries are contiguous `nb`-vectors, and the DP recurrence
-    /// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector add per entry.
-    /// The strided gather of sub-vector values across batch columns is the
-    /// residual "replace" (tiling data-movement) cost.
-    #[allow(clippy::too_many_arguments)]
+    /// Batch-vectorised Algorithm 1 directly in the Fig. 6 layout for the
+    /// resident tile (`nb ≥ 2`): table entries are contiguous `nb`-vectors,
+    /// and the DP recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a
+    /// vector add per entry. The strided gather of sub-vector values across
+    /// batch columns is the residual "replace" (tiling data-movement) cost.
+    /// Both phases run over the whole tile under one timing scope each, so
+    /// the clock is read four times per tile, not per chunk.
     fn build_key_major_batched(
         &mut self,
         input: &ChunkedInput<'_>,
         chunk_start: usize,
-        c: usize,
         batch_start: usize,
-        nb: usize,
         profile: &mut PhaseProfile,
         k: ResolvedKernel,
     ) {
-        let l = input.chunk(batch_start, chunk_start + c).len();
-        debug_assert!(l >= 1);
-        let entries = 1usize << l;
-        // Gather phase (replace): steps[t][a] = 2·x_a[L−1−t], plus −Σx per
-        // batch column into entry 0.
-        let seg_base = c * self.table * nb;
-        if self.steps.len() < l.max(1) * nb {
-            self.steps.resize(l.max(1) * nb, 0.0);
-        }
+        let (num_chunks, nb, table) = (self.num_chunks, self.nb, self.table);
+        self.reserve_steps(num_chunks, nb);
+        let step_stride = self.mu() * nb;
         let steps = &mut self.steps;
-        let data = &mut self.data;
+        let data = self.data.as_mut_slice();
         profile.time_replace(|| {
-            for a in 0..nb {
-                let sub = input.chunk(batch_start + a, chunk_start + c);
-                let mut neg = 0.0f32;
-                for &v in sub {
-                    neg -= v;
-                }
-                data[seg_base + a] = neg;
-                for t in 0..l - 1 {
-                    steps[t * nb + a] = 2.0 * sub[l - 1 - t];
-                }
+            for c in 0..num_chunks {
+                gather_chunk_steps(
+                    &mut data[c * table * nb..][..nb],
+                    &mut steps[c * step_stride..][..step_stride],
+                    input,
+                    chunk_start + c,
+                    batch_start,
+                );
             }
         });
-        // DP fill (build): vector adds over contiguous nb-rows at the
-        // resolved kernel level — one dispatch per DP level / per mirror,
-        // so call overhead never scales with 2^µ.
-        let seg = &mut data[seg_base..seg_base + entries * nb];
         profile.time_build(|| {
-            for t in 0..l - 1 {
-                let rows = 1usize << t;
-                let (lo, hi) = seg.split_at_mut(rows * nb);
-                let step = &steps[t * nb..t * nb + nb];
-                simd::dp_step_add_rows(&mut hi[..rows * nb], lo, step, k);
+            for c in 0..num_chunks {
+                let l = input.chunk(batch_start, chunk_start + c).len();
+                dp_fill_chunk(
+                    &mut data[c * table * nb..][..(1usize << l) * nb],
+                    &steps[c * step_stride..][..step_stride],
+                    l,
+                    nb,
+                    k,
+                );
             }
-            // Mirror: upper-half row r (global index 2^{l−1}+r) is the
-            // negation of lower-half row 2^{l−1}−1−r.
-            let half = 1usize << (l - 1);
-            let (lo, hi) = seg.split_at_mut(half * nb);
-            simd::negate_rows_reversed(hi, lo, nb, k);
         });
     }
 
@@ -242,14 +273,14 @@ impl LutBank {
         debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(chunk_local < self.num_chunks);
         let off = (chunk_local * self.table + key) * self.nb;
-        &self.data[off..off + self.nb]
+        &self.data.as_slice()[off..off + self.nb]
     }
 
     /// BatchMajor: the scalar entry for `(chunk_local, batch_local, key)`.
     #[inline]
     pub fn entry(&self, chunk_local: usize, batch_local: usize, key: usize) -> f32 {
         debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        self.data[(chunk_local * self.nb + batch_local) * self.table + key]
+        self.data.as_slice()[(chunk_local * self.nb + batch_local) * self.table + key]
     }
 
     /// BatchMajor: the contiguous `2^µ` table for `(chunk_local,
@@ -258,7 +289,7 @@ impl LutBank {
     pub fn table_slice(&self, chunk_local: usize, batch_local: usize) -> &[f32] {
         debug_assert_eq!(self.layout, LutLayout::BatchMajor);
         let off = (chunk_local * self.nb + batch_local) * self.table;
-        &self.data[off..off + self.table]
+        &self.data.as_slice()[off..off + self.table]
     }
 
     /// Row-batched single-batch gather: with `nb == 1` both layouts store
@@ -266,7 +297,7 @@ impl LutBank {
     /// tile, `y[i · y_stride] += scales[i] · Σ_c entry(c, keys_i[c])`, each
     /// row summed in the **canonical accumulation-tree order** at the
     /// resolved kernel level — see [`crate::simd::lut_gather_rows`]. That
-    /// is the same per-lane order as [`LutBank::query_fused`], so a column
+    /// is the same per-lane order as [`LutBank::query_fused_rows`], so a column
     /// packed into a width-1 batch tile rounds bit-for-bit like one packed
     /// into any wider tile (batch-packing invariance; `batch_invariance.rs`
     /// pins it). Dispatched once per row tile, consecutive rows' gathers
@@ -286,23 +317,33 @@ impl LutBank {
     ) {
         debug_assert_eq!(self.nb, 1);
         debug_assert!(keys.nc() <= self.num_chunks);
-        let bank = &self.data[..self.num_chunks * self.table];
+        let bank = &self.data.as_slice()[..self.num_chunks * self.table];
         simd::lut_gather_rows(y, y_stride, scales, bank, self.table, keys, k);
     }
 
-    /// Fused Algorithm 2 query for one key row (KeyMajor):
-    /// `y[a] += scale · Σ_ci entry_vec(ci, keys[ci])[a]`, accumulated in
-    /// registers at the resolved kernel level — see
-    /// [`crate::simd::lut_query_fused`].
+    /// Fused Algorithm 2 query for one row tile (KeyMajor): for each row `i`
+    /// of the key tile, `y[i · y_stride + a] += scales[i] · Σ_ci
+    /// entry_vec(ci, keys_i[ci])[a]` over the resident batch lanes,
+    /// accumulated in registers at the resolved kernel level — see
+    /// [`crate::simd::lut_query_fused_rows`].
     ///
     /// # Panics
-    /// Panics (or debug-panics) on a BatchMajor bank, a key row longer
-    /// than the resident chunks, or `y` shorter than the resident batch.
+    /// Panics (or debug-panics) on a BatchMajor bank, key rows longer than
+    /// the resident chunks, or tile/output geometry mismatches per the
+    /// kernel dispatcher.
     #[inline]
-    pub fn query_fused(&self, keys: KeyTile<'_>, scale: f32, y: &mut [f32], k: ResolvedKernel) {
+    pub fn query_fused_rows(
+        &self,
+        keys: KeyTile<'_>,
+        scales: &[f32],
+        y: &mut [f32],
+        y_stride: usize,
+        k: ResolvedKernel,
+    ) {
         debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(keys.nc() <= self.num_chunks);
-        simd::lut_query_fused(y, scale, &self.data, self.table, self.nb, keys, k);
+        let bank = &self.data.as_slice()[..self.num_chunks * self.table * self.nb];
+        simd::lut_query_fused_rows(y, y_stride, scales, bank, self.table, self.nb, keys, k);
     }
 
     /// Bytes of live table data.
@@ -312,10 +353,10 @@ impl LutBank {
 }
 
 /// Unprofiled batch-vectorised DP fill of one chunk's tables directly in the
-/// KeyMajor layout — shared by [`LutBank`] and the parallel SharedLut
-/// builder. `seg` must span `2^µ · nb` floats; `steps` is caller scratch
+/// KeyMajor layout — the parallel SharedLut builder's per-task unit (the
+/// serial [`LutBank`] runs the same two halves tile-wide under its phase
+/// timers). `seg` must span `2^µ · nb` floats; `steps` is caller scratch
 /// (resized as needed).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_chunk_key_major_dp(
     seg: &mut [f32],
     steps: &mut Vec<f32>,
@@ -325,36 +366,62 @@ pub(crate) fn fill_chunk_key_major_dp(
     nb: usize,
     k: ResolvedKernel,
 ) {
-    let l = input.chunk(batch_start, chunk).len();
+    let sub = input.chunk(batch_start, chunk);
+    let l = sub.len();
     let entries = 1usize << l;
     if nb == 1 {
         // Single live batch column: the layout degenerates to one
         // contiguous table — build it directly.
-        let sub = input.chunk(batch_start, chunk);
         build_lut_dp_level(sub, &mut seg[..entries], k);
         return;
     }
-    if steps.len() < l.max(1) * nb {
-        steps.resize(l.max(1) * nb, 0.0);
+    if steps.len() < l * nb {
+        steps.resize(l * nb, 0.0);
     }
-    for a in 0..nb {
+    gather_chunk_steps(&mut seg[..nb], steps, input, chunk, batch_start);
+    dp_fill_chunk(&mut seg[..entries * nb], steps, l, nb, k);
+}
+
+/// Gather half of the batched KeyMajor build for one chunk — the strided
+/// data movement charged to the replace phase: `steps[t·nb + a] =
+/// 2·x_a[L−1−t]` for the DP levels, and `−Σ x_a` into table entry 0
+/// (`entry0`, one float per batch column: `nb = entry0.len()`).
+fn gather_chunk_steps(
+    entry0: &mut [f32],
+    steps: &mut [f32],
+    input: &ChunkedInput<'_>,
+    chunk: usize,
+    batch_start: usize,
+) {
+    let nb = entry0.len();
+    for (a, e0) in entry0.iter_mut().enumerate() {
         let sub = input.chunk(batch_start + a, chunk);
+        let l = sub.len();
+        debug_assert!(l >= 1);
         let mut neg = 0.0f32;
         for &v in sub {
             neg -= v;
         }
-        seg[a] = neg;
+        *e0 = neg;
         for t in 0..l - 1 {
             steps[t * nb + a] = 2.0 * sub[l - 1 - t];
         }
     }
-    let seg = &mut seg[..entries * nb];
+}
+
+/// DP half of the batched KeyMajor build for one chunk: `seg` spans the
+/// chunk's `2^l` entries of `nb` floats with entry 0 already in place.
+/// Vector adds over contiguous `nb`-rows at the resolved kernel level —
+/// one dispatch per DP level / per mirror, so call overhead never scales
+/// with `2^µ`.
+fn dp_fill_chunk(seg: &mut [f32], steps: &[f32], l: usize, nb: usize, k: ResolvedKernel) {
     for t in 0..l - 1 {
         let rows = 1usize << t;
         let (lo, hi) = seg.split_at_mut(rows * nb);
-        let step = &steps[t * nb..t * nb + nb];
-        simd::dp_step_add_rows(&mut hi[..rows * nb], lo, step, k);
+        simd::dp_step_add_rows(&mut hi[..rows * nb], lo, &steps[t * nb..t * nb + nb], k);
     }
+    // Mirror: upper-half row r (global index 2^{l−1}+r) is the negation of
+    // lower-half row 2^{l−1}−1−r.
     let half = 1usize << (l - 1);
     let (lo, hi) = seg.split_at_mut(half * nb);
     simd::negate_rows_reversed(hi, lo, nb, k);
@@ -371,7 +438,9 @@ fn fill_table(method: LutBuildMethod, sub: &[f32], dst: &mut [f32], k: ResolvedK
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{BiqConfig, Schedule};
     use crate::mmu::key_dot;
+    use crate::parallel::ParallelArena;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
     use biq_quant::packing::KeyMatrix;
@@ -501,7 +570,7 @@ mod tests {
         let key_matrix = KeyMatrix::pack(&g.signs(1, 26), 4);
         let keys = key_matrix.tile(0..1, 0, 7);
         let mut y_ref = vec![0.0f32; 7];
-        reference.query_fused(keys, 1.25, &mut y_ref, sk());
+        reference.query_fused_rows(keys, &[1.25], &mut y_ref, 7, sk());
         for level in crate::simd::supported_levels() {
             let k = KernelRequest::Exact(level).resolve().unwrap();
             let mut bank = LutBank::new(4, LutLayout::KeyMajor);
@@ -519,8 +588,50 @@ mod tests {
                 }
             }
             let mut y = vec![0.0f32; 7];
-            bank.query_fused(keys, 1.25, &mut y, k);
+            bank.query_fused_rows(keys, &[1.25], &mut y, 7, k);
             assert_eq!(y, y_ref, "level={level}");
+        }
+    }
+
+    /// Vacuous for an empty buffer (no first float); otherwise the base of
+    /// the live window sits on a cache line.
+    fn assert_line_aligned(buf: &LineAlignedBuf, what: &str) {
+        let base = buf.as_slice().as_ptr() as usize;
+        assert!(buf.len() == 0 || base.is_multiple_of(LINE_BYTES), "{what}: base {base:#x}");
+    }
+
+    #[test]
+    fn bank_base_is_line_aligned_through_every_resize() {
+        let mut g = MatrixRng::seed_from(227);
+        let x = g.gaussian_col(64, 48, 0.0, 1.0);
+        let input = ChunkedInput::new(&x, 8); // 8 chunks
+        let mut prof = PhaseProfile::new();
+        let dp = LutBuildMethod::DynamicProgramming;
+        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
+            let mut bank = LutBank::new(8, layout);
+            assert_line_aligned(&bank.data, "new");
+            bank.reserve(1, 3);
+            assert_line_aligned(&bank.data, "reserve");
+            assert!(bank.data.len() >= 256 * 3);
+            // Growth through `build` (several reallocations, odd sizes),
+            // shrink to a small tile, then regrow past the high-water mark.
+            for (nc, nb) in [(2usize, 5usize), (4, 17), (1, 2), (8, 32), (3, 1), (8, 48)] {
+                bank.build(&input, 0, nc, 0, nb, dp, &mut prof, sk());
+                assert_line_aligned(&bank.data, "build");
+                assert!(bank.data.len() >= nc * 256 * nb);
+                check_bank_contents(&bank, &input, 0, 0);
+            }
+        }
+
+        // The SharedLut bank is the same buffer type.
+        let cfg = BiqConfig { schedule: Schedule::SharedLut, ..BiqConfig::default() };
+        let mut pool = ParallelArena::new(2);
+        assert_line_aligned(&pool.shared_bank.lock().unwrap(), "pool new");
+        for b in [3usize, 32, 1, 48] {
+            pool.reserve(&cfg, 1, b);
+            let shared = pool.shared_bank.lock().unwrap();
+            assert_line_aligned(&shared, "pool reserve");
+            assert!(shared.len() >= cfg.tile_chunks * 256 * b.min(cfg.tile_batch));
         }
     }
 

@@ -31,6 +31,7 @@
 
 use crate::arena::BiqArena;
 use crate::config::{BiqConfig, LutLayout, Schedule};
+use crate::layout::LineAlignedBuf;
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use crate::tiled::run_tiles;
@@ -66,8 +67,8 @@ pub struct ParallelArena {
     slots: Vec<Mutex<WorkerScratch>>,
     rr: AtomicUsize,
     /// SharedLut phase-1 bank, built once per (batch-tile × chunk-tile) and
-    /// then read by every query task.
-    shared_bank: Mutex<Vec<f32>>,
+    /// then read by every query task. Line-aligned like every LUT bank.
+    pub(crate) shared_bank: Mutex<LineAlignedBuf>,
 }
 
 impl ParallelArena {
@@ -77,7 +78,7 @@ impl ParallelArena {
         Self {
             slots: (0..workers).map(|_| Mutex::new(WorkerScratch::default())).collect(),
             rr: AtomicUsize::new(0),
-            shared_bank: Mutex::new(Vec::new()),
+            shared_bank: Mutex::new(LineAlignedBuf::default()),
         }
     }
 
@@ -109,10 +110,7 @@ impl ParallelArena {
         }
         if cfg.schedule == Schedule::SharedLut {
             let needed = cfg.tile_chunks * (1usize << cfg.mu) * nb;
-            let mut bank = self.shared_bank.lock().expect("shared bank poisoned");
-            if bank.len() < needed {
-                bank.resize(needed, 0.0);
-            }
+            self.shared_bank.lock().expect("shared bank poisoned").ensure_len(needed);
         }
     }
 
@@ -254,10 +252,8 @@ fn shared_lut(
             // ("one lookup table cannot be implemented by coordinating more
             // than two threads" — each table is built by exactly one).
             let needed = nc * table * nb;
-            if bank_buf.len() < needed {
-                bank_buf.resize(needed, 0.0);
-            }
-            let bank = &mut bank_buf[..needed];
+            bank_buf.ensure_len(needed);
+            let bank = &mut bank_buf.as_mut_slice()[..needed];
             bank.par_chunks_mut(table * nb).enumerate().for_each(|(c, seg)| match cfg.layout {
                 LutLayout::KeyMajor => {
                     let mut slot = pool.checkout();
@@ -290,43 +286,38 @@ fn shared_lut(
                 let row0 = t * rpt;
                 let rows = yblock.len() / b;
                 for p in 0..w.bits() {
-                    for r in p * m + row0..p * m + row0 + rows {
-                        let scale = w.scale(r);
-                        let out_row = r % m;
-                        let yoff = (out_row - row0) * b + b0;
-                        let krow = keys.tile(r..r + 1, c0, nc);
+                    // This block's rows of plane `p`: contiguous key rows
+                    // onto contiguous output rows.
+                    let (r_start, r_end) = (p * m + row0, p * m + row0 + rows);
+                    if nb == 1 || cfg.layout == LutLayout::KeyMajor {
+                        // One kernel dispatch per plane of the block, as in
+                        // the serial tile loop: the row-batched gather for
+                        // a width-1 tile (both layouts coincide there), the
+                        // fused row-tile query otherwise.
+                        let yrows = &mut yblock[b0..];
+                        let tile = keys.tile(r_start..r_end, c0, nc);
+                        let scales = &w.scales()[r_start..r_end];
                         if nb == 1 {
-                            // Width-1 tile: both layouts coincide, and the
-                            // canonical-order gather is the fast (and
-                            // bit-identical) form of the fused query.
-                            yblock[yoff] += scale * simd::lut_gather(bank, table, krow, kernel);
-                            continue;
+                            simd::lut_gather_rows(yrows, b, scales, bank, table, tile, kernel);
+                        } else {
+                            simd::lut_query_fused_rows(
+                                yrows, b, scales, bank, table, nb, tile, kernel,
+                            );
                         }
-                        match cfg.layout {
-                            LutLayout::KeyMajor => {
-                                simd::lut_query_fused(
-                                    &mut yblock[yoff..yoff + nb],
-                                    scale,
-                                    bank,
-                                    table,
-                                    nb,
-                                    krow,
-                                    kernel,
-                                );
+                        continue;
+                    }
+                    // BatchMajor, b ≥ 2: per-element gather in the canonical
+                    // tree order, matching the fused kernel bit for bit.
+                    for r in r_start..r_end {
+                        let scale = w.scale(r);
+                        let yoff = (r - r_start) * b + b0;
+                        let krow = keys.tile(r..r + 1, c0, nc);
+                        for (a, yv) in yblock[yoff..yoff + nb].iter_mut().enumerate() {
+                            let mut s = simd::TreeAccumulator::new();
+                            for ci in 0..nc {
+                                s.push(bank[(ci * nb + a) * table + krow.key(0, ci)]);
                             }
-                            LutLayout::BatchMajor => {
-                                // Per-element gather in the canonical tree
-                                // order, matching the fused kernel bit for
-                                // bit.
-                                let yrow = &mut yblock[yoff..yoff + nb];
-                                for (a, yv) in yrow.iter_mut().enumerate() {
-                                    let mut s = simd::TreeAccumulator::new();
-                                    for ci in 0..nc {
-                                        s.push(bank[(ci * nb + a) * table + krow.key(0, ci)]);
-                                    }
-                                    *yv += scale * s.finish();
-                                }
-                            }
+                            *yv += scale * s.finish();
                         }
                     }
                 }

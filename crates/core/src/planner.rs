@@ -48,7 +48,8 @@ pub enum Threading {
 pub struct ScratchSpec {
     /// Lookup-table bank: `tile_chunks · 2^µ · min(tile_batch, b)`.
     pub lut_bank_floats: usize,
-    /// Algorithm 1 step vectors: `µ · min(tile_batch, b)`.
+    /// Algorithm 1 step vectors, one set per chunk of the tile:
+    /// `tile_chunks · µ · min(tile_batch, b)`.
     pub dp_steps_floats: usize,
     /// Single-table build scratch (`2^µ`, GEMM build method only).
     pub table_scratch_floats: usize,
@@ -65,10 +66,10 @@ impl ScratchSpec {
 pub fn scratch_spec(cfg: &BiqConfig, b: usize) -> ScratchSpec {
     let nb = cfg.tile_batch.min(b.max(1));
     // The query phase itself needs no separate accumulator: the fused
-    // kernel (`simd::lut_query_fused`) accumulates in registers.
+    // kernel (`simd::lut_query_fused_rows`) accumulates in registers.
     ScratchSpec {
         lut_bank_floats: cfg.tile_chunks * (1usize << cfg.mu) * nb,
-        dp_steps_floats: cfg.mu * nb,
+        dp_steps_floats: cfg.tile_chunks * cfg.mu * nb,
         table_scratch_floats: 1usize << cfg.mu,
     }
 }
@@ -210,9 +211,9 @@ mod runtime_planning_tests {
         let cfg = BiqConfig { mu: 8, tile_chunks: 4, tile_batch: 16, ..BiqConfig::default() };
         let s = scratch_spec(&cfg, 3); // batch smaller than the tile
         assert_eq!(s.lut_bank_floats, 4 * 256 * 3);
-        assert_eq!(s.dp_steps_floats, 8 * 3);
+        assert_eq!(s.dp_steps_floats, 4 * 8 * 3);
         assert_eq!(s.table_scratch_floats, 256);
-        assert_eq!(s.total_bytes(), (4 * 256 * 3 + 24 + 256) * 4);
+        assert_eq!(s.total_bytes(), (4 * 256 * 3 + 96 + 256) * 4);
     }
 
     #[test]

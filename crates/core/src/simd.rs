@@ -35,11 +35,13 @@
 //!
 //! The exported operations cover the workspace's hot loops:
 //!
-//! * [`lut_query_fused`] — the fused lookup-accumulate of Algorithm 2
-//!   under the Fig. 6 layout: for one key row, gather each chunk's
-//!   contiguous batch vector, accumulate in registers, and apply the
-//!   per-row scale in the same pass (no accumulator buffer round-trip);
-//! * [`lut_gather`] — the width-1 form of the same query: strided loads of
+//! * [`lut_query_fused_rows`] — the fused lookup-accumulate of Algorithm 2
+//!   under the Fig. 6 layout, one row tile per call: for each key row,
+//!   gather each chunk's contiguous batch vector, accumulate in registers,
+//!   and apply the per-row scale in the same pass (no accumulator buffer
+//!   round-trip);
+//! * [`lut_gather`] / [`lut_gather_rows`] — the width-1 form of the same
+//!   query (one row / one row tile): strided loads of
 //!   `bank[c·2^µ + keys[c]]` into vector lanes (a hardware gather on
 //!   AVX2/AVX-512), the latency path of the paper's b = 1 serving regime;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector adds and the mirror
@@ -55,10 +57,10 @@
 //! operations in the same per-element order as the scalar form, and no
 //! path contracts multiply-add into FMA.
 //!
-//! For the chunk-accumulation kernels ([`lut_query_fused`],
-//! [`lut_gather`]) the specified per-element order is the **canonical
-//! accumulation tree**, chosen so the natural SIMD shape *is* the
-//! contract rather than a pessimisation of it:
+//! For the chunk-accumulation kernels ([`lut_query_fused_rows`],
+//! [`lut_gather`], [`lut_gather_rows`]) the specified per-element order is
+//! the **canonical accumulation tree**, chosen so the natural SIMD shape
+//! *is* the contract rather than a pessimisation of it:
 //!
 //! * each output element keeps [`ACC_TREE_WIDTH`] = 8 partial sums; the
 //!   looked-up value of chunk `ci` is added to partial `ci % 8`, so the
@@ -108,18 +110,44 @@
 //! (`nc · table · nb · 4 B`, geometry the kernel is handed anyway) exceeds
 //! [`L1_LUT_BYTES`]: a tile that fits L1 is already where a prefetch would
 //! put it, and the b = 1 default tile (32 chunks × 2^8 × 4 B = 32 KiB) is
-//! exactly that case.
+//! exactly that case. The per-row bodies (gathers, and fused lane groups
+//! narrower than 32) look ahead *within* the row, a fixed number of chunks;
+//! the wide AVX-512 body looks ahead by a whole *row* instead (below).
+//!
+//! ## Wide batch: the row-blocked 32-lane body
+//!
+//! At `nb ≥ 32` an entry is two or more cache lines and the query is a
+//! stream of L2 reads, so the AVX-512 arm of [`lut_query_fused_rows`] is
+//! shaped for bandwidth, not latency:
+//!
+//! * **32 lanes per pass** while at least 32 remain — two zmm per canonical
+//!   accumulator, 16 of the 32 vector registers — so both lines of a
+//!   128-byte entry are consumed together and each key is decoded once for
+//!   all 32 lanes. AVX2 has 16 registers in total: 16 accumulators would
+//!   leave none for loads, so that level (and NEON, and scalar) keep the
+//!   per-row 8-/4-lane bodies, as do the lanes left after the last full
+//!   group of 32 (`nb mod 32`, and every `nb < 32`);
+//! * **next-row prefetch**: while row `i` accumulates, the entries row
+//!   `i + 1` will read are requested — the whole key tile is in hand, so
+//!   the look-ahead is a full row (`nc` entries), not a few chunks;
+//! * **line-aligned entries**: with `nb ≡ 0 (mod 16)` every entry is whole
+//!   cache lines *iff* the bank's first float is 64-byte aligned. That is a
+//!   property of the bank's buffer type (`layout.rs`), not of the caller or
+//!   the allocator; the body `debug_assert`s it.
+//!
+//! Per lane the order is still the canonical tree, so the wide body, the
+//! per-row bodies and every other level agree bit for bit.
 //!
 //! ## Adding a new ISA
 //!
 //! 1. add the variant to [`KernelLevel`] (`name`/`parse`/`rank`), teach
 //!    [`KernelLevel::is_supported`] and [`host_best`] to detect it;
 //! 2. implement the primitives in a `#[cfg(target_arch = …)]` submodule,
-//!    preserving the per-element operation order — for [`lut_query_fused`]
-//!    and [`lut_gather`] that means the canonical accumulation tree above
-//!    (delegate to the scalar emulation first, vectorise after), never FMA
-//!    contraction — and add the cfg-gated arms to the `dispatch!` macro
-//!    uses;
+//!    preserving the per-element operation order — for
+//!    [`lut_query_fused_rows`] and [`lut_gather`] that means the canonical
+//!    accumulation tree above (delegate to the scalar emulation first,
+//!    vectorise after), never FMA contraction — and add the cfg-gated arms
+//!    to the `dispatch!` macro uses;
 //! 3. extend the manifest codec in `biq_artifact` (one new level byte) and
 //!    the CLI `--kernel` parser — rank ordering decides what the artifact
 //!    loader falls back to on hosts without the new ISA;
@@ -576,46 +604,81 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
     );
 }
 
-/// The fused query kernel of Algorithm 2 (KeyMajor layout): for one key
-/// row, accumulate the looked-up batch vectors of every chunk in registers
-/// and apply the per-row scale in the same pass —
-/// `y[a] += scale · Σ_ci bank[(ci·table + keys[ci])·nb + a]`.
+/// The fused query kernel of Algorithm 2 (KeyMajor layout) over one row
+/// tile: for each row `i` of the key tile, accumulate the looked-up batch
+/// vectors of every chunk in registers and apply the row's scale in the
+/// same pass —
+/// `y[i·y_stride + a] += scales[i] · Σ_ci bank[(ci·table + keys_i[ci])·nb + a]`
+/// for `a < nb`. The b ≥ 2 twin of [`lut_gather_rows`]: geometry checks,
+/// the key-range check and level dispatch happen once per row tile.
 ///
 /// `bank` is a KeyMajor tile base: chunk `ci`'s table starts at
 /// `ci · table · nb`, each of its `table = 2^µ` entries is a contiguous
 /// `nb`-float batch vector. Every level accumulates each batch lane in the
 /// canonical tree order (see the module docs) and rounds the final
 /// multiply-add in two steps, so all levels — and [`lut_gather`] at
-/// `nb == 1` — agree bit for bit.
+/// `nb == 1` — agree bit for bit, and a row tile equals its rows queried
+/// one at a time.
+///
+/// On AVX-512, lanes are taken 32 at a time while at least 32 remain (the
+/// row-blocked wide body, module docs "Wide batch"); remaining lanes, and
+/// every other level, run the per-row bodies.
 ///
 /// # Panics
-/// Panics unless `keys` is a one-row tile with `table == 2^µ`; when
-/// `y.len() < nb` or the bank is too short for the key row.
-#[inline]
-pub fn lut_query_fused(
+/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
+/// is too short for the described geometry. Debug-panics when the AVX-512
+/// wide body is entered with line-sized entries (`nb % 16 == 0`) on a bank
+/// that is not 64-byte aligned — a split-line layout the bank type rules
+/// out.
+#[allow(clippy::too_many_arguments)]
+pub fn lut_query_fused_rows(
     y: &mut [f32],
-    scale: f32,
+    y_stride: usize,
+    scales: &[f32],
     bank: &[f32],
     table: usize,
     nb: usize,
     keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
-    assert_eq!(keys.rows(), 1, "the fused query takes one key row");
-    assert!(y.len() >= nb, "output row shorter than the batch tile");
-    assert!(bank.len() >= keys.nc() * table * nb, "bank shorter than the key row needs");
+    let (nr, nc, key_stride) = (keys.rows(), keys.nc(), keys.stride());
+    assert_eq!(scales.len(), nr, "one scale per key row");
+    if nr == 0 || nb == 0 {
+        return;
+    }
+    assert!(y_stride >= nb, "output rows overlap: y_stride shorter than the batch tile");
+    assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
+    assert!(bank.len() >= nc * table * nb, "bank shorter than the key rows need");
     assert_keys_fit(&keys, table);
-    let y = &mut y[..nb];
     // Only the x86 bodies prefetch.
     #[cfg(target_arch = "x86_64")]
-    let pf = keys.nc() * table * nb * 4 > L1_LUT_BYTES;
-    with_keys!(keys, ks => dispatch!(
-        k,
-        lut_query_fused_scalar(y, scale, bank, table, nb, ks),
-        avx2::lut_query_fused(y, scale, bank, table, nb, ks, pf),
-        avx512::lut_query_fused(y, scale, bank, table, nb, ks, pf),
-        neon::lut_query_fused(y, scale, bank, table, nb, ks)
-    ))
+    let pf = nc * table * nb * 4 > L1_LUT_BYTES;
+    with_keys!(keys, ks => {
+        // Row `i` of the tile as the per-row bodies take it.
+        let rows = (0..nr).map(|i| (i * y_stride, scales[i], &ks[i * key_stride..][..nc]));
+        // SAFETY (the arms `dispatch!` wraps in `unsafe`): the level was
+        // resolved against this host; every row handed to a body is a row
+        // of a `KeyTile`, whose range invariant (every key `< 2^µ`) with
+        // the `table == 2^µ` check above bounds each entry offset by the
+        // `nc · table · nb` floats the bank-length assert established;
+        // output rows are `nb`-float slices (per-row arms) or covered by
+        // the output-geometry asserts (the AVX-512 rows body).
+        dispatch!(
+            k,
+            for (yo, scale, row) in rows {
+                lut_query_fused_scalar(&mut y[yo..yo + nb], scale, bank, table, nb, row);
+            },
+            for (yo, scale, row) in rows {
+                avx2::lut_query_fused(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
+            },
+            avx512::lut_query_fused_rows(
+                y, y_stride, scales, bank, table, nb, ks, key_stride, nc, pf
+            ),
+            for (yo, scale, row) in rows {
+                neon::lut_query_fused(&mut y[yo..yo + nb], scale, bank, table, nb, row);
+            }
+        )
+    })
 }
 
 /// The width-1 query kernel: `Σ_ci bank[ci·table + keys[ci]]` in the
@@ -625,7 +688,7 @@ pub fn lut_query_fused(
 /// On AVX2/AVX-512 the strided lookups become one hardware gather per 8
 /// chunks (the AVX-512 arm runs the 256-bit body: the canonical tree is 8
 /// lanes wide, so 512-bit gathers buy nothing at width 1); NEON runs the
-/// scalar emulation. All levels — and [`lut_query_fused`] at `nb == 1` —
+/// scalar emulation. All levels — and [`lut_query_fused_rows`] at `nb == 1` —
 /// agree bit for bit.
 ///
 /// # Panics
@@ -750,7 +813,7 @@ fn broadcast_add_scalar(dst: &mut [f32], src: &[f32], step: f32) {
 /// emulates exactly this width.
 pub const ACC_TREE_WIDTH: usize = 8;
 
-/// Chunks of software-prefetch lookahead in the x86 query loops: while
+/// Chunks of software-prefetch lookahead in the x86 per-row query loops: while
 /// the chunk group at `ci` accumulates, the LUT entries of chunks
 /// `ci + PREFETCH_CHUNKS ..` are requested into L1 — the keys are known
 /// ahead of time, so the access pattern is perfectly predictable to us
@@ -777,7 +840,7 @@ fn tree_reduce8(mut p: [f32; ACC_TREE_WIDTH]) -> f32 {
 /// Reference implementation of the canonical accumulation order: feed it
 /// values in ascending chunk order via [`TreeAccumulator::push`] and
 /// [`TreeAccumulator::finish`] folds the partials in the fixed tree.
-/// Accumulation loops that cannot route through [`lut_query_fused`] /
+/// Accumulation loops that cannot route through [`lut_query_fused_rows`] /
 /// [`lut_gather`] (e.g. the BatchMajor per-element query) use this to
 /// round bit-identically to them.
 #[derive(Clone, Copy, Debug, Default)]
@@ -1553,6 +1616,159 @@ mod avx512 {
             }
         }
     }
+
+    /// The row-blocked wide query: every row of the tile, 32 batch lanes
+    /// per pass while at least 32 remain, then the per-row body
+    /// ([`lut_query_fused`]: 16-lane groups, the AVX2 8-lane groups, the
+    /// scalar tail) on the lanes left over. While row `i` accumulates, the
+    /// entries row `i + 1` will read are prefetched (when `prefetch`: the
+    /// tile exceeds L1) — the keys are known a tile ahead.
+    ///
+    /// # Safety
+    /// AVX-512F + AVX2 must be available; output geometry (`y_stride ≥ nb`,
+    /// `y.len() ≥ (rows − 1)·y_stride + nb`) and `bank.len() ≥
+    /// nc·table·nb` as asserted by the dispatcher, and `keys`/`key_stride`/
+    /// `nc`/`scales.len()` are the slab, stride, width and row count of a
+    /// `KeyTile` whose `2^µ == table`.
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn lut_query_fused_rows<K: KeyElem>(
+        y: &mut [f32],
+        y_stride: usize,
+        scales: &[f32],
+        bank: &[f32],
+        table: usize,
+        nb: usize,
+        keys: &[K],
+        key_stride: usize,
+        nc: usize,
+        prefetch: bool,
+    ) {
+        // Entries of `nb ≡ 0 (mod 16)` floats are whole cache lines exactly
+        // when the bank base is line-aligned — which the bank's buffer type
+        // guarantees; a split-line bank halves this body's throughput.
+        debug_assert!(
+            nb < 32 || !nb.is_multiple_of(16) || (bank.as_ptr() as usize).is_multiple_of(64),
+            "wide fused query on a bank that is not cache-line aligned"
+        );
+        for (i, &scale) in scales.iter().enumerate() {
+            let row = &keys[i * key_stride..][..nc];
+            let next: &[K] = if prefetch && i + 1 < scales.len() {
+                &keys[(i + 1) * key_stride..][..nc]
+            } else {
+                &[]
+            };
+            let yrow = &mut y[i * y_stride..][..nb];
+            let mut a0 = 0;
+            while a0 + 32 <= nb {
+                // SAFETY: `a0 + 32 <= nb` keeps the 32 lanes inside `yrow`
+                // and inside every `nb`-float entry; `row`/`next` are rows
+                // of a `KeyTile` (every key `< 2^µ == table`), so entry
+                // `(ci, key)` lies within the `nc·table·nb` floats the
+                // dispatcher asserted the bank holds.
+                unsafe {
+                    query32(
+                        yrow.as_mut_ptr().add(a0),
+                        scale,
+                        bank.as_ptr().add(a0),
+                        table,
+                        nb,
+                        row,
+                        next,
+                    );
+                }
+                a0 += 32;
+            }
+            if a0 < nb {
+                // SAFETY: same feature set; bounds shrink with the lane
+                // offset exactly as in the per-row body's own tails.
+                unsafe {
+                    lut_query_fused(&mut yrow[a0..], scale, &bank[a0..], table, nb, row, prefetch);
+                }
+            }
+        }
+    }
+
+    /// One key row × 32 batch lanes: `y[0..32] += scale · Σ_ci
+    /// entry(ci, keys[ci])[0..32]` with `base` pointing at lane 0 of the
+    /// group in the bank. Two zmm per canonical accumulator (16 of the 32
+    /// vector registers), so both lines of a 128-byte entry are consumed
+    /// together and each key is decoded once for all 32 lanes; per lane the
+    /// order is the canonical tree, as in the 16-lane loop. `next`, when
+    /// non-empty, is the following key row: its entries are prefetched
+    /// chunk group by chunk group.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `y .. y + 32` writable; for every
+    /// `ci < keys.len()` and key `k` in `keys`/`next`,
+    /// `base + (ci·table + k)·nb .. + 32` readable; `next` is empty or as
+    /// long as `keys`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn query32<K: KeyElem>(
+        y: *mut f32,
+        scale: f32,
+        base: *const f32,
+        table: usize,
+        nb: usize,
+        keys: &[K],
+        next: &[K],
+    ) {
+        let klen = keys.len();
+        debug_assert!(next.is_empty() || next.len() == klen);
+        // SAFETY: every pointer formed is `base + (ci·table + key)·nb`
+        // (+16) with `ci < klen` and `key` read from `keys`/`next` at
+        // `ci` — readable for 32 floats per the caller's contract (the
+        // `KeyTile` range invariant plus the dispatcher's bank-length
+        // assert). Prefetches only form such in-bounds addresses.
+        unsafe {
+            let ent =
+                |row: &[K], ci: usize| base.add((ci * table + row.get_unchecked(ci).idx()) * nb);
+            let mut lo = [_mm512_setzero_ps(); 8];
+            let mut hi = [_mm512_setzero_ps(); 8];
+            let mut ci = 0;
+            while ci + 8 <= klen {
+                if !next.is_empty() {
+                    for j in 0..8 {
+                        let p = ent(next, ci + j);
+                        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
+                        _mm_prefetch::<_MM_HINT_T0>(p.add(16) as *const i8);
+                    }
+                }
+                for j in 0..8 {
+                    let p = ent(keys, ci + j);
+                    lo[j] = _mm512_add_ps(lo[j], _mm512_loadu_ps(p));
+                    hi[j] = _mm512_add_ps(hi[j], _mm512_loadu_ps(p.add(16)));
+                }
+                ci += 8;
+            }
+            // Ragged chunk tail: chunk `ci + j` lands in accumulator
+            // `(ci + j) % 8 == j` (`ci` is a multiple of 8 here).
+            for j in 0..8 {
+                if ci + j < klen {
+                    if !next.is_empty() {
+                        let p = ent(next, ci + j);
+                        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
+                        _mm_prefetch::<_MM_HINT_T0>(p.add(16) as *const i8);
+                    }
+                    let p = ent(keys, ci + j);
+                    lo[j] = _mm512_add_ps(lo[j], _mm512_loadu_ps(p));
+                    hi[j] = _mm512_add_ps(hi[j], _mm512_loadu_ps(p.add(16)));
+                }
+            }
+            for step in [4usize, 2, 1] {
+                for j in 0..step {
+                    lo[j] = _mm512_add_ps(lo[j], lo[j + step]);
+                    hi[j] = _mm512_add_ps(hi[j], hi[j + step]);
+                }
+            }
+            let sv = _mm512_set1_ps(scale);
+            let y_lo = _mm512_add_ps(_mm512_loadu_ps(y), _mm512_mul_ps(sv, lo[0]));
+            let y_hi = _mm512_add_ps(_mm512_loadu_ps(y.add(16)), _mm512_mul_ps(sv, hi[0]));
+            _mm512_storeu_ps(y, y_lo);
+            _mm512_storeu_ps(y.add(16), y_hi);
+        }
+    }
 }
 
 // ------------------------------------------------------------ NEON bodies
@@ -1807,6 +2023,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::LineAlignedBuf;
     use biq_matrix::{MatrixRng, SignMatrix};
     use biq_quant::packing::KeyMatrix;
 
@@ -1936,6 +2153,28 @@ mod tests {
         KeyMatrix::pack(&g.signs(1, chunks * mu), mu)
     }
 
+    /// A random bank in the line-aligned buffer real banks live in (the
+    /// wide AVX-512 body debug-asserts that alignment).
+    fn random_bank(g: &mut MatrixRng, len: usize) -> LineAlignedBuf {
+        let mut bank = LineAlignedBuf::default();
+        bank.ensure_len(len);
+        bank.as_mut_slice()[..len].copy_from_slice(&g.gaussian_vec(len));
+        bank
+    }
+
+    /// The rows entry on a one-row tile.
+    fn fused_row(
+        y: &mut [f32],
+        scale: f32,
+        bank: &[f32],
+        table: usize,
+        nb: usize,
+        keys: KeyTile<'_>,
+        k: ResolvedKernel,
+    ) {
+        lut_query_fused_rows(y, nb, &[scale], bank, table, nb, keys, k);
+    }
+
     #[test]
     fn fused_query_bit_exact_across_levels_and_ragged_widths() {
         let mut g = MatrixRng::seed_from(40);
@@ -1948,18 +2187,22 @@ mod tests {
             (4, 8, 33),
             (40, 8, 8),  // tile > L1: the prefetching arm
             (11, 10, 5), // u16 keys
+            (13, 8, 32), // one 32-lane pass, ragged chunk tail
+            (9, 6, 48),  // 32-lane pass + 16-lane remainder
+            (3, 4, 64),  // two 32-lane passes, tile ≤ L1 (no prefetch)
         ] {
             let table = 1usize << mu;
-            let bank = g.gaussian_vec(chunks * table * nb);
+            let bank = random_bank(&mut g, chunks * table * nb);
+            let bank = bank.as_slice();
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
             let y0 = g.gaussian_vec(nb);
             let mut want = y0.clone();
-            lut_query_fused(&mut want, -0.75, &bank, table, nb, keys, ResolvedKernel::scalar());
+            fused_row(&mut want, -0.75, bank, table, nb, keys, ResolvedKernel::scalar());
             for k in supported_levels() {
                 let k = KernelRequest::Exact(k).resolve().unwrap();
                 let mut got = y0.clone();
-                lut_query_fused(&mut got, -0.75, &bank, table, nb, keys, k);
+                fused_row(&mut got, -0.75, bank, table, nb, keys, k);
                 assert_eq!(want, got, "{k} chunks={chunks} µ={mu} nb={nb}");
             }
         }
@@ -1986,7 +2229,7 @@ mod tests {
                 }
                 *yv += 2.5 * acc.finish();
             }
-            lut_query_fused(&mut got, 2.5, &bank, table, nb, keys, ResolvedKernel::scalar());
+            fused_row(&mut got, 2.5, &bank, table, nb, keys, ResolvedKernel::scalar());
             assert_eq!(want, got, "chunks={chunks}");
         }
     }
@@ -2020,7 +2263,7 @@ mod tests {
                 let got = lut_gather(&bank, table, keys, k);
                 assert_eq!(want.to_bits(), got.to_bits(), "{level} chunks={chunks} µ={mu}");
                 let mut y = [0.0f32];
-                lut_query_fused(&mut y, 1.0, &bank, table, 1, keys, k);
+                fused_row(&mut y, 1.0, &bank, table, 1, keys, k);
                 assert_eq!(want.to_bits(), y[0].to_bits(), "fused@1 {level} chunks={chunks}");
             }
         }
@@ -2050,7 +2293,7 @@ mod tests {
         let km = KeyMatrix::pack(&SignMatrix::ones(1, 4), 4);
         let bank = vec![0.0f32; 16];
         let mut y = vec![0.0f32; 2];
-        lut_query_fused(&mut y, 1.0, &bank, 4, 2, km.tile(0..1, 0, 1), ResolvedKernel::scalar());
+        fused_row(&mut y, 1.0, &bank, 4, 2, km.tile(0..1, 0, 1), ResolvedKernel::scalar());
     }
 
     #[test]

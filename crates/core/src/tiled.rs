@@ -95,59 +95,52 @@ pub(crate) fn run_tiles(
             profile.time_query(|| {
                 for &(kr_start, kr_end) in key_row_ranges {
                     for (r0, nr) in tile_ranges(kr_end - kr_start, cfg.tile_rows) {
-                        if nb == 1 {
-                            // GEMV fast path: with one live batch column the
-                            // two layouts coincide (entry (c, key) lives at
-                            // c·2^µ + key) and the canonical-order gather runs
-                            // row-batched at the pinned level — one dispatch
-                            // per row tile, consecutive rows' gathers
-                            // interleaved. Key rows map to output rows mod m
-                            // (bit planes), so a tile is split where the
-                            // output row index wraps.
-                            let mut r = kr_start + r0;
-                            let tile_end = kr_start + r0 + nr;
-                            while r < tile_end {
-                                let run_end = tile_end.min((r / m + 1) * m);
+                        let (t0, t1) = (kr_start + r0, kr_start + r0 + nr);
+                        if nb == 1 || cfg.layout == LutLayout::KeyMajor {
+                            // One kernel dispatch per row tile. Key rows map
+                            // to output rows mod m (bit planes), so a tile is
+                            // split where the output row index wraps.
+                            let mut r = t0;
+                            while r < t1 {
+                                let run_end = t1.min((r / m + 1) * m);
                                 let out_row = r % m;
                                 debug_assert!(out_row >= y_row0);
-                                let yoff = (out_row - y_row0) * b + b0;
-                                bank.gather_rows(
-                                    keys.tile(r..run_end, c0, nc),
-                                    &w.scales()[r..run_end],
-                                    &mut y[yoff..],
-                                    b,
-                                    kernel,
-                                );
+                                let yrows = &mut y[(out_row - y_row0) * b + b0..];
+                                let tile = keys.tile(r..run_end, c0, nc);
+                                let scales = &w.scales()[r..run_end];
+                                if nb == 1 {
+                                    // GEMV fast path: with one live batch
+                                    // column the two layouts coincide (entry
+                                    // (c, key) lives at c·2^µ + key) and the
+                                    // canonical-order gather runs row-batched,
+                                    // consecutive rows' gathers interleaved.
+                                    bank.gather_rows(tile, scales, yrows, b, kernel);
+                                } else {
+                                    // Fused lookup-accumulate: register
+                                    // accumulation across the tile's chunks,
+                                    // scale applied in-pass, the next row's
+                                    // entries prefetched behind the current.
+                                    bank.query_fused_rows(tile, scales, yrows, b, kernel);
+                                }
                                 r = run_end;
                             }
                             continue;
                         }
-                        for r in kr_start + r0..kr_start + r0 + nr {
+                        // BatchMajor, b ≥ 2: per-element gather; the
+                        // canonical tree keeps it bit-identical to the
+                        // KeyMajor fused kernel (`both_layouts_agree`).
+                        for r in t0..t1 {
                             let scale = w.scale(r);
                             let out_row = r % m;
                             debug_assert!(out_row >= y_row0);
                             let yoff = (out_row - y_row0) * b + b0;
                             let krow = keys.tile(r..r + 1, c0, nc);
-                            match cfg.layout {
-                                LutLayout::KeyMajor => {
-                                    // Fused lookup-accumulate at the pinned
-                                    // level: register accumulation across the
-                                    // tile's chunks, scale applied in-pass.
-                                    bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
+                            for (a, yv) in y[yoff..yoff + nb].iter_mut().enumerate() {
+                                let mut s = TreeAccumulator::new();
+                                for ci in 0..nc {
+                                    s.push(bank.entry(ci, a, krow.key(0, ci)));
                                 }
-                                LutLayout::BatchMajor => {
-                                    // Per-element gather; the canonical tree
-                                    // keeps it bit-identical to the KeyMajor
-                                    // fused kernel (`both_layouts_agree`).
-                                    let yrow = &mut y[yoff..yoff + nb];
-                                    for (a, yv) in yrow.iter_mut().enumerate() {
-                                        let mut s = TreeAccumulator::new();
-                                        for ci in 0..nc {
-                                            s.push(bank.entry(ci, a, krow.key(0, ci)));
-                                        }
-                                        *yv += scale * s.finish();
-                                    }
-                                }
+                                *yv += scale * s.finish();
                             }
                         }
                     }

@@ -11,7 +11,7 @@
 //! that crosses chunk boundaries realises the one canonical order — the
 //! fixed 8-partial tree specified in `core::simd` (`partials[ci % 8]`,
 //! pairwise fold) — whether it runs as `lut_gather`'s vector lanes
-//! (width-1 tiles), `lut_query_fused`'s register columns (wider tiles),
+//! (width-1 tiles), `lut_query_fused_rows`'s register columns (wider tiles),
 //! `TreeAccumulator` (BatchMajor loops), or either parallel schedule.
 
 use biq_matrix::{ColMatrix, MatrixRng};
@@ -23,9 +23,22 @@ use biqgemm_core::{
     BiqArena, BiqConfig, BiqWeights, KernelRequest, ParallelArena, PhaseProfile, Schedule,
 };
 
-/// Slices `x` into contiguous runs of `width` columns, runs each through
-/// the serial kernel, and asserts bit-equality with the full-width run.
+/// Slices `x` into contiguous runs of every width in `1..=min(b, 10)`.
 fn check_widths(m: usize, n: usize, b: usize, bits: usize, cfg: &BiqConfig) {
+    check_given_widths(m, n, b, bits, cfg, 1..=b.min(10));
+}
+
+/// Slices `x` into contiguous runs of `width` columns for each given
+/// width, runs each through the serial kernel, and asserts bit-equality
+/// with the full-width run.
+fn check_given_widths(
+    m: usize,
+    n: usize,
+    b: usize,
+    bits: usize,
+    cfg: &BiqConfig,
+    widths: impl IntoIterator<Item = usize>,
+) {
     let mut g = MatrixRng::seed_from((m * 31 + n * 7 + bits) as u64);
     let w = BiqWeights::from_multibit(
         &greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits),
@@ -39,7 +52,7 @@ fn check_widths(m: usize, n: usize, b: usize, bits: usize, cfg: &BiqConfig) {
     let mut y_full = vec![0.0f32; m * b];
     biqgemm_serial_into(&w, &x, cfg, kernel, &mut profile, &mut arena, &mut y_full);
 
-    for width in 1..=(b.min(10)) {
+    for width in widths {
         for start in (0..b).step_by(width) {
             let cols = width.min(b - start);
             let mut data = Vec::with_capacity(n * cols);
@@ -99,6 +112,24 @@ fn invariance_holds_at_every_supported_kernel_level() {
     for level in supported_levels() {
         let cfg = BiqConfig { kernel: KernelRequest::Exact(level), ..BiqConfig::default() };
         check_widths(24, 32, 12, 2, &cfg);
+    }
+}
+
+#[test]
+fn wide_batches_are_packing_invariant_at_every_level() {
+    // b = 64 in one batch tile: the AVX-512 level takes two 32-lane passes
+    // per row. Every narrower packing of the same columns — the 32-lane
+    // body alone, 32 + a 16-/8-lane/scalar remainder, per-row bodies only,
+    // the width-1 gather — must reproduce it, with row tiles that cross the
+    // bit-plane wrap (8 ∤ 21) and a ragged last chunk (70 ∤ 8).
+    for level in supported_levels() {
+        let cfg = BiqConfig {
+            kernel: KernelRequest::Exact(level),
+            tile_rows: 8,
+            tile_batch: 64,
+            ..BiqConfig::default()
+        };
+        check_given_widths(21, 70, 64, 3, &cfg, [1, 15, 16, 17, 31, 32, 33, 48]);
     }
 }
 

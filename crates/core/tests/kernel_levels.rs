@@ -112,11 +112,13 @@ fn digest(y: &[f32]) -> u64 {
     h
 }
 
-/// Output digests recorded at the commit *before* keys became byte-wide
-/// (`u16` keys, per-call key scans, unconditional prefetch): "bit-identical
-/// to before" is pinned here, not assumed. Every level must reproduce them.
+/// Output digests recorded at parent commits — the first three *before*
+/// keys became byte-wide (`u16` keys, per-call key scans, unconditional
+/// prefetch), the last two before the row-blocked wide query and the
+/// line-aligned bank: "bit-identical to before" is pinned here, not
+/// assumed. Every level must reproduce them.
 #[test]
-fn golden_digests_from_before_byte_keys() {
+fn golden_digests_from_parent_commits() {
     let small = BiqConfig { tile_rows: 7, tile_chunks: 3, tile_batch: 5, ..BiqConfig::default() };
     let cases = [
         // b = 1 gather, default tiles, 26 chunks (3 vector groups + tail).
@@ -125,6 +127,12 @@ fn golden_digests_from_before_byte_keys() {
         (0x601d_0002, (37, 83, 13, 3), small, 0x3e85_3a4d_362f_6066),
         // µ = 12: the width that stays u16.
         (0x601d_0003, (21, 100, 4, 2), BiqConfig { mu: 12, ..small }, 0xd63e_c0d2_29b6_45da),
+        // b = 32, default tiles: one 32-lane pass per row, two chunk tiles
+        // (32 + 6), row tiles that cross the bit-plane wrap at row 70.
+        (0x601d_0004, (70, 300, 32, 2), BiqConfig::default(), 0xbf19_0f85_18b4_b772),
+        // b = 48, default tiles: a 32-wide and a 16-wide batch tile, ragged
+        // last chunk (515 ∤ 8), three planes.
+        (0x601d_0005, (33, 515, 48, 3), BiqConfig::default(), 0x936c_71d9_852e_1682),
     ];
     for (seed, (m, n, b, bits), cfg, want) in cases {
         let mut g = MatrixRng::seed_from(seed);
@@ -134,6 +142,104 @@ fn golden_digests_from_before_byte_keys() {
         for level in supported_levels() {
             let got = digest(&serial(&w, &x, &cfg, exact(level)));
             assert_eq!(got, want, "seed {seed:#x} level={level}: {got:#018x}");
+        }
+    }
+}
+
+/// `len` random floats starting on a 64-byte boundary, as every real LUT
+/// bank does (the bank's buffer type holds that; the wide AVX-512 body
+/// debug-asserts it): the vector and the offset of its aligned window.
+fn aligned_bank(g: &mut MatrixRng, len: usize) -> (Vec<f32>, usize) {
+    let v = g.gaussian(1, len + 16, 0.0, 1.0).as_slice().to_vec();
+    let off = (64 - v.as_ptr() as usize % 64) % 64 / 4;
+    (v, off)
+}
+
+/// The row-tile entry point against its two references, bit for bit, over
+/// the lane/chunk/µ grid: every level equals `Exact(Scalar)`, and one call
+/// on a row tile equals one call per row (each of those is a last-row tile:
+/// no next row to prefetch). Lane counts straddle the 16- and 32-lane
+/// groups (wide passes, 16-lane and 8-lane remainders, scalar tails), chunk
+/// counts the 8-chunk group, µ both key widths and both sides of the L1
+/// prefetch threshold; tiles are a window of a wider key matrix (stride >
+/// width) written to strided output rows.
+#[test]
+fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
+    use biqgemm_core::simd::lut_query_fused_rows;
+    let mut g = MatrixRng::seed_from(7005);
+    // One aligned pool, large enough for the biggest bank of the grid.
+    let (pool, off) = aligned_bank(&mut g, 32 * (1 << 12) * 64);
+    for mu in [4usize, 8, 12] {
+        let table = 1usize << mu;
+        for nc in [1usize, 7, 8, 9, 32] {
+            for nb in [2usize, 15, 16, 17, 31, 32, 33, 48, 64] {
+                let bank = &pool[off..off + nc * table * nb];
+                for rows in [1usize, 5] {
+                    let km = KeyMatrix::pack(&g.signs(rows, (nc + 3) * mu), mu);
+                    let keys = km.tile(0..rows, 2, nc);
+                    let scales = g.gaussian(1, rows, 0.0, 1.0).as_slice().to_vec();
+                    let y_stride = nb + 3;
+                    let y0 = g.gaussian(1, rows * y_stride, 0.0, 1.0).as_slice().to_vec();
+                    let run = |k: ResolvedKernel| {
+                        let mut y = y0.clone();
+                        lut_query_fused_rows(&mut y, y_stride, &scales, bank, table, nb, keys, k);
+                        y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                    };
+                    let want = run(ResolvedKernel::scalar());
+                    for level in supported_levels() {
+                        let k = exact(level);
+                        let what = format!("level={level} µ={mu} nc={nc} nb={nb} rows={rows}");
+                        assert_eq!(run(k), want, "vs scalar: {what}");
+                        let mut y = y0.clone();
+                        for i in 0..rows {
+                            lut_query_fused_rows(
+                                &mut y[i * y_stride..],
+                                y_stride,
+                                &scales[i..i + 1],
+                                bank,
+                                table,
+                                nb,
+                                km.tile(i..i + 1, 2, nc),
+                                k,
+                            );
+                        }
+                        let by_row: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(by_row, want, "row by row: {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Wide batches through the tile loop: b ≥ 32 with tiles wide enough to
+/// reach the 32-lane passes, row tiles that do not divide m (so they cross
+/// the bit-plane wrap and end in a short last tile), serial and both
+/// parallel schedules — the SharedLut query calls the rows entry directly
+/// on the shared bank.
+#[test]
+fn wide_batch_tiles_bit_exact_vs_scalar() {
+    let mut g = MatrixRng::seed_from(7006);
+    for &(m, n, b, mu, bits) in &[
+        (21usize, 70usize, 32usize, 8usize, 3usize),
+        (19, 45, 33, 4, 2),
+        (10, 64, 48, 8, 2),
+        (13, 100, 64, 12, 1),
+    ] {
+        let q = greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits);
+        let w = BiqWeights::from_multibit(&q, mu);
+        let x = g.gaussian_col(n, b, 0.0, 1.0);
+        let cfg =
+            BiqConfig { mu, tile_rows: 8, tile_chunks: 5, tile_batch: 64, ..BiqConfig::default() };
+        let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
+        for level in supported_levels() {
+            let k = exact(level);
+            let what = format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) level={level}");
+            assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
+            for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+                let cfg = BiqConfig { schedule, ..cfg };
+                assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
+            }
         }
     }
 }
@@ -214,7 +320,7 @@ proptest! {
         mu in 1usize..=12,
         seed in 0u64..1_000_000,
     ) {
-        use biqgemm_core::simd::{lut_gather, lut_query_fused};
+        use biqgemm_core::simd::{lut_gather, lut_query_fused_rows};
         let table = 1usize << mu;
         let mut g = MatrixRng::seed_from(seed ^ 0xa11);
         // A width-1 bank: chunk c's table occupies bank[c*table..][..table].
@@ -232,7 +338,7 @@ proptest! {
                 "gather level={} vs scalar (chunks={}, mu={})", level, chunks, mu
             );
             let mut fused = [0.0f32];
-            lut_query_fused(&mut fused, scale, &bank, table, 1, keys, k);
+            lut_query_fused_rows(&mut fused, 1, &[scale], &bank, table, 1, keys, k);
             prop_assert_eq!(
                 fused[0].to_bits(), gathered.to_bits(),
                 "fused@nb=1 level={} vs gather (chunks={}, mu={})", level, chunks, mu

@@ -220,15 +220,25 @@ impl Linear {
     pub fn forward(&self, x: &ColMatrix) -> ColMatrix {
         assert_eq!(x.rows(), self.in_features, "input feature mismatch");
         let y = self.exec.run(&self.op, x);
-        let mut out = y.to_col_major();
-        if let Some(bias) = &self.bias {
-            for j in 0..out.cols() {
-                for (v, &bv) in out.col_mut(j).iter_mut().zip(bias.as_slice()) {
-                    *v += bv;
+        // The executor's output is row-major `out × batch`; activations
+        // travel column-major. Transpose and add the bias in the same pass:
+        // one read of `y`, one write of the output, one allocation.
+        let (m, b) = y.shape();
+        let src = y.as_slice();
+        let mut data = Vec::with_capacity(m * b);
+        match self.bias.as_deref() {
+            Some(bias) => {
+                for j in 0..b {
+                    data.extend(bias.iter().enumerate().map(|(i, &bv)| src[i * b + j] + bv));
+                }
+            }
+            None => {
+                for j in 0..b {
+                    data.extend((0..m).map(|i| src[i * b + j]));
                 }
             }
         }
-        out
+        ColMatrix::from_vec(m, b, data)
     }
 }
 

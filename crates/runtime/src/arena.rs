@@ -85,6 +85,6 @@ mod tests {
         let mut a = Arena::new();
         let cfg = BiqConfig::default();
         let spec = a.warm_biq(&cfg, 4);
-        assert_eq!(spec.dp_steps_floats, cfg.mu * 4);
+        assert_eq!(spec.dp_steps_floats, cfg.tile_chunks * cfg.mu * 4);
     }
 }
