@@ -100,7 +100,7 @@ pub fn snapshot_layer(
         batch_hint: plan.batch_hint,
         spec: plan.spec,
         cfg: plan.cfg,
-        parallel: plan.parallel,
+        parallel: plan.workers.is_some(),
         kernel: plan.kernel.level(),
         bias,
         payload,

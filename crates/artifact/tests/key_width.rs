@@ -1,7 +1,7 @@
 //! The key-width boundary, end to end. Keys are stored `⌈µ/8⌉` bytes wide —
 //! one byte through µ = 8, `u16` for µ 9–16 — and the width is a function
 //! of µ alone, in every container. For each µ in `1..=16` (with `n ∤ µ`, so
-//! the last chunk is ragged) packed keys must survive BIQK, BIQW and BIQM
+//! the last chunk is ragged) packed keys must survive BIQW and BIQM
 //! unchanged and compute bit-identically after a BIQM load; hostile key
 //! sections — wrong element kind for their µ, byte keys out of range in a
 //! full or a ragged chunk, a pre-byte-key container version — must come
@@ -14,7 +14,6 @@ use biq_artifact::{
 };
 use biq_matrix::MatrixRng;
 use biq_quant::packing::key_bytes;
-use biq_quant::serialize::{decode_key_matrix, encode_key_matrix};
 use biq_runtime::{
     compile, BackendSpec, CompiledOp, Executor, KernelLevel, PackedPayload, PlanBuilder,
     QuantMethod, Threading, WeightSource,
@@ -49,7 +48,7 @@ fn one_layer_artifact(builder: ArtifactBuilder, lm: LayerManifest) -> (Artifact,
 }
 
 #[test]
-fn every_mu_round_trips_through_biqk_biqw_and_biqm() {
+fn every_mu_round_trips_through_biqw_and_biqm() {
     let m = 5; // odd: the b = 1 gather is left with an unpaired row
     for mu in 1..=16usize {
         let n = (3 * mu - 1).max(2); // n mod µ = µ − 1: ragged last chunk (µ ≥ 2)
@@ -57,10 +56,6 @@ fn every_mu_round_trips_through_biqk_biqw_and_biqm() {
         let PackedPayload::Biq(w) = op.payload() else { panic!("biq payload expected") };
         let stored = BITS * m * n.div_ceil(mu) * key_bytes(mu);
         assert_eq!(w.keys().storage_bytes(), stored, "µ={mu}: ⌈µ/8⌉ bytes per key");
-
-        let biqk = encode_key_matrix(w.keys());
-        assert_eq!(biqk.len(), 21 + stored, "µ={mu}: BIQK payload width");
-        assert_eq!(&decode_key_matrix(biqk).unwrap(), w.keys(), "µ={mu}: BIQK");
 
         let biqw = decode_weights(encode_weights(w)).unwrap();
         assert_eq!(biqw.keys(), w.keys(), "µ={mu}: BIQW keys");

@@ -4,7 +4,8 @@
 //!
 //! * `--quick` — shrink sweeps/repetitions for smoke testing;
 //! * `--csv` — emit CSV instead of an aligned table;
-//! * `--threads N` — pin the rayon pool size (default: all cores).
+//! * `--threads N` — worker count for parallel plans and drivers (default:
+//!   all cores).
 
 /// Parsed common flags.
 #[derive(Clone, Copy, Debug, Default)]
@@ -13,7 +14,7 @@ pub struct CommonArgs {
     pub quick: bool,
     /// CSV output.
     pub csv: bool,
-    /// Requested rayon threads (`None` = library default).
+    /// Requested worker count (`None` = all cores).
     pub threads: Option<usize>,
 }
 
@@ -40,16 +41,13 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> CommonArgs {
     out
 }
 
-/// Builds a rayon pool of the requested size (or the default pool) and runs
-/// `f` inside it.
-pub fn with_pool<T: Send>(threads: Option<usize>, f: impl FnOnce() -> T + Send) -> T {
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("failed to build rayon pool")
-            .install(f),
-        None => f(),
+impl CommonArgs {
+    /// The worker count parallel plans and drivers get: `--threads`, else
+    /// the machine's available parallelism.
+    pub fn workers(&self) -> usize {
+        self.threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
+            .max(1)
     }
 }
 
@@ -81,8 +79,8 @@ mod tests {
     }
 
     #[test]
-    fn with_pool_pins_thread_count() {
-        let n = with_pool(Some(2), rayon::current_num_threads);
-        assert_eq!(n, 2);
+    fn workers_prefers_the_flag() {
+        assert_eq!(parse_from(v(&["--threads", "3"])).workers(), 3);
+        assert!(parse_from(v(&[])).workers() >= 1);
     }
 }

@@ -8,11 +8,12 @@
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
-use biq_bench::workloads::{binary_workload, gaussian_weights};
+use biq_bench::workloads::{binary_workload, biq_op, gaussian_weights};
 use biq_gemm::gemm_blocked;
 use biq_gemm::int8::{Int8Gemm, Int8Phases};
 use biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biq_runtime::WeightSource;
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -41,8 +42,14 @@ fn main() {
             let mut biq_ms = Vec::new();
             for bits in [2usize, 1] {
                 let q = greedy_quantize_matrix_rowwise(&wf, bits);
-                let engine = BiqGemm::new(&q, BiqConfig::default());
-                biq_ms.push(measure(1, reps, || engine.matmul(&wload.x)).median_ms());
+                let (op, mut exec) = biq_op(
+                    WeightSource::Quantized(&q),
+                    (n, n, bits),
+                    b,
+                    BiqConfig::default(),
+                    None,
+                );
+                biq_ms.push(measure(1, reps, || exec.run(&op, &wload.x)).median_ms());
             }
             t.row(&[
                 format!("{n}x{n}"),

@@ -6,13 +6,14 @@
 //! parallel schedules (RowParallel replicates LUT builds per thread;
 //! SharedLut builds once with a barrier).
 
-use biq_bench::args::{self, with_pool};
+use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
-use biq_bench::timing::{auto_reps, measure, Measurement};
-use biq_bench::workloads::binary_workload;
+use biq_bench::timing::{auto_reps, measure};
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::par_gemm_blocked;
+use biq_runtime::WeightSource;
 use biqgemm_core::config::Schedule;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_core::{BiqConfig, BiqWeights};
 use std::time::Duration;
 
 fn main() {
@@ -24,14 +25,13 @@ fn main() {
     println!("Thread-scaling ablation: {m}x{n} 1-bit weights, batch {b}\n");
     let w = binary_workload(m, n, b);
     let dense = w.signs.to_f32();
-    let row_engine = BiqGemm::from_signs(
-        &w.signs,
-        BiqConfig { schedule: Schedule::RowParallel, ..BiqConfig::default() },
-    );
-    let shared_engine = BiqGemm::from_signs(
-        &w.signs,
-        BiqConfig { schedule: Schedule::SharedLut, ..BiqConfig::default() },
-    );
+    // One parallel plan per (schedule, worker count) — the count is a plan
+    // field, so the sweep is a sweep over plans — over keys packed once.
+    let packed = BiqWeights::from_signs_unscaled(&w.signs, BiqConfig::default().mu);
+    let biq = |schedule, nt| {
+        let cfg = BiqConfig { schedule, ..BiqConfig::default() };
+        biq_op(WeightSource::Packed(packed.clone()), (m, n, 1), b, cfg, Some(nt))
+    };
     let mut t = Table::new(&[
         "threads",
         "BiQ row-par ms",
@@ -42,17 +42,12 @@ fn main() {
     ]);
     let mut base: Option<(f64, f64)> = None;
     for &nt in &threads {
-        let (m_row, m_shared, m_gemm): (Measurement, Measurement, Measurement) =
-            with_pool(Some(nt), || {
-                let reps = auto_reps(Duration::from_millis(400), 3, 15, || {
-                    row_engine.matmul_parallel(&w.x)
-                });
-                (
-                    measure(1, reps, || row_engine.matmul_parallel(&w.x)),
-                    measure(1, reps, || shared_engine.matmul_parallel(&w.x)),
-                    measure(1, reps, || par_gemm_blocked(&dense, &w.x)),
-                )
-            });
+        let (row_op, mut row_exec) = biq(Schedule::RowParallel, nt);
+        let (shared_op, mut shared_exec) = biq(Schedule::SharedLut, nt);
+        let reps = auto_reps(Duration::from_millis(400), 3, 15, || row_exec.run(&row_op, &w.x));
+        let m_row = measure(1, reps, || row_exec.run(&row_op, &w.x));
+        let m_shared = measure(1, reps, || shared_exec.run(&shared_op, &w.x));
+        let m_gemm = measure(1, reps, || par_gemm_blocked(&dense, &w.x, nt));
         let (b_biq, b_gemm) = *base.get_or_insert((m_row.median_ms(), m_gemm.median_ms()));
         t.row(&[
             nt.to_string(),

@@ -17,10 +17,11 @@
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::{gemm_blocked, gemm_naive};
 use biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biq_runtime::WeightSource;
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -56,8 +57,14 @@ fn main() {
             let mut biq_cols = Vec::new();
             for bits in [3usize, 2, 1] {
                 let q = greedy_quantize_matrix_rowwise(&wf, bits);
-                let engine = BiqGemm::new(&q, BiqConfig::default());
-                let meas = measure(1, reps, || engine.matmul(&w.x));
+                let (op, mut exec) = biq_op(
+                    WeightSource::Quantized(&q),
+                    (m, n, bits),
+                    b,
+                    BiqConfig::default(),
+                    None,
+                );
+                let meas = measure(1, reps, || exec.run(&op, &w.x));
                 biq_cols.push(eigen.median.as_secs_f64() / meas.median.as_secs_f64());
             }
             t.row(&[

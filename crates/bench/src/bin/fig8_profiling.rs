@@ -5,13 +5,35 @@
 //! Expected shape: the *query* share grows with `m` and dominates at every
 //! size plotted (the paper's point — most arithmetic becomes cheap
 //! retrievals once `m ≫ 2^µ`).
+//!
+//! The same phase split then prices the two design choices the paper
+//! argues from it: the bank layout (Fig. 6 — KeyMajor vs BatchMajor, a
+//! query-phase difference) and the table-build method (Fig. 4 / Eq. 6 —
+//! Algorithm 1's dynamic programming vs brute-force `M_µ · x`, a
+//! build-phase difference).
 
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::auto_reps;
-use biq_bench::workloads::binary_workload;
-use biqgemm_core::{BiqConfig, BiqGemm, PhaseProfile};
+use biq_bench::workloads::{binary_workload, biq_op, BinaryWorkload};
+use biq_runtime::WeightSource;
+use biqgemm_core::{BiqConfig, LutBuildMethod, LutLayout};
 use std::time::Duration;
+
+/// Per-run build / query / replace milliseconds of a serial plan of `cfg`
+/// over `w`, averaged over enough runs to fill ~300 ms.
+fn phase_ms(w: &BinaryWorkload, cfg: BiqConfig) -> [f64; 3] {
+    let (m, n) = w.signs.shape();
+    let (op, mut exec) = biq_op(WeightSource::Signs(&w.signs), (m, n, 1), w.x.cols(), cfg, None);
+    let mut y = vec![0.0f32; m * w.x.cols()];
+    let reps = auto_reps(Duration::from_millis(300), 3, 30, || exec.run_into(&op, &w.x, &mut y));
+    exec.reset_profile();
+    for _ in 0..reps {
+        exec.run_into(&op, &w.x, &mut y);
+    }
+    let p = exec.profile();
+    [p.build, p.query, p.replace].map(|d| d.as_secs_f64() * 1e3 / reps as f64)
+}
 
 fn main() {
     let a = args::parse();
@@ -25,27 +47,41 @@ fn main() {
     for n in ns {
         let mut t = Table::new(&["m", "build %", "query %", "replace %", "total ms"]);
         for &m in &sizes {
-            let w = binary_workload(m, n, b);
-            let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
-            let reps = auto_reps(Duration::from_millis(300), 3, 30, || {
-                let mut p = PhaseProfile::new();
-                engine.matmul_profiled(&w.x, &mut p)
-            });
-            let mut profile = PhaseProfile::new();
-            for _ in 0..reps {
-                std::hint::black_box(engine.matmul_profiled(&w.x, &mut profile));
-            }
-            let (build, query, replace) = profile.fractions();
-            t.row(&[
-                m.to_string(),
-                fmt_f(build * 100.0, 1),
-                fmt_f(query * 100.0, 1),
-                fmt_f(replace * 100.0, 1),
-                fmt_f(profile.total().as_secs_f64() * 1e3 / reps as f64, 3),
-            ]);
+            let phases = phase_ms(&binary_workload(m, n, b), BiqConfig::default());
+            let total: f64 = phases.iter().sum();
+            let [build, query, replace] = phases.map(|ms| fmt_f(ms / total * 100.0, 1));
+            t.row(&[m.to_string(), build, query, replace, fmt_f(total, 3)]);
         }
         println!("n = {n}:");
         println!("{}", if a.csv { t.render_csv() } else { t.render() });
     }
-    println!("Expected shape (paper Fig. 8): query share rises with m and dominates throughout.");
+    println!("Expected shape (paper Fig. 8): query share rises with m and dominates throughout.\n");
+
+    let (m, n) = (2048, 1024);
+    println!("Layout (Fig. 6) and build method (Fig. 4 / Eq. 6) at {m}x{n}, in the same phases:\n");
+    let mut t = Table::new(&["b", "layout", "build", "build ms", "query ms", "replace ms"]);
+    for b in [1usize, 32] {
+        let w = binary_workload(m, n, b);
+        for (layout, build) in [
+            (LutLayout::KeyMajor, LutBuildMethod::DynamicProgramming),
+            (LutLayout::BatchMajor, LutBuildMethod::DynamicProgramming),
+            (LutLayout::KeyMajor, LutBuildMethod::Gemm),
+        ] {
+            let [build_ms, query_ms, replace_ms] =
+                phase_ms(&w, BiqConfig { layout, build, ..BiqConfig::default() })
+                    .map(|ms| fmt_f(ms, 3));
+            t.row(&[
+                b.to_string(),
+                format!("{layout:?}"),
+                format!("{build:?}"),
+                build_ms,
+                query_ms,
+                replace_ms,
+            ]);
+        }
+    }
+    println!("{}", if a.csv { t.render_csv() } else { t.render() });
+    println!("Expected shape: at b = 32 KeyMajor's query beats BatchMajor's (contiguous batch");
+    println!("lanes per key; it pays the replace phase for them), at b = 1 the layouts coincide;");
+    println!("the DP build is at least µ× cheaper than the brute-force product at every batch.");
 }

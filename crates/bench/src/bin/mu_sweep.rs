@@ -9,10 +9,11 @@
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
+use biq_runtime::WeightSource;
 use biqgemm_core::complexity::{eq9_factor, optimal_mu};
 use biqgemm_core::planner::{plan, DEFAULT_LUT_BUDGET_BYTES};
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -28,9 +29,9 @@ fn main() {
     for &mu in &mus {
         let planned = plan(m, n, b, DEFAULT_LUT_BUDGET_BYTES);
         let cfg = BiqConfig { mu, ..planned };
-        let engine = BiqGemm::from_signs(&w.signs, cfg);
-        let reps = auto_reps(Duration::from_millis(250), 3, 15, || engine.matmul(&w.x));
-        let meas = measure(1, reps, || engine.matmul(&w.x));
+        let (op, mut exec) = biq_op(WeightSource::Signs(&w.signs), (m, n, 1), b, cfg, None);
+        let reps = auto_reps(Duration::from_millis(250), 3, 15, || exec.run(&op, &w.x));
+        let meas = measure(1, reps, || exec.run(&op, &w.x));
         if mu == 8 {
             baseline_ms = Some(meas.median_ms());
         }

@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p biq-bench --bin run_all [-- --quick]`
 
-use biq_bench::args::{self, with_pool};
+use biq_bench::args;
 use biq_bench::timing::{auto_reps, measure};
 use biq_bench::workloads::binary_workload;
 use biq_runtime::{
@@ -297,11 +297,10 @@ fn main() {
     } else {
         &[(1024, 1024, 1), (1024, 1024, 8), (1024, 1024, 32), (2048, 2048, 1), (2048, 2048, 32)]
     };
-    // Honor --threads for the runtime suite too: it pins both the planner's
-    // serial/parallel decision and the rayon pool the parallel drivers use.
-    let rows: Vec<BenchRow> = with_pool(a.threads, || {
-        shapes.iter().map(|&(m, n, b)| bench_workload(m, n, b, a.threads)).collect()
-    });
+    // Honor --threads for the runtime suite too: the plan carries it, for
+    // the serial/parallel decision and the parallel drivers alike.
+    let rows: Vec<BenchRow> =
+        shapes.iter().map(|&(m, n, b)| bench_workload(m, n, b, a.threads)).collect();
     let json_path = "results/BENCH_biqgemm.json";
     write_bench_json(&rows, json_path).expect("write BENCH_biqgemm.json");
     println!("ok -> {json_path}");

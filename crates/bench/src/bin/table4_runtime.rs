@@ -15,27 +15,25 @@
 //! small b); `xnor` is strong at large batch; BiQGEMM is best at small
 //! batch.
 
-use biq_bench::args::{self, with_pool};
+use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_gemm::{par_gemm_blocked, par_gemm_naive};
 use biq_quant::packing::PackedRowsU64;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biq_runtime::WeightSource;
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
     let a = args::parse();
     let sizes: Vec<usize> = if a.quick { vec![512, 1024] } else { vec![512, 1024, 2048, 4096] };
     let batches: Vec<usize> = if a.quick { vec![1, 32] } else { vec![1, 32, 128, 256] };
-    with_pool(a.threads, || run(&a, &sizes, &batches));
-}
-
-fn run(a: &biq_bench::args::CommonArgs, sizes: &[usize], batches: &[usize]) {
+    // `--threads` reaches the BiQGEMM plan and the dense drivers alike.
+    let workers = a.workers();
     println!(
-        "Table IV (GPU roles substituted by CPU analogs, {} threads): runtime in µs, 1-bit weights\n",
-        rayon::current_num_threads()
+        "Table IV (GPU roles substituted by CPU analogs, {workers} threads): runtime in µs, 1-bit weights\n"
     );
     let mut t = Table::new(&[
         "weights",
@@ -46,18 +44,23 @@ fn run(a: &biq_bench::args::CommonArgs, sizes: &[usize], batches: &[usize]) {
         "xnor us",
         "BiQ/kGpu speedup",
     ]);
-    for &n in sizes {
+    for &n in &sizes {
         let xnor_kernel = biqgemm_core::KernelRequest::Auto.resolve().expect("auto resolves");
-        for &b in batches {
+        for &b in &batches {
             let w = binary_workload(n, n, b);
             let dense = w.signs.to_f32();
-            let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
+            let (op, mut exec) = biq_op(
+                WeightSource::Signs(&w.signs),
+                (n, n, 1),
+                b,
+                BiqConfig::default(),
+                Some(workers),
+            );
             let xw = XnorWeights::new(vec![(vec![1.0f32; n], PackedRowsU64::pack(&w.signs))]);
-            let reps =
-                auto_reps(Duration::from_millis(300), 3, 20, || engine.matmul_parallel(&w.x));
-            let m_biq = measure(1, reps, || engine.matmul_parallel(&w.x));
-            let m_kgpu = measure(1, reps, || par_gemm_naive(&dense, &w.x));
-            let m_cublas = measure(1, reps, || par_gemm_blocked(&dense, &w.x));
+            let reps = auto_reps(Duration::from_millis(300), 3, 20, || exec.run(&op, &w.x));
+            let m_biq = measure(1, reps, || exec.run(&op, &w.x));
+            let m_kgpu = measure(1, reps, || par_gemm_naive(&dense, &w.x, workers));
+            let m_cublas = measure(1, reps, || par_gemm_blocked(&dense, &w.x, workers));
             let m_xnor = measure(1, reps, || xnor_gemm(&xw, &w.x, xnor_kernel));
             t.row(&[
                 format!("{n}x{n}"),

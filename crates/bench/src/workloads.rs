@@ -2,6 +2,10 @@
 //! filled by random numbers").
 
 use biq_matrix::{ColMatrix, MatrixRng, SignMatrix};
+use biq_runtime::{
+    compile, BackendSpec, CompiledOp, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
+use biqgemm_core::BiqConfig;
 
 /// Deterministic seed derived from a workload shape, so every experiment
 /// binary regenerates identical data for identical parameters.
@@ -28,6 +32,31 @@ pub struct BinaryWorkload {
 pub fn binary_workload(m: usize, n: usize, b: usize) -> BinaryWorkload {
     let mut g = MatrixRng::seed_from(shape_seed(m, n, b));
     BinaryWorkload { signs: g.signs(m, n), x: g.gaussian_col(n, b, 0.0, 1.0) }
+}
+
+/// A BiQGEMM op over `bits`-plane `m × n` `weights` under exactly `cfg`
+/// (the experiments sweep configs, so the planner's µ/tile search is
+/// bypassed), planned for batch `b`, with the executor that runs it warmed.
+/// `workers`: `None` plans serial, `Some(n)` parallel on `n` workers.
+pub fn biq_op(
+    weights: WeightSource<'_>,
+    (m, n, bits): (usize, usize, usize),
+    b: usize,
+    cfg: BiqConfig,
+    workers: Option<usize>,
+) -> (CompiledOp, Executor) {
+    let builder = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+        .config(cfg);
+    let plan = match workers {
+        None => builder.threading(Threading::Serial),
+        Some(n) => builder.threads(n).threading(Threading::Parallel),
+    }
+    .build();
+    let op = compile(&plan, weights);
+    let exec = Executor::warmed_for(&op);
+    (op, exec)
 }
 
 /// Gaussian fp32 weights for quantization-quality experiments.

@@ -20,7 +20,7 @@
 use crate::arena::BiqArena;
 use crate::config::BiqConfig;
 use crate::profile::PhaseProfile;
-use crate::tiled::biqgemm_serial_into;
+use crate::tiled::biqgemm_into;
 use crate::weights::BiqWeights;
 use biq_matrix::{ColMatrix, Matrix};
 use biq_quant::greedy_quantize_vector;
@@ -109,10 +109,10 @@ pub fn biqgemm_quantized_activations(
     let mut arena = BiqArena::new();
     let mut partial = vec![0.0f32; m * b];
     // Plan-time resolution for this one-shot path (errors surface as the
-    // kernel layer's message, like `BiqGemm` construction).
+    // kernel layer's message).
     let kernel = cfg.kernel.resolve().unwrap_or_else(|e| panic!("{e}"));
     for (gammas, signs) in xq.planes() {
-        biqgemm_serial_into(w, signs, cfg, kernel, &mut profile, &mut arena, &mut partial);
+        biqgemm_into(w, signs, cfg, kernel, None, &mut profile, &mut arena, &mut partial);
         for i in 0..m {
             let prow = &partial[i * b..(i + 1) * b];
             let yrow = y.row_mut(i);
@@ -139,13 +139,11 @@ pub fn biqgemm_dynamic_act_quant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::BiqArena;
-    use crate::tiled::biqgemm_serial_into;
     use biq_matrix::{assert_allclose, MatrixRng};
     use biq_quant::error_metrics::relative_l2;
     use biq_quant::greedy_quantize_matrix_rowwise;
 
-    /// Reference one-shot serial run (the old `biqgemm_tiled` facade).
+    /// Reference one-shot serial run.
     fn biqgemm_tiled(
         w: &BiqWeights,
         x: &ColMatrix,
@@ -154,15 +152,8 @@ mod tests {
     ) -> Matrix {
         let mut y = Matrix::zeros(w.output_size(), x.cols());
         let mut arena = BiqArena::new();
-        biqgemm_serial_into(
-            w,
-            x,
-            cfg,
-            cfg.kernel.resolve().unwrap(),
-            profile,
-            &mut arena,
-            y.as_mut_slice(),
-        );
+        let kernel = cfg.kernel.resolve().unwrap();
+        biqgemm_into(w, x, cfg, kernel, None, profile, &mut arena, y.as_mut_slice());
         y
     }
 

@@ -2,67 +2,142 @@
 //!
 //! Every BiQGEMM call needs transient state: a [`LutBank`] holding the
 //! live lookup tables of the current tile and (inside the bank) the DP
-//! step vectors of Algorithm 1. The seed kernels allocated these per call;
-//! a [`BiqArena`] owns them across calls so the steady state of repeated
-//! small-batch inference — the paper's target regime, where per-call
-//! allocation is measurable — touches the heap only when a *larger* shape
-//! than ever seen arrives. (The per-row batch accumulator the seed also
-//! carried is gone: the fused query kernel accumulates in registers.)
+//! step vectors of Algorithm 1. A [`BiqArena`] owns them across calls so
+//! the steady state of repeated small-batch inference — the paper's target
+//! regime, where per-call allocation is measurable — touches the heap only
+//! when a *larger* shape than ever seen arrives.
 //!
-//! The arena is keyed by `(µ, layout)`: a bank built for one key width or
-//! physical layout cannot be reinterpreted under another, so changing either
-//! rebuilds the bank (an explicit, rare cost). All buffers grow
+//! One arena serves every way [`crate::biqgemm_into`] can run. It is a set
+//! of per-worker slots plus one shared bank buffer for the
+//! [`Schedule::SharedLut`] build phase. The serial tile loop runs on the
+//! calling thread out of slot 0; a parallel task checks a slot out for its
+//! lifetime, so two tasks never share a live table ("one lookup table
+//! cannot be implemented by coordinating more than two threads" — each
+//! table is built and read through exactly one slot at a time).
+//!
+//! A slot's bank is keyed by `(µ, layout)`: a bank built for one key width
+//! or physical layout cannot be reinterpreted under another, so changing
+//! either rebuilds the bank (an explicit, rare cost). All buffers grow
 //! monotonically and never shrink.
 //!
 //! `biq_runtime::Executor` wraps one `BiqArena` (plus baseline-kernel
-//! scratch) behind the workspace-wide `GemmBackend` trait; the deprecated
-//! free-function entry points construct a throwaway arena so every path
-//! funnels through the same tile loop.
+//! scratch) behind the workspace-wide `GemmBackend` trait.
 
-use crate::config::LutLayout;
-use crate::layout::LutBank;
+use crate::config::{BiqConfig, LutLayout, Schedule};
+use crate::layout::{LineAlignedBuf, LutBank};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// Reusable scratch buffers for the serial BiQGEMM tile loop.
-#[derive(Debug)]
-pub struct BiqArena {
-    bank: Option<LutBank>,
-    bank_mu: usize,
-    bank_layout: LutLayout,
+/// A slot's LUT bank, kept while its `(µ, layout)` key stays the same.
+#[derive(Debug, Default)]
+pub(crate) struct BankCache(Option<LutBank>);
+
+impl BankCache {
+    /// The bank for one kernel run, (re)created when `(µ, layout)` differ
+    /// from the cached bank's.
+    pub(crate) fn get(&mut self, mu: usize, layout: LutLayout) -> &mut LutBank {
+        if !self.0.as_ref().is_some_and(|b| b.mu() == mu && b.layout() == layout) {
+            self.0 = Some(LutBank::new(mu, layout));
+        }
+        self.0.as_mut().expect("bank just ensured")
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.0.as_ref().map_or(0, LutBank::resident_bytes)
+    }
 }
 
-impl Default for BiqArena {
-    fn default() -> Self {
-        Self::new()
-    }
+/// One worker's persistent scratch: the LUT bank plus the small per-task
+/// vectors of the parallel schedules.
+#[derive(Debug, Default)]
+pub(crate) struct Slot {
+    pub(crate) bank: BankCache,
+    /// Key-row ranges of the current row block (one per weight plane).
+    pub(crate) ranges: Vec<(usize, usize)>,
+    /// DP step scratch for the SharedLut KeyMajor build phase.
+    pub(crate) steps: Vec<f32>,
+}
+
+/// Reusable scratch for [`crate::biqgemm_into`], serial and parallel.
+///
+/// Slots are created on demand (one for a serial run, one per worker for a
+/// parallel one) and persist, so steady-state runs reuse warm banks
+/// instead of allocating per call or per task.
+#[derive(Debug, Default)]
+pub struct BiqArena {
+    slots: Vec<Mutex<Slot>>,
+    rr: AtomicUsize,
+    /// SharedLut phase-1 bank, built once per (batch-tile × chunk-tile) and
+    /// then read by every query task. Line-aligned like every LUT bank.
+    pub(crate) shared_bank: Mutex<LineAlignedBuf>,
 }
 
 impl BiqArena {
-    /// An empty arena; buffers are created on first use.
+    /// An empty arena; slots and buffers are created on first use.
     pub fn new() -> Self {
-        Self { bank: None, bank_mu: 0, bank_layout: LutLayout::KeyMajor }
+        Self::default()
     }
 
-    /// Pre-sizes every buffer for a serial run of `cfg` at batch `b`, so
-    /// even the *first* kernel call at that shape is allocation-free.
-    pub fn reserve(&mut self, cfg: &crate::config::BiqConfig, b: usize) {
-        let nb = cfg.tile_batch.min(b.max(1));
-        self.bank(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
-    }
-
-    /// Mutable access to the bank for one kernel run, (re)creating it when
-    /// `(µ, layout)` differ from the cached key.
-    pub fn bank(&mut self, mu: usize, layout: LutLayout) -> &mut LutBank {
-        if self.bank.is_none() || self.bank_mu != mu || self.bank_layout != layout {
-            self.bank = Some(LutBank::new(mu, layout));
-            self.bank_mu = mu;
-            self.bank_layout = layout;
+    /// Grows the arena to at least `workers` slots (floored at 1).
+    pub(crate) fn ensure_slots(&mut self, workers: usize) {
+        while self.slots.len() < workers.max(1) {
+            self.slots.push(Mutex::default());
         }
-        self.bank.as_mut().expect("bank just ensured")
     }
 
-    /// Bytes of lookup-table data currently resident in the bank.
+    /// Pre-sizes every buffer for runs of `cfg` at batch `b` over `bits`
+    /// weight planes — a serial run when `workers` is `None`, a parallel
+    /// one on that many workers otherwise — so even the *first* run at
+    /// that shape allocates nothing (on the calling thread or inside a
+    /// task body).
+    pub fn reserve(&mut self, cfg: &BiqConfig, bits: usize, b: usize, workers: Option<usize>) {
+        let nb = cfg.tile_batch.min(b.max(1));
+        let n = workers.map_or(1, |w| w.max(1));
+        self.ensure_slots(n);
+        for slot in &mut self.slots[..n] {
+            let s = slot.get_mut().expect("arena slot poisoned");
+            s.bank.get(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
+            if workers.is_some() {
+                // `Vec::reserve` is relative to `len`, so this guarantees
+                // capacity ≥ `bits` regardless of what earlier runs left.
+                s.ranges.reserve(bits.saturating_sub(s.ranges.len()));
+                if s.steps.len() < cfg.mu * nb {
+                    s.steps.resize(cfg.mu * nb, 0.0);
+                }
+            }
+        }
+        if workers.is_some() && cfg.schedule == Schedule::SharedLut {
+            let needed = cfg.tile_chunks * (1usize << cfg.mu) * nb;
+            self.shared_bank.get_mut().expect("shared bank poisoned").ensure_len(needed);
+        }
+    }
+
+    /// The calling thread's slot — the serial tile loop's bank lives here.
+    pub(crate) fn local(&mut self) -> &mut Slot {
+        self.ensure_slots(1);
+        self.slots[0].get_mut().expect("arena slot poisoned")
+    }
+
+    /// Checks out one slot for the duration of a parallel task: a try-lock
+    /// sweep finds a free slot without blocking; when every slot is busy
+    /// (more live tasks than slots) the task queues on a round-robin pick,
+    /// which stays correct — just momentarily serialised.
+    pub(crate) fn checkout(&self) -> MutexGuard<'_, Slot> {
+        for slot in &self.slots {
+            if let Ok(guard) = slot.try_lock() {
+                return guard;
+            }
+        }
+        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        self.slots[i].lock().expect("arena slot poisoned")
+    }
+
+    /// Bytes of lookup-table data currently resident across every slot.
     pub fn resident_lut_bytes(&self) -> usize {
-        self.bank.as_ref().map_or(0, LutBank::resident_bytes)
+        self.slots
+            .iter()
+            .map(|s| s.lock().expect("arena slot poisoned").bank.resident_bytes())
+            .sum()
     }
 }
 
@@ -73,18 +148,17 @@ mod tests {
     #[test]
     fn bank_is_cached_across_same_key_calls() {
         let mut a = BiqArena::new();
-        assert_eq!(a.bank(4, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        let before = a.bank.as_ref().map(|b| b as *const LutBank as usize);
-        let _ = a.bank(4, LutLayout::KeyMajor);
-        let after = a.bank.as_ref().map(|b| b as *const LutBank as usize);
+        assert_eq!(a.local().bank.get(4, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
+        let before = a.local().bank.get(4, LutLayout::KeyMajor) as *const LutBank as usize;
+        let after = a.local().bank.get(4, LutLayout::KeyMajor) as *const LutBank as usize;
         assert_eq!(before, after, "same (µ, layout) must not rebuild the bank");
     }
 
     #[test]
     fn key_change_rebuilds_bank() {
         let mut a = BiqArena::new();
-        let _ = a.bank(4, LutLayout::KeyMajor);
-        assert_eq!(a.bank(8, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        assert_eq!(a.bank(8, LutLayout::BatchMajor).layout(), LutLayout::BatchMajor);
+        let _ = a.local().bank.get(4, LutLayout::KeyMajor);
+        assert_eq!(a.local().bank.get(8, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
+        assert_eq!(a.local().bank.get(8, LutLayout::BatchMajor).layout(), LutLayout::BatchMajor);
     }
 }

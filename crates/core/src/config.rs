@@ -56,7 +56,7 @@ pub struct BiqConfig {
     pub build: LutBuildMethod,
     /// Table layout.
     pub layout: LutLayout,
-    /// Parallel schedule (used by `parallel::biqgemm_parallel_arena_into`).
+    /// Parallel schedule (used by `biqgemm_into` when its plan is parallel).
     pub schedule: Schedule,
     /// Which kernel level to run the hot loops at. This is a *request*
     /// (the successor of the old `simd: bool` toggle): plan builders

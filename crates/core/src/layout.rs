@@ -126,7 +126,7 @@ impl LutBank {
     }
 
     #[inline]
-    fn mu(&self) -> usize {
+    pub(crate) fn mu(&self) -> usize {
         self.table.trailing_zeros() as usize
     }
 
@@ -438,9 +438,9 @@ fn fill_table(method: LutBuildMethod, sub: &[f32], dst: &mut [f32], k: ResolvedK
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::BiqArena;
     use crate::config::{BiqConfig, Schedule};
     use crate::mmu::key_dot;
-    use crate::parallel::ParallelArena;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
     use biq_quant::packing::KeyMatrix;
@@ -625,10 +625,10 @@ mod tests {
 
         // The SharedLut bank is the same buffer type.
         let cfg = BiqConfig { schedule: Schedule::SharedLut, ..BiqConfig::default() };
-        let mut pool = ParallelArena::new(2);
+        let mut pool = BiqArena::new();
         assert_line_aligned(&pool.shared_bank.lock().unwrap(), "pool new");
         for b in [3usize, 32, 1, 48] {
-            pool.reserve(&cfg, 1, b);
+            pool.reserve(&cfg, 1, b, Some(2));
             let shared = pool.shared_bank.lock().unwrap();
             assert_line_aligned(&shared, "pool reserve");
             assert!(shared.len() >= cfg.tile_chunks * 256 * b.min(cfg.tile_batch));

@@ -17,9 +17,9 @@
 //!    paper's Algorithm 1 dynamic programming (vs `2^µ·µ` for brute force);
 //! 2. [`weights::BiqWeights`] packs sign planes into the key matrix `K`
 //!    (µ-bit keys, MSB-first) with per-row scales;
-//! 3. [`kernel`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`);
-//! 4. [`tiled`] adds the paper's LUT-stationary tiling (Algorithm 2) so live
-//!    tables fit in cache; [`parallel`] distributes tiles over threads.
+//! 3. [`tiled`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`)
+//!    under the paper's LUT-stationary tiling (Algorithm 2), so live tables
+//!    fit in cache; [`parallel`] distributes tiles over threads.
 //!
 //! Time complexity (paper Eq. 8–10): `O(2^µ·(n/µ)·b + m·(n/µ)·b)`, i.e.
 //! `≈ GEMM/µ` when `2^µ ≪ m`. The analytic model lives in [`complexity`],
@@ -30,18 +30,18 @@
 //!
 //! ## Execution model
 //!
-//! The preferred entry point is **`biq_runtime::Executor`**: build an
-//! `ExecutionPlan` (a thin layer over [`planner`]), `compile` it against
-//! weights, and run it against a reusable arena. Within this crate,
-//! [`arena::BiqArena`] owns the reusable scratch (LUT bank with its DP
-//! step vectors), [`parallel::ParallelArena`] pools per-worker copies of
-//! it for the rayon drivers, and [`tiled::biqgemm_serial_into`] /
-//! [`parallel::biqgemm_parallel_arena_into`] are the arena-threaded
-//! kernels every path funnels into. [`kernel::BiqGemm`] remains as a
-//! self-contained facade (one-shot arena per call). The historical free
-//! functions `biqgemm_tiled` / `biqgemv_tiled` / `biqgemm_parallel` have
-//! been **removed** — route repeat calls through `biq_runtime::Executor`
-//! and concurrent traffic through the `biq_serve` batching layer.
+//! There is one way to run the kernel: [`biqgemm_into`]. It takes packed
+//! [`BiqWeights`], a [`BiqConfig`], the [`ResolvedKernel`] and worker count
+//! its caller's plan pinned, and a reusable [`BiqArena`]; the serial tile
+//! loop ([`tiled`]) and both parallel schedules ([`parallel`]) live under
+//! it. Nothing in this crate reads a process-wide thread count or probes
+//! CPU features at run time — both decisions are arguments.
+//!
+//! Applications do not call it directly: **`biq_runtime`** builds an
+//! `ExecutionPlan` (a thin layer over [`planner`]) that resolves the kernel
+//! level and the worker count once, `compile`s it against weights, and runs
+//! it through an `Executor` that owns the arena. Concurrent traffic goes
+//! through the `biq_serve` batching layer on top of that.
 //!
 //! ## Kernel levels
 //!
@@ -60,25 +60,33 @@
 //! ## Quick start
 //!
 //! ```
-//! use biq_matrix::{ColMatrix, MatrixRng};
+//! use biq_matrix::{ColMatrix, Matrix, MatrixRng};
 //! use biq_quant::greedy_quantize_matrix_rowwise;
-//! use biqgemm_core::{BiqConfig, BiqGemm};
+//! use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, PhaseProfile};
 //!
 //! let mut rng = MatrixRng::seed_from(1);
 //! let w = rng.gaussian(128, 64, 0.0, 1.0);        // m × n weights
 //! let x = rng.gaussian_col(64, 4, 0.0, 1.0);      // n × b activations
 //!
+//! let cfg = BiqConfig::default();
 //! let quant = greedy_quantize_matrix_rowwise(&w, 2); // 2-bit binary coding
-//! let engine = BiqGemm::new(&quant, BiqConfig::default());
-//! let y = engine.matmul(&x);                      // m × b output
-//! assert_eq!(y.shape(), (128, 4));
+//! let packed = BiqWeights::from_multibit(&quant, cfg.mu); // key matrix, once
+//! let kernel = cfg.kernel.resolve().unwrap();      // plan time, once
+//!
+//! let (mut arena, mut profile) = (BiqArena::new(), PhaseProfile::new());
+//! let mut y = Matrix::zeros(128, 4);               // m × b output
+//! // `None`: serial on this thread; `Some(n)`: `cfg.schedule` on n workers.
+//! biqgemm_into(&packed, &x, &cfg, kernel, None, &mut profile, &mut arena, y.as_mut_slice());
+//! assert!(profile.query > std::time::Duration::ZERO);
 //! ```
+//!
+//! (`biq_runtime::{PlanBuilder, compile, Executor}` wrap exactly this; see
+//! that crate's docs for the application-level quick start.)
 
 pub mod actquant;
 pub mod arena;
 pub mod complexity;
 pub mod config;
-pub mod kernel;
 pub mod layout;
 pub mod lut;
 pub mod mmu;
@@ -92,8 +100,7 @@ pub mod weights;
 
 pub use arena::BiqArena;
 pub use config::{BiqConfig, LutBuildMethod, LutLayout, Schedule};
-pub use kernel::BiqGemm;
-pub use parallel::ParallelArena;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};
+pub use tiled::biqgemm_into;
 pub use weights::BiqWeights;

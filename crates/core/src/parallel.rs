@@ -1,4 +1,5 @@
-//! Multi-threaded BiQGEMM on rayon.
+//! Multi-threaded BiQGEMM: the two parallel schedules under
+//! [`crate::biqgemm_into`], and the scoped-thread helper they run on.
 //!
 //! Two schedules (Section III-B discusses both trade-offs):
 //!
@@ -13,25 +14,19 @@
 //!   that share the read-only bank. No replicated build, one barrier per
 //!   tile.
 //!
-//! Both produce bit-identical results to the serial kernel: per output
-//! element the accumulation order over (plane, chunk-tile, chunk) is
-//! unchanged — threads only partition *independent* output elements.
+//! Both produce bit-identical results to the serial kernel, for every
+//! worker count: per output element the accumulation order over (plane,
+//! chunk-tile, chunk) is unchanged — threads only partition *independent*
+//! output elements.
 //!
-//! ## Scratch ownership
-//!
-//! Every per-task buffer (LUT bank, accumulator, DP steps, key-row ranges)
-//! comes out of a [`ParallelArena`]: a pool of per-worker scratch slots plus
-//! one shared bank buffer for the [`Schedule::SharedLut`] build phase. A
-//! task checks a slot out for its lifetime, so two tasks never share a live
-//! table ("one lookup table cannot be implemented by coordinating more than
-//! two threads" — each table is built and read through exactly one slot at a
-//! time). Pools persist across calls — `biq_runtime::Arena` embeds one — so
-//! the parallel steady state reuses warm banks instead of allocating fresh
-//! ones per task, closing the gap the serial arena path already closed.
+//! The worker count is an argument, handed down from the plan that
+//! resolved it; nothing here (or anywhere in the workspace) reads a
+//! process-wide thread setting. Every per-task buffer (LUT bank, DP steps,
+//! key-row ranges) comes out of the caller's [`BiqArena`] slots, which
+//! persist across calls.
 
-use crate::arena::BiqArena;
+use crate::arena::{BiqArena, Slot};
 use crate::config::{BiqConfig, LutLayout, Schedule};
-use crate::layout::LineAlignedBuf;
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use crate::tiled::run_tiles;
@@ -39,162 +34,71 @@ use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
 use biq_matrix::view::tile_ranges;
 use biq_matrix::ColMatrix;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
-/// One worker's persistent scratch: the arena (LUT bank + accumulator) plus
-/// the small per-task vectors the drivers used to allocate inline.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerScratch {
-    pub(crate) arena: BiqArena,
-    /// Key-row ranges of the current row block (one per weight plane).
-    pub(crate) ranges: Vec<(usize, usize)>,
-    /// DP step scratch for the SharedLut KeyMajor build phase.
-    pub(crate) steps: Vec<f32>,
-}
-
-/// A pool of per-worker scratch for the parallel BiQGEMM drivers.
+/// Runs `f(index, chunk)` for every `chunk_size`-element chunk of `slice`
+/// (the last may be shorter) on up to `workers` scoped threads — the one
+/// threading primitive of the workspace. Chunks are disjoint `&mut`
+/// slices, so data-race freedom is structural; they are handed out through
+/// a shared atomic cursor, so uneven chunks still balance.
 ///
-/// Sized to the worker count at construction; tasks check slots out with a
-/// try-lock sweep (falling back to a round-robin blocking lock when more
-/// tasks than slots are momentarily live, which preserves correctness at
-/// the cost of brief queueing). All buffers grow monotonically and persist
-/// across calls, so steady-state parallel runs stop paying the per-task
-/// `LutBank` allocation the seed drivers performed.
-#[derive(Debug)]
-pub struct ParallelArena {
-    slots: Vec<Mutex<WorkerScratch>>,
-    rr: AtomicUsize,
-    /// SharedLut phase-1 bank, built once per (batch-tile × chunk-tile) and
-    /// then read by every query task. Line-aligned like every LUT bank.
-    pub(crate) shared_bank: Mutex<LineAlignedBuf>,
-}
-
-impl ParallelArena {
-    /// A pool with `workers` scratch slots (floored at 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        Self {
-            slots: (0..workers).map(|_| Mutex::new(WorkerScratch::default())).collect(),
-            rr: AtomicUsize::new(0),
-            shared_bank: Mutex::new(LineAlignedBuf::default()),
-        }
-    }
-
-    /// A pool sized to the current rayon worker count.
-    pub fn with_current_threads() -> Self {
-        Self::new(rayon::current_num_threads())
-    }
-
-    /// Number of scratch slots.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Pre-sizes every slot (and the shared bank) for runs of `cfg` at
-    /// batch `b` with `bits` weight planes, so even the first parallel run
-    /// draws no fresh allocations from inside the task bodies.
-    pub fn reserve(&mut self, cfg: &BiqConfig, bits: usize, b: usize) {
-        let nb = cfg.tile_batch.min(b.max(1));
-        for slot in &self.slots {
-            let mut s = slot.lock().expect("parallel arena slot poisoned");
-            s.arena.reserve(cfg, b);
-            // `Vec::reserve` is relative to `len`, so this guarantees
-            // capacity ≥ `bits` regardless of what earlier runs left behind.
-            let extra = bits.saturating_sub(s.ranges.len());
-            s.ranges.reserve(extra);
-            if s.steps.len() < cfg.mu * nb {
-                s.steps.resize(cfg.mu * nb, 0.0);
-            }
-        }
-        if cfg.schedule == Schedule::SharedLut {
-            let needed = cfg.tile_chunks * (1usize << cfg.mu) * nb;
-            self.shared_bank.lock().expect("shared bank poisoned").ensure_len(needed);
-        }
-    }
-
-    /// Total bytes of lookup-table data resident across every slot.
-    pub fn resident_lut_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.lock().expect("parallel arena slot poisoned").arena.resident_lut_bytes())
-            .sum()
-    }
-
-    /// Checks out one scratch slot for the duration of a task: a try-lock
-    /// sweep finds a free slot without blocking; when every slot is busy
-    /// (more live tasks than workers) the task queues on a round-robin
-    /// pick, which stays correct — just momentarily serialised.
-    pub(crate) fn checkout(&self) -> MutexGuard<'_, WorkerScratch> {
-        for slot in &self.slots {
-            if let Ok(guard) = slot.try_lock() {
-                return guard;
-            }
-        }
-        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        self.slots[i].lock().expect("parallel arena slot poisoned")
-    }
-}
-
-impl Default for ParallelArena {
-    fn default() -> Self {
-        Self::with_current_threads()
-    }
-}
-
-/// Parallel BiQGEMM into a caller-provided row-major `m × b` buffer,
-/// dispatching on `cfg.schedule`, running the hot loops at the resolved
-/// level `kernel` (pinned by the caller's plan — no feature probing here),
-/// and drawing all per-task scratch from `pool`. `y` is zeroed before
-/// accumulation.
-///
-/// This is the steady-state serving path: with a persistent pool (the
-/// runtime executor's arena embeds one) repeat runs at a warmed shape reuse
-/// every per-worker LUT bank instead of allocating per task.
+/// With one worker or a single chunk this is a plain loop on the calling
+/// thread that touches neither the thread spawner nor the allocator.
+/// Otherwise `min(workers, chunks)` threads are spawned for this one call
+/// and joined before it returns (a panic in `f` propagates).
 ///
 /// # Panics
-/// Panics on dimension mismatch, `y.len() != m·b`, or invalid config.
-pub fn biqgemm_parallel_arena_into(
-    w: &BiqWeights,
-    x: &ColMatrix,
-    cfg: &BiqConfig,
-    kernel: ResolvedKernel,
-    pool: &ParallelArena,
-    y: &mut [f32],
-) {
-    cfg.validate();
-    assert_eq!(x.rows(), w.input_size(), "inner dimension mismatch");
-    assert_eq!(y.len(), w.output_size() * x.cols(), "output buffer must hold m·b floats");
-    y.fill(0.0);
-    match cfg.schedule {
-        Schedule::RowParallel => row_parallel(w, x, cfg, kernel, pool, y),
-        Schedule::SharedLut => shared_lut(w, x, cfg, kernel, pool, y),
+/// Panics if `chunk_size` is zero.
+pub fn for_each_chunk_mut<T, F>(slice: &mut [T], chunk_size: usize, workers: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk_size > 0, "chunk size must be positive");
+    let threads = workers.min(slice.len().div_ceil(chunk_size));
+    if threads <= 1 {
+        slice.chunks_mut(chunk_size).enumerate().for_each(|(i, c)| f(i, c));
+        return;
     }
-}
-
-/// Parallel BiQGEMM into a caller-provided buffer with a throwaway scratch
-/// pool. Prefer [`biqgemm_parallel_arena_into`] (or the `biq_runtime`
-/// executor, which owns a persistent pool) on repeat-call paths.
-///
-/// # Panics
-/// Panics on dimension mismatch, `y.len() != m·b`, or invalid config.
-pub fn biqgemm_parallel_into(
-    w: &BiqWeights,
-    x: &ColMatrix,
-    cfg: &BiqConfig,
-    kernel: ResolvedKernel,
-    y: &mut [f32],
-) {
-    let pool = ParallelArena::with_current_threads();
-    biqgemm_parallel_arena_into(w, x, cfg, kernel, &pool, y);
+    let chunks: Vec<_> = slice.chunks_mut(chunk_size).map(|c| Mutex::new(Some(c))).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                // Relaxed: the cursor publishes no data, it only deals out
+                // indices; each chunk is handed over through its own lock.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(i) else { break };
+                if let Some(c) = chunk.lock().expect("chunk lock poisoned").take() {
+                    f(i, c);
+                }
+            });
+        }
+    });
 }
 
 /// Rows-per-task sizing: enough tasks for load balance, big enough blocks to
 /// amortise the replicated LUT builds.
-fn rows_per_task(m: usize) -> usize {
-    let threads = rayon::current_num_threads().max(1);
-    m.div_ceil(threads).max(16.min(m.max(1)))
+fn rows_per_task(m: usize, workers: usize) -> usize {
+    m.div_ceil(workers).max(16.min(m.max(1)))
+}
+
+/// `cfg.schedule` over a zeroed `y`, on up to `workers` (≥ 1) threads,
+/// drawing per-task scratch from `arena`'s slots.
+pub(crate) fn run_schedule(
+    w: &BiqWeights,
+    x: &ColMatrix,
+    cfg: &BiqConfig,
+    kernel: ResolvedKernel,
+    workers: usize,
+    arena: &BiqArena,
+    y: &mut [f32],
+) {
+    match cfg.schedule {
+        Schedule::RowParallel => row_parallel(w, x, cfg, kernel, workers, arena, y),
+        Schedule::SharedLut => shared_lut(w, x, cfg, kernel, workers, arena, y),
+    }
 }
 
 fn row_parallel(
@@ -202,25 +106,26 @@ fn row_parallel(
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
-    pool: &ParallelArena,
+    workers: usize,
+    arena: &BiqArena,
     y: &mut [f32],
 ) {
     let (m, b) = (w.output_size(), x.cols());
     if b == 0 {
         return;
     }
-    let rpt = rows_per_task(m);
+    let rpt = rows_per_task(m, workers);
     let bits = w.bits();
-    y.par_chunks_mut(rpt * b).enumerate().for_each(|(t, yblock)| {
+    for_each_chunk_mut(y, rpt * b, workers, |t, yblock| {
         let row0 = t * rpt;
         let rows = yblock.len() / b;
-        let mut slot = pool.checkout();
-        let WorkerScratch { arena, ranges, .. } = &mut *slot;
+        let mut slot = arena.checkout();
+        let Slot { bank, ranges, .. } = &mut *slot;
         let mut profile = PhaseProfile::new();
         // Key rows for this block: every plane's copy of [row0, row0+rows).
         ranges.clear();
         ranges.extend((0..bits).map(|p| (p * m + row0, p * m + row0 + rows)));
-        let bank = arena.bank(w.mu(), cfg.layout);
+        let bank = bank.get(w.mu(), cfg.layout);
         run_tiles(w, x, cfg, kernel, &mut profile, bank, ranges, yblock, row0);
     });
 }
@@ -230,7 +135,8 @@ fn shared_lut(
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
-    pool: &ParallelArena,
+    workers: usize,
+    arena: &BiqArena,
     y: &mut [f32],
 ) {
     let (m, b) = (w.output_size(), x.cols());
@@ -241,11 +147,11 @@ fn shared_lut(
     let chunks = w.chunks();
     let keys = w.keys();
     let table = 1usize << w.mu();
-    let rpt = rows_per_task(m);
+    let rpt = rows_per_task(m, workers);
     // The shared bank buffer persists across tiles and calls; stale entries
     // are harmless because every (chunk, key, batch) position a query reads
     // is rewritten by this tile's build phase first.
-    let mut bank_buf = pool.shared_bank.lock().expect("shared bank poisoned");
+    let mut bank_buf = arena.shared_bank.lock().expect("shared bank poisoned");
     for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
         for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
             // Phase 1: build the bank in parallel, one chunk per task
@@ -254,9 +160,9 @@ fn shared_lut(
             let needed = nc * table * nb;
             bank_buf.ensure_len(needed);
             let bank = &mut bank_buf.as_mut_slice()[..needed];
-            bank.par_chunks_mut(table * nb).enumerate().for_each(|(c, seg)| match cfg.layout {
+            for_each_chunk_mut(bank, table * nb, workers, |c, seg| match cfg.layout {
                 LutLayout::KeyMajor => {
-                    let mut slot = pool.checkout();
+                    let mut slot = arena.checkout();
                     crate::layout::fill_chunk_key_major_dp(
                         seg,
                         &mut slot.steps,
@@ -282,7 +188,7 @@ fn shared_lut(
             // Phase 2: query in parallel over disjoint output-row blocks,
             // fused lookup-accumulate at the pinned kernel level.
             let bank = &bank[..];
-            y.par_chunks_mut(rpt * b).enumerate().for_each(|(t, yblock)| {
+            for_each_chunk_mut(y, rpt * b, workers, |t, yblock| {
                 let row0 = t * rpt;
                 let rows = yblock.len() / b;
                 for p in 0..w.bits() {
@@ -329,29 +235,68 @@ fn shared_lut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::PhaseProfile;
-    use crate::tiled::biqgemm_serial_into;
+    use crate::tiled::biqgemm_into;
     use biq_matrix::{Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
+
+    /// Worker counts every schedule test sweeps: inline, the common case,
+    /// an uneven split, and more workers than most shapes have row blocks.
+    const WORKERS: [usize; 4] = [1, 2, 3, 7];
+
+    #[test]
+    fn chunks_see_disjoint_data_and_all_of_it() {
+        for workers in WORKERS {
+            let mut v = vec![0u32; 103];
+            for_each_chunk_mut(&mut v, 10, workers, |i, c| c.fill(i as u32 + 1));
+            let want: Vec<u32> = (0..103).map(|k| k / 10 + 1).collect();
+            assert_eq!(v, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn parallel_sum_matches_serial() {
+        let mut v: Vec<u64> = (0..1000).collect();
+        for_each_chunk_mut(&mut v, 7, 4, |_, c| c.iter_mut().for_each(|x| *x *= 3));
+        assert_eq!(v.iter().sum::<u64>(), 3 * (999 * 1000 / 2));
+    }
+
+    #[test]
+    fn one_worker_or_one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: usize, c: &mut [u8]| {
+            assert_eq!(std::thread::current().id(), caller);
+            c.fill(1);
+        };
+        let mut v = vec![0u8; 64];
+        for_each_chunk_mut(&mut v, 8, 1, on_caller);
+        for_each_chunk_mut(&mut v, 64, 8, on_caller);
+        for_each_chunk_mut(&mut v[..0], 8, 8, on_caller);
+        // ... and with both above one, it does not.
+        for_each_chunk_mut(&mut v, 8, 2, |_, _| assert_ne!(std::thread::current().id(), caller));
+    }
 
     fn kernel_of(cfg: &BiqConfig) -> ResolvedKernel {
         cfg.kernel.resolve().expect("test kernel request must resolve")
     }
 
-    fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Matrix {
-        let mut p = PhaseProfile::new();
-        let mut arena = BiqArena::new();
+    fn run(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, workers: Option<usize>) -> Matrix {
         let mut y = Matrix::zeros(w.output_size(), x.cols());
-        biqgemm_serial_into(w, x, cfg, kernel_of(cfg), &mut p, &mut arena, y.as_mut_slice());
+        let (mut p, mut arena) = (PhaseProfile::new(), BiqArena::new());
+        biqgemm_into(w, x, cfg, kernel_of(cfg), workers, &mut p, &mut arena, y.as_mut_slice());
         y
     }
 
-    /// Test-local one-shot harness over the pooled entry point (the old
-    /// `biqgemm_parallel` free function, now deleted from the public API).
-    fn biqgemm_parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Matrix {
-        let mut y = Matrix::zeros(w.output_size(), x.cols());
-        biqgemm_parallel_into(w, x, cfg, kernel_of(cfg), y.as_mut_slice());
-        y
+    /// Every worker count must reproduce the serial run bit for bit.
+    fn assert_parallel_matches_serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, what: &str) {
+        let serial = run(w, x, cfg, None);
+        for workers in WORKERS {
+            assert_eq!(
+                run(w, x, cfg, Some(workers)).as_slice(),
+                serial.as_slice(),
+                "{what}: {:?} on {workers} workers",
+                cfg.schedule
+            );
+        }
     }
 
     #[test]
@@ -371,10 +316,11 @@ mod tests {
                 tile_batch: 4,
                 ..BiqConfig::default()
             };
-            assert_eq!(
-                biqgemm_parallel(&w, &x, &cfg).as_slice(),
-                serial(&w, &x, &cfg).as_slice(),
-                "(m,n,b,bits)=({m},{n},{b},{bits})"
+            assert_parallel_matches_serial(
+                &w,
+                &x,
+                &cfg,
+                &format!("(m,n,b,bits)=({m},{n},{b},{bits})"),
             );
         }
     }
@@ -394,7 +340,12 @@ mod tests {
                 tile_batch: 5,
                 ..BiqConfig::default()
             };
-            assert_eq!(biqgemm_parallel(&w, &x, &cfg).as_slice(), serial(&w, &x, &cfg).as_slice());
+            assert_parallel_matches_serial(
+                &w,
+                &x,
+                &cfg,
+                &format!("(m,n,b,bits)=({m},{n},{b},{bits})"),
+            );
         }
     }
 
@@ -413,7 +364,7 @@ mod tests {
             tile_batch: 2,
             ..BiqConfig::default()
         };
-        assert_eq!(biqgemm_parallel(&w, &x, &cfg).as_slice(), serial(&w, &x, &cfg).as_slice());
+        assert_parallel_matches_serial(&w, &x, &cfg, "batch-major");
     }
 
     #[test]
@@ -424,7 +375,7 @@ mod tests {
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
         for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
             let cfg = BiqConfig { schedule, ..BiqConfig::default() };
-            assert_eq!(biqgemm_parallel(&w, &x, &cfg).as_slice(), serial(&w, &x, &cfg).as_slice());
+            assert_parallel_matches_serial(&w, &x, &cfg, "m = 1");
         }
     }
 
@@ -436,21 +387,25 @@ mod tests {
         let w = BiqWeights::from_signs_unscaled(&signs, 4);
         for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
             let cfg = BiqConfig { mu: 4, schedule, ..BiqConfig::default() };
-            let y = biqgemm_parallel(&w, &x, &cfg);
-            assert_eq!(y.shape(), (4, 0));
+            assert_eq!(run(&w, &x, &cfg, Some(2)).shape(), (4, 0));
         }
     }
 
     #[test]
-    fn persistent_pool_reuses_across_calls_and_schedules() {
-        // One pool serves both schedules and repeated calls; results stay
-        // bit-identical to the serial kernel throughout.
+    fn one_arena_serves_repeat_calls_schedules_and_serial_runs() {
+        // One arena serves both schedules, the serial loop and repeated
+        // calls; results stay bit-identical throughout.
         let mut g = MatrixRng::seed_from(255);
         let signs = g.signs(48, 72);
         let x = g.small_int_col(72, 5, 2);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        let mut pool = ParallelArena::new(4);
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut, Schedule::RowParallel] {
+        let (mut arena, mut p) = (BiqArena::new(), PhaseProfile::new());
+        for (schedule, workers) in [
+            (Schedule::RowParallel, Some(4)),
+            (Schedule::SharedLut, Some(4)),
+            (Schedule::RowParallel, None),
+            (Schedule::RowParallel, Some(2)),
+        ] {
             let cfg = BiqConfig {
                 schedule,
                 tile_rows: 8,
@@ -458,31 +413,38 @@ mod tests {
                 tile_batch: 3,
                 ..BiqConfig::default()
             };
-            pool.reserve(&cfg, w.bits(), x.cols());
+            arena.reserve(&cfg, w.bits(), x.cols(), workers);
             let mut y = vec![0.0f32; 48 * 5];
-            biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &pool, &mut y);
-            assert_eq!(y, serial(&w, &x, &cfg).as_slice(), "{schedule:?}");
+            biqgemm_into(&w, &x, &cfg, kernel_of(&cfg), workers, &mut p, &mut arena, &mut y);
+            assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} {workers:?}");
         }
-        assert!(pool.resident_lut_bytes() > 0, "row-parallel banks stay resident");
+        assert!(arena.resident_lut_bytes() > 0, "row-parallel banks stay resident");
     }
 
     #[test]
-    fn pool_smaller_than_task_count_still_correct() {
-        // More row blocks than slots forces the round-robin fallback path.
+    fn fewer_slots_than_live_tasks_still_correct() {
+        // `biqgemm_into` grows the arena to the worker count, so the
+        // schedules are driven directly here: one slot under several live
+        // tasks forces `checkout`'s round-robin fallback.
         let mut g = MatrixRng::seed_from(256);
         let signs = g.signs(128, 64);
         let x = g.small_int_col(64, 3, 2);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        let pool = ParallelArena::new(1);
-        let cfg = BiqConfig {
-            schedule: Schedule::RowParallel,
-            tile_rows: 8,
-            tile_chunks: 2,
-            tile_batch: 2,
-            ..BiqConfig::default()
-        };
-        let mut y = vec![0.0f32; 128 * 3];
-        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &pool, &mut y);
-        assert_eq!(y, serial(&w, &x, &cfg).as_slice());
+        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+            let cfg = BiqConfig {
+                schedule,
+                tile_rows: 8,
+                tile_chunks: 2,
+                tile_batch: 2,
+                ..BiqConfig::default()
+            };
+            let mut arena = BiqArena::new();
+            arena.ensure_slots(1);
+            for workers in WORKERS {
+                let mut y = vec![0.0f32; 128 * 3];
+                run_schedule(&w, &x, &cfg, kernel_of(&cfg), workers, &arena, &mut y);
+                assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} × {workers}");
+            }
+        }
     }
 }

@@ -37,7 +37,8 @@ pub enum Threading {
     Auto,
     /// Force the serial arena path (allocation-free steady state).
     Serial,
-    /// Force the rayon drivers (`cfg.schedule` picks the variant).
+    /// Force the parallel schedules (`cfg.schedule` picks the variant) on
+    /// the plan's worker count.
     Parallel,
 }
 

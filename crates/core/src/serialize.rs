@@ -109,9 +109,8 @@ pub fn decode_weights(mut data: Bytes) -> Result<BiqWeights, WeightsDecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BiqConfig;
-    use crate::kernel::BiqGemm;
-    use biq_matrix::MatrixRng;
+    use crate::{biqgemm_into, BiqArena, BiqConfig, PhaseProfile};
+    use biq_matrix::{Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 
     #[test]
@@ -137,9 +136,15 @@ mod tests {
         let w = BiqWeights::from_multibit(&q, 8);
         let x = g.gaussian_col(40, 3, 0.0, 1.0);
         let rt = decode_weights(encode_weights(&w)).unwrap();
-        let y1 = BiqGemm::from_weights(w, BiqConfig::default()).matmul(&x);
-        let y2 = BiqGemm::from_weights(rt, BiqConfig::default()).matmul(&x);
-        assert_eq!(y1.as_slice(), y2.as_slice());
+        let run = |w: &BiqWeights| {
+            let cfg = BiqConfig::default();
+            let kernel = cfg.kernel.resolve().unwrap();
+            let (mut p, mut arena) = (PhaseProfile::new(), BiqArena::new());
+            let mut y = Matrix::zeros(20, 3);
+            biqgemm_into(w, &x, &cfg, kernel, None, &mut p, &mut arena, y.as_mut_slice());
+            y
+        };
+        assert_eq!(run(&w).as_slice(), run(&rt).as_slice());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use crate::arena::BiqArena;
 use crate::config::{BiqConfig, LutLayout};
 use crate::layout::LutBank;
+use crate::parallel::run_schedule;
 use crate::profile::PhaseProfile;
 use crate::simd::{ResolvedKernel, TreeAccumulator};
 use crate::weights::BiqWeights;
@@ -29,26 +30,36 @@ use biq_matrix::reshape::ChunkedInput;
 use biq_matrix::view::tile_ranges;
 use biq_matrix::ColMatrix;
 
-/// Serial LUT-stationary BiQGEMM into a caller-provided output buffer,
-/// using `arena` for every scratch need and running the build/query hot
-/// loops at the resolved level `kernel` (pinned by the caller's plan — no
-/// feature probing happens here). `y` is a row-major `m × b` buffer; it is
-/// zeroed before accumulation. Once the arena has warmed to the workload's
-/// shape, repeat calls perform **no heap allocation**.
+/// BiQGEMM into a caller-provided output buffer — the one way to run the
+/// kernel; the plan/executor layer (`biq_runtime`) sits directly on it.
+/// `y` is a row-major `m × b` buffer, overwritten. The build/query hot
+/// loops run at the resolved level `kernel` (pinned by the caller's plan —
+/// no feature probing happens here), and every scratch need is drawn from
+/// `arena`: once it has warmed to the workload's shape, repeat calls
+/// perform **no heap allocation** on the calling thread.
 ///
-/// This is the single serial code path: `BiqGemm::matmul` and the runtime
-/// executor both funnel here. (The historical one-shot free functions
-/// `biqgemm_tiled`/`biqgemv_tiled` are gone — route through
-/// `biq_runtime::Executor`, or `biq_serve` for concurrent traffic.)
+/// `workers` is the plan's threading decision:
+///
+/// * `None` — the serial LUT-stationary tile loop (Algorithm 2) on the
+///   calling thread, its time split into `profile`'s build / query /
+///   replace phases (Fig. 8);
+/// * `Some(n)` — `cfg.schedule` ([`crate::parallel`]) on up to `n` scoped
+///   worker threads, the whole run charged to `profile.query`. `Some(1)`
+///   runs the same schedule inline, spawning nothing.
+///
+/// Outputs are bit-identical for every `workers` value: threads partition
+/// *independent* output elements only.
 ///
 /// # Panics
 /// Panics if `x.rows() != w.input_size()`, `y.len() != m·b`, or the config
 /// is invalid.
-pub fn biqgemm_serial_into(
+#[allow(clippy::too_many_arguments)]
+pub fn biqgemm_into(
     w: &BiqWeights,
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
+    workers: Option<usize>,
     profile: &mut PhaseProfile,
     arena: &mut BiqArena,
     y: &mut [f32],
@@ -58,15 +69,25 @@ pub fn biqgemm_serial_into(
     let (m, b) = (w.output_size(), x.cols());
     assert_eq!(y.len(), m * b, "output buffer must hold m·b floats");
     y.fill(0.0);
-    let bank = arena.bank(w.mu(), cfg.layout);
-    run_tiles(w, x, cfg, kernel, profile, bank, &[(0, w.key_rows())], y, 0);
+    match workers {
+        None => {
+            let bank = arena.local().bank.get(w.mu(), cfg.layout);
+            run_tiles(w, x, cfg, kernel, profile, bank, &[(0, w.key_rows())], y, 0);
+        }
+        Some(n) => {
+            let n = n.max(1);
+            arena.ensure_slots(n);
+            let arena = &*arena;
+            profile.time_query(|| run_schedule(w, x, cfg, kernel, n, arena, y));
+        }
+    }
 }
 
 /// The shared tile loop. Processes the given disjoint key-row ranges
 /// (ascending), writing into `y` (a row-major buffer whose row 0 is output
 /// row `y_row0`; callers hand either the full matrix (`y_row0 = 0`) or a
-/// thread's row block). Used by both the serial entry point and the
-/// row-parallel driver — processing all ranges *inside* each tile keeps the
+/// thread's row block). Used by both the serial run and the row-parallel
+/// schedule — processing all ranges *inside* each tile keeps the
 /// floating-point accumulation order identical between the two, so parallel
 /// results are bit-exact w.r.t. serial.
 #[allow(clippy::too_many_arguments)]
@@ -158,8 +179,7 @@ mod tests {
     use biq_matrix::{assert_allclose, Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 
-    /// Test-local one-shot harness over the arena entry point (the old
-    /// `biqgemm_tiled` free function, now deleted from the public API).
+    /// Test-local one-shot serial harness over the entry point.
     fn biqgemm_tiled(
         w: &BiqWeights,
         x: &ColMatrix,
@@ -169,7 +189,7 @@ mod tests {
         let mut y = Matrix::zeros(w.output_size(), x.cols());
         let mut arena = BiqArena::new();
         let kernel = cfg.kernel.resolve().expect("test kernel request must resolve");
-        biqgemm_serial_into(w, x, cfg, kernel, profile, &mut arena, y.as_mut_slice());
+        biqgemm_into(w, x, cfg, kernel, None, profile, &mut arena, y.as_mut_slice());
         y
     }
 

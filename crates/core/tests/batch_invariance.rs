@@ -16,11 +16,9 @@
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_core::parallel::biqgemm_parallel_arena_into;
 use biqgemm_core::simd::supported_levels;
-use biqgemm_core::tiled::biqgemm_serial_into;
 use biqgemm_core::{
-    BiqArena, BiqConfig, BiqWeights, KernelRequest, ParallelArena, PhaseProfile, Schedule,
+    biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelRequest, PhaseProfile, Schedule,
 };
 
 /// Slices `x` into contiguous runs of every width in `1..=min(b, 10)`.
@@ -50,7 +48,7 @@ fn check_given_widths(
     let mut arena = BiqArena::new();
 
     let mut y_full = vec![0.0f32; m * b];
-    biqgemm_serial_into(&w, &x, cfg, kernel, &mut profile, &mut arena, &mut y_full);
+    biqgemm_into(&w, &x, cfg, kernel, None, &mut profile, &mut arena, &mut y_full);
 
     for width in widths {
         for start in (0..b).step_by(width) {
@@ -61,7 +59,7 @@ fn check_given_widths(
             }
             let xs = ColMatrix::from_vec(n, cols, data);
             let mut y = vec![0.0f32; m * cols];
-            biqgemm_serial_into(&w, &xs, cfg, kernel, &mut profile, &mut arena, &mut y);
+            biqgemm_into(&w, &xs, cfg, kernel, None, &mut profile, &mut arena, &mut y);
             for j in 0..cols {
                 for i in 0..m {
                     assert_eq!(
@@ -151,21 +149,13 @@ fn width_one_matches_both_parallel_schedules() {
 
     let mut y_serial = vec![0.0f32; m];
     let mut arena = BiqArena::new();
-    biqgemm_serial_into(
-        &w,
-        &x,
-        &BiqConfig::default(),
-        kernel,
-        &mut profile,
-        &mut arena,
-        &mut y_serial,
-    );
+    let cfg = BiqConfig::default();
+    biqgemm_into(&w, &x, &cfg, kernel, None, &mut profile, &mut arena, &mut y_serial);
 
     for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
         let cfg = BiqConfig { schedule, ..BiqConfig::default() };
-        let pool = ParallelArena::new(2);
         let mut y = vec![0.0f32; m];
-        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel, &pool, &mut y);
+        biqgemm_into(&w, &x, &cfg, kernel, Some(2), &mut profile, &mut arena, &mut y);
         assert_eq!(
             y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             y_serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -2,14 +2,23 @@
 //! Eq. 3 identities, serialization, planner feasibility, and cost-model
 //! sanity.
 
-use biq_matrix::MatrixRng;
+use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biqgemm_core::actquant::{biqgemm_quantized_activations, QuantizedActivations};
 use biqgemm_core::complexity::{biqgemm_ops, eq9_factor, gemm_ops, optimal_mu};
 use biqgemm_core::planner::plan;
 use biqgemm_core::serialize::{decode_weights, encode_weights};
-use biqgemm_core::{BiqConfig, BiqGemm, BiqWeights, PhaseProfile};
+use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, PhaseProfile};
 use proptest::prelude::*;
+
+/// One-shot run of the engine (`workers` as for [`biqgemm_into`]).
+fn run(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, workers: Option<usize>) -> Vec<f32> {
+    let kernel = cfg.kernel.resolve().unwrap();
+    let (mut p, mut arena) = (PhaseProfile::new(), BiqArena::new());
+    let mut y = vec![0.0f32; w.output_size() * x.cols()];
+    biqgemm_into(w, x, cfg, kernel, workers, &mut p, &mut arena, &mut y);
+    y
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -29,9 +38,7 @@ proptest! {
         let rt = decode_weights(encode_weights(&w)).unwrap();
         let x = g.small_int_col(n, 3, 3);
         let cfg = BiqConfig { mu, ..BiqConfig::default() };
-        let y1 = BiqGemm::from_weights(w, cfg).matmul(&x);
-        let y2 = BiqGemm::from_weights(rt, cfg).matmul(&x);
-        prop_assert_eq!(y1.as_slice(), y2.as_slice());
+        prop_assert_eq!(run(&w, &x, &cfg, None), run(&rt, &x, &cfg, None));
     }
 
     /// Eq. 3 with pre-quantized activations equals plain BiQGEMM on the
@@ -49,19 +56,7 @@ proptest! {
         let xq = QuantizedActivations::quantize(&x, bits_a);
         let cfg = BiqConfig::with_mu(4);
         let y_eq3 = biqgemm_quantized_activations(&w, &xq, &cfg);
-        let mut p = PhaseProfile::new();
-        let xdq = xq.dequantize();
-        let mut y_deq = vec![0.0f32; w.output_size() * xdq.cols()];
-        let mut arena = biqgemm_core::BiqArena::new();
-        biqgemm_core::tiled::biqgemm_serial_into(
-            &w,
-            &xdq,
-            &cfg,
-            cfg.kernel.resolve().unwrap(),
-            &mut p,
-            &mut arena,
-            &mut y_deq,
-        );
+        let y_deq = run(&w, &xq.dequantize(), &cfg, None);
         for (a, bv) in y_eq3.as_slice().iter().zip(&y_deq) {
             prop_assert!((a - bv).abs() <= 1e-3 * (1.0 + bv.abs()), "{} vs {}", a, bv);
         }
@@ -114,9 +109,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut g = MatrixRng::seed_from(seed);
-        let signs = g.signs(m, n);
+        let w = BiqWeights::from_signs_unscaled(&g.signs(m, n), 4);
         let x = g.small_int_col(n, b, 3);
-        let reference = BiqGemm::from_signs(&signs, BiqConfig::with_mu(4)).matmul(&x);
+        let reference = run(&w, &x, &BiqConfig::with_mu(4), None);
         let cfg = BiqConfig {
             mu: 4,
             tile_rows: tr,
@@ -124,10 +119,7 @@ proptest! {
             tile_batch: tb,
             ..BiqConfig::default()
         };
-        let engine = BiqGemm::from_signs(&signs, cfg);
-        let serial = engine.matmul(&x);
-        let parallel = engine.matmul_parallel(&x);
-        prop_assert_eq!(serial.as_slice(), reference.as_slice());
-        prop_assert_eq!(parallel.as_slice(), reference.as_slice());
+        prop_assert_eq!(&run(&w, &x, &cfg, None), &reference);
+        prop_assert_eq!(&run(&w, &x, &cfg, Some(2)), &reference);
     }
 }

@@ -1,7 +1,7 @@
 //! Per-level bit-exactness of the BiQGEMM kernels: every kernel level the
 //! host can run must produce **exactly** the scalar level's output — for
-//! the serial path, both parallel schedules, both layouts, multi-bit
-//! weights, and ragged shapes (`n % µ ≠ 0`, batch widths that are not a
+//! the serial path, both parallel schedules at every worker count, both
+//! layouts, multi-bit weights, and ragged shapes (`n % µ ≠ 0`, batch widths that are not a
 //! multiple of any vector width). This is the contract that makes the
 //! plan-pinned level a pure performance knob and lets BIQM artifacts
 //! re-resolve levels across machines without changing results.
@@ -9,12 +9,10 @@
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_quant::packing::KeyMatrix;
-use biqgemm_core::parallel::biqgemm_parallel_into;
 use biqgemm_core::simd::supported_levels;
-use biqgemm_core::tiled::biqgemm_serial_into;
 use biqgemm_core::{
-    BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, LutLayout, PhaseProfile,
-    ResolvedKernel, Schedule,
+    biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, LutLayout,
+    PhaseProfile, ResolvedKernel, Schedule,
 };
 use proptest::prelude::*;
 
@@ -22,18 +20,33 @@ fn exact(level: KernelLevel) -> ResolvedKernel {
     KernelRequest::Exact(level).resolve().expect("supported level must resolve")
 }
 
-fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
+fn run(
+    w: &BiqWeights,
+    x: &ColMatrix,
+    cfg: &BiqConfig,
+    k: ResolvedKernel,
+    workers: Option<usize>,
+) -> Vec<f32> {
     let mut profile = PhaseProfile::new();
     let mut arena = BiqArena::new();
     let mut y = vec![0.0f32; w.output_size() * x.cols()];
-    biqgemm_serial_into(w, x, cfg, k, &mut profile, &mut arena, &mut y);
+    biqgemm_into(w, x, cfg, k, workers, &mut profile, &mut arena, &mut y);
     y
 }
 
+fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
+    run(w, x, cfg, k, None)
+}
+
+/// `cfg.schedule` on 1 (inline), 2, 3 and 7 workers — on these shapes that
+/// covers even and uneven row splits and more workers than row blocks.
+/// Returns the output after asserting it is the same for every count.
 fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
-    let mut y = vec![0.0f32; w.output_size() * x.cols()];
-    biqgemm_parallel_into(w, x, cfg, k, &mut y);
-    y
+    let inline = run(w, x, cfg, k, Some(1));
+    for workers in [2, 3, 7] {
+        assert_eq!(run(w, x, cfg, k, Some(workers)), inline, "{workers} workers vs inline");
+    }
+    inline
 }
 
 /// The shape grid every level is checked on: ragged `n % µ ≠ 0`, batch
@@ -53,6 +66,7 @@ const CASES: &[(usize, usize, usize, usize, usize)] = &[
     (48, 31, 33, 5, 1),  // batch 33 (2×16 + 1, also 4×8 + 1)
     (21, 100, 4, 12, 2), // µ > 8: the u16 key width
     (6, 28, 1, 9, 1),    // µ = 9, first width past the byte boundary, n ∤ µ
+    (17, 33, 9, 8, 3),   // m = 17: one row past a 16-row task block
 ];
 
 /// Byte-key (µ ≤ 8) shapes at the edges of the b = 1 gather: a single
@@ -417,25 +431,5 @@ proptest! {
             prop_assert_eq!(&serial(&w, &x, &cfg, k), &want, "serial level={}", level);
             prop_assert_eq!(&parallel(&w, &x, &cfg, k), &want, "parallel level={}", level);
         }
-    }
-}
-
-#[test]
-fn facade_pins_level_from_config() {
-    use biqgemm_core::BiqGemm;
-    let mut g = MatrixRng::seed_from(7003);
-    let signs = g.signs(20, 33);
-    let x = g.gaussian_col(33, 6, 0.0, 1.0);
-    let mut outputs = Vec::new();
-    for level in supported_levels() {
-        let engine = BiqGemm::from_signs(
-            &signs,
-            BiqConfig { kernel: KernelRequest::Exact(level), ..BiqConfig::default() },
-        );
-        assert_eq!(engine.kernel().level(), level);
-        outputs.push(engine.matmul(&x));
-    }
-    for o in &outputs[1..] {
-        assert_eq!(o.as_slice(), outputs[0].as_slice(), "levels agree through the facade");
     }
 }

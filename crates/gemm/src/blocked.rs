@@ -57,7 +57,7 @@ pub fn gemm_blocked_into(w: &Matrix, x: &ColMatrix, pack: &mut Vec<f32>, y: &mut
     }
     pack_input_row_major_into(x, pack);
     y.fill(0.0);
-    gemm_blocked_packed(w, pack, b, 0, m, y);
+    gemm_blocked_packed(w, pack, b, 0, y);
 }
 
 /// Packs a column-major `n × b` input into a row-major buffer (row `k`
@@ -85,33 +85,30 @@ pub fn pack_input_row_major_into(x: &ColMatrix, xr: &mut Vec<f32>) {
     }
 }
 
-/// The blocked kernel over a row range `[row_start, row_end)` of `W`,
-/// writing into the matching rows of `y` (a full `m × b` row-major buffer).
-/// Exposed so the rayon driver can hand disjoint row ranges to threads.
-pub(crate) fn gemm_blocked_packed(
-    w: &Matrix,
-    xr: &[f32],
-    b: usize,
-    row_start: usize,
-    row_end: usize,
-    y: &mut [f32],
-) {
+/// The blocked kernel over the row block of `W` that starts at `row0`,
+/// accumulating into `y` — that block of the output, row-major
+/// `rows × b` (the whole matrix for the serial driver, one thread's
+/// disjoint rows for the parallel one). Inlined into each driver, so the
+/// serial one keeps `row0 = 0` folded away.
+#[inline(always)]
+pub(crate) fn gemm_blocked_packed(w: &Matrix, xr: &[f32], b: usize, row0: usize, y: &mut [f32]) {
     let n = w.cols();
+    let rows = y.len() / b;
     let mut k0 = 0;
     while k0 < n {
         let kc = KC.min(n - k0);
-        let mut i = row_start;
+        let mut i = 0;
         // MR-row register tiles.
-        while i + MR <= row_end {
+        while i + MR <= rows {
             // Split four disjoint output rows out of `y`.
             let (head, rest) = y[i * b..].split_at_mut(b);
             let (r1, rest) = rest.split_at_mut(b);
             let (r2, rest) = rest.split_at_mut(b);
             let r3 = &mut rest[..b];
-            let w0 = &w.row(i)[k0..k0 + kc];
-            let w1 = &w.row(i + 1)[k0..k0 + kc];
-            let w2 = &w.row(i + 2)[k0..k0 + kc];
-            let w3 = &w.row(i + 3)[k0..k0 + kc];
+            let w0 = &w.row(row0 + i)[k0..k0 + kc];
+            let w1 = &w.row(row0 + i + 1)[k0..k0 + kc];
+            let w2 = &w.row(row0 + i + 2)[k0..k0 + kc];
+            let w3 = &w.row(row0 + i + 3)[k0..k0 + kc];
             for (t, (((&a0, &a1), &a2), &a3)) in w0.iter().zip(w1).zip(w2).zip(w3).enumerate() {
                 let xrow = &xr[(k0 + t) * b..(k0 + t) * b + b];
                 // Four axpys sharing one loaded X row; each loop
@@ -132,9 +129,9 @@ pub(crate) fn gemm_blocked_packed(
             i += MR;
         }
         // Remainder rows.
-        while i < row_end {
+        while i < rows {
             let yrow = &mut y[i * b..i * b + b];
-            let wrow = &w.row(i)[k0..k0 + kc];
+            let wrow = &w.row(row0 + i)[k0..k0 + kc];
             for (t, &a) in wrow.iter().enumerate() {
                 let xrow = &xr[(k0 + t) * b..(k0 + t) * b + b];
                 for (yv, &xv) in yrow.iter_mut().zip(xrow) {
@@ -163,8 +160,8 @@ pub fn gemv_blocked(w: &Matrix, x: &[f32]) -> Vec<f32> {
 /// per-element accumulation order of [`gemm_blocked_packed`], which is what
 /// makes the fp32-blocked family packing-invariant — with `MR` independent
 /// row sums interleaved so the FP adds pipeline across rows instead of
-/// within one (order-preserving ILP). Exposed so the rayon driver can hand
-/// disjoint row blocks to threads.
+/// within one (order-preserving ILP). Takes its row block like
+/// [`gemm_blocked_packed`], for the same two drivers.
 pub(crate) fn gemv_rows_into(w: &Matrix, x: &[f32], row_start: usize, y: &mut [f32]) {
     debug_assert_eq!(x.len(), w.cols());
     debug_assert!(row_start + y.len() <= w.rows());

@@ -1,25 +1,28 @@
-//! Rayon-parallel drivers for the baseline kernels.
+//! Parallel drivers for the baseline kernels.
 //!
 //! Output rows are disjoint across threads, so each worker writes its own
-//! row-block of `Y` without synchronisation (`par_chunks_mut` hands out
-//! non-overlapping `&mut` slices — data-race freedom is structural).
+//! row-block of `Y` without synchronisation (`for_each_chunk_mut` hands
+//! out non-overlapping `&mut` slices — data-race freedom is structural),
+//! running the same kernels as the serial drivers on its block.
 //!
-//! Thread count is whatever the ambient rayon pool provides; the bench
-//! harness pins pools explicitly when an experiment needs a fixed count.
+//! Every driver takes the worker count as an argument (the runtime hands
+//! down its plan's; benches pass `--threads`); with `workers ≤ 1` it runs
+//! inline on the calling thread. Results do not depend on it.
 
+use crate::blocked::{gemm_blocked_packed, gemv_rows_into, pack_input_row_major_into};
 use biq_matrix::{ColMatrix, Matrix};
-use rayon::prelude::*;
+use biqgemm_core::parallel::for_each_chunk_mut;
 
 /// Minimum rows per parallel task, to amortise scheduling overhead.
 const MIN_ROWS_PER_TASK: usize = 16;
 
 /// Parallel naive GEMM (`kGpu` analog: many simple workers, no blocking).
-pub fn par_gemm_naive(w: &Matrix, x: &ColMatrix) -> Matrix {
+pub fn par_gemm_naive(w: &Matrix, x: &ColMatrix, workers: usize) -> Matrix {
     assert_eq!(x.rows(), w.cols(), "gemm inner dimension mismatch");
     let (m, b) = (w.rows(), x.cols());
     let mut y = Matrix::zeros(m, b);
-    let rows_per_task = rows_per_task(m);
-    y.as_mut_slice().par_chunks_mut(rows_per_task * b).enumerate().for_each(|(t, yblock)| {
+    let rows_per_task = rows_per_task(m, workers);
+    for_each_chunk_mut(y.as_mut_slice(), rows_per_task * b, workers, |t, yblock| {
         let row0 = t * rows_per_task;
         let rows = yblock.len() / b;
         for r in 0..rows {
@@ -38,128 +41,49 @@ pub fn par_gemm_naive(w: &Matrix, x: &ColMatrix) -> Matrix {
 }
 
 /// Parallel blocked GEMM (`cublas`/multi-thread `mkl` analog).
-pub fn par_gemm_blocked(w: &Matrix, x: &ColMatrix) -> Matrix {
+pub fn par_gemm_blocked(w: &Matrix, x: &ColMatrix, workers: usize) -> Matrix {
     let mut y = Matrix::zeros(w.rows(), x.cols());
     let mut pack = Vec::new();
-    par_gemm_blocked_into(w, x, &mut pack, y.as_mut_slice());
+    par_gemm_blocked_into(w, x, workers, &mut pack, y.as_mut_slice());
     y
 }
 
 /// Parallel blocked GEMM into a caller-provided row-major `m × b` buffer
 /// (overwritten), packing the `X` panel into reusable caller scratch — the
 /// form the runtime executor dispatches to. Worker bookkeeping still
-/// allocates inside the thread driver; only the data-plane buffers are
+/// allocates inside the thread helper; only the data-plane buffers are
 /// caller-owned.
 ///
 /// # Panics
 /// Panics if `x.rows() != w.cols()` or `y.len() != m·b`.
-pub fn par_gemm_blocked_into(w: &Matrix, x: &ColMatrix, pack: &mut Vec<f32>, y: &mut [f32]) {
+pub fn par_gemm_blocked_into(
+    w: &Matrix,
+    x: &ColMatrix,
+    workers: usize,
+    pack: &mut Vec<f32>,
+    y: &mut [f32],
+) {
     assert_eq!(x.rows(), w.cols(), "gemm inner dimension mismatch");
     let (m, b) = (w.rows(), x.cols());
     assert_eq!(y.len(), m * b, "output buffer must hold m·b floats");
+    let rows_per_task = rows_per_task(m, workers);
     if b == 1 {
-        par_gemv_into(w, x.col(0), y);
+        for_each_chunk_mut(y, rows_per_task, workers, |t, yblock| {
+            gemv_rows_into(w, x.col(0), t * rows_per_task, yblock);
+        });
         return;
     }
-    crate::blocked::pack_input_row_major_into(x, pack);
+    pack_input_row_major_into(x, pack);
     let xr = &pack[..x.rows() * b];
     y.fill(0.0);
-    let rows_per_task = rows_per_task(m);
-    y.par_chunks_mut(rows_per_task * b).enumerate().for_each(|(t, yblock)| {
-        let row0 = t * rows_per_task;
-        let rows = yblock.len() / b;
-        blocked_kernel_relative(&RowShiftedMatrix { w, row0 }, xr, b, rows, yblock);
-    });
-}
-
-/// A borrowed view of `w` with rows shifted by `row0`.
-struct RowShiftedMatrix<'a> {
-    w: &'a Matrix,
-    row0: usize,
-}
-
-impl RowShiftedMatrix<'_> {
-    #[inline]
-    fn row(&self, i: usize) -> &[f32] {
-        self.w.row(self.row0 + i)
-    }
-    #[inline]
-    fn cols(&self) -> usize {
-        self.w.cols()
-    }
-}
-
-/// Relative-row variant of the blocked kernel (mirrors
-/// `blocked::gemm_blocked_packed`).
-fn blocked_kernel_relative(
-    w: &RowShiftedMatrix<'_>,
-    xr: &[f32],
-    b: usize,
-    rows: usize,
-    y: &mut [f32],
-) {
-    const MR: usize = 4;
-    const KC: usize = 256;
-    let n = w.cols();
-    let mut k0 = 0;
-    while k0 < n {
-        let kc = KC.min(n - k0);
-        let mut i = 0;
-        while i + MR <= rows {
-            let (r0, rest) = y[i * b..].split_at_mut(b);
-            let (r1, rest) = rest.split_at_mut(b);
-            let (r2, rest) = rest.split_at_mut(b);
-            let r3 = &mut rest[..b];
-            let w0 = &w.row(i)[k0..k0 + kc];
-            let w1 = &w.row(i + 1)[k0..k0 + kc];
-            let w2 = &w.row(i + 2)[k0..k0 + kc];
-            let w3 = &w.row(i + 3)[k0..k0 + kc];
-            for (t, (((&a0, &a1), &a2), &a3)) in w0.iter().zip(w1).zip(w2).zip(w3).enumerate() {
-                let xrow = &xr[(k0 + t) * b..(k0 + t) * b + b];
-                for (yv, &xv) in r0.iter_mut().zip(xrow) {
-                    *yv += a0 * xv;
-                }
-                for (yv, &xv) in r1.iter_mut().zip(xrow) {
-                    *yv += a1 * xv;
-                }
-                for (yv, &xv) in r2.iter_mut().zip(xrow) {
-                    *yv += a2 * xv;
-                }
-                for (yv, &xv) in r3.iter_mut().zip(xrow) {
-                    *yv += a3 * xv;
-                }
-            }
-            i += MR;
-        }
-        while i < rows {
-            let yrow = &mut y[i * b..i * b + b];
-            let wrow = &w.row(i)[k0..k0 + kc];
-            for (t, &a) in wrow.iter().enumerate() {
-                let xrow = &xr[(k0 + t) * b..(k0 + t) * b + b];
-                for (yv, &xv) in yrow.iter_mut().zip(xrow) {
-                    *yv += a * xv;
-                }
-            }
-            i += 1;
-        }
-        k0 += kc;
-    }
-}
-
-/// Parallel GEMV over row chunks.
-fn par_gemv_into(w: &Matrix, x: &[f32], y: &mut [f32]) {
-    let m = w.rows();
-    let rows_per_task = rows_per_task(m);
-    y.par_chunks_mut(rows_per_task).enumerate().for_each(|(t, yblock)| {
-        let row0 = t * rows_per_task;
-        crate::blocked::gemv_rows_into(w, x, row0, yblock);
+    for_each_chunk_mut(y, rows_per_task * b, workers, |t, yblock| {
+        gemm_blocked_packed(w, xr, b, t * rows_per_task, yblock);
     });
 }
 
 #[inline]
-fn rows_per_task(m: usize) -> usize {
-    let threads = rayon::current_num_threads().max(1);
-    (m.div_ceil(threads * 4)).max(MIN_ROWS_PER_TASK.min(m.max(1)))
+fn rows_per_task(m: usize, workers: usize) -> usize {
+    (m.div_ceil(workers.max(1) * 4)).max(MIN_ROWS_PER_TASK.min(m.max(1)))
 }
 
 #[cfg(test)]
@@ -169,13 +93,21 @@ mod tests {
     use crate::naive::gemm_naive;
     use biq_matrix::MatrixRng;
 
+    /// Inline, an even split, and a count that leaves a ragged last block.
+    const WORKERS: [usize; 3] = [1, 2, 5];
+
     #[test]
     fn par_naive_matches_serial() {
         let mut g = MatrixRng::seed_from(70);
         for &(m, n, b) in &[(3usize, 5usize, 2usize), (64, 48, 7), (130, 200, 33)] {
             let w = g.small_int_matrix(m, n, 3);
             let x = g.small_int_col(n, b, 3);
-            assert_eq!(par_gemm_naive(&w, &x).as_slice(), gemm_naive(&w, &x).as_slice());
+            for workers in WORKERS {
+                assert_eq!(
+                    par_gemm_naive(&w, &x, workers).as_slice(),
+                    gemm_naive(&w, &x).as_slice()
+                );
+            }
         }
     }
 
@@ -185,11 +117,13 @@ mod tests {
         for &(m, n, b) in &[(1usize, 4usize, 5usize), (65, 300, 8), (200, 64, 32)] {
             let w = g.small_int_matrix(m, n, 2);
             let x = g.small_int_col(n, b, 2);
-            assert_eq!(
-                par_gemm_blocked(&w, &x).as_slice(),
-                gemm_blocked(&w, &x).as_slice(),
-                "mismatch at ({m},{n},{b})"
-            );
+            for workers in WORKERS {
+                assert_eq!(
+                    par_gemm_blocked(&w, &x, workers).as_slice(),
+                    gemm_blocked(&w, &x).as_slice(),
+                    "mismatch at ({m},{n},{b}) on {workers} workers"
+                );
+            }
         }
     }
 
@@ -198,6 +132,8 @@ mod tests {
         let mut g = MatrixRng::seed_from(72);
         let w = g.small_int_matrix(100, 64, 3);
         let x = g.small_int_col(64, 1, 3);
-        assert_eq!(par_gemm_blocked(&w, &x).as_slice(), gemm_naive(&w, &x).as_slice());
+        for workers in WORKERS {
+            assert_eq!(par_gemm_blocked(&w, &x, workers).as_slice(), gemm_naive(&w, &x).as_slice());
+        }
     }
 }

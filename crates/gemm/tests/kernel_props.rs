@@ -27,14 +27,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// naive == blocked == parallel-naive == parallel-blocked, bit-exact on
-    /// integer data for arbitrary shapes.
+    /// integer data for arbitrary shapes and worker counts.
     #[test]
     fn dense_kernels_agree(w in int_matrix(20, 40), seed in any::<u64>()) {
         let x = int_inputs(w.cols(), 6, seed);
         let y = gemm_naive(&w, &x);
         let blocked = gemm_blocked(&w, &x);
-        let pn = par_gemm_naive(&w, &x);
-        let pb = par_gemm_blocked(&w, &x);
+        let workers = 1 + (seed >> 8) as usize % 4;
+        let pn = par_gemm_naive(&w, &x, workers);
+        let pb = par_gemm_blocked(&w, &x, workers);
         prop_assert_eq!(y.as_slice(), blocked.as_slice());
         prop_assert_eq!(y.as_slice(), pn.as_slice());
         prop_assert_eq!(y.as_slice(), pb.as_slice());

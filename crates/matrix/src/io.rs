@@ -6,17 +6,16 @@
 //!
 //! ```text
 //! magic   [4]  b"BIQ1"
-//! kind    u8   0 = row-major f32, 1 = col-major f32, 2 = sign i8
+//! kind    u8   0 = row-major f32, 1 = col-major f32
 //! rows    u64
 //! cols    u64
-//! payload rows·cols elements (f32 LE or i8)
+//! payload rows·cols elements (f32 LE)
 //! ```
 //!
 //! All readers validate magic, kind and length before touching the payload
 //! and fail with a descriptive [`IoFormatError`].
 
 use crate::dense::{ColMatrix, Matrix};
-use crate::sign::SignMatrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{Read, Write};
@@ -32,8 +31,6 @@ pub enum Kind {
     RowMajorF32 = 0,
     /// Column-major `f32` ([`ColMatrix`]).
     ColMajorF32 = 1,
-    /// Row-major `{−1,+1}` signs ([`SignMatrix`]).
-    SignI8 = 2,
 }
 
 impl Kind {
@@ -41,7 +38,6 @@ impl Kind {
         match v {
             0 => Ok(Kind::RowMajorF32),
             1 => Ok(Kind::ColMajorF32),
-            2 => Ok(Kind::SignI8),
             other => Err(IoFormatError::BadKind(other)),
         }
     }
@@ -63,8 +59,6 @@ pub enum IoFormatError {
     },
     /// Payload shorter than the header promises.
     Truncated,
-    /// Sign payload contained a byte other than ±1.
-    BadSign(i8),
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -78,7 +72,6 @@ impl fmt::Display for IoFormatError {
                 write!(f, "kind mismatch: file holds {found:?}, expected {expected:?}")
             }
             IoFormatError::Truncated => write!(f, "payload shorter than header promises"),
-            IoFormatError::BadSign(v) => write!(f, "sign payload byte {v} is not ±1"),
             IoFormatError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -149,39 +142,10 @@ pub fn decode_col_matrix(mut data: Bytes) -> Result<ColMatrix, IoFormatError> {
     decode_f32_payload(&mut data, rows, cols).map(|v| ColMatrix::from_vec(rows, cols, v))
 }
 
-/// Encodes a sign matrix (1 byte per sign; a packed form ships via
-/// `biq-quant`'s key matrix instead).
-pub fn encode_sign_matrix(m: &SignMatrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(21 + m.as_slice().len());
-    put_header(&mut buf, Kind::SignI8, m.rows(), m.cols());
-    for &v in m.as_slice() {
-        buf.put_i8(v);
-    }
-    buf.freeze()
-}
-
 /// Checked element count; corrupted headers promising more elements than any
 /// real buffer could hold surface as `Truncated` rather than overflowing.
 fn checked_count(rows: usize, cols: usize) -> Result<usize, IoFormatError> {
     rows.checked_mul(cols).ok_or(IoFormatError::Truncated)
-}
-
-/// Decodes a sign matrix, validating every byte is ±1.
-pub fn decode_sign_matrix(mut data: Bytes) -> Result<SignMatrix, IoFormatError> {
-    let (rows, cols) = take_header(&mut data, Kind::SignI8)?;
-    let count = checked_count(rows, cols)?;
-    if data.remaining() < count {
-        return Err(IoFormatError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = data.get_i8();
-        if v != 1 && v != -1 {
-            return Err(IoFormatError::BadSign(v));
-        }
-        out.push(v);
-    }
-    Ok(SignMatrix::from_vec(rows, cols, out))
 }
 
 fn decode_f32_payload(
@@ -250,14 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn sign_matrix_round_trip() {
-        let mut g = MatrixRng::seed_from(502);
-        let m = g.signs(9, 13);
-        let decoded = decode_sign_matrix(encode_sign_matrix(&m)).unwrap();
-        assert_eq!(decoded, m);
-    }
-
-    #[test]
     fn special_float_values_survive() {
         let m = Matrix::from_vec(1, 4, vec![f32::NAN, f32::INFINITY, -0.0, f32::MIN_POSITIVE]);
         let d = decode_matrix(encode_matrix(&m)).unwrap();
@@ -291,20 +247,24 @@ mod tests {
     }
 
     #[test]
-    fn bad_sign_byte_rejected() {
-        let s = SignMatrix::ones(1, 2);
-        let mut raw = encode_sign_matrix(&s).to_vec();
-        let last = raw.len() - 1;
-        raw[last] = 0;
-        assert!(matches!(decode_sign_matrix(Bytes::from(raw)), Err(IoFormatError::BadSign(0))));
+    fn unknown_kind_tag_rejected() {
+        // Tag 2 was the retired sign-matrix kind; like any unknown tag it
+        // is a typed error from every reader.
+        let mut g = MatrixRng::seed_from(502);
+        let mut raw = encode_matrix(&g.gaussian(1, 2, 0.0, 1.0)).to_vec();
+        raw[4] = 2;
+        let raw = Bytes::from(raw);
+        assert!(matches!(decode_matrix(raw.clone()), Err(IoFormatError::BadKind(2))));
+        assert!(matches!(decode_col_matrix(raw.clone()), Err(IoFormatError::BadKind(2))));
+        assert!(matches!(peek_kind(&raw), Err(IoFormatError::BadKind(2))));
     }
 
     #[test]
     fn peek_reports_kind_and_shape() {
         let mut g = MatrixRng::seed_from(506);
-        let enc = encode_sign_matrix(&g.signs(3, 8));
+        let enc = encode_col_matrix(&g.gaussian_col(3, 8, 0.0, 1.0));
         let (kind, rows, cols) = peek_kind(&enc).unwrap();
-        assert_eq!(kind, Kind::SignI8);
+        assert_eq!(kind, Kind::ColMajorF32);
         assert_eq!((rows, cols), (3, 8));
     }
 

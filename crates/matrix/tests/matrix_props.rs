@@ -1,10 +1,7 @@
 //! Property tests for the matrix substrate: layout conversions, reshape
 //! coverage, and container round-trips over arbitrary data.
 
-use biq_matrix::io::{
-    decode_col_matrix, decode_matrix, decode_sign_matrix, encode_col_matrix, encode_matrix,
-    encode_sign_matrix,
-};
+use biq_matrix::io::{decode_col_matrix, decode_matrix, encode_col_matrix, encode_matrix};
 use biq_matrix::reshape::{chunk_len, num_chunks, ChunkedInput};
 use biq_matrix::{ColMatrix, Matrix};
 use proptest::prelude::*;
@@ -86,15 +83,5 @@ proptest! {
     fn col_matrix_io_round_trip(m in arb_col_matrix(8, 8)) {
         let d = decode_col_matrix(encode_col_matrix(&m)).unwrap();
         prop_assert_eq!(d, m);
-    }
-
-    /// Sign container round-trips.
-    #[test]
-    fn sign_io_round_trip(
-        (r, c) in (1usize..=8, 1usize..=20),
-        seed in any::<u64>(),
-    ) {
-        let s = biq_matrix::MatrixRng::seed_from(seed).signs(r, c);
-        prop_assert_eq!(decode_sign_matrix(encode_sign_matrix(&s)).unwrap(), s);
     }
 }

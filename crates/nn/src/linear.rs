@@ -114,7 +114,8 @@ impl Linear {
         Self::fp32_with(weight, bias, false)
     }
 
-    /// Full-precision layer, optionally rayon-parallel.
+    /// Full-precision layer, optionally on a parallel plan (one worker per
+    /// core).
     pub fn fp32_with(weight: Matrix, bias: Option<Vec<f32>>, parallel: bool) -> Self {
         let (m, n) = weight.shape();
         let plan = PlanBuilder::new(m, n)
@@ -136,7 +137,8 @@ impl Linear {
         Self::quantized_threaded(weight, bits, method, cfg, bias, Threading::Serial)
     }
 
-    /// Like [`Self::quantized`] but using the rayon-parallel BiQGEMM driver.
+    /// Like [`Self::quantized`] but on a parallel plan: `cfg.schedule` on one
+    /// worker per core.
     pub fn quantized_parallel(
         weight: &Matrix,
         bits: usize,

@@ -17,7 +17,7 @@ use biqgemm_core::BiqConfig;
 /// How the weight matrices of a generated layer are executed.
 #[derive(Clone, Copy, Debug)]
 pub enum LayerBackend {
-    /// Dense fp32 (blocked GEMM); `parallel` picks the rayon driver.
+    /// Dense fp32 (blocked GEMM); `parallel` picks a parallel plan.
     Fp32 {
         /// Use the multi-threaded kernel.
         parallel: bool,

@@ -242,7 +242,7 @@ impl KeyMatrix {
     }
 
     /// Reads `rows · ⌈cols/µ⌉` little-endian keys of [`key_bytes`]`(µ)`
-    /// bytes each off `data` (the BIQW/BIQK payload form) and validates
+    /// bytes each off `data` (the BIQW payload form) and validates
     /// them like [`KeyMatrix::try_new`]. Sizes are checked against the
     /// remaining bytes before anything is allocated.
     pub fn decode_le(

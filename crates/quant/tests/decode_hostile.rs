@@ -1,15 +1,13 @@
-//! Hostile-input hardening for the `BIQQ`/`BIQK` binary decoders: any
-//! truncation must return an error, and arbitrary bit flips must never
-//! panic or over-read — a flipped byte either fails validation or decodes
-//! to a different-but-well-formed value (these legacy per-matrix containers
-//! carry no checksum; the `BIQM` model container does).
+//! Hostile-input hardening for the `BIQQ` binary decoder: any truncation
+//! must return an error, and arbitrary bit flips must never panic or
+//! over-read — a flipped byte either fails validation or decodes to a
+//! different-but-well-formed value (this legacy per-matrix container
+//! carries no checksum; the `BIQM` model container does). Packed keys have
+//! the same suite over `BIQW` in `biqgemm_core`'s `decode_hostile.rs`.
 
 use biq_matrix::MatrixRng;
 use biq_quant::greedy_quantize_matrix_rowwise;
-use biq_quant::packing::KeyMatrix;
-use biq_quant::serialize::{
-    decode_key_matrix, decode_multibit, encode_key_matrix, encode_multibit,
-};
+use biq_quant::serialize::{decode_multibit, encode_multibit};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -47,47 +45,5 @@ proptest! {
         raw[at] ^= 1 << flip_bit;
         // Must terminate with Ok or Err — never panic, never over-read.
         let _ = decode_multibit(Bytes::from(raw));
-    }
-
-    #[test]
-    fn truncated_key_matrix_always_errors(
-        rows in 1usize..8,
-        cols in 1usize..32,
-        mu in 1usize..=16,
-        cut_frac in 0.0f64..1.0,
-        seed in 0u64..1000,
-    ) {
-        let mut g = MatrixRng::seed_from(seed);
-        let k = KeyMatrix::pack(&g.signs(rows, cols), mu);
-        let enc = encode_key_matrix(&k);
-        let cut = ((enc.len() as f64 * cut_frac) as usize).min(enc.len() - 1);
-        prop_assert!(decode_key_matrix(enc.slice(0..cut)).is_err(), "cut {} decoded", cut);
-    }
-
-    #[test]
-    fn flipped_key_matrix_never_panics_and_keys_stay_in_range(
-        rows in 1usize..8,
-        cols in 1usize..32,
-        mu in 1usize..=16,
-        flip_frac in 0.0f64..1.0,
-        flip_bit in 0u8..8,
-        seed in 0u64..1000,
-    ) {
-        let mut g = MatrixRng::seed_from(seed);
-        let k = KeyMatrix::pack(&g.signs(rows, cols), mu);
-        let mut raw = encode_key_matrix(&k).to_vec();
-        let at = ((raw.len() as f64 * flip_frac) as usize).min(raw.len() - 1);
-        raw[at] ^= 1 << flip_bit;
-        if let Ok(decoded) = decode_key_matrix(Bytes::from(raw)) {
-            // Anything that decodes must still satisfy the key invariant.
-            for r in 0..decoded.rows() {
-                for beta in 0..decoded.chunks() {
-                    let len = decoded.chunk_len(beta);
-                    if len < 16 {
-                        prop_assert!(decoded.key(r, beta) < (1u16 << len));
-                    }
-                }
-            }
-        }
     }
 }

@@ -16,9 +16,7 @@ use biq_gemm::{gemm_blocked_into, gemm_naive_into, par_gemm_blocked_into};
 use biq_matrix::{ColMatrix, Matrix, SignMatrix};
 use biq_quant::alternating::alternating_quantize_matrix_rowwise;
 use biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
-use biqgemm_core::parallel::biqgemm_parallel_arena_into;
-use biqgemm_core::tiled::biqgemm_serial_into;
-use biqgemm_core::{BiqConfig, BiqWeights, PhaseProfile, ResolvedKernel};
+use biqgemm_core::{biqgemm_into, BiqConfig, BiqWeights, PhaseProfile, ResolvedKernel};
 
 /// A matmul kernel family bound to one weight operand.
 ///
@@ -97,12 +95,13 @@ impl GemmBackend for NaiveBackend {
 
 struct BlockedBackend {
     w: Matrix,
-    parallel: bool,
+    /// The plan's threading decision (`ExecutionPlan::workers`).
+    workers: Option<usize>,
 }
 
 impl GemmBackend for BlockedBackend {
     fn name(&self) -> &'static str {
-        if self.parallel {
+        if self.workers.is_some() {
             "fp32_blocked_parallel"
         } else {
             "fp32_blocked"
@@ -118,12 +117,9 @@ impl GemmBackend for BlockedBackend {
     }
 
     fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
-        profile.time_query(|| {
-            if self.parallel {
-                par_gemm_blocked_into(&self.w, x, &mut arena.pack, y);
-            } else {
-                gemm_blocked_into(&self.w, x, &mut arena.pack, y);
-            }
+        profile.time_query(|| match self.workers {
+            Some(n) => par_gemm_blocked_into(&self.w, x, n, &mut arena.pack, y),
+            None => gemm_blocked_into(&self.w, x, &mut arena.pack, y),
         });
     }
 
@@ -212,12 +208,13 @@ struct BiqBackend {
     w: BiqWeights,
     cfg: BiqConfig,
     kernel: ResolvedKernel,
-    parallel: bool,
+    /// The plan's threading decision (`ExecutionPlan::workers`).
+    workers: Option<usize>,
 }
 
 impl GemmBackend for BiqBackend {
     fn name(&self) -> &'static str {
-        if self.parallel {
+        if self.workers.is_some() {
             "biqgemm_parallel"
         } else {
             "biqgemm"
@@ -233,14 +230,8 @@ impl GemmBackend for BiqBackend {
     }
 
     fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
-        if self.parallel {
-            let pool = arena.par_pool();
-            profile.time_query(|| {
-                biqgemm_parallel_arena_into(&self.w, x, &self.cfg, self.kernel, pool, y)
-            });
-        } else {
-            biqgemm_serial_into(&self.w, x, &self.cfg, self.kernel, profile, &mut arena.biq, y);
-        }
+        let arena = &mut arena.biq;
+        biqgemm_into(&self.w, x, &self.cfg, self.kernel, self.workers, profile, arena, y);
     }
 
     fn payload(&self) -> PackedPayload<'_> {
@@ -357,7 +348,7 @@ pub fn compile(plan: &ExecutionPlan, weights: WeightSource<'_>) -> CompiledOp {
         BackendSpec::Fp32Blocked => {
             let w = dense(&weights);
             check(w.rows(), w.cols());
-            Box::new(BlockedBackend { w, parallel: plan.parallel })
+            Box::new(BlockedBackend { w, workers: plan.workers })
         }
         BackendSpec::Int8 => {
             let engine = match weights {
@@ -446,7 +437,7 @@ pub fn compile(plan: &ExecutionPlan, weights: WeightSource<'_>) -> CompiledOp {
                 }
             };
             check(w.output_size(), w.input_size());
-            Box::new(BiqBackend { w, cfg: plan.cfg, kernel: plan.kernel, parallel: plan.parallel })
+            Box::new(BiqBackend { w, cfg: plan.cfg, kernel: plan.kernel, workers: plan.workers })
         }
     };
     CompiledOp { plan: *plan, backend }

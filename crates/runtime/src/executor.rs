@@ -50,17 +50,10 @@ impl Executor {
         let plan = op.plan();
         match plan.spec {
             crate::plan::BackendSpec::Biq { bits, .. } => {
-                if plan.parallel {
-                    // Parallel plans draw per-worker banks from the pooled
-                    // scratch slots instead of the serial arena.
-                    self.arena.warm_parallel(&plan.cfg, bits, b);
-                } else {
-                    let provisioned = self.arena.warm_biq(&plan.cfg, b);
-                    debug_assert!(
-                        b != plan.batch_hint || provisioned == plan.scratch,
-                        "plan.scratch out of sync with the arena's provisioning"
-                    );
-                }
+                // One bank for a serial plan, one per worker of a parallel
+                // plan — the plan's count, so the slots exist before the
+                // first run.
+                self.arena.biq.reserve(&plan.cfg, bits, b, plan.workers);
             }
             crate::plan::BackendSpec::Fp32Blocked => {
                 self.arena.warm_pack(plan.n, b);

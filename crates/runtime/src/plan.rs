@@ -67,9 +67,13 @@ pub struct ExecutionPlan {
     pub cfg: BiqConfig,
     /// The threading request the plan was built with.
     pub threading: Threading,
-    /// The resolved decision: `true` runs the rayon drivers, `false` the
-    /// serial arena path.
-    pub parallel: bool,
+    /// The resolved threading decision — like `kernel`, made exactly once
+    /// at plan build and pinned: `None` runs the serial path on the calling
+    /// thread, `Some(n)` the parallel drivers on `n` workers (from
+    /// [`PlanBuilder::threads`], default the machine's available
+    /// parallelism; `Some(1)` runs them inline). Backends hand it down as
+    /// an argument; nothing reads a thread count at run time.
+    pub workers: Option<usize>,
     /// The kernel level every hot loop of this plan runs at — resolved
     /// exactly once here at plan build (from the builder's request /
     /// `cfg.kernel` / the `BIQ_KERNEL` override) and pinned; compiled ops
@@ -89,8 +93,8 @@ pub struct ExecutionPlan {
     /// host-best pick). Surfaced by `biq inspect`.
     pub kernel_reason: Option<&'static str>,
     /// Record of the scratch-buffer sizes a serial run needs — capacity
-    /// planning / introspection. `Executor::warm` provisions from the
-    /// config and debug-asserts it agrees with this record.
+    /// planning / introspection (`Executor::warm` provisions from the
+    /// same config).
     pub scratch: ScratchSpec,
 }
 
@@ -162,8 +166,9 @@ impl PlanBuilder {
         self
     }
 
-    /// Worker count assumed by [`Threading::Auto`] (default: the machine's
-    /// available parallelism).
+    /// Worker count: what [`Threading::Auto`] decides from and what a
+    /// parallel plan executes on (default: the machine's available
+    /// parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -228,7 +233,7 @@ impl PlanBuilder {
             spec: self.spec,
             cfg,
             threading: self.threading,
-            parallel,
+            workers: parallel.then_some(threads),
             kernel,
             kernel_reason,
             scratch: scratch_spec(&cfg, self.batch_hint),
@@ -245,7 +250,7 @@ mod tests {
     fn defaults_follow_planner() {
         let p = PlanBuilder::new(1024, 1024).batch_hint(32).threads(8).build();
         assert_eq!(p.cfg.mu, 8, "paper's empirical µ for paper-sized shapes");
-        assert!(p.parallel, "large batch on many workers should parallelise");
+        assert_eq!(p.workers, Some(8), "large batch on many workers should parallelise");
         assert!(p.lut_tile_bytes() <= DEFAULT_LUT_BUDGET_BYTES);
         assert!(p.kernel.level().is_supported(), "resolved level must be executable");
     }
@@ -299,7 +304,7 @@ mod tests {
     #[test]
     fn small_batch_resolves_serial_under_auto() {
         let p = PlanBuilder::new(4096, 4096).batch_hint(SMALL_BATCH_SERIAL_MAX).threads(16).build();
-        assert!(!p.parallel);
+        assert_eq!(p.workers, None);
         assert!(p.scratch.lut_bank_floats > 0);
     }
 
@@ -310,9 +315,11 @@ mod tests {
             .threads(16)
             .threading(Threading::Serial)
             .build();
-        assert!(!serial.parallel);
+        assert_eq!(serial.workers, None);
         let par = PlanBuilder::new(64, 64).threading(Threading::Parallel).build();
-        assert!(par.parallel);
+        assert!(par.workers.is_some());
+        let one = PlanBuilder::new(64, 64).threads(1).threading(Threading::Parallel).build();
+        assert_eq!(one.workers, Some(1), "the plan's count is what executes");
     }
 
     #[test]

@@ -144,58 +144,38 @@ fn fp32_blocked_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_steady_state_allocates_nothing_per_worker() {
-    // The arena-aware parallel drivers draw every per-task buffer (LUT
-    // bank, accumulator, DP steps, key-row ranges) from the executor's
-    // persistent per-worker pool. Pinning the pool to one thread makes the
-    // rayon shim degrade to an inline loop with no thread spawns, so the
-    // counting allocator can observe the drivers' own behaviour: after
-    // warm-up, repeat parallel runs must not touch the heap at all.
+    // The parallel schedules draw every per-task buffer (LUT bank, DP
+    // steps, key-row ranges) from the executor's persistent per-worker
+    // slots. The plan's worker count is what executes: at `threads(1)` the
+    // schedules run inline with no thread spawns — whatever the host's
+    // core count — so the counting allocator can observe their own
+    // behaviour: after warm-up, repeat parallel runs must not touch the
+    // heap at all.
     use biqgemm_core::{BiqConfig, Schedule};
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    pool.install(|| {
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-            let mut g = MatrixRng::seed_from(0xb0 + schedule as u64);
-            let (m, n, b) = (256, 512, 16);
-            let signs = g.signs(m, n);
-            let x = g.small_int_col(n, b, 3);
-            let plan = PlanBuilder::new(m, n)
-                .batch_hint(b)
-                .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-                .config(BiqConfig { schedule, ..BiqConfig::default() })
-                .threading(Threading::Parallel)
-                .build();
-            let op = compile(&plan, WeightSource::Signs(&signs));
-            let mut exec = Executor::warmed_for(&op);
-            let mut y = vec![0.0f32; m * b];
-            exec.run_into(&op, &x, &mut y); // warm-up run
-            let allocs = count_allocs(|| {
-                for _ in 0..8 {
-                    exec.run_into(&op, &x, &mut y);
-                }
-            });
-            assert_eq!(
-                allocs, 0,
-                "{schedule:?}: parallel steady state allocated {allocs} times in 8 runs"
-            );
-        }
-    });
-}
-
-#[test]
-fn legacy_one_shot_facade_allocates_every_call() {
-    // Contrast case documenting what the refactor removed: the
-    // self-contained `BiqGemm` facade builds a fresh arena (bank +
-    // accumulator) per call. (The deprecated free-function shims that used
-    // to demonstrate this are deleted; the facade remains the one-shot
-    // path.)
-    use biqgemm_core::{BiqConfig, BiqGemm};
-    let mut g = MatrixRng::seed_from(0xab);
-    let signs = g.signs(64, 128);
-    let x = g.small_int_col(128, 4, 3);
-    let engine = BiqGemm::from_signs(&signs, BiqConfig::default());
-    let _ = engine.matmul(&x); // warm anything warmable
-    let per_call = count_allocs(|| {
-        let _ = engine.matmul(&x);
-    });
-    assert!(per_call > 0, "one-shot path unexpectedly allocation-free");
+    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+        let mut g = MatrixRng::seed_from(0xb0 + schedule as u64);
+        let (m, n, b) = (256, 512, 16);
+        let signs = g.signs(m, n);
+        let x = g.small_int_col(n, b, 3);
+        let plan = PlanBuilder::new(m, n)
+            .batch_hint(b)
+            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+            .config(BiqConfig { schedule, ..BiqConfig::default() })
+            .threads(1)
+            .threading(Threading::Parallel)
+            .build();
+        let op = compile(&plan, WeightSource::Signs(&signs));
+        let mut exec = Executor::warmed_for(&op);
+        let mut y = vec![0.0f32; m * b];
+        exec.run_into(&op, &x, &mut y); // warm-up run
+        let allocs = count_allocs(|| {
+            for _ in 0..8 {
+                exec.run_into(&op, &x, &mut y);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{schedule:?}: parallel steady state allocated {allocs} times in 8 runs"
+        );
+    }
 }

@@ -1,18 +1,20 @@
-//! The unification property: every BiQGEMM path — the naive dense
-//! reference, the serial tiled kernel, both parallel schedules, and the
-//! executor-driven runtime (serial and parallel plans) — produces
-//! **bit-identical** outputs for arbitrary shapes, µ, and batch sizes.
+//! The unification property: every BiQGEMM plan — serial, and both
+//! parallel schedules on 1 (inline), 2, 3 and 7 workers — run through one
+//! executor produces outputs **bit-identical** to the naive dense
+//! reference, for arbitrary shapes, µ, and batch sizes.
 //!
 //! Integer-valued inputs make every accumulation order exact, so agreement
 //! must be `==` on the raw f32 bits, not approximate. Edge cases the
 //! strategies force: `n` not divisible by µ (ragged tail chunk), `b = 1`
-//! (GEMV fast path), `m = 1` (single output row), and µ larger than `n`.
+//! (GEMV fast path), `m = 1` (single output row, more workers than row
+//! blocks), and µ larger than `n`.
 
 use biq_matrix::{ColMatrix, MatrixRng, SignMatrix};
+use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
-use biqgemm_core::{BiqConfig, BiqGemm, LutLayout, Schedule};
+use biqgemm_core::{BiqConfig, LutLayout, Schedule};
 use proptest::prelude::*;
 
 fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMatrix> {
@@ -20,40 +22,53 @@ fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMa
         .prop_map(|(r, c, seed)| MatrixRng::seed_from(seed).signs(r, c))
 }
 
-/// Runs one shape through every path and asserts bit-identity.
+/// Runs `weights` against `x` under every threading of `cfg` — a serial
+/// plan, then each schedule at each worker count — through one shared
+/// executor (so arena reuse across plans and growing worker counts is
+/// exercised too). Asserts every parallel plan reproduces the serial
+/// plan's bits and returns them.
+fn assert_all_plans_agree(
+    (m, n, bits): (usize, usize, usize),
+    weights: impl Fn() -> WeightSource<'static>,
+    x: &ColMatrix,
+    cfg: BiqConfig,
+) -> Vec<f32> {
+    let mut exec = Executor::new();
+    let mut run = |cfg: BiqConfig, workers: Option<usize>| {
+        let builder = PlanBuilder::new(m, n)
+            .batch_hint(x.cols())
+            .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+            .config(cfg);
+        let plan = match workers {
+            None => builder.threading(Threading::Serial),
+            Some(n) => builder.threads(n).threading(Threading::Parallel),
+        }
+        .build();
+        assert_eq!(plan.workers, workers);
+        let op = compile(&plan, weights());
+        let y = exec.run(&op, x).into_vec();
+        // Repeat run through the warmed arena must not drift.
+        assert_eq!(exec.run(&op, x).as_slice(), y, "rerun, {workers:?} workers");
+        y
+    };
+    let serial = run(cfg, None);
+    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+        for workers in [1, 2, 3, 7] {
+            let y = run(BiqConfig { schedule, ..cfg }, Some(workers));
+            assert_eq!(y, serial, "{schedule:?} on {workers} workers");
+        }
+    }
+    serial
+}
+
+/// [`assert_all_plans_agree`] for 1-bit sign weights, pinned to the dense
+/// naive GEMM on the ±1 matrix.
 fn assert_all_paths_agree(signs: &SignMatrix, x: &ColMatrix, cfg: BiqConfig) {
     let (m, n) = signs.shape();
-    let b = x.cols();
-
-    // Reference: dense naive GEMM on the ±1 matrix.
-    let reference = biq_gemm::gemm_naive(&signs.to_f32(), x);
-    let reference = reference.as_slice();
-
-    // Serial tiled engine (the BiqGemm facade).
-    let engine = BiqGemm::from_signs(signs, cfg);
-    assert_eq!(engine.matmul(x).as_slice(), reference, "serial tiled");
-
-    // Both parallel schedules.
-    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-        let engine = BiqGemm::from_signs(signs, BiqConfig { schedule, ..cfg });
-        assert_eq!(engine.matmul_parallel(x).as_slice(), reference, "parallel {schedule:?}");
-    }
-
-    // Executor-driven, serial and parallel plans, shared one executor so
-    // arena reuse across differently-shaped ops is exercised too.
-    let mut exec = Executor::new();
-    for threading in [Threading::Serial, Threading::Parallel] {
-        let plan = PlanBuilder::new(m, n)
-            .batch_hint(b)
-            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-            .config(cfg)
-            .threading(threading)
-            .build();
-        let op = compile(&plan, WeightSource::Signs(signs));
-        assert_eq!(exec.run(&op, x).as_slice(), reference, "executor {threading:?}");
-        // Repeat run through the warmed arena must not drift.
-        assert_eq!(exec.run(&op, x).as_slice(), reference, "executor rerun {threading:?}");
-    }
+    // Pre-packed once; each plan gets its own copy of the same keys.
+    let packed = biqgemm_core::BiqWeights::from_signs_unscaled(signs, cfg.mu);
+    let y = assert_all_plans_agree((m, n, 1), || WeightSource::Packed(packed.clone()), x, cfg);
+    assert_eq!(y, biq_gemm::gemm_naive(&signs.to_f32(), x).as_slice(), "serial plan");
 }
 
 proptest! {
@@ -125,28 +140,15 @@ fn mu_larger_than_input() {
 
 #[test]
 fn multibit_weights_agree_across_paths() {
-    // Multi-bit planes stress the key-row stacking (r mod m indexing).
-    use biq_quant::greedy_quantize_matrix_rowwise;
+    // Multi-bit planes stress the key-row stacking (r mod m indexing);
+    // m = 21 leaves a ragged last row block at every worker count.
     let mut g = MatrixRng::seed_from(0xb4);
     let wf = g.small_int_matrix(21, 40, 2);
     let x = g.small_int_col(40, 4, 2);
     let q = greedy_quantize_matrix_rowwise(&wf, 3);
     let cfg =
         BiqConfig { mu: 8, tile_rows: 5, tile_chunks: 2, tile_batch: 3, ..BiqConfig::default() };
-
-    let engine = BiqGemm::new(&q, cfg);
-    let serial = engine.matmul(&x);
-    assert_eq!(engine.matmul_parallel(&x).as_slice(), serial.as_slice());
-
-    let mut exec = Executor::new();
-    for threading in [Threading::Serial, Threading::Parallel] {
-        let plan = PlanBuilder::new(21, 40)
-            .batch_hint(4)
-            .backend(BackendSpec::Biq { bits: 3, method: QuantMethod::Greedy })
-            .config(cfg)
-            .threading(threading)
-            .build();
-        let op = compile(&plan, WeightSource::Quantized(&q));
-        assert_eq!(exec.run(&op, &x).as_slice(), serial.as_slice(), "{threading:?}");
-    }
+    let packed = biqgemm_core::BiqWeights::from_multibit(&q, cfg.mu);
+    let y = assert_all_plans_agree((21, 40, 3), || WeightSource::Packed(packed.clone()), &x, cfg);
+    assert_eq!(y.len(), 21 * 4);
 }

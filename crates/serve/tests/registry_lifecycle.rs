@@ -88,7 +88,9 @@ proptest! {
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let Some(id) = client.registry().lookup("linear") else { continue };
-                    let version = slot_version.read().unwrap()[&id];
+                    // A swap publishes the new id a moment before the
+                    // sequence thread records which version it carries.
+                    let Some(&version) = slot_version.read().unwrap().get(&id) else { continue };
                     match client.try_submit(id, x.clone()) {
                         Ok(ticket) => {
                             let y = ticket.wait().expect("accepted requests always answer");

@@ -9,8 +9,11 @@ use biqgemm_repro::biq_matrix::io as mio;
 use biqgemm_repro::biq_matrix::MatrixRng;
 use biqgemm_repro::biq_quant::error_metrics::relative_l2;
 use biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise;
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::serialize::{decode_weights, encode_weights};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm, BiqWeights};
+use biqgemm_repro::biqgemm_core::{BiqConfig, BiqWeights};
 
 fn main() {
     let dir = std::env::temp_dir().join("biqgemm_deploy_example");
@@ -44,21 +47,28 @@ fn main() {
         .expect("read artifact"),
     )
     .expect("decode artifact");
-    let engine = BiqGemm::from_weights(loaded, BiqConfig::default());
+    // The plan must name the µ and bit count the artifact was packed with.
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+        .config(BiqConfig::default())
+        .build();
+    let op = compile(&plan, WeightSource::Packed(loaded));
+    let mut exec = Executor::warmed_for(&op);
     let x_dev = mio::decode_col_matrix(
         mio::read_from(std::fs::File::open(&input_path).expect("open input")).expect("read"),
     )
     .expect("decode input");
 
     let t0 = std::time::Instant::now();
-    let y = engine.matmul(&x_dev);
+    let y = exec.run(&op, &x_dev);
     println!(
         "device: served {m}x{b} output in {:.3} ms via table lookups",
         t0.elapsed().as_secs_f64() * 1e3
     );
 
     // Sanity: the served output equals the build host's own computation.
-    let y_host = BiqGemm::new(&quant, BiqConfig::default()).matmul(&x);
+    let y_host = exec.run(&compile(&plan, WeightSource::Quantized(&quant)), &x);
     println!(
         "round-trip check: relative L2 host-vs-device = {:.2e} (must be 0)",
         relative_l2(y.as_slice(), y_host.as_slice())

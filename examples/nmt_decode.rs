@@ -14,7 +14,8 @@ use biqgemm_repro::biq_matrix::MatrixRng;
 use biqgemm_repro::biq_nn::linear::QuantMethod;
 use biqgemm_repro::biq_nn::seq2seq::Seq2Seq;
 use biqgemm_repro::biq_nn::transformer::LayerBackend;
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biq_runtime::{compile, BackendSpec, Executor, PlanBuilder, WeightSource};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use std::time::Instant;
 
 fn main() {
@@ -68,11 +69,16 @@ fn main() {
     // The vocab projection alone, at decode batch 1 — the paper's GEMV case.
     let w = MatrixRng::seed_from(9).gaussian(vocab, d_model, 0.0, 0.06);
     let q = biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise(&w, 2);
-    let engine = BiqGemm::new(&q, BiqConfig::default());
-    let x: Vec<f32> = MatrixRng::seed_from(10).gaussian_vec(d_model);
+    let plan = PlanBuilder::new(vocab, d_model)
+        .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+        .build();
+    let op = compile(&plan, WeightSource::Quantized(&q));
+    let mut exec = Executor::warmed_for(&op);
+    let x = MatrixRng::seed_from(10).gaussian_col(d_model, 1, 0.0, 1.0);
+    let mut logits = vec![0.0f32; vocab];
     let t0 = Instant::now();
     for _ in 0..100 {
-        std::hint::black_box(engine.matvec(&x));
+        exec.run_into(&op, std::hint::black_box(&x), &mut logits);
     }
     println!(
         "vocab projection GEMV ({vocab}x{d_model}, 2-bit): {:.1} µs/step",

@@ -7,7 +7,9 @@ use biqgemm_repro::biq_gemm::gemm_blocked;
 use biqgemm_repro::biq_matrix::{display::format_matrix, MatrixRng};
 use biqgemm_repro::biq_quant::error_metrics::{relative_l2, sqnr_db};
 use biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource,
+};
 use std::time::Instant;
 
 fn main() {
@@ -17,18 +19,24 @@ fn main() {
     let weights = rng.gaussian(m, n, 0.0, 0.05);
     let x = rng.gaussian_col(n, b, 0.0, 1.0);
 
-    // Offline: quantize to 3 binary-coding bits and pack the key matrix.
+    // Offline: plan for the shape, quantize to 3 binary-coding bits and pack
+    // the key matrix.
     let quant = greedy_quantize_matrix_rowwise(&weights, 3);
     println!(
         "quantized {m}x{n} weights to {} bits; weight SQNR = {:.2} dB",
         quant.bits(),
         sqnr_db(weights.as_slice(), quant.dequantize().as_slice())
     );
-    let engine = BiqGemm::new(&quant, BiqConfig::default());
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 3, method: QuantMethod::Greedy })
+        .build();
+    let op = compile(&plan, WeightSource::Quantized(&quant));
+    let mut exec = Executor::warmed_for(&op);
 
     // Online: BiQGEMM inference vs fp32 GEMM.
     let t0 = Instant::now();
-    let y_biq = engine.matmul(&x);
+    let y_biq = exec.run(&op, &x);
     let t_biq = t0.elapsed();
 
     let t0 = Instant::now();

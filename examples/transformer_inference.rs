@@ -12,7 +12,8 @@ use biqgemm_repro::biq_nn::configs::TransformerConfig;
 use biqgemm_repro::biq_nn::linear::QuantMethod;
 use biqgemm_repro::biq_nn::transformer::{Encoder, LayerBackend};
 use biqgemm_repro::biq_quant::error_metrics::cosine_similarity;
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biq_runtime::{compile, BackendSpec, Executor, PlanBuilder, WeightSource};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use std::time::Instant;
 
 fn main() {
@@ -58,9 +59,14 @@ fn main() {
     // Per-matrix view: one d_ff × d_model feed-forward weight at batch=seq.
     let w = MatrixRng::seed_from(0xff).gaussian(cfg.d_ff, cfg.d_model, 0.0, 0.04);
     let q = biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise(&w, 2);
-    let engine = BiqGemm::new(&q, BiqConfig::default());
+    let plan = PlanBuilder::new(cfg.d_ff, cfg.d_model)
+        .batch_hint(seq)
+        .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+        .build();
+    let op = compile(&plan, WeightSource::Quantized(&q));
+    let mut exec = Executor::warmed_for(&op);
     let t0 = Instant::now();
-    let _ = engine.matmul(&x);
+    let _ = exec.run(&op, &x);
     println!(
         "single ff1 matrix ({}x{}) through BiQGEMM: {:>6.2} ms",
         cfg.d_ff,

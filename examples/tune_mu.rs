@@ -7,9 +7,12 @@
 //! Run with: `cargo run --release --example tune_mu`
 
 use biqgemm_repro::biq_matrix::MatrixRng;
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::complexity::{eq9_factor, model_speedup, optimal_mu};
 use biqgemm_repro::biqgemm_core::planner::{plan, DEFAULT_LUT_BUDGET_BYTES};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use std::time::Instant;
 
 fn main() {
@@ -26,12 +29,18 @@ fn main() {
     for mu in 2..=12usize {
         let planned = plan(m, n, b, DEFAULT_LUT_BUDGET_BYTES);
         let cfg = BiqConfig { mu, ..planned };
-        let engine = BiqGemm::from_signs(&signs, cfg);
+        let plan = PlanBuilder::new(m, n)
+            .batch_hint(b)
+            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+            .config(cfg)
+            .build();
+        let op = compile(&plan, WeightSource::Signs(&signs));
+        let mut exec = Executor::new();
         // One warmup + one measured run keeps the example fast; use the
         // mu_sweep bench binary for statistically solid numbers.
-        let _ = engine.matmul(&x);
+        let _ = exec.run(&op, &x);
         let t0 = Instant::now();
-        let _ = engine.matmul(&x);
+        let _ = exec.run(&op, &x);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "{mu:>3} {:>12.5} {:>14.2} {:>12} {:>12.2}",

@@ -4,14 +4,10 @@
 //! encodings at every position; decodes run inside `catch_unwind` so a panic
 //! is reported as a test failure with the offending mutation.
 
-use biqgemm_repro::biq_matrix::io::{
-    decode_matrix, decode_sign_matrix, encode_matrix, encode_sign_matrix,
-};
+use biqgemm_repro::biq_matrix::io::{decode_matrix, encode_matrix};
 use biqgemm_repro::biq_matrix::MatrixRng;
-use biqgemm_repro::biq_quant::serialize::{
-    decode_key_matrix, decode_multibit, encode_key_matrix, encode_multibit,
-};
-use biqgemm_repro::biq_quant::{greedy_quantize_matrix_rowwise, KeyMatrix};
+use biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise;
+use biqgemm_repro::biq_quant::serialize::{decode_multibit, encode_multibit};
 use biqgemm_repro::biqgemm_core::serialize::{decode_weights, encode_weights};
 use biqgemm_repro::biqgemm_core::BiqWeights;
 use bytes::Bytes;
@@ -46,26 +42,11 @@ fn matrix_decoder_never_panics() {
 }
 
 #[test]
-fn sign_decoder_never_panics() {
-    let mut g = MatrixRng::seed_from(0xc1);
-    let enc = encode_sign_matrix(&g.signs(4, 9)).to_vec();
-    check_no_panic("decode_sign_matrix", |d| decode_sign_matrix(Bytes::from(d)), &enc);
-}
-
-#[test]
 fn multibit_decoder_never_panics() {
     let mut g = MatrixRng::seed_from(0xc2);
     let q = greedy_quantize_matrix_rowwise(&g.gaussian(3, 10, 0.0, 1.0), 2);
     let enc = encode_multibit(&q).to_vec();
     check_no_panic("decode_multibit", |d| decode_multibit(Bytes::from(d)), &enc);
-}
-
-#[test]
-fn key_matrix_decoder_never_panics() {
-    let mut g = MatrixRng::seed_from(0xc3);
-    let k = KeyMatrix::pack(&g.signs(3, 11), 4);
-    let enc = encode_key_matrix(&k).to_vec();
-    check_no_panic("decode_key_matrix", |d| decode_key_matrix(Bytes::from(d)), &enc);
 }
 
 #[test]
@@ -86,7 +67,6 @@ fn random_garbage_is_rejected_not_crashed() {
         let r = std::panic::catch_unwind(|| {
             let _ = decode_matrix(Bytes::from(data.clone()));
             let _ = decode_multibit(Bytes::from(data.clone()));
-            let _ = decode_key_matrix(Bytes::from(data.clone()));
             let _ = decode_weights(Bytes::from(data.clone()));
         });
         assert!(r.is_ok(), "panicked on {len} bytes of garbage");

@@ -5,11 +5,46 @@
 use biqgemm_repro::biq_gemm::unpack_gemm::gemm_with_unpack;
 use biqgemm_repro::biq_gemm::xnor::{xnor_gemm_presigned, XnorWeights};
 use biqgemm_repro::biq_gemm::{gemm_blocked, gemm_naive, par_gemm_blocked};
-use biqgemm_repro::biq_matrix::{assert_allclose, MatrixRng};
+use biqgemm_repro::biq_matrix::{assert_allclose, ColMatrix, Matrix, MatrixRng, SignMatrix};
 use biqgemm_repro::biq_quant::packing::{PackedRowsU32, PackedRowsU64};
 use biqgemm_repro::biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::config::{LutLayout, Schedule};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biqgemm_core::BiqConfig;
+
+/// `W · x` by BiQGEMM through the plan/executor, under exactly `cfg`:
+/// a serial plan when `workers` is `None`, a parallel one on that many
+/// workers otherwise.
+fn biq(
+    weights: WeightSource<'_>,
+    (m, n, bits): (usize, usize, usize),
+    x: &ColMatrix,
+    cfg: BiqConfig,
+    workers: Option<usize>,
+) -> Matrix {
+    let builder = PlanBuilder::new(m, n)
+        .batch_hint(x.cols())
+        .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+        .config(cfg);
+    let plan = match workers {
+        None => builder.threading(Threading::Serial),
+        Some(n) => builder.threads(n).threading(Threading::Parallel),
+    }
+    .build();
+    Executor::new().run(&compile(&plan, weights), x)
+}
+
+fn biq_signs(signs: &SignMatrix, x: &ColMatrix, workers: Option<usize>) -> Matrix {
+    let (m, n) = signs.shape();
+    biq(WeightSource::Signs(signs), (m, n, 1), x, BiqConfig::default(), workers)
+}
+
+fn biq_quantized(q: &MultiBitMatrix, x: &ColMatrix) -> Matrix {
+    let (m, n) = q.shape();
+    biq(WeightSource::Quantized(q), (m, n, q.bits()), x, BiqConfig::default(), None)
+}
 
 /// Every kernel in the workspace computes the same quantized product.
 #[test]
@@ -22,11 +57,10 @@ fn all_kernels_agree_on_one_bit_weights() {
 
     let y_naive = gemm_naive(&dense, &x);
     let y_blocked = gemm_blocked(&dense, &x);
-    let y_par = par_gemm_blocked(&dense, &x);
+    let y_par = par_gemm_blocked(&dense, &x, 3);
     let y_unpack = gemm_with_unpack(&PackedRowsU32::pack(&signs), &x);
-    let engine = BiqGemm::from_signs(&signs, BiqConfig::default());
-    let y_biq = engine.matmul(&x);
-    let y_biq_par = engine.matmul_parallel(&x);
+    let y_biq = biq_signs(&signs, &x, None);
+    let y_biq_par = biq_signs(&signs, &x, Some(3));
 
     // Small-integer inputs make every accumulation order exact.
     assert_eq!(y_naive.as_slice(), y_blocked.as_slice());
@@ -47,8 +81,7 @@ fn xnor_agrees_when_activations_are_signs() {
     let xw = XnorWeights::new(vec![(vec![1.0; m], PackedRowsU64::pack(&wsigns))]);
     let y_xnor = xnor_gemm_presigned(&xw, &xsigns);
     assert_eq!(y_ref.as_slice(), y_xnor.as_slice());
-    let engine = BiqGemm::from_signs(&wsigns, BiqConfig::default());
-    let y_biq = engine.matmul(&xsigns.to_f32().to_col_major());
+    let y_biq = biq_signs(&wsigns, &xsigns.to_f32().to_col_major(), None);
     assert_eq!(y_ref.as_slice(), y_biq.as_slice());
 }
 
@@ -75,9 +108,10 @@ fn multibit_full_config_matrix() {
                         tile_batch: 3,
                         ..BiqConfig::default()
                     };
-                    let engine = BiqGemm::new(&q, cfg);
-                    assert_allclose(&engine.matmul(&x), &y_ref, 1e-4, 1e-4);
-                    assert_allclose(&engine.matmul_parallel(&x), &y_ref, 1e-4, 1e-4);
+                    for workers in [None, Some(2)] {
+                        let y = biq(WeightSource::Quantized(&q), (m, n, bits), &x, cfg, workers);
+                        assert_allclose(&y, &y_ref, 1e-4, 1e-4);
+                    }
                 }
             }
         }
@@ -94,7 +128,7 @@ fn equation_two_by_hand() {
     let x = g.gaussian_col(n, b, 0.0, 1.0);
     let q = greedy_quantize_matrix_rowwise(&wf, 3);
     // Hand evaluation of Σ_i α_i ∘ (B_i · x).
-    let mut y_hand = biqgemm_repro::biq_matrix::Matrix::zeros(m, b);
+    let mut y_hand = Matrix::zeros(m, b);
     for plane in q.planes() {
         let partial = plane.signs.matmul(&x);
         for i in 0..m {
@@ -104,8 +138,7 @@ fn equation_two_by_hand() {
             }
         }
     }
-    let engine = BiqGemm::new(&q, BiqConfig::default());
-    assert_allclose(&engine.matmul(&x), &y_hand, 1e-4, 1e-4);
+    assert_allclose(&biq_quantized(&q, &x), &y_hand, 1e-4, 1e-4);
 }
 
 /// Truncating planes of one quantization = re-quantizing at fewer bits
@@ -118,7 +151,5 @@ fn plane_truncation_consistency() {
     let q3 = greedy_quantize_matrix_rowwise(&wf, 3);
     let q1: MultiBitMatrix = q3.truncated(1);
     let direct = greedy_quantize_matrix_rowwise(&wf, 1);
-    let y_t = BiqGemm::new(&q1, BiqConfig::default()).matmul(&x);
-    let y_d = BiqGemm::new(&direct, BiqConfig::default()).matmul(&x);
-    assert_eq!(y_t.as_slice(), y_d.as_slice());
+    assert_eq!(biq_quantized(&q1, &x).as_slice(), biq_quantized(&direct, &x).as_slice());
 }

@@ -3,12 +3,25 @@
 //! evidence short of a proof.
 
 use biqgemm_repro::biq_gemm::gemm_naive;
-use biqgemm_repro::biq_matrix::{ColMatrix, SignMatrix};
+use biqgemm_repro::biq_matrix::{ColMatrix, Matrix, SignMatrix};
 use biqgemm_repro::biq_quant::greedy_quantize_vector;
 use biqgemm_repro::biq_quant::packing::KeyMatrix;
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::lut::{build_lut_bruteforce, build_lut_dp};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use proptest::prelude::*;
+
+/// `signs · x` by BiQGEMM through the plan/executor, under exactly `cfg`.
+fn biq(signs: &SignMatrix, x: &ColMatrix, cfg: BiqConfig) -> Matrix {
+    let plan = PlanBuilder::new(signs.rows(), signs.cols())
+        .batch_hint(x.cols())
+        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+        .config(cfg)
+        .build();
+    Executor::new().run(&compile(&plan, WeightSource::Signs(signs)), x)
+}
 
 /// Strategy: a sign matrix of bounded shape.
 fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMatrix> {
@@ -34,8 +47,7 @@ proptest! {
         let b = 1 + (seed as usize % 5);
         let x = g.small_int_col(n, b, 4);
         let cfg = BiqConfig { mu: mu.min(16), tile_rows: 5, tile_chunks: 3, tile_batch: 2, ..BiqConfig::default() };
-        let engine = BiqGemm::from_signs(&signs, cfg);
-        let y = engine.matmul(&x);
+        let y = biq(&signs, &x, cfg);
         let y_ref = gemm_naive(&signs.to_f32(), &x);
         prop_assert_eq!(y.as_slice(), y_ref.as_slice());
     }
@@ -117,10 +129,8 @@ proptest! {
             2,
             x1.as_slice().iter().zip(x2.as_slice()).map(|(a, b)| a + b).collect(),
         );
-        let engine = BiqGemm::from_signs(&signs, BiqConfig::with_mu(4));
-        let y1 = engine.matmul(&x1);
-        let y2 = engine.matmul(&x2);
-        let ysum = engine.matmul(&sum);
+        let cfg = BiqConfig::with_mu(4);
+        let (y1, y2, ysum) = (biq(&signs, &x1, cfg), biq(&signs, &x2, cfg), biq(&signs, &sum, cfg));
         for ((a, b), s) in y1.as_slice().iter().zip(y2.as_slice()).zip(ysum.as_slice()) {
             prop_assert_eq!(a + b, *s);
         }
