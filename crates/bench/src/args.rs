@@ -19,13 +19,16 @@ pub struct CommonArgs {
 }
 
 /// Parses `std::env::args`, ignoring unknown flags (binaries may add their
-/// own on top).
+/// own on top). A malformed `--threads` is a usage error: exit 2.
 pub fn parse() -> CommonArgs {
-    parse_from(std::env::args().skip(1))
+    parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: [--quick] [--csv] [--threads N]");
+        std::process::exit(2);
+    })
 }
 
 /// Parses from an explicit iterator (testable).
-pub fn parse_from(args: impl IntoIterator<Item = String>) -> CommonArgs {
+pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
     let mut out = CommonArgs::default();
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
@@ -33,12 +36,15 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> CommonArgs {
             "--quick" => out.quick = true,
             "--csv" => out.csv = true,
             "--threads" => {
-                out.threads = iter.next().and_then(|v| v.parse().ok());
+                let v = iter.next().ok_or("--threads needs a value")?;
+                let n =
+                    v.parse().map_err(|_| format!("--threads must be an integer, got '{v}'"))?;
+                out.threads = Some(n);
             }
             _ => {}
         }
     }
-    out
+    Ok(out)
 }
 
 impl CommonArgs {
@@ -61,26 +67,26 @@ mod tests {
 
     #[test]
     fn parses_flags() {
-        let a = parse_from(v(&["--quick", "--threads", "4", "--csv"]));
+        let a = parse_from(v(&["--quick", "--threads", "4", "--csv"])).unwrap();
         assert!(a.quick && a.csv);
         assert_eq!(a.threads, Some(4));
     }
 
     #[test]
     fn ignores_unknown() {
-        let a = parse_from(v(&["--whatever"]));
+        let a = parse_from(v(&["--whatever"])).unwrap();
         assert!(!a.quick && !a.csv && a.threads.is_none());
     }
 
     #[test]
-    fn missing_thread_count_is_none() {
-        let a = parse_from(v(&["--threads", "x"]));
-        assert_eq!(a.threads, None);
+    fn malformed_thread_count_is_a_usage_error() {
+        assert!(parse_from(v(&["--threads", "x"])).is_err());
+        assert!(parse_from(v(&["--threads"])).is_err());
     }
 
     #[test]
     fn workers_prefers_the_flag() {
-        assert_eq!(parse_from(v(&["--threads", "3"])).workers(), 3);
-        assert!(parse_from(v(&[])).workers() >= 1);
+        assert_eq!(parse_from(v(&["--threads", "3"])).unwrap().workers(), 3);
+        assert!(parse_from(v(&[])).unwrap().workers() >= 1);
     }
 }

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 fn main() {
     let a = args::parse();
+    println!("{}", biq_bench::provenance(&a));
     let (m, n, b) = if a.quick { (1024, 1024, 32) } else { (4096, 1024, 32) };
     let mus: Vec<usize> = if a.quick { vec![4, 6, 8, 10] } else { vec![2, 4, 6, 8, 10, 12] };
     println!("µ sweep ablation: m = {m}, n = {n}, b = {b}, 1-bit weights, 1 thread");
@@ -39,6 +40,8 @@ fn main() {
     }
     let base = baseline_ms.unwrap_or(rows[rows.len() / 2].1);
     let model_base = eq9_factor(m, 8);
+    let fastest_mu =
+        rows.iter().min_by(|x, y| x.1.total_cmp(&y.1)).map(|&(mu, _)| mu).expect("non-empty sweep");
     for (mu, ms) in rows {
         t.row(&[
             mu.to_string(),
@@ -48,6 +51,11 @@ fn main() {
         ]);
     }
     println!("{}", if a.csv { t.render_csv() } else { t.render() });
-    println!("Expected shape: runtime falls steeply from µ=2 to µ≈8 and flattens/regresses past");
-    println!("the model optimum as the table build (2^µ) and cache pressure take over.");
+    println!(
+        "{}",
+        biq_bench::claim(
+            "the fastest LUT-unit is near the model optimum µ ≈ 8 (one of 6, 8, 10)",
+            [6, 8, 10].contains(&fastest_mu),
+        )
+    );
 }

@@ -10,9 +10,11 @@ use biq_quant::memory::{key_matrix_mb, lut_working_set_mb, table_ii};
 
 fn main() {
     let a = args::parse();
+    println!("{}", biq_bench::provenance(&a));
     println!("Table II: memory usage, 512x512 weights, batch 18\n");
     let mut t = Table::new(&["W bits", "A bits", "O bits", "W MB", "I MB", "O MB", "total MB"]);
-    for row in table_ii() {
+    let rows = table_ii();
+    for row in &rows {
         t.row(&[
             row.w_bits.to_string(),
             row.a_bits.to_string(),
@@ -38,4 +40,17 @@ fn main() {
         fmt_f(lut_working_set_mb(64, 8, 18), 3),
     ]);
     println!("{}", if a.csv { t2.render_csv() } else { t2.render() });
+    // Row 0 is fp32; rows 1–3 the uniform block, 4–6 the binary-coding block.
+    let totals: Vec<f64> = rows.iter().map(|r| r.usage.total_mb()).collect();
+    let shrinks = |block: &[f64]| block.windows(2).all(|p| p[0] > p[1]);
+    println!(
+        "{}",
+        biq_bench::claim(
+            "every quantized configuration needs less memory than fp32, and memory falls \
+             with the weight bits inside both the uniform and the binary-coding block",
+            totals[1..].iter().all(|&mb| mb < totals[0])
+                && shrinks(&totals[1..4])
+                && shrinks(&totals[4..7]),
+        )
+    );
 }

@@ -6,6 +6,8 @@ use biq_bench::machine::detect;
 use biq_bench::table::Table;
 
 fn main() {
+    let a = biq_bench::args::parse();
+    println!("{}", biq_bench::provenance(&a));
     let m = detect();
     println!("Table III: machine configuration used by this reproduction\n");
     let mut t = Table::new(&["field", "value"]);
@@ -21,6 +23,13 @@ fn main() {
     t.row(&["OS/arch".into(), m.os.clone()]);
     println!("{}", t.render());
     println!("Substitutions vs the paper's Table III: the Tesla V100 GPGPU column is replaced");
-    println!("by multi-threaded CPU analogs (see DESIGN.md §3); the Cortex-A76 mobile column");
-    println!("by a thread/SIMD-constrained configuration of this host.");
+    println!("by multi-threaded CPU analogs; the Cortex-A76 mobile column by a thread/SIMD-");
+    println!("constrained configuration of this host.");
+    println!(
+        "{}",
+        biq_bench::claim(
+            "the host every other experiment ran on is identified (processor and core count)",
+            !m.cpu_model.is_empty() && m.logical_cpus >= 1,
+        )
+    );
 }

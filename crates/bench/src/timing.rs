@@ -76,27 +76,13 @@ pub fn auto_reps<T>(
 /// multiply–add chain whose work never changes across commits. Because the
 /// workload is a latency-bound dependency chain, it cannot vectorise or
 /// reorder, so its runtime tracks only the host's current effective speed
-/// (frequency, steal time, co-tenant load). The ratio of the value measured
-/// at gate time to the value recorded next to the committed baselines is
-/// pure machine drift — `biq bench check` divides it out so a loaded or
-/// throttled host does not read as a code regression.
+/// (frequency, steal time, co-tenant load). It is part of every
+/// experiment's provenance line, so a reader comparing two runs can tell a
+/// slower host from slower code.
 ///
-/// Median of several short passes (a few ms total): representative of the
+/// Median of seven short passes (a few ms total): representative of the
 /// window, not of the single quietest instant.
 pub fn host_canary_ns() -> u128 {
-    canary_median(7)
-}
-
-/// A quicker [`host_canary_ns`] (median of 3 passes, a few ms): for
-/// bracketing individual gate measurements, where the canary must sample
-/// the *same moment* as the measurement it excuses — a burst of co-tenant
-/// load lasts seconds, so a nearby sample correlates and a run-level
-/// sample does not.
-pub fn host_canary_quick_ns() -> u128 {
-    canary_median(3)
-}
-
-fn canary_median(passes: usize) -> u128 {
     fn pass() -> u128 {
         // ~400k serial f32 mul+add pairs: bounded (growth factor over the
         // whole chain is < 1.05), never denormal, and the loop-carried
@@ -110,7 +96,7 @@ fn canary_median(passes: usize) -> u128 {
         t0.elapsed().as_nanos()
     }
     pass(); // warmup
-    let mut times: Vec<u128> = (0..passes.max(1)).map(|_| pass()).collect();
+    let mut times: Vec<u128> = (0..7).map(|_| pass()).collect();
     times.sort_unstable();
     times[times.len() / 2]
 }

@@ -9,13 +9,11 @@
 //! biq pack   --mu U in.biqq out.biqw                    # key matrix + scales
 //! biq matmul --weights w.biqw --input x.biqm --output y.biqm
 //! biq info   file                                       # describe any artifact
-//! biq serve-bench [--requests R] [--out results/BENCH_serve.json]
 //! ```
 //!
 //! Commands are implemented as pure functions over paths so tests can drive
-//! them without spawning processes. `serve-bench` (in [`serve_bench`])
-//! drives the `biq_serve` batching layer with synthetic open-loop traffic
-//! and records throughput/latency per batching mode.
+//! them without spawning processes. The tool measures nothing: every
+//! performance number comes from the `benchmark/` package.
 
 use biq_matrix::io as mio;
 use biq_matrix::{ColMatrix, Matrix, MatrixRng};
@@ -25,30 +23,25 @@ use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
 use biqgemm_core::serialize as wser;
-use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, KERNEL_ENV};
+use biqgemm_core::{BiqConfig, BiqWeights, KernelLevel, KernelRequest, KERNEL_ENV};
 use bytes::Bytes;
 use std::fmt;
 use std::fs::File;
 use std::path::Path;
 
-pub mod bench_check;
 pub mod fleet_cmds;
 pub mod model_cmds;
 pub mod net_cmds;
-pub mod serve_bench;
 pub mod stats_cmd;
 pub mod top_cmd;
-pub use bench_check::{cmd_bench_check, BenchCheckConfig, GateStatus};
 pub use fleet_cmds::{
     cmd_model_list, cmd_model_load, cmd_model_unload, fetch_mem_budget, parse_mem_budget,
     render_model_list, ModelLoadReport,
 };
 pub use model_cmds::{build_model, cmd_compile, cmd_inspect, cmd_run_model, CompileConfig};
 pub use net_cmds::{
-    cmd_load_client, cmd_net_bench, cmd_serve, DaemonConfig, LoadClientConfig, LoadReport,
-    NetBenchConfig, NetBenchRow, ServeOptions,
+    cmd_load_client, cmd_serve, DaemonConfig, LoadClientConfig, LoadReport, ServeOptions,
 };
-pub use serve_bench::{cmd_serve_bench, ServeBenchConfig, ServeBenchRow};
 pub use stats_cmd::{cmd_stats, StatsConfig, StatsFormat};
 pub use top_cmd::{cmd_top, TopConfig};
 
@@ -73,7 +66,7 @@ impl From<std::io::Error> for CliError {
 /// `--kernel {auto,scalar,avx2,avx512,neon}`: validates the level against
 /// the running host, then plumbs it through the `BIQ_KERNEL` environment
 /// variable so **every** plan built afterwards in this process (matmul,
-/// serve-bench workers, artifact loads) resolves to it. Errors clearly
+/// serve workers, artifact loads) resolves to it. Errors clearly
 /// when the host lacks the requested ISA.
 pub fn set_kernel_flag(value: &str) -> Result<(), CliError> {
     let request = match value.to_ascii_lowercase().as_str() {
@@ -139,6 +132,10 @@ pub fn cmd_quantize(
     alternating: bool,
     out: &Path,
 ) -> Result<(), CliError> {
+    // 32 is the most planes a BIQQ header can describe.
+    if !(1..=32).contains(&bits) {
+        return Err(CliError(format!("--bits must be in 1..=32, got {bits}")));
+    }
     let w =
         mio::decode_matrix(read_bytes(input)?).map_err(|e| CliError(format!("{input:?}: {e}")))?;
     let q = if alternating {
@@ -151,10 +148,29 @@ pub fn cmd_quantize(
 
 /// `biq pack`: quantized matrix → packed BiQGEMM weights (key matrix).
 pub fn cmd_pack(input: &Path, mu: usize, out: &Path) -> Result<(), CliError> {
+    if !(1..=16).contains(&mu) {
+        return Err(CliError(format!("--mu must be in 1..=16, got {mu}")));
+    }
     let q = qser::decode_multibit(read_bytes(input)?)
         .map_err(|e| CliError(format!("{input:?}: {e}")))?;
-    let w = biqgemm_core::BiqWeights::from_multibit(&q, mu);
+    let w = BiqWeights::from_multibit(&q, mu);
     write_bytes(out, &wser::encode_weights(&w))
+}
+
+/// Decodes the operands of `W·X` and checks that their shapes agree.
+fn read_matmul_operands(weights: &Path, input: &Path) -> Result<(BiqWeights, ColMatrix), CliError> {
+    let w = wser::decode_weights(read_bytes(weights)?)
+        .map_err(|e| CliError(format!("{weights:?}: {e}")))?;
+    let x = mio::decode_col_matrix(read_bytes(input)?)
+        .map_err(|e| CliError(format!("{input:?}: {e}")))?;
+    if x.rows() != w.input_size() {
+        return Err(CliError(format!(
+            "shape mismatch: {weights:?} takes {} inputs, {input:?} has {} rows",
+            w.input_size(),
+            x.rows()
+        )));
+    }
+    Ok((w, x))
 }
 
 /// `biq matmul`: packed weights × column-major activations → row-major
@@ -167,10 +183,7 @@ pub fn cmd_matmul(
     output: &Path,
     parallel: bool,
 ) -> Result<(usize, usize), CliError> {
-    let w = wser::decode_weights(read_bytes(weights)?)
-        .map_err(|e| CliError(format!("{weights:?}: {e}")))?;
-    let x = mio::decode_col_matrix(read_bytes(input)?)
-        .map_err(|e| CliError(format!("{input:?}: {e}")))?;
+    let (w, x) = read_matmul_operands(weights, input)?;
     let plan = PlanBuilder::new(w.output_size(), w.input_size())
         .batch_hint(x.cols().max(1))
         .backend(BackendSpec::Biq { bits: w.bits(), method: QuantMethod::Greedy })
@@ -237,10 +250,7 @@ pub fn cmd_info(path: &Path) -> Result<String, CliError> {
 /// matrix and a reference input/weights pair and reports the relative error
 /// against a dense recomputation.
 pub fn verify_matmul(weights: &Path, input: &Path, output: &Path) -> Result<f64, CliError> {
-    let w = wser::decode_weights(read_bytes(weights)?)
-        .map_err(|e| CliError(format!("{weights:?}: {e}")))?;
-    let x: ColMatrix = mio::decode_col_matrix(read_bytes(input)?)
-        .map_err(|e| CliError(format!("{input:?}: {e}")))?;
+    let (w, x) = read_matmul_operands(weights, input)?;
     let y = mio::decode_matrix(read_bytes(output)?)
         .map_err(|e| CliError(format!("{output:?}: {e}")))?;
     // Dense recomputation from the unpacked keys.
@@ -358,5 +368,51 @@ mod tests {
     #[test]
     fn gen_rejects_zero_shape() {
         assert!(cmd_gen(0, 4, 1, 1.0, false, &tmp("zero.biqm")).is_err());
+    }
+
+    #[test]
+    fn quantize_rejects_bits_out_of_range() {
+        let wpath = tmp("bits_w.biqm");
+        cmd_gen(4, 8, 3, 1.0, false, &wpath).unwrap();
+        for bits in [0, 33] {
+            let err = cmd_quantize(&wpath, bits, false, &tmp("bits_q.biqq")).unwrap_err();
+            assert!(err.0.contains("--bits"), "{err}");
+        }
+        let _ = std::fs::remove_file(wpath);
+    }
+
+    #[test]
+    fn pack_rejects_mu_out_of_range() {
+        let wpath = tmp("mu_w.biqm");
+        let qpath = tmp("mu_q.biqq");
+        cmd_gen(4, 8, 3, 1.0, false, &wpath).unwrap();
+        cmd_quantize(&wpath, 1, false, &qpath).unwrap();
+        for mu in [0, 17] {
+            let err = cmd_pack(&qpath, mu, &tmp("mu_k.biqw")).unwrap_err();
+            assert!(err.0.contains("--mu"), "{err}");
+        }
+        for p in [wpath, qpath] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn matmul_rejects_mismatched_input_rows() {
+        let wpath = tmp("shape_w.biqm");
+        let xpath = tmp("shape_x.biqm");
+        let qpath = tmp("shape_q.biqq");
+        let kpath = tmp("shape_k.biqw");
+        let ypath = tmp("shape_y.biqm");
+        cmd_gen(8, 16, 1, 1.0, false, &wpath).unwrap();
+        cmd_gen(12, 2, 2, 1.0, true, &xpath).unwrap();
+        cmd_quantize(&wpath, 1, false, &qpath).unwrap();
+        cmd_pack(&qpath, 8, &kpath).unwrap();
+        let err = cmd_matmul(&kpath, &xpath, &ypath, false).unwrap_err();
+        assert!(err.0.contains("shape mismatch"), "{err}");
+        cmd_gen(8, 2, 3, 1.0, false, &ypath).unwrap();
+        assert!(verify_matmul(&kpath, &xpath, &ypath).is_err());
+        for p in [wpath, xpath, qpath, kpath, ypath] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }

@@ -1,12 +1,10 @@
 //! `biq` — the BiQGEMM deployment pipeline on files. See `biq help`.
 
 use biq_cli::{
-    cmd_bench_check, cmd_compile, cmd_gen, cmd_info, cmd_inspect, cmd_load_client, cmd_matmul,
-    cmd_model_list, cmd_model_load, cmd_model_unload, cmd_net_bench, cmd_pack, cmd_quantize,
-    cmd_run_model, cmd_serve, cmd_serve_bench, cmd_stats, cmd_top, fetch_mem_budget,
-    parse_mem_budget, render_model_list, BenchCheckConfig, CliError, CompileConfig, DaemonConfig,
-    GateStatus, LoadClientConfig, NetBenchConfig, ServeBenchConfig, ServeOptions, StatsConfig,
-    StatsFormat, TopConfig,
+    cmd_compile, cmd_gen, cmd_info, cmd_inspect, cmd_load_client, cmd_matmul, cmd_model_list,
+    cmd_model_load, cmd_model_unload, cmd_pack, cmd_quantize, cmd_run_model, cmd_serve, cmd_stats,
+    cmd_top, fetch_mem_budget, parse_mem_budget, render_model_list, CliError, CompileConfig,
+    DaemonConfig, LoadClientConfig, ServeOptions, StatsConfig, StatsFormat, TopConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,10 +29,6 @@ MODEL PIPELINE (BIQM compiled-model artifacts):
   biq inspect  MODEL
 
 SERVING:
-  biq serve-bench [--model ARTIFACT] [--rows M] [--cols N] [--requests R]
-                  [--workers W] [--window-us U] [--max-batch B] [--gap-us G]
-                  [--pin-workers] [--kernel auto|scalar|avx2|avx512|neon]
-                  [--quick] [--out PATH]
   biq serve       --model ARTIFACT --addr HOST:PORT [--workers W]
                   [--window-us U] [--max-batch B] [--queue-cap Q]
                   [--pin-workers] [--io-threads N] [--mem-budget BYTES]
@@ -47,13 +41,6 @@ SERVING:
   biq model load   --addr HOST:PORT --name NAME PATH
   biq model unload --addr HOST:PORT --name NAME [--version V]
   biq model list   --addr HOST:PORT
-  biq net-bench   [--requests R] [--workers W] [--concurrency C]
-                  [--window-us U] [--max-batch B] [--quick]
-                  [--connections N,N,...] [--out PATH]
-
-CI GATE:
-  biq bench check [--dir results] [--tolerance T] [--skip SUBSTR]...
-                  [--requests R]
   biq help
 
 KERNEL LEVELS:
@@ -71,10 +58,7 @@ ARTIFACTS:
 
 compile builds a seeded model, quantizes/packs every layer once and writes
 one checksummed artifact; run-model loads it (no fp32 weights, no
-re-quantization) and runs a deterministic inference. serve-bench replays
-open-loop single-column traffic against the biq_serve batching layer —
-against a loaded artifact with --model — and writes the
-throughput/latency record (default results/BENCH_serve.json).
+re-quantization) and runs a deterministic inference.
 
 serve is the network daemon: it loads a BIQM artifact, registers every
 linear op under the artifact's file stem as the boot model name, and
@@ -95,14 +79,9 @@ single plain snapshot for scripts and CI. load-client replays seeded
 single-column traffic over N connections and prints throughput/p50/p99
 plus a response digest;
 for a linear artifact the digest equals `biq run-model --seed S --len R`'s
-exactly (the wire and the batcher are both bit-transparent). net-bench
-measures the wire tax over loopback (default results/BENCH_net.json);
---connections adds sweep rows that re-run the remote replay while that
-many extra idle connections are held open (the reactor's C10k probe —
-every held connection is checked alive afterwards; points past the fd
-limit are skipped with a note). `bench check` re-measures the committed
-results/BENCH_*.json baselines fresh and fails on >tolerance regressions
-(the CI perf gate), including the in-process/remote wire-tax ratio.
+exactly (the wire and the batcher are both bit-transparent). Performance
+numbers come from the benchmark/ package, not from this tool (see
+benchmark/README.md).
 
 model manages the daemon's fleet online: `model load` registers a BIQM
 artifact from a path on the daemon's filesystem (a new name becomes
@@ -143,11 +122,6 @@ impl Args {
 
     fn flag(&self, name: &str) -> Option<&str> {
         self.flags.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
-    }
-
-    /// Every value of a repeatable flag (e.g. `--skip a --skip b`).
-    fn flag_values(&self, name: &str) -> Vec<String> {
-        self.flags.iter().filter(|(n, _)| n == name).filter_map(|(_, v)| v.clone()).collect()
     }
 
     fn has(&self, name: &str) -> bool {
@@ -275,68 +249,6 @@ fn run() -> Result<(), CliError> {
         "inspect" => {
             let path = positional_path(&args, 0, "model path")?;
             print!("{}", cmd_inspect(&path)?);
-        }
-        "serve-bench" => {
-            if let Some(k) = args.flag("kernel") {
-                biq_cli::set_kernel_flag(k)?;
-            }
-            let mut cfg = ServeBenchConfig::default();
-            if args.has("quick") {
-                cfg.requests = 400;
-            }
-            if args.has("rows") {
-                cfg.rows = args.usize_flag("rows")?;
-            }
-            if args.has("cols") {
-                cfg.cols = args.usize_flag("cols")?;
-            }
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?;
-            }
-            if args.has("workers") {
-                cfg.workers = args.usize_flag("workers")?.max(1);
-            }
-            if args.has("window-us") {
-                cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
-            }
-            if args.has("max-batch") {
-                cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
-            }
-            if args.has("gap-us") {
-                cfg.gap = Duration::from_micros(args.usize_flag("gap-us")? as u64);
-            }
-            cfg.pin_workers = args.has("pin-workers");
-            let model = args.flag("model").map(PathBuf::from);
-            if model.is_some() && (args.has("rows") || args.has("cols")) {
-                return Err(CliError(
-                    "--rows/--cols conflict with --model: the replay shape comes from the \
-                     artifact's first op"
-                        .into(),
-                ));
-            }
-            let out = args
-                .flag("out")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("results/BENCH_serve.json"));
-            let rows = cmd_serve_bench(&cfg, model.as_deref(), &out)?;
-            for r in &rows {
-                println!(
-                    "{:>9} [{}]: {:.0} req/s, p50 {} us, p99 {} us, mean batch {:.2} cols \
-                     (window {} us, cap {}, {} workers, kernel {})",
-                    r.mode,
-                    r.op_name,
-                    r.throughput_rps,
-                    r.p50_us,
-                    r.p99_us,
-                    r.mean_batch_cols,
-                    r.window_us,
-                    r.max_batch_cols,
-                    r.workers,
-                    r.kernel
-                );
-            }
-            let speedup = rows[1].throughput_rps / rows[0].throughput_rps.max(1e-9);
-            println!("batched/unbatched throughput: {speedup:.2}x -> {}", out.display());
         }
         "serve" => {
             if let Some(k) = args.flag("kernel") {
@@ -482,118 +394,6 @@ fn run() -> Result<(), CliError> {
                     )))
                 }
             }
-        }
-        "net-bench" => {
-            let mut cfg = NetBenchConfig::default();
-            if args.has("quick") {
-                cfg.requests = 400;
-            }
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?.max(1);
-            }
-            if args.has("workers") {
-                cfg.workers = args.usize_flag("workers")?.max(1);
-            }
-            if args.has("concurrency") {
-                cfg.concurrency = args.usize_flag("concurrency")?.max(1);
-            }
-            if args.has("window-us") {
-                cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
-            }
-            if args.has("max-batch") {
-                cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
-            }
-            let sweep: Vec<usize> = match args.flag("connections") {
-                Some(list) => list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.trim().parse::<usize>().map_err(|_| {
-                            CliError("--connections takes a comma list of integers".into())
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            };
-            let out = args
-                .flag("out")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("results/BENCH_net.json"));
-            let rows = cmd_net_bench(&cfg, &sweep, &out)?;
-            for r in &rows {
-                let idle = match r.connections {
-                    Some(c) => format!(", {c} idle conns held"),
-                    None => String::new(),
-                };
-                println!(
-                    "{:>10}: {:.0} req/s, p50 {} us, p99 {} us ({} requests, {} workers, \
-                     {} submitters, kernel {}{idle})",
-                    r.mode,
-                    r.throughput_rps,
-                    r.p50_us,
-                    r.p99_us,
-                    r.requests,
-                    r.workers,
-                    r.concurrency,
-                    r.kernel
-                );
-            }
-            let tax = rows[0].throughput_rps / rows[1].throughput_rps.max(1e-9);
-            println!("wire tax (in-process/remote throughput): {tax:.2}x -> {}", out.display());
-        }
-        "bench" => {
-            match args.positional.first().map(String::as_str) {
-                Some("check") => {}
-                other => {
-                    return Err(CliError(format!(
-                        "unknown bench subcommand {other:?} (expected 'check')"
-                    )))
-                }
-            }
-            let mut cfg = BenchCheckConfig::default();
-            if let Some(dir) = args.flag("dir") {
-                cfg.dir = PathBuf::from(dir);
-            }
-            if let Some(tol) = args.flag("tolerance") {
-                cfg.tolerance =
-                    tol.parse().map_err(|_| CliError("--tolerance must be a number".into()))?;
-                if cfg.tolerance.is_nan() || cfg.tolerance < 1.0 {
-                    return Err(CliError("--tolerance must be >= 1.0".into()));
-                }
-            }
-            cfg.skips = args.flag_values("skip");
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?.max(1);
-            }
-            let verdicts = cmd_bench_check(&cfg)?;
-            let mut regressed = 0usize;
-            for (row, status) in &verdicts {
-                let label = match status {
-                    GateStatus::Ok => "ok        ",
-                    GateStatus::Regressed => "REGRESSED ",
-                    GateStatus::Skipped => "skipped   ",
-                };
-                println!(
-                    "{label} {key:<28} baseline {base:>12.1}  fresh {fresh:>12.1}  \
-                     regression {reg:.2}x (tolerance {tol:.2}x)",
-                    key = row.key,
-                    base = row.baseline,
-                    fresh = row.fresh,
-                    reg = row.regression(),
-                    tol = cfg.tolerance,
-                );
-                if *status == GateStatus::Regressed {
-                    regressed += 1;
-                }
-            }
-            if regressed > 0 {
-                return Err(CliError(format!(
-                    "{regressed} row(s) regressed past {:.2}x — rerun locally, and if the \
-                     change is intentional regenerate the baselines with run_all",
-                    cfg.tolerance
-                )));
-            }
-            println!("perf gate passed: {} row(s) within {:.2}x", verdicts.len(), cfg.tolerance);
         }
         "help" | "--help" | "-h" => println!("{HELP}"),
         other => return Err(CliError(format!("unknown command '{other}'\n\n{HELP}"))),

@@ -1,14 +1,13 @@
-//! `biq serve` / `biq load-client` / `biq net-bench`: the serving layer on
-//! the wire.
+//! `biq serve` / `biq load-client`: the serving layer on the wire.
 //!
 //! `serve` is the daemon: load a `BIQM` artifact, register every linear op,
 //! and answer `BIQP` frames on a TCP address until SIGINT or stdin EOF,
 //! then drain and dump the final [`StatsSnapshot`] as JSON on stdout.
 //! `load-client` is the matching open-loop load generator: N connections
 //! replaying seeded single-column traffic, reporting throughput/p50/p99
-//! and an order-stable digest of every response. `net-bench` runs both
-//! ends over loopback and records the wire tax against an in-process
-//! replay of the same traffic (`results/BENCH_net.json`).
+//! and an order-stable digest of every response. (What the wire adds to a
+//! request is the `net.added_us_p50` row of `benchmark/`'s
+//! `serve_remote_open` workload.)
 //!
 //! **Digest parity.** For a `linear` artifact, `run_seeded(seed, len)`
 //! generates `X = gaussian_col(n, len)` and flattens `W·X` column-major.
@@ -22,14 +21,13 @@
 use crate::CliError;
 use biq_artifact::{fnv1a64, Artifact};
 use biq_matrix::{ColMatrix, MatrixRng};
-use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, Threading, WeightSource};
 use biq_serve::net::{NetClient, NetConfig, NetServer, Outcome, RejectCode};
 use biq_serve::{ModelRegistry, OpId, Server, ServerConfig, StatsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Tunables shared by the daemon and the loopback bench server.
+/// Tunables of the `biq serve` daemon.
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
     /// Worker threads of the inner batch server.
@@ -569,401 +567,6 @@ pub fn cmd_load_client(cfg: &LoadClientConfig) -> Result<LoadReport, CliError> {
     })
 }
 
-// -------------------------------------------------------------- net bench
-
-/// Parameters of one `biq net-bench` run.
-#[derive(Clone, Copy, Debug)]
-pub struct NetBenchConfig {
-    /// Weight rows `m`.
-    pub rows: usize,
-    /// Weight cols `n`.
-    pub cols: usize,
-    /// Single-column requests per mode.
-    pub requests: usize,
-    /// Worker threads of the batch server.
-    pub workers: usize,
-    /// Submitter threads (in-process) / connections (remote).
-    pub concurrency: usize,
-    /// Batch window.
-    pub window: Duration,
-    /// Packed-width cap.
-    pub max_batch_cols: usize,
-    /// In-flight requests per submitter/connection.
-    pub pipeline: usize,
-}
-
-impl Default for NetBenchConfig {
-    fn default() -> Self {
-        Self {
-            rows: 512,
-            cols: 512,
-            requests: 2000,
-            workers: 2,
-            concurrency: 4,
-            window: Duration::from_micros(200),
-            max_batch_cols: 16,
-            pipeline: 32,
-        }
-    }
-}
-
-/// Measured outcome of one net-bench mode.
-#[derive(Clone, Debug)]
-pub struct NetBenchRow {
-    /// `"in-process"` or `"remote"`.
-    pub mode: &'static str,
-    /// Weight rows.
-    pub m: usize,
-    /// Weight cols.
-    pub n: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Submitters / connections.
-    pub concurrency: usize,
-    /// Window (µs).
-    pub window_us: u128,
-    /// Packed-width cap.
-    pub max_batch_cols: usize,
-    /// The kernel level the op pinned.
-    pub kernel: &'static str,
-    /// Requests per second over the makespan.
-    pub throughput_rps: f64,
-    /// Median send→reply latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile send→reply latency (µs).
-    pub p99_us: u64,
-    /// Idle connections held open during the replay (`"sweep"` rows only;
-    /// `None` for the canonical in-process/remote pair).
-    pub connections: Option<usize>,
-}
-
-/// The process's open-file soft limit (`RLIMIT_NOFILE`), if knowable —
-/// the connection sweep refuses points that would exhaust it.
-pub fn nofile_limit() -> Option<u64> {
-    #[cfg(unix)]
-    {
-        #[repr(C)]
-        struct Rlimit {
-            cur: u64,
-            max: u64,
-        }
-        extern "C" {
-            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        }
-        const RLIMIT_NOFILE: i32 = 7;
-        let mut lim = Rlimit { cur: 0, max: 0 };
-        // SAFETY: plain struct out-param, checked return.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } == 0 {
-            return Some(lim.cur);
-        }
-        None
-    }
-    #[cfg(not(unix))]
-    {
-        None
-    }
-}
-
-fn bench_registry(cfg: &NetBenchConfig) -> (ModelRegistry, OpId) {
-    let mut g = MatrixRng::seed_from(0x5e7e);
-    let signs = g.signs(cfg.rows, cfg.cols);
-    let plan = PlanBuilder::new(cfg.rows, cfg.cols)
-        .batch_hint(cfg.max_batch_cols)
-        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-        .threading(Threading::Serial)
-        .build();
-    let mut registry = ModelRegistry::new();
-    let id = registry.register("synthetic", &plan, WeightSource::Signs(&signs));
-    (registry, id)
-}
-
-fn daemon_config(cfg: &NetBenchConfig) -> DaemonConfig {
-    DaemonConfig {
-        workers: cfg.workers,
-        window: cfg.window,
-        max_batch_cols: cfg.max_batch_cols,
-        queue_capacity: cfg.requests.max(16),
-        pin_workers: false,
-        io_threads: NetConfig::default().io_threads,
-        mem_budget: None,
-    }
-}
-
-/// In-process replay with the same traffic shape as the remote run: the
-/// trace is split across `concurrency` submitter threads, each keeping at
-/// most `pipeline` tickets in flight (FIFO wait — the same head-of-line
-/// discipline a pipelining connection has), so the remote row differs only
-/// by the wire.
-fn replay_in_process(cfg: &NetBenchConfig) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let client = server.client();
-    let n = cfg.cols;
-    let x = MatrixRng::seed_from(1).gaussian_col(n, cfg.requests, 0.0, 1.0);
-    let concurrency = cfg.concurrency.clamp(1, cfg.requests);
-    let per = cfg.requests / concurrency;
-    let extra = cfg.requests % concurrency;
-    let t0 = Instant::now();
-    let all_latencies: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(concurrency);
-        let mut start = 0usize;
-        for c in 0..concurrency {
-            let take = per + usize::from(c < extra);
-            let range = start..start + take;
-            start += take;
-            let (client, x) = (client.clone(), &x);
-            let pipeline = cfg.pipeline.max(1);
-            handles.push(s.spawn(move || -> Result<Vec<u64>, CliError> {
-                let mut lats = Vec::with_capacity(range.len());
-                let mut inflight: VecDeque<(Instant, biq_serve::Ticket)> = VecDeque::new();
-                for idx in range {
-                    if inflight.len() == pipeline {
-                        let (sent, ticket) = inflight.pop_front().expect("non-empty");
-                        ticket.wait().map_err(|e| CliError(format!("request failed: {e}")))?;
-                        lats.push(sent.elapsed().as_micros() as u64);
-                    }
-                    let xcol = ColMatrix::from_vec(x.rows(), 1, x.col(idx).to_vec());
-                    let ticket = client
-                        .submit(id, xcol)
-                        .map_err(|e| CliError(format!("submit failed: {e}")))?;
-                    inflight.push_back((Instant::now(), ticket));
-                }
-                for (sent, ticket) in inflight {
-                    ticket.wait().map_err(|e| CliError(format!("request failed: {e}")))?;
-                    lats.push(sent.elapsed().as_micros() as u64);
-                }
-                Ok(lats)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("submitter panicked"))
-            .collect::<Result<Vec<_>, CliError>>()
-    })?;
-    let makespan = t0.elapsed();
-    server.shutdown();
-    let mut latencies: Vec<u64> = all_latencies.into_iter().flatten().collect();
-    latencies.sort_unstable();
-    let quantile = |p: f64| -> u64 {
-        let rank = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    Ok(NetBenchRow {
-        mode: "in-process",
-        m: cfg.rows,
-        n,
-        requests: cfg.requests,
-        workers: cfg.workers,
-        concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: cfg.requests as f64 / makespan.as_secs_f64().max(1e-9),
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        connections: None,
-    })
-}
-
-/// Loopback replay of the same trace through a real `NetServer`.
-fn replay_remote(cfg: &NetBenchConfig) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let net = NetServer::bind("127.0.0.1:0", server)
-        .map_err(|e| CliError(format!("bind loopback: {e}")))?;
-    let addr = net.local_addr().to_string();
-    let report = cmd_load_client(&LoadClientConfig {
-        addr,
-        op: Some("synthetic".into()),
-        requests: cfg.requests,
-        concurrency: cfg.concurrency,
-        seed: 1,
-        connect_attempts: 10,
-        pipeline: cfg.pipeline,
-    })?;
-    net.shutdown();
-    Ok(NetBenchRow {
-        mode: "remote",
-        m: cfg.rows,
-        n: cfg.cols,
-        requests: report.requests,
-        workers: cfg.workers,
-        concurrency: report.concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: report.throughput_rps,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
-        connections: None,
-    })
-}
-
-/// One connection-sweep point: the standard remote replay measured while
-/// `idle` extra connections are held open against the same daemon — the
-/// C10k probe. Under the reactor, held-open idle sockets are registered
-/// fds, so live throughput should barely move as `idle` grows; the old
-/// thread-per-connection design paid two parked threads each. After the
-/// replay, every idle connection is probed for liveness (a dropped one
-/// reads EOF) — holding the herd is part of the contract, not a side
-/// effect.
-fn replay_remote_idle(cfg: &NetBenchConfig, idle: usize) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let net = NetServer::bind("127.0.0.1:0", server)
-        .map_err(|e| CliError(format!("bind loopback: {e}")))?;
-    let addr = net.local_addr();
-    let held: Vec<std::net::TcpStream> = (0..idle)
-        .map(|i| {
-            std::net::TcpStream::connect(addr)
-                .map_err(|e| CliError(format!("idle connection {i}/{idle}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    // Let the accept/register burst drain before measuring: the row claims
-    // a replay with the herd *held*, which is the reactor's steady state —
-    // thousands of epoll registrations time-sharing the core with the load
-    // would measure the storm instead.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let open: i64 = net
-            .metrics()
-            .samples
-            .iter()
-            .filter(|s| s.name == "biq_net_connections_open")
-            .filter_map(|s| match s.value {
-                biq_obs::MetricValue::Gauge(g) => Some(g),
-                _ => None,
-            })
-            .sum();
-        if open >= idle as i64 {
-            break;
-        }
-        if std::time::Instant::now() > deadline {
-            return Err(CliError(format!("only {open} of {idle} idle connections registered")));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let report = cmd_load_client(&LoadClientConfig {
-        addr: addr.to_string(),
-        op: Some("synthetic".into()),
-        requests: cfg.requests,
-        concurrency: cfg.concurrency,
-        seed: 1,
-        connect_attempts: 10,
-        pipeline: cfg.pipeline,
-    })?;
-    // The idle-hold probe: every held connection must still be alive —
-    // nonblocking read sees no data (WouldBlock), never EOF or reset.
-    for (i, conn) in held.iter().enumerate() {
-        conn.set_nonblocking(true).map_err(|e| CliError(format!("probe {i}: {e}")))?;
-        let mut probe = [0u8; 1];
-        use std::io::Read;
-        match (&mut &*conn).read(&mut probe) {
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Ok(0) => return Err(CliError(format!("idle connection {i} was dropped (EOF)"))),
-            Ok(_) => return Err(CliError(format!("idle connection {i} received stray bytes"))),
-            Err(e) => return Err(CliError(format!("idle connection {i} errored: {e}"))),
-        }
-    }
-    drop(held);
-    net.shutdown();
-    Ok(NetBenchRow {
-        mode: "sweep",
-        m: cfg.rows,
-        n: cfg.cols,
-        requests: report.requests,
-        workers: cfg.workers,
-        concurrency: report.concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: report.throughput_rps,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
-        connections: Some(idle),
-    })
-}
-
-fn render_net_json(rows: &[NetBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        // Sweep rows carry their extra key after the shared shape keys, so
-        // the canonical pair (always first) keeps the committed key set.
-        let connections = match r.connections {
-            Some(c) => format!(", \"connections\": {c}"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            concat!(
-                "  {{\"mode\": \"{mode}\", \"op\": \"synthetic\", \"m\": {m}, \"n\": {n}, ",
-                "\"b\": 1, \"requests\": {req}, \"workers\": {workers}, ",
-                "\"concurrency\": {conc}, \"window_us\": {window}, ",
-                "\"max_batch_cols\": {cap}, \"kernel\": \"{kernel}\", ",
-                "\"throughput_rps\": {rps:.1}, \"latency_p50_us\": {p50}, ",
-                "\"latency_p99_us\": {p99}{connections}}}{comma}\n"
-            ),
-            mode = r.mode,
-            connections = connections,
-            m = r.m,
-            n = r.n,
-            req = r.requests,
-            workers = r.workers,
-            conc = r.concurrency,
-            window = r.window_us,
-            cap = r.max_batch_cols,
-            kernel = r.kernel,
-            rps = r.throughput_rps,
-            p50 = r.p50_us,
-            p99 = r.p99_us,
-            comma = if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// `biq net-bench`: measures the wire tax — the same single-column replay
-/// against the same batch server, in-process vs through a loopback TCP
-/// round trip — and writes the JSON record (in-process row first, remote
-/// second, then one `"sweep"` row per requested idle-connection count).
-/// Sweep points that would exhaust the open-file limit are skipped with a
-/// note instead of failing the run.
-pub fn cmd_net_bench(
-    cfg: &NetBenchConfig,
-    sweep: &[usize],
-    out_path: &Path,
-) -> Result<Vec<NetBenchRow>, CliError> {
-    let mut rows = vec![replay_in_process(cfg)?, replay_remote(cfg)?];
-    for &idle in sweep {
-        // Both ends of every socket live in this process: each idle
-        // connection costs two fds, each active one two more, plus the
-        // listener, stdio, and headroom for everything else.
-        let need = (idle + cfg.concurrency) as u64 * 2 + 64;
-        if let Some(limit) = nofile_limit() {
-            if need > limit {
-                eprintln!(
-                    "note: skipping sweep point connections={idle} \
-                     (needs ~{need} fds, RLIMIT_NOFILE is {limit})"
-                );
-                continue;
-            }
-        }
-        rows.push(replay_remote_idle(cfg, idle)?);
-    }
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(out_path, render_net_json(&rows))?;
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1003,33 +606,6 @@ mod tests {
         assert!(report.kernel.is_some(), "load-client must resolve the op's kernel via Stats");
         let stats = net.shutdown();
         assert_eq!(stats.completed(), 60);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn net_bench_smoke_writes_both_modes() {
-        let cfg = NetBenchConfig {
-            rows: 32,
-            cols: 32,
-            requests: 24,
-            workers: 1,
-            concurrency: 2,
-            ..NetBenchConfig::default()
-        };
-        let path = tmp("bench.json");
-        let rows = cmd_net_bench(&cfg, &[8], &path).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].mode, "in-process");
-        assert_eq!(rows[1].mode, "remote");
-        assert_eq!((rows[2].mode, rows[2].connections), ("sweep", Some(8)));
-        assert!(rows.iter().all(|r| r.throughput_rps > 0.0));
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"mode\": \"remote\""), "{json}");
-        assert!(json.contains("\"connections\": 8"), "{json}");
-        // The canonical pair keeps the committed key set: no sweep-only
-        // keys on the first row (the gate's homogeneity check reads it).
-        let first_row_end = json.find("},").unwrap();
-        assert!(!json[..first_row_end].contains("connections"), "{json}");
         let _ = std::fs::remove_file(path);
     }
 

@@ -100,10 +100,10 @@ pub fn choose_schedule(m: usize, mu: usize) -> Schedule {
 /// canonical accumulation tree is [`crate::simd::ACC_TREE_WIDTH`] = 8 lanes
 /// wide — exactly one 256-bit register. 512-bit gathers buy nothing there
 /// (the AVX-512 arm already delegates to the 256-bit body), while the wider
-/// unit costs frequency headroom on many parts, so `BENCH_simd` shows
-/// AVX-512 level-neutral-or-worse at b = 1. Returns the level Auto should
-/// pin instead, with a stable human-readable reason, or `None` to keep the
-/// host-best pick.
+/// unit costs frequency headroom on many parts, so the benchmark's
+/// `core.level_ratio.avx512_vs_avx2` row shows AVX-512 level-neutral-or-worse
+/// at b = 1. Returns the level Auto should pin instead, with a stable
+/// human-readable reason, or `None` to keep the host-best pick.
 ///
 /// Callers apply this only to [`crate::KernelRequest::Auto`] with no
 /// [`crate::simd::KERNEL_ENV`] override in force ([`crate::simd::env_override_active`]);

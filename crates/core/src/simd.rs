@@ -268,7 +268,7 @@ pub fn host_best() -> KernelLevel {
 }
 
 /// Every level the running host supports, rank-ascending — what the
-/// per-level property tests and the `BENCH_simd` sweep enumerate.
+/// per-level property tests enumerate.
 pub fn supported_levels() -> Vec<KernelLevel> {
     let mut levels: Vec<KernelLevel> =
         KernelLevel::ALL.into_iter().filter(|l| l.is_supported()).collect();
