@@ -37,6 +37,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("mu_sweep", "Section III-C / Eq. 9 — runtime vs LUT-unit µ"),
     ("ablation_threads", "Section IV-D — thread scaling of BiQGEMM and blocked GEMM"),
     ("ablation_int8", "Section II-A — INT8 fixed-point GEMM vs BiQGEMM"),
+    ("ablation_batch_width", "Fig. 10 at serving widths — cost per batch width, per kernel level"),
 ];
 
 /// The first line every experiment prints: what produced the numbers below

@@ -83,6 +83,25 @@
 //! construction instead of by forcing the slow sequential order
 //! everywhere.
 //!
+//! **Ragged lanes.** A row of `nb` batch lanes is processed in lane groups
+//! of the level's vector width `g` (8 on AVX2, 16 on AVX-512), and the
+//! `nb mod g` lanes left over take **one masked pass of the same group
+//! body** — the same 8 accumulators, the same fold, the same two-step
+//! multiply then add, with every load and the final store under one lane
+//! mask (`vmaskmovps` on AVX2, a `__mmask16` on AVX-512). Per live lane the
+//! order therefore *is* the canonical tree: a remainder pass cannot round
+//! differently from a full group, by construction rather than by test. The
+//! masked-out lanes are **never stored** (in a strided output they are the
+//! next row's first columns) and **never read unmasked** (after the last
+//! entry they lie past the bank; the hardware suppresses faults on, and
+//! does not access, a masked-out lane); their idle accumulators hold `+0.0`
+//! throughout and are discarded. The row-shaped steps of the batched DP
+//! build ([`dp_step_add_rows`], [`negate_rows_reversed`]) finish each row
+//! the same way. The scalar level is the plain reference every suite
+//! compares against. NEON keeps a scalar tail for its `nb mod 4` lanes:
+//! that level is only compile-checked in this repository (no aarch64 host
+//! to test or measure a masked body on).
+//!
 //! History: through PR 5 the contract was a strictly sequential
 //! ascending-chunk sum, which made b = 1 latency pay for invariance; PR 6
 //! redefined the canonical order as the tree above — an intentional,
@@ -125,8 +144,9 @@
 //!   128-byte entry are consumed together and each key is decoded once for
 //!   all 32 lanes. AVX2 has 16 registers in total: 16 accumulators would
 //!   leave none for loads, so that level (and NEON, and scalar) keep the
-//!   per-row 8-/4-lane bodies, as do the lanes left after the last full
-//!   group of 32 (`nb mod 32`, and every `nb < 32`);
+//!   per-row 8-/4-lane bodies. The lanes left after the last full group of
+//!   32 (`nb mod 32`, and every `nb < 32`) run the per-row 16-lane body:
+//!   full groups of 16, then one masked pass ("Ragged lanes" above);
 //! * **next-row prefetch**: while row `i` accumulates, the entries row
 //!   `i + 1` will read are requested — the whole key tile is in hand, so
 //!   the look-ahead is a full row (`nc` entries), not a few chunks;
@@ -229,8 +249,8 @@ impl KernelLevel {
                     && std::arch::is_x86_feature_detected!("fma")
             }
             // The Avx512 tier is a superset of the Avx2 tier (true of every
-            // AVX-512F part): its kernels handle sub-16-lane remainders
-            // with 256-bit ops inline.
+            // AVX-512F part): its width-1 gathers are the 256-bit bodies and
+            // its flat elementwise primitives finish 8-wide.
             #[cfg(target_arch = "x86_64")]
             KernelLevel::Avx512 => {
                 KernelLevel::Avx2.is_supported()
@@ -622,7 +642,9 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
 ///
 /// On AVX-512, lanes are taken 32 at a time while at least 32 remain (the
 /// row-blocked wide body, module docs "Wide batch"); remaining lanes, and
-/// every other level, run the per-row bodies.
+/// every other level, run the per-row bodies: full lane groups, then one
+/// masked pass over the `nb mod 8` (AVX2) or `nb mod 16` (AVX-512) lanes
+/// left (module docs "Ragged lanes").
 ///
 /// # Panics
 /// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
@@ -906,9 +928,10 @@ fn lut_gather_rows_scalar<K: KeyElem>(
 /// is identical for any segment width.
 const SCALAR_SEG: usize = 8;
 
-/// `nb` is the bank's batch stride; the lanes processed are `y.len()`
-/// (callers pass a suffix of the batch tile for ragged tails, with `bank`
-/// pre-offset by the same lane index). Each lane keeps
+/// The Scalar level, and the tail of the NEON body. `nb` is the bank's
+/// batch stride; the lanes processed are `y.len()` (NEON passes the suffix
+/// of the batch tile its 4-lane groups left, with `bank` pre-offset by the
+/// same lane index). Each lane keeps
 /// [`ACC_TREE_WIDTH`] partials indexed by `ci % 8` and folds them in the
 /// canonical tree — the exact per-lane order of the vector bodies.
 fn lut_query_fused_scalar<K: KeyElem>(
@@ -997,26 +1020,46 @@ mod avx2 {
         }
     }
 
+    /// The `vmaskmov` mask selecting lanes `0..n` of an 8-lane group (all
+    /// lanes for `n ≥ 8`, none for `n = 0`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
     /// # Safety
     /// AVX2 must be available; lengths as checked by the dispatcher.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
         let nb = step.len();
         let rows = dst.len() / nb;
+        // Full 8-lane groups of a row, then its `nb mod 8` lanes in one
+        // masked pass.
+        let full = nb - nb % 8;
+        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
         // SAFETY: every access stays inside the equal-length `dst`/`src`
-        // blocks (`rows · nb` floats) and the `nb`-float step row.
+        // blocks (`rows · nb` floats) and the `nb`-float step row: full
+        // groups end at `full ≤ nb`, and the masked pass selects lanes
+        // `0 .. nb − full` from lane `full` of the row — `vmaskmovps`
+        // neither reads, writes nor faults on a masked-out lane (the next
+        // row's first floats, or the bytes past the block after the last).
         unsafe {
+            let mask = lane_mask(nb - full);
+            let st_tail = _mm256_maskload_ps(step.as_ptr().add(full), mask);
             for r in 0..rows {
                 let base = r * nb;
                 let mut a0 = 0;
-                while a0 + 8 <= nb {
+                while a0 < full {
                     let sv = _mm256_loadu_ps(src.as_ptr().add(base + a0));
                     let st = _mm256_loadu_ps(step.as_ptr().add(a0));
                     _mm256_storeu_ps(dst.as_mut_ptr().add(base + a0), _mm256_add_ps(sv, st));
                     a0 += 8;
                 }
-                for a in a0..nb {
-                    dst[base + a] = src[base + a] + step[a];
+                if full < nb {
+                    let sv = _mm256_maskload_ps(src.as_ptr().add(base + full), mask);
+                    let sum = _mm256_add_ps(sv, st_tail);
+                    _mm256_maskstore_ps(dst.as_mut_ptr().add(base + full), mask, sum);
                 }
             }
         }
@@ -1029,8 +1072,13 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
         let rows = dst.len() / nb;
+        let full = nb - nb % 8;
+        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
         // SAFETY: row index arithmetic stays inside the equal-length
-        // blocks.
+        // blocks; the `nb mod 8` lanes of a row take one masked pass —
+        // lanes `0 .. nb − full` from lane `full`, and `vmaskmovps` neither
+        // reads, writes nor faults on the masked-out ones (floats of the
+        // neighbouring row, or bytes outside the blocks).
         unsafe {
             let sign = _mm256_set1_ps(-0.0);
             if nb == 1 {
@@ -1052,17 +1100,20 @@ mod avx2 {
                 }
                 return;
             }
+            let mask = lane_mask(nb - full);
             for r in 0..rows {
                 let dbase = r * nb;
                 let sbase = (rows - 1 - r) * nb;
                 let mut a0 = 0;
-                while a0 + 8 <= nb {
+                while a0 < full {
                     let sv = _mm256_loadu_ps(src.as_ptr().add(sbase + a0));
                     _mm256_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm256_xor_ps(sv, sign));
                     a0 += 8;
                 }
-                for a in a0..nb {
-                    dst[dbase + a] = -src[sbase + a];
+                if full < nb {
+                    let sv = _mm256_maskload_ps(src.as_ptr().add(sbase + full), mask);
+                    let neg = _mm256_xor_ps(sv, sign);
+                    _mm256_maskstore_ps(dst.as_mut_ptr().add(dbase + full), mask, neg);
                 }
             }
         }
@@ -1089,6 +1140,8 @@ mod avx2 {
     }
 
     /// `prefetch` asks for LUT-entry prefetches (tile larger than L1).
+    /// Lanes run in groups of 8; the `y.len() mod 8` left over take one
+    /// masked pass of the same group body.
     ///
     /// # Safety
     /// AVX2 must be available; `y.len() ≤ nb`, the bank spans every
@@ -1105,80 +1158,127 @@ mod avx2 {
         prefetch: bool,
     ) {
         let lanes = y.len();
-        let klen = keys.len();
+        let full = lanes - lanes % 8;
         let mut a0 = 0;
-        // SAFETY: every load reads `(ci·table + key)·nb + a0 .. +8` with
-        // `ci < keys.len()` and `key < table` — the latter is the
-        // `KeyTile` range invariant (every key `< 2^µ`, established when
-        // the `KeyMatrix` was built) with the dispatcher's `table == 2^µ`;
-        // the dispatcher checked that extent against `bank.len()`, and
-        // `a0 + 8 <= lanes ≤ nb` bounds the lane offset (for ragged tails
-        // the caller pre-offsets `bank` and hands a suffix of `y`).
-        // Prefetches only form addresses of in-bounds entries.
+        // SAFETY: group `a0` reads `(ci·table + key)·nb + a0 ..` of every
+        // entry with `ci < keys.len()` and `key < table` — the latter is
+        // the `KeyTile` range invariant (every key `< 2^µ`, established
+        // when the `KeyMatrix` was built) with the dispatcher's
+        // `table == 2^µ`; the dispatcher checked that extent against
+        // `bank.len()`. A full group spans lanes `a0 .. a0 + 8 ≤ lanes ≤
+        // nb`; the masked group is handed exactly the `lanes − a0` live
+        // lanes of `y` and masks every access to them (`fused_group`).
         unsafe {
-            let sv = _mm256_set1_ps(scale);
-            while a0 + 8 <= lanes {
-                // Canonical tree: 8 accumulator vectors, chunk ci lands in
-                // accumulator ci % 8, folded in the fixed pairwise order —
-                // per lane this is exactly the scalar emulation's order.
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut acc4 = _mm256_setzero_ps();
-                let mut acc5 = _mm256_setzero_ps();
-                let mut acc6 = _mm256_setzero_ps();
-                let mut acc7 = _mm256_setzero_ps();
-                let base = bank.as_ptr();
-                let ent =
-                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
-                let mut ci = 0;
-                while ci + 8 <= klen {
-                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
-                        for j in 0..8 {
-                            let c = ci + super::PREFETCH_CHUNKS + j;
-                            _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
-                        }
-                    }
-                    acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(ent(ci)));
-                    acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(ent(ci + 1)));
-                    acc2 = _mm256_add_ps(acc2, _mm256_loadu_ps(ent(ci + 2)));
-                    acc3 = _mm256_add_ps(acc3, _mm256_loadu_ps(ent(ci + 3)));
-                    acc4 = _mm256_add_ps(acc4, _mm256_loadu_ps(ent(ci + 4)));
-                    acc5 = _mm256_add_ps(acc5, _mm256_loadu_ps(ent(ci + 5)));
-                    acc6 = _mm256_add_ps(acc6, _mm256_loadu_ps(ent(ci + 6)));
-                    acc7 = _mm256_add_ps(acc7, _mm256_loadu_ps(ent(ci + 7)));
-                    ci += 8;
-                }
-                while ci < klen {
-                    let v = _mm256_loadu_ps(ent(ci));
-                    match ci % 8 {
-                        0 => acc0 = _mm256_add_ps(acc0, v),
-                        1 => acc1 = _mm256_add_ps(acc1, v),
-                        2 => acc2 = _mm256_add_ps(acc2, v),
-                        3 => acc3 = _mm256_add_ps(acc3, v),
-                        4 => acc4 = _mm256_add_ps(acc4, v),
-                        5 => acc5 = _mm256_add_ps(acc5, v),
-                        6 => acc6 = _mm256_add_ps(acc6, v),
-                        _ => acc7 = _mm256_add_ps(acc7, v),
-                    }
-                    ci += 1;
-                }
-                acc0 = _mm256_add_ps(acc0, acc4);
-                acc1 = _mm256_add_ps(acc1, acc5);
-                acc2 = _mm256_add_ps(acc2, acc6);
-                acc3 = _mm256_add_ps(acc3, acc7);
-                acc0 = _mm256_add_ps(acc0, acc2);
-                acc1 = _mm256_add_ps(acc1, acc3);
-                acc0 = _mm256_add_ps(acc0, acc1);
-                let yv = _mm256_loadu_ps(y.as_ptr().add(a0));
-                let prod = _mm256_mul_ps(sv, acc0);
-                _mm256_storeu_ps(y.as_mut_ptr().add(a0), _mm256_add_ps(yv, prod));
+            while a0 < full {
+                let (yg, base) = (&mut y[a0..a0 + 8], bank.as_ptr().add(a0));
+                fused_group::<K, false>(yg, scale, base, table, nb, keys, prefetch);
                 a0 += 8;
             }
+            if a0 < lanes {
+                let base = bank.as_ptr().add(a0);
+                fused_group::<K, true>(&mut y[a0..], scale, base, table, nb, keys, prefetch);
+            }
         }
-        if a0 < lanes {
-            super::lut_query_fused_scalar(&mut y[a0..], scale, &bank[a0..], table, nb, keys);
+    }
+
+    /// One 8-lane group of one key row: `y[a] += scale · Σ_ci
+    /// entry(ci, keys[ci])[a]` for the lanes `a < y.len()`, `base` pointing
+    /// at the group's lane 0 in the bank. `MASKED = false` is the full
+    /// group (`y.len() == 8`); `MASKED = true` is the remainder pass
+    /// (`1 ≤ y.len() ≤ 7`) — the same accumulators, fold and two-step
+    /// multiply-add with every load and the store masked to the live
+    /// lanes, so per lane the order *is* the full group's. An idle lane's
+    /// accumulators hold `+0.0` throughout and are discarded.
+    ///
+    /// # Safety
+    /// AVX2 must be available; for every `ci < keys.len()`,
+    /// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_group<K: KeyElem, const MASKED: bool>(
+        y: &mut [f32],
+        scale: f32,
+        base: *const f32,
+        table: usize,
+        nb: usize,
+        keys: &[K],
+        prefetch: bool,
+    ) {
+        debug_assert!(if MASKED { (1..8).contains(&y.len()) } else { y.len() == 8 });
+        let klen = keys.len();
+        // SAFETY: every entry pointer is one the caller vouched for, read
+        // for `y.len()` lanes: all 8 when unmasked, else under `mask`,
+        // which selects lanes `0 .. y.len()` (the caller's `nb − a0`) —
+        // `vmaskmovps` neither reads, writes nor faults on a masked-out
+        // lane, which may lie past the bank or belong to the next output
+        // row. Prefetches only form addresses of in-bounds entries.
+        unsafe {
+            let mask = lane_mask(y.len());
+            let load = |p: *const f32| {
+                if MASKED {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                }
+            };
+            let sv = _mm256_set1_ps(scale);
+            // Canonical tree: 8 accumulator vectors, chunk ci lands in
+            // accumulator ci % 8, folded in the fixed pairwise order —
+            // per lane this is exactly the scalar emulation's order.
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut acc2 = _mm256_setzero_ps();
+            let mut acc3 = _mm256_setzero_ps();
+            let mut acc4 = _mm256_setzero_ps();
+            let mut acc5 = _mm256_setzero_ps();
+            let mut acc6 = _mm256_setzero_ps();
+            let mut acc7 = _mm256_setzero_ps();
+            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
+            let mut ci = 0;
+            while ci + 8 <= klen {
+                if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
+                    for j in 0..8 {
+                        let c = ci + super::PREFETCH_CHUNKS + j;
+                        _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
+                    }
+                }
+                acc0 = _mm256_add_ps(acc0, load(ent(ci)));
+                acc1 = _mm256_add_ps(acc1, load(ent(ci + 1)));
+                acc2 = _mm256_add_ps(acc2, load(ent(ci + 2)));
+                acc3 = _mm256_add_ps(acc3, load(ent(ci + 3)));
+                acc4 = _mm256_add_ps(acc4, load(ent(ci + 4)));
+                acc5 = _mm256_add_ps(acc5, load(ent(ci + 5)));
+                acc6 = _mm256_add_ps(acc6, load(ent(ci + 6)));
+                acc7 = _mm256_add_ps(acc7, load(ent(ci + 7)));
+                ci += 8;
+            }
+            while ci < klen {
+                let v = load(ent(ci));
+                match ci % 8 {
+                    0 => acc0 = _mm256_add_ps(acc0, v),
+                    1 => acc1 = _mm256_add_ps(acc1, v),
+                    2 => acc2 = _mm256_add_ps(acc2, v),
+                    3 => acc3 = _mm256_add_ps(acc3, v),
+                    4 => acc4 = _mm256_add_ps(acc4, v),
+                    5 => acc5 = _mm256_add_ps(acc5, v),
+                    6 => acc6 = _mm256_add_ps(acc6, v),
+                    _ => acc7 = _mm256_add_ps(acc7, v),
+                }
+                ci += 1;
+            }
+            acc0 = _mm256_add_ps(acc0, acc4);
+            acc1 = _mm256_add_ps(acc1, acc5);
+            acc2 = _mm256_add_ps(acc2, acc6);
+            acc3 = _mm256_add_ps(acc3, acc7);
+            acc0 = _mm256_add_ps(acc0, acc2);
+            acc1 = _mm256_add_ps(acc1, acc3);
+            acc0 = _mm256_add_ps(acc0, acc1);
+            let sum = _mm256_add_ps(load(y.as_ptr()), _mm256_mul_ps(sv, acc0));
+            if MASKED {
+                _mm256_maskstore_ps(y.as_mut_ptr(), mask, sum);
+            } else {
+                _mm256_storeu_ps(y.as_mut_ptr(), sum);
+            }
         }
     }
 
@@ -1348,8 +1448,17 @@ mod avx512 {
     use std::arch::x86_64::*;
 
     // Every body also enables AVX2: the Avx512 level requires the Avx2
-    // tier (see `KernelLevel::is_supported`), so sub-16-lane remainders
-    // run 8-wide inline instead of falling all the way to scalar.
+    // tier (see `KernelLevel::is_supported`), so the flat elementwise
+    // primitives finish 8-wide inline before their scalar tails. The
+    // row-shaped bodies (`nb`-float rows: the fused query and the two build
+    // steps) instead take a row's `nb mod 16` lanes in one `__mmask16` pass.
+
+    /// The mask selecting lanes `0..n` of a 16-lane group, `n ≤ 16`.
+    #[inline]
+    fn lane_mask(n: usize) -> __mmask16 {
+        debug_assert!(n <= 16);
+        ((1u32 << n) - 1) as __mmask16
+    }
 
     /// # Safety
     /// AVX-512F + AVX2 must be available; slice lengths as checked by the
@@ -1416,26 +1525,32 @@ mod avx512 {
     pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
         let nb = step.len();
         let rows = dst.len() / nb;
+        // Full 16-lane groups of a row, then its `nb mod 16` lanes in one
+        // masked pass.
+        let full = nb - nb % 16;
+        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
         // SAFETY: every access stays inside the equal-length blocks and
-        // the `nb`-float step row.
+        // the `nb`-float step row: full groups end at `full ≤ nb`, and the
+        // masked pass selects lanes `0 .. nb − full` from lane `full` of
+        // the row — an AVX-512 masked load/store neither accesses nor
+        // faults on a masked-out lane (the next row's first floats, or the
+        // bytes past the block after the last).
         unsafe {
+            let mask = lane_mask(nb - full);
+            let st_tail = _mm512_maskz_loadu_ps(mask, step.as_ptr().add(full));
             for r in 0..rows {
                 let base = r * nb;
                 let mut a0 = 0;
-                while a0 + 16 <= nb {
+                while a0 < full {
                     let sv = _mm512_loadu_ps(src.as_ptr().add(base + a0));
                     let st = _mm512_loadu_ps(step.as_ptr().add(a0));
                     _mm512_storeu_ps(dst.as_mut_ptr().add(base + a0), _mm512_add_ps(sv, st));
                     a0 += 16;
                 }
-                while a0 + 8 <= nb {
-                    let sv = _mm256_loadu_ps(src.as_ptr().add(base + a0));
-                    let st = _mm256_loadu_ps(step.as_ptr().add(a0));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(base + a0), _mm256_add_ps(sv, st));
-                    a0 += 8;
-                }
-                for a in a0..nb {
-                    dst[base + a] = src[base + a] + step[a];
+                if full < nb {
+                    let sv = _mm512_maskz_loadu_ps(mask, src.as_ptr().add(base + full));
+                    let sum = _mm512_add_ps(sv, st_tail);
+                    _mm512_mask_storeu_ps(dst.as_mut_ptr().add(base + full), mask, sum);
                 }
             }
         }
@@ -1447,11 +1562,16 @@ mod avx512 {
     #[target_feature(enable = "avx512f", enable = "avx512dq", enable = "avx2")]
     pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
         let rows = dst.len() / nb;
+        let full = nb - nb % 16;
+        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
         // SAFETY: row index arithmetic stays inside the equal-length
-        // blocks (`_mm512_xor_ps` is AVX-512DQ).
+        // blocks (`_mm512_xor_ps` is AVX-512DQ); the `nb mod 16` lanes of a
+        // row take one masked pass — lanes `0 .. nb − full` from lane
+        // `full`, and a masked load/store neither accesses nor faults on
+        // the masked-out ones (floats of the neighbouring row, or bytes
+        // outside the blocks).
         unsafe {
-            let sign512 = _mm512_set1_ps(-0.0);
-            let sign256 = _mm256_set1_ps(-0.0);
+            let sign = _mm512_set1_ps(-0.0);
             if nb == 1 {
                 // Width-1 mirror, reversed inside the vector (see the AVX2
                 // body) — permute + sign XOR, bit-exact against scalar.
@@ -1461,7 +1581,7 @@ mod avx512 {
                 while i + 16 <= n {
                     let sv = _mm512_loadu_ps(src.as_ptr().add(n - 16 - i));
                     let r = _mm512_permutexvar_ps(rev, sv);
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_xor_ps(r, sign512));
+                    _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_xor_ps(r, sign));
                     i += 16;
                 }
                 for j in i..n {
@@ -1469,22 +1589,20 @@ mod avx512 {
                 }
                 return;
             }
+            let mask = lane_mask(nb - full);
             for r in 0..rows {
                 let dbase = r * nb;
                 let sbase = (rows - 1 - r) * nb;
                 let mut a0 = 0;
-                while a0 + 16 <= nb {
+                while a0 < full {
                     let sv = _mm512_loadu_ps(src.as_ptr().add(sbase + a0));
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm512_xor_ps(sv, sign512));
+                    _mm512_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm512_xor_ps(sv, sign));
                     a0 += 16;
                 }
-                while a0 + 8 <= nb {
-                    let sv = _mm256_loadu_ps(src.as_ptr().add(sbase + a0));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm256_xor_ps(sv, sign256));
-                    a0 += 8;
-                }
-                for a in a0..nb {
-                    dst[dbase + a] = -src[sbase + a];
+                if full < nb {
+                    let sv = _mm512_maskz_loadu_ps(mask, src.as_ptr().add(sbase + full));
+                    let neg = _mm512_xor_ps(sv, sign);
+                    _mm512_mask_storeu_ps(dst.as_mut_ptr().add(dbase + full), mask, neg);
                 }
             }
         }
@@ -1517,11 +1635,12 @@ mod avx512 {
         }
     }
 
+    /// Lanes run in groups of 16; the `y.len() mod 16` left over take one
+    /// masked pass of the same group body.
+    ///
     /// # Safety
     /// AVX-512F + AVX2 must be available; bounds and the `KeyTile`
-    /// provenance of `keys` as documented on the AVX2 body. Both lane
-    /// widths accumulate in the canonical tree (8 accumulator vectors,
-    /// fixed fold), so every lane matches scalar.
+    /// provenance of `keys` as documented on the AVX2 body.
     #[target_feature(enable = "avx512f", enable = "avx2")]
     pub unsafe fn lut_query_fused<K: KeyElem>(
         y: &mut [f32],
@@ -1533,96 +1652,132 @@ mod avx512 {
         prefetch: bool,
     ) {
         let lanes = y.len();
-        let klen = keys.len();
+        let full = lanes - lanes % 16;
         let mut a0 = 0;
-        // SAFETY: loads bounded exactly as in the AVX2 body, 16 then 8
-        // lanes per step — `key < table` is the `KeyTile` range invariant
-        // (every key `< 2^µ`) with the dispatcher's `table == 2^µ`;
-        // prefetches only form addresses of in-bounds entries.
+        // SAFETY: entries bounded exactly as in the AVX2 body — `key <
+        // table` is the `KeyTile` range invariant (every key `< 2^µ`) with
+        // the dispatcher's `table == 2^µ`, and the dispatcher checked that
+        // extent against `bank.len()`. A full group spans lanes `a0 .. a0 +
+        // 16 ≤ lanes ≤ nb`; the masked group is handed exactly the
+        // `lanes − a0` live lanes of `y` and masks every access to them
+        // (`fused_group`).
         unsafe {
-            let sv512 = _mm512_set1_ps(scale);
-            while a0 + 16 <= lanes {
-                let mut acc0 = _mm512_setzero_ps();
-                let mut acc1 = _mm512_setzero_ps();
-                let mut acc2 = _mm512_setzero_ps();
-                let mut acc3 = _mm512_setzero_ps();
-                let mut acc4 = _mm512_setzero_ps();
-                let mut acc5 = _mm512_setzero_ps();
-                let mut acc6 = _mm512_setzero_ps();
-                let mut acc7 = _mm512_setzero_ps();
-                let base = bank.as_ptr();
-                let ent =
-                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
-                let mut ci = 0;
-                while ci + 8 <= klen {
-                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
-                        for j in 0..8 {
-                            let c = ci + super::PREFETCH_CHUNKS + j;
-                            _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
-                        }
-                    }
-                    acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(ent(ci)));
-                    acc1 = _mm512_add_ps(acc1, _mm512_loadu_ps(ent(ci + 1)));
-                    acc2 = _mm512_add_ps(acc2, _mm512_loadu_ps(ent(ci + 2)));
-                    acc3 = _mm512_add_ps(acc3, _mm512_loadu_ps(ent(ci + 3)));
-                    acc4 = _mm512_add_ps(acc4, _mm512_loadu_ps(ent(ci + 4)));
-                    acc5 = _mm512_add_ps(acc5, _mm512_loadu_ps(ent(ci + 5)));
-                    acc6 = _mm512_add_ps(acc6, _mm512_loadu_ps(ent(ci + 6)));
-                    acc7 = _mm512_add_ps(acc7, _mm512_loadu_ps(ent(ci + 7)));
-                    ci += 8;
-                }
-                while ci < klen {
-                    let v = _mm512_loadu_ps(ent(ci));
-                    match ci % 8 {
-                        0 => acc0 = _mm512_add_ps(acc0, v),
-                        1 => acc1 = _mm512_add_ps(acc1, v),
-                        2 => acc2 = _mm512_add_ps(acc2, v),
-                        3 => acc3 = _mm512_add_ps(acc3, v),
-                        4 => acc4 = _mm512_add_ps(acc4, v),
-                        5 => acc5 = _mm512_add_ps(acc5, v),
-                        6 => acc6 = _mm512_add_ps(acc6, v),
-                        _ => acc7 = _mm512_add_ps(acc7, v),
-                    }
-                    ci += 1;
-                }
-                acc0 = _mm512_add_ps(acc0, acc4);
-                acc1 = _mm512_add_ps(acc1, acc5);
-                acc2 = _mm512_add_ps(acc2, acc6);
-                acc3 = _mm512_add_ps(acc3, acc7);
-                acc0 = _mm512_add_ps(acc0, acc2);
-                acc1 = _mm512_add_ps(acc1, acc3);
-                acc0 = _mm512_add_ps(acc0, acc1);
-                let yv = _mm512_loadu_ps(y.as_ptr().add(a0));
-                let prod = _mm512_mul_ps(sv512, acc0);
-                _mm512_storeu_ps(y.as_mut_ptr().add(a0), _mm512_add_ps(yv, prod));
+            while a0 < full {
+                let (yg, base) = (&mut y[a0..a0 + 16], bank.as_ptr().add(a0));
+                fused_group::<K, false>(yg, scale, base, table, nb, keys, prefetch);
                 a0 += 16;
             }
+            if a0 < lanes {
+                let base = bank.as_ptr().add(a0);
+                fused_group::<K, true>(&mut y[a0..], scale, base, table, nb, keys, prefetch);
+            }
         }
-        if a0 < lanes {
-            // Sub-16-lane remainder: the AVX2 body (8-lane groups + scalar
-            // tail) realises the same canonical order.
-            // SAFETY: AVX2 is part of this level's feature set; bounds
-            // shrink with the lane offset exactly as for the scalar tail.
-            unsafe {
-                super::avx2::lut_query_fused(
-                    &mut y[a0..],
-                    scale,
-                    &bank[a0..],
-                    table,
-                    nb,
-                    keys,
-                    prefetch,
-                );
+    }
+
+    /// One 16-lane group of one key row — the zmm twin of the AVX2
+    /// `fused_group`: `MASKED = false` is the full group (`y.len() == 16`),
+    /// `MASKED = true` the remainder pass (`1 ≤ y.len() ≤ 15`) with every
+    /// load and the store under one `__mmask16`. Same 8 canonical
+    /// accumulators, fixed fold and two-step multiply-add either way, so
+    /// every live lane matches scalar; an idle lane's accumulators hold
+    /// `+0.0` throughout and are discarded.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; for every `ci < keys.len()`,
+    /// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fused_group<K: KeyElem, const MASKED: bool>(
+        y: &mut [f32],
+        scale: f32,
+        base: *const f32,
+        table: usize,
+        nb: usize,
+        keys: &[K],
+        prefetch: bool,
+    ) {
+        debug_assert!(if MASKED { (1..16).contains(&y.len()) } else { y.len() == 16 });
+        let klen = keys.len();
+        // SAFETY: every entry pointer is one the caller vouched for, read
+        // for `y.len()` lanes: all 16 when unmasked, else under `mask`,
+        // which selects lanes `0 .. y.len()` (the caller's `nb − a0`) — an
+        // AVX-512 masked load/store neither accesses nor faults on a
+        // masked-out lane, which may lie past the bank or belong to the
+        // next output row. Prefetches only form addresses of in-bounds
+        // entries.
+        unsafe {
+            let mask = lane_mask(y.len());
+            let load = |p: *const f32| {
+                if MASKED {
+                    _mm512_maskz_loadu_ps(mask, p)
+                } else {
+                    _mm512_loadu_ps(p)
+                }
+            };
+            let sv = _mm512_set1_ps(scale);
+            let mut acc0 = _mm512_setzero_ps();
+            let mut acc1 = _mm512_setzero_ps();
+            let mut acc2 = _mm512_setzero_ps();
+            let mut acc3 = _mm512_setzero_ps();
+            let mut acc4 = _mm512_setzero_ps();
+            let mut acc5 = _mm512_setzero_ps();
+            let mut acc6 = _mm512_setzero_ps();
+            let mut acc7 = _mm512_setzero_ps();
+            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
+            let mut ci = 0;
+            while ci + 8 <= klen {
+                if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
+                    for j in 0..8 {
+                        let c = ci + super::PREFETCH_CHUNKS + j;
+                        _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
+                    }
+                }
+                acc0 = _mm512_add_ps(acc0, load(ent(ci)));
+                acc1 = _mm512_add_ps(acc1, load(ent(ci + 1)));
+                acc2 = _mm512_add_ps(acc2, load(ent(ci + 2)));
+                acc3 = _mm512_add_ps(acc3, load(ent(ci + 3)));
+                acc4 = _mm512_add_ps(acc4, load(ent(ci + 4)));
+                acc5 = _mm512_add_ps(acc5, load(ent(ci + 5)));
+                acc6 = _mm512_add_ps(acc6, load(ent(ci + 6)));
+                acc7 = _mm512_add_ps(acc7, load(ent(ci + 7)));
+                ci += 8;
+            }
+            while ci < klen {
+                let v = load(ent(ci));
+                match ci % 8 {
+                    0 => acc0 = _mm512_add_ps(acc0, v),
+                    1 => acc1 = _mm512_add_ps(acc1, v),
+                    2 => acc2 = _mm512_add_ps(acc2, v),
+                    3 => acc3 = _mm512_add_ps(acc3, v),
+                    4 => acc4 = _mm512_add_ps(acc4, v),
+                    5 => acc5 = _mm512_add_ps(acc5, v),
+                    6 => acc6 = _mm512_add_ps(acc6, v),
+                    _ => acc7 = _mm512_add_ps(acc7, v),
+                }
+                ci += 1;
+            }
+            acc0 = _mm512_add_ps(acc0, acc4);
+            acc1 = _mm512_add_ps(acc1, acc5);
+            acc2 = _mm512_add_ps(acc2, acc6);
+            acc3 = _mm512_add_ps(acc3, acc7);
+            acc0 = _mm512_add_ps(acc0, acc2);
+            acc1 = _mm512_add_ps(acc1, acc3);
+            acc0 = _mm512_add_ps(acc0, acc1);
+            let sum = _mm512_add_ps(load(y.as_ptr()), _mm512_mul_ps(sv, acc0));
+            if MASKED {
+                _mm512_mask_storeu_ps(y.as_mut_ptr(), mask, sum);
+            } else {
+                _mm512_storeu_ps(y.as_mut_ptr(), sum);
             }
         }
     }
 
     /// The row-blocked wide query: every row of the tile, 32 batch lanes
     /// per pass while at least 32 remain, then the per-row body
-    /// ([`lut_query_fused`]: 16-lane groups, the AVX2 8-lane groups, the
-    /// scalar tail) on the lanes left over. While row `i` accumulates, the
-    /// entries row `i + 1` will read are prefetched (when `prefetch`: the
-    /// tile exceeds L1) — the keys are known a tile ahead.
+    /// ([`lut_query_fused`]: 16-lane groups, then one masked pass) on the
+    /// lanes left over. While row `i` accumulates, the entries row `i + 1`
+    /// will read are prefetched (when `prefetch`: the tile exceeds L1) —
+    /// the keys are known a tile ahead.
     ///
     /// # Safety
     /// AVX-512F + AVX2 must be available; output geometry (`y_stride ≥ nb`,
@@ -1680,8 +1835,8 @@ mod avx512 {
                 a0 += 32;
             }
             if a0 < nb {
-                // SAFETY: same feature set; bounds shrink with the lane
-                // offset exactly as in the per-row body's own tails.
+                // SAFETY: same feature set; the per-row body gets the live
+                // lanes `a0 .. nb` and the bank pre-offset by the same `a0`.
                 unsafe {
                     lut_query_fused(&mut yrow[a0..], scale, &bank[a0..], table, nb, row, prefetch);
                 }

@@ -132,6 +132,48 @@ fn wide_batches_are_packing_invariant_at_every_level() {
 }
 
 #[test]
+fn every_serving_width_equals_its_columns_served_alone() {
+    // What the batcher relies on, width by width: at default tiles, every
+    // batch width it can dispatch at the shipped cap (1..=16, and 17 just
+    // past it) plus b = 35 (a 32-wide batch tile and a 3-wide one) gives
+    // each column exactly the bits it gets alone at b = 1 — at every level,
+    // on the serial path and under both schedules. Widths 2–7 and 9–15 run
+    // entirely in the remainder passes of the query and of the DP build;
+    // 13 chunks leave a ragged chunk tail under every one of them.
+    let (m, n, bits, widest) = (21usize, 100usize, 2usize, 35usize);
+    let mut g = MatrixRng::seed_from(7100);
+    let w = BiqWeights::from_multibit(
+        &greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits),
+        BiqConfig::default().mu,
+    );
+    let x = g.gaussian_col(n, widest, 0.0, 1.0);
+    let mut profile = PhaseProfile::new();
+    let mut arena = BiqArena::new();
+    for level in supported_levels() {
+        let cfg = BiqConfig { kernel: KernelRequest::Exact(level), ..BiqConfig::default() };
+        let kernel = cfg.kernel.resolve().expect("supported level resolves");
+        let mut run = |cfg: &BiqConfig, x: &ColMatrix, workers: Option<usize>| {
+            let mut y = vec![0.0f32; m * x.cols()];
+            biqgemm_into(&w, x, cfg, kernel, workers, &mut profile, &mut arena, &mut y);
+            y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        // alone[j] = column j served at b = 1.
+        let alone: Vec<Vec<u32>> = (0..widest)
+            .map(|j| run(&cfg, &ColMatrix::from_vec(n, 1, x.col(j).to_vec()), None))
+            .collect();
+        for b in (1..=17).chain([widest]) {
+            let xb = ColMatrix::from_vec(n, b, x.as_slice()[..n * b].to_vec());
+            let want: Vec<u32> = (0..m * b).map(|e| alone[e % b][e / b]).collect();
+            assert_eq!(run(&cfg, &xb, None), want, "serial level={level} b={b}");
+            for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+                let cfg = BiqConfig { schedule, ..cfg };
+                assert_eq!(run(&cfg, &xb, Some(2)), want, "{schedule:?} level={level} b={b}");
+            }
+        }
+    }
+}
+
+#[test]
 fn width_one_matches_both_parallel_schedules() {
     // The serial width-1 gather path and both parallel schedules must
     // agree on real-valued inputs: whichever body answers — the vectorized

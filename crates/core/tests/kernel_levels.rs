@@ -128,9 +128,10 @@ fn digest(y: &[f32]) -> u64 {
 
 /// Output digests recorded at parent commits — the first three *before*
 /// keys became byte-wide (`u16` keys, per-call key scans, unconditional
-/// prefetch), the last two before the row-blocked wide query and the
-/// line-aligned bank: "bit-identical to before" is pinned here, not
-/// assumed. Every level must reproduce them.
+/// prefetch), the next two before the row-blocked wide query and the
+/// line-aligned bank, the last three before ragged batch lanes left the
+/// scalar tails for masked vector passes: "bit-identical to before" is
+/// pinned here, not assumed. Every level must reproduce them.
 #[test]
 fn golden_digests_from_parent_commits() {
     let small = BiqConfig { tile_rows: 7, tile_chunks: 3, tile_batch: 5, ..BiqConfig::default() };
@@ -147,6 +148,15 @@ fn golden_digests_from_parent_commits() {
         // b = 48, default tiles: a 32-wide and a 16-wide batch tile, ragged
         // last chunk (515 ∤ 8), three planes.
         (0x601d_0005, (33, 515, 48, 3), BiqConfig::default(), 0x936c_71d9_852e_1682),
+        // b = 5, default tiles: every lane group is a remainder pass, in the
+        // query and in the DP build alike.
+        (0x601d_0006, (70, 300, 5, 2), BiqConfig::default(), 0x1ea6_b9e4_f205_8143),
+        // b = 13: 8 + 5 on 8-lane levels, one 13-lane remainder on 16-lane
+        // ones; ragged last chunk, three planes.
+        (0x601d_0007, (33, 515, 13, 3), BiqConfig::default(), 0xe7cf_91dd_82ca_f222),
+        // b = 35 = one 32-wide batch tile + a 3-wide one: the remainder's
+        // idle lanes sit over the next output row's first columns.
+        (0x601d_0008, (64, 256, 35, 2), BiqConfig::default(), 0xf3ed_2e4b_6a98_ae6f),
     ];
     for (seed, (m, n, b, bits), cfg, want) in cases {
         let mut g = MatrixRng::seed_from(seed);
@@ -172,11 +182,14 @@ fn aligned_bank(g: &mut MatrixRng, len: usize) -> (Vec<f32>, usize) {
 /// The row-tile entry point against its two references, bit for bit, over
 /// the lane/chunk/µ grid: every level equals `Exact(Scalar)`, and one call
 /// on a row tile equals one call per row (each of those is a last-row tile:
-/// no next row to prefetch). Lane counts straddle the 16- and 32-lane
-/// groups (wide passes, 16-lane and 8-lane remainders, scalar tails), chunk
-/// counts the 8-chunk group, µ both key widths and both sides of the L1
-/// prefetch threshold; tiles are a window of a wider key matrix (stride >
-/// width) written to strided output rows.
+/// no next row to prefetch). Lane counts are every width through 33 — each
+/// remainder of the 8- and 16-lane groups, alone and after full groups and
+/// a 32-lane pass — plus 48 and 64; chunk counts straddle the 8-chunk
+/// group, µ both key widths and both sides of the L1 prefetch threshold.
+/// Tiles are a window of a wider key matrix (stride > width); the bank
+/// slice ends with the last entry, and the *whole* strided output is
+/// compared, so a remainder pass that stored into the 3-float gap after a
+/// row (its idle lanes) fails here.
 #[test]
 fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
     use biqgemm_core::simd::lut_query_fused_rows;
@@ -186,7 +199,7 @@ fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
     for mu in [4usize, 8, 12] {
         let table = 1usize << mu;
         for nc in [1usize, 7, 8, 9, 32] {
-            for nb in [2usize, 15, 16, 17, 31, 32, 33, 48, 64] {
+            for nb in (1usize..=33).chain([48, 64]) {
                 let bank = &pool[off..off + nc * table * nb];
                 for rows in [1usize, 5] {
                     let km = KeyMatrix::pack(&g.signs(rows, (nc + 3) * mu), mu);
@@ -220,6 +233,62 @@ fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
                         let by_row: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(by_row, want, "row by row: {what}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The two row-shaped steps of the batched DP build, at every row width
+/// through 33 (each remainder of the 8- and 16-lane groups, alone and after
+/// full groups): every level equals `Exact(Scalar)` bit for bit on inputs
+/// that include ±0.0, subnormals and NaN payloads, and writes nothing past
+/// the block — the floats after `dst` are sentinels a remainder pass's idle
+/// lanes would hit first.
+#[test]
+fn build_primitives_bit_exact_at_every_row_width() {
+    use biqgemm_core::simd::{dp_step_add_rows, negate_rows_reversed};
+    const SENTINEL: u32 = 0x7fc5_a5a5;
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 8.0,
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xffc0_0042),
+        f32::INFINITY,
+    ];
+    let mut g = MatrixRng::seed_from(7007);
+    for nb in 1usize..=33 {
+        for rows in [1usize, 2, 8] {
+            let len = rows * nb;
+            // Specials land in `src` only: an add with one NaN operand has
+            // one possible payload, whichever order the operands take.
+            let mut src = g.gaussian(1, len, 0.0, 1.0).as_slice().to_vec();
+            for (i, v) in src.iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = specials[(i / 3 + nb) % specials.len()];
+                }
+            }
+            let step = g.gaussian(1, nb, 0.0, 1.0).as_slice().to_vec();
+            let run = |k: ResolvedKernel, negate: bool| {
+                let mut dst = vec![f32::from_bits(SENTINEL); len + 19];
+                if negate {
+                    negate_rows_reversed(&mut dst[..len], &src, nb, k);
+                } else {
+                    dp_step_add_rows(&mut dst[..len], &src, &step, k);
+                }
+                dst.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            for negate in [false, true] {
+                let want = run(ResolvedKernel::scalar(), negate);
+                assert!(want[len..].iter().all(|&b| b == SENTINEL));
+                for level in supported_levels() {
+                    assert_eq!(
+                        run(exact(level), negate),
+                        want,
+                        "level={level} nb={nb} rows={rows} negate={negate}"
+                    );
                 }
             }
         }

@@ -348,11 +348,22 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
 mod tests {
     use super::*;
 
-    // The trace layer is process-global state; tests in this module run in
-    // one process, so each scopes its assertions to its own span names.
+    // The trace layer is process-global state — the enabled flag and the
+    // rings `drain` empties — and the harness runs this module's tests on
+    // parallel threads of one process. Every test that toggles the flag or
+    // drains holds this lock for its whole body, so none can switch
+    // tracing off under another's span or drain its events first.
+    static GLOBAL_TRACE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive_trace() -> std::sync::MutexGuard<'static, ()> {
+        // The lock guards no data, so a test that failed while holding it
+        // leaves nothing invalid behind for the others.
+        GLOBAL_TRACE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _serial = exclusive_trace();
         set_tracing(false);
         {
             let _g = crate::span!("test.disabled");
@@ -363,6 +374,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_scoped_durations() {
+        let _serial = exclusive_trace();
         set_tracing(true);
         {
             let _g = crate::span!("test.enabled");
@@ -379,6 +391,7 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_ring_tids() {
+        let _serial = exclusive_trace();
         set_tracing(true);
         let handles: Vec<_> = (0..3)
             .map(|_| {
@@ -399,6 +412,7 @@ mod tests {
 
     #[test]
     fn health_reports_rings_and_enabled_flag() {
+        let _serial = exclusive_trace();
         set_tracing(true);
         emit("test.health", 1, 1); // ensure this thread's ring exists
         let h = health();

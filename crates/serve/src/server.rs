@@ -151,14 +151,17 @@ impl Client {
         match pending {
             Some(p) => {
                 let stats = Arc::clone(&p.stats);
-                match self.tx.send(Submission::Request(p)) {
-                    Ok(()) => {
-                        stats.submitted.fetch_add(1, Ordering::Relaxed);
-                        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        Ok(ticket)
-                    }
-                    Err(_) => Err(ServeError::ShuttingDown),
+                // Count the request as queued BEFORE it can reach the
+                // batcher: dispatch subtracts its batch from the gauge, and
+                // an increment that trailed the send could lose that race
+                // and leave a snapshot reading "−1" (`usize::MAX`).
+                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                if self.tx.send(Submission::Request(p)).is_err() {
+                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    return Err(ServeError::ShuttingDown);
                 }
+                stats.submitted.fetch_add(1, Ordering::Relaxed);
+                Ok(ticket)
             }
             None => Ok(ticket),
         }
@@ -202,10 +205,15 @@ impl Client {
         match pending {
             Some(p) => {
                 let stats = Arc::clone(&p.stats);
-                match self.tx.try_send(Submission::Request(p)) {
+                // Gauge first, undone on refusal — see `submit`.
+                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                let sent = self.tx.try_send(Submission::Request(p));
+                if sent.is_err() {
+                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                }
+                match sent {
                     Ok(()) => {
                         stats.submitted.fetch_add(1, Ordering::Relaxed);
-                        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
                         Ok(ticket)
                     }
                     Err(TrySendError::Full(_)) => {
@@ -658,6 +666,80 @@ mod tests {
         let snap = server.shutdown();
         assert_eq!(snap.ops[0].completed, 1);
         assert_eq!(snap.ops[0].queue_depth, 0);
+    }
+
+    #[test]
+    fn queue_depth_never_reads_below_zero_under_saturation() {
+        // The gauge is bumped by submitters and drained by the batcher's
+        // dispatch. `max_batch_cols: 1` makes every request its own batch,
+        // dispatched the moment the batcher sees it — the tightest race
+        // between the two — and a two-slot queue keeps `try_submit`
+        // bouncing off `Busy`, so the undo path runs too. A third thread
+        // samples the live snapshot throughout: a decrement overtaking its
+        // increment would read as a depth near `usize::MAX`.
+        const INFLIGHT: usize = 8;
+        const REQUESTS: usize = 10_000;
+        let (reg, id) = one_op_registry(8, 16);
+        let config = ServerConfig {
+            max_batch_cols: 1,
+            queue_capacity: 2,
+            batch_window: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(reg, config);
+        let x = MatrixRng::seed_from(11).small_int_col(16, 1, 3);
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        let submitter = |blocking: bool| {
+            let client = server.client();
+            let mut inflight = std::collections::VecDeque::new();
+            let mut sent = 0;
+            while sent < REQUESTS || !inflight.is_empty() {
+                if sent < REQUESTS && inflight.len() < INFLIGHT {
+                    let ticket = if blocking {
+                        client.submit(id, x.clone())
+                    } else {
+                        client.try_submit(id, x.clone())
+                    };
+                    match ticket {
+                        Ok(t) => {
+                            inflight.push_back(t);
+                            sent += 1;
+                            continue;
+                        }
+                        Err(ServeError::Busy) if !inflight.is_empty() => {}
+                        Err(ServeError::Busy) => {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        Err(e) => panic!("unexpected refusal: {e:?}"),
+                    }
+                }
+                inflight.pop_front().expect("non-empty").wait().expect("served");
+            }
+            done.fetch_add(1, Ordering::Release);
+        };
+        let (max_depth, samples) = std::thread::scope(|scope| {
+            scope.spawn(|| submitter(true));
+            scope.spawn(|| submitter(false));
+            let sampler = scope.spawn(|| {
+                let (mut max_depth, mut samples) = (0usize, 0u64);
+                while done.load(Ordering::Acquire) < 2 {
+                    max_depth = max_depth.max(server.stats().ops[0].queue_depth);
+                    samples += 1;
+                }
+                (max_depth, samples)
+            });
+            sampler.join().expect("sampler thread")
+        });
+        assert!(
+            max_depth <= config.queue_capacity + 2 * INFLIGHT,
+            "a sampled queue depth of {max_depth} (over {samples} samples) exceeds the queue \
+             plus every ticket in flight: the gauge wrapped"
+        );
+        let snap = server.shutdown();
+        assert_eq!(snap.ops[0].completed, 2 * REQUESTS as u64);
+        assert!(snap.ops[0].rejected > 0, "the Busy undo path never ran");
+        assert_eq!(snap.ops[0].queue_depth, 0, "every increment was dispatched or undone");
     }
 
     #[test]
