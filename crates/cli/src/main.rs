@@ -64,9 +64,13 @@ serve is the network daemon: it loads a BIQM artifact, registers every
 linear op under the artifact's file stem as the boot model name, and
 answers BIQP frames (length-prefixed, checksummed — spec in docs/BIQP.md)
 until SIGINT or stdin EOF, then drains and prints
-the final stats as JSON. --stats-every prints a one-line metrics summary on
-stderr that often (stderr by design: stdout stays reserved for the final
-machine-readable JSON report); --trace-out records always-on spans (net,
+the final stats as JSON. Requests to one op are packed into shared batches
+of up to --max-batch columns; a batch leaves when it is full, when a worker
+is free to run it, or after --window-us (the longest it is held while every
+worker is busy), so an idle daemon answers a lone request at once and
+batches form only out of queueing. --stats-every prints a one-line metrics
+summary on stderr that often (stderr by design: stdout stays reserved for
+the final machine-readable JSON report); --trace-out records always-on spans (net,
 batcher, workers, kernel phases) and writes Chrome trace-event JSON at
 shutdown (load it at ui.perfetto.dev). stats queries a live daemon's
 counters over the BIQP Stats admin verb and prints Prometheus text

@@ -32,7 +32,8 @@ use std::time::{Duration, Instant};
 pub struct DaemonConfig {
     /// Worker threads of the inner batch server.
     pub workers: usize,
-    /// Batch window.
+    /// Batch window: the longest a bucket is held while every worker is
+    /// busy (a free worker takes the oldest bucket at once).
     pub window: Duration,
     /// Packed-width cap per batch.
     pub max_batch_cols: usize,

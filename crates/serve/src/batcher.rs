@@ -1,17 +1,25 @@
 //! Window/bucket/pack policy — the pure core of the serving layer.
 //!
 //! The `Batcher` owns no threads and does no I/O: the server's batcher
-//! thread feeds it accepted requests and asks it what to flush, which keeps
-//! the policy unit-testable without spinning up workers.
+//! thread feeds it accepted requests and asks it what to flush, and a free
+//! worker asks it for the oldest bucket (both through one mutex in
+//! `server.rs`) — which keeps the policy unit-testable without spinning up
+//! workers.
 //!
 //! Policy: requests are bucketed by `(op, input rows)` — in practice by op,
 //! since shape validation at submit time already pins `rows` to the op's
-//! input size. A bucket flushes when either
+//! input size. Dispatch is **work-conserving**: a bucket leaves on the first
+//! of three triggers (`FlushReason`), and only the first two are this
+//! module's own clockwork —
 //!
-//! * its packed width reaches `max_cols` (size trigger, zero added
-//!   latency), or
-//! * its **oldest** request has waited `window` (time trigger, bounding the
-//!   latency cost of waiting for company).
+//! * **size**: its packed width reaches `max_cols` (zero added latency);
+//! * **window**: its **oldest** request has waited `window` — the longest a
+//!   bucket is held *while every worker is busy*;
+//! * **idle**: a worker is free with nothing queued for it, so the server
+//!   takes the oldest bucket at once (`Batcher::take_oldest`). A lone
+//!   request on an idle server therefore never waits for company; under
+//!   load batches form because requests queue behind busy workers, which
+//!   is the only time sharing a LUT build pays.
 //!
 //! Flushing produces a `BatchJob`: the requests whose columns a worker
 //! will pack side by side into one `ColMatrix`, run through a single
@@ -88,7 +96,8 @@ pub(crate) struct Lap {
     pub(crate) enqueued_ns: u64,
     /// Picked up by the batcher thread.
     pub(crate) pushed_ns: u64,
-    /// Bucket flushed to the worker channel.
+    /// Bucket left the batcher (sent down the job channel, or taken by a
+    /// free worker).
     pub(crate) dispatched_ns: u64,
     /// Outputs computed, reply about to be sent.
     pub(crate) done_ns: u64,
@@ -167,6 +176,19 @@ pub(crate) struct BatchJob {
     pub(crate) dispatched: Instant,
 }
 
+/// Why a bucket left the batcher — exported per op as
+/// `biq_serve_flushes_total{op,reason}`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FlushReason {
+    /// Packed width reached `max_cols`.
+    Size,
+    /// The oldest request waited out the window with every worker busy
+    /// (the shutdown drain, which cuts that wait short, counts here too).
+    Window,
+    /// A worker was free with nothing queued for it.
+    Idle,
+}
+
 /// One op's open bucket.
 #[derive(Debug)]
 struct Bucket {
@@ -240,6 +262,14 @@ impl Batcher {
             .map(|(&i, _)| OpId(i))
             .collect();
         expired.into_iter().filter_map(|op| self.take(op, now)).collect()
+    }
+
+    /// Takes the bucket that has waited longest (ties: lowest op index) —
+    /// what a free worker runs next. Its window no longer counts toward
+    /// [`Batcher::next_deadline`].
+    pub(crate) fn take_oldest(&mut self, now: Instant) -> Option<BatchJob> {
+        let (&oldest, _) = self.buckets.iter().min_by_key(|(&i, b)| (b.opened, i))?;
+        self.take(OpId(oldest), now)
     }
 
     /// Flushes everything (shutdown drain).
@@ -351,6 +381,32 @@ mod tests {
         let jobs = b.flush_expired(later + window);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].cols, 2);
+    }
+
+    #[test]
+    fn take_oldest_empties_the_longest_waiting_bucket() {
+        let c = tiny_op();
+        let t0 = Instant::now();
+        let window = Duration::from_millis(5);
+        let mut b = Batcher::new(window, 64);
+        assert!(b.take_oldest(t0).is_none(), "nothing open, nothing to take");
+        // Op 2 opens first, op 0 a millisecond later; op 2's second request
+        // arrives last and must not make its bucket look younger.
+        let ms = Duration::from_millis(1);
+        let mut rxs = Vec::new();
+        for (op, cols, at) in [(2usize, 1usize, t0), (0, 3, t0 + ms), (2, 2, t0 + 2 * ms)] {
+            let (p, rx) = pending(&c, op, cols, at);
+            rxs.push(rx);
+            assert!(b.push(p, at).is_none());
+        }
+        let now = t0 + 3 * ms;
+        let job = b.take_oldest(now).expect("two buckets open");
+        assert_eq!((job.op, job.cols, job.requests.len()), (OpId(2), 3, 2), "whole oldest bucket");
+        assert_eq!(job.dispatched, now);
+        assert_eq!(b.pending(), 1, "the younger bucket stays");
+        assert_eq!(b.next_deadline(), Some(t0 + ms + window), "deadline moves to what is left");
+        assert_eq!(b.take_oldest(now).expect("op 0's bucket").op, OpId(0));
+        assert_eq!((b.pending(), b.next_deadline()), (0, None));
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //!   queue ([`Client::try_submit`] surfaces backpressure as
 //!   [`ServeError::Busy`]); each request yields a [`Ticket`] that resolves
 //!   to the request's own `W·X` slice;
-//! * the batcher collects requests inside a time/size window, buckets them
-//!   by `(op, input rows)`, and packs compatible queries side by side into
-//!   one multi-column `ColMatrix`, so **one LUT build serves the whole
-//!   bucket**; workers scatter the result columns back to per-request
-//!   reply channels;
+//! * the batcher buckets requests by `(op, input rows)` and packs
+//!   compatible queries side by side into one multi-column `ColMatrix`, so
+//!   **one LUT build serves the whole bucket**; a bucket leaves when it is
+//!   full, when a worker is free to run it, or after the batch window (the
+//!   longest it is held while every worker is busy) — an idle server
+//!   answers a lone request at once and batches form out of queueing;
+//!   workers scatter the result columns back to per-request reply channels;
 //! * [`Server::stats`] reports per-op queue depth, batch-width
 //!   distribution, p50/p99 latency, and the merged kernel
 //!   [`biqgemm_core::PhaseProfile`] across workers;
@@ -83,4 +85,4 @@ pub use registry::{
     UnloadedModel, MAX_MODELS,
 };
 pub use server::{Client, Server, ServerConfig, Ticket};
-pub use stats::{OpMeta, OpStatsSnapshot, StatsSnapshot};
+pub use stats::{Flushes, OpMeta, OpStatsSnapshot, StatsSnapshot};

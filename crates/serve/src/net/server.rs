@@ -763,7 +763,13 @@ fn handle_request(
     // used to read the clock internally — same read count) so the queue
     // phase starts at frame decode, not after validation.
     let t0 = Instant::now();
-    let Some(op) = ctx.client.registry().lookup(op_name) else {
+    // One snapshot for the whole request: the name resolves, the reply caps
+    // are read and the admission happens against the same table, so a
+    // republish landing mid-request cannot refuse a name that was live when
+    // it arrived — the request runs on the version it resolved to.
+    let snap = ctx.client.registry().snapshot();
+    let live = snap.resolve(op_name).and_then(|id| Some((id, snap.slot(id)?.op.as_ref()?)));
+    let Some((op, compiled)) = live else {
         conn.pending.push_back(PendingOut::Reject {
             req_id,
             code: RejectCode::UnknownOp,
@@ -774,18 +780,7 @@ fn handle_request(
     // The reply must be encodable too: a request can satisfy every decode
     // cap while `m × cols` blows the frame budget (large-`m` ops). Reject
     // up front — the reply path's encode asserts must stay unreachable.
-    // (`op` resolved above but the model can retire between the two
-    // snapshot reads; admission re-checks, so treat a gap as UnknownOp.)
-    let Some(compiled) = ctx.client.registry().op(op) else {
-        conn.pending.push_back(PendingOut::Reject {
-            req_id,
-            code: RejectCode::UnknownOp,
-            msg: format!("op '{op_name}' was retired"),
-        });
-        return;
-    };
     let m = compiled.output_size();
-    drop(compiled);
     let reply_values = m.saturating_mul(cols as usize);
     if m > wire::MAX_ROWS || reply_values.saturating_mul(4) + wire::HEADER_LEN > wire::MAX_BODY {
         conn.pending.push_back(PendingOut::Reject {
@@ -796,11 +791,11 @@ fn handle_request(
         return;
     }
     let x = biq_matrix::ColMatrix::from_vec(rows as usize, cols as usize, data);
-    // `try_submit_stamped` (not `submit`): a full queue must become an
+    // `try_submit_in` (not `submit`): a full queue must become an
     // explicit Busy frame, not a reactor thread blocked on the submit
     // queue. The notify guard wakes this thread once the reply lands.
     let notify = ReplyNotify(Arc::clone(&conn.notify_fn));
-    match ctx.client.try_submit_stamped(op, x, t0, Some(notify)) {
+    match ctx.client.try_submit_in(&snap, op, x, t0, notify) {
         Ok(ticket) => conn.pending.push_back(PendingOut::Ticket { req_id, ticket }),
         Err(e) => conn.pending.push_back(PendingOut::Reject {
             req_id,

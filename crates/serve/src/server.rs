@@ -2,14 +2,23 @@
 //! each worker owning a private warmed [`Executor`].
 //!
 //! ```text
-//!  Client::submit ──► bounded MPSC queue ──► batcher thread
-//!  (backpressure:          │                   │ window/bucket (Batcher)
-//!   try_submit→Busy)       │                   ▼
+//!  Client::submit ──► bounded MPSC queue ──► batcher thread ─┐ push
+//!  (backpressure:          │                   │             ▼
+//!   try_submit→Busy)       │   size / window / │      Mutex<Batcher> (buckets)
+//!                          │   a worker is free│             │ take_oldest: a worker
+//!                          │                   ▼             ▼ with nothing queued
 //!                          │            bounded job channel ──► worker 0..N-1
 //!                          │            (full ⇒ batcher blocks    │ own Executor
 //!                          ▼             ⇒ submit queue fills     │ pack → run → scatter
 //!                   Ticket::wait ◄───────── reply channels ◄──────┘
 //! ```
+//!
+//! Dispatch is work-conserving: a bucket never waits while a worker is
+//! free. The batcher thread hands a bucket over the moment it sees a free
+//! worker, and a worker that runs out of queued jobs takes the oldest open
+//! bucket itself before it parks — so the batch window is only ever spent
+//! behind busy workers, and batches form out of that queueing
+//! (`Dispatch` holds the one counter that makes the two sides agree).
 //!
 //! Workers never share an executor: each owns one, warmed at startup for
 //! every boot-time op, so the `SharedExecutor` mutex bottleneck never
@@ -26,16 +35,18 @@
 //! retiring version's payload drops only after its last in-flight request
 //! answers (drain-on-retire).
 
-use crate::batcher::{Answer, BatchJob, Batcher, Lap, Pending, ReplyNotify, ServeError};
-use crate::registry::{LiveRegistry, ModelRegistry, OpId};
+use crate::batcher::{
+    Answer, BatchJob, Batcher, FlushReason, Lap, Pending, ReplyNotify, ServeError,
+};
+use crate::registry::{LiveRegistry, ModelRegistry, OpId, Snapshot};
 use crate::stats::{ServerStats, StatsSnapshot};
 use biq_matrix::{ColMatrix, Matrix};
 use biq_obs::{MetricsSnapshot, RequestRecord, SlowHit};
 use biq_runtime::Executor;
 use biqgemm_core::PhaseProfile;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,8 +59,11 @@ pub struct ServerConfig {
     /// batcher). Full queue ⇒ [`Client::submit`] blocks,
     /// [`Client::try_submit`] returns [`ServeError::Busy`].
     pub queue_capacity: usize,
-    /// How long an under-filled bucket may wait for company before it is
-    /// flushed anyway. Zero serves every request immediately.
+    /// The longest an under-filled bucket is held **while every worker is
+    /// busy**. A free worker with nothing queued takes the oldest bucket at
+    /// once, so on an idle server a request never waits for company; under
+    /// load this bounds what batching may add to a request's latency. Zero
+    /// turns the batcher into a plain queue in front of the worker pool.
     pub batch_window: Duration,
     /// Packed-width cap per batch; a bucket reaching it flushes at once.
     pub max_batch_cols: usize,
@@ -147,7 +161,8 @@ impl Client {
         if !*gate {
             return Err(ServeError::ShuttingDown);
         }
-        let (pending, ticket) = self.admit(op, x, Instant::now(), false, None)?;
+        let snap = self.registry.snapshot();
+        let (pending, ticket) = self.admit(&snap, op, x, Instant::now(), false, None)?;
         match pending {
             Some(p) => {
                 let stats = Arc::clone(&p.stats);
@@ -170,27 +185,32 @@ impl Client {
     /// Like [`Client::submit`] but refusing with [`ServeError::Busy`]
     /// instead of blocking when the queue is full — the backpressure edge.
     pub fn try_submit(&self, op: OpId, x: ColMatrix) -> Result<Ticket, ServeError> {
-        self.try_submit_inner(op, x, Instant::now(), false, None)
+        self.try_submit_inner(&self.registry.snapshot(), op, x, Instant::now(), false, None)
     }
 
-    /// [`Client::try_submit`] with an admission stamp the caller already
-    /// took (the net front-end stamps at frame decode, so a request's
-    /// recorded queue wait includes the submit hop), the lifecycle record
-    /// deferred to the net writer, and an optional [`ReplyNotify`] that
-    /// rides with the request and fires once its reply (or cancellation)
-    /// has landed on the ticket channel — the reactor's wake-up.
-    pub(crate) fn try_submit_stamped(
+    /// [`Client::try_submit`] for the net front-end: admits against the
+    /// **same** registry snapshot the caller resolved `op` in (so a
+    /// republish landing in between cannot refuse a name that was live when
+    /// it was looked up), with an admission stamp the caller already took
+    /// (at frame decode, so a request's recorded queue wait includes the
+    /// submit hop), the lifecycle record deferred to the net writer, and a
+    /// [`ReplyNotify`] that rides with the request and fires once its reply
+    /// (or cancellation) has landed on the ticket channel — the reactor's
+    /// wake-up.
+    pub(crate) fn try_submit_in(
         &self,
+        snap: &Snapshot,
         op: OpId,
         x: ColMatrix,
         enqueued: Instant,
-        notify: Option<ReplyNotify>,
+        notify: ReplyNotify,
     ) -> Result<Ticket, ServeError> {
-        self.try_submit_inner(op, x, enqueued, true, notify)
+        self.try_submit_inner(snap, op, x, enqueued, true, Some(notify))
     }
 
     fn try_submit_inner(
         &self,
+        snap: &Snapshot,
         op: OpId,
         x: ColMatrix,
         enqueued: Instant,
@@ -201,7 +221,7 @@ impl Client {
         if !*gate {
             return Err(ServeError::ShuttingDown);
         }
-        let (pending, ticket) = self.admit(op, x, enqueued, deferred, notify)?;
+        let (pending, ticket) = self.admit(snap, op, x, enqueued, deferred, notify)?;
         match pending {
             Some(p) => {
                 let stats = Arc::clone(&p.stats);
@@ -229,17 +249,17 @@ impl Client {
 
     /// Shared validation; `Ok((None, ticket))` means the request was
     /// answered inline (empty batch) without touching the queue. A
-    /// successful admission captures the op's `Arc`s from the current
-    /// registry snapshot and pins the owning model in flight.
+    /// successful admission captures the op's `Arc`s from `snap` and pins
+    /// the owning model in flight.
     fn admit(
         &self,
+        snap: &Snapshot,
         op: OpId,
         x: ColMatrix,
         enqueued: Instant,
         deferred: bool,
         notify: Option<ReplyNotify>,
     ) -> Result<(Option<Pending>, Ticket), ServeError> {
-        let snap = self.registry.snapshot();
         let Some(slot) = snap.slot(op) else { return Err(ServeError::UnknownOp) };
         // A retired slot keeps its stats but serves nothing.
         let Some(compiled) = slot.op.clone() else { return Err(ServeError::UnknownOp) };
@@ -336,9 +356,20 @@ impl Server {
     /// packed-width cap) before serving. The boot registry becomes version
     /// 1 of the boot model in the server's [`LiveRegistry`].
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> Server {
+        Self::spawn(registry, config).0
+    }
+
+    /// [`Server::start`], also returning the dispatch state the threads
+    /// share (the policy tests watch it).
+    fn spawn(registry: ModelRegistry, config: ServerConfig) -> (Server, Arc<Dispatch>) {
         let registry = Arc::new(LiveRegistry::from_builder(registry, config.mem_budget));
         let stats = Arc::new(ServerStats::new());
         let accepting = Arc::new(RwLock::new(true));
+        let max_cols = config.max_batch_cols.max(1);
+        let dispatch = Arc::new(Dispatch {
+            batcher: Mutex::new(Batcher::new(config.batch_window, max_cols)),
+            free: AtomicIsize::new(0),
+        });
 
         let (tx, rx) = mpsc::sync_channel::<Submission>(config.queue_capacity.max(1));
         let (job_tx, job_rx) = mpsc::sync_channel::<BatchJob>(config.job_capacity.max(1));
@@ -349,26 +380,28 @@ impl Server {
             .map(|i| {
                 let registry = Arc::clone(&registry);
                 let stats = Arc::clone(&stats);
+                let dispatch = Arc::clone(&dispatch);
                 let job_rx = Arc::clone(&job_rx);
-                let max_cols = config.max_batch_cols.max(1);
                 let pin_to = config.pin_workers.then_some(i % cpus);
                 std::thread::Builder::new()
                     .name(format!("biq-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&registry, &stats, &job_rx, max_cols, pin_to))
+                    .spawn(move || {
+                        worker_loop(&registry, &stats, &dispatch, &job_rx, max_cols, pin_to)
+                    })
                     .expect("spawn serve worker")
             })
             .collect();
 
         let batcher = {
-            let window = config.batch_window;
-            let max_cols = config.max_batch_cols.max(1);
+            let dispatch = Arc::clone(&dispatch);
             std::thread::Builder::new()
                 .name("biq-serve-batcher".to_string())
-                .spawn(move || batcher_loop(rx, job_tx, window, max_cols))
+                .spawn(move || batcher_loop(rx, job_tx, &dispatch))
                 .expect("spawn serve batcher")
         };
 
-        Server { tx, registry, stats, accepting, batcher: Some(batcher), workers }
+        let server = Server { tx, registry, stats, accepting, batcher: Some(batcher), workers };
+        (server, dispatch)
     }
 
     /// A new submission handle.
@@ -421,17 +454,72 @@ impl Server {
     }
 }
 
-fn batcher_loop(
-    rx: Receiver<Submission>,
-    job_tx: SyncSender<BatchJob>,
-    window: Duration,
-    max_cols: usize,
-) {
-    let mut batcher = Batcher::new(window, max_cols);
-    let dispatch = |job: BatchJob| {
+/// What the batcher thread and the workers share so that a bucket never
+/// waits while a worker is free.
+struct Dispatch {
+    /// The open buckets. The batcher thread pushes into them and runs the
+    /// size and window triggers; a worker that finds nothing queued takes
+    /// the oldest one itself.
+    batcher: Mutex<Batcher>,
+    /// Parked workers − jobs in the job channel: positive means a job sent
+    /// now wakes a worker that has nothing else to do. A worker adds one
+    /// before it looks for work; whoever hands it a job — the batcher
+    /// thread sending into the channel, or the worker taking a bucket —
+    /// subtracts one ([`Dispatch::handed`], under the `batcher` lock). A
+    /// worker's `+1` precedes its look into the buckets and the batcher
+    /// thread reads `free` after its push, so (SeqCst on both sides) either
+    /// the worker finds the bucket or the batcher thread finds `free > 0`.
+    free: AtomicIsize,
+}
+
+impl Dispatch {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Batcher> {
+        self.batcher.lock().expect("batcher poisoned")
+    }
+
+    /// Buckets one request; returns the job to send on when that filled its
+    /// bucket, or when a worker is free to take the oldest bucket now.
+    fn push(&self, p: Pending, now: Instant) -> Option<BatchJob> {
+        let mut batcher = self.lock();
+        let (job, reason) = match batcher.push(p, now) {
+            Some(job) => (job, FlushReason::Size),
+            None if self.free.load(Ordering::SeqCst) > 0 => {
+                (batcher.take_oldest(now)?, FlushReason::Idle)
+            }
+            None => return None,
+        };
+        self.handed(&job, reason);
+        Some(job)
+    }
+
+    /// The oldest open bucket, for a worker that found nothing queued.
+    fn take_idle(&self) -> Option<BatchJob> {
+        let now = Instant::now();
+        let mut batcher = self.lock();
+        let job = batcher.take_oldest(now)?;
+        self.handed(&job, FlushReason::Idle);
+        Some(job)
+    }
+
+    /// The buckets `take` flushes without a worker asking: the ones whose
+    /// window ran out, or (the shutdown drain) all of them.
+    fn flush(&self, take: impl FnOnce(&mut Batcher) -> Vec<BatchJob>) -> Vec<BatchJob> {
+        let mut batcher = self.lock();
+        let jobs = take(&mut batcher);
+        for job in &jobs {
+            self.handed(job, FlushReason::Window);
+        }
+        jobs
+    }
+
+    /// The bookkeeping of every job that leaves the buckets, whoever took
+    /// it and why; called with the `batcher` lock held, so `free` and the
+    /// buckets change together.
+    fn handed(&self, job: &BatchJob, reason: FlushReason) {
+        self.free.fetch_sub(1, Ordering::SeqCst);
         let s = &job.stats;
         s.queue_depth.fetch_sub(job.requests.len(), Ordering::Relaxed);
-        s.record_batch(job.cols);
+        s.record_batch(job.cols, reason);
         // Trace the batcher window as a span from the oldest request's
         // enqueue to this dispatch (the time batching "charged" the
         // batch), reusing the dispatch stamp instead of re-reading the
@@ -443,52 +531,78 @@ fn batcher_loop(
                 biq_obs::trace::emit("serve.batch_window", start, end.saturating_sub(start));
             }
         }
-        // A send error means every worker is gone; requests are answered
-        // with `Canceled` by the dropped reply senders.
+    }
+}
+
+fn batcher_loop(rx: Receiver<Submission>, job_tx: SyncSender<BatchJob>, dispatch: &Dispatch) {
+    // A send error means every worker is gone; requests are answered with
+    // `Canceled` by the dropped reply senders.
+    let send = |job: BatchJob| {
         let _ = job_tx.send(job);
     };
     loop {
-        let now = Instant::now();
-        let msg = match batcher.next_deadline() {
-            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(now)),
+        // A worker may since have taken the bucket this deadline belongs
+        // to; the wake-up then finds nothing expired and costs one lap.
+        let deadline = dispatch.lock().next_deadline();
+        let msg = match deadline {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match msg {
             Ok(Submission::Request(p)) => {
-                let now = Instant::now();
-                if let Some(job) = batcher.push(p, now) {
-                    dispatch(job);
-                }
+                dispatch.push(p, Instant::now()).into_iter().for_each(send);
             }
             Ok(Submission::Shutdown) => {
                 // The admission gate orders every accepted request ahead of
                 // the sentinel; this drain is belt-and-braces against any
                 // future sender that bypasses the gate.
                 while let Ok(Submission::Request(p)) = rx.try_recv() {
-                    if let Some(job) = batcher.push(p, Instant::now()) {
-                        dispatch(job);
-                    }
+                    dispatch.push(p, Instant::now()).into_iter().for_each(send);
                 }
                 break;
             }
             Err(RecvTimeoutError::Timeout) => {
-                for job in batcher.flush_expired(Instant::now()) {
-                    dispatch(job);
-                }
+                let now = Instant::now();
+                dispatch.flush(|b| b.flush_expired(now)).into_iter().for_each(send);
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     // Shutdown drain: one cold clock read stamps whatever still flushes.
-    for job in batcher.flush_all(Instant::now()) {
-        dispatch(job);
-    }
+    // Nothing is pushed after this, so a worker that finds the channel
+    // closed has no bucket left to look for.
+    let now = Instant::now();
+    dispatch.flush(|b| b.flush_all(now)).into_iter().for_each(send);
     // Dropping `job_tx` lets workers drain the channel and exit.
+}
+
+/// A worker's next batch: a queued job first (it left its bucket before
+/// anything still open), else the oldest open bucket, else whatever the
+/// batcher thread sends next. `None` once the channel is closed and empty.
+fn next_job(dispatch: &Dispatch, jobs: &Mutex<Receiver<BatchJob>>) -> Option<BatchJob> {
+    dispatch.free.fetch_add(1, Ordering::SeqCst);
+    // `WouldBlock` means another worker holds the receiver — parked in the
+    // `recv` below, so the channel is empty, or inside this same
+    // `try_recv`, in which case a second queued job is picked up by that
+    // `recv` a moment later instead.
+    let queued = match jobs.try_lock() {
+        Ok(rx) => rx.try_recv().ok(),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(_)) => return None,
+    };
+    if let Some(job) = queued.or_else(|| dispatch.take_idle()) {
+        return Some(job);
+    }
+    // Holding the lock while blocked in `recv` is the multi-consumer
+    // queue: exactly one idle worker waits on the channel, the rest wait
+    // on the mutex, and a job wakes exactly one of them.
+    jobs.lock().ok()?.recv().ok()
 }
 
 fn worker_loop(
     registry: &LiveRegistry,
     stats: &ServerStats,
+    dispatch: &Dispatch,
     jobs: &Mutex<Receiver<BatchJob>>,
     max_cols: usize,
     pin_to: Option<usize>,
@@ -511,15 +625,7 @@ fn worker_loop(
     let mut xbuf: Vec<f32> = Vec::new();
     let mut ybuf: Vec<f32> = Vec::new();
     let mut profiled = PhaseProfile::new();
-    loop {
-        // Holding the lock while blocked in `recv` is the multi-consumer
-        // queue: exactly one idle worker waits on the channel, the rest
-        // wait on the mutex, and a job wakes exactly one of them.
-        let job = match jobs.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => break,
-        };
-        let Ok(job) = job else { break };
+    while let Some(job) = next_job(dispatch, jobs) {
         // One clock read per batch when tracing (the PR 6 lesson: never
         // per-chunk); the kernel-phase child spans below are bridged from
         // the profile delta, not re-timed.
@@ -636,20 +742,60 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Flushes;
     use biq_matrix::MatrixRng;
     use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, Threading, WeightSource};
 
-    fn one_op_registry(m: usize, n: usize) -> (ModelRegistry, OpId) {
-        let mut g = MatrixRng::seed_from(7);
-        let signs = g.signs(m, n);
+    fn add_op(reg: &mut ModelRegistry, name: &str, m: usize, n: usize) -> OpId {
+        let signs = MatrixRng::seed_from(7).signs(m, n);
         let plan = PlanBuilder::new(m, n)
             .batch_hint(8)
             .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
             .threading(Threading::Serial)
             .build();
+        reg.register(name, &plan, WeightSource::Signs(&signs))
+    }
+
+    fn one_op_registry(m: usize, n: usize) -> (ModelRegistry, OpId) {
         let mut reg = ModelRegistry::new();
-        let id = reg.register("op", &plan, WeightSource::Signs(&signs));
+        let id = add_op(&mut reg, "op", m, n);
         (reg, id)
+    }
+
+    /// A window no test outlives: whatever flushes, the timer did not.
+    const NEVER: Duration = Duration::from_secs(30);
+
+    /// Holds every worker of a `workers`-strong server inside a batch until
+    /// the returned sender is dropped: one single-column request to `op` per
+    /// worker, each with a reply-notify that blocks on that sender. A
+    /// blocker is seen entering its worker before the next is submitted, so
+    /// no two share a batch and none is left in a bucket.
+    fn hold_workers(client: &Client, op: OpId, workers: usize) -> mpsc::Sender<()> {
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let (entered_tx, entered) = mpsc::channel();
+        let hold: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            entered_tx.send(()).expect("test still listening");
+            // `Err` once the test drops `release`: the gate opens for good.
+            let _ = gate.lock().expect("gate").recv();
+        });
+        let snap = client.registry().snapshot();
+        let n = snap.slot(op).expect("held op").meta.n;
+        for _ in 0..workers {
+            let notify = ReplyNotify(Arc::clone(&hold));
+            client
+                .try_submit_in(&snap, op, ColMatrix::zeros(n, 1), Instant::now(), notify)
+                .expect("blocker admitted");
+            entered.recv().expect("a worker picked the blocker up");
+        }
+        release
+    }
+
+    /// Spins until the batcher thread has bucketed `n` requests.
+    fn await_bucketed(dispatch: &Dispatch, n: usize) {
+        while dispatch.lock().pending() != n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -686,7 +832,7 @@ mod tests {
             batch_window: Duration::ZERO,
             ..ServerConfig::default()
         };
-        let server = Server::start(reg, config);
+        let (server, dispatch) = Server::spawn(reg, config);
         let x = MatrixRng::seed_from(11).small_int_col(16, 1, 3);
         let done = std::sync::atomic::AtomicUsize::new(0);
         let submitter = |blocking: bool| {
@@ -740,6 +886,172 @@ mod tests {
         assert_eq!(snap.ops[0].completed, 2 * REQUESTS as u64);
         assert!(snap.ops[0].rejected > 0, "the Busy undo path never ran");
         assert_eq!(snap.ops[0].queue_depth, 0, "every increment was dispatched or undone");
+        // Every worker added itself once more than it was handed a job
+        // (its last look found the channel closed), whichever of the
+        // batcher thread and the worker itself did the handing.
+        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
+        let flushes = snap.ops[0].flushes;
+        assert_eq!(flushes.size, snap.ops[0].batches, "width 1 at a cap of 1: {flushes:?}");
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_server_does_not_wait_for_the_window() {
+        let (reg, id) = one_op_registry(16, 32);
+        let server = Server::start(reg, ServerConfig { batch_window: NEVER, ..Default::default() });
+        let x = MatrixRng::seed_from(8).small_int_col(32, 1, 3);
+        // No shutdown to flush it: only the idle trigger can answer this.
+        let y = server.client().submit(id, x.clone()).unwrap().wait().unwrap();
+        let y_ref = Executor::new().run(&server.registry().op(id).unwrap(), &x);
+        assert_eq!(y.as_slice(), y_ref.as_slice());
+        let stats = server.shutdown();
+        assert_eq!(stats.ops[0].flushes, Flushes { size: 0, window: 0, idle: 1 });
+    }
+
+    #[test]
+    fn requests_queued_behind_busy_workers_leave_as_one_batch() {
+        const K: usize = 5;
+        let mut reg = ModelRegistry::new();
+        let id = add_op(&mut reg, "op", 16, 32);
+        let held = add_op(&mut reg, "held", 8, 16);
+        let config = ServerConfig { batch_window: NEVER, ..Default::default() };
+        let (server, dispatch) = Server::spawn(reg, config);
+        let client = server.client();
+        let release = hold_workers(&client, held, config.workers);
+        let mut g = MatrixRng::seed_from(21);
+        let requests: Vec<_> = (0..K)
+            .map(|_| {
+                let x = g.gaussian_col(32, 1, 0.0, 1.0);
+                (client.submit(id, x.clone()).unwrap(), x)
+            })
+            .collect();
+        await_bucketed(&dispatch, K);
+        assert_eq!(server.stats().ops[0].batches, 0, "every worker is busy: the bucket holds");
+        drop(release);
+        let op = server.registry().op(id).unwrap();
+        for (ticket, x) in requests {
+            let y_ref = Executor::new().run(&op, &x);
+            assert_eq!(ticket.wait().unwrap().as_slice(), y_ref.as_slice());
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.ops[0].batches, 1, "batching fell out of queueing");
+        assert_eq!(stats.ops[0].mean_batch_cols, K as f64);
+        assert_eq!(stats.ops[0].flushes, Flushes { size: 0, window: 0, idle: 1 });
+        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
+    }
+
+    #[test]
+    fn shutdown_with_open_buckets_and_pulling_workers_answers_every_ticket() {
+        // More open buckets than the job channel holds, every worker busy,
+        // then shutdown and the workers' release race: the drain sends
+        // buckets down the channel while the freed workers pull them
+        // straight from the batcher. Each bucket must leave exactly once.
+        const OPS: usize = 7;
+        let mut reg = ModelRegistry::new();
+        let ids: Vec<OpId> = (0..OPS).map(|i| add_op(&mut reg, &format!("op{i}"), 8, 16)).collect();
+        let held = add_op(&mut reg, "held", 8, 16);
+        let config = ServerConfig { batch_window: NEVER, job_capacity: 2, ..Default::default() };
+        let (server, dispatch) = Server::spawn(reg, config);
+        let client = server.client();
+        let release = hold_workers(&client, held, config.workers);
+        let mut g = MatrixRng::seed_from(22);
+        let requests: Vec<_> = (0..3 * OPS)
+            .map(|i| {
+                let x = g.gaussian_col(16, 1, 0.0, 1.0);
+                (client.submit(ids[i % OPS], x.clone()).unwrap(), ids[i % OPS], x)
+            })
+            .collect();
+        await_bucketed(&dispatch, 3 * OPS);
+        let ops: Vec<_> = ids.iter().map(|&id| server.registry().op(id).unwrap()).collect();
+        let stats = std::thread::scope(|scope| {
+            let stopping = scope.spawn(|| server.shutdown());
+            // The admission gate has flipped once a probe is refused; the
+            // sentinel is sent right behind it.
+            while !matches!(
+                client.submit(held, ColMatrix::zeros(16, 0)),
+                Err(ServeError::ShuttingDown)
+            ) {
+                std::thread::yield_now();
+            }
+            drop(release);
+            stopping.join().expect("shutdown thread")
+        });
+        for (ticket, id, x) in requests {
+            let y_ref = Executor::new().run(&ops[id.index()], &x);
+            assert_eq!(ticket.wait().expect("drained").as_slice(), y_ref.as_slice());
+        }
+        for op in &stats.ops[..OPS] {
+            assert_eq!((op.completed, op.queue_depth), (3, 0), "{}", op.name);
+            let f = op.flushes;
+            assert_eq!(f.size + f.window + f.idle, op.batches, "{}: {f:?}", op.name);
+        }
+        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
+    }
+
+    #[test]
+    fn every_ragged_wide_batch_width_is_bit_identical() {
+        // The packing contract with the batch widths forced by construction:
+        // each op's requests go through `Batcher::push`, leave through
+        // `take_oldest` as ONE job of exactly `width` columns and run through
+        // the worker's `run_job` — every width from 9 to 15 (past one 8-lane
+        // group, below the shipped cap of 16, so the size trigger stays
+        // quiet) on a serial and a parallel BiQGEMM op, against each
+        // request's own direct executor run.
+        let mut g = MatrixRng::seed_from(0x1d1e);
+        let ops: Vec<Arc<biq_runtime::CompiledOp>> =
+            [(24, 32, 1, Threading::Serial), (17, 40, 2, Threading::Parallel)]
+                .into_iter()
+                .map(|(m, n, bits, threading)| {
+                    let w = g.small_int_matrix(m, n, 2);
+                    let plan = PlanBuilder::new(m, n)
+                        .batch_hint(4)
+                        .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+                        .threading(threading)
+                        .build();
+                    Arc::new(biq_runtime::compile(&plan, WeightSource::Dense(&w)))
+                })
+                .collect();
+        let stats = ServerStats::new();
+        let (mut exec, mut xbuf, mut ybuf) = (Executor::new(), Vec::new(), Vec::new());
+        let mut batcher = Batcher::new(NEVER, ServerConfig::default().max_batch_cols);
+        let mut g = MatrixRng::seed_from(0x1d1f);
+        for width in 9usize..=15 {
+            let mut submitted = 0usize;
+            for (i, op) in ops.iter().enumerate() {
+                // 1- and 2-column requests adding up to `width`.
+                let mut replies = Vec::new();
+                let mut left = width;
+                while left > 0 {
+                    let cols = left.min(1 + submitted % 2);
+                    left -= cols;
+                    submitted += 1;
+                    let x = g.gaussian_col(op.input_size(), cols, 0.0, 1.0);
+                    let reference = Executor::new().run(op, &x).into_vec();
+                    let (reply, rx) = mpsc::channel();
+                    let now = Instant::now();
+                    let p = Pending {
+                        op: OpId(i),
+                        compiled: Arc::clone(op),
+                        stats: Arc::default(),
+                        x,
+                        reply,
+                        enqueued: now,
+                        pushed: now,
+                        deferred: true,
+                        inflight: None,
+                        notify: None,
+                    };
+                    assert!(batcher.push(p, now).is_none(), "below the cap: no size trigger");
+                    replies.push((rx, reference));
+                }
+                let job = batcher.take_oldest(Instant::now()).expect("the op's bucket");
+                assert_eq!((job.cols, batcher.pending()), (width, 0), "one batch of every column");
+                run_job(&stats, &mut exec, &mut xbuf, &mut ybuf, job);
+                for (rx, reference) in replies {
+                    let answer = rx.recv().expect("answered").expect("served");
+                    assert_eq!(answer.matrix.into_vec(), reference, "op {i} width {width}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -831,9 +1143,10 @@ mod tests {
 
     #[test]
     fn swap_mid_flight_answers_with_the_admitting_version() {
-        // Admit against v1, swap to v2 while the request sits in the
-        // bucket (long window), then flush by shutdown: the reply must be
-        // v1's bits, and v1's payload must have drained by then.
+        // Admit against v1, swap to v2 while the request is somewhere between
+        // the submit queue and a worker (an idle server sends it straight
+        // on, whatever the window), then shut down: the reply must be v1's
+        // bits, and v1's payload must have drained by then.
         let mut g = MatrixRng::seed_from(77);
         let w1 = g.gaussian(8, 16, 0.0, 1.0);
         let l1 = biq_nn::Linear::quantized(
@@ -876,17 +1189,17 @@ mod tests {
         drop(v1_op);
 
         let ticket = client.submit(v1, x.clone()).unwrap();
-        // Swap while the request waits in the bucket.
+        // Swap while v1's request is in flight (or just answered).
         server.registry().load_model("m", &a2).unwrap();
         let v2 = server.registry().lookup("linear").unwrap();
         assert_ne!(v1, v2);
         assert!(server.registry().op(v1).is_none(), "v1 retired");
         // New admissions against v1's id are refused now.
         assert!(matches!(client.submit(v1, x.clone()), Err(ServeError::UnknownOp)));
-        // v2 answers with v2's bits while v1's request still waits.
+        // v2 answers with v2's bits, v1's request with v1's.
         let expect_v2 = exec.run(&server.registry().op(v2).unwrap(), &x);
         let ticket2 = client.submit(v2, x.clone()).unwrap();
-        // Shutdown flushes both buckets and drains every accepted request.
+        // Shutdown drains every accepted request.
         let snap = server.shutdown();
         let y1 = ticket.wait().unwrap();
         let y2 = ticket2.wait().unwrap();

@@ -20,6 +20,7 @@
 //! (`op="linear@1"`), so a swap shows up as a new series instead of
 //! silently splicing two versions' histograms together.
 
+use crate::batcher::FlushReason;
 use crate::registry::{LiveRegistry, SlotView};
 use biq_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, RecordSink, Sample};
 use biqgemm_core::{KernelLevel, PhaseProfile};
@@ -51,14 +52,26 @@ pub(crate) struct OpStats {
     /// Requests accepted but not yet dispatched to a worker.
     pub(crate) queue_depth: AtomicUsize,
     pub(crate) batches: AtomicU64,
+    /// Batches by what flushed them, indexed by [`FlushReason`].
+    flushes: [AtomicU64; 3],
     batch_cols: Pow2Histogram,
     latency_us: Pow2Histogram,
 }
 
 impl OpStats {
-    pub(crate) fn record_batch(&self, cols: usize) {
+    pub(crate) fn record_batch(&self, cols: usize, reason: FlushReason) {
         self.batches.fetch_add(1, Ordering::Relaxed);
+        self.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
         self.batch_cols.record(cols as u64);
+    }
+
+    fn flushes(&self) -> Flushes {
+        let read = |r: FlushReason| self.flushes[r as usize].load(Ordering::Relaxed);
+        Flushes {
+            size: read(FlushReason::Size),
+            window: read(FlushReason::Window),
+            idle: read(FlushReason::Idle),
+        }
     }
 
     pub(crate) fn record_latency(&self, latency: Duration) {
@@ -102,6 +115,13 @@ pub(crate) fn push_op_samples(samples: &mut Vec<Sample>, slot: &SlotView) {
         value: MetricValue::Gauge(s.queue_depth.load(Ordering::Relaxed) as i64),
     });
     samples.push(counter("biq_serve_batches_total", op, s.batches.load(Ordering::Relaxed)));
+    let flushes = s.flushes();
+    for (reason, v) in [("size", flushes.size), ("window", flushes.window), ("idle", flushes.idle)]
+    {
+        let mut sample = counter("biq_serve_flushes_total", op, v);
+        sample.labels.push(("reason".to_string(), reason.to_string()));
+        samples.push(sample);
+    }
     samples.push(Sample {
         name: "biq_serve_batch_cols".to_string(),
         labels: vec![("op".to_string(), op.to_string())],
@@ -156,6 +176,21 @@ pub(crate) fn metrics(registry: &LiveRegistry, stats: &ServerStats) -> MetricsSn
     MetricsSnapshot { samples }
 }
 
+/// Batches counted by what flushed their bucket; the three sum to
+/// [`OpStatsSnapshot::batches`]. Mostly `window` ⇒ the workers are the
+/// bottleneck; mostly `idle` ⇒ batching is not buying anything at this
+/// load.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Flushes {
+    /// Packed width reached `max_batch_cols`.
+    pub size: u64,
+    /// Held for the whole `batch_window` because every worker was busy
+    /// (or flushed by the shutdown drain).
+    pub window: u64,
+    /// Taken the moment a worker was free with nothing queued for it.
+    pub idle: u64,
+}
+
 /// Point-in-time statistics for one op.
 #[derive(Clone, Debug)]
 pub struct OpStatsSnapshot {
@@ -178,6 +213,8 @@ pub struct OpStatsSnapshot {
     pub queue_depth: usize,
     /// Batches executed.
     pub batches: u64,
+    /// The same batches by flush trigger.
+    pub flushes: Flushes,
     /// Mean packed batch width (columns).
     pub mean_batch_cols: f64,
     /// Median request latency (submit → reply), geometric bucket midpoint
@@ -215,6 +252,7 @@ impl StatsSnapshot {
                     completed: s.completed.load(Ordering::Relaxed),
                     queue_depth: s.queue_depth.load(Ordering::Relaxed),
                     batches: s.batches.load(Ordering::Relaxed),
+                    flushes: s.flushes(),
                     mean_batch_cols: s.batch_cols.mean(),
                     latency_p50: Duration::from_micros(s.latency_us.quantile(0.50)),
                     latency_p99: Duration::from_micros(s.latency_us.quantile(0.99)),
@@ -260,7 +298,7 @@ mod tests {
         let stats = ServerStats::new();
         let slot_b = live.snapshot().slot(b).unwrap().clone();
         slot_b.stats.submitted.fetch_add(5, Ordering::Relaxed);
-        slot_b.stats.record_batch(4);
+        slot_b.stats.record_batch(4, FlushReason::Idle);
         slot_b.stats.record_latency(Duration::from_micros(100));
         let snap = StatsSnapshot::capture(&live, &stats);
         assert_eq!(snap.ops[0].submitted, 0);
@@ -268,6 +306,7 @@ mod tests {
         assert_eq!((snap.ops[1].m, snap.ops[1].n), (16, 32));
         assert_eq!(snap.ops[1].submitted, 5);
         assert_eq!(snap.ops[1].batches, 1);
+        assert_eq!(snap.ops[1].flushes, Flushes { size: 0, window: 0, idle: 1 });
         assert_eq!(snap.ops[1].mean_batch_cols, 4.0);
         // 100µs lands in bucket [64,128); the geometric midpoint estimate
         // is within √2 of the exact sample.
@@ -285,6 +324,7 @@ mod tests {
         slot_a.stats.submitted.fetch_add(3, Ordering::Relaxed);
         slot_a.stats.record_latency(Duration::from_micros(50));
         slot_b.stats.rejected.fetch_add(2, Ordering::Relaxed);
+        slot_b.stats.record_batch(2, FlushReason::Window);
         stats.profile.lock().unwrap().build = Duration::from_nanos(1234);
         let m = metrics(&live, &stats);
         assert_eq!(m.counter_total("biq_serve_submitted_total"), 3);
@@ -302,6 +342,10 @@ mod tests {
         let text = m.render_prometheus();
         assert!(text.contains("biq_serve_completed_total{op=\"a@1\"} 1\n"), "{text}");
         assert!(text.contains("# TYPE biq_serve_latency_us histogram\n"), "{text}");
+        assert!(
+            text.contains("biq_serve_flushes_total{op=\"b@1\",reason=\"window\"} 1\n"),
+            "{text}"
+        );
         // Counter totals agree between the two read paths.
         let snap = StatsSnapshot::capture(&live, &stats);
         assert_eq!(snap.completed(), m.counter_total("biq_serve_completed_total"));

@@ -13,10 +13,11 @@ use biq_matrix::{ColMatrix, MatrixRng};
 use biq_nn::model::CompiledModel;
 use biq_nn::Linear;
 use biq_runtime::{Executor, QuantMethod};
+use biq_serve::net::{NetClient, NetError, NetServer, RejectCode};
 use biq_serve::{ModelRegistry, OpId, ServeError, Server, ServerConfig, Ticket};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -166,5 +167,73 @@ proptest! {
             checked as u64 + hammered,
             "every accepted request completed exactly once"
         );
+    }
+}
+
+#[test]
+fn a_bare_name_over_the_wire_always_lands_on_a_live_version() {
+    // The wire front-end resolves a name, sizes the reply and admits against
+    // ONE registry snapshot, so a republish landing mid-request can never
+    // refuse a model name that was live when the frame arrived: one thread
+    // swaps two artifacts back and forth under model `m` while two
+    // connections hammer the bare op name. A registry tracks at most
+    // `MAX_MODELS` (256) versions, retired ones included, so the 500 swaps
+    // take two servers.
+    const ROUNDS: u64 = 2;
+    const SWAPS_PER_ROUND: u64 = 250;
+    // Answered requests the swapper waits for between two swaps, so the
+    // swaps are spread over the traffic instead of finishing ahead of it.
+    const REQUESTS_PER_SWAP: u64 = 4;
+    let artifacts = [artifact(200), artifact(201)];
+    let x = MatrixRng::seed_from(9).gaussian_col(N, 1, 0.0, 1.0);
+    let expected: Vec<Vec<f32>> = artifacts.iter().map(|a| reference(a, &x)).collect();
+    assert_ne!(expected[0], expected[1], "the two versions must be tellable apart");
+
+    for _ in 0..ROUNDS {
+        let mut boot = ModelRegistry::new();
+        boot.set_model_name("m");
+        boot.load_artifact(&artifacts[0]).unwrap();
+        let server = Server::start(boot, ServerConfig::default());
+        let admin = server.client();
+        let net = NetServer::bind("127.0.0.1:0", server).expect("bind loopback");
+        let addr = net.local_addr();
+
+        let swapping = AtomicBool::new(true);
+        let served = AtomicU64::new(0);
+        let hammer = || -> Result<(), String> {
+            let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;
+            while swapping.load(Ordering::Acquire) {
+                match client.request("linear", &x) {
+                    Ok(y) if expected.iter().any(|e| y.as_slice() == &e[..]) => {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(_) => return Err("a reply matched neither version".into()),
+                    Err(NetError::Rejected { code: RejectCode::Busy, .. }) => {}
+                    Err(e) => return Err(format!("a live model name was refused: {e}")),
+                }
+            }
+            Ok(())
+        };
+        let swapped = std::thread::scope(|scope| {
+            let hammers = [scope.spawn(hammer), scope.spawn(hammer)];
+            let swapped = (1..=SWAPS_PER_ROUND).try_for_each(|swap| {
+                admin.registry().load_model("m", &artifacts[(swap % 2) as usize])?;
+                while served.load(Ordering::Relaxed) < swap * REQUESTS_PER_SWAP
+                    && hammers.iter().all(|h| !h.is_finished())
+                {
+                    std::thread::yield_now();
+                }
+                Ok::<(), biq_serve::ModelError>(())
+            });
+            swapping.store(false, Ordering::Release);
+            for h in hammers {
+                h.join().expect("hammer thread").expect("every request lands on a live version");
+            }
+            swapped
+        });
+        swapped.expect("every republish is accepted");
+        drop(admin);
+        let stats = net.shutdown();
+        assert_eq!(stats.completed(), served.load(Ordering::Relaxed), "each answered exactly once");
     }
 }
