@@ -47,7 +47,7 @@ pub use container::{
     MAGIC_MODEL, SECTION_ALIGN, VERSION,
 };
 pub use manifest::{
-    sec, sec_kind_name, LayerManifest, ModelKind, ModelManifest, PayloadRefs, MAX_DIM,
+    sec, sec_kind_name, LayerManifest, ModelKind, ModelManifest, PayloadRefs, MAX_BITS, MAX_DIM,
 };
 pub use model::{
     compile_layer, load_bias, load_param, load_weights, snapshot_layer, LoadedWeights,

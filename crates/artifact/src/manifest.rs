@@ -185,6 +185,10 @@ pub const MAX_DIM: usize = 1 << 24;
 /// Upper bound on a stored batch hint.
 pub const MAX_BATCH_HINT: usize = 1 << 20;
 
+/// Most weight bits (binary-coding planes) a biq or xnor layer may store;
+/// the loader refuses more, so writers check against the same bound.
+pub const MAX_BITS: usize = 32;
+
 fn bad(msg: impl Into<String>) -> ArtifactError {
     ArtifactError::Manifest(msg.into())
 }
@@ -443,13 +447,13 @@ impl Reader {
             1 => BackendSpec::Fp32Blocked,
             2 => BackendSpec::Int8,
             3 => {
-                if bits == 0 || bits > 32 {
+                if bits == 0 || bits > MAX_BITS {
                     return Err(bad(format!("xnor bits {bits} out of range")));
                 }
                 BackendSpec::Xnor { bits }
             }
             4 => {
-                if bits == 0 || bits > 32 {
+                if bits == 0 || bits > MAX_BITS {
                     return Err(bad(format!("biq bits {bits} out of range")));
                 }
                 BackendSpec::Biq { bits, method }
@@ -501,7 +505,7 @@ impl Reader {
             1 => PayloadRefs::Biq { keys: SectionId(self.u32()?), scales: SectionId(self.u32()?) },
             2 => {
                 let count = self.count("xnor planes", 8)?;
-                if count == 0 || count > 32 {
+                if count == 0 || count > MAX_BITS {
                     return Err(bad(format!("xnor plane count {count} out of range")));
                 }
                 let mut planes = Vec::with_capacity(count);

@@ -1,10 +1,10 @@
 //! `biq` — the BiQGEMM deployment pipeline on files. See `biq help`.
 
 use biq_cli::{
-    cmd_compile, cmd_gen, cmd_info, cmd_inspect, cmd_load_client, cmd_matmul, cmd_model_list,
-    cmd_model_load, cmd_model_unload, cmd_pack, cmd_quantize, cmd_run_model, cmd_serve, cmd_stats,
-    cmd_top, fetch_mem_budget, parse_mem_budget, render_model_list, CliError, CompileConfig,
-    DaemonConfig, LoadClientConfig, ServeOptions, StatsConfig, StatsFormat, TopConfig,
+    cmd_compile, cmd_inspect, cmd_load_client, cmd_model_list, cmd_model_load, cmd_model_unload,
+    cmd_run_model, cmd_serve, cmd_stats, cmd_top, fetch_mem_budget, parse_mem_budget,
+    render_model_list, CliError, CompileConfig, DaemonConfig, LoadClientConfig, ServeOptions,
+    StatsConfig, StatsFormat, TopConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -12,14 +12,6 @@ use std::time::Duration;
 
 const HELP: &str = "\
 biq — BiQGEMM artifact pipeline
-
-MATRIX PIPELINE:
-  biq gen      --rows M --cols N [--seed S] [--std V] [--col] OUT
-  biq quantize --bits B [--alternating] IN OUT
-  biq pack     --mu U IN OUT
-  biq matmul   --weights W --input X --output Y [--parallel]
-               [--kernel auto|scalar|avx2|avx512|neon]
-  biq info     FILE
 
 MODEL PIPELINE (BIQM compiled-model artifacts):
   biq compile  [--model linear|transformer|lstm|seq2seq] [--backend biq|fp32|xnor|int8]
@@ -44,17 +36,15 @@ SERVING:
   biq help
 
 KERNEL LEVELS:
-  --kernel pins the SIMD kernel level for every plan the command builds
+  serve --kernel pins the SIMD kernel level for every plan the daemon builds
   (plumbed through the BIQ_KERNEL env var, which works on every command);
   'auto' (default) picks the host's best level. All levels are bit-exact,
   so forcing one changes speed, never results. Unsupported levels error.
 
 ARTIFACTS:
-  .biqm    dense matrix (row-major weights / col-major activations)
-  .biqq    multi-bit binary-coding quantized matrix
-  .biqw    packed BiQGEMM weights (key matrix + per-row scales)
-  .biqmod  whole compiled model (BIQM: manifest + packed payload sections,
-           loaded zero-copy — compile once, ship, serve)
+  .biqmod  a compiled model, the one file format biq reads or writes (BIQM:
+           manifest + packed payload sections, loaded zero-copy — compile
+           once, ship, serve)
 
 compile builds a seeded model, quantizes/packs every layer once and writes
 one checksummed artifact; run-model loads it (no fp32 weights, no
@@ -100,6 +90,10 @@ one with in-flight work), else is refused. See docs/OPERATIONS.md for the
 runbook.
 ";
 
+/// Flags that are switches: they never take a value, so the argument after
+/// one is a positional (`compile --parallel out.biqmod`), not its value.
+const BOOL_FLAGS: [&str; 5] = ["parallel", "pin-workers", "once", "prometheus", "json"];
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
@@ -113,7 +107,9 @@ impl Args {
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
+                    Some(v) if !v.starts_with("--") && !BOOL_FLAGS.contains(&name) => {
+                        Some(it.next().unwrap().clone())
+                    }
                     _ => None,
                 };
                 flags.push((name.to_string(), value));
@@ -152,47 +148,6 @@ fn run() -> Result<(), CliError> {
     biq_cli::validate_kernel_env()?;
     let args = Args::parse(&raw[1..]);
     match cmd.as_str() {
-        "gen" => {
-            let rows = args.usize_flag("rows")?;
-            let cols = args.usize_flag("cols")?;
-            let seed = args.flag("seed").map_or(Ok(0u64), |s| {
-                s.parse().map_err(|_| CliError("--seed must be an integer".into()))
-            })?;
-            let std: f32 = args.flag("std").map_or(Ok(1.0f32), |s| {
-                s.parse().map_err(|_| CliError("--std must be a float".into()))
-            })?;
-            let out = positional_path(&args, 0, "output path")?;
-            cmd_gen(rows, cols, seed, std, args.has("col"), &out)?;
-            println!("wrote {rows}x{cols} matrix to {}", out.display());
-        }
-        "quantize" => {
-            let bits = args.usize_flag("bits")?;
-            let input = positional_path(&args, 0, "input path")?;
-            let out = positional_path(&args, 1, "output path")?;
-            cmd_quantize(&input, bits, args.has("alternating"), &out)?;
-            println!("quantized {} -> {} ({bits} bits)", input.display(), out.display());
-        }
-        "pack" => {
-            let mu = args.usize_flag("mu")?;
-            let input = positional_path(&args, 0, "input path")?;
-            let out = positional_path(&args, 1, "output path")?;
-            cmd_pack(&input, mu, &out)?;
-            println!("packed {} -> {} (µ = {mu})", input.display(), out.display());
-        }
-        "matmul" => {
-            if let Some(k) = args.flag("kernel") {
-                biq_cli::set_kernel_flag(k)?;
-            }
-            let weights = flag_path(&args, "weights")?;
-            let input = flag_path(&args, "input")?;
-            let output = flag_path(&args, "output")?;
-            let (m, b) = cmd_matmul(&weights, &input, &output, args.has("parallel"))?;
-            println!("wrote {m}x{b} output to {}", output.display());
-        }
-        "info" => {
-            let path = positional_path(&args, 0, "file path")?;
-            println!("{}", cmd_info(&path)?);
-        }
         "compile" => {
             let mut cfg = CompileConfig::default();
             if let Some(kind) = args.flag("model") {
@@ -420,5 +375,37 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Args {
+        Args::parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn boolean_flags_never_take_the_next_argument() {
+        let a = parse("--model linear --parallel out.biqmod");
+        assert!(a.has("parallel"));
+        assert_eq!(a.flag("parallel"), None);
+        assert_eq!(a.flag("model"), Some("linear"));
+        assert_eq!(a.positional, ["out.biqmod"]);
+        for name in BOOL_FLAGS {
+            let a = parse(&format!("--{name} next"));
+            assert!(a.has(name), "--{name}");
+            assert_eq!(a.positional, ["next"], "--{name} swallowed its neighbour");
+        }
+    }
+
+    #[test]
+    fn valued_flags_still_take_their_value() {
+        let a = parse("--bits 3 --seed 7 out.biqmod --addr 127.0.0.1:1");
+        assert_eq!(a.usize_flag("bits").unwrap(), 3);
+        assert_eq!(a.flag("seed"), Some("7"));
+        assert_eq!(a.flag("addr"), Some("127.0.0.1:1"));
+        assert_eq!(a.positional, ["out.biqmod"]);
     }
 }

@@ -9,7 +9,7 @@
 //! manifest's layer graph.
 
 use crate::CliError;
-use biq_artifact::{sec_kind_name, Artifact, ModelManifest};
+use biq_artifact::{sec_kind_name, Artifact, ModelManifest, MAX_BITS};
 use biq_matrix::MatrixRng;
 use biq_nn::model::CompiledModel;
 use biq_nn::transformer::{Encoder, LayerBackend};
@@ -78,10 +78,36 @@ fn layer_backend(cfg: &CompileConfig) -> Result<LayerBackend, CliError> {
     })
 }
 
+/// Refuses what a model constructor would panic on, or what the artifact
+/// loader would refuse, so `compile` never writes a file `run-model` cannot
+/// load.
+fn validate(cfg: &CompileConfig) -> Result<(), CliError> {
+    let fail = |msg: String| Err(CliError(msg));
+    if !(1..=MAX_BITS).contains(&cfg.bits) {
+        return fail(format!("--bits must be in 1..={MAX_BITS}, got {}", cfg.bits));
+    }
+    if cfg.d_model == 0 || cfg.d_ff == 0 {
+        return fail(format!("--d-model {} / --d-ff {} must be positive", cfg.d_model, cfg.d_ff));
+    }
+    if matches!(cfg.kind.as_str(), "transformer" | "seq2seq") {
+        if cfg.layers == 0 {
+            return fail("--layers must be positive".into());
+        }
+        if cfg.heads == 0 || !cfg.d_model.is_multiple_of(cfg.heads) {
+            return fail(format!("--heads {} must divide --d-model {}", cfg.heads, cfg.d_model));
+        }
+    }
+    if cfg.kind == "seq2seq" && cfg.vocab < 4 {
+        return fail(format!("--vocab must be at least 4, got {}", cfg.vocab));
+    }
+    Ok(())
+}
+
 /// Builds the seeded model a `CompileConfig` describes (shared with the
-/// round-trip tests and `load-bench`, which need the identical in-memory
-/// model to compare against).
+/// round-trip tests, which need the identical in-memory model to compare
+/// against).
 pub fn build_model(cfg: &CompileConfig) -> Result<CompiledModel, CliError> {
+    validate(cfg)?;
     let backend = layer_backend(cfg)?;
     let mut g = MatrixRng::seed_from(cfg.seed);
     Ok(match cfg.kind.as_str() {
@@ -302,6 +328,60 @@ mod tests {
         let digest =
             |v: &[f32]| fnv1a64(&v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<_>>());
         assert_eq!(digest(&a), digest(&b));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn compile_refuses_what_run_model_would_refuse_or_panic_on() {
+        // Every bits value near and past the loader's bound, then each
+        // degenerate shape: an error, or a file `run-model` loads — never a
+        // panic, never an unloadable artifact.
+        let mut cases: Vec<CompileConfig> = Vec::new();
+        for backend in ["biq", "xnor"] {
+            for bits in 0..=40 {
+                cases.push(CompileConfig {
+                    kind: "linear".into(),
+                    backend: backend.into(),
+                    bits,
+                    d_model: 3,
+                    d_ff: 5,
+                    ..CompileConfig::default()
+                });
+            }
+        }
+        let small =
+            CompileConfig { d_model: 8, d_ff: 8, heads: 2, layers: 1, ..Default::default() };
+        for kind in ["linear", "transformer", "lstm", "seq2seq"] {
+            let kind = kind.to_string();
+            for bad in [
+                CompileConfig { d_model: 0, ..small.clone() },
+                CompileConfig { d_ff: 0, ..small.clone() },
+                CompileConfig { heads: 0, ..small.clone() },
+                CompileConfig { heads: 3, ..small.clone() },
+                CompileConfig { layers: 0, ..small.clone() },
+                CompileConfig { dec_layers: 0, ..small.clone() },
+                CompileConfig { vocab: 3, ..small.clone() },
+            ] {
+                cases.push(CompileConfig { kind: kind.clone(), ..bad });
+            }
+        }
+        let path = tmp("validate.biqmod");
+        for cfg in &cases {
+            let _ = std::fs::remove_file(&path);
+            let compiled = std::panic::catch_unwind(|| cmd_compile(cfg, &path))
+                .unwrap_or_else(|_| panic!("compile panicked on {cfg:?}"));
+            if compiled.is_ok() {
+                let run = std::panic::catch_unwind(|| cmd_run_model(&path, 1, 2))
+                    .unwrap_or_else(|_| panic!("run-model panicked on {cfg:?}"));
+                assert!(run.is_ok(), "compile wrote a file run-model refuses: {cfg:?}");
+            }
+        }
+        for (bits, ok) in [(0, false), (1, true), (MAX_BITS, true), (MAX_BITS + 1, false)] {
+            let cfg = CompileConfig { bits, ..cases[0].clone() };
+            assert_eq!(cmd_compile(&cfg, &path).is_ok(), ok, "bits {bits}");
+        }
+        let err = cmd_compile(&CompileConfig { heads: 3, ..small }, &path).unwrap_err();
+        assert!(err.0.contains("--heads 3 must divide --d-model 8"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 }

@@ -3,7 +3,7 @@
 //! [`Bytes`] is a cheaply cloneable, advanceable view over an immutable
 //! byte buffer; [`BytesMut`] is an append-only builder that freezes into
 //! [`Bytes`]. The [`Buf`]/[`BufMut`] traits carry the little-endian
-//! accessors the workspace serializers use. Semantics match the real crate
+//! accessors the workspace codecs use. Semantics match the real crate
 //! for this surface, including panics on under-full reads.
 
 use std::ops::Deref;

@@ -98,6 +98,15 @@ impl BiqConfig {
         self.tile_chunks * (1usize << self.mu) * self.tile_batch * 4
     }
 
+    /// This config with `tile_chunks` capped at the `⌈n/µ⌉` chunks an
+    /// `n`-wide input has. The tile loops walk `tile_ranges(chunks,
+    /// tile_chunks)`, so a larger cap runs exactly like this one; scratch
+    /// sized from the fitted config holds tables for chunks that exist,
+    /// whatever cap a caller or a stored artifact names.
+    pub fn fitted_to(&self, n: usize) -> Self {
+        Self { tile_chunks: self.tile_chunks.min(n.div_ceil(self.mu)), ..*self }
+    }
+
     /// Validates invariants, panicking with a clear message on misuse.
     ///
     /// # Panics
@@ -128,6 +137,16 @@ mod tests {
     fn lut_tile_bytes_formula() {
         let c = BiqConfig { mu: 8, tile_chunks: 32, tile_batch: 32, ..BiqConfig::default() };
         assert_eq!(c.lut_tile_bytes(), 32 * 256 * 32 * 4);
+    }
+
+    #[test]
+    fn fitted_to_caps_tile_chunks_at_the_chunk_count() {
+        let c = BiqConfig::default(); // µ = 8, 32 chunks per tile
+        assert_eq!(c.fitted_to(64).tile_chunks, 8);
+        assert_eq!(c.fitted_to(65).tile_chunks, 9, "a ragged chunk counts");
+        assert_eq!(c.fitted_to(4096).tile_chunks, 32, "a cap below the count stays");
+        let huge = BiqConfig { tile_chunks: u32::MAX as usize, ..c };
+        assert_eq!(huge.fitted_to(21).tile_chunks, 3);
     }
 
     #[test]

@@ -93,7 +93,6 @@ pub mod mmu;
 pub mod parallel;
 pub mod planner;
 pub mod profile;
-pub mod serialize;
 pub mod simd;
 pub mod tiled;
 pub mod weights;

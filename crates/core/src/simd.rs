@@ -119,7 +119,7 @@
 //! `⌈µ/8⌉` bytes wide (one byte through the shipped µ = 8, `u16` only for
 //! µ 9–16) and carries the invariant **every key `< 2^µ`**. The range check
 //! itself lives where keys enter the program (`KeyMatrix::pack`,
-//! `try_new`, `decode_le`: packing by construction, loaders by one scan —
+//! `try_new`: packing by construction, the artifact loader by one scan —
 //! and byte keys at µ = 8 are in range by type). So the dispatchers here
 //! check `table == 2^µ` and the bank length — O(1) — instead of re-scanning
 //! every key on every call, and the unchecked gathers rest on the type; a

@@ -58,21 +58,13 @@ impl BiqWeights {
         Self::from_signs(signs, &vec![1.0; signs.rows()], mu)
     }
 
-    /// Reassembles weights from deserialized parts.
+    /// Reassembles weights from loaded parts over shared-capable scale
+    /// storage — the zero-copy artifact loading path (pass a `PodView`
+    /// converted into a [`PodStore`]).
     ///
     /// # Panics
     /// Panics when the parts are inconsistent (key rows ≠ `bits·m`, scale
     /// count ≠ key rows, or key width ≠ `n`).
-    pub fn from_parts(keys: KeyMatrix, scales: Vec<f32>, m: usize, n: usize, bits: usize) -> Self {
-        Self::from_parts_store(keys, scales.into(), m, n, bits)
-    }
-
-    /// [`BiqWeights::from_parts`] over shared-capable scale storage — the
-    /// zero-copy artifact loading path (pass a `PodView` converted into a
-    /// [`PodStore`]).
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`BiqWeights::from_parts`].
     pub fn from_parts_store(
         keys: KeyMatrix,
         scales: PodStore<f32>,

@@ -1,13 +1,10 @@
 //! Property tests for the BiQGEMM engine beyond the workspace-level suite:
-//! Eq. 3 identities, serialization, planner feasibility, and cost-model
-//! sanity.
+//! Eq. 3 identities, planner feasibility, and cost-model sanity.
 
 use biq_matrix::{ColMatrix, MatrixRng};
-use biq_quant::greedy_quantize_matrix_rowwise;
 use biqgemm_core::actquant::{biqgemm_quantized_activations, QuantizedActivations};
 use biqgemm_core::complexity::{biqgemm_ops, eq9_factor, gemm_ops, optimal_mu};
 use biqgemm_core::planner::plan;
-use biqgemm_core::serialize::{decode_weights, encode_weights};
 use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, PhaseProfile};
 use proptest::prelude::*;
 
@@ -22,24 +19,6 @@ fn run(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, workers: Option<usize>) -
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Serialization round-trip preserves the computation for arbitrary
-    /// shapes, bits and µ.
-    #[test]
-    fn serialized_weights_compute_identically(
-        (m, n) in (1usize..=20, 1usize..=40),
-        bits in 1usize..=3,
-        mu in 1usize..=12,
-        seed in any::<u64>(),
-    ) {
-        let mut g = MatrixRng::seed_from(seed);
-        let q = greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits);
-        let w = BiqWeights::from_multibit(&q, mu);
-        let rt = decode_weights(encode_weights(&w)).unwrap();
-        let x = g.small_int_col(n, 3, 3);
-        let cfg = BiqConfig { mu, ..BiqConfig::default() };
-        prop_assert_eq!(run(&w, &x, &cfg, None), run(&rt, &x, &cfg, None));
-    }
 
     /// Eq. 3 with pre-quantized activations equals plain BiQGEMM on the
     /// dequantized activations (the identity is exact; only f32 rounding

@@ -36,13 +36,11 @@
 //! * [`store`] — owned-or-shared typed storage ([`PodStore`]/[`PodView`])
 //!   so deserialized weights can borrow a loaded artifact buffer instead of
 //!   re-allocating (zero-copy model loading);
-//! * [`io`] — versioned binary containers for every matrix type;
 //! * [`view`] / [`display`] — tile-range helpers and debug pretty-printing.
 
 pub mod approx;
 pub mod dense;
 pub mod display;
-pub mod io;
 pub mod random;
 pub mod reshape;
 pub mod sign;

@@ -1,7 +1,6 @@
-//! Property tests for the matrix substrate: layout conversions, reshape
-//! coverage, and container round-trips over arbitrary data.
+//! Property tests for the matrix substrate: layout conversions and reshape
+//! coverage over arbitrary data.
 
-use biq_matrix::io::{decode_col_matrix, decode_matrix, encode_col_matrix, encode_matrix};
 use biq_matrix::reshape::{chunk_len, num_chunks, ChunkedInput};
 use biq_matrix::{ColMatrix, Matrix};
 use proptest::prelude::*;
@@ -68,20 +67,5 @@ proptest! {
             }
             prop_assert_eq!(total, n);
         }
-    }
-
-    /// I/O containers round-trip bit-exactly (including NaN payloads).
-    #[test]
-    fn matrix_io_round_trip(m in arb_matrix(8, 8)) {
-        let d = decode_matrix(encode_matrix(&m)).unwrap();
-        let bits = |x: &Matrix| -> Vec<u32> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
-        prop_assert_eq!(bits(&d), bits(&m));
-    }
-
-    /// Column-major container round-trips.
-    #[test]
-    fn col_matrix_io_round_trip(m in arb_col_matrix(8, 8)) {
-        let d = decode_col_matrix(encode_col_matrix(&m)).unwrap();
-        prop_assert_eq!(d, m);
     }
 }

@@ -29,7 +29,6 @@ pub mod binary_coding;
 pub mod error_metrics;
 pub mod memory;
 pub mod packing;
-pub mod serialize;
 pub mod uniform;
 pub mod unpack;
 

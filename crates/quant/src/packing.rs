@@ -19,7 +19,7 @@
 
 use biq_matrix::store::{PodStore, PodView};
 use biq_matrix::SignMatrix;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use std::fmt;
 use std::ops::Range;
 
@@ -92,8 +92,6 @@ pub enum KeyError {
         /// Bits available in that chunk.
         bits: usize,
     },
-    /// A byte stream ended before `rows · ⌈cols/µ⌉` keys were read.
-    Truncated,
 }
 
 impl fmt::Display for KeyError {
@@ -115,7 +113,6 @@ impl fmt::Display for KeyError {
             KeyError::OutOfRange { key, chunk, bits } => {
                 write!(f, "key {key} at chunk {chunk} exceeds {bits} bits")
             }
-            KeyError::Truncated => write!(f, "key payload truncated"),
         }
     }
 }
@@ -127,8 +124,8 @@ impl std::error::Error for KeyError {}
 ///
 /// **Range invariant:** every stored key is `< 2^L` for its chunk's length
 /// `L ≤ µ` — hence `< 2^µ`, the stride of a lookup table. Every constructor
-/// establishes it (packing by construction, [`KeyMatrix::try_new`] and
-/// [`KeyMatrix::decode_le`] by a load-time scan; byte keys at µ = 8 are in
+/// establishes it (packing by construction, [`KeyMatrix::try_new`] by a
+/// load-time scan; byte keys at µ = 8 are in
 /// range by type, so only a ragged last chunk is scanned), the storage is
 /// never handed out mutably, and [`KeyTile`] — the only way the kernels see
 /// keys — carries it to the gather loops, which therefore index tables
@@ -241,36 +238,9 @@ impl KeyMatrix {
         }
     }
 
-    /// Reads `rows · ⌈cols/µ⌉` little-endian keys of [`key_bytes`]`(µ)`
-    /// bytes each off `data` (the BIQW payload form) and validates
-    /// them like [`KeyMatrix::try_new`]. Sizes are checked against the
-    /// remaining bytes before anything is allocated.
-    pub fn decode_le(
-        rows: usize,
-        cols: usize,
-        mu: usize,
-        data: &mut impl Buf,
-    ) -> Result<Self, KeyError> {
-        if !(1..=16).contains(&mu) {
-            return Err(KeyError::BadMu(mu));
-        }
-        let count = rows.checked_mul(cols.div_ceil(mu)).ok_or(KeyError::Truncated)?;
-        let bytes = count.checked_mul(key_bytes(mu)).ok_or(KeyError::Truncated)?;
-        if data.remaining() < bytes {
-            return Err(KeyError::Truncated);
-        }
-        let keys = if key_bytes(mu) == 1 {
-            let mut k = vec![0u8; count];
-            data.copy_to_slice(&mut k);
-            KeyStore::U8(k.into())
-        } else {
-            KeyStore::U16((0..count).map(|_| data.get_u16_le()).collect::<Vec<_>>().into())
-        };
-        Self::try_new(rows, cols, mu, keys)
-    }
-
-    /// Appends the keys in the little-endian payload form
-    /// [`KeyMatrix::decode_le`] reads ([`KeyMatrix::storage_bytes`] bytes).
+    /// Appends the keys little-endian, [`key_bytes`]`(µ)` bytes each
+    /// ([`KeyMatrix::storage_bytes`] bytes) — the BIQM key-section form
+    /// [`KeyMatrix::try_new`] validates on load.
     pub fn encode_le(&self, out: &mut impl BufMut) {
         match &self.keys {
             KeyStore::U8(k) => out.put_slice(k.as_slice()),

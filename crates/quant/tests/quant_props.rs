@@ -5,7 +5,6 @@ use biq_quant::alternating::alternating_quantize_matrix_rowwise;
 use biq_quant::binary_coding::quantization_sse;
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_quant::packing::{PackedRowsU32, PackedRowsU64};
-use biq_quant::serialize::{decode_multibit, encode_multibit};
 use biq_quant::uniform::{AsymmetricQuantizer, SymmetricQuantizer};
 use biq_quant::unpack::unpack_row_u32;
 use proptest::prelude::*;
@@ -92,17 +91,5 @@ proptest! {
             }
         }
         prop_assert_eq!(PackedRowsU64::pack(&s).unpack(), s);
-    }
-
-    /// Serialization round-trips arbitrary quantizations.
-    #[test]
-    fn multibit_serialize_round_trip(w in arb_weights(5, 24), bits in 1usize..=3) {
-        let q = greedy_quantize_matrix_rowwise(&w, bits);
-        let rt = decode_multibit(encode_multibit(&q)).unwrap();
-        prop_assert_eq!(rt.shape(), q.shape());
-        for (a, b) in rt.planes().iter().zip(q.planes()) {
-            prop_assert_eq!(&a.scales, &b.scales);
-            prop_assert_eq!(&a.signs, &b.signs);
-        }
     }
 }

@@ -52,8 +52,8 @@ impl Executor {
             crate::plan::BackendSpec::Biq { bits, .. } => {
                 // One bank for a serial plan, one per worker of a parallel
                 // plan — the plan's count, so the slots exist before the
-                // first run.
-                self.arena.biq.reserve(&plan.cfg, bits, b, plan.workers);
+                // first run — each sized for the chunks the input has.
+                self.arena.biq.reserve(&plan.cfg.fitted_to(plan.n), bits, b, plan.workers);
             }
             crate::plan::BackendSpec::Fp32Blocked => {
                 self.arena.warm_pack(plan.n, b);

@@ -236,7 +236,7 @@ impl PlanBuilder {
             workers: parallel.then_some(threads),
             kernel,
             kernel_reason,
-            scratch: scratch_spec(&cfg, self.batch_hint),
+            scratch: scratch_spec(&cfg.fitted_to(self.n), self.batch_hint),
         }
     }
 }
