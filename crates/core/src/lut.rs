@@ -31,10 +31,11 @@ pub fn build_lut_dp(x: &[f32], out: &mut [f32]) {
 }
 
 /// [`build_lut_dp`] at a resolved kernel level: the single-flip recurrence
-/// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) runs as a vectorised broadcast-add
-/// over each `2^t`-entry half, giving the µ-wide DP build the same
-/// dispatch the query kernel has. Every level computes identical values
-/// (elementwise adds, no reassociation) — bit-exact against scalar.
+/// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) runs as the one-float-row case of
+/// [`simd::dp_step_add_rows`] over each `2^t`-entry half, giving the µ-wide
+/// DP build the same dispatch the query kernel has. Every level computes
+/// identical values (elementwise adds, no reassociation) — bit-exact
+/// against scalar.
 ///
 /// # Panics
 /// Panics if `x` is empty, longer than 16, or `out` has the wrong length.
@@ -52,7 +53,7 @@ pub fn build_lut_dp_level(x: &[f32], out: &mut [f32], k: ResolvedKernel) {
     for t in 0..l - 1 {
         let step = 2.0 * x[l - 1 - t];
         let (lo, hi) = out.split_at_mut(1 << t);
-        simd::broadcast_add(&mut hi[..1 << t], &lo[..1 << t], step, k);
+        simd::dp_step_add_rows(&mut hi[..1 << t], &lo[..1 << t], &[step], k);
     }
     // Mirror: complementing every sign negates the sum. Entry `2^L − i`
     // is `−out[i − 1]`, i.e. the upper half is the reversed negated lower

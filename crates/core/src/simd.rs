@@ -44,12 +44,10 @@
 //!   query (one row / one row tile): strided loads of
 //!   `bank[c·2^µ + keys[c]]` into vector lanes (a hardware gather on
 //!   AVX2/AVX-512), the latency path of the paper's b = 1 serving regime;
-//! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector adds and the mirror
-//!   negation of the batched Algorithm 1 LUT build (KeyMajor layout);
-//! * [`broadcast_add`] — the scalar-step DP recurrence of the single-table
-//!   build (BatchMajor / GEMV path);
-//! * [`add_assign`] / [`axpy`] — the original elementwise primitives, kept
-//!   for callers outside the fused path.
+//! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector
+//!   adds and the mirror negation of the Algorithm 1 LUT build: rows of
+//!   `nb` floats for the batched (KeyMajor) build, one flat block at
+//!   `nb == 1` for the single-table (BatchMajor / GEMV) build.
 //!
 //! ## Bit-exactness and the canonical accumulation order
 //!
@@ -73,8 +71,8 @@
 //! chunks (lane `j` ends up holding partial `j`, and the fold is the
 //! standard horizontal-add ladder), and the batched fused kernels keep 8
 //! accumulator *vectors* per lane group so every batch lane sees the same
-//! per-element order. Scalar bodies emulate the tree with an 8-slot
-//! array; [`TreeAccumulator`] is the reference implementation for
+//! per-element order. The scalar width-1 gather emulates the tree with an
+//! 8-slot array; [`TreeAccumulator`] is the reference implementation for
 //! accumulation loops outside these dispatchers (e.g. the BatchMajor
 //! per-element query). Because scalar, every SIMD level, the width-1
 //! gather and the batched kernel all realise this one order, cross-level
@@ -97,10 +95,33 @@
 //! does not access, a masked-out lane); their idle accumulators hold `+0.0`
 //! throughout and are discarded. The row-shaped steps of the batched DP
 //! build ([`dp_step_add_rows`], [`negate_rows_reversed`]) finish each row
-//! the same way. The scalar level is the plain reference every suite
-//! compares against. NEON keeps a scalar tail for its `nb mod 4` lanes:
-//! that level is only compile-checked in this repository (no aarch64 host
-//! to test or measure a masked body on).
+//! the same way. Scalar (8 lanes in an array) and NEON (4 lanes) run the
+//! same masked pass: NEON has no lane-masked memory operation, so its
+//! masked loads and stores copy exactly the live floats through a 4-float
+//! stack array. NEON is only compile-checked in this repository (there is
+//! no aarch64 host to test or measure it on); it is the same source as the
+//! levels that are tested.
+//!
+//! ## One body per primitive: `Lanes`
+//!
+//! Each row-shaped primitive is written **once**, as a generic
+//! `#[inline(always)]` body over a private `Lanes` trait: a level's vector
+//! type, its width `W`, and ten operations (`zero`, `splat`, `load`,
+//! `load_masked(n)`, `store`, `store_masked(n)`, `add`, `mul`, `neg` — a
+//! sign-bit flip — and `reverse`). The bodies are `fused_group` (one lane
+//! group of one key row, its 8 canonical accumulators held as `[V; 8]`),
+//! the per-row fused query (full groups, then one masked pass), and the
+//! DP step and mirror of the build. Each level implements `Lanes` once —
+//! scalar `[f32; 8]`, AVX2 `__m256` with `vmaskmovps`, AVX-512 `__m512`
+//! with a `__mmask16`, NEON `float32x4_t` — and `stamp!` instantiates every
+//! body under that level's `#[target_feature]` entry, so the body and its
+//! `Lanes` calls compile to the level's own instructions. Every level,
+//! scalar included, therefore runs the same source in the same per-lane
+//! order: cross-level bit-exactness holds by construction, and the suites
+//! check it against plain-loop oracles. Two bodies stay hand-written: the
+//! AVX2 width-1 gathers ([`lut_gather`], [`lut_gather_rows`]; one copy
+//! already, which the AVX-512 level shares) and the AVX-512 32-lane wide
+//! body (below; the only level with 32 vector registers).
 //!
 //! History: through PR 5 the contract was a strictly sequential
 //! ascending-chunk sum, which made b = 1 latency pay for invariance; PR 6
@@ -162,21 +183,30 @@
 //!
 //! 1. add the variant to [`KernelLevel`] (`name`/`parse`/`rank`), teach
 //!    [`KernelLevel::is_supported`] and [`host_best`] to detect it;
-//! 2. implement the primitives in a `#[cfg(target_arch = …)]` submodule,
-//!    preserving the per-element operation order — for
-//!    [`lut_query_fused_rows`] and [`lut_gather`] that means the canonical
-//!    accumulation tree above (delegate to the scalar emulation first,
-//!    vectorise after), never FMA contraction — and add the cfg-gated arms
-//!    to the `dispatch!` macro uses;
+//! 2. implement `Lanes`, add the stamp lines: in a `#[cfg(target_arch = …)]`
+//!    submodule, implement `Lanes` for the level (each operation the plain
+//!    `f32` one per lane, never FMA contraction; masked forms touching
+//!    lanes `0..n` only — the trait's stack-copy defaults are correct
+//!    anywhere), add its `stamp!` line with the level's target features,
+//!    and add the cfg-gated arms to the `dispatch!` uses. The width-1
+//!    gathers may delegate to the scalar emulation (as NEON does) until a
+//!    vector body is written; `lanes_conformance_at_every_level` and the
+//!    suites below then cover the new level;
 //! 3. extend the manifest codec in `biq_artifact` (one new level byte) and
 //!    the CLI `--kernel` parser — rank ordering decides what the artifact
 //!    loader falls back to on hosts without the new ISA;
 //! 4. the per-level property suites pick the level up automatically from
 //!    [`supported_levels`].
 //!
-//! Safety: `unsafe` is confined to this module; every intrinsic body is
+//! Safety: `unsafe` is confined to this module, and every `unsafe` block
+//! and `unsafe impl` carries a `// SAFETY:` line (`#![deny]`ed below,
+//! enforced by clippy) naming its invariant: the `KeyTile` key range, the
+//! lane-mask derivation, or the dispatcher's geometry asserts. The `Lanes`
+//! impls state what they guarantee, and a `Lanes` method or a stamp is
 //! reachable only through a [`ResolvedKernel`] constructed after a host
 //! support check.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use biq_quant::packing::{KeyTile, Keys};
 use std::fmt;
@@ -444,16 +474,21 @@ fn clamp_to_host(l: KernelLevel) -> KernelLevel {
 /// Dispatch on a resolved level. Arms for foreign architectures are not
 /// compiled; hitting the wildcard would mean a [`ResolvedKernel`] invariant
 /// violation, which is a bug — hence `unreachable!`, never a silent scalar
-/// remap.
+/// remap. The SIMD arms run in `unsafe`: a `ResolvedKernel` holds only a
+/// level its constructors found on this host, and every caller asserts the
+/// geometry its callee's contract names before dispatching.
 macro_rules! dispatch {
     ($k:expr, $scalar:expr, $avx2:expr, $avx512:expr, $neon:expr) => {
         match $k.level() {
             KernelLevel::Scalar => $scalar,
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: resolved ⇒ the host has AVX2; geometry asserted by the caller.
             KernelLevel::Avx2 => unsafe { $avx2 },
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: resolved ⇒ the host has AVX-512 F/BW/DQ/VL; geometry as above.
             KernelLevel::Avx512 => unsafe { $avx512 },
             #[cfg(target_arch = "aarch64")]
+            // SAFETY: NEON is baseline on aarch64; geometry as above.
             KernelLevel::Neon => unsafe { $neon },
             #[allow(unreachable_patterns)]
             other => unreachable!("kernel level {other:?} resolved on a foreign architecture"),
@@ -463,98 +498,62 @@ macro_rules! dispatch {
 
 // ------------------------------------------------------------ primitives
 
-/// `acc[i] += src[i]` for equal-length slices.
-///
-/// # Panics
-/// Debug-panics on length mismatch.
-#[inline]
-pub fn add_assign(acc: &mut [f32], src: &[f32], k: ResolvedKernel) {
-    debug_assert_eq!(acc.len(), src.len());
-    dispatch!(
-        k,
-        add_assign_scalar(acc, src),
-        avx2::add_assign(acc, src),
-        avx512::add_assign(acc, src),
-        neon::add_assign(acc, src)
-    )
-}
-
-/// `y[i] += a * x[i]` for equal-length slices. Multiply and add round
-/// separately on every level (no FMA), so all levels agree bit for bit.
-#[inline]
-pub fn axpy(y: &mut [f32], a: f32, x: &[f32], k: ResolvedKernel) {
-    debug_assert_eq!(y.len(), x.len());
-    dispatch!(
-        k,
-        axpy_scalar(y, a, x),
-        avx2::axpy(y, a, x),
-        avx512::axpy(y, a, x),
-        neon::axpy(y, a, x)
-    )
-}
-
 /// The µ-wide DP step of the batched Algorithm 1 build (KeyMajor layout)
 /// over a whole half-table block: `dst[r·nb + a] = src[r·nb + a] +
-/// step[a]` for every row `r` — **one** dispatch per DP level, so the
-/// call overhead never scales with `2^µ`.
+/// step[a]` for every row `r`, `nb = step.len()` — **one** dispatch per DP
+/// level, so the call overhead never scales with `2^µ`. At `nb == 1` this
+/// is the scalar-step recurrence of the single-table build
+/// (`dst[i] = src[i] + step[0]`), run as one flat loop over the block.
 ///
 /// # Panics
-/// Debug-panics when `dst`/`src` lengths differ or are not a multiple of
-/// `step.len()`.
+/// Panics when `step` is empty, or when `dst`/`src` lengths differ or are
+/// not a multiple of `step.len()`.
 #[inline]
 pub fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32], k: ResolvedKernel) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(!step.is_empty() && dst.len().is_multiple_of(step.len()));
+    assert_eq!(dst.len(), src.len(), "DP step blocks differ in length");
+    assert!(!step.is_empty() && dst.len().is_multiple_of(step.len()), "DP step: partial row");
     dispatch!(
         k,
-        dp_step_add_rows_scalar(dst, src, step),
+        // SAFETY: the scalar level needs no ISA; the asserts above are the
+        // body's geometry contract.
+        unsafe { scalar::dp_step_add_rows(dst, src, step) },
         avx2::dp_step_add_rows(dst, src, step),
         avx512::dp_step_add_rows(dst, src, step),
         neon::dp_step_add_rows(dst, src, step)
     )
 }
 
-/// The mirror half of the batched Algorithm 1 build: `dst` row `r` is the
-/// negation of `src` row `rows − 1 − r` (rows of `nb` floats) — one
-/// dispatch per chunk.
+/// The mirror half of the Algorithm 1 build: `dst` row `r` is the negation
+/// of `src` row `rows − 1 − r` (rows of `nb` floats) — one dispatch per
+/// chunk. At `nb == 1` (the single-table build) the block is reversed
+/// inside the vector instead of row by row.
 ///
 /// # Panics
-/// Debug-panics when the lengths differ or are not a multiple of `nb`.
+/// Panics when `nb == 0`, or when the lengths differ or are not a multiple
+/// of `nb`.
 #[inline]
 pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: ResolvedKernel) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(nb > 0 && dst.len().is_multiple_of(nb));
+    assert_eq!(dst.len(), src.len(), "mirror blocks differ in length");
+    assert!(nb > 0 && dst.len().is_multiple_of(nb), "mirror: partial row");
     dispatch!(
         k,
-        negate_rows_reversed_scalar(dst, src, nb),
+        // SAFETY: the scalar level needs no ISA; the asserts above are the
+        // body's geometry contract.
+        unsafe { scalar::negate_rows_reversed(dst, src, nb) },
         avx2::negate_rows_reversed(dst, src, nb),
         avx512::negate_rows_reversed(dst, src, nb),
         neon::negate_rows_reversed(dst, src, nb)
     )
 }
 
-/// `dst[i] = src[i] + step` (the scalar-step DP recurrence of the
-/// single-table build).
-///
-/// # Panics
-/// Debug-panics on length mismatch.
-#[inline]
-pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel) {
-    debug_assert_eq!(dst.len(), src.len());
-    dispatch!(
-        k,
-        broadcast_add_scalar(dst, src, step),
-        avx2::broadcast_add(dst, src, step),
-        avx512::broadcast_add(dst, src, step),
-        neon::broadcast_add(dst, src, step)
-    )
-}
-
 /// One stored key width the bodies are instantiated for. Private: the
 /// public entry points take a [`KeyTile`] and pick the instantiation.
-trait KeyElem: Copy {
+trait KeyElem: Copy + Into<usize> {
     /// The key as a table index.
-    fn idx(self) -> usize;
+    #[inline(always)]
+    fn idx(self) -> usize {
+        self.into()
+    }
 
     /// Eight consecutive keys zero-extended into `i32` lanes.
     ///
@@ -565,11 +564,6 @@ trait KeyElem: Copy {
 }
 
 impl KeyElem for u8 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        usize::from(self)
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
@@ -580,11 +574,6 @@ impl KeyElem for u8 {
 }
 
 impl KeyElem for u16 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        usize::from(self)
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
@@ -642,9 +631,9 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
 ///
 /// On AVX-512, lanes are taken 32 at a time while at least 32 remain (the
 /// row-blocked wide body, module docs "Wide batch"); remaining lanes, and
-/// every other level, run the per-row bodies: full lane groups, then one
-/// masked pass over the `nb mod 8` (AVX2) or `nb mod 16` (AVX-512) lanes
-/// left (module docs "Ragged lanes").
+/// every other level, run the per-row body: full lane groups of the
+/// level's width, then one masked pass over the lanes left (module docs
+/// "Ragged lanes").
 ///
 /// # Panics
 /// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
@@ -672,32 +661,30 @@ pub fn lut_query_fused_rows(
     assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
     assert!(bank.len() >= nc * table * nb, "bank shorter than the key rows need");
     assert_keys_fit(&keys, table);
-    // Only the x86 bodies prefetch.
-    #[cfg(target_arch = "x86_64")]
     let pf = nc * table * nb * 4 > L1_LUT_BYTES;
     with_keys!(keys, ks => {
-        // Row `i` of the tile as the per-row bodies take it.
+        // Row `i` of the tile as the per-row bodies take it. Every row handed
+        // to a body is a row of a `KeyTile`, whose range invariant (every key
+        // `< 2^µ`) with the `table == 2^µ` check above bounds each entry
+        // offset by the `nc · table · nb` floats the bank-length assert
+        // established; output rows are `nb`-float slices (per-row arms) or
+        // covered by the output-geometry asserts (the AVX-512 rows body).
         let rows = (0..nr).map(|i| (i * y_stride, scales[i], &ks[i * key_stride..][..nc]));
-        // SAFETY (the arms `dispatch!` wraps in `unsafe`): the level was
-        // resolved against this host; every row handed to a body is a row
-        // of a `KeyTile`, whose range invariant (every key `< 2^µ`) with
-        // the `table == 2^µ` check above bounds each entry offset by the
-        // `nc · table · nb` floats the bank-length assert established;
-        // output rows are `nb`-float slices (per-row arms) or covered by
-        // the output-geometry asserts (the AVX-512 rows body).
         dispatch!(
             k,
             for (yo, scale, row) in rows {
-                lut_query_fused_scalar(&mut y[yo..yo + nb], scale, bank, table, nb, row);
+                // SAFETY: the scalar level needs no ISA; bounds as stated
+                // for every arm above.
+                unsafe { scalar::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf) }
             },
             for (yo, scale, row) in rows {
-                avx2::lut_query_fused(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
+                avx2::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
             },
             avx512::lut_query_fused_rows(
                 y, y_stride, scales, bank, table, nb, ks, key_stride, nc, pf
             ),
             for (yo, scale, row) in rows {
-                neon::lut_query_fused(&mut y[yo..yo + nb], scale, bank, table, nb, row);
+                neon::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
             }
         )
     })
@@ -784,49 +771,7 @@ pub fn lut_gather_rows(
     ))
 }
 
-// --------------------------------------------------------- scalar bodies
-
-#[inline]
-fn add_assign_scalar(acc: &mut [f32], src: &[f32]) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a += s;
-    }
-}
-
-#[inline]
-fn axpy_scalar(y: &mut [f32], a: f32, x: &[f32]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += a * xv;
-    }
-}
-
-#[inline]
-fn dp_step_add_rows_scalar(dst: &mut [f32], src: &[f32], step: &[f32]) {
-    let nb = step.len();
-    for (drow, srow) in dst.chunks_exact_mut(nb).zip(src.chunks_exact(nb)) {
-        for ((d, &sv), &st) in drow.iter_mut().zip(srow).zip(step) {
-            *d = sv + st;
-        }
-    }
-}
-
-#[inline]
-fn negate_rows_reversed_scalar(dst: &mut [f32], src: &[f32], nb: usize) {
-    let rows = dst.len() / nb;
-    for (r, drow) in dst.chunks_exact_mut(nb).enumerate() {
-        let srow = &src[(rows - 1 - r) * nb..(rows - r) * nb];
-        for (d, &sv) in drow.iter_mut().zip(srow) {
-            *d = -sv;
-        }
-    }
-}
-
-#[inline]
-fn broadcast_add_scalar(dst: &mut [f32], src: &[f32], step: f32) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s + step;
-    }
-}
+// ------------------------------------------------ canonical tree, width 1
 
 /// Width of the canonical accumulation tree: the number of partial sums
 /// each output element carries through the chunk loop (module docs,
@@ -835,13 +780,12 @@ fn broadcast_add_scalar(dst: &mut [f32], src: &[f32], step: f32) {
 /// emulates exactly this width.
 pub const ACC_TREE_WIDTH: usize = 8;
 
-/// Chunks of software-prefetch lookahead in the x86 per-row query loops: while
+/// Chunks of software-prefetch lookahead in the per-row query loops: while
 /// the chunk group at `ci` accumulates, the LUT entries of chunks
 /// `ci + PREFETCH_CHUNKS ..` are requested into L1 — the keys are known
 /// ahead of time, so the access pattern is perfectly predictable to us
 /// and perfectly opaque to the hardware prefetcher. Issued only for tiles
-/// larger than [`L1_LUT_BYTES`].
-#[cfg(target_arch = "x86_64")]
+/// larger than [`L1_LUT_BYTES`], and only on x86 ([`prefetch_line`]).
 const PREFETCH_CHUNKS: usize = 16;
 
 /// The fixed pairwise fold of the canonical accumulation tree:
@@ -922,365 +866,463 @@ fn lut_gather_rows_scalar<K: KeyElem>(
     }
 }
 
-/// Segment width of the scalar fused kernel. Matching the AVX2 lane count
-/// keeps the loop auto-vectorisable; per-lane accumulation order (the
-/// canonical tree over chunks) is what bit-exactness depends on, and that
-/// is identical for any segment width.
-const SCALAR_SEG: usize = 8;
+// ----------------------------------------------------------------- lanes
 
-/// The Scalar level, and the tail of the NEON body. `nb` is the bank's
-/// batch stride; the lanes processed are `y.len()` (NEON passes the suffix
-/// of the batch tile its 4-lane groups left, with `bank` pre-offset by the
-/// same lane index). Each lane keeps
-/// [`ACC_TREE_WIDTH`] partials indexed by `ci % 8` and folds them in the
-/// canonical tree — the exact per-lane order of the vector bodies.
-fn lut_query_fused_scalar<K: KeyElem>(
+/// One level's `f32` vector as the generic kernel bodies see it: the
+/// vector type, its lane count `W`, and the operations the row-shaped
+/// primitives are written in. Each level implements it once — scalar
+/// `[f32; 8]`, AVX2 `__m256`, AVX-512 `__m512`, NEON `float32x4_t` — and
+/// each primitive is written once over it ([`fused_group`],
+/// [`fused_row_body`], [`dp_step_add_rows_body`],
+/// [`negate_rows_reversed_body`]), so every level performs the same
+/// operations in the same per-lane order by construction. An
+/// implementation is one intrinsic, or one plain loop, per method.
+///
+/// # Safety
+/// *Implementing:* per lane, `add` and `mul` are exactly the IEEE-754
+/// `f32` operation plain Rust performs (never fused, never reassociated),
+/// `neg` flips the sign bit and nothing else, and `reverse` moves lanes bit
+/// for bit. The masked forms access lanes `0..n` only: a masked-out lane
+/// is never written and never read, and `load_masked` returns it as `+0.0`.
+/// The generic bodies rely on this for memory safety.
+///
+/// *Calling:* the level's instruction set must be available — a body runs
+/// a level's methods only from that level's stamp (`stamp!`), which only a
+/// [`ResolvedKernel`] dispatch reaches. `load`/`store` need `W` readable /
+/// writable floats at `p`; the masked forms need `n ≤ W` of them.
+unsafe trait Lanes {
+    /// The vector of `W` floats.
+    type V: Copy;
+    /// Lanes per vector.
+    const W: usize;
+    /// Every lane `x`.
+    unsafe fn splat(x: f32) -> Self::V;
+    /// `W` floats from `p`, unaligned.
+    unsafe fn load(p: *const f32) -> Self::V;
+    /// `W` floats to `p`, unaligned.
+    unsafe fn store(p: *mut f32, v: Self::V);
+    /// Lane-wise `a + b`.
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `a · b`.
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `−a`: the sign bit flipped, NaN payloads included.
+    unsafe fn neg(a: Self::V) -> Self::V;
+    /// Lane `i` ← lane `W − 1 − i` (the `nb == 1` mirror).
+    unsafe fn reverse(a: Self::V) -> Self::V;
+
+    /// All lanes `+0.0`.
+    #[inline(always)]
+    unsafe fn zero() -> Self::V {
+        Self::splat(0.0)
+    }
+
+    /// Lanes `0..n` from `p`, the rest `+0.0` — by default through a stack
+    /// copy of exactly the `n` live floats; the x86 levels override it with
+    /// their hardware lane masks. The copy runs a fixed `W` steps, each
+    /// testing its lane: a copy of length `n` compiles to a `memcpy` call.
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, n: usize) -> Self::V {
+        let mut lanes = [0.0f32; 16];
+        for (i, lane) in lanes[..Self::W].iter_mut().enumerate() {
+            if i < n {
+                *lane = *p.add(i);
+            }
+        }
+        Self::load(lanes.as_ptr())
+    }
+
+    /// Lanes `0..n` to `p`, the floats after them untouched — by default
+    /// through a stack copy, like [`Lanes::load_masked`].
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f32, n: usize, v: Self::V) {
+        let mut lanes = [0.0f32; 16];
+        Self::store(lanes[..Self::W].as_mut_ptr(), v);
+        for (i, &lane) in lanes[..Self::W].iter().enumerate() {
+            if i < n {
+                *p.add(i) = lane;
+            }
+        }
+    }
+}
+
+/// Stamps the generic row bodies for one level, inside that level's module:
+/// one entry per body under the level's `#[target_feature]` set (none for
+/// scalar), so the `#[inline(always)]` body and its [`Lanes`] calls compile
+/// to that level's instructions. The entries are what `dispatch!` calls.
+macro_rules! stamp {
+    ($lanes:ty $(, $feature:literal)*) => {
+        /// The per-row fused query at this level (`fused_row_body`).
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn fused_row<K: super::KeyElem>(
+            y: &mut [f32],
+            scale: f32,
+            bank: &[f32],
+            table: usize,
+            nb: usize,
+            keys: &[K],
+            prefetch: bool,
+        ) {
+            // SAFETY: the features above provide the ISA; the rest is this
+            // entry's contract, the body's.
+            unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, nb, keys, prefetch) }
+        }
+
+        /// The DP step at this level (`dp_step_add_rows_body`).
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
+            // SAFETY: as for `fused_row`.
+            unsafe { super::dp_step_add_rows_body::<$lanes>(dst, src, step) }
+        }
+
+        /// The mirror at this level (`negate_rows_reversed_body`).
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
+            // SAFETY: as for `fused_row`.
+            unsafe { super::negate_rows_reversed_body::<$lanes>(dst, src, nb) }
+        }
+    };
+}
+
+/// Requests the cache line holding `p` into L1 — a hint that never faults
+/// and reads nothing. A no-op off x86.
+#[inline(always)]
+fn prefetch_line(p: *const f32) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is baseline on x86_64, and a prefetch accesses nothing.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+// -------------------------------------------------------- generic bodies
+
+/// The per-row fused query at level `L` — one key row of
+/// [`lut_query_fused_rows`]: `y[a] += scale · Σ_ci bank[(ci·table +
+/// keys[ci])·nb + a]` for the lanes `a < y.len()`, in full `L::W`-lane
+/// groups, then one masked pass of the same group body over the lanes left
+/// (module docs, "Ragged lanes"). `nb` is the bank's batch stride; the
+/// AVX-512 wide body hands in the tail of a row, with `bank` pre-offset by
+/// the same lane index.
+///
+/// # Safety
+/// `L`'s ISA is available; `keys` is a row of a `KeyTile` whose
+/// `2^µ == table`, `y.len() ≤ nb`, and `bank` holds
+/// `(ci·table + key)·nb + a` for every chunk `ci < keys.len()`, key
+/// `< table` and lane `a < y.len()`.
+#[inline(always)]
+unsafe fn fused_row_body<L: Lanes, K: KeyElem>(
     y: &mut [f32],
     scale: f32,
     bank: &[f32],
     table: usize,
     nb: usize,
     keys: &[K],
+    prefetch: bool,
 ) {
-    let lanes = y.len();
-    let mut a0 = 0;
-    while a0 < lanes {
-        let w = SCALAR_SEG.min(lanes - a0);
-        let mut acc = [[0.0f32; SCALAR_SEG]; ACC_TREE_WIDTH];
-        for (ci, &key) in keys.iter().enumerate() {
-            let off = (ci * table + key.idx()) * nb + a0;
-            let part = &mut acc[ci % ACC_TREE_WIDTH];
-            for (av, &bv) in part[..w].iter_mut().zip(&bank[off..off + w]) {
-                *av += bv;
+    let full = y.len() - y.len() % L::W;
+    // SAFETY: group `a0` reads lanes `a0 ..` of every entry
+    // `(ci·table + key)·nb`, with `key < table` by the `KeyTile` range
+    // invariant (every key `< 2^µ`, established when the `KeyMatrix` was
+    // built) and `table == 2^µ` — in `bank` by the caller's contract. A
+    // full group spans lanes `a0 .. a0 + W ≤ full`; the masked group is
+    // handed exactly the `y.len() − full` live lanes of `y` and masks every
+    // access to them (`fused_group`).
+    unsafe {
+        for a0 in (0..full).step_by(L::W) {
+            let (yg, base) = (&mut y[a0..a0 + L::W], bank.as_ptr().add(a0));
+            fused_group::<L, K, false>(yg, scale, base, table, nb, keys, prefetch);
+        }
+        if full < y.len() {
+            let base = bank.as_ptr().add(full);
+            fused_group::<L, K, true>(&mut y[full..], scale, base, table, nb, keys, prefetch);
+        }
+    }
+}
+
+/// One `L::W`-lane group of one key row: `y[a] += scale · Σ_ci
+/// entry(ci, keys[ci])[a]` for the lanes `a < y.len()`, `base` pointing at
+/// the group's lane 0 in the bank. The canonical tree's 8 accumulators are
+/// `[L::V; 8]`: chunk `ci` lands in accumulator `ci % 8`, they fold in the
+/// fixed `+4, +2, +1` ladder, then multiply and add round separately.
+/// `MASKED = false` is a full group (`y.len() == W`); `MASKED = true` is
+/// the remainder pass (`1 ≤ y.len() < W`), the same accumulators, fold and
+/// multiply-add with every load and the store masked to the live lanes —
+/// so per lane the order *is* the full group's. An idle lane's
+/// accumulators hold `+0.0` throughout and are discarded.
+///
+/// # Safety
+/// `L`'s ISA is available; for every `ci < keys.len()`,
+/// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
+#[inline(always)]
+unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
+    y: &mut [f32],
+    scale: f32,
+    base: *const f32,
+    table: usize,
+    nb: usize,
+    keys: &[K],
+    prefetch: bool,
+) {
+    let (n, klen) = (y.len(), keys.len());
+    debug_assert!(if MASKED { (1..L::W).contains(&n) } else { n == L::W });
+    // SAFETY: every entry pointer is one the caller vouched for (`ci <
+    // klen` for each unchecked key read), read for `n` lanes: all `W` when
+    // unmasked, else through the masked forms, which touch lanes `0..n`
+    // only (the `Lanes` contract) — a masked-out lane may lie past the bank
+    // or belong to the next output row. `y` is read and written for its own
+    // `n` lanes. Prefetches only form addresses of in-bounds entries.
+    unsafe {
+        let load = |p: *const f32| if MASKED { L::load_masked(p, n) } else { L::load(p) };
+        let store = |p: *mut f32, v| if MASKED { L::store_masked(p, n, v) } else { L::store(p, v) };
+        let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
+        let mut acc = [L::zero(); ACC_TREE_WIDTH];
+        let mut ci = 0;
+        while ci + 8 <= klen {
+            if prefetch && ci + PREFETCH_CHUNKS + 8 <= klen {
+                (0..8).for_each(|j| prefetch_line(ent(ci + PREFETCH_CHUNKS + j)));
+            }
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = L::add(*a, load(ent(ci + j)));
+            }
+            ci += 8;
+        }
+        // Ragged chunk tail: chunk `ci + j` lands in accumulator
+        // `(ci + j) % 8 == j` (`ci` is a multiple of 8 here).
+        for (j, a) in acc.iter_mut().enumerate() {
+            if ci + j < klen {
+                *a = L::add(*a, load(ent(ci + j)));
             }
         }
         for step in [4usize, 2, 1] {
             for j in 0..step {
-                let (lo, hi) = acc.split_at_mut(j + step);
-                for (av, &bv) in lo[j][..w].iter_mut().zip(&hi[0][..w]) {
-                    *av += bv;
-                }
+                acc[j] = L::add(acc[j], acc[j + step]);
             }
         }
-        for (yv, &av) in y[a0..a0 + w].iter_mut().zip(&acc[0][..w]) {
-            *yv += scale * av;
-        }
-        a0 += w;
+        let sum = L::add(load(y.as_ptr()), L::mul(L::splat(scale), acc[0]));
+        store(y.as_mut_ptr(), sum);
     }
+}
+
+/// The DP step at level `L` ([`dp_step_add_rows`]): per row, full `W`-lane
+/// groups, then one masked pass over the `nb mod W` lanes left, the step
+/// row's tail loaded once outside the row loop. At `nb == 1` the block is
+/// one flat row, `W` floats per vector and the `len mod W` left as plain
+/// `f32` adds.
+///
+/// # Safety
+/// `L`'s ISA is available; `dst.len() == src.len()`, a whole number of
+/// `step.len() ≥ 1`-float rows.
+#[inline(always)]
+unsafe fn dp_step_add_rows_body<L: Lanes>(dst: &mut [f32], src: &[f32], step: &[f32]) {
+    let (len, nb) = (dst.len(), step.len());
+    // SAFETY: every access stays inside the equal-length `dst`/`src` blocks
+    // and the `nb`-float step row (the dispatcher's asserts): full groups
+    // end at `full ≤ nb` (flat: `≤ len`), and a masked pass touches lanes
+    // `0 .. nb − full` from lane `full` of a row only (the `Lanes`
+    // contract) — its masked-out lanes are the next row's first floats, or
+    // past the block after the last row.
+    unsafe {
+        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        if nb == 1 {
+            let (st, full) = (L::splat(step[0]), len - len % L::W);
+            for i in (0..full).step_by(L::W) {
+                L::store(d.add(i), L::add(L::load(s.add(i)), st));
+            }
+            for (dv, &sv) in dst[full..].iter_mut().zip(&src[full..]) {
+                *dv = sv + step[0];
+            }
+            return;
+        }
+        let (full, rem) = (nb - nb % L::W, nb % L::W);
+        let st_tail = L::load_masked(step.as_ptr().add(full), rem);
+        for base in (0..len).step_by(nb) {
+            for a0 in (0..full).step_by(L::W) {
+                let sum = L::add(L::load(s.add(base + a0)), L::load(step.as_ptr().add(a0)));
+                L::store(d.add(base + a0), sum);
+            }
+            if rem > 0 {
+                let sum = L::add(L::load_masked(s.add(base + full), rem), st_tail);
+                L::store_masked(d.add(base + full), rem, sum);
+            }
+        }
+    }
+}
+
+/// The mirror at level `L` ([`negate_rows_reversed`]): per row, full
+/// `W`-lane groups, then one masked pass over the `nb mod W` lanes left.
+/// At `nb == 1` whole vectors are reversed in registers (negation is a
+/// sign-bit flip and the reverse moves bits untouched) and the
+/// `len mod W` left are plain `f32` negations.
+///
+/// # Safety
+/// `L`'s ISA is available; `dst.len() == src.len()`, a whole number of
+/// `nb ≥ 1`-float rows.
+#[inline(always)]
+unsafe fn negate_rows_reversed_body<L: Lanes>(dst: &mut [f32], src: &[f32], nb: usize) {
+    let len = dst.len();
+    // SAFETY: row index arithmetic stays inside the equal-length blocks
+    // (the dispatcher's asserts); at `nb == 1` the vector at `len − W − i`
+    // is read only while `i + W ≤ len`; a masked pass touches lanes
+    // `0 .. nb − full` from lane `full` of a row only (the `Lanes`
+    // contract) — its masked-out lanes belong to the neighbouring row, or
+    // lie outside the blocks.
+    unsafe {
+        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        if nb == 1 {
+            let full = len - len % L::W;
+            for i in (0..full).step_by(L::W) {
+                L::store(d.add(i), L::neg(L::reverse(L::load(s.add(len - L::W - i)))));
+            }
+            for (dv, &sv) in dst[full..].iter_mut().zip(src[..len - full].iter().rev()) {
+                *dv = -sv;
+            }
+            return;
+        }
+        let (full, rem) = (nb - nb % L::W, nb % L::W);
+        // Destination row `r` pairs with source row `rows − 1 − r`.
+        for (dbase, sbase) in (0..len).step_by(nb).zip((0..len).step_by(nb).rev()) {
+            for a0 in (0..full).step_by(L::W) {
+                L::store(d.add(dbase + a0), L::neg(L::load(s.add(sbase + a0))));
+            }
+            if rem > 0 {
+                let v = L::neg(L::load_masked(s.add(sbase + full), rem));
+                L::store_masked(d.add(dbase + full), rem, v);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- levels
+
+/// The portable level: [`Lanes`] over `[f32; 8]` in plain loops, so the
+/// scalar level runs the very bodies the SIMD levels run.
+mod scalar {
+    use super::Lanes;
+
+    /// Eight `f32` lanes in an array.
+    pub enum Scalar {}
+
+    // SAFETY: each method is the plain `f32` operation per lane (`-x` is
+    // Rust's sign-bit negation) or a lane move; the masked forms are the
+    // trait's stack copies.
+    unsafe impl Lanes for Scalar {
+        type V = [f32; 8];
+        const W: usize = 8;
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> [f32; 8] {
+            [x; 8]
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> [f32; 8] {
+            p.cast::<[f32; 8]>().read_unaligned()
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: [f32; 8]) {
+            p.cast::<[f32; 8]>().write_unaligned(v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+            std::array::from_fn(|i| a[i] + b[i])
+        }
+        #[inline(always)]
+        unsafe fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+            std::array::from_fn(|i| a[i] * b[i])
+        }
+        #[inline(always)]
+        unsafe fn neg(a: [f32; 8]) -> [f32; 8] {
+            a.map(|x| -x)
+        }
+        #[inline(always)]
+        unsafe fn reverse(a: [f32; 8]) -> [f32; 8] {
+            std::array::from_fn(|i| a[7 - i])
+        }
+    }
+
+    stamp!(Scalar);
 }
 
 // ------------------------------------------------------------ AVX2 bodies
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::KeyElem;
+    use super::{KeyElem, Lanes};
     use std::arch::x86_64::*;
 
-    /// # Safety
-    /// AVX2 must be available; slice lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices; the
-        // unaligned variants carry no alignment requirement.
-        unsafe {
-            while i + 8 <= n {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(a, s));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            acc[k] += src[k];
-        }
-    }
+    /// Eight lanes in a ymm register; masked memory operations are
+    /// `vmaskmovps`, which neither reads, writes nor faults on a
+    /// masked-out lane.
+    pub enum Avx2 {}
 
+    /// The `vmaskmovps` mask selecting lanes `0..n` of an 8-lane group
+    /// (none for `n = 0`).
+    ///
     /// # Safety
-    /// AVX2 must be available; slice lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above. Multiply and add round separately (no FMA) so
-        // the result matches scalar bit for bit.
-        unsafe {
-            let av = _mm256_set1_ps(a);
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm256_mul_ps(av, xv);
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, prod));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
-
-    /// The `vmaskmov` mask selecting lanes `0..n` of an 8-lane group (all
-    /// lanes for `n ≥ 8`, none for `n = 0`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn lane_mask(n: usize) -> __m256i {
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn lane_mask(n: usize) -> __m256i {
+        debug_assert!(n <= 8);
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
-    /// # Safety
-    /// AVX2 must be available; lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
-        let nb = step.len();
-        let rows = dst.len() / nb;
-        // Full 8-lane groups of a row, then its `nb mod 8` lanes in one
-        // masked pass.
-        let full = nb - nb % 8;
-        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
-        // SAFETY: every access stays inside the equal-length `dst`/`src`
-        // blocks (`rows · nb` floats) and the `nb`-float step row: full
-        // groups end at `full ≤ nb`, and the masked pass selects lanes
-        // `0 .. nb − full` from lane `full` of the row — `vmaskmovps`
-        // neither reads, writes nor faults on a masked-out lane (the next
-        // row's first floats, or the bytes past the block after the last).
-        unsafe {
-            let mask = lane_mask(nb - full);
-            let st_tail = _mm256_maskload_ps(step.as_ptr().add(full), mask);
-            for r in 0..rows {
-                let base = r * nb;
-                let mut a0 = 0;
-                while a0 < full {
-                    let sv = _mm256_loadu_ps(src.as_ptr().add(base + a0));
-                    let st = _mm256_loadu_ps(step.as_ptr().add(a0));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(base + a0), _mm256_add_ps(sv, st));
-                    a0 += 8;
-                }
-                if full < nb {
-                    let sv = _mm256_maskload_ps(src.as_ptr().add(base + full), mask);
-                    let sum = _mm256_add_ps(sv, st_tail);
-                    _mm256_maskstore_ps(dst.as_mut_ptr().add(base + full), mask, sum);
-                }
-            }
+    // SAFETY: one AVX instruction per method: `vaddps`/`vmulps` are the
+    // IEEE operations, `neg` XORs the sign bit, `reverse` is a
+    // `vpermps` lane permute, and the masked forms are `vmaskmovps` under
+    // `lane_mask(n)`, which selects exactly lanes `0..n`.
+    unsafe impl Lanes for Avx2 {
+        type V = __m256;
+        const W: usize = 8;
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, n: usize) -> __m256 {
+            _mm256_maskload_ps(p, lane_mask(n))
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, n: usize, v: __m256) {
+            _mm256_maskstore_ps(p, lane_mask(n), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(a: __m256) -> __m256 {
+            _mm256_xor_ps(a, _mm256_set1_ps(-0.0))
+        }
+        #[inline(always)]
+        unsafe fn reverse(a: __m256) -> __m256 {
+            _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0))
         }
     }
 
-    /// # Safety
-    /// AVX2 must be available; lengths as checked by the dispatcher.
-    /// Negation is a sign-bit flip, identical to scalar `-x` for every
-    /// input including NaN payloads.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
-        let rows = dst.len() / nb;
-        let full = nb - nb % 8;
-        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
-        // SAFETY: row index arithmetic stays inside the equal-length
-        // blocks; the `nb mod 8` lanes of a row take one masked pass —
-        // lanes `0 .. nb − full` from lane `full`, and `vmaskmovps` neither
-        // reads, writes nor faults on the masked-out ones (floats of the
-        // neighbouring row, or bytes outside the blocks).
-        unsafe {
-            let sign = _mm256_set1_ps(-0.0);
-            if nb == 1 {
-                // Width-1 mirror: reverse inside the vector instead of
-                // degrading to 1-lane rows. Negation is a sign-bit XOR and
-                // the permute moves bits untouched, so this is bit-exact
-                // against the scalar body.
-                let n = rows;
-                let rev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-                let mut i = 0;
-                while i + 8 <= n {
-                    let sv = _mm256_loadu_ps(src.as_ptr().add(n - 8 - i));
-                    let r = _mm256_permutevar8x32_ps(sv, rev);
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_xor_ps(r, sign));
-                    i += 8;
-                }
-                for j in i..n {
-                    dst[j] = -src[n - 1 - j];
-                }
-                return;
-            }
-            let mask = lane_mask(nb - full);
-            for r in 0..rows {
-                let dbase = r * nb;
-                let sbase = (rows - 1 - r) * nb;
-                let mut a0 = 0;
-                while a0 < full {
-                    let sv = _mm256_loadu_ps(src.as_ptr().add(sbase + a0));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm256_xor_ps(sv, sign));
-                    a0 += 8;
-                }
-                if full < nb {
-                    let sv = _mm256_maskload_ps(src.as_ptr().add(sbase + full), mask);
-                    let neg = _mm256_xor_ps(sv, sign);
-                    _mm256_maskstore_ps(dst.as_mut_ptr().add(dbase + full), mask, neg);
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; slice lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32) {
-        let n = dst.len();
-        let mut i = 0;
-        // SAFETY: bounds as above.
-        unsafe {
-            let sv = _mm256_set1_ps(step);
-            while i + 8 <= n {
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(s, sv));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            dst[k] = src[k] + step;
-        }
-    }
-
-    /// `prefetch` asks for LUT-entry prefetches (tile larger than L1).
-    /// Lanes run in groups of 8; the `y.len() mod 8` left over take one
-    /// masked pass of the same group body.
-    ///
-    /// # Safety
-    /// AVX2 must be available; `y.len() ≤ nb`, the bank spans every
-    /// `(chunk, key)` entry for keys `< table`, and `keys` is the slab of a
-    /// `KeyTile` whose `2^µ == table` (checked by the dispatcher).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_query_fused<K: KeyElem>(
-        y: &mut [f32],
-        scale: f32,
-        bank: &[f32],
-        table: usize,
-        nb: usize,
-        keys: &[K],
-        prefetch: bool,
-    ) {
-        let lanes = y.len();
-        let full = lanes - lanes % 8;
-        let mut a0 = 0;
-        // SAFETY: group `a0` reads `(ci·table + key)·nb + a0 ..` of every
-        // entry with `ci < keys.len()` and `key < table` — the latter is
-        // the `KeyTile` range invariant (every key `< 2^µ`, established
-        // when the `KeyMatrix` was built) with the dispatcher's
-        // `table == 2^µ`; the dispatcher checked that extent against
-        // `bank.len()`. A full group spans lanes `a0 .. a0 + 8 ≤ lanes ≤
-        // nb`; the masked group is handed exactly the `lanes − a0` live
-        // lanes of `y` and masks every access to them (`fused_group`).
-        unsafe {
-            while a0 < full {
-                let (yg, base) = (&mut y[a0..a0 + 8], bank.as_ptr().add(a0));
-                fused_group::<K, false>(yg, scale, base, table, nb, keys, prefetch);
-                a0 += 8;
-            }
-            if a0 < lanes {
-                let base = bank.as_ptr().add(a0);
-                fused_group::<K, true>(&mut y[a0..], scale, base, table, nb, keys, prefetch);
-            }
-        }
-    }
-
-    /// One 8-lane group of one key row: `y[a] += scale · Σ_ci
-    /// entry(ci, keys[ci])[a]` for the lanes `a < y.len()`, `base` pointing
-    /// at the group's lane 0 in the bank. `MASKED = false` is the full
-    /// group (`y.len() == 8`); `MASKED = true` is the remainder pass
-    /// (`1 ≤ y.len() ≤ 7`) — the same accumulators, fold and two-step
-    /// multiply-add with every load and the store masked to the live
-    /// lanes, so per lane the order *is* the full group's. An idle lane's
-    /// accumulators hold `+0.0` throughout and are discarded.
-    ///
-    /// # Safety
-    /// AVX2 must be available; for every `ci < keys.len()`,
-    /// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_group<K: KeyElem, const MASKED: bool>(
-        y: &mut [f32],
-        scale: f32,
-        base: *const f32,
-        table: usize,
-        nb: usize,
-        keys: &[K],
-        prefetch: bool,
-    ) {
-        debug_assert!(if MASKED { (1..8).contains(&y.len()) } else { y.len() == 8 });
-        let klen = keys.len();
-        // SAFETY: every entry pointer is one the caller vouched for, read
-        // for `y.len()` lanes: all 8 when unmasked, else under `mask`,
-        // which selects lanes `0 .. y.len()` (the caller's `nb − a0`) —
-        // `vmaskmovps` neither reads, writes nor faults on a masked-out
-        // lane, which may lie past the bank or belong to the next output
-        // row. Prefetches only form addresses of in-bounds entries.
-        unsafe {
-            let mask = lane_mask(y.len());
-            let load = |p: *const f32| {
-                if MASKED {
-                    _mm256_maskload_ps(p, mask)
-                } else {
-                    _mm256_loadu_ps(p)
-                }
-            };
-            let sv = _mm256_set1_ps(scale);
-            // Canonical tree: 8 accumulator vectors, chunk ci lands in
-            // accumulator ci % 8, folded in the fixed pairwise order —
-            // per lane this is exactly the scalar emulation's order.
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            let mut acc4 = _mm256_setzero_ps();
-            let mut acc5 = _mm256_setzero_ps();
-            let mut acc6 = _mm256_setzero_ps();
-            let mut acc7 = _mm256_setzero_ps();
-            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
-            let mut ci = 0;
-            while ci + 8 <= klen {
-                if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
-                    for j in 0..8 {
-                        let c = ci + super::PREFETCH_CHUNKS + j;
-                        _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
-                    }
-                }
-                acc0 = _mm256_add_ps(acc0, load(ent(ci)));
-                acc1 = _mm256_add_ps(acc1, load(ent(ci + 1)));
-                acc2 = _mm256_add_ps(acc2, load(ent(ci + 2)));
-                acc3 = _mm256_add_ps(acc3, load(ent(ci + 3)));
-                acc4 = _mm256_add_ps(acc4, load(ent(ci + 4)));
-                acc5 = _mm256_add_ps(acc5, load(ent(ci + 5)));
-                acc6 = _mm256_add_ps(acc6, load(ent(ci + 6)));
-                acc7 = _mm256_add_ps(acc7, load(ent(ci + 7)));
-                ci += 8;
-            }
-            while ci < klen {
-                let v = load(ent(ci));
-                match ci % 8 {
-                    0 => acc0 = _mm256_add_ps(acc0, v),
-                    1 => acc1 = _mm256_add_ps(acc1, v),
-                    2 => acc2 = _mm256_add_ps(acc2, v),
-                    3 => acc3 = _mm256_add_ps(acc3, v),
-                    4 => acc4 = _mm256_add_ps(acc4, v),
-                    5 => acc5 = _mm256_add_ps(acc5, v),
-                    6 => acc6 = _mm256_add_ps(acc6, v),
-                    _ => acc7 = _mm256_add_ps(acc7, v),
-                }
-                ci += 1;
-            }
-            acc0 = _mm256_add_ps(acc0, acc4);
-            acc1 = _mm256_add_ps(acc1, acc5);
-            acc2 = _mm256_add_ps(acc2, acc6);
-            acc3 = _mm256_add_ps(acc3, acc7);
-            acc0 = _mm256_add_ps(acc0, acc2);
-            acc1 = _mm256_add_ps(acc1, acc3);
-            acc0 = _mm256_add_ps(acc0, acc1);
-            let sum = _mm256_add_ps(load(y.as_ptr()), _mm256_mul_ps(sv, acc0));
-            if MASKED {
-                _mm256_maskstore_ps(y.as_mut_ptr(), mask, sum);
-            } else {
-                _mm256_storeu_ps(y.as_mut_ptr(), sum);
-            }
-        }
-    }
+    stamp!(Avx2, "avx2");
 
     /// Width-1 canonical gather: one `vgatherdps` per 8 chunks pulls
     /// `bank[c·table + keys[c]]` into lanes, so lane `j` accumulates
@@ -1444,348 +1486,84 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::KeyElem;
+    use super::{KeyElem, Lanes};
     use std::arch::x86_64::*;
 
-    // Every body also enables AVX2: the Avx512 level requires the Avx2
-    // tier (see `KernelLevel::is_supported`), so the flat elementwise
-    // primitives finish 8-wide inline before their scalar tails. The
-    // row-shaped bodies (`nb`-float rows: the fused query and the two build
-    // steps) instead take a row's `nb mod 16` lanes in one `__mmask16` pass.
+    /// Sixteen lanes in a zmm register; masked memory operations run under
+    /// a `__mmask16`, and an AVX-512 masked load/store neither accesses nor
+    /// faults on a masked-out lane.
+    pub enum Avx512 {}
 
     /// The mask selecting lanes `0..n` of a 16-lane group, `n ≤ 16`.
-    #[inline]
+    #[inline(always)]
     fn lane_mask(n: usize) -> __mmask16 {
         debug_assert!(n <= 16);
         ((1u32 << n) - 1) as __mmask16
     }
 
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices.
-        unsafe {
-            while i + 16 <= n {
-                let a = _mm512_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm512_loadu_ps(src.as_ptr().add(i));
-                _mm512_storeu_ps(acc.as_mut_ptr().add(i), _mm512_add_ps(a, s));
-                i += 16;
-            }
-            while i + 8 <= n {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(a, s));
-                i += 8;
-            }
+    // SAFETY: one AVX-512 F/DQ instruction per method: `vaddps`/`vmulps`
+    // are the IEEE operations, `neg` XORs the sign bit, `reverse` is a
+    // `vpermps` lane permute, and the masked forms run under
+    // `lane_mask(n)`, which selects exactly lanes `0..n`.
+    unsafe impl Lanes for Avx512 {
+        type V = __m512;
+        const W: usize = 16;
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
         }
-        for k in i..n {
-            acc[k] += src[k];
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, n: usize) -> __m512 {
+            _mm512_maskz_loadu_ps(lane_mask(n), p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, n: usize, v: __m512) {
+            _mm512_mask_storeu_ps(p, lane_mask(n), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(a: __m512) -> __m512 {
+            _mm512_xor_ps(a, _mm512_set1_ps(-0.0))
+        }
+        #[inline(always)]
+        unsafe fn reverse(a: __m512) -> __m512 {
+            let rev = _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+            _mm512_permutexvar_ps(rev, a)
         }
     }
 
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above; separate multiply/add rounding (no FMA).
-        unsafe {
-            let av = _mm512_set1_ps(a);
-            while i + 16 <= n {
-                let yv = _mm512_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm512_mul_ps(av, xv);
-                _mm512_storeu_ps(y.as_mut_ptr().add(i), _mm512_add_ps(yv, prod));
-                i += 16;
-            }
-            let av = _mm256_set1_ps(a);
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm256_mul_ps(av, xv);
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, prod));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
-        let nb = step.len();
-        let rows = dst.len() / nb;
-        // Full 16-lane groups of a row, then its `nb mod 16` lanes in one
-        // masked pass.
-        let full = nb - nb % 16;
-        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
-        // SAFETY: every access stays inside the equal-length blocks and
-        // the `nb`-float step row: full groups end at `full ≤ nb`, and the
-        // masked pass selects lanes `0 .. nb − full` from lane `full` of
-        // the row — an AVX-512 masked load/store neither accesses nor
-        // faults on a masked-out lane (the next row's first floats, or the
-        // bytes past the block after the last).
-        unsafe {
-            let mask = lane_mask(nb - full);
-            let st_tail = _mm512_maskz_loadu_ps(mask, step.as_ptr().add(full));
-            for r in 0..rows {
-                let base = r * nb;
-                let mut a0 = 0;
-                while a0 < full {
-                    let sv = _mm512_loadu_ps(src.as_ptr().add(base + a0));
-                    let st = _mm512_loadu_ps(step.as_ptr().add(a0));
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(base + a0), _mm512_add_ps(sv, st));
-                    a0 += 16;
-                }
-                if full < nb {
-                    let sv = _mm512_maskz_loadu_ps(mask, src.as_ptr().add(base + full));
-                    let sum = _mm512_add_ps(sv, st_tail);
-                    _mm512_mask_storeu_ps(dst.as_mut_ptr().add(base + full), mask, sum);
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F/DQ + AVX2 must be available; lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx512dq", enable = "avx2")]
-    pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
-        let rows = dst.len() / nb;
-        let full = nb - nb % 16;
-        debug_assert!(dst.len() == rows * nb && src.len() == rows * nb);
-        // SAFETY: row index arithmetic stays inside the equal-length
-        // blocks (`_mm512_xor_ps` is AVX-512DQ); the `nb mod 16` lanes of a
-        // row take one masked pass — lanes `0 .. nb − full` from lane
-        // `full`, and a masked load/store neither accesses nor faults on
-        // the masked-out ones (floats of the neighbouring row, or bytes
-        // outside the blocks).
-        unsafe {
-            let sign = _mm512_set1_ps(-0.0);
-            if nb == 1 {
-                // Width-1 mirror, reversed inside the vector (see the AVX2
-                // body) — permute + sign XOR, bit-exact against scalar.
-                let n = rows;
-                let rev = _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-                let mut i = 0;
-                while i + 16 <= n {
-                    let sv = _mm512_loadu_ps(src.as_ptr().add(n - 16 - i));
-                    let r = _mm512_permutexvar_ps(rev, sv);
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_xor_ps(r, sign));
-                    i += 16;
-                }
-                for j in i..n {
-                    dst[j] = -src[n - 1 - j];
-                }
-                return;
-            }
-            let mask = lane_mask(nb - full);
-            for r in 0..rows {
-                let dbase = r * nb;
-                let sbase = (rows - 1 - r) * nb;
-                let mut a0 = 0;
-                while a0 < full {
-                    let sv = _mm512_loadu_ps(src.as_ptr().add(sbase + a0));
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(dbase + a0), _mm512_xor_ps(sv, sign));
-                    a0 += 16;
-                }
-                if full < nb {
-                    let sv = _mm512_maskz_loadu_ps(mask, src.as_ptr().add(sbase + full));
-                    let neg = _mm512_xor_ps(sv, sign);
-                    _mm512_mask_storeu_ps(dst.as_mut_ptr().add(dbase + full), mask, neg);
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32) {
-        let n = dst.len();
-        let mut i = 0;
-        // SAFETY: bounds as above.
-        unsafe {
-            let sv512 = _mm512_set1_ps(step);
-            while i + 16 <= n {
-                let s = _mm512_loadu_ps(src.as_ptr().add(i));
-                _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_add_ps(s, sv512));
-                i += 16;
-            }
-            let sv256 = _mm256_set1_ps(step);
-            while i + 8 <= n {
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(s, sv256));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            dst[k] = src[k] + step;
-        }
-    }
-
-    /// Lanes run in groups of 16; the `y.len() mod 16` left over take one
-    /// masked pass of the same group body.
-    ///
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; bounds and the `KeyTile`
-    /// provenance of `keys` as documented on the AVX2 body.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn lut_query_fused<K: KeyElem>(
-        y: &mut [f32],
-        scale: f32,
-        bank: &[f32],
-        table: usize,
-        nb: usize,
-        keys: &[K],
-        prefetch: bool,
-    ) {
-        let lanes = y.len();
-        let full = lanes - lanes % 16;
-        let mut a0 = 0;
-        // SAFETY: entries bounded exactly as in the AVX2 body — `key <
-        // table` is the `KeyTile` range invariant (every key `< 2^µ`) with
-        // the dispatcher's `table == 2^µ`, and the dispatcher checked that
-        // extent against `bank.len()`. A full group spans lanes `a0 .. a0 +
-        // 16 ≤ lanes ≤ nb`; the masked group is handed exactly the
-        // `lanes − a0` live lanes of `y` and masks every access to them
-        // (`fused_group`).
-        unsafe {
-            while a0 < full {
-                let (yg, base) = (&mut y[a0..a0 + 16], bank.as_ptr().add(a0));
-                fused_group::<K, false>(yg, scale, base, table, nb, keys, prefetch);
-                a0 += 16;
-            }
-            if a0 < lanes {
-                let base = bank.as_ptr().add(a0);
-                fused_group::<K, true>(&mut y[a0..], scale, base, table, nb, keys, prefetch);
-            }
-        }
-    }
-
-    /// One 16-lane group of one key row — the zmm twin of the AVX2
-    /// `fused_group`: `MASKED = false` is the full group (`y.len() == 16`),
-    /// `MASKED = true` the remainder pass (`1 ≤ y.len() ≤ 15`) with every
-    /// load and the store under one `__mmask16`. Same 8 canonical
-    /// accumulators, fixed fold and two-step multiply-add either way, so
-    /// every live lane matches scalar; an idle lane's accumulators hold
-    /// `+0.0` throughout and are discarded.
-    ///
-    /// # Safety
-    /// AVX-512F must be available; for every `ci < keys.len()`,
-    /// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn fused_group<K: KeyElem, const MASKED: bool>(
-        y: &mut [f32],
-        scale: f32,
-        base: *const f32,
-        table: usize,
-        nb: usize,
-        keys: &[K],
-        prefetch: bool,
-    ) {
-        debug_assert!(if MASKED { (1..16).contains(&y.len()) } else { y.len() == 16 });
-        let klen = keys.len();
-        // SAFETY: every entry pointer is one the caller vouched for, read
-        // for `y.len()` lanes: all 16 when unmasked, else under `mask`,
-        // which selects lanes `0 .. y.len()` (the caller's `nb − a0`) — an
-        // AVX-512 masked load/store neither accesses nor faults on a
-        // masked-out lane, which may lie past the bank or belong to the
-        // next output row. Prefetches only form addresses of in-bounds
-        // entries.
-        unsafe {
-            let mask = lane_mask(y.len());
-            let load = |p: *const f32| {
-                if MASKED {
-                    _mm512_maskz_loadu_ps(mask, p)
-                } else {
-                    _mm512_loadu_ps(p)
-                }
-            };
-            let sv = _mm512_set1_ps(scale);
-            let mut acc0 = _mm512_setzero_ps();
-            let mut acc1 = _mm512_setzero_ps();
-            let mut acc2 = _mm512_setzero_ps();
-            let mut acc3 = _mm512_setzero_ps();
-            let mut acc4 = _mm512_setzero_ps();
-            let mut acc5 = _mm512_setzero_ps();
-            let mut acc6 = _mm512_setzero_ps();
-            let mut acc7 = _mm512_setzero_ps();
-            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
-            let mut ci = 0;
-            while ci + 8 <= klen {
-                if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
-                    for j in 0..8 {
-                        let c = ci + super::PREFETCH_CHUNKS + j;
-                        _mm_prefetch::<_MM_HINT_T0>(ent(c) as *const i8);
-                    }
-                }
-                acc0 = _mm512_add_ps(acc0, load(ent(ci)));
-                acc1 = _mm512_add_ps(acc1, load(ent(ci + 1)));
-                acc2 = _mm512_add_ps(acc2, load(ent(ci + 2)));
-                acc3 = _mm512_add_ps(acc3, load(ent(ci + 3)));
-                acc4 = _mm512_add_ps(acc4, load(ent(ci + 4)));
-                acc5 = _mm512_add_ps(acc5, load(ent(ci + 5)));
-                acc6 = _mm512_add_ps(acc6, load(ent(ci + 6)));
-                acc7 = _mm512_add_ps(acc7, load(ent(ci + 7)));
-                ci += 8;
-            }
-            while ci < klen {
-                let v = load(ent(ci));
-                match ci % 8 {
-                    0 => acc0 = _mm512_add_ps(acc0, v),
-                    1 => acc1 = _mm512_add_ps(acc1, v),
-                    2 => acc2 = _mm512_add_ps(acc2, v),
-                    3 => acc3 = _mm512_add_ps(acc3, v),
-                    4 => acc4 = _mm512_add_ps(acc4, v),
-                    5 => acc5 = _mm512_add_ps(acc5, v),
-                    6 => acc6 = _mm512_add_ps(acc6, v),
-                    _ => acc7 = _mm512_add_ps(acc7, v),
-                }
-                ci += 1;
-            }
-            acc0 = _mm512_add_ps(acc0, acc4);
-            acc1 = _mm512_add_ps(acc1, acc5);
-            acc2 = _mm512_add_ps(acc2, acc6);
-            acc3 = _mm512_add_ps(acc3, acc7);
-            acc0 = _mm512_add_ps(acc0, acc2);
-            acc1 = _mm512_add_ps(acc1, acc3);
-            acc0 = _mm512_add_ps(acc0, acc1);
-            let sum = _mm512_add_ps(load(y.as_ptr()), _mm512_mul_ps(sv, acc0));
-            if MASKED {
-                _mm512_mask_storeu_ps(y.as_mut_ptr(), mask, sum);
-            } else {
-                _mm512_storeu_ps(y.as_mut_ptr(), sum);
-            }
-        }
-    }
+    stamp!(Avx512, "avx512f", "avx512dq");
 
     /// The row-blocked wide query: every row of the tile, 32 batch lanes
     /// per pass while at least 32 remain, then the per-row body
-    /// ([`lut_query_fused`]: 16-lane groups, then one masked pass) on the
-    /// lanes left over. While row `i` accumulates, the entries row `i + 1`
-    /// will read are prefetched (when `prefetch`: the tile exceeds L1) —
-    /// the keys are known a tile ahead.
+    /// ([`fused_row`]: 16-lane groups, then one masked pass) on the lanes
+    /// left over. While row `i` accumulates, the entries row `i + 1` will
+    /// read are prefetched (when `prefetch`: the tile exceeds L1) — the
+    /// keys are known a tile ahead.
     ///
     /// # Safety
-    /// AVX-512F + AVX2 must be available; output geometry (`y_stride ≥ nb`,
+    /// AVX-512F/DQ must be available; output geometry (`y_stride ≥ nb`,
     /// `y.len() ≥ (rows − 1)·y_stride + nb`) and `bank.len() ≥
     /// nc·table·nb` as asserted by the dispatcher, and `keys`/`key_stride`/
     /// `nc`/`scales.len()` are the slab, stride, width and row count of a
     /// `KeyTile` whose `2^µ == table`.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
+    #[target_feature(enable = "avx512f", enable = "avx512dq")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn lut_query_fused_rows<K: KeyElem>(
         y: &mut [f32],
@@ -1822,15 +1600,8 @@ mod avx512 {
                 // `(ci, key)` lies within the `nc·table·nb` floats the
                 // dispatcher asserted the bank holds.
                 unsafe {
-                    query32(
-                        yrow.as_mut_ptr().add(a0),
-                        scale,
-                        bank.as_ptr().add(a0),
-                        table,
-                        nb,
-                        row,
-                        next,
-                    );
+                    let (yp, bp) = (yrow.as_mut_ptr().add(a0), bank.as_ptr().add(a0));
+                    query32(yp, scale, bp, table, nb, row, next);
                 }
                 a0 += 32;
             }
@@ -1838,7 +1609,7 @@ mod avx512 {
                 // SAFETY: same feature set; the per-row body gets the live
                 // lanes `a0 .. nb` and the bank pre-offset by the same `a0`.
                 unsafe {
-                    lut_query_fused(&mut yrow[a0..], scale, &bank[a0..], table, nb, row, prefetch);
+                    fused_row(&mut yrow[a0..], scale, &bank[a0..], table, nb, row, prefetch);
                 }
             }
         }
@@ -1930,221 +1701,57 @@ mod avx512 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::KeyElem;
+    use super::{KeyElem, Lanes};
     use std::arch::aarch64::*;
 
-    /// # Safety
-    /// NEON is baseline on aarch64; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices.
-        unsafe {
-            while i + 4 <= n {
-                let a = vld1q_f32(acc.as_ptr().add(i));
-                let s = vld1q_f32(src.as_ptr().add(i));
-                vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(a, s));
-                i += 4;
-            }
+    /// Four lanes in a q register. NEON has no lane-masked memory
+    /// operation, so the masked forms are the trait's stack copies of
+    /// exactly the `n` live floats.
+    pub enum Neon {}
+
+    // SAFETY: one NEON instruction per method (`fadd`, `fmul`, `fneg` — a
+    // sign-bit flip — `ld1`/`st1`, and `rev64` + `ext` for `reverse`).
+    unsafe impl Lanes for Neon {
+        type V = float32x4_t;
+        const W: usize = 4;
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> float32x4_t {
+            vdupq_n_f32(x)
         }
-        for k in i..n {
-            acc[k] += src[k];
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> float32x4_t {
+            vld1q_f32(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: float32x4_t) {
+            vst1q_f32(p, v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            vaddq_f32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            vmulq_f32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(a: float32x4_t) -> float32x4_t {
+            vnegq_f32(a)
+        }
+        #[inline(always)]
+        unsafe fn reverse(a: float32x4_t) -> float32x4_t {
+            // vrev64 swaps within each half, vext swaps the halves.
+            let half_rev = vrev64q_f32(a);
+            vextq_f32::<2>(half_rev, half_rev)
         }
     }
 
-    /// # Safety
-    /// NEON is baseline on aarch64; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above; separate multiply/add rounding (no FMA).
-        unsafe {
-            let av = vdupq_n_f32(a);
-            while i + 4 <= n {
-                let yv = vld1q_f32(y.as_ptr().add(i));
-                let xv = vld1q_f32(x.as_ptr().add(i));
-                let prod = vmulq_f32(av, xv);
-                vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(yv, prod));
-                i += 4;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; lengths as checked by the dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32]) {
-        let nb = step.len();
-        let rows = dst.len() / nb;
-        // SAFETY: every access stays inside the equal-length blocks and
-        // the `nb`-float step row.
-        unsafe {
-            for r in 0..rows {
-                let base = r * nb;
-                let mut a0 = 0;
-                while a0 + 4 <= nb {
-                    let sv = vld1q_f32(src.as_ptr().add(base + a0));
-                    let st = vld1q_f32(step.as_ptr().add(a0));
-                    vst1q_f32(dst.as_mut_ptr().add(base + a0), vaddq_f32(sv, st));
-                    a0 += 4;
-                }
-                for a in a0..nb {
-                    dst[base + a] = src[base + a] + step[a];
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; lengths as checked by the dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
-        let rows = dst.len() / nb;
-        // SAFETY: row index arithmetic stays inside the equal-length
-        // blocks.
-        unsafe {
-            if nb == 1 {
-                // Width-1 mirror, reversed inside the vector (see the AVX2
-                // body): vrev64 swaps within each half, vext swaps halves.
-                let n = rows;
-                let mut i = 0;
-                while i + 4 <= n {
-                    let sv = vld1q_f32(src.as_ptr().add(n - 4 - i));
-                    let half_rev = vrev64q_f32(sv);
-                    let r = vextq_f32::<2>(half_rev, half_rev);
-                    vst1q_f32(dst.as_mut_ptr().add(i), vnegq_f32(r));
-                    i += 4;
-                }
-                for j in i..n {
-                    dst[j] = -src[n - 1 - j];
-                }
-                return;
-            }
-            for r in 0..rows {
-                let dbase = r * nb;
-                let sbase = (rows - 1 - r) * nb;
-                let mut a0 = 0;
-                while a0 + 4 <= nb {
-                    let sv = vld1q_f32(src.as_ptr().add(sbase + a0));
-                    vst1q_f32(dst.as_mut_ptr().add(dbase + a0), vnegq_f32(sv));
-                    a0 += 4;
-                }
-                for a in a0..nb {
-                    dst[dbase + a] = -src[sbase + a];
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32) {
-        let n = dst.len();
-        let mut i = 0;
-        // SAFETY: bounds as above.
-        unsafe {
-            let sv = vdupq_n_f32(step);
-            while i + 4 <= n {
-                let s = vld1q_f32(src.as_ptr().add(i));
-                vst1q_f32(dst.as_mut_ptr().add(i), vaddq_f32(s, sv));
-                i += 4;
-            }
-        }
-        for k in i..n {
-            dst[k] = src[k] + step;
-        }
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; bounds as documented on the AVX2 body.
-    /// 4-lane groups with 8 accumulator vectors realise the canonical
-    /// tree per lane.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn lut_query_fused<K: KeyElem>(
-        y: &mut [f32],
-        scale: f32,
-        bank: &[f32],
-        table: usize,
-        nb: usize,
-        keys: &[K],
-    ) {
-        let lanes = y.len();
-        let klen = keys.len();
-        let mut a0 = 0;
-        // SAFETY: loads bounded exactly as in the AVX2 body, 4 lanes —
-        // `key < table` is the `KeyTile` range invariant (every key
-        // `< 2^µ`) with the dispatcher's `table == 2^µ`.
-        unsafe {
-            let sv = vdupq_n_f32(scale);
-            while a0 + 4 <= lanes {
-                let mut acc0 = vdupq_n_f32(0.0);
-                let mut acc1 = vdupq_n_f32(0.0);
-                let mut acc2 = vdupq_n_f32(0.0);
-                let mut acc3 = vdupq_n_f32(0.0);
-                let mut acc4 = vdupq_n_f32(0.0);
-                let mut acc5 = vdupq_n_f32(0.0);
-                let mut acc6 = vdupq_n_f32(0.0);
-                let mut acc7 = vdupq_n_f32(0.0);
-                let base = bank.as_ptr();
-                let ent =
-                    |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb + a0);
-                let mut ci = 0;
-                while ci + 8 <= klen {
-                    acc0 = vaddq_f32(acc0, vld1q_f32(ent(ci)));
-                    acc1 = vaddq_f32(acc1, vld1q_f32(ent(ci + 1)));
-                    acc2 = vaddq_f32(acc2, vld1q_f32(ent(ci + 2)));
-                    acc3 = vaddq_f32(acc3, vld1q_f32(ent(ci + 3)));
-                    acc4 = vaddq_f32(acc4, vld1q_f32(ent(ci + 4)));
-                    acc5 = vaddq_f32(acc5, vld1q_f32(ent(ci + 5)));
-                    acc6 = vaddq_f32(acc6, vld1q_f32(ent(ci + 6)));
-                    acc7 = vaddq_f32(acc7, vld1q_f32(ent(ci + 7)));
-                    ci += 8;
-                }
-                while ci < klen {
-                    let v = vld1q_f32(ent(ci));
-                    match ci % 8 {
-                        0 => acc0 = vaddq_f32(acc0, v),
-                        1 => acc1 = vaddq_f32(acc1, v),
-                        2 => acc2 = vaddq_f32(acc2, v),
-                        3 => acc3 = vaddq_f32(acc3, v),
-                        4 => acc4 = vaddq_f32(acc4, v),
-                        5 => acc5 = vaddq_f32(acc5, v),
-                        6 => acc6 = vaddq_f32(acc6, v),
-                        _ => acc7 = vaddq_f32(acc7, v),
-                    }
-                    ci += 1;
-                }
-                acc0 = vaddq_f32(acc0, acc4);
-                acc1 = vaddq_f32(acc1, acc5);
-                acc2 = vaddq_f32(acc2, acc6);
-                acc3 = vaddq_f32(acc3, acc7);
-                acc0 = vaddq_f32(acc0, acc2);
-                acc1 = vaddq_f32(acc1, acc3);
-                acc0 = vaddq_f32(acc0, acc1);
-                let yv = vld1q_f32(y.as_ptr().add(a0));
-                let prod = vmulq_f32(sv, acc0);
-                vst1q_f32(y.as_mut_ptr().add(a0), vaddq_f32(yv, prod));
-                a0 += 4;
-            }
-        }
-        if a0 < lanes {
-            super::lut_query_fused_scalar(&mut y[a0..], scale, &bank[a0..], table, nb, keys);
-        }
-    }
+    stamp!(Neon, "neon");
 
     /// Width-1 canonical gather. NEON has no hardware gather, and the
     /// strided loads defeat its load-pair idioms, so this runs the scalar
-    /// emulation — bit-identical by construction, and the canonical order
-    /// costs aarch64 nothing it was winning before.
+    /// emulation — bit-identical by construction.
     ///
     /// # Safety
     /// NEON is baseline on aarch64; bounds as checked by the dispatcher.
@@ -2181,13 +1788,6 @@ mod tests {
     use crate::layout::LineAlignedBuf;
     use biq_matrix::{MatrixRng, SignMatrix};
     use biq_quant::packing::KeyMatrix;
-
-    fn vectors(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
-        let mut g = MatrixRng::seed_from(seed);
-        (g.gaussian_vec(len), g.gaussian_vec(len))
-    }
-
-    const LENS: [usize; 10] = [0, 1, 3, 4, 7, 8, 9, 16, 31, 100];
 
     #[test]
     fn host_best_is_supported_and_resolvable() {
@@ -2239,34 +1839,50 @@ mod tests {
         assert_eq!(KernelLevel::parse("sse9"), None);
     }
 
-    #[test]
-    fn add_assign_bit_exact_across_levels() {
-        for k in supported_levels() {
-            let k = KernelRequest::Exact(k).resolve().unwrap();
-            for len in LENS {
-                let (a0, b) = vectors(len, 100 + len as u64);
-                let mut scalar = a0.clone();
-                add_assign_scalar(&mut scalar, &b);
-                let mut got = a0.clone();
-                add_assign(&mut got, &b, k);
-                assert_eq!(scalar, got, "{k} len={len}");
+    /// Oracle for [`dp_step_add_rows`]: the plain row loop.
+    fn dp_step_oracle(dst: &mut [f32], src: &[f32], step: &[f32]) {
+        let nb = step.len();
+        for (drow, srow) in dst.chunks_exact_mut(nb).zip(src.chunks_exact(nb)) {
+            for ((d, &sv), &st) in drow.iter_mut().zip(srow).zip(step) {
+                *d = sv + st;
             }
         }
     }
 
-    #[test]
-    fn axpy_bit_exact_across_levels() {
-        // No FMA anywhere ⇒ exact equality, not tolerance.
-        for k in supported_levels() {
-            let k = KernelRequest::Exact(k).resolve().unwrap();
-            for len in LENS {
-                let (y0, x) = vectors(len, 200 + len as u64);
-                let mut scalar = y0.clone();
-                axpy_scalar(&mut scalar, 1.37, &x);
-                let mut got = y0.clone();
-                axpy(&mut got, 1.37, &x, k);
-                assert_eq!(scalar, got, "{k} len={len}");
+    /// Oracle for [`negate_rows_reversed`]: the plain row loop.
+    fn negate_oracle(dst: &mut [f32], src: &[f32], nb: usize) {
+        let rows = dst.len() / nb;
+        for (r, drow) in dst.chunks_exact_mut(nb).enumerate() {
+            let srow = &src[(rows - 1 - r) * nb..(rows - r) * nb];
+            for (d, &sv) in drow.iter_mut().zip(srow) {
+                *d = -sv;
             }
+        }
+    }
+
+    /// Oracle for one row of [`lut_query_fused_rows`]: per batch lane, 8
+    /// residue-class partials over ascending chunks, the fixed fold, then
+    /// multiply and add rounded separately. `nb` is the bank's batch
+    /// stride, `y.len()` the lanes computed.
+    fn fused_oracle<K: KeyElem>(
+        y: &mut [f32],
+        scale: f32,
+        bank: &[f32],
+        table: usize,
+        nb: usize,
+        keys: &[K],
+    ) {
+        for (a, yv) in y.iter_mut().enumerate() {
+            let mut p = [0.0f32; ACC_TREE_WIDTH];
+            for (ci, &key) in keys.iter().enumerate() {
+                p[ci % ACC_TREE_WIDTH] += bank[(ci * table + key.idx()) * nb + a];
+            }
+            for step in [4usize, 2, 1] {
+                for j in 0..step {
+                    p[j] += p[j + step];
+                }
+            }
+            *yv += scale * p[0];
         }
     }
 
@@ -2275,29 +1891,127 @@ mod tests {
         let mut g = MatrixRng::seed_from(39);
         for k in supported_levels() {
             let k = KernelRequest::Exact(k).resolve().unwrap();
-            // Row blocks: every nb straddling the 4/8/16 lane widths.
-            for &(rows, nb) in
-                &[(1usize, 1usize), (4, 3), (8, 8), (7, 9), (16, 16), (3, 33), (5, 20)]
-            {
+            // Row blocks: every nb straddling the 4/8/16 lane widths, and
+            // nb = 1 blocks (the flat single-table arms) straddling them too.
+            let flat = [0usize, 1, 3, 4, 7, 8, 9, 16, 31, 100].map(|rows| (rows, 1));
+            let rows_nb = [(4usize, 3usize), (8, 8), (7, 9), (16, 16), (3, 33), (5, 20)];
+            for &(rows, nb) in flat.iter().chain(&rows_nb) {
                 let src = g.gaussian_vec(rows * nb);
                 let step = g.gaussian_vec(nb);
                 let mut want = vec![0.0f32; rows * nb];
-                dp_step_add_rows_scalar(&mut want, &src, &step);
+                dp_step_oracle(&mut want, &src, &step);
                 let mut got = vec![0.0f32; rows * nb];
                 dp_step_add_rows(&mut got, &src, &step, k);
                 assert_eq!(want, got, "{k} add rows={rows} nb={nb}");
 
-                negate_rows_reversed_scalar(&mut want, &src, nb);
+                negate_oracle(&mut want, &src, nb);
                 negate_rows_reversed(&mut got, &src, nb, k);
                 assert_eq!(want, got, "{k} negate rows={rows} nb={nb}");
             }
-            for len in LENS {
-                let (a, b) = vectors(len, 300 + len as u64);
-                let mut want = a.clone();
-                broadcast_add_scalar(&mut want, &b, 0.625);
-                let mut got = a.clone();
-                broadcast_add(&mut got, &b, 0.625, k);
-                assert_eq!(want, got, "{k} broadcast len={len}");
+        }
+    }
+
+    /// `L`'s operations against plain `f32` code, bit for bit: masked
+    /// loads and stores at every `n` in `0..=W` (lanes `n..` of the
+    /// destination keep their sentinel, and a masked load reads idle lanes
+    /// as `+0.0`), then `zero`, `splat`, `add`, `mul`, `neg` and `reverse`
+    /// on ±0.0, NaN payloads, ±∞, subnormals and ordinary values. The
+    /// caller passes only a level the host supports.
+    fn lanes_conformance<L: Lanes>(level: KernelLevel) {
+        const SENTINEL: u32 = 0x7fc5_a5a5;
+        let w = L::W;
+        let src: Vec<f32> = (0..2 * w).map(|i| i as f32 + 0.5).collect();
+        for n in 0..=w {
+            let mut dst = vec![f32::from_bits(SENTINEL); 2 * w];
+            let mut whole = vec![f32::from_bits(SENTINEL); w];
+            // SAFETY: `level` is supported (the caller's contract); `src`
+            // and `dst` hold `2W ≥ n` floats, `whole` holds `W`.
+            unsafe {
+                let v = L::load_masked(src.as_ptr(), n);
+                L::store_masked(dst.as_mut_ptr(), n, v);
+                L::store(whole.as_mut_ptr(), v);
+            }
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let mut want = bits(&src[..n]);
+            want.resize(2 * w, SENTINEL);
+            assert_eq!(bits(&dst), want, "{level} store_masked n={n}");
+            let mut want = bits(&src[..n]);
+            want.resize(w, 0);
+            assert_eq!(bits(&whole), want, "{level} load_masked n={n}");
+        }
+
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffc0_0042),
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
+            1.5,
+            -2.75,
+        ];
+        // 48 = a whole number of vectors at every width; `b` is never NaN,
+        // so a NaN result has one possible payload, and a lane whose
+        // operands would *make* a NaN (∞ · 0, ∞ − ∞) takes `b = 1` instead.
+        let len = 48;
+        let a: Vec<f32> = (0..len).map(|i| specials[i % specials.len()]).collect();
+        let b: Vec<f32> = (0..len)
+            .map(|i| {
+                let (x, y) = (a[i], specials[(i * 7 + 3) % specials.len()]);
+                let makes_nan = (x * y).is_nan() || (x + y).is_nan();
+                if y.is_nan() || (!x.is_nan() && makes_nan) {
+                    1.0
+                } else {
+                    y
+                }
+            })
+            .collect();
+        let (a, b) = (std::hint::black_box(a), std::hint::black_box(b));
+        let mut out = [vec![0.0f32; len], vec![0.0; len], vec![0.0; len], vec![0.0; len]];
+        let mut consts = vec![0.0f32; 2 * w];
+        // SAFETY: `level` is supported (the caller's contract); every
+        // vector is `off .. off + W ≤ len` floats of `len`-float buffers,
+        // and `consts` holds two vectors.
+        unsafe {
+            for off in (0..len).step_by(w) {
+                let (va, vb) = (L::load(a.as_ptr().add(off)), L::load(b.as_ptr().add(off)));
+                L::store(out[0].as_mut_ptr().add(off), L::add(va, vb));
+                L::store(out[1].as_mut_ptr().add(off), L::mul(va, vb));
+                L::store(out[2].as_mut_ptr().add(off), L::neg(va));
+                L::store(out[3].as_mut_ptr().add(off), L::reverse(va));
+            }
+            L::store(consts.as_mut_ptr(), L::zero());
+            L::store(consts.as_mut_ptr().add(w), L::splat(-0.0));
+        }
+        for i in 0..len {
+            let rev = a[i - i % w + (w - 1 - i % w)];
+            let want = [a[i] + b[i], a[i] * b[i], -a[i], rev];
+            for (op, (got, want)) in
+                ["add", "mul", "neg", "reverse"].iter().zip(out.iter().zip(want))
+            {
+                assert_eq!(got[i].to_bits(), want.to_bits(), "{level} {op} lane {i}");
+            }
+        }
+        assert!(consts[..w].iter().all(|v| v.to_bits() == 0), "{level} zero");
+        assert!(consts[w..].iter().all(|v| v.to_bits() == 0x8000_0000), "{level} splat");
+    }
+
+    #[test]
+    fn lanes_conformance_at_every_level() {
+        for level in supported_levels() {
+            match level {
+                KernelLevel::Scalar => lanes_conformance::<scalar::Scalar>(level),
+                #[cfg(target_arch = "x86_64")]
+                KernelLevel::Avx2 => lanes_conformance::<avx2::Avx2>(level),
+                #[cfg(target_arch = "x86_64")]
+                KernelLevel::Avx512 => lanes_conformance::<avx512::Avx512>(level),
+                #[cfg(target_arch = "aarch64")]
+                KernelLevel::Neon => lanes_conformance::<neon::Neon>(level),
+                #[allow(unreachable_patterns)]
+                other => unreachable!("{other} is not native here"),
             }
         }
     }
@@ -2353,7 +2067,7 @@ mod tests {
             let keys = km.tile(0..1, 0, chunks);
             let y0 = g.gaussian_vec(nb);
             let mut want = y0.clone();
-            fused_row(&mut want, -0.75, bank, table, nb, keys, ResolvedKernel::scalar());
+            with_keys!(keys, ks => fused_oracle(&mut want, -0.75, bank, table, nb, ks));
             for k in supported_levels() {
                 let k = KernelRequest::Exact(k).resolve().unwrap();
                 let mut got = y0.clone();
