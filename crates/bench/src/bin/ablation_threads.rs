@@ -13,7 +13,7 @@ use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::par_gemm_blocked;
 use biq_runtime::WeightSource;
 use biqgemm_core::config::Schedule;
-use biqgemm_core::{BiqConfig, BiqWeights};
+use biqgemm_core::{BiqConfig, BiqWeights, WorkerSet};
 use std::time::Duration;
 
 fn main() {
@@ -42,6 +42,8 @@ fn main() {
         "GEMM speedup vs 1T",
     ]);
     let mut base: Option<(f64, f64)> = None;
+    // The blocked GEMM's persistent helpers (each BiQ executor owns its own).
+    let pool = WorkerSet::new();
     // (BiQGEMM, GEMM) speedup vs one thread at the widest point measured.
     let mut widest = (1.0, 1.0);
     for &nt in &threads {
@@ -50,7 +52,7 @@ fn main() {
         let reps = auto_reps(Duration::from_millis(400), 3, 15, || row_exec.run(&row_op, &w.x));
         let m_row = measure(1, reps, || row_exec.run(&row_op, &w.x));
         let m_shared = measure(1, reps, || shared_exec.run(&shared_op, &w.x));
-        let m_gemm = measure(1, reps, || par_gemm_blocked(&dense, &w.x, nt));
+        let m_gemm = measure(1, reps, || par_gemm_blocked(&dense, &w.x, &pool, nt));
         let (b_biq, b_gemm) = *base.get_or_insert((m_row.median_ms(), m_gemm.median_ms()));
         widest = (b_biq / m_row.median_ms(), b_gemm / m_gemm.median_ms());
         t.row(&[

@@ -23,7 +23,7 @@ use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_gemm::{par_gemm_blocked, par_gemm_naive};
 use biq_quant::packing::PackedRowsU64;
 use biq_runtime::WeightSource;
-use biqgemm_core::BiqConfig;
+use biqgemm_core::{BiqConfig, WorkerSet};
 use std::time::Duration;
 
 fn main() {
@@ -46,6 +46,9 @@ fn main() {
         "BiQ/kGpu speedup",
     ]);
     let mut fastest_at_b1 = true;
+    // One persistent worker set for the dense roles, as the BiQGEMM plans'
+    // executors each own one: no role pays a thread spawn per call.
+    let pool = WorkerSet::new();
     for &n in &sizes {
         let xnor_kernel = biqgemm_core::KernelRequest::Auto.resolve().expect("auto resolves");
         for &b in &batches {
@@ -61,8 +64,8 @@ fn main() {
             let xw = XnorWeights::new(vec![(vec![1.0f32; n], PackedRowsU64::pack(&w.signs))]);
             let reps = auto_reps(Duration::from_millis(300), 3, 20, || exec.run(&op, &w.x));
             let m_biq = measure(1, reps, || exec.run(&op, &w.x));
-            let m_kgpu = measure(1, reps, || par_gemm_naive(&dense, &w.x, workers));
-            let m_cublas = measure(1, reps, || par_gemm_blocked(&dense, &w.x, workers));
+            let m_kgpu = measure(1, reps, || par_gemm_naive(&dense, &w.x, &pool, workers));
+            let m_cublas = measure(1, reps, || par_gemm_blocked(&dense, &w.x, &pool, workers));
             let m_xnor = measure(1, reps, || xnor_gemm(&xw, &w.x, xnor_kernel));
             if b == 1 {
                 fastest_at_b1 &= [m_kgpu, m_cublas, m_xnor].iter().all(|o| m_biq.median < o.median);

@@ -8,12 +8,15 @@
 //! when a *larger* shape than ever seen arrives.
 //!
 //! One arena serves every way [`crate::biqgemm_into`] can run. It is a set
-//! of per-worker slots plus one shared bank buffer for the
-//! [`Schedule::SharedLut`] build phase. The serial tile loop runs on the
-//! calling thread out of slot 0; a parallel task checks a slot out for its
-//! lifetime, so two tasks never share a live table ("one lookup table
-//! cannot be implemented by coordinating more than two threads" — each
-//! table is built and read through exactly one slot at a time).
+//! of per-worker slots, one shared bank buffer for the
+//! [`Schedule::SharedLut`] build phase, and the persistent [`WorkerSet`]
+//! whose helper threads run the parallel schedules. The serial tile loop
+//! runs on the calling thread out of slot 0; a parallel task checks a slot
+//! out for its lifetime, preferring its worker's own, so two tasks never
+//! share a live table ("one lookup table cannot be implemented by
+//! coordinating more than two threads" — each table is built and read
+//! through exactly one slot at a time) and a worker's bank stays in its
+//! core's cache.
 //!
 //! A slot's bank is keyed by `(µ, layout)`: a bank built for one key width
 //! or physical layout cannot be reinterpreted under another, so changing
@@ -25,6 +28,7 @@
 
 use crate::config::{BiqConfig, LutLayout, Schedule};
 use crate::layout::{LineAlignedBuf, LutBank};
+use crate::parallel::WorkerSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -70,6 +74,9 @@ pub struct BiqArena {
     /// SharedLut phase-1 bank, built once per (batch-tile × chunk-tile) and
     /// then read by every query task. Line-aligned like every LUT bank.
     pub(crate) shared_bank: Mutex<LineAlignedBuf>,
+    /// The helper threads parallel runs execute on, beside the slots their
+    /// tasks draw from; no helper exists until a parallel run needs one.
+    workers: WorkerSet,
 }
 
 impl BiqArena {
@@ -112,6 +119,12 @@ impl BiqArena {
         }
     }
 
+    /// The worker set parallel runs execute on (and that callers may run
+    /// their own column-parallel regions on, as `biq_nn` does).
+    pub fn workers(&self) -> &WorkerSet {
+        &self.workers
+    }
+
     /// The calling thread's slot — the serial tile loop's bank lives here.
     pub(crate) fn local(&mut self) -> &mut Slot {
         self.ensure_slots(1);
@@ -119,11 +132,14 @@ impl BiqArena {
     }
 
     /// Checks out one slot for the duration of a parallel task: a try-lock
-    /// sweep finds a free slot without blocking; when every slot is busy
-    /// (more live tasks than slots) the task queues on a round-robin pick,
-    /// which stays correct — just momentarily serialised.
+    /// sweep, starting at the slot of the calling worker's place in the
+    /// worker set (so a slot's bank stays in one core's cache), finds a
+    /// free slot without blocking; when every slot is busy (more live tasks
+    /// than slots) the task queues on a round-robin pick, which stays
+    /// correct — just momentarily serialised.
     pub(crate) fn checkout(&self) -> MutexGuard<'_, Slot> {
-        for slot in &self.slots {
+        let first = crate::parallel::place() % self.slots.len();
+        for slot in self.slots[first..].iter().chain(&self.slots[..first]) {
             if let Ok(guard) = slot.try_lock() {
                 return guard;
             }

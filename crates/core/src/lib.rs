@@ -99,6 +99,7 @@ pub mod weights;
 
 pub use arena::BiqArena;
 pub use config::{BiqConfig, LutBuildMethod, LutLayout, Schedule};
+pub use parallel::WorkerSet;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};
 pub use tiled::biqgemm_into;

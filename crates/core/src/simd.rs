@@ -198,8 +198,9 @@
 //! 4. the per-level property suites pick the level up automatically from
 //!    [`supported_levels`].
 //!
-//! Safety: `unsafe` is confined to this module, and every `unsafe` block
-//! and `unsafe impl` carries a `// SAFETY:` line (`#![deny]`ed below,
+//! Safety: the kernels' `unsafe` is confined to this module (the worker
+//! set's is in [`crate::parallel`]), and every `unsafe` block and
+//! `unsafe impl` carries a `// SAFETY:` line (`#![deny]`ed below,
 //! enforced by clippy) naming its invariant: the `KeyTile` key range, the
 //! lane-mask derivation, or the dispatcher's geometry asserts. The `Lanes`
 //! impls state what they guarantee, and a `Lanes` method or a stamp is

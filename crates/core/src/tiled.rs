@@ -43,9 +43,11 @@ use biq_matrix::ColMatrix;
 /// * `None` — the serial LUT-stationary tile loop (Algorithm 2) on the
 ///   calling thread, its time split into `profile`'s build / query /
 ///   replace phases (Fig. 8);
-/// * `Some(n)` — `cfg.schedule` ([`crate::parallel`]) on up to `n` scoped
-///   worker threads, the whole run charged to `profile.query`. `Some(1)`
-///   runs the same schedule inline, spawning nothing.
+/// * `Some(n)` — `cfg.schedule` ([`crate::parallel`]) on the calling thread
+///   and up to `n − 1` helpers of the arena's persistent
+///   [`crate::parallel::WorkerSet`], the whole run charged to
+///   `profile.query`. `Some(1)` runs the same schedule inline, waking no
+///   helper.
 ///
 /// Outputs are bit-identical for every `workers` value: threads partition
 /// *independent* output elements only.

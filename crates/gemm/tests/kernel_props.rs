@@ -10,6 +10,7 @@ use biq_gemm::{
 };
 use biq_matrix::{ColMatrix, Matrix, MatrixRng, SignMatrix};
 use biq_quant::packing::{PackedRowsU32, PackedRowsU64};
+use biqgemm_core::WorkerSet;
 use proptest::prelude::*;
 
 fn int_matrix(max_r: usize, max_c: usize) -> impl Strategy<Value = Matrix> {
@@ -34,8 +35,9 @@ proptest! {
         let y = gemm_naive(&w, &x);
         let blocked = gemm_blocked(&w, &x);
         let workers = 1 + (seed >> 8) as usize % 4;
-        let pn = par_gemm_naive(&w, &x, workers);
-        let pb = par_gemm_blocked(&w, &x, workers);
+        let pool = WorkerSet::new();
+        let pn = par_gemm_naive(&w, &x, &pool, workers);
+        let pb = par_gemm_blocked(&w, &x, &pool, workers);
         prop_assert_eq!(y.as_slice(), blocked.as_slice());
         prop_assert_eq!(y.as_slice(), pn.as_slice());
         prop_assert_eq!(y.as_slice(), pb.as_slice());

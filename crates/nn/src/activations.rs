@@ -84,8 +84,8 @@ fn exp_poly(z: f32) -> f32 {
 }
 
 /// Applies `f` to every element in place.
-pub fn map_inplace(x: &mut ColMatrix, f: impl Fn(f32) -> f32) {
-    for v in x.as_mut_slice() {
+pub fn map_inplace(x: &mut [f32], f: impl Fn(f32) -> f32) {
+    for v in x {
         *v = f(*v);
     }
 }
@@ -205,7 +205,7 @@ mod tests {
         // The vectorised loop and the scalar call are the same arithmetic.
         let mut x = ColMatrix::from_fn(37, 3, |i, j| (i as f32 - 18.0) * 0.37 + j as f32 * 0.11);
         let want: Vec<u32> = x.as_slice().iter().map(|&v| gelu(v).to_bits()).collect();
-        map_inplace(&mut x, gelu);
+        map_inplace(x.as_mut_slice(), gelu);
         let got: Vec<u32> = x.as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want);
     }
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn map_inplace_applies_everywhere() {
         let mut x = ColMatrix::from_fn(2, 2, |i, j| (i as f32) - (j as f32));
-        map_inplace(&mut x, relu);
+        map_inplace(x.as_mut_slice(), relu);
         assert!(x.as_slice().iter().all(|&v| v >= 0.0));
     }
 }

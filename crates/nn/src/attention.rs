@@ -8,7 +8,10 @@
 //! and score matmuls have no fixed weight operand.
 //!
 //! Activations are column-major `d_model × seq`; each column is one token,
-//! so sequence length is the GEMM batch for every projection.
+//! so sequence length is the GEMM batch for every projection. Under a
+//! parallel plan the score / softmax / context loop runs split by query
+//! column on the plan's workers (`Linear::for_each_col_block`), each column
+//! computed exactly as on one thread.
 
 use crate::activations::softmax_inplace;
 use crate::linear::Linear;
@@ -89,31 +92,37 @@ impl MultiHeadAttention {
         let q = self.wq.forward(xq); // d_model × sq
         let k = self.wk.forward(xkv); // d_model × skv
         let v = self.wv.forward(xkv); // d_model × skv
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut ctx = ColMatrix::zeros(self.d_model, sq);
-        let mut scores = vec![0.0f32; skv];
-        for h in 0..self.heads {
-            let r0 = h * self.d_head;
-            for ti in 0..sq {
-                let qcol = &q.col(ti)[r0..r0 + self.d_head];
-                for (tj, s) in scores.iter_mut().enumerate() {
-                    let kcol = &k.col(tj)[r0..r0 + self.d_head];
-                    let mut dot = 0.0f32;
-                    for (a, b) in qcol.iter().zip(kcol) {
-                        dot += a * b;
+        let (d, dh) = (self.d_model, self.d_head);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut ctx = ColMatrix::zeros(d, sq);
+        // One region over query columns: each column's scores, softmax and
+        // context depend on that column of `q` (and all of `k`, `v`) only.
+        self.wo.for_each_col_block(ctx.as_mut_slice(), d, |t0, block| {
+            let mut scores = vec![0.0f32; skv];
+            // Head-major, as the serial loop always ran: one head's `k` and
+            // `v` rows stay cache-hot across the block's columns.
+            for r0 in (0..d).step_by(dh) {
+                for (ti, ccol) in (t0..).zip(block.chunks_exact_mut(d)) {
+                    let qcol = &q.col(ti)[r0..r0 + dh];
+                    for (tj, s) in scores.iter_mut().enumerate() {
+                        let kcol = &k.col(tj)[r0..r0 + dh];
+                        let mut dot = 0.0f32;
+                        for (a, b) in qcol.iter().zip(kcol) {
+                            dot += a * b;
+                        }
+                        *s = dot * scale;
                     }
-                    *s = dot * scale;
-                }
-                softmax_inplace(&mut scores);
-                let ccol = &mut ctx.col_mut(ti)[r0..r0 + self.d_head];
-                for (tj, &w) in scores.iter().enumerate() {
-                    let vcol = &v.col(tj)[r0..r0 + self.d_head];
-                    for (c, &vv) in ccol.iter_mut().zip(vcol) {
-                        *c += w * vv;
+                    softmax_inplace(&mut scores);
+                    let chead = &mut ccol[r0..r0 + dh];
+                    for (tj, &w) in scores.iter().enumerate() {
+                        let vcol = &v.col(tj)[r0..r0 + dh];
+                        for (c, &vv) in chead.iter_mut().zip(vcol) {
+                            *c += w * vv;
+                        }
                     }
                 }
             }
-        }
+        });
         self.wo.forward(&ctx)
     }
 }

@@ -80,9 +80,15 @@ impl LayerNorm {
     /// Panics if `x.rows() != self.dim()`.
     pub fn forward_inplace(&self, x: &mut ColMatrix) {
         assert_eq!(x.rows(), self.dim(), "feature dimension mismatch");
+        self.normalize_columns(x.as_mut_slice());
+    }
+
+    /// Normalises each `dim()`-float column of a column-major block: the
+    /// per-column body a layer runs over any split of its columns.
+    pub(crate) fn normalize_columns(&self, block: &mut [f32]) {
         let d = self.dim() as f32;
-        for j in 0..x.cols() {
-            let col = x.col_mut(j);
+        // `max(1)`: a zero-width norm owns no floats, so there is no column.
+        for col in block.chunks_exact_mut(self.dim().max(1)) {
             let mean = col.iter().sum::<f32>() / d;
             let var = col.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
             let inv = 1.0 / (var + self.eps).sqrt();

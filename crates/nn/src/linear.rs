@@ -227,20 +227,43 @@ impl Linear {
         // one read of `y`, one write of the output, one allocation.
         let (m, b) = y.shape();
         let src = y.as_slice();
-        let mut data = Vec::with_capacity(m * b);
-        match self.bias.as_deref() {
-            Some(bias) => {
-                for j in 0..b {
-                    data.extend(bias.iter().enumerate().map(|(i, &bv)| src[i * b + j] + bv));
+        let mut out = ColMatrix::zeros(m, b);
+        self.for_each_col_block(out.as_mut_slice(), m, |j0, block| {
+            for (j, col) in (j0..).zip(block.chunks_exact_mut(m)) {
+                match self.bias.as_deref() {
+                    Some(bias) => {
+                        for (i, (o, &bv)) in col.iter_mut().zip(bias).enumerate() {
+                            *o = src[i * b + j] + bv;
+                        }
+                    }
+                    None => col.iter_mut().enumerate().for_each(|(i, o)| *o = src[i * b + j]),
                 }
             }
-            None => {
-                for j in 0..b {
-                    data.extend((0..m).map(|i| src[i * b + j]));
-                }
+        });
+        out
+    }
+
+    /// Runs `f(first_col, block)` over blocks of whole columns of the
+    /// column-major buffer `data` (`rows` floats per column): on a parallel
+    /// plan, split across its workers on this layer's executor's worker
+    /// set; on a serial plan, as one block on the calling thread. Blocks
+    /// partition independent columns, so an `f` that treats each column on
+    /// its own computes the same bits for every worker count.
+    pub(crate) fn for_each_col_block<F>(&self, data: &mut [f32], rows: usize, f: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        let cols = data.len() / rows.max(1);
+        match self.op.plan().workers {
+            Some(workers) if cols > 1 => {
+                // Two blocks per worker: a helper that wakes late leaves
+                // the caller a block to take instead of a half to wait on.
+                let per = cols.div_ceil(2 * workers);
+                self.exec
+                    .for_each_chunk_mut(data, per * rows, workers, |t, block| f(t * per, block));
             }
+            _ => f(0, data),
         }
-        ColMatrix::from_vec(m, b, data)
     }
 }
 

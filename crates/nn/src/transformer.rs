@@ -5,6 +5,12 @@
 //!
 //! Post-norm residual arrangement as in the original Transformer:
 //! `x ← LN(x + Attn(x))`, `x ← LN(x + FF(x))` with `FF = W₂·gelu(W₁·x)`.
+//!
+//! Under parallel plans the non-GEMM work runs on the same workers as the
+//! linears: attention, GELU and both (decoder: all three) residual adds +
+//! layer norms are column regions (`Linear::for_each_col_block`), each
+//! column computed exactly as on one thread, so every worker count gives
+//! the serial bits.
 
 use crate::activations::{gelu, map_inplace};
 use crate::attention::MultiHeadAttention;
@@ -47,11 +53,26 @@ impl LayerBackend {
     /// `exec` — the per-model plan-caching hook: every layer built with the
     /// same handle shares one executor, so LUT arenas and pack panels are
     /// reused across layers and (for recurrent models) time-steps.
+    ///
+    /// The plan is for 1-column steps (a decoder's or LSTM's), so `Auto`
+    /// applies its width-1 kernel clamp; encoder layers plan at
+    /// [`ENCODER_BATCH_HINT`] instead.
     pub fn linear_shared(
         &self,
         weight: Matrix,
         bias: Option<Vec<f32>>,
         exec: &SharedExecutor,
+    ) -> Linear {
+        self.linear_planned(weight, bias, exec, 1)
+    }
+
+    /// [`Self::linear_shared`] planned for batches of `batch_hint` columns.
+    fn linear_planned(
+        &self,
+        weight: Matrix,
+        bias: Option<Vec<f32>>,
+        exec: &SharedExecutor,
+        batch_hint: usize,
     ) -> Linear {
         let (m, n) = weight.shape();
         let threading = |parallel: bool| {
@@ -61,21 +82,22 @@ impl LayerBackend {
                 Threading::Serial
             }
         };
+        let builder = PlanBuilder::new(m, n).batch_hint(batch_hint);
         let plan = match *self {
-            LayerBackend::Fp32 { parallel } => PlanBuilder::new(m, n)
-                .backend(BackendSpec::Fp32Blocked)
-                .threading(threading(parallel))
-                .build(),
-            LayerBackend::Biq { bits, method, cfg, parallel } => PlanBuilder::new(m, n)
+            LayerBackend::Fp32 { parallel } => {
+                builder.backend(BackendSpec::Fp32Blocked).threading(threading(parallel))
+            }
+            LayerBackend::Biq { bits, method, cfg, parallel } => builder
                 .backend(BackendSpec::Biq { bits, method })
                 .config(cfg)
-                .threading(threading(parallel))
-                .build(),
+                .threading(threading(parallel)),
+            // Single-threaded kernels: serial whatever the batch hint.
             LayerBackend::Xnor { bits } => {
-                PlanBuilder::new(m, n).backend(BackendSpec::Xnor { bits }).build()
+                builder.backend(BackendSpec::Xnor { bits }).threading(Threading::Serial)
             }
-            LayerBackend::Int8 => PlanBuilder::new(m, n).backend(BackendSpec::Int8).build(),
-        };
+            LayerBackend::Int8 => builder.backend(BackendSpec::Int8).threading(Threading::Serial),
+        }
+        .build();
         Linear::from_plan(&plan, WeightSource::Dense(&weight), bias, exec.clone())
     }
 
@@ -84,6 +106,12 @@ impl LayerBackend {
         self.linear_shared(weight, bias, &SharedExecutor::new())
     }
 }
+
+/// Batch hint of every linear an encoder-layer builder plans: an encoder's
+/// batch is its sequence, so its linears run the batched query, never the
+/// 1-column gather `Auto`'s width-1 kernel clamp is for. (Planning them at
+/// the default hint of 1 pinned every encoder to AVX2 on AVX-512 hosts.)
+pub const ENCODER_BATCH_HINT: usize = 32;
 
 /// One Transformer encoder layer.
 #[derive(Clone, Debug)]
@@ -141,27 +169,13 @@ impl EncoderLayer {
     ) -> Self {
         let std_a = (d_model as f32).powf(-0.5);
         let std_f = (d_ff as f32).powf(-0.5);
-        let exec = exec.clone();
-        let proj = |rng: &mut MatrixRng, b: &LayerBackend, e: &SharedExecutor| {
-            b.linear_shared(rng.gaussian(d_model, d_model, 0.0, std_a), None, e)
+        let linear = |w: Matrix, bias: Option<Vec<f32>>| {
+            backend.linear_planned(w, bias, exec, ENCODER_BATCH_HINT)
         };
-        let attn = MultiHeadAttention::new(
-            proj(rng, &backend, &exec),
-            proj(rng, &backend, &exec),
-            proj(rng, &backend, &exec),
-            proj(rng, &backend, &exec),
-            heads,
-        );
-        let ff1 = backend.linear_shared(
-            rng.gaussian(d_ff, d_model, 0.0, std_a),
-            Some(vec![0.0; d_ff]),
-            &exec,
-        );
-        let ff2 = backend.linear_shared(
-            rng.gaussian(d_model, d_ff, 0.0, std_f),
-            Some(vec![0.0; d_model]),
-            &exec,
-        );
+        let mut proj = || linear(rng.gaussian(d_model, d_model, 0.0, std_a), None);
+        let attn = MultiHeadAttention::new(proj(), proj(), proj(), proj(), heads);
+        let ff1 = linear(rng.gaussian(d_ff, d_model, 0.0, std_a), Some(vec![0.0; d_ff]));
+        let ff2 = linear(rng.gaussian(d_model, d_ff, 0.0, std_f), Some(vec![0.0; d_model]));
         Self::new(attn, ff1, ff2, LayerNorm::new(d_model), LayerNorm::new(d_model))
     }
 
@@ -199,14 +213,12 @@ impl EncoderLayer {
     pub fn forward(&self, x: &ColMatrix) -> ColMatrix {
         // x ← LN(x + Attn(x))
         let mut h = self.attn.forward(x);
-        add_inplace(&mut h, x);
-        self.ln1.forward_inplace(&mut h);
+        add_norm_on(self.attn.wo(), &self.ln1, &mut h, x);
         // x ← LN(x + FF(x))
         let mut f = self.ff1.forward(&h);
-        map_inplace(&mut f, gelu);
+        gelu_on(&self.ff1, &mut f);
         let mut f = self.ff2.forward(&f);
-        add_inplace(&mut f, &h);
-        self.ln2.forward_inplace(&mut f);
+        add_norm_on(&self.ff2, &self.ln2, &mut f, &h);
         f
     }
 }
@@ -338,16 +350,13 @@ impl DecoderLayer {
     /// output (`d × s_enc`).
     pub fn forward(&self, x: &ColMatrix, memory: &ColMatrix) -> ColMatrix {
         let mut h = self.self_attn.forward(x);
-        add_inplace(&mut h, x);
-        self.ln1.forward_inplace(&mut h);
+        add_norm_on(self.self_attn.wo(), &self.ln1, &mut h, x);
         let mut c = self.cross_attn.attend(&h, memory);
-        add_inplace(&mut c, &h);
-        self.ln2.forward_inplace(&mut c);
+        add_norm_on(self.cross_attn.wo(), &self.ln2, &mut c, &h);
         let mut f = self.ff1.forward(&c);
-        map_inplace(&mut f, gelu);
+        gelu_on(&self.ff1, &mut f);
         let mut f = self.ff2.forward(&f);
-        add_inplace(&mut f, &c);
-        self.ln3.forward_inplace(&mut f);
+        add_norm_on(&self.ff2, &self.ln3, &mut f, &c);
         f
     }
 }
@@ -422,11 +431,24 @@ impl Encoder {
     }
 }
 
-fn add_inplace(a: &mut ColMatrix, b: &ColMatrix) {
-    assert_eq!(a.shape(), b.shape(), "residual shape mismatch");
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += *y;
-    }
+/// `x ← LN(x + residual)`, column by column on the workers of `lin`'s plan.
+fn add_norm_on(lin: &Linear, ln: &LayerNorm, x: &mut ColMatrix, residual: &ColMatrix) {
+    assert_eq!(x.shape(), residual.shape(), "residual shape mismatch");
+    assert_eq!(x.rows(), ln.dim(), "feature dimension mismatch");
+    let d = ln.dim();
+    lin.for_each_col_block(x.as_mut_slice(), d, |j0, block| {
+        let res = &residual.as_slice()[j0 * d..j0 * d + block.len()];
+        for (v, r) in block.iter_mut().zip(res) {
+            *v += *r;
+        }
+        ln.normalize_columns(block);
+    });
+}
+
+/// GELU over every element of `x`, on the workers of `lin`'s plan.
+fn gelu_on(lin: &Linear, x: &mut ColMatrix) {
+    let rows = x.rows();
+    lin.for_each_col_block(x.as_mut_slice(), rows, |_, block| map_inplace(block, gelu));
 }
 
 #[cfg(test)]
@@ -488,6 +510,38 @@ mod tests {
         let y = dec.forward(&x, &mem);
         assert_eq!(y.shape(), (16, 3));
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn encoder_layers_plan_wide_and_decoder_layers_keep_the_width1_clamp() {
+        use biq_runtime::KernelRequest;
+        use biqgemm_core::planner::auto_width1_clamp;
+        use biqgemm_core::simd::env_override_active;
+        let backend = LayerBackend::Biq {
+            bits: 2,
+            method: QuantMethod::Greedy,
+            cfg: BiqConfig::default(),
+            parallel: false,
+        };
+        let mut g = MatrixRng::seed_from(334);
+        let enc = EncoderLayer::random(&mut g, 32, 64, 4, backend);
+        let dec = DecoderLayer::random(&mut g, 32, 64, 4, backend);
+        // Auto's pick before any shape-aware clamp: the host's best level,
+        // or the level a BIQ_KERNEL override forces (which no clamp moves).
+        let wide = KernelRequest::Auto.resolve().expect("auto resolves").level();
+        let width1 = match auto_width1_clamp(1, wide) {
+            Some((clamped, _)) if !env_override_active() => clamped,
+            _ => wide,
+        };
+        let attn = enc.attn();
+        for l in [attn.wq(), attn.wk(), attn.wv(), attn.wo(), enc.ff1(), enc.ff2()] {
+            assert_eq!(l.plan().batch_hint, ENCODER_BATCH_HINT);
+            assert_eq!(l.plan().kernel.level(), wide, "an encoder linear must not take the clamp");
+        }
+        let (sa, ca) = (dec.self_attn(), dec.cross_attn());
+        for l in [sa.wq(), sa.wo(), ca.wk(), ca.wv(), dec.ff1(), dec.ff2()] {
+            assert_eq!(l.plan().kernel.level(), width1, "decoder steps are 1-column");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! One [`Arena`] serves every backend family: BiQGEMM draws its LUT banks
 //! and DP steps (the calling thread's, and every parallel worker's) from
-//! the embedded [`BiqArena`], the blocked dense kernels reuse the
-//! input-pack panel, and all buffers grow monotonically — after the first
-//! call at a given shape, repeat serial runs never touch the allocator.
+//! the embedded [`BiqArena`], whose worker set also runs the parallel
+//! dense kernels; the blocked dense kernels reuse the input-pack panel, and
+//! all buffers grow monotonically — after the first call at a given shape,
+//! repeat runs never touch the allocator.
 
 use biqgemm_core::BiqArena;
 

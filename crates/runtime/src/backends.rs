@@ -118,7 +118,9 @@ impl GemmBackend for BlockedBackend {
 
     fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
         profile.time_query(|| match self.workers {
-            Some(n) => par_gemm_blocked_into(&self.w, x, n, &mut arena.pack, y),
+            Some(n) => {
+                par_gemm_blocked_into(&self.w, x, arena.biq.workers(), n, &mut arena.pack, y)
+            }
             None => gemm_blocked_into(&self.w, x, &mut arena.pack, y),
         });
     }

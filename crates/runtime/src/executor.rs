@@ -10,7 +10,7 @@
 use crate::arena::Arena;
 use crate::backends::CompiledOp;
 use biq_matrix::{ColMatrix, Matrix};
-use biqgemm_core::PhaseProfile;
+use biqgemm_core::{PhaseProfile, WorkerSet};
 use std::sync::{Arc, Mutex};
 
 /// Runs compiled ops against a reusable [`Arena`].
@@ -71,8 +71,9 @@ impl Executor {
     }
 
     /// `Y = W · X` into a caller-provided row-major `m × b` buffer
-    /// (overwritten). On serial plans this is the allocation-free
-    /// steady-state path.
+    /// (overwritten). Once the arena has warmed to the shape (and, on a
+    /// parallel plan, the worker set has its helpers) this is the
+    /// allocation-free steady-state path.
     ///
     /// # Panics
     /// Panics if `x.rows() != op.input_size()` or `y.len() != m·b`.
@@ -84,6 +85,13 @@ impl Executor {
         // costs a single relaxed load here.
         let _span = biq_obs::span!("exec.run");
         op.backend().execute(x, &mut self.arena, &mut self.profile, y);
+    }
+
+    /// The worker set this executor's parallel plans run on: its helpers
+    /// start with the first parallel run and are joined when the executor
+    /// drops.
+    pub fn workers(&self) -> &WorkerSet {
+        self.arena.biq.workers()
     }
 
     /// Accumulated phase profile over every run (build / query / replace).
@@ -168,6 +176,18 @@ impl SharedExecutor {
     /// Pre-grows the shared arena for `op`.
     pub fn warm(&self, op: &CompiledOp) {
         self.lock().warm(op)
+    }
+
+    /// Runs a region on the shared executor's worker set (see
+    /// [`WorkerSet::for_each_chunk_mut`]), holding the executor for its
+    /// duration — how a model's non-GEMM work runs on the same threads as
+    /// its parallel plans.
+    pub fn for_each_chunk_mut<T, F>(&self, slice: &mut [T], chunk_size: usize, workers: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        self.lock().workers().for_each_chunk_mut(slice, chunk_size, workers, f)
     }
 
     /// Number of ops executed through this handle's executor.

@@ -14,8 +14,9 @@
 //!   [`GemmBackend`] trait (one impl per kernel family: naive / blocked /
 //!   int8 / xnor dense paths, serial and parallel BiQGEMM);
 //! * an [`Executor`] — the *stateful runner*: owns a reusable [`Arena`]
-//!   (LUT bank, accumulators, DP steps, input-pack panel) and runs any
-//!   compiled op against it. After warm-up, serial runs perform **zero
+//!   (LUT bank, accumulators, DP steps, input-pack panel, and the
+//!   persistent [`WorkerSet`] parallel plans run on) and runs any compiled
+//!   op against it. After warm-up, serial and parallel runs perform **zero
 //!   per-call heap allocation** — the property the paper's small-batch
 //!   serving regime cares about.
 //!
@@ -65,4 +66,6 @@ pub use plan::{BackendSpec, ExecutionPlan, PlanBuilder, QuantMethod};
 // The planner and kernel-layer vocabulary the plans are built from,
 // re-exported so callers need not depend on biqgemm_core directly.
 pub use biqgemm_core::planner::{ScratchSpec, Threading, SMALL_BATCH_SERIAL_MAX};
-pub use biqgemm_core::{KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};
+pub use biqgemm_core::{
+    KernelError, KernelLevel, KernelRequest, ResolvedKernel, WorkerSet, KERNEL_ENV,
+};

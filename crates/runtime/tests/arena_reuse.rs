@@ -1,6 +1,8 @@
-//! Arena-reuse guarantee: once the executor has run a serial plan once, a
-//! repeat run performs **zero heap allocation** — measured with a counting
-//! global allocator, not inferred.
+//! Arena-reuse guarantee: once the executor has run a plan once, a repeat
+//! run performs **zero heap allocation** — serial plans on the calling
+//! thread, parallel plans on the caller and on every helper of the
+//! executor's worker set — measured with a counting global allocator, not
+//! inferred.
 //!
 //! This is the acceptance gate for the plan/executor refactor: the seed's
 //! per-call `LutBank`, accumulator and DP-step allocations are gone from
@@ -9,10 +11,12 @@
 
 use biq_matrix::MatrixRng;
 use biq_runtime::{
-    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource, WorkerSet,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Counts allocations made through the global allocator **per thread, and
 /// only while that thread is inside [`count_allocs`]**. `cargo test` runs
@@ -176,6 +180,75 @@ fn parallel_steady_state_allocates_nothing_per_worker() {
         assert_eq!(
             allocs, 0,
             "{schedule:?}: parallel steady state allocated {allocs} times in 8 runs"
+        );
+    }
+}
+
+/// Runs `f` once on every helper of `set`'s next `workers`-wide region: the
+/// region's tasks wait for each other, so each of its `workers` threads
+/// runs exactly one; the caller's own task skips `f`. Returns the sum of
+/// what the helpers' calls returned.
+fn on_each_helper(set: &WorkerSet, workers: usize, f: impl Fn() -> u64 + Sync) -> u64 {
+    let (arrived, sum) = (AtomicUsize::new(0), AtomicU64::new(0));
+    let caller = std::thread::current().id();
+    let mut tasks = vec![0u8; workers];
+    set.for_each_chunk_mut(&mut tasks, 1, workers, |_, _| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while arrived.load(Ordering::SeqCst) < workers {
+            assert!(Instant::now() < deadline, "a helper never joined the region");
+            std::thread::yield_now();
+        }
+        if std::thread::current().id() != caller {
+            sum.fetch_add(f(), Ordering::SeqCst);
+        }
+    });
+    sum.into_inner()
+}
+
+#[test]
+fn warmed_two_worker_run_allocates_nothing_on_caller_or_helpers() {
+    // The regime the encoder's parallel build runs in: b = 32 on two
+    // workers. A region hands chunks out by index from the executor's
+    // persistent worker set, so once the helper exists and the slots are
+    // warm, neither thread may touch the heap: no per-call chunk list, no
+    // thread spawn, no per-task scratch.
+    use biqgemm_core::{BiqConfig, Schedule};
+    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+        let mut g = MatrixRng::seed_from(0xc0 + schedule as u64);
+        let (m, n, b) = (512, 512, 32);
+        let signs = g.signs(m, n);
+        let x = g.small_int_col(n, b, 3);
+        let plan = PlanBuilder::new(m, n)
+            .batch_hint(b)
+            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+            .config(BiqConfig { schedule, ..BiqConfig::default() })
+            .threads(2)
+            .threading(Threading::Parallel)
+            .build();
+        let op = compile(&plan, WeightSource::Signs(&signs));
+        let mut exec = Executor::warmed_for(&op);
+        let mut y = vec![0.0f32; m * b];
+        exec.run_into(&op, &x, &mut y); // warm-up run: starts the helper
+        assert_eq!(exec.workers().helpers(), 1);
+        on_each_helper(exec.workers(), 2, || {
+            ALLOCS.with(|n| n.set(0));
+            ARMED.with(|a| a.set(true));
+            0
+        });
+        let on_caller = count_allocs(|| {
+            for _ in 0..8 {
+                exec.run_into(&op, &x, &mut y);
+            }
+        });
+        let on_helper = on_each_helper(exec.workers(), 2, || {
+            ARMED.with(|a| a.set(false));
+            ALLOCS.with(|n| n.get())
+        });
+        assert_eq!(
+            (on_caller, on_helper),
+            (0, 0),
+            "{schedule:?}: 8 warmed 2-worker runs allocated (caller, helper) times"
         );
     }
 }

@@ -12,7 +12,7 @@ use biqgemm_repro::biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
 use biqgemm_repro::biqgemm_core::config::{LutLayout, Schedule};
-use biqgemm_repro::biqgemm_core::BiqConfig;
+use biqgemm_repro::biqgemm_core::{BiqConfig, WorkerSet};
 
 /// `W · x` by BiQGEMM through the plan/executor, under exactly `cfg`:
 /// a serial plan when `workers` is `None`, a parallel one on that many
@@ -57,7 +57,7 @@ fn all_kernels_agree_on_one_bit_weights() {
 
     let y_naive = gemm_naive(&dense, &x);
     let y_blocked = gemm_blocked(&dense, &x);
-    let y_par = par_gemm_blocked(&dense, &x, 3);
+    let y_par = par_gemm_blocked(&dense, &x, &WorkerSet::new(), 3);
     let y_unpack = gemm_with_unpack(&PackedRowsU32::pack(&signs), &x);
     let y_biq = biq_signs(&signs, &x, None);
     let y_biq_par = biq_signs(&signs, &x, Some(3));
