@@ -167,21 +167,17 @@ impl LutBank {
         if method == LutBuildMethod::DynamicProgramming {
             // GEMV fast path: with one live batch column the KeyMajor and
             // BatchMajor layouts coincide (entry (c, key) at c·2^µ + key),
-            // so every chunk is a contiguous single-table DP build. One
-            // timing scope around the whole loop — clock reads per *tile*,
-            // not per chunk, which matters for small-µ banks on virtualised
-            // hosts where each `Instant::now()` is a paravirtual clock read.
+            // so the tile is the column's chunks back to back, built by one
+            // kernel dispatch under one timing scope — clock reads and
+            // dispatches per *tile*, not per chunk, which matters for
+            // small-µ banks on virtualised hosts where each `Instant::now()`
+            // is a paravirtual clock read.
             if nb == 1 {
-                let table = self.table;
+                let mu = self.mu();
+                debug_assert_eq!(input.mu(), mu);
+                let x = input.chunk_span(batch_start, chunk_start..chunk_start + num_chunks);
                 let data = self.data.as_mut_slice();
-                profile.time_build(|| {
-                    for c in 0..num_chunks {
-                        let sub = input.chunk(batch_start, chunk_start + c);
-                        let len = 1usize << sub.len();
-                        let off = c * table;
-                        build_lut_dp_level(sub, &mut data[off..off + len], k);
-                    }
-                });
+                profile.time_build(|| simd::dp_build_tile(data, x, mu, k));
                 return;
             }
             if self.layout == LutLayout::KeyMajor {

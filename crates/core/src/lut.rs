@@ -30,12 +30,13 @@ pub fn build_lut_dp(x: &[f32], out: &mut [f32]) {
     build_lut_dp_level(x, out, ResolvedKernel::scalar());
 }
 
-/// [`build_lut_dp`] at a resolved kernel level: the single-flip recurrence
-/// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) runs as the one-float-row case of
-/// [`simd::dp_step_add_rows`] over each `2^t`-entry half, giving the µ-wide
-/// DP build the same dispatch the query kernel has. Every level computes
-/// identical values (elementwise adds, no reassociation) — bit-exact
-/// against scalar.
+/// [`build_lut_dp`] at a resolved kernel level: the one-chunk case of the
+/// width-1 tile builder [`simd::dp_build_tile`] (`µ = x.len()`), where the
+/// single-flip recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) runs as
+/// µ-wide vector adds over each `2^t`-entry half and the mirror as a
+/// vector sign-flip. Every level computes identical values (elementwise
+/// adds, no reassociation; negation and lane permutes move bits
+/// untouched) — bit-exact against scalar.
 ///
 /// # Panics
 /// Panics if `x` is empty, longer than 16, or `out` has the wrong length.
@@ -43,25 +44,7 @@ pub fn build_lut_dp_level(x: &[f32], out: &mut [f32], k: ResolvedKernel) {
     let l = x.len();
     assert!((1..=16).contains(&l), "sub-vector length must be in 1..=16");
     assert_eq!(out.len(), 1usize << l, "output must have 2^L entries");
-    // q[0] = all-minus pattern.
-    let mut neg_sum = 0.0f32;
-    for &v in x {
-        neg_sum -= v;
-    }
-    out[0] = neg_sum;
-    // Lower half by single-flip DP: index 2^t + j flips element L−1−t of j.
-    for t in 0..l - 1 {
-        let step = 2.0 * x[l - 1 - t];
-        let (lo, hi) = out.split_at_mut(1 << t);
-        simd::dp_step_add_rows(&mut hi[..1 << t], &lo[..1 << t], &[step], k);
-    }
-    // Mirror: complementing every sign negates the sum. Entry `2^L − i`
-    // is `−out[i − 1]`, i.e. the upper half is the reversed negated lower
-    // half — a vectorised sign-flip at the resolved level (negation and
-    // lane permutes move bits untouched, so this stays bit-exact).
-    let half = 1usize << (l - 1);
-    let (lo, hi) = out.split_at_mut(half);
-    simd::negate_rows_reversed(hi, lo, 1, k);
+    simd::dp_build_tile(out, x, l, k);
 }
 
 /// Brute-force table construction (`q[k] = ⟨pattern(k), x⟩` one dot product
@@ -220,6 +203,35 @@ mod tests {
                 let mut got = vec![0.0f32; 1 << l];
                 build_lut_dp_level(&x, &mut got, k);
                 assert_eq!(scalar, got, "L={l} level={level}");
+            }
+        }
+        // The width-1 tile builder, table by table at every level: bit for
+        // bit the one-chunk build on Gaussian inputs, exactly the
+        // brute-force products on small integers (where both are exact),
+        // and nothing written past a ragged last chunk's `2^L` entries.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for mu in [1usize, 3, 8, 12] {
+            // Four full chunks and a ragged fifth (µ = 1 has no ragged one).
+            let n = 4 * mu + mu.div_ceil(2);
+            let ints: Vec<f32> = (0..n).map(|_| g.rng().random_range(-8i32..=8) as f32).collect();
+            for (x, exact_products) in [(g.gaussian_vec(n), false), (ints, true)] {
+                for level in crate::simd::supported_levels() {
+                    let k = crate::simd::KernelRequest::Exact(level).resolve().unwrap();
+                    let mut tile = vec![f32::NAN; 5 << mu];
+                    crate::simd::dp_build_tile(&mut tile, &x, mu, k);
+                    for (c, sub) in x.chunks(mu).enumerate() {
+                        let (got, unused) = tile[c << mu..][..1 << mu].split_at(1 << sub.len());
+                        let what = format!("µ={mu} chunk={c} level={level}");
+                        let mut want = vec![0.0f32; got.len()];
+                        build_lut_dp(sub, &mut want);
+                        assert_eq!(bits(got), bits(&want), "vs one-chunk build, {what}");
+                        if exact_products {
+                            build_lut_bruteforce(sub, &mut want);
+                            assert_eq!(got, &want[..], "vs brute force, {what}");
+                        }
+                        assert!(unused.iter().all(|v| v.is_nan()), "wrote past the table, {what}");
+                    }
+                }
             }
         }
     }

@@ -47,7 +47,10 @@
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector
 //!   adds and the mirror negation of the Algorithm 1 LUT build: rows of
 //!   `nb` floats for the batched (KeyMajor) build, one flat block at
-//!   `nb == 1` for the single-table (BatchMajor / GEMV) build.
+//!   `nb == 1` for the single-table (BatchMajor / GEMV) build;
+//! * [`dp_build_tile`] — the whole single-table build of a width-1 tile in
+//!   one dispatch: per chunk, `−Σ x`, the flat DP steps and the flat mirror
+//!   (the same bodies as the two primitives above, inlined).
 //!
 //! ## Bit-exactness and the canonical accumulation order
 //!
@@ -110,8 +113,9 @@
 //! `load_masked(n)`, `store`, `store_masked(n)`, `add`, `mul`, `neg` — a
 //! sign-bit flip — and `reverse`). The bodies are `fused_group` (one lane
 //! group of one key row, its 8 canonical accumulators held as `[V; 8]`),
-//! the per-row fused query (full groups, then one masked pass), and the
-//! DP step and mirror of the build. Each level implements `Lanes` once —
+//! the per-row fused query (full groups, then one masked pass), the DP
+//! step and mirror of the build, and the width-1 tile build over those
+//! two. Each level implements `Lanes` once —
 //! scalar `[f32; 8]`, AVX2 `__m256` with `vmaskmovps`, AVX-512 `__m512`
 //! with a `__mmask16`, NEON `float32x4_t` — and `stamp!` instantiates every
 //! body under that level's `#[target_feature]` entry, so the body and its
@@ -119,9 +123,11 @@
 //! scalar included, therefore runs the same source in the same per-lane
 //! order: cross-level bit-exactness holds by construction, and the suites
 //! check it against plain-loop oracles. Two bodies stay hand-written: the
-//! AVX2 width-1 gathers ([`lut_gather`], [`lut_gather_rows`]; one copy
-//! already, which the AVX-512 level shares) and the AVX-512 32-lane wide
-//! body (below; the only level with 32 vector registers).
+//! AVX2 width-1 gather chain (`gather_partials`, written once over its
+//! row count and its prefetch decision: [`lut_gather`] runs it on one row,
+//! [`lut_gather_rows`] on row pairs, and the AVX-512 level shares it) and
+//! the AVX-512 32-lane wide body (below; the only level with 32 vector
+//! registers).
 //!
 //! History: through PR 5 the contract was a strictly sequential
 //! ascending-chunk sum, which made b = 1 latency pay for invariance; PR 6
@@ -150,9 +156,17 @@
 //! (`nc · table · nb · 4 B`, geometry the kernel is handed anyway) exceeds
 //! [`L1_LUT_BYTES`]: a tile that fits L1 is already where a prefetch would
 //! put it, and the b = 1 default tile (32 chunks × 2^8 × 4 B = 32 KiB) is
-//! exactly that case. The per-row bodies (gathers, and fused lane groups
-//! narrower than 32) look ahead *within* the row, a fixed number of chunks;
-//! the wide AVX-512 body looks ahead by a whole *row* instead (below).
+//! exactly that case. The dispatcher decides once per call. For the
+//! width-1 gathers the decision is a const generic of the body, so a call
+//! runs one of two monomorphs, and the L1-resident one holds no prefetch
+//! code at all: its 8-chunk loop is the two rows' key loads, offset adds,
+//! gathers and accumulates, one offset-vector advance and the loop
+//! control, with nothing spilled (a runtime flag tested inside that loop
+//! cost ≈ 30 % of the b = 1 query). The fused bodies keep a runtime flag:
+//! every default b ≥ 2 tile exceeds L1, so it is always set there. The
+//! per-row bodies (gathers, and fused lane groups narrower than 32) look
+//! ahead *within* the row, a fixed number of chunks; the wide AVX-512 body
+//! looks ahead by a whole *row* instead (below).
 //!
 //! ## Wide batch: the row-blocked 32-lane body
 //!
@@ -547,6 +561,33 @@ pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: Resolved
     )
 }
 
+/// The width-1 Algorithm 1 build of a whole tile in **one** dispatch: `x`
+/// is cut into `µ`-float chunks (the last one may be shorter), and chunk
+/// `c` of length `L` gets its `2^L` single-flip DP entries at
+/// `out[c·2^µ ..]` — `−Σ x`, then per level `q[2^t + j] = q[j] +
+/// 2·x_{L−1−t}` as the flat (`nb == 1`) form of [`dp_step_add_rows`], then
+/// the mirror as the flat form of [`negate_rows_reversed`]. The same
+/// elementwise operations in the same order as building each chunk on its
+/// own, so every level is bit-exact against scalar and against
+/// [`crate::lut::build_lut_dp_level`], which is this builder's one-chunk
+/// case (`µ = x.len()`).
+///
+/// # Panics
+/// Panics when `µ ∉ 1..=16`, or when `out` ends before the last chunk's
+/// table does.
+pub fn dp_build_tile(out: &mut [f32], x: &[f32], mu: usize, k: ResolvedKernel) {
+    assert!((1..=16).contains(&mu), "sub-vector length must be in 1..=16");
+    dispatch!(
+        k,
+        // SAFETY: the scalar level needs no ISA, and the body slices `out`
+        // with bounds checks.
+        unsafe { scalar::dp_build_tile(out, x, mu) },
+        avx2::dp_build_tile(out, x, mu),
+        avx512::dp_build_tile(out, x, mu),
+        neon::dp_build_tile(out, x, mu)
+    )
+}
+
 /// One stored key width the bodies are instantiated for. Private: the
 /// public entry points take a [`KeyTile`] and pick the instantiation.
 trait KeyElem: Copy + Into<usize> {
@@ -591,6 +632,20 @@ macro_rules! with_keys {
         match $tile.keys() {
             Keys::U8($ks) => $body,
             Keys::U16($ks) => $body,
+        }
+    };
+}
+
+/// Calls the prefetching (`PF = true`) or the L1-resident (`PF = false`)
+/// monomorph of an x86 width-1 gather body on the dispatcher's one
+/// decision `$pf`: the choice is made once per call, never inside a loop.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_prefetch {
+    ($pf:expr, $($f:ident)::+ ($($arg:expr),* $(,)?)) => {
+        if $pf {
+            $($f)::+::<_, true>($($arg),*)
+        } else {
+            $($f)::+::<_, false>($($arg),*)
         }
     };
 }
@@ -718,9 +773,9 @@ pub fn lut_gather(bank: &[f32], table: usize, keys: KeyTile<'_>, k: ResolvedKern
     with_keys!(keys, ks => dispatch!(
         k,
         lut_gather_scalar(bank, table, ks),
-        avx2::lut_gather(bank, table, ks, pf),
+        with_prefetch!(pf, avx2::lut_gather(bank, table, ks)),
         // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        avx2::lut_gather(bank, table, ks, pf),
+        with_prefetch!(pf, avx2::lut_gather(bank, table, ks)),
         neon::lut_gather(bank, table, ks)
     ))
 }
@@ -765,9 +820,15 @@ pub fn lut_gather_rows(
     with_keys!(keys, ks => dispatch!(
         k,
         lut_gather_rows_scalar(y, y_stride, scales, bank, table, ks, key_stride, nc),
-        avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc, pf),
+        with_prefetch!(
+            pf,
+            avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
+        ),
         // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc, pf),
+        with_prefetch!(
+            pf,
+            avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
+        ),
         neon::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
     ))
 }
@@ -990,6 +1051,16 @@ macro_rules! stamp {
             // SAFETY: as for `fused_row`.
             unsafe { super::negate_rows_reversed_body::<$lanes>(dst, src, nb) }
         }
+
+        /// The width-1 tile build at this level (`dp_build_tile_body`).
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn dp_build_tile(out: &mut [f32], x: &[f32], mu: usize) {
+            // SAFETY: as for `fused_row`.
+            unsafe { super::dp_build_tile_body::<$lanes>(out, x, mu) }
+        }
     };
 }
 
@@ -1204,6 +1275,37 @@ unsafe fn negate_rows_reversed_body<L: Lanes>(dst: &mut [f32], src: &[f32], nb: 
     }
 }
 
+/// The width-1 tile build at level `L` ([`dp_build_tile`]): per chunk,
+/// `−Σ x` into entry 0, the flat DP step per level and the flat mirror —
+/// the one statement of the single-table recurrence, whose vector work is
+/// [`dp_step_add_rows_body`] and [`negate_rows_reversed_body`] inlined.
+///
+/// # Safety
+/// `L`'s ISA is available (every table is a checked sub-slice of `out`).
+#[inline(always)]
+unsafe fn dp_build_tile_body<L: Lanes>(out: &mut [f32], x: &[f32], mu: usize) {
+    for (c, sub) in x.chunks(mu).enumerate() {
+        let l = sub.len();
+        let q = &mut out[c << mu..][..1 << l];
+        // q[0] = the all-minus pattern.
+        q[0] = sub.iter().fold(0.0f32, |neg_sum, &v| neg_sum - v);
+        // SAFETY: `L`'s ISA is the caller's contract; each half is a pair of
+        // equal-length one-float-row blocks split from `q`.
+        unsafe {
+            // Lower half by single-flip DP: index 2^t + j flips element
+            // L−1−t of j.
+            for t in 0..l - 1 {
+                let (lo, hi) = q.split_at_mut(1 << t);
+                dp_step_add_rows_body::<L>(&mut hi[..1 << t], lo, &[2.0 * sub[l - 1 - t]]);
+            }
+            // Mirror: complementing every sign negates the sum, so the upper
+            // half is the reversed, negated lower half.
+            let (lo, hi) = q.split_at_mut(1 << (l - 1));
+            negate_rows_reversed_body::<L>(hi, lo, 1);
+        }
+    }
+}
+
 // ---------------------------------------------------------------- levels
 
 /// The portable level: [`Lanes`] over `[f32; 8]` in plain loops, so the
@@ -1325,75 +1427,32 @@ mod avx2 {
 
     stamp!(Avx2, "avx2");
 
-    /// Width-1 canonical gather: one `vgatherdps` per 8 chunks pulls
-    /// `bank[c·table + keys[c]]` into lanes, so lane `j` accumulates
-    /// residue class `j` — the register layout *is* the canonical tree.
-    /// The ragged chunk tail spills the partials and finishes scalar (a
-    /// masked gather would add `+0.0` to idle lanes, which is not
-    /// bit-transparent when a partial is `-0.0`).
+    /// Width-1 canonical gather of one key row: [`gather_partials`] on one
+    /// row, then the canonical fold. `PF` is the dispatcher's prefetch
+    /// decision (the tile exceeds `L1_LUT_BYTES`); the `false` monomorph
+    /// holds no prefetch code.
     ///
     /// # Safety
     /// AVX2 must be available; the bank spans every `(chunk, key)` entry
     /// for keys `< table`, `bank.len() ≤ i32::MAX`, and `keys` is one row
     /// of a `KeyTile` whose `2^µ == table` (checked by the dispatcher).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather<K: KeyElem>(
+    pub unsafe fn lut_gather<K: KeyElem, const PF: bool>(
         bank: &[f32],
         table: usize,
         keys: &[K],
-        prefetch: bool,
     ) -> f32 {
-        let klen = keys.len();
-        let mut p = [0.0f32; super::ACC_TREE_WIDTH];
-        let mut ci = 0;
-        // SAFETY: every gathered/prefetched index is `c·table + keys[c]`
-        // with `c < klen` and `keys[c] < table` — the `KeyTile` range
-        // invariant (every key `< 2^µ`) with the dispatcher's
-        // `table == 2^µ` — so it is in bounds per the dispatcher's
-        // bank-length check and representable in i32 lanes per its range
-        // check; the 8-key load reads `keys[ci..ci+8]` under the loop
-        // bound.
-        unsafe {
-            if ci + 8 <= klen {
-                let base = bank.as_ptr();
-                // Entry offset = ci·table + lane·table + key: broadcast,
-                // lane-index multiple, and zero-extended keys.
-                let lane_t = _mm256_mullo_epi32(
-                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                    _mm256_set1_epi32(table as i32),
-                );
-                let mut acc = _mm256_setzero_ps();
-                while ci + 8 <= klen {
-                    if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= klen {
-                        for j in 0..8 {
-                            let c = ci + super::PREFETCH_CHUNKS + j;
-                            let off = c * table + keys.get_unchecked(c).idx();
-                            _mm_prefetch::<_MM_HINT_T0>(base.add(off) as *const i8);
-                        }
-                    }
-                    let kv = K::load8(keys.as_ptr().add(ci));
-                    let idx = _mm256_add_epi32(
-                        _mm256_add_epi32(_mm256_set1_epi32((ci * table) as i32), lane_t),
-                        kv,
-                    );
-                    acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(base, idx));
-                    ci += 8;
-                }
-                _mm256_storeu_ps(p.as_mut_ptr(), acc);
-            }
-        }
-        for c in ci..klen {
-            p[c % super::ACC_TREE_WIDTH] += bank[c * table + keys[c].idx()];
-        }
+        // SAFETY: the bank and key range are this function's contract,
+        // which is `gather_partials`'.
+        let [p] = unsafe { gather_partials::<K, PF, 1>(bank.as_ptr(), table, [keys]) };
         super::tree_reduce8(p)
     }
 
-    /// Row-batched width-1 gather: each row runs [`lut_gather`]'s
-    /// canonical 8-lane loop verbatim, and full row *pairs* run their two
-    /// (independent) gather chains interleaved in one loop so they hide
-    /// each other's latency — the gather unit, not the adds, bounds the
-    /// b = 1 query. Entry prefetch keeps the single-row body's lookahead,
-    /// issued for both rows of the pair.
+    /// Row-batched width-1 gather: full row *pairs* run their two
+    /// independent gather chains in one loop ([`gather_partials`] on two
+    /// rows), so each hides the other's latency — the gather unit, not the
+    /// adds, bounds the b = 1 query; an odd last row runs the chain alone.
+    /// Per row the sum is [`lut_gather`]'s, bit for bit. `PF` as there.
     ///
     /// # Safety
     /// AVX2 must be available; output geometry and `bank.len() ≤ i32::MAX`
@@ -1402,7 +1461,7 @@ mod avx2 {
     /// `KeyTile` whose `2^µ == table`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lut_gather_rows<K: KeyElem>(
+    pub unsafe fn lut_gather_rows<K: KeyElem, const PF: bool>(
         y: &mut [f32],
         y_stride: usize,
         scales: &[f32],
@@ -1411,74 +1470,92 @@ mod avx2 {
         keys: &[K],
         key_stride: usize,
         nc: usize,
-        prefetch: bool,
     ) {
-        let nr = scales.len();
-        let base = bank.as_ptr();
+        let (nr, base) = (scales.len(), bank.as_ptr());
+        // Row `i` of the tile, bounds-checked once per row.
+        let row = |i: usize| &keys[i * key_stride..][..nc];
         let mut i = 0;
-        // SAFETY: row `i < nr` of the slab is `keys[i·key_stride ..][.. nc]`
-        // by the `KeyTile` geometry, so every key read (8-key loads under
-        // the `ci + 8 <= nc` bound, scalar reads at `c < nc`) is in the
-        // slab; every gathered or prefetched offset is `c·table + key`
-        // with `c < nc` and `key < table` — the `KeyTile` range invariant
-        // (every key `< 2^µ`) with the dispatcher's `table == 2^µ` — so it
-        // is in bounds per the dispatcher's bank-length check and
-        // representable in i32 lanes per its range check; `y`/`scales`
-        // indices follow the dispatcher's output-geometry asserts.
+        // SAFETY: every row handed on is a row of the `KeyTile`, and the
+        // bank and key range are as `gather_partials` needs (this
+        // function's contract); `y`/`scales` indices follow the
+        // dispatcher's output-geometry asserts.
         unsafe {
-            if nc >= 8 {
-                let lane_t = _mm256_mullo_epi32(
-                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                    _mm256_set1_epi32(table as i32),
-                );
-                while i + 2 <= nr {
-                    let ka = keys.as_ptr().add(i * key_stride);
-                    let kb = keys.as_ptr().add((i + 1) * key_stride);
-                    let mut acc_a = _mm256_setzero_ps();
-                    let mut acc_b = _mm256_setzero_ps();
-                    let mut ci = 0;
-                    while ci + 8 <= nc {
-                        if prefetch && ci + super::PREFETCH_CHUNKS + 8 <= nc {
-                            for j in 0..8 {
-                                let c = ci + super::PREFETCH_CHUNKS + j;
-                                let off_a = c * table + (*ka.add(c)).idx();
-                                let off_b = c * table + (*kb.add(c)).idx();
-                                _mm_prefetch::<_MM_HINT_T0>(base.add(off_a) as *const i8);
-                                _mm_prefetch::<_MM_HINT_T0>(base.add(off_b) as *const i8);
-                            }
+            while i + 2 <= nr {
+                let [pa, pb] = gather_partials::<K, PF, 2>(base, table, [row(i), row(i + 1)]);
+                *y.get_unchecked_mut(i * y_stride) +=
+                    *scales.get_unchecked(i) * super::tree_reduce8(pa);
+                *y.get_unchecked_mut((i + 1) * y_stride) +=
+                    *scales.get_unchecked(i + 1) * super::tree_reduce8(pb);
+                i += 2;
+            }
+            if i < nr {
+                let [p] = gather_partials::<K, PF, 1>(base, table, [row(i)]);
+                *y.get_unchecked_mut(i * y_stride) +=
+                    *scales.get_unchecked(i) * super::tree_reduce8(p);
+            }
+        }
+    }
+
+    /// The width-1 gather chain of `R` key rows at once, each row's 8
+    /// canonical-tree partials: one `vgatherdps` per row per 8 chunks pulls
+    /// `bank[c·table + keys[c]]` into lanes, so lane `j` accumulates residue
+    /// class `j` — the register layout *is* the canonical tree. The lane
+    /// offsets `c·table` live in one vector that advances by `8·table` per
+    /// group. The ragged chunk tail spills the partials and finishes scalar
+    /// (a masked gather would add `+0.0` to idle lanes, which is not
+    /// bit-transparent when a partial is `-0.0`). With `PF`, the entries
+    /// `PREFETCH_CHUNKS` ahead are requested for every row; without it the
+    /// loop holds no prefetch code at all.
+    ///
+    /// # Safety
+    /// AVX2 must be available; the `rows` are `nc`-key rows of a `KeyTile`
+    /// whose `2^µ == table`, and `base` points at a bank spanning every
+    /// `(chunk, key)` entry of them with at most `i32::MAX` floats.
+    #[inline(always)]
+    unsafe fn gather_partials<K: KeyElem, const PF: bool, const R: usize>(
+        base: *const f32,
+        table: usize,
+        rows: [&[K]; R],
+    ) -> [[f32; super::ACC_TREE_WIDTH]; R] {
+        let nc = rows[0].len();
+        debug_assert!(rows.iter().all(|row| row.len() == nc));
+        let mut acc = [_mm256_setzero_ps(); R];
+        // Lane `j` of `ct` is `(ci + j)·table`.
+        let t = _mm256_set1_epi32(table as i32);
+        let mut ct = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), t);
+        let step = _mm256_slli_epi32::<3>(t);
+        let mut ci = 0;
+        // SAFETY: every gathered or prefetched offset is `c·table + key`
+        // with `c < nc` and `key < table` — the `KeyTile` range invariant
+        // (every key `< 2^µ`) with `table == 2^µ` — so it is inside the bank
+        // and representable in i32 lanes; the 8-key loads read
+        // `row[ci..ci + 8]` under the `ci + 8 <= nc` bound. `ct` past the
+        // last group may wrap; it is never used.
+        unsafe {
+            let entry = |row: &[K], c: usize| base.add(c * table + row.get_unchecked(c).idx());
+            while ci + 8 <= nc {
+                if PF && ci + super::PREFETCH_CHUNKS + 8 <= nc {
+                    for row in rows {
+                        for c in ci + super::PREFETCH_CHUNKS..ci + super::PREFETCH_CHUNKS + 8 {
+                            _mm_prefetch::<_MM_HINT_T0>(entry(row, c) as *const i8);
                         }
-                        let ct = _mm256_add_epi32(_mm256_set1_epi32((ci * table) as i32), lane_t);
-                        let kva = K::load8(ka.add(ci));
-                        let kvb = K::load8(kb.add(ci));
-                        let ga = _mm256_i32gather_ps::<4>(base, _mm256_add_epi32(ct, kva));
-                        let gb = _mm256_i32gather_ps::<4>(base, _mm256_add_epi32(ct, kvb));
-                        acc_a = _mm256_add_ps(acc_a, ga);
-                        acc_b = _mm256_add_ps(acc_b, gb);
-                        ci += 8;
                     }
-                    let mut pa = [0.0f32; super::ACC_TREE_WIDTH];
-                    let mut pb = [0.0f32; super::ACC_TREE_WIDTH];
-                    _mm256_storeu_ps(pa.as_mut_ptr(), acc_a);
-                    _mm256_storeu_ps(pb.as_mut_ptr(), acc_b);
-                    for c in ci..nc {
-                        pa[c % super::ACC_TREE_WIDTH] += *base.add(c * table + (*ka.add(c)).idx());
-                        pb[c % super::ACC_TREE_WIDTH] += *base.add(c * table + (*kb.add(c)).idx());
-                    }
-                    *y.get_unchecked_mut(i * y_stride) +=
-                        *scales.get_unchecked(i) * super::tree_reduce8(pa);
-                    *y.get_unchecked_mut((i + 1) * y_stride) +=
-                        *scales.get_unchecked(i + 1) * super::tree_reduce8(pb);
-                    i += 2;
+                }
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    let idx = _mm256_add_epi32(ct, K::load8(row.as_ptr().add(ci)));
+                    *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(base, idx));
+                }
+                ct = _mm256_add_epi32(ct, step);
+                ci += 8;
+            }
+            let mut p = [[0.0f32; super::ACC_TREE_WIDTH]; R];
+            for ((p, a), row) in p.iter_mut().zip(acc).zip(rows) {
+                _mm256_storeu_ps(p.as_mut_ptr(), a);
+                for c in ci..nc {
+                    p[c % super::ACC_TREE_WIDTH] += *entry(row, c);
                 }
             }
-            // Odd last row, or nc < 8 (no full vector group): the
-            // single-row body already realises those cases canonically.
-            while i < nr {
-                let row = std::slice::from_raw_parts(keys.as_ptr().add(i * key_stride), nc);
-                *y.get_unchecked_mut(i * y_stride) +=
-                    *scales.get_unchecked(i) * lut_gather(bank, table, row, prefetch);
-                i += 1;
-            }
+            p
         }
     }
 }

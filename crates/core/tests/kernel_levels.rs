@@ -157,6 +157,17 @@ fn golden_digests_from_parent_commits() {
         // b = 35 = one 32-wide batch tile + a 3-wide one: the remainder's
         // idle lanes sit over the next output row's first columns.
         (0x601d_0008, (64, 256, 35, 2), BiqConfig::default(), 0xf3ed_2e4b_6a98_ae6f),
+        // Recorded before the width-1 gather chose its prefetch monomorph
+        // once per dispatch and width-1 tables were built one tile per
+        // dispatch. b = 1, 40-chunk tiles (40 KiB and 36 KiB: both take the
+        // prefetching gather), a one-float last chunk (601 = 75·8 + 1),
+        // row tiles that cross the bit-plane wrap at row 37.
+        (
+            0x601d_0009,
+            (37, 601, 1, 2),
+            BiqConfig { tile_chunks: 40, ..BiqConfig::default() },
+            0xadf2_040a_4957_ba2a,
+        ),
     ];
     for (seed, (m, n, b, bits), cfg, want) in cases {
         let mut g = MatrixRng::seed_from(seed);
@@ -166,6 +177,49 @@ fn golden_digests_from_parent_commits() {
         for level in supported_levels() {
             let got = digest(&serial(&w, &x, &cfg, exact(level)));
             assert_eq!(got, want, "seed {seed:#x} level={level}: {got:#018x}");
+        }
+    }
+}
+
+/// The width-1 gathers on a fixed grid across the prefetch threshold at
+/// µ = 8, where a tile of `nc` chunks is `nc` KiB: L1-resident (the body
+/// without prefetch) through 32 chunks, prefetched from 33. Chunk counts
+/// straddle the 8-chunk group, row counts include an unpaired last row, the
+/// key tile is a window of a wider matrix (stride > width) and the output
+/// is strided, its gaps compared too. At every level `lut_gather_rows`
+/// equals `Exact(Scalar)` bit for bit on the whole output, and `lut_gather`
+/// on every row.
+#[test]
+fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
+    use biqgemm_core::simd::{lut_gather, lut_gather_rows, L1_LUT_BYTES};
+    let (mu, table, y_stride) = (8usize, 256usize, 3usize);
+    let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let mut g = MatrixRng::seed_from(7008);
+    for nc in [1usize, 7, 8, 9, 31, 32, 33, 40] {
+        assert_eq!(nc * table * 4 > L1_LUT_BYTES, nc > 32, "the grid straddles the threshold");
+        let bank = g.gaussian(1, nc * table, 0.0, 1.0).as_slice().to_vec();
+        for rows in [1usize, 2, 3, 65] {
+            let km = KeyMatrix::pack(&g.signs(rows, (nc + 5) * mu), mu);
+            let keys = km.tile(0..rows, 3, nc);
+            let scales = g.gaussian(1, rows, 0.0, 1.0).as_slice().to_vec();
+            let y0 = g.gaussian(1, rows * y_stride, 0.0, 1.0).as_slice().to_vec();
+            let gather_rows = |k: ResolvedKernel| {
+                let mut y = y0.clone();
+                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, keys, k);
+                bits(&y)
+            };
+            let gather = |k: ResolvedKernel| {
+                let sums: Vec<f32> =
+                    (0..rows).map(|i| lut_gather(&bank, table, keys.row(i), k)).collect();
+                bits(&sums)
+            };
+            let (want_rows, want) =
+                (gather_rows(ResolvedKernel::scalar()), gather(ResolvedKernel::scalar()));
+            for level in supported_levels() {
+                let what = format!("level={level} nc={nc} rows={rows}");
+                assert_eq!(gather_rows(exact(level)), want_rows, "lut_gather_rows {what}");
+                assert_eq!(gather(exact(level)), want, "lut_gather {what}");
+            }
         }
     }
 }

@@ -79,9 +79,17 @@ impl<'a> ChunkedInput<'a> {
     /// `µ`, or less for the ragged final chunk.
     #[inline]
     pub fn chunk(&self, alpha: usize, beta: usize) -> &'a [f32] {
+        self.chunk_span(alpha, beta..beta + 1)
+    }
+
+    /// The sub-vectors `x^β_α` for every `β` in `betas`, back to back: one
+    /// contiguous slice of column `alpha` (only the final chunk of the
+    /// column can be ragged).
+    #[inline]
+    pub fn chunk_span(&self, alpha: usize, betas: std::ops::Range<usize>) -> &'a [f32] {
         let n = self.x.rows();
-        let start = beta * self.mu;
-        let end = (start + self.mu).min(n);
+        let start = betas.start * self.mu;
+        let end = (betas.end * self.mu).min(n);
         &self.x.col(alpha)[start..end]
     }
 
