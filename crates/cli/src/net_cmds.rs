@@ -37,7 +37,7 @@ pub struct DaemonConfig {
     pub window: Duration,
     /// Packed-width cap per batch.
     pub max_batch_cols: usize,
-    /// Submit-queue capacity (full ⇒ `Busy` reject frames).
+    /// Admitted requests no worker has taken yet (full ⇒ `Busy` reject frames).
     pub queue_capacity: usize,
     /// Pin worker `i` to core `i % cpu_count()` (`--pin-workers`).
     pub pin_workers: bool,
@@ -69,9 +69,9 @@ impl DaemonConfig {
             queue_capacity: self.queue_capacity,
             batch_window: self.window,
             max_batch_cols: self.max_batch_cols,
-            job_capacity: (self.workers * 2).max(2),
             pin_workers: self.pin_workers,
             mem_budget: self.mem_budget,
+            ..ServerConfig::default()
         }
     }
 }

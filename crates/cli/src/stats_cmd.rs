@@ -2,7 +2,7 @@
 //! `Stats` admin verb and render them as Prometheus text or JSON.
 //!
 //! The daemon answers from its counter registry without touching a worker
-//! or the submit queue, so polling mid-load (CI does, every few seconds)
+//! or the serving queue's lock, so polling mid-load (CI does, every few seconds)
 //! never perturbs the traffic being measured. `--watch <secs>` re-queries
 //! on a fresh connection each round until interrupted and prints **true
 //! per-interval rates** — each round is the delta between consecutive

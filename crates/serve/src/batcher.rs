@@ -1,30 +1,35 @@
 //! Window/bucket/pack policy — the pure core of the serving layer.
 //!
-//! The `Batcher` owns no threads and does no I/O: the server's batcher
-//! thread feeds it accepted requests and asks it what to flush, and a free
-//! worker asks it for the oldest bucket (both through one mutex in
-//! `server.rs`) — which keeps the policy unit-testable without spinning up
-//! workers.
+//! The `Batcher` owns no threads and does no I/O: submitters push admitted
+//! requests into it and workers pull batches out of it, both under the one
+//! mutex in `server.rs` — which keeps the policy unit-testable without
+//! spinning up workers.
 //!
 //! Policy: requests are bucketed by `(op, input rows)` — in practice by op,
 //! since shape validation at submit time already pins `rows` to the op's
-//! input size. Dispatch is **work-conserving**: a bucket leaves on the first
-//! of three triggers (`FlushReason`), and only the first two are this
-//! module's own clockwork —
+//! input size. Dispatch is **work-conserving**: a bucket leaves for the
+//! first of three reasons (`FlushReason`) —
 //!
-//! * **size**: its packed width reaches `max_cols` (zero added latency);
+//! * **size**: a push brings its packed width to `max_cols`, which seals it
+//!   at once (zero added latency);
 //! * **window**: its **oldest** request has waited `window` — the longest a
-//!   bucket is held *while every worker is busy*;
-//! * **idle**: a worker is free with nothing queued for it, so the server
-//!   takes the oldest bucket at once (`Batcher::take_oldest`). A lone
-//!   request on an idle server therefore never waits for company; under
-//!   load batches form because requests queue behind busy workers, which
-//!   is the only time sharing a LUT build pays.
+//!   bucket is held *while every worker is busy*. Nothing watches the clock
+//!   for it: the next push into the bucket seals it and opens a fresh one,
+//!   and a worker that takes it after its deadline labels it so. A zero
+//!   window seals every push: a plain queue in front of the workers;
+//! * **idle**: a worker is free with nothing sealed for it, so it takes the
+//!   oldest open bucket. A lone request on an idle server therefore never
+//!   waits for company; under load batches form because requests queue
+//!   behind busy workers, which is the only time sharing a LUT build pays.
 //!
-//! Flushing produces a `BatchJob`: the requests whose columns a worker
-//! will pack side by side into one `ColMatrix`, run through a single
-//! executor pass — one LUT build amortised across every column, the
-//! paper's core win — and scatter back to per-request reply channels.
+//! Sealed buckets wait in a FIFO that workers take from before any open
+//! bucket — unless an open bucket's window ran out before the FIFO's head
+//! was sealed, so no bucket waits behind work sealed after its deadline.
+//!
+//! A batch is a `BatchJob`: the requests whose columns a worker will pack
+//! side by side into one `ColMatrix`, run through a single executor pass —
+//! one LUT build amortised across every column, the paper's core win — and
+//! scatter back to per-request reply channels.
 //!
 //! Buckets are keyed by slot index in a map (not a fixed table): the live
 //! registry grows online as models load, and a request against an op the
@@ -37,7 +42,8 @@ use crate::registry::{InflightGuard, OpId};
 use crate::stats::OpStats;
 use biq_matrix::{ColMatrix, Matrix};
 use biq_runtime::CompiledOp;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +51,8 @@ use std::time::{Duration, Instant};
 /// Errors a request can be answered with.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The bounded queue is full ([`crate::Client::try_submit`] only).
+    /// `queue_capacity` requests already wait for a worker
+    /// ([`crate::Client::try_submit`] only).
     Busy,
     /// The server no longer accepts requests.
     ShuttingDown,
@@ -94,10 +101,11 @@ pub(crate) struct Lap {
     pub(crate) cols: u32,
     /// Admission (submit or frame decode).
     pub(crate) enqueued_ns: u64,
-    /// Picked up by the batcher thread.
+    /// Entered its bucket (admitted under the serving lock, after any wait
+    /// for room).
     pub(crate) pushed_ns: u64,
-    /// Bucket left the batcher (sent down the job channel, or taken by a
-    /// free worker).
+    /// Its bucket stopped taking requests: sealed at size, at its window's
+    /// end, or taken open by a free worker.
     pub(crate) dispatched_ns: u64,
     /// Outputs computed, reply about to be sent.
     pub(crate) done_ns: u64,
@@ -143,8 +151,7 @@ pub(crate) struct Pending {
     pub(crate) x: ColMatrix,
     pub(crate) reply: mpsc::Sender<Result<Answer, ServeError>>,
     pub(crate) enqueued: Instant,
-    /// When the batcher picked the request off the submit queue (restamped
-    /// by [`Batcher::push`] from the clock read the loop already took).
+    /// When the request entered its bucket (restamped by [`Batcher::push`]).
     pub(crate) pushed: Instant,
     /// When `true`, the request came over the wire and the net writer
     /// finalizes its lifecycle record (adding ticket/write phases); the
@@ -172,8 +179,11 @@ pub(crate) struct BatchJob {
     pub(crate) requests: Vec<Pending>,
     /// Total packed width (sum of request column counts).
     pub(crate) cols: usize,
-    /// When the bucket flushed toward a worker (the window phase's end).
+    /// When the bucket stopped taking requests (the window phase's end):
+    /// the push that filled it, its window's deadline, or the take.
     pub(crate) dispatched: Instant,
+    /// Why the bucket left; counted when a worker takes the job.
+    pub(crate) reason: FlushReason,
 }
 
 /// Why a bucket left the batcher — exported per op as
@@ -182,10 +192,9 @@ pub(crate) struct BatchJob {
 pub(crate) enum FlushReason {
     /// Packed width reached `max_cols`.
     Size,
-    /// The oldest request waited out the window with every worker busy
-    /// (the shutdown drain, which cuts that wait short, counts here too).
+    /// The oldest request waited out the window with every worker busy.
     Window,
-    /// A worker was free with nothing queued for it.
+    /// A worker was free with nothing sealed for it.
     Idle,
 }
 
@@ -194,102 +203,113 @@ pub(crate) enum FlushReason {
 struct Bucket {
     requests: Vec<Pending>,
     cols: usize,
-    /// Enqueue time of the oldest request — the window anchor.
+    /// Push time of the oldest request — the window anchor.
     opened: Instant,
 }
 
-/// The window/bucket policy state: one open bucket per active op.
+/// The window/bucket policy state: one open bucket per active op, and the
+/// buckets sealed but not yet taken.
 pub(crate) struct Batcher {
     window: Duration,
     max_cols: usize,
     buckets: HashMap<usize, Bucket>,
+    /// Sealed buckets, in the order they were sealed.
+    sealed: VecDeque<BatchJob>,
+    /// Requests pushed and not yet taken, open and sealed alike.
+    queued: usize,
 }
 
 impl Batcher {
     pub(crate) fn new(window: Duration, max_cols: usize) -> Self {
-        Self { window, max_cols: max_cols.max(1), buckets: HashMap::new() }
+        Self {
+            window,
+            max_cols: max_cols.max(1),
+            buckets: HashMap::new(),
+            sealed: VecDeque::new(),
+            queued: 0,
+        }
     }
 
-    /// Accepts one request; returns a job when the size trigger fires.
-    ///
-    /// A request wider than `max_cols` on its own flushes immediately as a
-    /// single-request job (it cannot gain from waiting and must not stall
-    /// the bucket).
-    pub(crate) fn push(&mut self, p: Pending, now: Instant) -> Option<BatchJob> {
-        let mut p = p;
+    /// Requests pushed and not yet taken by a worker.
+    pub(crate) fn queued(&self) -> usize {
+        self.queued
+    }
+
+    /// Buckets one request at `now`. A bucket whose window ran out by `now`
+    /// is sealed first and the request opens a fresh one; a bucket the
+    /// request fills to `max_cols` is sealed with it — so a request wide on
+    /// its own leaves at once, with whatever was waiting.
+    pub(crate) fn push(&mut self, mut p: Pending, now: Instant) {
         p.pushed = now; // queue wait ends here; window wait begins
-        let op = p.op;
-        let cols = p.x.cols();
-        match self.buckets.get_mut(&op.0) {
-            None if cols >= self.max_cols => {
-                let (compiled, stats) = (Arc::clone(&p.compiled), Arc::clone(&p.stats));
-                return Some(BatchJob {
-                    op,
-                    compiled,
-                    stats,
-                    cols,
-                    requests: vec![p],
-                    dispatched: now,
-                });
-            }
-            None => {
-                self.buckets.insert(op.0, Bucket { requests: vec![p], cols, opened: now });
-            }
-            Some(bucket) => {
-                bucket.requests.push(p);
-                bucket.cols += cols;
+        p.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.queued += 1;
+        let key = p.op.0;
+        if let Some(due) = self.buckets.get(&key).map(|b| b.opened + self.window) {
+            if due <= now {
+                self.seal(key, due, FlushReason::Window);
             }
         }
-        if self.buckets.get(&op.0).is_some_and(|b| b.cols >= self.max_cols) {
-            self.take(op, now)
-        } else {
-            None
+        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket {
+            requests: Vec::new(),
+            cols: 0,
+            opened: now,
+        });
+        bucket.cols += p.x.cols();
+        bucket.requests.push(p);
+        if bucket.cols >= self.max_cols {
+            self.seal(key, now, FlushReason::Size);
+        } else if self.window.is_zero() {
+            self.seal(key, now, FlushReason::Window);
         }
     }
 
-    /// Earliest moment any open bucket's window expires.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.buckets.values().map(|b| b.opened + self.window).min()
-    }
-
-    /// Flushes every bucket whose window has expired at `now`.
-    pub(crate) fn flush_expired(&mut self, now: Instant) -> Vec<BatchJob> {
-        let window = self.window;
-        let expired: Vec<OpId> = self
+    /// A free worker's next batch: the oldest sealed one, else the oldest
+    /// open bucket (ties: lowest op index) — `Window` when its deadline has
+    /// passed by `clock()`, `Idle` otherwise. An open bucket whose deadline
+    /// precedes the sealed head's seal goes first. `clock` is read only
+    /// when nothing is sealed, so pulling sealed work costs no clock read.
+    pub(crate) fn next(&mut self, clock: impl FnOnce() -> Instant) -> Option<BatchJob> {
+        let head = self.sealed.front().map(|job| job.dispatched);
+        let oldest = self
             .buckets
             .iter()
-            .filter(|(_, b)| b.opened + window <= now)
-            .map(|(&i, _)| OpId(i))
-            .collect();
-        expired.into_iter().filter_map(|op| self.take(op, now)).collect()
+            .min_by_key(|(&key, b)| (b.opened, key))
+            .map(|(&key, b)| (key, b.opened + self.window));
+        let job = match (head, oldest) {
+            (Some(head), Some((key, due))) if due < head => {
+                self.take(key, due, FlushReason::Window)
+            }
+            (Some(_), _) => self.sealed.pop_front()?,
+            (None, Some((key, due))) => match clock() {
+                now if due <= now => self.take(key, due, FlushReason::Window),
+                now => self.take(key, now, FlushReason::Idle),
+            },
+            (None, None) => return None,
+        };
+        self.queued -= job.requests.len();
+        job.stats.queue_depth.fetch_sub(job.requests.len(), Ordering::Relaxed);
+        job.stats.record_batch(job.cols, job.reason);
+        Some(job)
     }
 
-    /// Takes the bucket that has waited longest (ties: lowest op index) —
-    /// what a free worker runs next. Its window no longer counts toward
-    /// [`Batcher::next_deadline`].
-    pub(crate) fn take_oldest(&mut self, now: Instant) -> Option<BatchJob> {
-        let (&oldest, _) = self.buckets.iter().min_by_key(|(&i, b)| (b.opened, i))?;
-        self.take(OpId(oldest), now)
+    fn seal(&mut self, key: usize, at: Instant, reason: FlushReason) {
+        let job = self.take(key, at, reason);
+        self.sealed.push_back(job);
     }
 
-    /// Flushes everything (shutdown drain).
-    pub(crate) fn flush_all(&mut self, now: Instant) -> Vec<BatchJob> {
-        let open: Vec<OpId> = self.buckets.keys().map(|&i| OpId(i)).collect();
-        open.into_iter().filter_map(|op| self.take(op, now)).collect()
-    }
-
-    /// Requests currently waiting in open buckets.
-    #[cfg(test)]
-    pub(crate) fn pending(&self) -> usize {
-        self.buckets.values().map(|b| b.requests.len()).sum()
-    }
-
-    fn take(&mut self, op: OpId, now: Instant) -> Option<BatchJob> {
-        self.buckets.remove(&op.0).map(|b| {
-            let first = &b.requests[0];
-            let (compiled, stats) = (Arc::clone(&first.compiled), Arc::clone(&first.stats));
-            BatchJob { op, compiled, stats, requests: b.requests, cols: b.cols, dispatched: now }
-        })
+    fn take(&mut self, key: usize, at: Instant, reason: FlushReason) -> BatchJob {
+        let b = self.buckets.remove(&key).expect("an open bucket under this key");
+        let first = &b.requests[0];
+        let (compiled, stats) = (Arc::clone(&first.compiled), Arc::clone(&first.stats));
+        BatchJob {
+            op: OpId(key),
+            compiled,
+            stats,
+            requests: b.requests,
+            cols: b.cols,
+            dispatched: at,
+            reason,
+        }
     }
 }
 
@@ -298,16 +318,20 @@ mod tests {
     use super::*;
     use biq_runtime::{compile, BackendSpec, PlanBuilder, QuantMethod, WeightSource};
 
-    fn tiny_op() -> Arc<CompiledOp> {
+    /// A compiled op and the one stats block its requests share (so the
+    /// queue-depth gauge a job drains is the one its pushes raised).
+    type TinyOp = (Arc<CompiledOp>, Arc<OpStats>);
+
+    fn tiny_op() -> TinyOp {
         let signs = biq_matrix::MatrixRng::seed_from(6).signs(4, 4);
         let plan = PlanBuilder::new(4, 4)
             .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
             .build();
-        Arc::new(compile(&plan, WeightSource::Signs(&signs)))
+        (Arc::new(compile(&plan, WeightSource::Signs(&signs))), Arc::default())
     }
 
     fn pending(
-        compiled: &Arc<CompiledOp>,
+        (compiled, stats): &TinyOp,
         op: usize,
         cols: usize,
         now: Instant,
@@ -316,7 +340,7 @@ mod tests {
         let p = Pending {
             op: OpId(op),
             compiled: Arc::clone(compiled),
-            stats: Arc::new(OpStats::default()),
+            stats: Arc::clone(stats),
             x: ColMatrix::zeros(4, cols),
             reply: tx,
             enqueued: now,
@@ -334,18 +358,17 @@ mod tests {
         let now = Instant::now();
         let mut b = Batcher::new(Duration::from_millis(10), 4);
         let mut rxs = Vec::new();
-        for i in 0..3 {
+        for _ in 0..4 {
             let (p, rx) = pending(&c, 0, 1, now);
             rxs.push(rx);
-            assert!(b.push(p, now).is_none(), "push {i} must keep collecting");
+            b.push(p, now);
         }
-        let (p, rx) = pending(&c, 0, 1, now);
-        rxs.push(rx);
-        let job = b.push(p, now).expect("fourth column fires the size trigger");
-        assert_eq!(job.cols, 4);
-        assert_eq!(job.requests.len(), 4);
-        assert!(Arc::ptr_eq(&job.compiled, &c), "job carries the admission-time op");
-        assert_eq!(b.pending(), 0);
+        let job = b.next(|| panic!("a sealed job needs no clock")).expect("sealed at the cap");
+        assert_eq!((job.cols, job.requests.len(), job.reason), (4, 4, FlushReason::Size));
+        assert!(Arc::ptr_eq(&job.compiled, &c.0), "job carries the admission-time op");
+        assert_eq!(job.stats.queue_depth.load(Ordering::Relaxed), 0, "taken: no longer queued");
+        assert_eq!(b.queued(), 0);
+        assert!(b.next(|| now).is_none(), "the fourth column sealed the whole bucket");
     }
 
     #[test]
@@ -354,42 +377,95 @@ mod tests {
         let now = Instant::now();
         let mut b = Batcher::new(Duration::from_millis(10), 4);
         let (small, _rx1) = pending(&c, 0, 1, now);
-        assert!(b.push(small, now).is_none());
+        b.push(small, now);
         let (big, _rx2) = pending(&c, 0, 9, now);
-        let job = b.push(big, now).expect("bucket exceeds max_cols");
-        assert_eq!(job.cols, 10, "waiting small request rides along");
-        assert_eq!(b.pending(), 0);
+        b.push(big, now);
+        let job = b.next(|| now).expect("bucket exceeds max_cols");
+        assert_eq!(
+            (job.cols, job.reason),
+            (10, FlushReason::Size),
+            "waiting small request rides along"
+        );
+        assert_eq!(b.queued(), 0);
     }
 
     #[test]
-    fn time_trigger_only_fires_per_bucket_window() {
-        let c = tiny_op();
-        let now = Instant::now();
-        let window = Duration::from_millis(5);
-        let mut b = Batcher::new(window, 64);
-        let (p0, _rx0) = pending(&c, 0, 1, now);
-        b.push(p0, now);
-        let later = now + Duration::from_millis(3);
-        let (p1, _rx1) = pending(&c, 1, 2, later);
-        b.push(p1, later);
-        assert_eq!(b.next_deadline(), Some(now + window), "oldest bucket anchors the deadline");
-        assert!(b.flush_expired(now + Duration::from_millis(4)).is_empty());
-        let jobs = b.flush_expired(now + window);
-        assert_eq!(jobs.len(), 1, "only op 0's window has passed");
-        assert_eq!(jobs[0].op, OpId(0));
-        assert_eq!(b.pending(), 1);
-        let jobs = b.flush_expired(later + window);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].cols, 2);
-    }
-
-    #[test]
-    fn take_oldest_empties_the_longest_waiting_bucket() {
+    fn a_push_at_the_deadline_seals_the_old_bucket_and_one_before_joins_it() {
         let c = tiny_op();
         let t0 = Instant::now();
         let window = Duration::from_millis(5);
         let mut b = Batcher::new(window, 64);
-        assert!(b.take_oldest(t0).is_none(), "nothing open, nothing to take");
+        let mut rxs = Vec::new();
+        let mut push = |b: &mut Batcher, at: Instant| {
+            let (p, rx) = pending(&c, 0, 1, at);
+            rxs.push(rx);
+            b.push(p, at);
+        };
+        push(&mut b, t0);
+        push(&mut b, t0 + window - Duration::from_nanos(1));
+        push(&mut b, t0 + window);
+        assert_eq!(b.queued(), 3);
+        let sealed = b.next(|| panic!("sealed work needs no clock")).expect("the old bucket");
+        assert_eq!((sealed.requests.len(), sealed.reason), (2, FlushReason::Window));
+        assert_eq!(sealed.dispatched, t0 + window, "sealed as of its deadline");
+        let fresh = b.next(|| t0 + window).expect("the bucket the late push opened");
+        assert_eq!((fresh.requests.len(), fresh.reason), (1, FlushReason::Idle));
+        assert_eq!(b.queued(), 0);
+    }
+
+    #[test]
+    fn sealed_jobs_leave_before_open_buckets_unless_a_window_ran_out_first() {
+        let c = tiny_op();
+        let t0 = Instant::now();
+        let ms = Duration::from_millis(1);
+        let mut b = Batcher::new(5 * ms, 2);
+        let mut rxs = Vec::new();
+        // Op 0 opens first and stays open; op 1 fills to the cap (sealed at
+        // t0 + 1 ms), op 2 fills at t0 + 6 ms, after op 0's deadline.
+        for (op, at) in
+            [(0usize, t0), (1, t0 + ms), (1, t0 + ms), (2, t0 + 6 * ms), (2, t0 + 6 * ms)]
+        {
+            let (p, rx) = pending(&c, op, 1, at);
+            rxs.push(rx);
+            b.push(p, at);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| b.next(|| t0 + 7 * ms))
+            .map(|job| (job.op, job.reason, job.dispatched))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (OpId(1), FlushReason::Size, t0 + ms),
+                (OpId(0), FlushReason::Window, t0 + 5 * ms),
+                (OpId(2), FlushReason::Size, t0 + 6 * ms),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_window_seals_every_push() {
+        let c = tiny_op();
+        let now = Instant::now();
+        let mut b = Batcher::new(Duration::ZERO, 64);
+        let mut rxs = Vec::new();
+        for _ in 0..3 {
+            let (p, rx) = pending(&c, 0, 1, now);
+            rxs.push(rx);
+            b.push(p, now);
+        }
+        for _ in 0..3 {
+            let job = b.next(|| panic!("nothing is left open")).expect("one job per push");
+            assert_eq!((job.requests.len(), job.reason), (1, FlushReason::Window));
+        }
+        assert!(b.next(|| now).is_none());
+    }
+
+    #[test]
+    fn an_idle_take_empties_the_longest_waiting_bucket() {
+        let c = tiny_op();
+        let t0 = Instant::now();
+        let mut b = Batcher::new(Duration::from_millis(5), 64);
+        assert!(b.next(|| t0).is_none(), "nothing open, nothing to take");
         // Op 2 opens first, op 0 a millisecond later; op 2's second request
         // arrives last and must not make its bucket look younger.
         let ms = Duration::from_millis(1);
@@ -397,16 +473,15 @@ mod tests {
         for (op, cols, at) in [(2usize, 1usize, t0), (0, 3, t0 + ms), (2, 2, t0 + 2 * ms)] {
             let (p, rx) = pending(&c, op, cols, at);
             rxs.push(rx);
-            assert!(b.push(p, at).is_none());
+            b.push(p, at);
         }
         let now = t0 + 3 * ms;
-        let job = b.take_oldest(now).expect("two buckets open");
+        let job = b.next(|| now).expect("two buckets open");
         assert_eq!((job.op, job.cols, job.requests.len()), (OpId(2), 3, 2), "whole oldest bucket");
-        assert_eq!(job.dispatched, now);
-        assert_eq!(b.pending(), 1, "the younger bucket stays");
-        assert_eq!(b.next_deadline(), Some(t0 + ms + window), "deadline moves to what is left");
-        assert_eq!(b.take_oldest(now).expect("op 0's bucket").op, OpId(0));
-        assert_eq!((b.pending(), b.next_deadline()), (0, None));
+        assert_eq!((job.dispatched, job.reason), (now, FlushReason::Idle));
+        assert_eq!(b.queued(), 1, "the younger bucket stays");
+        assert_eq!(b.next(|| now).expect("op 0's bucket").op, OpId(0));
+        assert!(b.next(|| now).is_none());
     }
 
     #[test]
@@ -415,32 +490,15 @@ mod tests {
         let t0 = Instant::now();
         let later = t0 + Duration::from_millis(2);
         let mut b = Batcher::new(Duration::from_millis(10), 2);
-        let (p, _rx0) = pending(&c, 0, 1, t0);
-        assert!(b.push(p, later).is_none());
-        let (p2, _rx1) = pending(&c, 0, 1, t0);
-        let job = b.push(p2, later).expect("size trigger");
+        for _ in 0..2 {
+            let (p, _rx) = pending(&c, 0, 1, t0);
+            b.push(p, later);
+        }
+        let job = b.next(|| panic!("sealed")).expect("size trigger");
         assert_eq!(job.dispatched, later, "dispatch stamp is the triggering clock read");
         assert!(
             job.requests.iter().all(|r| r.pushed == later && r.enqueued == t0),
-            "queue wait ends at batcher pickup, admission stamp survives"
+            "queue wait ends at the push, admission stamp survives"
         );
-    }
-
-    #[test]
-    fn flush_all_drains_every_bucket() {
-        let c = tiny_op();
-        let now = Instant::now();
-        let mut b = Batcher::new(Duration::from_secs(1), 64);
-        let mut rxs = Vec::new();
-        for op in [0usize, 1, 1, 2] {
-            let (p, rx) = pending(&c, op, 1, now);
-            rxs.push(rx);
-            assert!(b.push(p, now).is_none());
-        }
-        let jobs = b.flush_all(now);
-        assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs.iter().map(|j| j.requests.len()).sum::<usize>(), 4);
-        assert_eq!(b.pending(), 0);
-        assert_eq!(b.next_deadline(), None);
     }
 }

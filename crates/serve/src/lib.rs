@@ -16,19 +16,20 @@
 //!   multi-tenant store that loads, swaps, and retires whole models
 //!   **online** (`op@v` names, atomic snapshot swap, drain-on-retire,
 //!   `--mem-budget` LRU eviction);
-//! * a [`Server`] owns one batcher thread and N worker threads, each
-//!   worker with a **private** [`biq_runtime::Executor`] warmed for every
+//! * a [`Server`] owns N worker threads and nothing else, each worker
+//!   with a **private** [`biq_runtime::Executor`] warmed for every
 //!   boot-time op at startup (online-loaded ops warm lazily on first use)
 //!   — the sanctioned concurrent path, replacing the
 //!   [`biq_runtime::SharedExecutor`] mutex that would serialise traffic;
-//! * a [`Client`] submits `(op, ColMatrix)` requests into a **bounded**
-//!   queue ([`Client::try_submit`] surfaces backpressure as
-//!   [`ServeError::Busy`]); each request yields a [`Ticket`] that resolves
-//!   to the request's own `W·X` slice;
+//! * a [`Client`] submits `(op, ColMatrix)` requests straight into the
+//!   batcher's buckets under one lock, **bounded** by the requests no
+//!   worker has taken yet ([`Client::try_submit`] surfaces backpressure
+//!   as [`ServeError::Busy`]); each request yields a [`Ticket`] that
+//!   resolves to the request's own `W·X` slice;
 //! * the batcher buckets requests by `(op, input rows)` and packs
 //!   compatible queries side by side into one multi-column `ColMatrix`, so
 //!   **one LUT build serves the whole bucket**; a bucket leaves when it is
-//!   full, when a worker is free to run it, or after the batch window (the
+//!   full, when a worker is free to pull it, or after the batch window (the
 //!   longest it is held while every worker is busy) — an idle server
 //!   answers a lone request at once and batches form out of queueing;
 //!   workers scatter the result columns back to per-request reply channels;

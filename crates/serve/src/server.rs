@@ -1,33 +1,37 @@
-//! The serving engine: a batcher thread feeding a pool of worker threads,
-//! each worker owning a private warmed [`Executor`].
+//! The serving engine: submitters bucket their requests and a pool of
+//! worker threads pulls batches, each worker owning a private warmed
+//! [`Executor`].
 //!
 //! ```text
-//!  Client::submit ──► bounded MPSC queue ──► batcher thread ─┐ push
-//!  (backpressure:          │                   │             ▼
-//!   try_submit→Busy)       │   size / window / │      Mutex<Batcher> (buckets)
-//!                          │   a worker is free│             │ take_oldest: a worker
-//!                          │                   ▼             ▼ with nothing queued
-//!                          │            bounded job channel ──► worker 0..N-1
-//!                          │            (full ⇒ batcher blocks    │ own Executor
-//!                          ▼             ⇒ submit queue fills     │ pack → run → scatter
-//!                   Ticket::wait ◄───────── reply channels ◄──────┘
+//!  Client::submit / try_submit    validate op + shape (no lock)
+//!        │
+//!        ▼  one Mutex: admitted-not-taken < queue_capacity?
+//!           full ⇒ try_submit → Busy, submit waits on `room`
+//!  Batcher (batcher.rs): open buckets ──size / window──► sealed FIFO
+//!        │  a push wakes one parked worker (`work`)
+//!        ▼
+//!  worker 0..N-1: sealed FIFO, else the oldest open bucket, else park
+//!        │  own Executor: pack → run → scatter; a take wakes `room`
+//!        ▼
+//!  Ticket::wait ◄── reply channels
 //! ```
 //!
 //! Dispatch is work-conserving: a bucket never waits while a worker is
-//! free. The batcher thread hands a bucket over the moment it sees a free
-//! worker, and a worker that runs out of queued jobs takes the oldest open
-//! bucket itself before it parks — so the batch window is only ever spent
-//! behind busy workers, and batches form out of that queueing
-//! (`Dispatch` holds the one counter that makes the two sides agree).
+//! free. A push wakes a parked worker, and a worker with nothing sealed for
+//! it takes the oldest open bucket itself — so the batch window is only
+//! ever spent behind busy workers, and batches form out of that queueing.
+//! There is no thread between the submitters and the workers: the policy
+//! (buckets, sealed FIFO, flush reasons) is `batcher.rs`, and this module
+//! only locks, parks and wakes around it.
 //!
 //! Workers never share an executor: each owns one, warmed at startup for
 //! every boot-time op, so the `SharedExecutor` mutex bottleneck never
 //! appears on the serving path and per-worker arenas stay hot across
 //! batches. Ops loaded online later warm lazily on their first batch (the
-//! executor grows arenas on demand). Backpressure is end-to-end — slow
-//! workers fill the bounded job channel, which blocks the batcher, which
-//! fills the bounded submit queue, which turns [`Client::try_submit`] into
-//! [`ServeError::Busy`].
+//! executor grows arenas on demand). Backpressure is one count under the
+//! lock: once `queue_capacity` admitted requests wait for a worker,
+//! [`Client::try_submit`] returns [`ServeError::Busy`] and
+//! [`Client::submit`] blocks until a worker takes a batch.
 //!
 //! Requests resolve against the [`LiveRegistry`] at admission and carry
 //! their own `Arc` of the compiled op from there on — a model swap or
@@ -35,18 +39,16 @@
 //! retiring version's payload drops only after its last in-flight request
 //! answers (drain-on-retire).
 
-use crate::batcher::{
-    Answer, BatchJob, Batcher, FlushReason, Lap, Pending, ReplyNotify, ServeError,
-};
+use crate::batcher::{Answer, BatchJob, Batcher, Lap, Pending, ReplyNotify, ServeError};
 use crate::registry::{LiveRegistry, ModelRegistry, OpId, Snapshot};
 use crate::stats::{ServerStats, StatsSnapshot};
 use biq_matrix::{ColMatrix, Matrix};
 use biq_obs::{MetricsSnapshot, RequestRecord, SlowHit};
 use biq_runtime::Executor;
 use biqgemm_core::PhaseProfile;
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock, TryLockError};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,8 +57,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Worker threads, each with a private warmed [`Executor`].
     pub workers: usize,
-    /// Capacity of the bounded submit queue (requests waiting for the
-    /// batcher). Full queue ⇒ [`Client::submit`] blocks,
+    /// The most admitted requests no worker has taken yet, open buckets and
+    /// sealed batches alike. At the cap [`Client::submit`] blocks and
     /// [`Client::try_submit`] returns [`ServeError::Busy`].
     pub queue_capacity: usize,
     /// The longest an under-filled bucket is held **while every worker is
@@ -67,8 +69,9 @@ pub struct ServerConfig {
     pub batch_window: Duration,
     /// Packed-width cap per batch; a bucket reaching it flushes at once.
     pub max_batch_cols: usize,
-    /// Capacity of the bounded batcher→worker job channel; the knob that
-    /// propagates worker slowness back to the submit queue.
+    /// Not read: workers pull batches from the buckets, so there is no job
+    /// channel left to size. Kept only because the benchmark prints it on
+    /// its provenance line.
     pub job_capacity: usize,
     /// Pin worker `i` to core `i % cpu_count()` (Linux `sched_setaffinity`)
     /// before its executor warm-up, so first-touch arena pages land on the
@@ -94,13 +97,6 @@ impl Default for ServerConfig {
             mem_budget: None,
         }
     }
-}
-
-/// Messages on the submit queue.
-enum Submission {
-    Request(Pending),
-    /// Shutdown sentinel: everything queued ahead of it is still served.
-    Shutdown,
 }
 
 /// A pending reply: wait on it to get the request's `W·X` result.
@@ -143,49 +139,22 @@ impl Ticket {
 /// A cheaply cloneable submission handle.
 #[derive(Clone)]
 pub struct Client {
-    tx: SyncSender<Submission>,
+    dispatch: Arc<Dispatch>,
     registry: Arc<LiveRegistry>,
-    /// The admission gate: submissions hold a read lock across the
-    /// check-and-send, [`Server::shutdown`] takes the write lock to flip it.
-    /// That ordering guarantees every accepted request is queued **before**
-    /// the shutdown sentinel, so "submit returned Ok" always means "the
-    /// drain will answer this ticket" — no straddling race.
-    accepting: Arc<RwLock<bool>>,
 }
 
 impl Client {
-    /// Validates and enqueues a request, blocking while the queue is full.
-    /// The returned [`Ticket`] resolves to `W·X` for the registered op.
+    /// Validates and enqueues a request, blocking while `queue_capacity`
+    /// admitted requests wait for a worker. The returned [`Ticket`]
+    /// resolves to `W·X` for the registered op.
     pub fn submit(&self, op: OpId, x: ColMatrix) -> Result<Ticket, ServeError> {
-        let gate = self.accepting.read().expect("admission gate poisoned");
-        if !*gate {
-            return Err(ServeError::ShuttingDown);
-        }
-        let snap = self.registry.snapshot();
-        let (pending, ticket) = self.admit(&snap, op, x, Instant::now(), false, None)?;
-        match pending {
-            Some(p) => {
-                let stats = Arc::clone(&p.stats);
-                // Count the request as queued BEFORE it can reach the
-                // batcher: dispatch subtracts its batch from the gauge, and
-                // an increment that trailed the send could lose that race
-                // and leave a snapshot reading "−1" (`usize::MAX`).
-                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                if self.tx.send(Submission::Request(p)).is_err() {
-                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    return Err(ServeError::ShuttingDown);
-                }
-                stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(ticket)
-            }
-            None => Ok(ticket),
-        }
+        self.admit(&self.registry.snapshot(), op, x, Instant::now(), None, true)
     }
 
     /// Like [`Client::submit`] but refusing with [`ServeError::Busy`]
     /// instead of blocking when the queue is full — the backpressure edge.
     pub fn try_submit(&self, op: OpId, x: ColMatrix) -> Result<Ticket, ServeError> {
-        self.try_submit_inner(&self.registry.snapshot(), op, x, Instant::now(), false, None)
+        self.admit(&self.registry.snapshot(), op, x, Instant::now(), None, false)
     }
 
     /// [`Client::try_submit`] for the net front-end: admits against the
@@ -205,61 +174,23 @@ impl Client {
         enqueued: Instant,
         notify: ReplyNotify,
     ) -> Result<Ticket, ServeError> {
-        self.try_submit_inner(snap, op, x, enqueued, true, Some(notify))
+        self.admit(snap, op, x, enqueued, Some(notify), false)
     }
 
-    fn try_submit_inner(
-        &self,
-        snap: &Snapshot,
-        op: OpId,
-        x: ColMatrix,
-        enqueued: Instant,
-        deferred: bool,
-        notify: Option<ReplyNotify>,
-    ) -> Result<Ticket, ServeError> {
-        let gate = self.accepting.read().expect("admission gate poisoned");
-        if !*gate {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (pending, ticket) = self.admit(snap, op, x, enqueued, deferred, notify)?;
-        match pending {
-            Some(p) => {
-                let stats = Arc::clone(&p.stats);
-                // Gauge first, undone on refusal — see `submit`.
-                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                let sent = self.tx.try_send(Submission::Request(p));
-                if sent.is_err() {
-                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                }
-                match sent {
-                    Ok(()) => {
-                        stats.submitted.fetch_add(1, Ordering::Relaxed);
-                        Ok(ticket)
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        Err(ServeError::Busy)
-                    }
-                    Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-                }
-            }
-            None => Ok(ticket),
-        }
-    }
-
-    /// Shared validation; `Ok((None, ticket))` means the request was
-    /// answered inline (empty batch) without touching the queue. A
-    /// successful admission captures the op's `Arc`s from `snap` and pins
-    /// the owning model in flight.
+    /// The one admission path. Validation runs outside the lock; an empty
+    /// request is answered inline and never queued. A successful admission
+    /// captures the op's `Arc`s from `snap` and pins the owning model in
+    /// flight. A request with a `notify` came over the wire, and the net
+    /// writer records its lifecycle.
     fn admit(
         &self,
         snap: &Snapshot,
         op: OpId,
         x: ColMatrix,
         enqueued: Instant,
-        deferred: bool,
         notify: Option<ReplyNotify>,
-    ) -> Result<(Option<Pending>, Ticket), ServeError> {
+        block: bool,
+    ) -> Result<Ticket, ServeError> {
         let Some(slot) = snap.slot(op) else { return Err(ServeError::UnknownOp) };
         // A retired slot keeps its stats but serves nothing.
         let Some(compiled) = slot.op.clone() else { return Err(ServeError::UnknownOp) };
@@ -270,16 +201,14 @@ impl Client {
             });
         }
         let (reply, rx) = mpsc::channel();
-        let ticket = Ticket { rx };
         if x.cols() == 0 {
             // Nothing to compute; answer inline so workers never see b = 0.
             // The notify guard (if any) drops here, after the send — the
             // reactor's poll finds the inline answer immediately.
             let zero = Matrix::zeros(compiled.output_size(), 0);
             let _ = reply.send(Ok(Answer { matrix: zero, lap: Lap::default() }));
-            return Ok((None, ticket));
+            return Ok(Ticket { rx });
         }
-        let inflight = Some(self.registry.begin(slot));
         let p = Pending {
             op,
             compiled,
@@ -288,11 +217,37 @@ impl Client {
             reply,
             enqueued,
             pushed: enqueued,
-            deferred,
-            inflight,
+            deferred: notify.is_some(),
+            inflight: Some(self.registry.begin(slot)),
             notify,
         };
-        Ok((Some(p), ticket))
+        // Declared after `p`, so a refused request drops (and fires its
+        // notify) only once the lock is released.
+        let d = &*self.dispatch;
+        let mut q = d.lock();
+        loop {
+            if !q.accepting {
+                return Err(ServeError::ShuttingDown);
+            }
+            if q.batcher.queued() < d.capacity {
+                break;
+            }
+            if !block {
+                p.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Busy);
+            }
+            q.blocked += 1;
+            q = d.room.wait(q).expect("serve queue poisoned");
+            q.blocked -= 1;
+        }
+        p.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        q.batcher.push(p, Instant::now());
+        let wake = q.parked > 0;
+        drop(q);
+        if wake {
+            d.work.notify_one();
+        }
+        Ok(Ticket { rx })
     }
 
     /// The live registry this client submits against: op lookup by
@@ -306,14 +261,14 @@ impl Client {
 /// A running serving engine. Construct with [`Server::start`], stop with
 /// [`Server::shutdown`] (which drains every accepted request).
 ///
-/// Dropping a `Server` without calling `shutdown` detaches its threads:
-/// they exit once every [`Client`] clone is gone and the queues drain.
+/// Dropping a `Server` without calling `shutdown` closes admission and
+/// detaches its workers: a [`Client`] kept past the drop is refused with
+/// [`ServeError::ShuttingDown`], and the workers answer every request
+/// admitted before the drop, then exit.
 pub struct Server {
-    tx: SyncSender<Submission>,
+    dispatch: Arc<Dispatch>,
     registry: Arc<LiveRegistry>,
     stats: Arc<ServerStats>,
-    accepting: Arc<RwLock<bool>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -351,66 +306,44 @@ impl StatsHandle {
 }
 
 impl Server {
-    /// Spawns the batcher and `config.workers` worker threads; every worker
-    /// warms a private executor for every boot-time op (at the batcher's
-    /// packed-width cap) before serving. The boot registry becomes version
-    /// 1 of the boot model in the server's [`LiveRegistry`].
+    /// Spawns `config.workers` worker threads; every worker warms a private
+    /// executor for every boot-time op (at the packed-width cap) before
+    /// serving. The boot registry becomes version 1 of the boot model in
+    /// the server's [`LiveRegistry`].
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> Server {
-        Self::spawn(registry, config).0
-    }
-
-    /// [`Server::start`], also returning the dispatch state the threads
-    /// share (the policy tests watch it).
-    fn spawn(registry: ModelRegistry, config: ServerConfig) -> (Server, Arc<Dispatch>) {
         let registry = Arc::new(LiveRegistry::from_builder(registry, config.mem_budget));
         let stats = Arc::new(ServerStats::new());
-        let accepting = Arc::new(RwLock::new(true));
         let max_cols = config.max_batch_cols.max(1);
         let dispatch = Arc::new(Dispatch {
-            batcher: Mutex::new(Batcher::new(config.batch_window, max_cols)),
-            free: AtomicIsize::new(0),
+            state: Mutex::new(Queue {
+                batcher: Batcher::new(config.batch_window, max_cols),
+                parked: 0,
+                blocked: 0,
+                accepting: true,
+            }),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            capacity: config.queue_capacity.max(1),
         });
-
-        let (tx, rx) = mpsc::sync_channel::<Submission>(config.queue_capacity.max(1));
-        let (job_tx, job_rx) = mpsc::sync_channel::<BatchJob>(config.job_capacity.max(1));
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
         let cpus = crate::affinity::cpu_count();
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let registry = Arc::clone(&registry);
                 let stats = Arc::clone(&stats);
                 let dispatch = Arc::clone(&dispatch);
-                let job_rx = Arc::clone(&job_rx);
                 let pin_to = config.pin_workers.then_some(i % cpus);
                 std::thread::Builder::new()
                     .name(format!("biq-serve-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&registry, &stats, &dispatch, &job_rx, max_cols, pin_to)
-                    })
+                    .spawn(move || worker_loop(&registry, &stats, &dispatch, max_cols, pin_to))
                     .expect("spawn serve worker")
             })
             .collect();
-
-        let batcher = {
-            let dispatch = Arc::clone(&dispatch);
-            std::thread::Builder::new()
-                .name("biq-serve-batcher".to_string())
-                .spawn(move || batcher_loop(rx, job_tx, &dispatch))
-                .expect("spawn serve batcher")
-        };
-
-        let server = Server { tx, registry, stats, accepting, batcher: Some(batcher), workers };
-        (server, dispatch)
+        Server { dispatch, registry, stats, workers }
     }
 
     /// A new submission handle.
     pub fn client(&self) -> Client {
-        Client {
-            tx: self.tx.clone(),
-            registry: Arc::clone(&self.registry),
-            accepting: Arc::clone(&self.accepting),
-        }
+        Client { dispatch: Arc::clone(&self.dispatch), registry: Arc::clone(&self.registry) }
     }
 
     /// The live registry this server serves from.
@@ -434,19 +367,11 @@ impl Server {
         StatsHandle { stats: Arc::clone(&self.stats), registry: Arc::clone(&self.registry) }
     }
 
-    /// Graceful shutdown: stops accepting, serves everything already
-    /// accepted (queued in the batcher's buckets, the submit queue, or the
-    /// job channel), joins every thread, and returns the final statistics.
+    /// Graceful shutdown: stops admission, lets the workers run everything
+    /// already admitted (open buckets included), joins them, and returns
+    /// the final statistics.
     pub fn shutdown(mut self) -> StatsSnapshot {
-        // Taking the write lock waits out every in-flight submission (each
-        // holds the read lock across its check-and-send), so once the flag
-        // flips, every accepted request is already in the FIFO — and the
-        // sentinel sent below queues behind all of them.
-        *self.accepting.write().expect("admission gate poisoned") = false;
-        let _ = self.tx.send(Submission::Shutdown);
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
+        self.dispatch.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -454,156 +379,77 @@ impl Server {
     }
 }
 
-/// What the batcher thread and the workers share so that a bucket never
-/// waits while a worker is free.
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.dispatch.close();
+    }
+}
+
+/// The one lock submitters and workers share, and what each waits on.
 struct Dispatch {
-    /// The open buckets. The batcher thread pushes into them and runs the
-    /// size and window triggers; a worker that finds nothing queued takes
-    /// the oldest one itself.
-    batcher: Mutex<Batcher>,
-    /// Parked workers − jobs in the job channel: positive means a job sent
-    /// now wakes a worker that has nothing else to do. A worker adds one
-    /// before it looks for work; whoever hands it a job — the batcher
-    /// thread sending into the channel, or the worker taking a bucket —
-    /// subtracts one ([`Dispatch::handed`], under the `batcher` lock). A
-    /// worker's `+1` precedes its look into the buckets and the batcher
-    /// thread reads `free` after its push, so (SeqCst on both sides) either
-    /// the worker finds the bucket or the batcher thread finds `free > 0`.
-    free: AtomicIsize,
+    state: Mutex<Queue>,
+    /// Parked workers wait here; a push wakes one.
+    work: Condvar,
+    /// Blocked submitters wait here; a take, or closing, wakes them all.
+    room: Condvar,
+    /// [`ServerConfig::queue_capacity`]: the most requests admitted and not
+    /// yet taken by a worker.
+    capacity: usize,
+}
+
+/// The state under [`Dispatch`]'s lock.
+struct Queue {
+    batcher: Batcher,
+    /// Workers waiting on `work`.
+    parked: usize,
+    /// Submitters waiting on `room`.
+    blocked: usize,
+    /// Cleared once, by [`Dispatch::close`]; nothing is admitted after.
+    accepting: bool,
 }
 
 impl Dispatch {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Batcher> {
-        self.batcher.lock().expect("batcher poisoned")
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.state.lock().expect("serve queue poisoned")
     }
 
-    /// Buckets one request; returns the job to send on when that filled its
-    /// bucket, or when a worker is free to take the oldest bucket now.
-    fn push(&self, p: Pending, now: Instant) -> Option<BatchJob> {
-        let mut batcher = self.lock();
-        let (job, reason) = match batcher.push(p, now) {
-            Some(job) => (job, FlushReason::Size),
-            None if self.free.load(Ordering::SeqCst) > 0 => {
-                (batcher.take_oldest(now)?, FlushReason::Idle)
-            }
-            None => return None,
-        };
-        self.handed(&job, reason);
-        Some(job)
+    /// Stops admission and wakes every waiter: blocked submitters are
+    /// refused, and workers drain what was admitted, then exit. Called from
+    /// `Drop` too, so it recovers a poisoned lock rather than panic
+    /// (clearing a flag leaves the state valid).
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).accepting = false;
+        self.work.notify_all();
+        self.room.notify_all();
     }
 
-    /// The oldest open bucket, for a worker that found nothing queued.
-    fn take_idle(&self) -> Option<BatchJob> {
-        let now = Instant::now();
-        let mut batcher = self.lock();
-        let job = batcher.take_oldest(now)?;
-        self.handed(&job, FlushReason::Idle);
-        Some(job)
-    }
-
-    /// The buckets `take` flushes without a worker asking: the ones whose
-    /// window ran out, or (the shutdown drain) all of them.
-    fn flush(&self, take: impl FnOnce(&mut Batcher) -> Vec<BatchJob>) -> Vec<BatchJob> {
-        let mut batcher = self.lock();
-        let jobs = take(&mut batcher);
-        for job in &jobs {
-            self.handed(job, FlushReason::Window);
-        }
-        jobs
-    }
-
-    /// The bookkeeping of every job that leaves the buckets, whoever took
-    /// it and why; called with the `batcher` lock held, so `free` and the
-    /// buckets change together.
-    fn handed(&self, job: &BatchJob, reason: FlushReason) {
-        self.free.fetch_sub(1, Ordering::SeqCst);
-        let s = &job.stats;
-        s.queue_depth.fetch_sub(job.requests.len(), Ordering::Relaxed);
-        s.record_batch(job.cols, reason);
-        // Trace the batcher window as a span from the oldest request's
-        // enqueue to this dispatch (the time batching "charged" the
-        // batch), reusing the dispatch stamp instead of re-reading the
-        // clock.
-        if biq_obs::trace::tracing_enabled() {
-            if let Some(earliest) = job.requests.iter().map(|r| r.enqueued).min() {
-                let start = biq_obs::trace::instant_ns(earliest);
-                let end = biq_obs::trace::instant_ns(job.dispatched);
-                biq_obs::trace::emit("serve.batch_window", start, end.saturating_sub(start));
-            }
-        }
-    }
-}
-
-fn batcher_loop(rx: Receiver<Submission>, job_tx: SyncSender<BatchJob>, dispatch: &Dispatch) {
-    // A send error means every worker is gone; requests are answered with
-    // `Canceled` by the dropped reply senders.
-    let send = |job: BatchJob| {
-        let _ = job_tx.send(job);
-    };
-    loop {
-        // A worker may since have taken the bucket this deadline belongs
-        // to; the wake-up then finds nothing expired and costs one lap.
-        let deadline = dispatch.lock().next_deadline();
-        let msg = match deadline {
-            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match msg {
-            Ok(Submission::Request(p)) => {
-                dispatch.push(p, Instant::now()).into_iter().for_each(send);
-            }
-            Ok(Submission::Shutdown) => {
-                // The admission gate orders every accepted request ahead of
-                // the sentinel; this drain is belt-and-braces against any
-                // future sender that bypasses the gate.
-                while let Ok(Submission::Request(p)) = rx.try_recv() {
-                    dispatch.push(p, Instant::now()).into_iter().for_each(send);
+    /// A worker's next batch, parking while there is none. `None` once
+    /// admission is closed and nothing is left.
+    fn next_job(&self) -> Option<BatchJob> {
+        let mut q = self.lock();
+        loop {
+            if let Some(job) = q.batcher.next(Instant::now) {
+                let wake = q.blocked > 0;
+                drop(q);
+                if wake {
+                    self.room.notify_all();
                 }
-                break;
+                return Some(job);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                dispatch.flush(|b| b.flush_expired(now)).into_iter().for_each(send);
+            if !q.accepting {
+                return None;
             }
-            Err(RecvTimeoutError::Disconnected) => break,
+            q.parked += 1;
+            q = self.work.wait(q).expect("serve queue poisoned");
+            q.parked -= 1;
         }
     }
-    // Shutdown drain: one cold clock read stamps whatever still flushes.
-    // Nothing is pushed after this, so a worker that finds the channel
-    // closed has no bucket left to look for.
-    let now = Instant::now();
-    dispatch.flush(|b| b.flush_all(now)).into_iter().for_each(send);
-    // Dropping `job_tx` lets workers drain the channel and exit.
-}
-
-/// A worker's next batch: a queued job first (it left its bucket before
-/// anything still open), else the oldest open bucket, else whatever the
-/// batcher thread sends next. `None` once the channel is closed and empty.
-fn next_job(dispatch: &Dispatch, jobs: &Mutex<Receiver<BatchJob>>) -> Option<BatchJob> {
-    dispatch.free.fetch_add(1, Ordering::SeqCst);
-    // `WouldBlock` means another worker holds the receiver — parked in the
-    // `recv` below, so the channel is empty, or inside this same
-    // `try_recv`, in which case a second queued job is picked up by that
-    // `recv` a moment later instead.
-    let queued = match jobs.try_lock() {
-        Ok(rx) => rx.try_recv().ok(),
-        Err(TryLockError::WouldBlock) => None,
-        Err(TryLockError::Poisoned(_)) => return None,
-    };
-    if let Some(job) = queued.or_else(|| dispatch.take_idle()) {
-        return Some(job);
-    }
-    // Holding the lock while blocked in `recv` is the multi-consumer
-    // queue: exactly one idle worker waits on the channel, the rest wait
-    // on the mutex, and a job wakes exactly one of them.
-    jobs.lock().ok()?.recv().ok()
 }
 
 fn worker_loop(
     registry: &LiveRegistry,
     stats: &ServerStats,
     dispatch: &Dispatch,
-    jobs: &Mutex<Receiver<BatchJob>>,
     max_cols: usize,
     pin_to: Option<usize>,
 ) {
@@ -625,11 +471,21 @@ fn worker_loop(
     let mut xbuf: Vec<f32> = Vec::new();
     let mut ybuf: Vec<f32> = Vec::new();
     let mut profiled = PhaseProfile::new();
-    while let Some(job) = next_job(dispatch, jobs) {
+    while let Some(job) = dispatch.next_job() {
         // One clock read per batch when tracing (the PR 6 lesson: never
         // per-chunk); the kernel-phase child spans below are bridged from
         // the profile delta, not re-timed.
         let batch_start = biq_obs::trace::tracing_enabled().then(biq_obs::trace::now_ns);
+        if batch_start.is_some() {
+            // The batch window as a span from the oldest request's enqueue
+            // to its bucket's seal (the time batching "charged" the batch),
+            // reusing the dispatch stamp instead of re-reading the clock.
+            if let Some(earliest) = job.requests.iter().map(|r| r.enqueued).min() {
+                let start = biq_obs::trace::instant_ns(earliest);
+                let end = biq_obs::trace::instant_ns(job.dispatched);
+                biq_obs::trace::emit("serve.batch_window", start, end.saturating_sub(start));
+            }
+        }
         {
             let _span = biq_obs::span!("serve.batch");
             run_job(stats, &mut exec, &mut xbuf, &mut ybuf, job);
@@ -742,6 +598,7 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::FlushReason;
     use crate::stats::Flushes;
     use biq_matrix::MatrixRng;
     use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, Threading, WeightSource};
@@ -765,37 +622,50 @@ mod tests {
     /// A window no test outlives: whatever flushes, the timer did not.
     const NEVER: Duration = Duration::from_secs(30);
 
-    /// Holds every worker of a `workers`-strong server inside a batch until
-    /// the returned sender is dropped: one single-column request to `op` per
-    /// worker, each with a reply-notify that blocks on that sender. A
-    /// blocker is seen entering its worker before the next is submitted, so
-    /// no two share a batch and none is left in a bucket.
-    fn hold_workers(client: &Client, op: OpId, workers: usize) -> mpsc::Sender<()> {
-        let (release, gate) = mpsc::channel::<()>();
-        let gate = Mutex::new(gate);
-        let (entered_tx, entered) = mpsc::channel();
-        let hold: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            entered_tx.send(()).expect("test still listening");
-            // `Err` once the test drops `release`: the gate opens for good.
-            let _ = gate.lock().expect("gate").recv();
-        });
-        let snap = client.registry().snapshot();
-        let n = snap.slot(op).expect("held op").meta.n;
-        for _ in 0..workers {
-            let notify = ReplyNotify(Arc::clone(&hold));
-            client
-                .try_submit_in(&snap, op, ColMatrix::zeros(n, 1), Instant::now(), notify)
-                .expect("blocker admitted");
-            entered.recv().expect("a worker picked the blocker up");
-        }
-        release
+    /// A gate requests can be held at: each notify it makes reports on
+    /// `entered` once its request's worker reaches it, then blocks that
+    /// worker until `release` drops.
+    struct Gate {
+        release: mpsc::Sender<()>,
+        entered: mpsc::Receiver<()>,
+        hold: Arc<dyn Fn() + Send + Sync>,
     }
 
-    /// Spins until the batcher thread has bucketed `n` requests.
-    fn await_bucketed(dispatch: &Dispatch, n: usize) {
-        while dispatch.lock().pending() != n {
-            std::thread::yield_now();
+    impl Gate {
+        fn new() -> Gate {
+            let (release, gate) = mpsc::channel::<()>();
+            let gate = Mutex::new(gate);
+            let (entered_tx, entered) = mpsc::channel();
+            let hold: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+                let _ = entered_tx.send(());
+                // `Err` once the test drops `release`: the gate opens for good.
+                let _ = gate.lock().expect("gate").recv();
+            });
+            Gate { release, entered, hold }
         }
+
+        /// Admits a single-column request to `op` that holds its worker here.
+        fn submit(&self, client: &Client, op: OpId) -> Ticket {
+            let snap = client.registry().snapshot();
+            let n = snap.slot(op).expect("held op").meta.n;
+            let notify = ReplyNotify(Arc::clone(&self.hold));
+            client
+                .try_submit_in(&snap, op, ColMatrix::zeros(n, 1), Instant::now(), notify)
+                .expect("held request admitted")
+        }
+    }
+
+    /// Holds every worker of a `workers`-strong server inside a batch until
+    /// the returned sender is dropped: one single-column request to `op` per
+    /// worker. A blocker is seen entering its worker before the next is
+    /// submitted, so no two share a batch and none is left in a bucket.
+    fn hold_workers(client: &Client, op: OpId, workers: usize) -> mpsc::Sender<()> {
+        let gate = Gate::new();
+        for _ in 0..workers {
+            gate.submit(client, op);
+            gate.entered.recv().expect("a worker picked the blocker up");
+        }
+        gate.release
     }
 
     #[test]
@@ -816,13 +686,13 @@ mod tests {
 
     #[test]
     fn queue_depth_never_reads_below_zero_under_saturation() {
-        // The gauge is bumped by submitters and drained by the batcher's
-        // dispatch. `max_batch_cols: 1` makes every request its own batch,
-        // dispatched the moment the batcher sees it — the tightest race
-        // between the two — and a two-slot queue keeps `try_submit`
-        // bouncing off `Busy`, so the undo path runs too. A third thread
-        // samples the live snapshot throughout: a decrement overtaking its
-        // increment would read as a depth near `usize::MAX`.
+        // Submitters raise the gauge and workers' takes lower it, both under
+        // the queue lock. `max_batch_cols: 1` makes every request its own
+        // batch, taken the moment a worker is free — the tightest
+        // interleaving of the two — and a two-slot queue keeps `try_submit`
+        // bouncing off `Busy` and `submit` blocking. A third thread samples
+        // the live snapshot throughout: the depth must never leave
+        // 0..=queue_capacity (a wrapped gauge reads near `usize::MAX`).
         const INFLIGHT: usize = 8;
         const REQUESTS: usize = 10_000;
         let (reg, id) = one_op_registry(8, 16);
@@ -832,7 +702,7 @@ mod tests {
             batch_window: Duration::ZERO,
             ..ServerConfig::default()
         };
-        let (server, dispatch) = Server::spawn(reg, config);
+        let server = Server::start(reg, config);
         let x = MatrixRng::seed_from(11).small_int_col(16, 1, 3);
         let done = std::sync::atomic::AtomicUsize::new(0);
         let submitter = |blocking: bool| {
@@ -878,18 +748,14 @@ mod tests {
             sampler.join().expect("sampler thread")
         });
         assert!(
-            max_depth <= config.queue_capacity + 2 * INFLIGHT,
+            max_depth <= config.queue_capacity,
             "a sampled queue depth of {max_depth} (over {samples} samples) exceeds the queue \
-             plus every ticket in flight: the gauge wrapped"
+             capacity: admission overran it or the gauge wrapped"
         );
         let snap = server.shutdown();
         assert_eq!(snap.ops[0].completed, 2 * REQUESTS as u64);
-        assert!(snap.ops[0].rejected > 0, "the Busy undo path never ran");
-        assert_eq!(snap.ops[0].queue_depth, 0, "every increment was dispatched or undone");
-        // Every worker added itself once more than it was handed a job
-        // (its last look found the channel closed), whichever of the
-        // batcher thread and the worker itself did the handing.
-        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
+        assert!(snap.ops[0].rejected > 0, "the Busy path never ran");
+        assert_eq!(snap.ops[0].queue_depth, 0, "every admitted request was taken");
         let flushes = snap.ops[0].flushes;
         assert_eq!(flushes.size, snap.ops[0].batches, "width 1 at a cap of 1: {flushes:?}");
     }
@@ -914,7 +780,7 @@ mod tests {
         let id = add_op(&mut reg, "op", 16, 32);
         let held = add_op(&mut reg, "held", 8, 16);
         let config = ServerConfig { batch_window: NEVER, ..Default::default() };
-        let (server, dispatch) = Server::spawn(reg, config);
+        let server = Server::start(reg, config);
         let client = server.client();
         let release = hold_workers(&client, held, config.workers);
         let mut g = MatrixRng::seed_from(21);
@@ -924,7 +790,7 @@ mod tests {
                 (client.submit(id, x.clone()).unwrap(), x)
             })
             .collect();
-        await_bucketed(&dispatch, K);
+        assert_eq!(server.dispatch.lock().batcher.queued(), K, "admitted means bucketed");
         assert_eq!(server.stats().ops[0].batches, 0, "every worker is busy: the bucket holds");
         drop(release);
         let op = server.registry().op(id).unwrap();
@@ -936,21 +802,20 @@ mod tests {
         assert_eq!(stats.ops[0].batches, 1, "batching fell out of queueing");
         assert_eq!(stats.ops[0].mean_batch_cols, K as f64);
         assert_eq!(stats.ops[0].flushes, Flushes { size: 0, window: 0, idle: 1 });
-        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
     }
 
     #[test]
     fn shutdown_with_open_buckets_and_pulling_workers_answers_every_ticket() {
-        // More open buckets than the job channel holds, every worker busy,
-        // then shutdown and the workers' release race: the drain sends
-        // buckets down the channel while the freed workers pull them
-        // straight from the batcher. Each bucket must leave exactly once.
+        // Seven open buckets, every worker busy, then shutdown and the
+        // workers' release race: the freed workers drain the buckets while
+        // admission closes. Each bucket must leave exactly once.
         const OPS: usize = 7;
         let mut reg = ModelRegistry::new();
         let ids: Vec<OpId> = (0..OPS).map(|i| add_op(&mut reg, &format!("op{i}"), 8, 16)).collect();
         let held = add_op(&mut reg, "held", 8, 16);
-        let config = ServerConfig { batch_window: NEVER, job_capacity: 2, ..Default::default() };
-        let (server, dispatch) = Server::spawn(reg, config);
+        let config = ServerConfig { batch_window: NEVER, ..Default::default() };
+        let server = Server::start(reg, config);
+        let dispatch = Arc::clone(&server.dispatch);
         let client = server.client();
         let release = hold_workers(&client, held, config.workers);
         let mut g = MatrixRng::seed_from(22);
@@ -960,16 +825,10 @@ mod tests {
                 (client.submit(ids[i % OPS], x.clone()).unwrap(), ids[i % OPS], x)
             })
             .collect();
-        await_bucketed(&dispatch, 3 * OPS);
         let ops: Vec<_> = ids.iter().map(|&id| server.registry().op(id).unwrap()).collect();
         let stats = std::thread::scope(|scope| {
             let stopping = scope.spawn(|| server.shutdown());
-            // The admission gate has flipped once a probe is refused; the
-            // sentinel is sent right behind it.
-            while !matches!(
-                client.submit(held, ColMatrix::zeros(16, 0)),
-                Err(ServeError::ShuttingDown)
-            ) {
+            while dispatch.lock().accepting {
                 std::thread::yield_now();
             }
             drop(release);
@@ -984,15 +843,110 @@ mod tests {
             let f = op.flushes;
             assert_eq!(f.size + f.window + f.idle, op.batches, "{}: {f:?}", op.name);
         }
-        assert_eq!(dispatch.free.load(Ordering::SeqCst), config.workers as isize);
+        assert!(matches!(
+            client.submit(ids[0], ColMatrix::zeros(16, 1)),
+            Err(ServeError::ShuttingDown)
+        ));
+    }
+
+    #[test]
+    fn a_blocked_submit_is_admitted_by_a_take_and_refused_by_shutdown() {
+        // One worker held, a two-slot queue filled with two batches of one
+        // request each, and two blocking submitters parked behind them.
+        // Releasing the worker lets it take the first batch, which admits
+        // exactly one submitter; the batch then holds the worker again, so
+        // the other stays parked until shutdown refuses it.
+        let mut reg = ModelRegistry::new();
+        let id = add_op(&mut reg, "op", 8, 16);
+        let held = add_op(&mut reg, "held", 8, 16);
+        let config = ServerConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch_cols: 1,
+            batch_window: NEVER,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(reg, config);
+        let dispatch = Arc::clone(&server.dispatch);
+        let client = server.client();
+        let release = hold_workers(&client, held, 1);
+        let fill = Gate::new();
+        let filled = [fill.submit(&client, id), fill.submit(&client, id)];
+        assert!(matches!(client.try_submit(id, ColMatrix::zeros(16, 1)), Err(ServeError::Busy)));
+        let x = MatrixRng::seed_from(23).gaussian_col(16, 1, 0.0, 1.0);
+        let y_ref = Executor::new().run(&server.registry().op(id).unwrap(), &x);
+        let (results, stats) = std::thread::scope(|scope| {
+            let submitters: Vec<_> =
+                (0..2).map(|_| scope.spawn(|| client.submit(id, x.clone()))).collect();
+            while dispatch.lock().blocked < 2 {
+                std::thread::yield_now();
+            }
+            drop(release);
+            fill.entered.recv().expect("the worker took the first filled batch");
+            loop {
+                let q = dispatch.lock();
+                if (q.blocked, q.batcher.queued()) == (1, 2) {
+                    break;
+                }
+                drop(q);
+                std::thread::yield_now();
+            }
+            let stopping = scope.spawn(|| server.shutdown());
+            while dispatch.lock().accepting {
+                std::thread::yield_now();
+            }
+            let results: Vec<_> =
+                submitters.into_iter().map(|s| s.join().expect("submitter")).collect();
+            drop(fill.release);
+            (results, stopping.join().expect("shutdown thread"))
+        });
+        let (admitted, refused): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+        assert_eq!(refused.len(), 1, "one submitter stayed parked: {refused:?}");
+        assert!(matches!(refused[0], Err(ServeError::ShuttingDown)));
+        for ticket in admitted {
+            assert_eq!(ticket.unwrap().wait().expect("served").as_slice(), y_ref.as_slice());
+        }
+        for ticket in filled {
+            ticket.wait().expect("filled requests served");
+        }
+        assert_eq!((stats.ops[0].completed, stats.ops[0].queue_depth), (3, 0));
+    }
+
+    #[test]
+    fn dropping_the_server_closes_admission_and_still_answers_the_admitted() {
+        let mut reg = ModelRegistry::new();
+        let id = add_op(&mut reg, "op", 8, 16);
+        let held = add_op(&mut reg, "held", 8, 16);
+        let config = ServerConfig { batch_window: NEVER, ..Default::default() };
+        let server = Server::start(reg, config);
+        let dispatch = Arc::clone(&server.dispatch);
+        let client = server.client();
+        let release = hold_workers(&client, held, config.workers);
+        let x = MatrixRng::seed_from(24).gaussian_col(16, 1, 0.0, 1.0);
+        let tickets: Vec<_> = (0..3).map(|_| client.submit(id, x.clone()).unwrap()).collect();
+        let y_ref = Executor::new().run(&server.registry().op(id).unwrap(), &x);
+        drop(server);
+        assert!(matches!(client.submit(id, x.clone()), Err(ServeError::ShuttingDown)));
+        drop(release);
+        for ticket in tickets {
+            assert_eq!(
+                ticket.wait().expect("admitted before the drop").as_slice(),
+                y_ref.as_slice()
+            );
+        }
+        // Every worker lets go of the queue once it is drained: only the
+        // test's and the client's handles are left.
+        while Arc::strong_count(&dispatch) > 2 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn every_ragged_wide_batch_width_is_bit_identical() {
         // The packing contract with the batch widths forced by construction:
-        // each op's requests go through `Batcher::push`, leave through
-        // `take_oldest` as ONE job of exactly `width` columns and run through
-        // the worker's `run_job` — every width from 9 to 15 (past one 8-lane
+        // each op's requests go through `Batcher::push`, leave through an
+        // idle `Batcher::next` as ONE job of exactly `width` columns and run
+        // through the worker's `run_job` — every width from 9 to 15 (past one 8-lane
         // group, below the shipped cap of 16, so the size trigger stays
         // quiet) on a serial and a parallel BiQGEMM op, against each
         // request's own direct executor run.
@@ -1018,6 +972,7 @@ mod tests {
             let mut submitted = 0usize;
             for (i, op) in ops.iter().enumerate() {
                 // 1- and 2-column requests adding up to `width`.
+                let op_stats = Arc::default();
                 let mut replies = Vec::new();
                 let mut left = width;
                 while left > 0 {
@@ -1031,7 +986,7 @@ mod tests {
                     let p = Pending {
                         op: OpId(i),
                         compiled: Arc::clone(op),
-                        stats: Arc::default(),
+                        stats: Arc::clone(&op_stats),
                         x,
                         reply,
                         enqueued: now,
@@ -1040,11 +995,12 @@ mod tests {
                         inflight: None,
                         notify: None,
                     };
-                    assert!(batcher.push(p, now).is_none(), "below the cap: no size trigger");
+                    batcher.push(p, now);
                     replies.push((rx, reference));
                 }
-                let job = batcher.take_oldest(Instant::now()).expect("the op's bucket");
-                assert_eq!((job.cols, batcher.pending()), (width, 0), "one batch of every column");
+                let job = batcher.next(Instant::now).expect("the op's bucket");
+                assert_eq!((job.cols, batcher.queued()), (width, 0), "one batch of every column");
+                assert_eq!(job.reason, FlushReason::Idle, "below the cap: no size trigger");
                 run_job(&stats, &mut exec, &mut xbuf, &mut ybuf, job);
                 for (rx, reference) in replies {
                     let answer = rx.recv().expect("answered").expect("served");

@@ -184,10 +184,11 @@ pub(crate) fn metrics(registry: &LiveRegistry, stats: &ServerStats) -> MetricsSn
 pub struct Flushes {
     /// Packed width reached `max_batch_cols`.
     pub size: u64,
-    /// Held for the whole `batch_window` because every worker was busy
-    /// (or flushed by the shutdown drain).
+    /// Held for the whole `batch_window` because every worker was busy:
+    /// sealed by the first push after its deadline, or taken after it.
     pub window: u64,
-    /// Taken the moment a worker was free with nothing queued for it.
+    /// Taken open, before its deadline, by a worker with nothing sealed
+    /// for it.
     pub idle: u64,
 }
 

@@ -157,10 +157,10 @@ fn bursts_at_the_shipped_batch_cap_are_bit_identical() {
 
 #[test]
 fn shutdown_drains_every_accepted_request() {
-    // A window far longer than the test: whatever is still in the submit
-    // queue, a bucket or the job channel when shutdown starts (the first
-    // requests go straight to the idle workers, the rest queue behind
-    // them), shutdown must flush and answer it all.
+    // A window far longer than the test: whatever is still in an open or
+    // a sealed bucket when shutdown starts (the first requests go straight
+    // to the idle workers, the rest queue behind them), shutdown must run
+    // and answer it all.
     let (reg, ops) = build_ops(42);
     let server = Server::start(
         reg,
@@ -190,9 +190,10 @@ fn shutdown_drains_every_accepted_request() {
 
 #[test]
 fn backpressure_rejects_when_the_pipeline_is_full() {
-    // One worker, tiny queues, and compute-heavy requests: submissions
-    // outpace service, the bounded stages fill back to the submit queue,
-    // and try_submit must start refusing with `Busy` instead of blocking.
+    // One worker, a one-request queue, and compute-heavy requests:
+    // submissions outpace service, admitted requests wait for the busy
+    // worker, and try_submit must start refusing with `Busy` instead of
+    // blocking.
     let mut g = MatrixRng::seed_from(44);
     let (m, n) = (512, 512);
     let signs = g.signs(m, n);
@@ -208,7 +209,6 @@ fn backpressure_rejects_when_the_pipeline_is_full() {
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
-            job_capacity: 1,
             batch_window: Duration::ZERO,
             max_batch_cols: 1,
             ..ServerConfig::default()
