@@ -89,12 +89,10 @@ impl NetClient {
     /// verb). Answered from the daemon's counters without touching a
     /// worker, so it is safe to poll while a load test is in flight.
     pub fn stats(&mut self) -> Result<Vec<biq_obs::Sample>, NetError> {
-        self.write_frame(&Message::Stats)?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::Stats, |m| match m {
             Message::StatsReply(samples) => Ok(samples),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the server for its rolling per-interval time-series (the
@@ -102,24 +100,20 @@ impl NetClient {
     /// `max_points == 0` asks for every retained point. Answered from the
     /// daemon's series ring without touching a worker.
     pub fn history(&mut self, max_points: u16) -> Result<Vec<biq_obs::SeriesPoint>, NetError> {
-        self.write_frame(&Message::History { max_points })?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::History { max_points }, |m| match m {
             Message::HistoryReply(points) => Ok(points),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the server for its slowest-request records (the `SlowLog`
     /// admin verb), slowest first, each with its full phase breakdown.
     /// `max == 0` asks for the whole reservoir.
     pub fn slow_log(&mut self, max: u16) -> Result<Vec<biq_obs::SlowHit>, NetError> {
-        self.write_frame(&Message::SlowLog { max })?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::SlowLog { max }, |m| match m {
             Message::SlowLogReply(hits) => Ok(hits),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the daemon to load (or swap) the BIQM artifact at `path` —
@@ -134,14 +128,12 @@ impl NetClient {
         name: &str,
         path: &str,
     ) -> Result<(u32, u64, u32, Vec<String>), NetError> {
-        self.write_frame(&Message::LoadModel { name: name.into(), path: path.into() })?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::LoadModel { name: name.into(), path: path.into() }, |m| match m {
             Message::ModelLoaded { version, mem_bytes, ops, evicted, .. } => {
                 Ok((version, mem_bytes, ops, evicted))
             }
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the daemon to retire a model version online (the
@@ -150,34 +142,28 @@ impl NetClient {
     /// requests against the retired version still complete
     /// (drain-on-retire).
     pub fn unload_model(&mut self, name: &str, version: u32) -> Result<(u32, u32), NetError> {
-        self.write_frame(&Message::UnloadModel { name: name.into(), version })?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::UnloadModel { name: name.into(), version }, |m| match m {
             Message::ModelUnloaded { version, ops_retired, .. } => Ok((version, ops_retired)),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the daemon for its model table (the `ListModels` admin verb):
     /// every version the registry knows, live first, with memory and
     /// traffic accounting per row.
     pub fn list_models(&mut self) -> Result<Vec<wire::ModelInfo>, NetError> {
-        self.write_frame(&Message::ListModels)?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::ListModels, |m| match m {
             Message::ModelList(models) => Ok(models),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the server for its op table.
     pub fn list_ops(&mut self) -> Result<Vec<OpInfo>, NetError> {
-        self.write_frame(&Message::ListOps)?;
-        match wire::read_message(&mut self.stream)? {
+        self.call(&Message::ListOps, |m| match m {
             Message::OpList(ops) => Ok(ops),
-            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
-            other => Err(unexpected(&other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Sends a request without waiting; returns its `req_id`. Answers
@@ -217,14 +203,8 @@ impl NetClient {
         self.next_id += 1;
         // Borrow the caller's matrix and name directly into the scratch
         // frame — no owned `Message`, no per-send allocation.
-        wire::encode_request_into(
-            &mut self.scratch,
-            req_id,
-            op,
-            x.rows() as u32,
-            x.cols() as u16,
-            x.as_slice(),
-        );
+        let (rows, cols) = (x.rows() as u32, x.cols() as u16);
+        wire::encode_request_into(&mut self.scratch, req_id, op, rows, cols, x.as_slice());
         self.stream.write_all(&self.scratch)?;
         Ok(req_id)
     }
@@ -255,32 +235,21 @@ impl NetClient {
         }
     }
 
-    fn write_frame(&mut self, msg: &Message) -> Result<(), NetError> {
+    /// One admin round trip; a `Reject` answer is [`NetError::Rejected`].
+    fn call<T>(&mut self, msg: &Message, answer: Answer<T>) -> Result<T, NetError> {
         wire::encode_into(&mut self.scratch, msg);
         self.stream.write_all(&self.scratch)?;
-        Ok(())
+        match wire::read_message(&mut self.stream)? {
+            Message::Reject { req_id, code, msg } => Err(NetError::Rejected { req_id, code, msg }),
+            other => answer(other).map_err(|m| unexpected(&m)),
+        }
     }
 }
 
+/// Takes the expected reply kind apart, handing any other kind back.
+type Answer<T> = fn(Message) -> Result<T, Message>;
+
 fn unexpected(msg: &Message) -> NetError {
-    let kind = match msg {
-        Message::Request { .. } => "request",
-        Message::Reply { .. } => "reply",
-        Message::Reject { .. } => "reject",
-        Message::ListOps => "list-ops",
-        Message::OpList(_) => "op-list",
-        Message::Stats => "stats",
-        Message::StatsReply(_) => "stats-reply",
-        Message::History { .. } => "history",
-        Message::HistoryReply(_) => "history-reply",
-        Message::SlowLog { .. } => "slow-log",
-        Message::SlowLogReply(_) => "slow-log-reply",
-        Message::LoadModel { .. } => "load-model",
-        Message::ModelLoaded { .. } => "model-loaded",
-        Message::UnloadModel { .. } => "unload-model",
-        Message::ModelUnloaded { .. } => "model-unloaded",
-        Message::ListModels => "list-models",
-        Message::ModelList(_) => "model-list",
-    };
+    let kind = wire::kind_name(msg);
     NetError::Wire(WireError::Malformed(format!("unexpected {kind} frame from server")))
 }

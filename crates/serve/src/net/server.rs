@@ -658,7 +658,7 @@ fn read_ready(conn: &mut Conn, ctx: &IoCtx) {
                     ctx.hub.net.checksum_failures.inc();
                 }
                 let WireError::Malformed(mut m) = e else { unreachable!("decode_frame is pure") };
-                m.truncate(wire::MAX_MSG);
+                wire::clip_msg(&mut m);
                 conn.pending.push_back(PendingOut::Reject {
                     req_id: 0,
                     code: RejectCode::Malformed,
@@ -807,9 +807,8 @@ fn handle_request(
 
 /// An admin-verb failure: `Reject(code = Refused)` with `req_id = 0`,
 /// connection stays open (unlike protocol violations).
-fn refused(msg: String) -> PendingOut {
-    let mut msg = msg;
-    msg.truncate(wire::MAX_MSG);
+fn refused(mut msg: String) -> PendingOut {
+    wire::clip_msg(&mut msg);
     PendingOut::Reject { req_id: 0, code: RejectCode::Refused, msg }
 }
 
@@ -905,9 +904,11 @@ fn pump(conn: &mut Conn, ctx: &IoCtx) {
             (PendingOut::Ops, _) => {
                 // Built from the live snapshot at answer time — the op
                 // table changes whenever a model loads, swaps, or retires.
+                // Capped at the wire's list cap like the samples below.
                 let snap = ctx.client.registry().snapshot();
                 let ops: Vec<OpInfo> = snap
                     .live()
+                    .take(wire::MAX_OPS)
                     .map(|(_, s)| OpInfo {
                         name: s.meta.name.clone(),
                         m: s.meta.m as u32,
@@ -927,7 +928,9 @@ fn pump(conn: &mut Conn, ctx: &IoCtx) {
             (PendingOut::History { max }, _) => {
                 let n =
                     if max == 0 { wire::MAX_POINTS } else { (max as usize).min(wire::MAX_POINTS) };
-                wire::encode_into(&mut buf, &Message::HistoryReply(ctx.hub.series.recent(n)));
+                let mut points = ctx.hub.series.recent(n);
+                points.iter_mut().for_each(|p| p.ops.truncate(wire::MAX_POINT_OPS));
+                wire::encode_into(&mut buf, &Message::HistoryReply(points));
             }
             (PendingOut::SlowLog { max }, _) => {
                 let n = if max == 0 { wire::MAX_SLOW } else { (max as usize).min(wire::MAX_SLOW) };

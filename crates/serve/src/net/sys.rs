@@ -13,6 +13,12 @@
 //! cross-thread waker. Events are *hints*: a stale event for a closed slot
 //! is harmless because every read/write on a nonblocking socket rechecks
 //! readiness by construction.
+//!
+//! Every `unsafe` block below is one foreign call whose arguments are an fd
+//! this module owns (or was handed for registration) and pointers to live
+//! locals of the stated length.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 /// Token the poller reports when [`Waker::wake`] was called.
 pub(crate) const WAKER_TOKEN: u64 = u64::MAX;
@@ -93,6 +99,8 @@ mod linux {
 
     impl Drop for OwnedFd {
         fn drop(&mut self) {
+            // SAFETY: `self.0` came from a successful `epoll_create1`/`eventfd`
+            // and is closed exactly once, here, by its only owner.
             unsafe { close(self.0) };
         }
     }
@@ -113,23 +121,29 @@ mod linux {
         pub(crate) fn wake(&self) {
             let one = 1u64.to_ne_bytes();
             // A full eventfd counter still wakes the poller; ignore errors.
+            // SAFETY: the eventfd stays open while this `Arc` holds it, and
+            // `one` is a live 8-byte buffer, the size an eventfd write takes.
             unsafe { write(self.efd.0, one.as_ptr(), one.len()) };
         }
     }
 
     impl Poller {
         pub(crate) fn new() -> io::Result<Self> {
+            // SAFETY: no pointers; the flag is a valid `epoll_create1` flag.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
             let epfd = OwnedFd(epfd);
+            // SAFETY: no pointers; both flags are valid `eventfd` flags.
             let efd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
             if efd < 0 {
                 return Err(io::Error::last_os_error());
             }
             let waker = Arc::new(OwnedFd(efd));
             let mut ev = EpollEvent { events: EPOLLIN, data: WAKER_TOKEN };
+            // SAFETY: both fds are open and owned here; `ev` is a live
+            // `epoll_event` the kernel only reads during the call.
             if unsafe { epoll_ctl(epfd.0, EPOLL_CTL_ADD, waker.0, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -147,6 +161,8 @@ mod linux {
             let events =
                 if read { EPOLLIN | EPOLLRDHUP } else { 0 } | if write { EPOLLOUT } else { 0 };
             let mut ev = EpollEvent { events, data: token };
+            // SAFETY: the epoll fd is owned and open and `ev` is a live local;
+            // a stale `fd` costs an error or a wrong registration, not memory.
             if unsafe { epoll_ctl(self.epfd.0, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -170,6 +186,8 @@ mod linux {
         pub(crate) fn delete(&self, fd: i32) {
             let mut ev = EpollEvent { events: 0, data: 0 };
             // Kernels before 2.6.9 required a non-null event for DEL.
+            // SAFETY: as in `ctl`: owned epoll fd, a live `ev`, and an error
+            // for an fd that is no longer registered.
             unsafe { epoll_ctl(self.epfd.0, EPOLL_CTL_DEL, fd, &mut ev) };
         }
 
@@ -178,6 +196,8 @@ mod linux {
         pub(crate) fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             events.clear();
             let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
+            // SAFETY: `raw` is a live array of `raw.len()` events, the count
+            // passed, and the kernel writes at most that many.
             let n =
                 unsafe { epoll_wait(self.epfd.0, raw.as_mut_ptr(), raw.len() as i32, timeout_ms) };
             if n < 0 {
@@ -191,6 +211,8 @@ mod linux {
                 let (bits, token) = (ev.events, ev.data);
                 if token == WAKER_TOKEN {
                     let mut buf = [0u8; 8];
+                    // SAFETY: the eventfd is owned and open; `buf` is a live
+                    // 8-byte buffer, the size an eventfd read takes.
                     unsafe { read(self.waker.0, buf.as_mut_ptr(), buf.len()) };
                     events.push(Event { token, readable: true, writable: false });
                     continue;
@@ -307,6 +329,8 @@ mod fallback {
                     .collect()
             };
             let cap = if timeout_ms < 0 { 5 } else { timeout_ms.min(5) };
+            // SAFETY: `fds` is a live `Vec` of `fds.len()` `pollfd`s, the
+            // count passed; the kernel writes only their `revents`.
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, cap) };
             if n < 0 {
                 let err = io::Error::last_os_error();

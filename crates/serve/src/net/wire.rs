@@ -19,12 +19,24 @@
 //! fields are errors, and the checksum is verified before the body is
 //! parsed — a corrupt frame is always [`WireError::Malformed`], never a
 //! panic or an over-allocation.
+//!
+//! Every body is described once, as its fields in wire order, each with a
+//! wire type (the private `Fmt` trait) and the name its errors carry: the
+//! `kinds!` table holds one row per message kind, and `record!` one row per
+//! struct a kind carries in a list. The encoder, the bounds-checked decoder
+//! and each list's minimum entry size (the encoded size of an empty entry,
+//! which bounds a count before anything is reserved) all follow from those
+//! rows. Adding a kind takes one `kinds!` row, plus one `record!` row for
+//! each new struct it lists.
 
 use biq_artifact::fnv1a64;
 use biq_obs::{
     HistogramSnapshot, MetricValue, OpPoint, RequestRecord, Sample, SeriesPoint, SlowHit, BUCKETS,
 };
+use std::borrow::Borrow;
 use std::io::Read;
+use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"BIQP";
@@ -100,43 +112,22 @@ pub enum RejectCode {
     Refused,
 }
 
+/// Every reject code, in declaration order, with its reporting name; a
+/// code's wire byte is its position plus one.
+const CODES: [(RejectCode, &str); 7] = [
+    (RejectCode::Busy, "busy"),
+    (RejectCode::ShuttingDown, "shutting-down"),
+    (RejectCode::UnknownOp, "unknown-op"),
+    (RejectCode::ShapeMismatch, "shape-mismatch"),
+    (RejectCode::Canceled, "canceled"),
+    (RejectCode::Malformed, "malformed"),
+    (RejectCode::Refused, "refused"),
+];
+
 impl RejectCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            RejectCode::Busy => 1,
-            RejectCode::ShuttingDown => 2,
-            RejectCode::UnknownOp => 3,
-            RejectCode::ShapeMismatch => 4,
-            RejectCode::Canceled => 5,
-            RejectCode::Malformed => 6,
-            RejectCode::Refused => 7,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            1 => RejectCode::Busy,
-            2 => RejectCode::ShuttingDown,
-            3 => RejectCode::UnknownOp,
-            4 => RejectCode::ShapeMismatch,
-            5 => RejectCode::Canceled,
-            6 => RejectCode::Malformed,
-            7 => RejectCode::Refused,
-            other => return Err(malformed(format!("unknown reject code {other}"))),
-        })
-    }
-
     /// Stable lowercase name (reporting).
     pub fn name(self) -> &'static str {
-        match self {
-            RejectCode::Busy => "busy",
-            RejectCode::ShuttingDown => "shutting-down",
-            RejectCode::UnknownOp => "unknown-op",
-            RejectCode::ShapeMismatch => "shape-mismatch",
-            RejectCode::Canceled => "canceled",
-            RejectCode::Malformed => "malformed",
-            RejectCode::Refused => "refused",
-        }
+        CODES[self as usize].1
     }
 }
 
@@ -291,30 +282,6 @@ pub enum Message {
     ModelList(Vec<ModelInfo>),
 }
 
-impl Message {
-    fn kind(&self) -> u8 {
-        match self {
-            Message::Request { .. } => 1,
-            Message::Reply { .. } => 2,
-            Message::Reject { .. } => 3,
-            Message::ListOps => 4,
-            Message::OpList(_) => 5,
-            Message::Stats => 6,
-            Message::StatsReply(_) => 7,
-            Message::History { .. } => 8,
-            Message::HistoryReply(_) => 9,
-            Message::SlowLog { .. } => 10,
-            Message::SlowLogReply(_) => 11,
-            Message::LoadModel { .. } => 12,
-            Message::ModelLoaded { .. } => 13,
-            Message::UnloadModel { .. } => 14,
-            Message::ModelUnloaded { .. } => 15,
-            Message::ListModels => 16,
-            Message::ModelList(_) => 17,
-        }
-    }
-}
-
 /// Decode/IO errors of the wire layer.
 #[derive(Debug)]
 pub enum WireError {
@@ -363,53 +330,457 @@ pub fn fold_checksum(body: &[u8]) -> u32 {
     (h >> 32) as u32 ^ h as u32
 }
 
-// ---------------------------------------------------------------- encoding
-
-struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
+/// Clips a reject message to [`MAX_MSG`] bytes at the last character
+/// boundary that fits, so a long non-ASCII detail still encodes.
+pub(crate) fn clip_msg(msg: &mut String) {
+    let end = (0..=msg.len().min(MAX_MSG)).rev().find(|&i| msg.is_char_boundary(i));
+    msg.truncate(end.expect("0 is a boundary"));
 }
 
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+// ------------------------------------------------------------ byte cursors
+
+/// Appends one frame to a caller-owned buffer.
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Values the payload must hold: the product of the dimensions so far.
+    values: usize,
+}
+
+impl<'a> Writer<'a> {
+    /// Replaces `frame`'s contents (keeping its capacity) with a header
+    /// whose length and checksum [`Writer::seal`] patches in.
+    fn start(frame: &'a mut Vec<u8>, kind: u8) -> Self {
+        frame.clear();
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&[WIRE_VERSION, kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        Writer { buf: frame, values: 1 }
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+
+    /// Writes `n` as a `width`-byte count. An `n` over `cap` panics:
+    /// encoders build messages, so a violation is a local bug.
+    fn count(&mut self, width: usize, cap: usize, n: usize) {
+        assert!(n <= cap, "count {n} over cap {cap}");
+        self.buf.extend_from_slice(&n.to_le_bytes()[..width]);
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+
+    fn seal(&mut self) {
+        let body_len = self.buf.len() - HEADER_LEN;
+        assert!(body_len <= MAX_BODY, "body over cap");
+        let sum = fold_checksum(&self.buf[HEADER_LEN..]);
+        self.buf[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
+        self.buf[12..16].copy_from_slice(&sum.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A bounds-checked cursor over a frame body.
+struct Reader<'a> {
+    body: &'a [u8],
+    at: usize,
+    /// Values the payload holds: the product of the dimensions read so far.
+    values: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.body.len() - self.at
     }
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
+        let rest = &self.body[self.at..];
+        if n > rest.len() {
+            return Err(malformed(format!("{what}: needs {n} bytes, {} remain", rest.len())));
+        }
+        self.at += n;
+        Ok(&rest[..n])
     }
-    fn f32s(&mut self, vs: &[f32]) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+
+    /// A `w`-byte count of `unit`-byte entries, checked against `cap`
+    /// and then against the bytes left, before anything is read or reserved.
+    fn count(&mut self, w: usize, cap: usize, unit: usize, what: &str) -> Result<usize, WireError> {
+        #[cfg(test)]
+        tests::mark(self.at, w, cap, unit, what);
+        let n = self.take(w, what)?.iter().rev().fold(0, |n, &b| n << 8 | usize::from(b));
+        if n > cap {
+            return Err(malformed(format!("{what} {n} over cap {cap}")));
+        }
+        if n * unit > self.remaining() {
+            return Err(malformed(format!("{what} {n} exceeds body")));
+        }
+        Ok(n)
+    }
+
+    /// A one-byte tag in `ok`: a value's kind (an `unknown` one is an
+    /// error), or a body's leading schema byte (as is an `unsupported` one).
+    fn tag(&mut self, ok: RangeInclusive<u8>, what: &str, bad: &str) -> Result<u8, WireError> {
+        #[cfg(test)]
+        tests::mark(self.at, 1, (*ok.end()).into(), 0, what);
+        match self.take(1, what)?[0] {
+            t if ok.contains(&t) => Ok(t),
+            t => Err(malformed(format!("{bad} {what} {t}"))),
         }
     }
 }
 
-/// Writes the 16-byte placeholder header; [`seal_frame`] patches it once
-/// the body length and checksum are known.
-fn start_frame(frame: &mut Vec<u8>, kind: u8) {
-    frame.clear();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(WIRE_VERSION);
-    frame.push(kind);
-    frame.extend_from_slice(&0u16.to_le_bytes());
-    frame.extend_from_slice(&[0u8; 8]); // body_len + checksum, patched later
+// ------------------------------------------------------------- wire types
+
+/// One wire type: how a value is written, how it is read back and the
+/// encoded size of its empty value.
+trait Fmt {
+    /// The decoded value.
+    type T: Borrow<Self::Ref>;
+    /// What the encoder borrows (`str` for a `String`, a slice for a `Vec`).
+    type Ref: ?Sized;
+    /// Encoded size of the empty value: the fewest bytes one list entry
+    /// takes, which bounds a list count before anything is reserved.
+    const MIN_LEN: usize;
+    /// The empty value.
+    const EMPTY: Self::T;
+    fn put(v: &Self::Ref, w: &mut Writer<'_>);
+    /// `what[0]` names the field in errors; a list hands `what[1..]` to its
+    /// entries.
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<Self::T, WireError>;
 }
 
-fn seal_frame(frame: &mut [u8]) {
-    let body_len = frame.len() - HEADER_LEN;
-    assert!(body_len <= MAX_BODY, "body over cap");
-    let sum = fold_checksum(&frame[HEADER_LEN..]);
-    frame[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
-    frame[12..16].copy_from_slice(&sum.to_le_bytes());
+macro_rules! ints {
+    ($($t:ty),*) => {$(
+        impl Fmt for $t {
+            type T = $t;
+            type Ref = $t;
+            const MIN_LEN: usize = size_of::<$t>();
+            const EMPTY: $t = 0;
+            fn put(v: &$t, w: &mut Writer<'_>) {
+                w.buf.extend_from_slice(&v.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<$t, WireError> {
+                let raw = r.take(size_of::<$t>(), what[0])?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("sized read")))
+            }
+        }
+    )*};
 }
+ints!(u8, u16, u32, u64, i64);
+
+/// A model row's state: 1 live, 2 retired.
+impl Fmt for bool {
+    type T = bool;
+    type Ref = bool;
+    const MIN_LEN: usize = 1;
+    const EMPTY: bool = false;
+    fn put(v: &bool, w: &mut Writer<'_>) {
+        w.buf.push(if *v { 1 } else { 2 });
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<bool, WireError> {
+        Ok(r.tag(1..=2, what[0], "unknown")? == 1)
+    }
+}
+
+/// A reject code: its position in [`CODES`] plus one.
+impl Fmt for RejectCode {
+    type T = RejectCode;
+    type Ref = RejectCode;
+    const MIN_LEN: usize = 1;
+    const EMPTY: RejectCode = RejectCode::Busy;
+    fn put(v: &RejectCode, w: &mut Writer<'_>) {
+        w.buf.push(*v as u8 + 1);
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<RejectCode, WireError> {
+        Ok(CODES[usize::from(r.tag(1..=CODES.len() as u8, what[0], "unknown")?) - 1].0)
+    }
+}
+
+/// A histogram's buckets.
+impl<const N: usize> Fmt for [u64; N] {
+    type T = [u64; N];
+    type Ref = [u64; N];
+    const MIN_LEN: usize = N * u64::MIN_LEN;
+    const EMPTY: [u64; N] = [0; N];
+    fn put(v: &[u64; N], w: &mut Writer<'_>) {
+        v.iter().for_each(|b| u64::put(b, w));
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<[u64; N], WireError> {
+        let mut buckets = [0; N];
+        for b in &mut buckets {
+            *b = u64::get(r, what)?;
+        }
+        Ok(buckets)
+    }
+}
+
+/// A stats label: key, then value.
+impl<A: Fmt, B: Fmt> Fmt for (A, B) {
+    type T = (A::T, B::T);
+    type Ref = (A::T, B::T);
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    const EMPTY: (A::T, B::T) = (A::EMPTY, B::EMPTY);
+    fn put(v: &Self::T, w: &mut Writer<'_>) {
+        A::put(v.0.borrow(), w);
+        B::put(v.1.borrow(), w);
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<Self::T, WireError> {
+        Ok((A::get(r, what)?, B::get(r, &what[1..])?))
+    }
+}
+
+/// A utf-8 string behind a `W`-byte length, at most `CAP` bytes.
+struct Str<const W: usize, const CAP: usize>;
+
+impl<const W: usize, const CAP: usize> Fmt for Str<W, CAP> {
+    type T = String;
+    type Ref = str;
+    const MIN_LEN: usize = W;
+    const EMPTY: String = String::new();
+    fn put(v: &str, w: &mut Writer<'_>) {
+        w.count(W, CAP, v.len());
+        w.buf.extend_from_slice(v.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<String, WireError> {
+        let n = r.count(W, CAP, 1, what[0])?;
+        let raw = r.take(n, what[0])?;
+        String::from_utf8(raw.to_vec()).map_err(|_| malformed(format!("{}: not utf-8", what[0])))
+    }
+}
+
+/// `F` entries behind a `W`-byte count, at most `CAP` of them.
+struct List<const W: usize, const CAP: usize, F>(PhantomData<F>);
+
+impl<const W: usize, const CAP: usize, F: Fmt> Fmt for List<W, CAP, F> {
+    type T = Vec<F::T>;
+    type Ref = [F::T];
+    const MIN_LEN: usize = W;
+    const EMPTY: Vec<F::T> = Vec::new();
+    fn put(v: &[F::T], w: &mut Writer<'_>) {
+        w.count(W, CAP, v.len());
+        v.iter().for_each(|e| F::put(e.borrow(), w));
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<Vec<F::T>, WireError> {
+        let n = r.count(W, CAP, F::MIN_LEN, what[0])?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(F::get(r, &what[1..])?);
+        }
+        Ok(entries)
+    }
+}
+
+/// A payload dimension of at most `CAP`: the payload holds the product of
+/// the dimensions before it.
+struct Dim<I, const CAP: usize>(PhantomData<I>);
+
+impl<I, const CAP: usize> Fmt for Dim<I, CAP>
+where
+    I: Fmt<T = I, Ref = I> + Copy + Into<u64> + TryFrom<usize>,
+{
+    type T = I;
+    type Ref = I;
+    const MIN_LEN: usize = I::MIN_LEN;
+    const EMPTY: I = I::EMPTY;
+    fn put(v: &I, w: &mut Writer<'_>) {
+        let n = Into::<u64>::into(*v) as usize;
+        w.count(I::MIN_LEN, CAP, n);
+        w.values = w.values.saturating_mul(n);
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<I, WireError> {
+        let n = r.count(I::MIN_LEN, CAP, 0, what[0])?;
+        r.values = r.values.saturating_mul(n);
+        Ok(I::try_from(n).ok().expect("a dimension within its cap fits its width"))
+    }
+}
+
+/// The fp32 payload, as many values as its dimensions multiply to.
+struct Payload;
+
+impl Fmt for Payload {
+    type T = Vec<f32>;
+    type Ref = [f32];
+    const MIN_LEN: usize = 0;
+    const EMPTY: Vec<f32> = Vec::new();
+    fn put(v: &[f32], w: &mut Writer<'_>) {
+        assert_eq!(v.len(), w.values, "payload shape");
+        v.iter().for_each(|x| w.buf.extend_from_slice(&x.to_le_bytes()));
+    }
+    fn get(r: &mut Reader<'_>, what: &[&str]) -> Result<Vec<f32>, WireError> {
+        let raw = r.take(r.values.saturating_mul(4), what[0])?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    }
+}
+
+type Name = Str<2, MAX_NAME>;
+type Rows = Dim<u32, MAX_ROWS>;
+type Cols = Dim<u16, MAX_COLS>;
+type MetricName = Str<2, MAX_METRIC_NAME>;
+type Labels = List<1, MAX_LABELS, (Str<1, MAX_LABEL_KEY>, Str<1, MAX_LABEL_VALUE>)>;
+
+/// A sample is the one struct no `record!` row can describe: its value's
+/// kind leads it and the value's body trails its labels.
+impl Fmt for Sample {
+    type T = Sample;
+    type Ref = Sample;
+    const MIN_LEN: usize = u8::MIN_LEN + MetricName::MIN_LEN + Labels::MIN_LEN + u64::MIN_LEN;
+    const EMPTY: Sample =
+        Sample { name: String::new(), labels: Vec::new(), value: MetricValue::Counter(0) };
+    fn put(s: &Sample, w: &mut Writer<'_>) {
+        w.buf.push(match s.value {
+            MetricValue::Counter(_) => 1,
+            MetricValue::Gauge(_) => 2,
+            MetricValue::Histogram(_) => 3,
+        });
+        MetricName::put(&s.name, w);
+        Labels::put(&s.labels, w);
+        match &s.value {
+            MetricValue::Counter(v) => u64::put(v, w),
+            MetricValue::Gauge(v) => i64::put(v, w),
+            MetricValue::Histogram(h) => HistogramSnapshot::put(h, w),
+        }
+    }
+    fn get(r: &mut Reader<'_>, _: &[&str]) -> Result<Sample, WireError> {
+        let kind = r.tag(1..=3, "sample kind", "unknown")?;
+        let name = MetricName::get(r, &["metric name"])?;
+        let labels = Labels::get(r, &["label count", "label key", "label value"])?;
+        let value = match kind {
+            1 => MetricValue::Counter(u64::get(r, &["counter value"])?),
+            2 => MetricValue::Gauge(i64::get(r, &["gauge value"])?),
+            _ => MetricValue::Histogram(HistogramSnapshot::get(r, &[])?),
+        };
+        Ok(Sample { name, labels, value })
+    }
+}
+
+// ---------------------------------------------------------------- schema
+
+/// One struct per row: its fields in wire order, each with its wire type
+/// and the names its errors carry.
+macro_rules! record {
+    ($($T:ident { $($f:ident: $F:ty = $($w:literal)|+),* $(,)? })*) => {$(
+        impl Fmt for $T {
+            type T = $T;
+            type Ref = $T;
+            const MIN_LEN: usize = 0 $(+ <$F as Fmt>::MIN_LEN)*;
+            const EMPTY: $T = $T { $($f: <$F as Fmt>::EMPTY),* };
+            fn put(v: &$T, w: &mut Writer<'_>) {
+                $(<$F as Fmt>::put(&v.$f, w);)*
+            }
+            fn get(r: &mut Reader<'_>, _: &[&str]) -> Result<$T, WireError> {
+                Ok($T { $($f: <$F as Fmt>::get(r, &[$($w),+])?),* })
+            }
+        }
+    )*};
+}
+
+record! {
+    OpInfo { name: Name = "op name", m: u32 = "op m", n: u32 = "op n" }
+    ModelInfo { name: Name = "model name", version: u32 = "model version",
+        live: bool = "model state", mem_bytes: u64 = "model bytes", ops: u32 = "op count",
+        inflight: u32 = "inflight", completed: u64 = "completed" }
+    OpPoint { op: Name = "op name", submitted: u64 = "submitted", completed: u64 = "completed",
+        rejected: u64 = "rejected", queue_depth: u64 = "queue depth", batches: u64 = "batches",
+        batch_cols_x100: u64 = "batch cols", p50_us: u64 = "p50", p99_us: u64 = "p99" }
+    SeriesPoint { t_ms: u64 = "point time", interval_ns: u64 = "point interval",
+        ops: List<2, MAX_POINT_OPS, OpPoint> = "op row count" }
+    SlowHit { op: Name = "op name", rec: RequestRecord = "slow record" }
+    RequestRecord { req_id: u64 = "req id", op: u32 = "op index", cols: u32 = "cols",
+        start_ns: u64 = "start", total_ns: u64 = "total", queue_ns: u64 = "queue phase",
+        window_ns: u64 = "window phase", exec_ns: u64 = "exec phase",
+        ticket_ns: u64 = "ticket phase", write_ns: u64 = "write phase" }
+    HistogramSnapshot { buckets: [u64; BUCKETS] = "histogram bucket", sum: u64 = "histogram sum" }
+}
+
+/// A kind's field as bound in a pattern or a parameter: its own name, or
+/// `v` for a tuple variant's one field.
+macro_rules! bind {
+    (0, $v:ident) => {
+        $v
+    };
+    ($f:ident, $v:ident) => {
+        $f
+    };
+}
+
+/// One message kind per row: its wire number, its reporting name, the
+/// schema byte its body leads with (if any), and its fields in wire order.
+macro_rules! kinds {
+    ($($n:literal $K:ident $name:literal $([$ver:expr, $vw:literal])?
+        { $($f:tt: $F:ty = $($w:literal)|+),* $(,)? })*) => {
+        /// Every kind's wire number, reporting name and empty value.
+        static KINDS: &[(u8, &str, Message)] =
+            &[$(($n, $name, Message::$K { $($f: <$F as Fmt>::EMPTY),* })),*];
+
+        /// One frame encoder per kind, taking its fields in wire order.
+        #[allow(non_snake_case)]
+        mod frame {
+            use super::*;
+            $(pub(super) fn $K(frame: &mut Vec<u8>, $(bind!($f, v): &<$F as Fmt>::Ref),*) {
+                let w = &mut Writer::start(frame, $n);
+                $(w.buf.push($ver);)?
+                $(<$F as Fmt>::put(bind!($f, v), w);)*
+                w.seal();
+            })*
+        }
+
+        /// [`encode`] into a caller-owned scratch buffer: the frame replaces the
+        /// buffer's contents and its capacity is reused, so a steady-state encode
+        /// loop allocates nothing once the buffer has grown to its working set.
+        pub fn encode_into(frame: &mut Vec<u8>, msg: &Message) {
+            match msg {
+                $(Message::$K { $($f: bind!($f, v)),* } => frame::$K(frame, $(bind!($f, v)),*),)*
+            }
+        }
+
+        fn get_message(kind: u8, r: &mut Reader<'_>) -> Result<Message, WireError> {
+            Ok(match kind {
+                $($n => {
+                    $(r.tag($ver..=$ver, $vw, "unsupported")?;)?
+                    Message::$K { $($f: <$F as Fmt>::get(r, &[$($w),+])?),* }
+                })*
+                other => return Err(malformed(format!("unknown frame kind {other}"))),
+            })
+        }
+    };
+}
+
+kinds! {
+    1 Request "request" { req_id: u64 = "request id", op: Name = "op name", rows: Rows = "rows",
+        cols: Cols = "cols", data: Payload = "request payload of rows × cols values" }
+    2 Reply "reply" { req_id: u64 = "reply id", rows: Rows = "rows", cols: Cols = "cols",
+        data: Payload = "reply payload of rows × cols values" }
+    3 Reject "reject" { req_id: u64 = "reject id", code: RejectCode = "reject code",
+        msg: Str<2, MAX_MSG> = "reject message" }
+    4 ListOps "list-ops" {}
+    5 OpList "op-list" { 0: List<2, MAX_OPS, OpInfo> = "op count" }
+    6 Stats "stats" {}
+    7 StatsReply "stats-reply" [STATS_VERSION, "stats version"]
+        { 0: List<2, MAX_SAMPLES, Sample> = "sample count" }
+    8 History "history" { max_points: u16 = "history max" }
+    9 HistoryReply "history-reply" [HISTORY_VERSION, "history version"]
+        { 0: List<2, MAX_POINTS, SeriesPoint> = "point count" }
+    10 SlowLog "slow-log" { max: u16 = "slowlog max" }
+    11 SlowLogReply "slow-log-reply" [SLOWLOG_VERSION, "slowlog version"]
+        { 0: List<2, MAX_SLOW, SlowHit> = "slow entry count" }
+    12 LoadModel "load-model" [MODEL_VERSION, "model body version"]
+        { name: Name = "model name", path: Str<2, MAX_PATH> = "artifact path" }
+    13 ModelLoaded "model-loaded" [MODEL_VERSION, "model body version"]
+        { name: Name = "model name", version: u32 = "model version",
+          mem_bytes: u64 = "model bytes", ops: u32 = "op count",
+          evicted: List<2, MAX_MODELS, Name> = "evicted count" | "evicted name" }
+    14 UnloadModel "unload-model" [MODEL_VERSION, "model body version"]
+        { name: Name = "model name", version: u32 = "model version" }
+    15 ModelUnloaded "model-unloaded" [MODEL_VERSION, "model body version"]
+        { name: Name = "model name", version: u32 = "model version",
+          ops_retired: u32 = "ops retired" }
+    16 ListModels "list-models" [MODEL_VERSION, "model body version"] {}
+    17 ModelList "model-list" [MODEL_VERSION, "model body version"]
+        { 0: List<2, MAX_MODELS, ModelInfo> = "model count" }
+}
+
+/// The reporting name of `msg`'s kind (`"stats-reply"`, …).
+pub(crate) fn kind_name(msg: &Message) -> &'static str {
+    let d = std::mem::discriminant(msg);
+    KINDS.iter().find(|k| std::mem::discriminant(&k.2) == d).expect("every kind has a row").1
+}
+
+// ---------------------------------------------------------------- encoding
 
 /// Encodes one message as a complete frame (header + body).
 ///
@@ -421,201 +792,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
     let mut frame = Vec::new();
     encode_into(&mut frame, msg);
     frame
-}
-
-/// [`encode`] into a caller-owned scratch buffer: the frame replaces the
-/// buffer's contents and its capacity is reused, so a steady-state encode
-/// loop allocates nothing once the buffer has grown to its working set.
-pub fn encode_into(frame: &mut Vec<u8>, msg: &Message) {
-    start_frame(frame, msg.kind());
-    let mut w = Writer { buf: frame };
-    match msg {
-        Message::Request { req_id, op, rows, cols, data } => {
-            assert!(op.len() <= MAX_NAME, "op name over cap");
-            assert!((*rows as usize) <= MAX_ROWS && (*cols as usize) <= MAX_COLS);
-            assert_eq!(data.len(), *rows as usize * *cols as usize, "payload shape");
-            w.u64(*req_id);
-            w.u16(op.len() as u16);
-            w.bytes(op.as_bytes());
-            w.u32(*rows);
-            w.u16(*cols);
-            w.f32s(data);
-        }
-        Message::Reply { req_id, rows, cols, data } => {
-            assert!((*rows as usize) <= MAX_ROWS && (*cols as usize) <= MAX_COLS);
-            assert_eq!(data.len(), *rows as usize * *cols as usize, "payload shape");
-            w.u64(*req_id);
-            w.u32(*rows);
-            w.u16(*cols);
-            w.f32s(data);
-        }
-        Message::Reject { req_id, code, msg } => {
-            assert!(msg.len() <= MAX_MSG, "reject message over cap");
-            w.u64(*req_id);
-            w.u8(code.to_u8());
-            w.u16(msg.len() as u16);
-            w.bytes(msg.as_bytes());
-        }
-        Message::ListOps => {}
-        Message::OpList(ops) => {
-            assert!(ops.len() <= MAX_OPS, "op list over cap");
-            w.u16(ops.len() as u16);
-            for op in ops {
-                assert!(op.name.len() <= MAX_NAME, "op name over cap");
-                w.u16(op.name.len() as u16);
-                w.bytes(op.name.as_bytes());
-                w.u32(op.m);
-                w.u32(op.n);
-            }
-        }
-        Message::Stats => {}
-        Message::StatsReply(samples) => {
-            assert!(samples.len() <= MAX_SAMPLES, "sample list over cap");
-            w.u8(STATS_VERSION);
-            w.u16(samples.len() as u16);
-            for s in samples {
-                assert!(s.name.len() <= MAX_METRIC_NAME, "metric name over cap");
-                assert!(s.labels.len() <= MAX_LABELS, "label list over cap");
-                w.u8(match s.value {
-                    MetricValue::Counter(_) => 1,
-                    MetricValue::Gauge(_) => 2,
-                    MetricValue::Histogram(_) => 3,
-                });
-                w.u16(s.name.len() as u16);
-                w.bytes(s.name.as_bytes());
-                w.u8(s.labels.len() as u8);
-                for (k, v) in &s.labels {
-                    assert!(k.len() <= MAX_LABEL_KEY, "label key over cap");
-                    assert!(v.len() <= MAX_LABEL_VALUE, "label value over cap");
-                    w.u8(k.len() as u8);
-                    w.bytes(k.as_bytes());
-                    w.u8(v.len() as u8);
-                    w.bytes(v.as_bytes());
-                }
-                match &s.value {
-                    MetricValue::Counter(v) => w.u64(*v),
-                    MetricValue::Gauge(v) => w.u64(*v as u64),
-                    MetricValue::Histogram(h) => {
-                        for b in h.buckets {
-                            w.u64(b);
-                        }
-                        w.u64(h.sum);
-                    }
-                }
-            }
-        }
-        Message::History { max_points } => {
-            w.u16(*max_points);
-        }
-        Message::HistoryReply(points) => {
-            assert!(points.len() <= MAX_POINTS, "point list over cap");
-            w.u8(HISTORY_VERSION);
-            w.u16(points.len() as u16);
-            for p in points {
-                assert!(p.ops.len() <= MAX_POINT_OPS, "op rows over cap");
-                w.u64(p.t_ms);
-                w.u64(p.interval_ns);
-                w.u16(p.ops.len() as u16);
-                for op in &p.ops {
-                    assert!(op.op.len() <= MAX_NAME, "op name over cap");
-                    w.u16(op.op.len() as u16);
-                    w.bytes(op.op.as_bytes());
-                    w.u64(op.submitted);
-                    w.u64(op.completed);
-                    w.u64(op.rejected);
-                    w.u64(op.queue_depth);
-                    w.u64(op.batches);
-                    w.u64(op.batch_cols_x100);
-                    w.u64(op.p50_us);
-                    w.u64(op.p99_us);
-                }
-            }
-        }
-        Message::SlowLog { max } => {
-            w.u16(*max);
-        }
-        Message::SlowLogReply(hits) => {
-            assert!(hits.len() <= MAX_SLOW, "slow list over cap");
-            w.u8(SLOWLOG_VERSION);
-            w.u16(hits.len() as u16);
-            for hit in hits {
-                assert!(hit.op.len() <= MAX_NAME, "op name over cap");
-                w.u16(hit.op.len() as u16);
-                w.bytes(hit.op.as_bytes());
-                let r = &hit.rec;
-                w.u64(r.req_id);
-                w.u32(r.op);
-                w.u32(r.cols);
-                w.u64(r.start_ns);
-                w.u64(r.total_ns);
-                w.u64(r.queue_ns);
-                w.u64(r.window_ns);
-                w.u64(r.exec_ns);
-                w.u64(r.ticket_ns);
-                w.u64(r.write_ns);
-            }
-        }
-        Message::LoadModel { name, path } => {
-            assert!(name.len() <= MAX_NAME, "model name over cap");
-            assert!(path.len() <= MAX_PATH, "artifact path over cap");
-            w.u8(MODEL_VERSION);
-            w.u16(name.len() as u16);
-            w.bytes(name.as_bytes());
-            w.u16(path.len() as u16);
-            w.bytes(path.as_bytes());
-        }
-        Message::ModelLoaded { name, version, mem_bytes, ops, evicted } => {
-            assert!(name.len() <= MAX_NAME, "model name over cap");
-            assert!(evicted.len() <= MAX_MODELS, "evicted list over cap");
-            w.u8(MODEL_VERSION);
-            w.u16(name.len() as u16);
-            w.bytes(name.as_bytes());
-            w.u32(*version);
-            w.u64(*mem_bytes);
-            w.u32(*ops);
-            w.u16(evicted.len() as u16);
-            for e in evicted {
-                assert!(e.len() <= MAX_NAME, "evicted name over cap");
-                w.u16(e.len() as u16);
-                w.bytes(e.as_bytes());
-            }
-        }
-        Message::UnloadModel { name, version } => {
-            assert!(name.len() <= MAX_NAME, "model name over cap");
-            w.u8(MODEL_VERSION);
-            w.u16(name.len() as u16);
-            w.bytes(name.as_bytes());
-            w.u32(*version);
-        }
-        Message::ModelUnloaded { name, version, ops_retired } => {
-            assert!(name.len() <= MAX_NAME, "model name over cap");
-            w.u8(MODEL_VERSION);
-            w.u16(name.len() as u16);
-            w.bytes(name.as_bytes());
-            w.u32(*version);
-            w.u32(*ops_retired);
-        }
-        Message::ListModels => {
-            w.u8(MODEL_VERSION);
-        }
-        Message::ModelList(models) => {
-            assert!(models.len() <= MAX_MODELS, "model list over cap");
-            w.u8(MODEL_VERSION);
-            w.u16(models.len() as u16);
-            for m in models {
-                assert!(m.name.len() <= MAX_NAME, "model name over cap");
-                w.u16(m.name.len() as u16);
-                w.bytes(m.name.as_bytes());
-                w.u32(m.version);
-                w.u8(if m.live { 1 } else { 2 });
-                w.u64(m.mem_bytes);
-                w.u32(m.ops);
-                w.u32(m.inflight);
-                w.u64(m.completed);
-            }
-        }
-    }
-    seal_frame(frame);
 }
 
 /// Encodes a [`Message::Request`] frame straight from borrowed parts —
@@ -634,18 +810,7 @@ pub fn encode_request_into(
     cols: u16,
     data: &[f32],
 ) {
-    assert!(op.len() <= MAX_NAME, "op name over cap");
-    assert!((rows as usize) <= MAX_ROWS && (cols as usize) <= MAX_COLS);
-    assert_eq!(data.len(), rows as usize * cols as usize, "payload shape");
-    start_frame(frame, 1);
-    let mut w = Writer { buf: frame };
-    w.u64(req_id);
-    w.u16(op.len() as u16);
-    w.bytes(op.as_bytes());
-    w.u32(rows);
-    w.u16(cols);
-    w.f32s(data);
-    seal_frame(frame);
+    frame::Request(frame, &req_id, op, &rows, &cols, data);
 }
 
 /// Encodes a `Reply` frame straight from its parts into `frame`
@@ -655,88 +820,10 @@ pub fn encode_request_into(
 /// # Panics
 /// Panics on cap violations, like [`encode`].
 pub fn encode_reply_into(frame: &mut Vec<u8>, req_id: u64, rows: u32, cols: u16, data: &[f32]) {
-    assert!((rows as usize) <= MAX_ROWS && (cols as usize) <= MAX_COLS);
-    assert_eq!(data.len(), rows as usize * cols as usize, "payload shape");
-    start_frame(frame, 2);
-    let mut w = Writer { buf: frame };
-    w.u64(req_id);
-    w.u32(rows);
-    w.u16(cols);
-    w.f32s(data);
-    seal_frame(frame);
+    frame::Reply(frame, &req_id, &rows, &cols, data);
 }
 
 // ---------------------------------------------------------------- decoding
-
-/// A bounds-checked cursor over a frame body.
-struct Reader<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        let end = self.at.checked_add(n).ok_or_else(|| malformed(format!("{what}: overflow")))?;
-        if end > self.body.len() {
-            return Err(malformed(format!(
-                "{what}: needs {n} bytes, {} remain",
-                self.body.len() - self.at
-            )));
-        }
-        let s = &self.body[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-    fn u16(&mut self, what: &str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
-    }
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self, len: usize, cap: usize, what: &str) -> Result<String, WireError> {
-        if len > cap {
-            return Err(malformed(format!("{what}: length {len} over cap {cap}")));
-        }
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| malformed(format!("{what}: not utf-8")))
-    }
-
-    /// `count` f32 values; the count is validated against the remaining
-    /// body length **before** allocating.
-    fn f32s(&mut self, count: usize, what: &str) -> Result<Vec<f32>, WireError> {
-        let bytes =
-            count.checked_mul(4).ok_or_else(|| malformed(format!("{what}: count overflow")))?;
-        if self.at + bytes > self.body.len() {
-            return Err(malformed(format!(
-                "{what}: {count} values need {bytes} bytes, {} remain",
-                self.body.len() - self.at
-            )));
-        }
-        let raw = self.take(bytes, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    fn finish(self, what: &str) -> Result<(), WireError> {
-        if self.at != self.body.len() {
-            return Err(malformed(format!(
-                "{what}: {} trailing body bytes",
-                self.body.len() - self.at
-            )));
-        }
-        Ok(())
-    }
-}
 
 /// Validates a 16-byte header; returns `(kind, body_len, checksum)`.
 fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, u32), WireError> {
@@ -746,7 +833,6 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, u32), WireError> {
     if h[4] != WIRE_VERSION {
         return Err(malformed(format!("unsupported version {}", h[4])));
     }
-    let kind = h[5];
     if h[6] != 0 || h[7] != 0 {
         return Err(malformed("nonzero reserved field"));
     }
@@ -754,335 +840,30 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, u32), WireError> {
     if body_len > MAX_BODY {
         return Err(malformed(format!("body length {body_len} over cap {MAX_BODY}")));
     }
-    let checksum = u32::from_le_bytes(h[12..16].try_into().expect("4 bytes"));
-    Ok((kind, body_len, checksum))
+    Ok((h[5], body_len, u32::from_le_bytes(h[12..16].try_into().expect("4 bytes"))))
 }
 
-/// Parses a checksum-verified body of the given kind.
-fn parse_body(kind: u8, body: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader { body, at: 0 };
-    let msg = match kind {
-        1 => {
-            let req_id = r.u64("request id")?;
-            let name_len = r.u16("op name length")? as usize;
-            let op = r.string(name_len, MAX_NAME, "op name")?;
-            let rows = r.u32("rows")?;
-            let cols = r.u16("cols")?;
-            if rows as usize > MAX_ROWS {
-                return Err(malformed(format!("rows {rows} over cap {MAX_ROWS}")));
-            }
-            if cols as usize > MAX_COLS {
-                return Err(malformed(format!("cols {cols} over cap {MAX_COLS}")));
-            }
-            let data = r.f32s(rows as usize * cols as usize, "request payload")?;
-            Message::Request { req_id, op, rows, cols, data }
-        }
-        2 => {
-            let req_id = r.u64("reply id")?;
-            let rows = r.u32("rows")?;
-            let cols = r.u16("cols")?;
-            if rows as usize > MAX_ROWS {
-                return Err(malformed(format!("rows {rows} over cap {MAX_ROWS}")));
-            }
-            if cols as usize > MAX_COLS {
-                return Err(malformed(format!("cols {cols} over cap {MAX_COLS}")));
-            }
-            let data = r.f32s(rows as usize * cols as usize, "reply payload")?;
-            Message::Reply { req_id, rows, cols, data }
-        }
-        3 => {
-            let req_id = r.u64("reject id")?;
-            let code = RejectCode::from_u8(r.u8("reject code")?)?;
-            let msg_len = r.u16("reject message length")? as usize;
-            let msg = r.string(msg_len, MAX_MSG, "reject message")?;
-            Message::Reject { req_id, code, msg }
-        }
-        4 => Message::ListOps,
-        5 => {
-            let count = r.u16("op count")? as usize;
-            if count > MAX_OPS {
-                return Err(malformed(format!("op count {count} over cap {MAX_OPS}")));
-            }
-            // Each entry is ≥ 10 bytes; cap the allocation by what the body
-            // can actually hold before reserving.
-            if count * 10 > body.len() {
-                return Err(malformed(format!("op count {count} exceeds body")));
-            }
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name_len = r.u16("op name length")? as usize;
-                let name = r.string(name_len, MAX_NAME, "op name")?;
-                let m = r.u32("op m")?;
-                let n = r.u32("op n")?;
-                ops.push(OpInfo { name, m, n });
-            }
-            Message::OpList(ops)
-        }
-        6 => Message::Stats,
-        7 => {
-            let version = r.u8("stats version")?;
-            if version != STATS_VERSION {
-                return Err(malformed(format!("unsupported stats version {version}")));
-            }
-            let count = r.u16("sample count")? as usize;
-            if count > MAX_SAMPLES {
-                return Err(malformed(format!("sample count {count} over cap {MAX_SAMPLES}")));
-            }
-            // Each sample is ≥ 12 bytes (kind + name length + label count +
-            // an 8-byte value); cap the allocation by what the body can
-            // actually hold before reserving.
-            if count * 12 > body.len() {
-                return Err(malformed(format!("sample count {count} exceeds body")));
-            }
-            let mut samples = Vec::with_capacity(count);
-            for _ in 0..count {
-                let sample_kind = r.u8("sample kind")?;
-                let name_len = r.u16("metric name length")? as usize;
-                let name = r.string(name_len, MAX_METRIC_NAME, "metric name")?;
-                let label_count = r.u8("label count")? as usize;
-                if label_count > MAX_LABELS {
-                    return Err(malformed(format!(
-                        "label count {label_count} over cap {MAX_LABELS}"
-                    )));
-                }
-                let mut labels = Vec::with_capacity(label_count);
-                for _ in 0..label_count {
-                    let klen = r.u8("label key length")? as usize;
-                    let key = r.string(klen, MAX_LABEL_KEY, "label key")?;
-                    let vlen = r.u8("label value length")? as usize;
-                    let value = r.string(vlen, MAX_LABEL_VALUE, "label value")?;
-                    labels.push((key, value));
-                }
-                let value = match sample_kind {
-                    1 => MetricValue::Counter(r.u64("counter value")?),
-                    2 => MetricValue::Gauge(r.u64("gauge value")? as i64),
-                    3 => {
-                        let mut buckets = [0u64; BUCKETS];
-                        for b in buckets.iter_mut() {
-                            *b = r.u64("histogram bucket")?;
-                        }
-                        let sum = r.u64("histogram sum")?;
-                        MetricValue::Histogram(HistogramSnapshot { buckets, sum })
-                    }
-                    other => return Err(malformed(format!("unknown sample kind {other}"))),
-                };
-                samples.push(Sample { name, labels, value });
-            }
-            Message::StatsReply(samples)
-        }
-        8 => Message::History { max_points: r.u16("history max")? },
-        9 => {
-            let version = r.u8("history version")?;
-            if version != HISTORY_VERSION {
-                return Err(malformed(format!("unsupported history version {version}")));
-            }
-            let count = r.u16("point count")? as usize;
-            if count > MAX_POINTS {
-                return Err(malformed(format!("point count {count} over cap {MAX_POINTS}")));
-            }
-            // Each point is ≥ 18 bytes (two u64 stamps + an op count); cap
-            // the allocation by what the body can actually hold.
-            if count * 18 > body.len() {
-                return Err(malformed(format!("point count {count} exceeds body")));
-            }
-            let mut points = Vec::with_capacity(count);
-            for _ in 0..count {
-                let t_ms = r.u64("point time")?;
-                let interval_ns = r.u64("point interval")?;
-                let op_count = r.u16("op row count")? as usize;
-                if op_count > MAX_POINT_OPS {
-                    return Err(malformed(format!(
-                        "op row count {op_count} over cap {MAX_POINT_OPS}"
-                    )));
-                }
-                // Each op row is ≥ 66 bytes (name length + eight u64s);
-                // validate against the bytes actually left.
-                if op_count * 66 > body.len() - r.at {
-                    return Err(malformed(format!("op row count {op_count} exceeds body")));
-                }
-                let mut ops = Vec::with_capacity(op_count);
-                for _ in 0..op_count {
-                    let name_len = r.u16("op name length")? as usize;
-                    let op = r.string(name_len, MAX_NAME, "op name")?;
-                    ops.push(OpPoint {
-                        op,
-                        submitted: r.u64("submitted")?,
-                        completed: r.u64("completed")?,
-                        rejected: r.u64("rejected")?,
-                        queue_depth: r.u64("queue depth")?,
-                        batches: r.u64("batches")?,
-                        batch_cols_x100: r.u64("batch cols")?,
-                        p50_us: r.u64("p50")?,
-                        p99_us: r.u64("p99")?,
-                    });
-                }
-                points.push(SeriesPoint { t_ms, interval_ns, ops });
-            }
-            Message::HistoryReply(points)
-        }
-        10 => Message::SlowLog { max: r.u16("slowlog max")? },
-        11 => {
-            let version = r.u8("slowlog version")?;
-            if version != SLOWLOG_VERSION {
-                return Err(malformed(format!("unsupported slowlog version {version}")));
-            }
-            let count = r.u16("slow entry count")? as usize;
-            if count > MAX_SLOW {
-                return Err(malformed(format!("slow entry count {count} over cap {MAX_SLOW}")));
-            }
-            // Each entry is ≥ 74 bytes (name length + the fixed record);
-            // cap the allocation by what the body can actually hold.
-            if count * 74 > body.len() {
-                return Err(malformed(format!("slow entry count {count} exceeds body")));
-            }
-            let mut hits = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name_len = r.u16("op name length")? as usize;
-                let op_name = r.string(name_len, MAX_NAME, "op name")?;
-                hits.push(SlowHit {
-                    op: op_name,
-                    rec: RequestRecord {
-                        req_id: r.u64("req id")?,
-                        op: r.u32("op index")?,
-                        cols: r.u32("cols")?,
-                        start_ns: r.u64("start")?,
-                        total_ns: r.u64("total")?,
-                        queue_ns: r.u64("queue phase")?,
-                        window_ns: r.u64("window phase")?,
-                        exec_ns: r.u64("exec phase")?,
-                        ticket_ns: r.u64("ticket phase")?,
-                        write_ns: r.u64("write phase")?,
-                    },
-                });
-            }
-            Message::SlowLogReply(hits)
-        }
-        12 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            let name_len = r.u16("model name length")? as usize;
-            let name = r.string(name_len, MAX_NAME, "model name")?;
-            let path_len = r.u16("artifact path length")? as usize;
-            let path = r.string(path_len, MAX_PATH, "artifact path")?;
-            Message::LoadModel { name, path }
-        }
-        13 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            let name_len = r.u16("model name length")? as usize;
-            let name = r.string(name_len, MAX_NAME, "model name")?;
-            let model_version = r.u32("model version")?;
-            let mem_bytes = r.u64("model bytes")?;
-            let ops = r.u32("op count")?;
-            let count = r.u16("evicted count")? as usize;
-            if count > MAX_MODELS {
-                return Err(malformed(format!("evicted count {count} over cap {MAX_MODELS}")));
-            }
-            // Each evicted name is ≥ 2 bytes (its length prefix); cap the
-            // allocation by the bytes actually left.
-            if count * 2 > body.len() - r.at {
-                return Err(malformed(format!("evicted count {count} exceeds body")));
-            }
-            let mut evicted = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = r.u16("evicted name length")? as usize;
-                evicted.push(r.string(len, MAX_NAME, "evicted name")?);
-            }
-            Message::ModelLoaded { name, version: model_version, mem_bytes, ops, evicted }
-        }
-        14 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            let name_len = r.u16("model name length")? as usize;
-            let name = r.string(name_len, MAX_NAME, "model name")?;
-            let model_version = r.u32("model version")?;
-            Message::UnloadModel { name, version: model_version }
-        }
-        15 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            let name_len = r.u16("model name length")? as usize;
-            let name = r.string(name_len, MAX_NAME, "model name")?;
-            let model_version = r.u32("model version")?;
-            let ops_retired = r.u32("ops retired")?;
-            Message::ModelUnloaded { name, version: model_version, ops_retired }
-        }
-        16 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            Message::ListModels
-        }
-        17 => {
-            let version = r.u8("model body version")?;
-            if version != MODEL_VERSION {
-                return Err(malformed(format!("unsupported model body version {version}")));
-            }
-            let count = r.u16("model count")? as usize;
-            if count > MAX_MODELS {
-                return Err(malformed(format!("model count {count} over cap {MAX_MODELS}")));
-            }
-            // Each row is ≥ 31 bytes (name length + the fixed fields); cap
-            // the allocation by what the body can actually hold.
-            if count * 31 > body.len() - r.at {
-                return Err(malformed(format!("model count {count} exceeds body")));
-            }
-            let mut models = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name_len = r.u16("model name length")? as usize;
-                let name = r.string(name_len, MAX_NAME, "model name")?;
-                let model_version = r.u32("model version")?;
-                let live = match r.u8("model state")? {
-                    1 => true,
-                    2 => false,
-                    other => return Err(malformed(format!("unknown model state {other}"))),
-                };
-                models.push(ModelInfo {
-                    name,
-                    version: model_version,
-                    live,
-                    mem_bytes: r.u64("model bytes")?,
-                    ops: r.u32("op count")?,
-                    inflight: r.u32("inflight")?,
-                    completed: r.u64("completed")?,
-                });
-            }
-            Message::ModelList(models)
-        }
-        other => return Err(malformed(format!("unknown frame kind {other}"))),
-    };
-    r.finish("frame body")?;
-    Ok(msg)
+/// Checks a complete body against its header's checksum, then parses it;
+/// every decoder ends here.
+fn parse_body(kind: u8, checksum: u32, body: &[u8]) -> Result<Message, WireError> {
+    if fold_checksum(body) != checksum {
+        return Err(malformed("checksum mismatch"));
+    }
+    let mut r = Reader { body, at: 0, values: 1 };
+    let msg = get_message(kind, &mut r)?;
+    match r.remaining() {
+        0 => Ok(msg),
+        n => Err(malformed(format!("frame body: {n} trailing body bytes"))),
+    }
 }
 
 /// Decodes one frame from a byte buffer; returns the message and the bytes
 /// consumed. Pure — this is what the hostile-input proptests hammer.
 pub fn decode(bytes: &[u8]) -> Result<(Message, usize), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(malformed(format!("{} header bytes, need {HEADER_LEN}", bytes.len())));
+    match decode_frame(bytes)? {
+        FrameStatus::Frame { msg, used } => Ok((msg, used)),
+        FrameStatus::NeedMore(n) => Err(malformed(format!("truncated frame: {n} more bytes"))),
     }
-    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("16 bytes");
-    let (kind, body_len, checksum) = parse_header(header)?;
-    if bytes.len() < HEADER_LEN + body_len {
-        return Err(malformed(format!(
-            "body needs {body_len} bytes, {} remain",
-            bytes.len() - HEADER_LEN
-        )));
-    }
-    let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-    if fold_checksum(body) != checksum {
-        return Err(malformed("checksum mismatch"));
-    }
-    Ok((parse_body(kind, body)?, HEADER_LEN + body_len))
 }
 
 /// What [`decode_frame`] found at the front of a partial buffer.
@@ -1108,19 +889,14 @@ pub enum FrameStatus {
 /// checksum/tiling discipline as [`decode`] applies once the body is
 /// complete.
 pub fn decode_frame(bytes: &[u8]) -> Result<FrameStatus, WireError> {
-    if bytes.len() < HEADER_LEN {
+    let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
         return Ok(FrameStatus::NeedMore(HEADER_LEN - bytes.len()));
-    }
-    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("16 bytes");
+    };
     let (kind, body_len, checksum) = parse_header(header)?;
-    if bytes.len() < HEADER_LEN + body_len {
+    let Some(body) = bytes[HEADER_LEN..].get(..body_len) else {
         return Ok(FrameStatus::NeedMore(HEADER_LEN + body_len - bytes.len()));
-    }
-    let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-    if fold_checksum(body) != checksum {
-        return Err(malformed("checksum mismatch"));
-    }
-    Ok(FrameStatus::Frame { msg: parse_body(kind, body)?, used: HEADER_LEN + body_len })
+    };
+    Ok(FrameStatus::Frame { msg: parse_body(kind, checksum, body)?, used: HEADER_LEN + body_len })
 }
 
 /// Reads exactly one frame from a stream. A clean EOF **at a frame
@@ -1147,15 +923,31 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, WireError> {
             WireError::Io(e)
         }
     })?;
-    if fold_checksum(&body) != checksum {
-        return Err(malformed("checksum mismatch"));
-    }
-    parse_body(kind, &body)
+    parse_body(kind, checksum, &body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A count, length, tag or schema byte the decoder read: where it sits
+    /// in the body, its width, its cap, the bytes one counted entry takes
+    /// (0 for a tag or a payload dimension) and the name its errors carry.
+    struct Mark {
+        at: usize,
+        width: usize,
+        cap: usize,
+        unit: usize,
+        what: String,
+    }
+
+    thread_local! {
+        static MARKS: std::cell::RefCell<Vec<Mark>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn mark(at: usize, width: usize, cap: usize, unit: usize, what: &str) {
+        MARKS.with_borrow_mut(|m| m.push(Mark { at, width, cap, unit, what: what.into() }));
+    }
 
     fn sample_request() -> Message {
         Message::Request {
@@ -1167,9 +959,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_kind_round_trips() {
-        let msgs = [
+    /// One message of every kind, in kind order, each list non-empty where
+    /// the kind has one.
+    fn zoo() -> Vec<Message> {
+        vec![
             sample_request(),
             Message::Reply { req_id: 9, rows: 2, cols: 1, data: vec![0.5, -0.5] },
             Message::Reject { req_id: 3, code: RejectCode::Busy, msg: "queue full".into() },
@@ -1259,9 +1052,17 @@ mod tests {
                     completed: 41,
                 },
             ]),
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_round_trips() {
+        let msgs = zoo();
+        assert_eq!(msgs.len(), KINDS.len());
+        for (msg, (n, name, _)) in msgs.into_iter().zip(KINDS) {
+            assert_eq!(kind_name(&msg), *name);
             let frame = encode(&msg);
+            assert_eq!(frame[5], *n, "{name}");
             let (back, used) = decode(&frame).unwrap();
             assert_eq!(back, msg);
             assert_eq!(used, frame.len());
@@ -1269,6 +1070,38 @@ mod tests {
             let mut cursor = std::io::Cursor::new(frame);
             assert_eq!(read_message(&mut cursor).unwrap(), msg);
         }
+    }
+
+    #[test]
+    fn every_kind_encodes_the_pinned_bytes() {
+        // The zoo's frames back to back, digested before the codec was
+        // derived from its schema: any moved byte changes this.
+        let all: Vec<u8> = zoo().iter().flat_map(encode).collect();
+        assert_eq!(all.len(), 1130);
+        assert_eq!(fnv1a64(&all), 0x2c72_d400_d82c_5780);
+    }
+
+    #[test]
+    fn empty_values_round_trip_and_size_their_entries() {
+        for (_, name, empty) in KINDS {
+            let frame = encode(empty);
+            assert_eq!(decode(&frame).unwrap().0, *empty, "{name}");
+        }
+        // Each list entry's minimum size is the encoded size of its empty
+        // value.
+        fn min_is_empty_len<F: Fmt>() {
+            let mut frame = Vec::new();
+            let mut w = Writer::start(&mut frame, 0);
+            F::put(F::EMPTY.borrow(), &mut w);
+            assert_eq!(frame.len() - HEADER_LEN, F::MIN_LEN, "{}", std::any::type_name::<F>());
+        }
+        min_is_empty_len::<OpInfo>();
+        min_is_empty_len::<ModelInfo>();
+        min_is_empty_len::<Sample>();
+        min_is_empty_len::<SeriesPoint>();
+        min_is_empty_len::<OpPoint>();
+        min_is_empty_len::<SlowHit>();
+        min_is_empty_len::<Name>();
     }
 
     #[test]
@@ -1361,215 +1194,75 @@ mod tests {
         assert!(matches!(decode(&frame), Err(WireError::Malformed(_))));
     }
 
-    /// Re-stamps a frame's checksum after the body was edited so only the
-    /// body validation under test can object.
-    fn restamp(frame: &mut [u8]) {
-        let sum = fold_checksum(&frame[HEADER_LEN..]);
-        frame[12..16].copy_from_slice(&sum.to_le_bytes());
+    /// Re-stamps a frame's length and checksum after its body was edited,
+    /// so only the body validation under test can object.
+    fn reseal(frame: &mut Vec<u8>) {
+        Writer { buf: frame, values: 1 }.seal();
     }
 
-    #[test]
-    fn stats_reply_rejects_bad_version_and_inflated_counts() {
-        let msg = Message::StatsReply(vec![Sample {
-            name: "x".into(),
-            labels: Vec::new(),
-            value: MetricValue::Counter(1),
-        }]);
-        // Unknown stats schema version.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN] = 9;
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("stats version"), "{m}"),
-            other => panic!("bad version decoded: {other:?}"),
-        }
-        // A sample count the body cannot hold must fail before allocating.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN + 1..HEADER_LEN + 3].copy_from_slice(&2000u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("sample count"), "{m}"),
-            other => panic!("inflated count decoded: {other:?}"),
-        }
-        // Trailing garbage after the last sample is an error.
-        let mut frame = encode(&msg);
-        frame.push(0);
-        let len = (frame.len() - HEADER_LEN) as u32;
-        frame[8..12].copy_from_slice(&len.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("trailing"), "{m}"),
-            other => panic!("trailing bytes decoded: {other:?}"),
+    fn refused(frame: &[u8], name: &str, case: &str) {
+        match decode(frame) {
+            Err(WireError::Malformed(m)) => assert!(m.contains(name), "{case}: {m}"),
+            other => panic!("{case} decoded: {other:?}"),
         }
     }
 
     #[test]
-    fn history_reply_rejects_bad_version_and_inflated_counts() {
-        let msg = Message::HistoryReply(vec![SeriesPoint {
-            t_ms: 5,
-            interval_ns: 7,
-            ops: vec![OpPoint { op: "x".into(), completed: 1, ..OpPoint::default() }],
-        }]);
-        // Unknown history schema version.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN] = 9;
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("history version"), "{m}"),
-            other => panic!("bad version decoded: {other:?}"),
+    fn every_kind_refuses_hostile_counts_lengths_tags_and_schema_bytes() {
+        // For every count, length, tag and schema byte of every kind: the
+        // cap + 1 (a bumped schema byte, an unknown tag) and a value the
+        // rest of the body cannot hold are Malformed naming the field, and
+        // so is a trailing byte after the last field.
+        let mut names = std::collections::BTreeSet::new();
+        for msg in zoo() {
+            let frame = encode(&msg);
+            let kind = kind_name(&msg);
+            MARKS.take();
+            decode(&frame).unwrap();
+            for m in MARKS.take() {
+                let at = HEADER_LEN + m.at;
+                // A count's overflow is one entry more than the bytes after
+                // it hold; a payload dimension's is its cap, whose payload
+                // the body cannot hold either.
+                let overflow = match (m.unit, m.width) {
+                    (0, 1) => None,
+                    (0, _) => Some(m.cap),
+                    (unit, width) => Some((frame.len() - at - width) / unit + 1),
+                };
+                for value in
+                    [Some(m.cap + 1), overflow.filter(|&v| v <= m.cap)].into_iter().flatten()
+                {
+                    assert!(value < 1 << (8 * m.width), "{kind}: {} = {value}", m.what);
+                    let mut bad = frame.clone();
+                    bad[at..at + m.width].copy_from_slice(&value.to_le_bytes()[..m.width]);
+                    reseal(&mut bad);
+                    refused(&bad, &m.what, &format!("{kind}: {} = {value}", m.what));
+                }
+                names.insert(m.what);
+            }
+            let mut long = frame.clone();
+            long.push(0);
+            reseal(&mut long);
+            refused(&long, "trailing", kind);
         }
-        // A point count the body cannot hold must fail before allocating.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN + 1..HEADER_LEN + 3].copy_from_slice(&500u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("point count"), "{m}"),
-            other => panic!("inflated point count decoded: {other:?}"),
-        }
-        // Same for the nested per-point op-row count.
-        let mut frame = encode(&msg);
-        let ops_at = HEADER_LEN + 3 + 16; // version + count + t_ms + interval_ns
-        frame[ops_at..ops_at + 2].copy_from_slice(&200u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("op row count"), "{m}"),
-            other => panic!("inflated op count decoded: {other:?}"),
-        }
-        // Trailing garbage after the last point is an error.
-        let mut frame = encode(&msg);
-        frame.push(0);
-        let len = (frame.len() - HEADER_LEN) as u32;
-        frame[8..12].copy_from_slice(&len.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("trailing"), "{m}"),
-            other => panic!("trailing bytes decoded: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slowlog_reply_rejects_bad_version_and_inflated_counts() {
-        let msg = Message::SlowLogReply(vec![SlowHit {
-            op: "x".into(),
-            rec: RequestRecord::from_timeline(1, 0, 1, 0, 1, 2, 3, 4, 5),
-        }]);
-        // Unknown slowlog schema version.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN] = 9;
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("slowlog version"), "{m}"),
-            other => panic!("bad version decoded: {other:?}"),
-        }
-        // An entry count the body cannot hold must fail before allocating.
-        let mut frame = encode(&msg);
-        frame[HEADER_LEN + 1..HEADER_LEN + 3].copy_from_slice(&200u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("slow entry count"), "{m}"),
-            other => panic!("inflated count decoded: {other:?}"),
-        }
-        // Trailing garbage after the last entry is an error.
-        let mut frame = encode(&msg);
-        frame.push(0);
-        let len = (frame.len() - HEADER_LEN) as u32;
-        frame[8..12].copy_from_slice(&len.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("trailing"), "{m}"),
-            other => panic!("trailing bytes decoded: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn model_verbs_reject_bad_version_and_inflated_counts() {
-        // Every model-fleet body leads with MODEL_VERSION; a bumped byte
-        // must refuse on all six kinds, request and reply alike.
-        for msg in [
-            Message::LoadModel { name: "m".into(), path: "/p".into() },
-            Message::ModelLoaded {
-                name: "m".into(),
-                version: 1,
-                mem_bytes: 8,
-                ops: 1,
-                evicted: vec![],
-            },
-            Message::UnloadModel { name: "m".into(), version: 0 },
-            Message::ModelUnloaded { name: "m".into(), version: 1, ops_retired: 1 },
-            Message::ListModels,
-            Message::ModelList(vec![]),
+        for name in [
+            "stats version",
+            "sample count",
+            "history version",
+            "point count",
+            "op row count",
+            "slowlog version",
+            "slow entry count",
+            "model body version",
+            "evicted count",
+            "model count",
+            "model state",
+            "artifact path",
+            "reject code",
+            "rows",
+            "cols",
         ] {
-            let mut frame = encode(&msg);
-            frame[HEADER_LEN] = 9;
-            restamp(&mut frame);
-            match decode(&frame) {
-                Err(WireError::Malformed(m)) => assert!(m.contains("model body version"), "{m}"),
-                other => panic!("bad version decoded: {other:?}"),
-            }
-        }
-        // An evicted-name count the body cannot hold fails before
-        // allocating (count lives after name + version + mem + ops).
-        let loaded = Message::ModelLoaded {
-            name: "m".into(),
-            version: 1,
-            mem_bytes: 8,
-            ops: 1,
-            evicted: vec!["x@1".into()],
-        };
-        let mut frame = encode(&loaded);
-        let count_at = HEADER_LEN + 1 + 2 + 1 + 4 + 8 + 4;
-        frame[count_at..count_at + 2].copy_from_slice(&200u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("evicted count"), "{m}"),
-            other => panic!("inflated evicted count decoded: {other:?}"),
-        }
-        // Same for the model-row count in a ModelList.
-        let list = Message::ModelList(vec![ModelInfo {
-            name: "m".into(),
-            version: 1,
-            live: true,
-            mem_bytes: 8,
-            ops: 1,
-            inflight: 0,
-            completed: 0,
-        }]);
-        let mut frame = encode(&list);
-        frame[HEADER_LEN + 1..HEADER_LEN + 3].copy_from_slice(&200u16.to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("model count"), "{m}"),
-            other => panic!("inflated model count decoded: {other:?}"),
-        }
-        // An unknown model-state byte is an error, not a default.
-        let mut frame = encode(&list);
-        let state_at = HEADER_LEN + 1 + 2 + 2 + 1 + 4; // ver + count + name_len + "m" + version
-        frame[state_at] = 7;
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("model state"), "{m}"),
-            other => panic!("bad state decoded: {other:?}"),
-        }
-        // Trailing garbage after the last row is an error on each kind.
-        for msg in [loaded, list, Message::ListModels] {
-            let mut frame = encode(&msg);
-            frame.push(0);
-            let len = (frame.len() - HEADER_LEN) as u32;
-            frame[8..12].copy_from_slice(&len.to_le_bytes());
-            restamp(&mut frame);
-            match decode(&frame) {
-                Err(WireError::Malformed(m)) => assert!(m.contains("trailing"), "{m}"),
-                other => panic!("trailing bytes decoded: {other:?}"),
-            }
-        }
-        // A LoadModel path over MAX_PATH refuses before allocating.
-        let mut frame = encode(&Message::LoadModel { name: "m".into(), path: "/p".into() });
-        let path_len_at = HEADER_LEN + 1 + 2 + 1; // ver + name_len + "m"
-        frame[path_len_at..path_len_at + 2].copy_from_slice(&((MAX_PATH + 1) as u16).to_le_bytes());
-        restamp(&mut frame);
-        match decode(&frame) {
-            Err(WireError::Malformed(m)) => assert!(m.contains("artifact path"), "{m}"),
-            other => panic!("oversized path decoded: {other:?}"),
+            assert!(names.contains(name), "no case named {name}");
         }
     }
 
@@ -1590,5 +1283,16 @@ mod tests {
             Err(WireError::Malformed(m)) => assert!(m.contains("payload"), "{m}"),
             other => panic!("bad count decoded: {other:?}"),
         }
+    }
+
+    #[test]
+    fn clipped_messages_end_on_a_character_boundary() {
+        let mut msg = format!("open '/{}'", "é".repeat(600));
+        clip_msg(&mut msg);
+        assert_eq!(msg.len(), MAX_MSG - 1, "byte {MAX_MSG} falls inside a character");
+        assert!(msg.ends_with('é'));
+        let mut short = "queue full".to_string();
+        clip_msg(&mut short);
+        assert_eq!(short, "queue full");
     }
 }

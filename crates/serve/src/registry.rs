@@ -218,6 +218,10 @@ pub enum ModelError {
     },
     /// The registry already tracks [`MAX_MODELS`] models (live + retired).
     TooManyModels(usize),
+    /// A model name, or an op's `base@version` display name, is longer than
+    /// the smallest wire cap of a frame that echoes it (a stats label
+    /// value, [`crate::net::wire::MAX_LABEL_VALUE`] bytes).
+    NameTooLong(String),
     /// The artifact failed to decode/restore.
     Artifact(biq_artifact::ArtifactError),
 }
@@ -236,6 +240,12 @@ impl std::fmt::Display for ModelError {
                 budget.saturating_sub(*resident),
             ),
             ModelError::TooManyModels(n) => write!(f, "registry already tracks {n} models"),
+            ModelError::NameTooLong(name) => write!(
+                f,
+                "name {name:?} is {} bytes; the wire echoes at most {} (a stats label value)",
+                name.len(),
+                crate::net::wire::MAX_LABEL_VALUE,
+            ),
             ModelError::Artifact(e) => write!(f, "artifact: {e}"),
         }
     }
@@ -549,6 +559,16 @@ impl LiveRegistry {
         let prev = st.models.iter().position(|m| m.live && m.name == name);
         let version =
             st.models.iter().filter(|m| m.name == name).map(|m| m.version).max().unwrap_or(0) + 1;
+        // Every name this version publishes must fit every frame that
+        // carries it; the smallest such cap is a stats label value
+        // (`model=<name>`, `op=<base@version>`), so the ModelLoaded evicted
+        // list, ModelList, OpList, HistoryReply and SlowLogReply fit too.
+        let too_long = std::iter::once(name.to_string())
+            .chain(new_ops.iter().map(|(base, _)| format!("{base}@{version}")))
+            .find(|n| n.len() > crate::net::wire::MAX_LABEL_VALUE);
+        if let Some(n) = too_long {
+            return Err(ModelError::NameTooLong(n));
+        }
 
         // Budget check before touching anything: the swapped-out version's
         // bytes free as part of this load, evictable cold models can free

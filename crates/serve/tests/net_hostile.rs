@@ -456,3 +456,96 @@ fn garbage_on_the_socket_closes_that_connection_but_not_the_server() {
     let stats = net.shutdown();
     assert_eq!(stats.completed(), 1, "only the well-formed request was served");
 }
+
+#[test]
+fn a_refusal_clipped_mid_character_leaves_the_connection_serving() {
+    // The refusal quotes the 1.2 kB path back; byte MAX_MSG falls inside a
+    // two-byte character, so clipping must back off to a boundary instead
+    // of panicking the reactor thread that owns this connection.
+    let (net, x, y_ref) = start_one_op_server();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    let path = format!("/{}", "é".repeat(600));
+    match client.load_model("m", &path) {
+        Err(biq_serve::net::NetError::Rejected { code: RejectCode::Refused, msg, .. }) => {
+            assert!(msg.len() <= wire::MAX_MSG && msg.starts_with("open '/é"), "{msg}");
+        }
+        other => panic!("expected a refused reject, got {other:?}"),
+    }
+    let y = client.request("op", &x).unwrap();
+    assert_eq!(y.as_slice(), y_ref.as_slice());
+    net.shutdown();
+}
+
+/// A small linear BIQM artifact (one op, `linear`) written to a per-test
+/// file.
+fn artifact_file(tag: &str) -> String {
+    let w = MatrixRng::seed_from(5).gaussian(8, 12, 0.0, 1.0);
+    let cfg = biqgemm_core::BiqConfig::default();
+    let layer = biq_nn::Linear::quantized(&w, 2, QuantMethod::Greedy, cfg, None);
+    let bytes = biq_nn::model::CompiledModel::Linear(layer).snapshot();
+    let path = std::env::temp_dir().join(format!("biq-hostile-{}-{tag}.biqm", std::process::id()));
+    std::fs::write(&path, &bytes[..]).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+#[test]
+fn a_model_name_no_stats_label_can_carry_is_refused() {
+    // `model=<name>` rides every per-model gauge of a StatsReply, whose
+    // label values are capped at MAX_LABEL_VALUE: a longer name must be
+    // refused at load, not loaded and then fatal to the next Stats.
+    let path = artifact_file("label");
+    let (net, x, y_ref) = start_one_op_server();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    match client.load_model(&"n".repeat(200), &path) {
+        Err(biq_serve::net::NetError::Rejected { code: RejectCode::Refused, .. }) => {}
+        other => panic!("expected a refused reject, got {other:?}"),
+    }
+    let at_cap = "n".repeat(wire::MAX_LABEL_VALUE);
+    assert_eq!(client.load_model(&at_cap, &path).unwrap().0, 1);
+    let samples = client.stats().unwrap();
+    assert!(samples.iter().any(|s| s.labels.iter().any(|(_, v)| *v == at_cap)));
+    assert_eq!(client.request("op", &x).unwrap().as_slice(), y_ref.as_slice());
+    net.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn a_name_that_could_not_be_echoed_as_evicted_is_refused() {
+    // Under a memory budget a load evicts cold models and echoes them as
+    // `name@version`, capped at MAX_NAME: a MAX_NAME-byte model name is
+    // refused up front, and an eviction still answers.
+    let path = artifact_file("evict");
+    let probe =
+        NetServer::bind("127.0.0.1:0", Server::start(one_op_registry(), Default::default()));
+    let probe = probe.unwrap();
+    let mut client = NetClient::connect(probe.local_addr()).unwrap();
+    let boot_mem = client.list_models().unwrap()[0].mem_bytes;
+    let (_, mem, _, _) = client.load_model("m", &path).unwrap();
+    probe.shutdown();
+
+    let config = ServerConfig { mem_budget: Some(boot_mem + mem - 1), ..ServerConfig::default() };
+    let net = NetServer::bind("127.0.0.1:0", Server::start(one_op_registry(), config)).unwrap();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    match client.load_model(&"n".repeat(wire::MAX_NAME), &path) {
+        Err(biq_serve::net::NetError::Rejected { code: RejectCode::Refused, .. }) => {}
+        other => panic!("expected a refused reject, got {other:?}"),
+    }
+    let (_, _, _, evicted) = client.load_model("m", &path).unwrap();
+    assert_eq!(evicted, ["default@1"]);
+    assert_eq!(client.list_models().unwrap().len(), 2, "default (evicted) and m");
+    net.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+/// The one-op boot registry of [`start_one_op_server`], for servers that
+/// need their own config.
+fn one_op_registry() -> ModelRegistry {
+    let signs = MatrixRng::seed_from(3).signs(16, 24);
+    let plan = PlanBuilder::new(16, 24)
+        .batch_hint(4)
+        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+        .build();
+    let mut reg = ModelRegistry::new();
+    reg.register_op("op", std::sync::Arc::new(compile(&plan, WeightSource::Signs(&signs))));
+    reg
+}
