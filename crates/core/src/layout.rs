@@ -272,38 +272,23 @@ impl LutBank {
         &self.data.as_slice()[off..off + self.nb]
     }
 
-    /// BatchMajor: the scalar entry for `(chunk_local, batch_local, key)`.
-    #[inline]
-    pub fn entry(&self, chunk_local: usize, batch_local: usize, key: usize) -> f32 {
-        debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        self.data.as_slice()[(chunk_local * self.nb + batch_local) * self.table + key]
-    }
-
-    /// BatchMajor: the contiguous `2^µ` table for `(chunk_local,
-    /// batch_local)` — the natural GEMV-style access.
-    #[inline]
-    pub fn table_slice(&self, chunk_local: usize, batch_local: usize) -> &[f32] {
-        debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        let off = (chunk_local * self.nb + batch_local) * self.table;
-        &self.data.as_slice()[off..off + self.table]
-    }
-
-    /// Row-batched single-batch gather: with `nb == 1` both layouts store
-    /// entry `(chunk c, key)` at `c·2^µ + key`; for each row `i` of the key
-    /// tile, `y[i · y_stride] += scales[i] · Σ_c entry(c, keys_i[c])`, each
-    /// row summed in the **canonical accumulation-tree order** at the
-    /// resolved kernel level — see [`crate::simd::lut_gather_rows`]. That
-    /// is the same per-lane order as [`LutBank::query_fused_rows`], so a column
-    /// packed into a width-1 batch tile rounds bit-for-bit like one packed
-    /// into any wider tile (batch-packing invariance; `batch_invariance.rs`
-    /// pins it). Dispatched once per row tile, consecutive rows' gathers
-    /// interleaved on x86: this is the b = 1 serving hot loop.
+    /// The Algorithm 2 query of one row tile against the resident tables:
+    /// for each row `i` of the key tile and each resident batch lane `a`,
+    /// `y[i · y_stride + a] += scales[i] · Σ_c entry(c, a, keys_i[c])`,
+    /// every sum in the **canonical accumulation-tree order** at the
+    /// resolved kernel level: the width-1 gather at `nb == 1`
+    /// ([`crate::simd::lut_gather_rows`]), the fused query on a KeyMajor
+    /// bank ([`crate::simd::lut_query_fused_rows`]), and one strided
+    /// width-1 gather per batch column on a BatchMajor one. Whatever the
+    /// layout and width, a column rounds bit for bit alike (batch-packing
+    /// invariance; `batch_invariance.rs` pins it).
     ///
     /// # Panics
-    /// Debug-panics unless exactly one batch column is resident; panics on
-    /// tile/output geometry mismatches per the kernel dispatcher.
+    /// Panics (or debug-panics) on key rows longer than the resident
+    /// chunks, or tile/output geometry mismatches per the kernel
+    /// dispatchers.
     #[inline]
-    pub fn gather_rows(
+    pub fn query_rows(
         &self,
         keys: KeyTile<'_>,
         scales: &[f32],
@@ -311,40 +296,52 @@ impl LutBank {
         y_stride: usize,
         k: ResolvedKernel,
     ) {
-        debug_assert_eq!(self.nb, 1);
-        debug_assert!(keys.nc() <= self.num_chunks);
-        let bank = &self.data.as_slice()[..self.num_chunks * self.table];
-        simd::lut_gather_rows(y, y_stride, scales, bank, self.table, keys, k);
-    }
-
-    /// Fused Algorithm 2 query for one row tile (KeyMajor): for each row `i`
-    /// of the key tile, `y[i · y_stride + a] += scales[i] · Σ_ci
-    /// entry_vec(ci, keys_i[ci])[a]` over the resident batch lanes,
-    /// accumulated in registers at the resolved kernel level — see
-    /// [`crate::simd::lut_query_fused_rows`].
-    ///
-    /// # Panics
-    /// Panics (or debug-panics) on a BatchMajor bank, key rows longer than
-    /// the resident chunks, or tile/output geometry mismatches per the
-    /// kernel dispatcher.
-    #[inline]
-    pub fn query_fused_rows(
-        &self,
-        keys: KeyTile<'_>,
-        scales: &[f32],
-        y: &mut [f32],
-        y_stride: usize,
-        k: ResolvedKernel,
-    ) {
-        debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(keys.nc() <= self.num_chunks);
         let bank = &self.data.as_slice()[..self.num_chunks * self.table * self.nb];
-        simd::lut_query_fused_rows(y, y_stride, scales, bank, self.table, self.nb, keys, k);
+        query_row_tile(bank, self.table, self.nb, self.layout, keys, scales, y, y_stride, k);
     }
 
     /// Bytes of live table data.
     pub fn resident_bytes(&self) -> usize {
         self.num_chunks * self.table * self.nb * 4
+    }
+}
+
+/// The Algorithm 2 query of one row tile over a resident bank of `nb`
+/// batch columns in `layout` — one kernel dispatch per row tile, or per
+/// batch column of a BatchMajor tile:
+///
+/// * `nb == 1`: both layouts store entry `(c, key)` at `c·2^µ + key`, and
+///   the row-batched width-1 gather ([`simd::lut_gather_rows`]) runs,
+///   consecutive rows' lookups interleaved — the b = 1 serving hot loop;
+/// * KeyMajor: the fused lookup-accumulate ([`simd::lut_query_fused_rows`]),
+///   register accumulation across the tile's chunks, scale in-pass;
+/// * BatchMajor: column `a`'s tables are `nb · 2^µ` floats apart from
+///   `a · 2^µ` on, so the query is `nb` strided width-1 gathers.
+///
+/// All three realise the canonical accumulation tree, so they agree bit
+/// for bit (`both_layouts_agree`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn query_row_tile(
+    bank: &[f32],
+    table: usize,
+    nb: usize,
+    layout: LutLayout,
+    keys: KeyTile<'_>,
+    scales: &[f32],
+    y: &mut [f32],
+    y_stride: usize,
+    k: ResolvedKernel,
+) {
+    if nb == 1 {
+        simd::lut_gather_rows(y, y_stride, scales, bank, table, table, keys, k);
+    } else if layout == LutLayout::KeyMajor {
+        simd::lut_query_fused_rows(y, y_stride, scales, bank, table, nb, keys, k);
+    } else {
+        for a in 0..nb {
+            let (ya, col) = (&mut y[a..], &bank[a * table..]);
+            simd::lut_gather_rows(ya, y_stride, scales, col, table, nb * table, keys, k);
+        }
     }
 }
 
@@ -458,7 +455,9 @@ mod tests {
                     let expected = key_dot(k as u16, sub);
                     let got = match bank.layout() {
                         LutLayout::KeyMajor => bank.entry_vec(c, k)[a],
-                        LutLayout::BatchMajor => bank.entry(c, a, k),
+                        LutLayout::BatchMajor => {
+                            bank.data.as_slice()[(c * bank.batch() + a) * bank.table + k]
+                        }
                     };
                     assert!(
                         (got - expected).abs() < 1e-4,
@@ -566,7 +565,7 @@ mod tests {
         let key_matrix = KeyMatrix::pack(&g.signs(1, 26), 4);
         let keys = key_matrix.tile(0..1, 0, 7);
         let mut y_ref = vec![0.0f32; 7];
-        reference.query_fused_rows(keys, &[1.25], &mut y_ref, 7, sk());
+        reference.query_rows(keys, &[1.25], &mut y_ref, 7, sk());
         for level in crate::simd::supported_levels() {
             let k = KernelRequest::Exact(level).resolve().unwrap();
             let mut bank = LutBank::new(4, LutLayout::KeyMajor);
@@ -584,7 +583,7 @@ mod tests {
                 }
             }
             let mut y = vec![0.0f32; 7];
-            bank.query_fused_rows(keys, &[1.25], &mut y, 7, k);
+            bank.query_rows(keys, &[1.25], &mut y, 7, k);
             assert_eq!(y, y_ref, "level={level}");
         }
     }

@@ -68,7 +68,7 @@
 use crate::arena::{BiqArena, Slot};
 use crate::config::{BiqConfig, LutLayout, Schedule};
 use crate::profile::PhaseProfile;
-use crate::simd::{self, ResolvedKernel};
+use crate::simd::ResolvedKernel;
 use crate::tiled::run_tiles;
 use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
@@ -506,7 +506,8 @@ fn shared_lut(
                 }
             });
             // Phase 2: query in parallel over disjoint output-row blocks,
-            // fused lookup-accumulate at the pinned kernel level.
+            // one row-tile query per plane at the pinned kernel level, as
+            // in the serial tile loop.
             let bank = &bank[..];
             arena.workers().for_each_chunk_mut(y, rpt * b, workers, |t, yblock| {
                 let row0 = t * rpt;
@@ -515,37 +516,19 @@ fn shared_lut(
                     // This block's rows of plane `p`: contiguous key rows
                     // onto contiguous output rows.
                     let (r_start, r_end) = (p * m + row0, p * m + row0 + rows);
-                    if nb == 1 || cfg.layout == LutLayout::KeyMajor {
-                        // One kernel dispatch per plane of the block, as in
-                        // the serial tile loop: the row-batched gather for
-                        // a width-1 tile (both layouts coincide there), the
-                        // fused row-tile query otherwise.
-                        let yrows = &mut yblock[b0..];
-                        let tile = keys.tile(r_start..r_end, c0, nc);
-                        let scales = &w.scales()[r_start..r_end];
-                        if nb == 1 {
-                            simd::lut_gather_rows(yrows, b, scales, bank, table, tile, kernel);
-                        } else {
-                            simd::lut_query_fused_rows(
-                                yrows, b, scales, bank, table, nb, tile, kernel,
-                            );
-                        }
-                        continue;
-                    }
-                    // BatchMajor, b ≥ 2: per-element gather in the canonical
-                    // tree order, matching the fused kernel bit for bit.
-                    for r in r_start..r_end {
-                        let scale = w.scale(r);
-                        let yoff = (r - r_start) * b + b0;
-                        let krow = keys.tile(r..r + 1, c0, nc);
-                        for (a, yv) in yblock[yoff..yoff + nb].iter_mut().enumerate() {
-                            let mut s = simd::TreeAccumulator::new();
-                            for ci in 0..nc {
-                                s.push(bank[(ci * nb + a) * table + krow.key(0, ci)]);
-                            }
-                            *yv += scale * s.finish();
-                        }
-                    }
+                    let tile = keys.tile(r_start..r_end, c0, nc);
+                    let scales = &w.scales()[r_start..r_end];
+                    crate::layout::query_row_tile(
+                        bank,
+                        table,
+                        nb,
+                        cfg.layout,
+                        tile,
+                        scales,
+                        &mut yblock[b0..],
+                        b,
+                        kernel,
+                    );
                 }
             });
         }

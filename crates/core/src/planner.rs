@@ -96,10 +96,10 @@ pub fn choose_schedule(m: usize, mu: usize) -> Schedule {
 }
 
 /// Shape-aware refinement of an `Auto` kernel pick: at `batch_hint == 1`
-/// the query runs the width-1 gather ([`crate::simd::lut_gather`]), whose
-/// canonical accumulation tree is [`crate::simd::ACC_TREE_WIDTH`] = 8 lanes
-/// wide — exactly one 256-bit register. 512-bit gathers buy nothing there
-/// (the AVX-512 arm already delegates to the 256-bit body), while the wider
+/// the query runs the width-1 gather ([`crate::simd::lut_gather_rows`]),
+/// whose canonical accumulation tree is [`crate::simd::ACC_TREE_WIDTH`] = 8
+/// lanes wide — exactly one 256-bit register. 512-bit gathers buy nothing
+/// there (the AVX-512 level runs the same 256-bit chain), while the wider
 /// unit costs frequency headroom on many parts, so the benchmark's
 /// `core.level_ratio.avx512_vs_avx2` row shows AVX-512 level-neutral-or-worse
 /// at b = 1. Returns the level Auto should pin instead, with a stable

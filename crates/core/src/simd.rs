@@ -40,10 +40,12 @@
 //!   gather each chunk's contiguous batch vector, accumulate in registers,
 //!   and apply the per-row scale in the same pass (no accumulator buffer
 //!   round-trip);
-//! * [`lut_gather`] / [`lut_gather_rows`] — the width-1 form of the same
-//!   query (one row / one row tile): strided loads of
-//!   `bank[c·2^µ + keys[c]]` into vector lanes (a hardware gather on
-//!   AVX2/AVX-512), the latency path of the paper's b = 1 serving regime;
+//! * [`lut_gather_rows`] — the width-1 form of the same query, one row tile
+//!   per call: `bank[c·stride + keys[c]]` looked up into vector lanes (a
+//!   hardware gather on AVX2/AVX-512), the latency path of the paper's
+//!   b = 1 serving regime. With a chunk stride of `nb·2^µ` it is also one
+//!   batch column of a BatchMajor bank, so that layout's b ≥ 2 query is
+//!   `nb` strided calls;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector
 //!   adds and the mirror negation of the Algorithm 1 LUT build: rows of
 //!   `nb` floats for the batched (KeyMajor) build, one flat block at
@@ -59,9 +61,9 @@
 //! path contracts multiply-add into FMA.
 //!
 //! For the chunk-accumulation kernels ([`lut_query_fused_rows`],
-//! [`lut_gather`], [`lut_gather_rows`]) the specified per-element order is
-//! the **canonical accumulation tree**, chosen so the natural SIMD shape
-//! *is* the contract rather than a pessimisation of it:
+//! [`lut_gather_rows`]) the specified per-element order is the **canonical
+//! accumulation tree**, chosen so the natural SIMD shape *is* the contract
+//! rather than a pessimisation of it:
 //!
 //! * each output element keeps [`ACC_TREE_WIDTH`] = 8 partial sums; the
 //!   looked-up value of chunk `ci` is added to partial `ci % 8`, so the
@@ -74,15 +76,14 @@
 //! chunks (lane `j` ends up holding partial `j`, and the fold is the
 //! standard horizontal-add ladder), and the batched fused kernels keep 8
 //! accumulator *vectors* per lane group so every batch lane sees the same
-//! per-element order. The scalar width-1 gather emulates the tree with an
-//! 8-slot array; [`TreeAccumulator`] is the reference implementation for
-//! accumulation loops outside these dispatchers (e.g. the BatchMajor
-//! per-element query). Because scalar, every SIMD level, the width-1
-//! gather and the batched kernel all realise this one order, cross-level
-//! bit-exactness **and** batch-packing invariance (a column rounds
-//! identically however it is packed into batch tiles) hold by
-//! construction instead of by forcing the slow sequential order
-//! everywhere.
+//! per-element order. The scalar level is not a separate specification: it
+//! runs the same bodies over 8 lanes held in an `[f32; 8]`, so its width-1
+//! chain *is* the 8-slot tree. Because scalar, every SIMD level, the
+//! width-1 chain and the batched kernel all realise this one order,
+//! cross-level bit-exactness **and** batch-packing invariance (a column
+//! rounds identically however it is packed into batch tiles, and whichever
+//! layout holds its tables) hold by construction instead of by forcing the
+//! slow sequential order everywhere.
 //!
 //! **Ragged lanes.** A row of `nb` batch lanes is processed in lane groups
 //! of the level's vector width `g` (8 on AVX2, 16 on AVX-512), and the
@@ -107,27 +108,33 @@
 //!
 //! ## One body per primitive: `Lanes`
 //!
-//! Each row-shaped primitive is written **once**, as a generic
-//! `#[inline(always)]` body over a private `Lanes` trait: a level's vector
-//! type, its width `W`, and ten operations (`zero`, `splat`, `load`,
-//! `load_masked(n)`, `store`, `store_masked(n)`, `add`, `mul`, `neg` — a
-//! sign-bit flip — and `reverse`). The bodies are `fused_group` (one lane
-//! group of one key row, its 8 canonical accumulators held as `[V; 8]`),
-//! the per-row fused query (full groups, then one masked pass), the DP
-//! step and mirror of the build, and the width-1 tile build over those
-//! two. Each level implements `Lanes` once —
-//! scalar `[f32; 8]`, AVX2 `__m256` with `vmaskmovps`, AVX-512 `__m512`
-//! with a `__mmask16`, NEON `float32x4_t` — and `stamp!` instantiates every
-//! body under that level's `#[target_feature]` entry, so the body and its
-//! `Lanes` calls compile to the level's own instructions. Every level,
-//! scalar included, therefore runs the same source in the same per-lane
-//! order: cross-level bit-exactness holds by construction, and the suites
-//! check it against plain-loop oracles. Two bodies stay hand-written: the
-//! AVX2 width-1 gather chain (`gather_partials`, written once over its
-//! row count and its prefetch decision: [`lut_gather`] runs it on one row,
-//! [`lut_gather_rows`] on row pairs, and the AVX-512 level shares it) and
-//! the AVX-512 32-lane wide body (below; the only level with 32 vector
-//! registers).
+//! Each primitive is written **once**, as a generic `#[inline(always)]`
+//! body over a private `Lanes` trait: a level's vector type `V`, its
+//! offset vector `I`, its width `W`, and its operations — `zero`, `splat`,
+//! `load`, `load_masked(n)`, `store`, `store_masked(n)`, `add`, `mul`,
+//! `neg` (a sign-bit flip), `reverse`, and for lookups `load_idx`,
+//! `add_idx`, `load_keys` (`W` keys widened into offsets) and `lookup`
+//! (`W` table entries at `W` lane offsets). The bodies are `fused_group`
+//! (one lane group of one key row, its 8 canonical accumulators held as
+//! `[V; 8]`), the per-row fused query (full groups, then one masked pass),
+//! the width-1 chain (`R` key rows' lookups at once) and its row-tile
+//! driver, the DP step and mirror of the build, and the width-1 tile build
+//! over those two.
+//!
+//! Each level implements `Lanes` once — scalar `[f32; 8]` with per-lane
+//! loads for lookups, AVX2 `__m256` with `vmaskmovps` and `vgatherdps`,
+//! AVX-512 `__m512` with a `__mmask16` and `vgatherdps`, NEON
+//! `float32x4_t` with per-lane loads — and `stamp!` instantiates every
+//! body under the level's `#[target_feature]` entry with two lane types:
+//! the level's own, and its width-1 chain type, which has the canonical
+//! tree's 8 lanes (`Avx2` on both x86 levels, `Scalar` on scalar and NEON).
+//! So the body and its `Lanes` calls compile to the level's own
+//! instructions, every level runs the same source in the same per-lane
+//! order, and cross-level bit-exactness holds by construction; the suites
+//! check it against plain-loop oracles. One body stays hand-written: the
+//! AVX-512 32-lane wide body (below). Written as `fused_group` over a
+//! two-register lane type it read 1.12–1.15× slower, so it keeps its own
+//! form (`crates/core/README.md`, "Kernel structure").
 //!
 //! History: through PR 5 the contract was a strictly sequential
 //! ascending-chunk sum, which made b = 1 latency pay for invariance; PR 6
@@ -149,7 +156,7 @@
 //! `try_new`: packing by construction, the artifact loader by one scan —
 //! and byte keys at µ = 8 are in range by type). So the dispatchers here
 //! check `table == 2^µ` and the bank length — O(1) — instead of re-scanning
-//! every key on every call, and the unchecked gathers rest on the type; a
+//! every key on every call, and the unchecked lookups rest on the type; a
 //! `debug_assert` scan is the checked twin.
 //!
 //! LUT entries are software-prefetched only when the resident tile
@@ -157,16 +164,17 @@
 //! [`L1_LUT_BYTES`]: a tile that fits L1 is already where a prefetch would
 //! put it, and the b = 1 default tile (32 chunks × 2^8 × 4 B = 32 KiB) is
 //! exactly that case. The dispatcher decides once per call. For the
-//! width-1 gathers the decision is a const generic of the body, so a call
+//! width-1 chain the decision is a const generic of the body, so a call
 //! runs one of two monomorphs, and the L1-resident one holds no prefetch
 //! code at all: its 8-chunk loop is the two rows' key loads, offset adds,
 //! gathers and accumulates, one offset-vector advance and the loop
 //! control, with nothing spilled (a runtime flag tested inside that loop
-//! cost ≈ 30 % of the b = 1 query). The fused bodies keep a runtime flag:
-//! every default b ≥ 2 tile exceeds L1, so it is always set there. The
-//! per-row bodies (gathers, and fused lane groups narrower than 32) look
-//! ahead *within* the row, a fixed number of chunks; the wide AVX-512 body
-//! looks ahead by a whole *row* instead (below).
+//! cost ≈ 30 % of the b = 1 query; `scripts/gather_loop.sh` checks the
+//! compiled loop). The fused bodies keep a runtime flag: every default
+//! b ≥ 2 tile exceeds L1, so it is always set there. The per-row bodies
+//! (the width-1 chain, and fused lane groups narrower than 32) look ahead
+//! *within* the row, a fixed number of chunks; the wide AVX-512 body looks
+//! ahead by a whole *row* instead (below).
 //!
 //! ## Wide batch: the row-blocked 32-lane body
 //!
@@ -197,15 +205,16 @@
 //!
 //! 1. add the variant to [`KernelLevel`] (`name`/`parse`/`rank`), teach
 //!    [`KernelLevel::is_supported`] and [`host_best`] to detect it;
-//! 2. implement `Lanes`, add the stamp lines: in a `#[cfg(target_arch = …)]`
-//!    submodule, implement `Lanes` for the level (each operation the plain
-//!    `f32` one per lane, never FMA contraction; masked forms touching
-//!    lanes `0..n` only — the trait's stack-copy defaults are correct
-//!    anywhere), add its `stamp!` line with the level's target features,
-//!    and add the cfg-gated arms to the `dispatch!` uses. The width-1
-//!    gathers may delegate to the scalar emulation (as NEON does) until a
-//!    vector body is written; `lanes_conformance_at_every_level` and the
-//!    suites below then cover the new level;
+//! 2. in a `#[cfg(target_arch = …)]` submodule, implement `Lanes` for the
+//!    level (each operation the plain `f32` one per lane, never FMA
+//!    contraction; masked forms touching lanes `0..n` only — the trait's
+//!    stack-copy defaults are correct for up to 16 lanes; `lookup` reading
+//!    each lane's own offset only), add its `stamp!` line with the level's
+//!    two lane types and its target features (the width-1 chain type must
+//!    have the tree's 8 lanes: a wider level names an 8-lane type, as
+//!    AVX-512 names `Avx2`), and add the cfg-gated arm to `dispatch!`.
+//!    `lanes_conformance_at_every_level` and the suites below then cover
+//!    the new level;
 //! 3. extend the manifest codec in `biq_artifact` (one new level byte) and
 //!    the CLI `--kernel` parser — rank ordering decides what the artifact
 //!    loader falls back to on hosts without the new ISA;
@@ -486,28 +495,34 @@ fn clamp_to_host(l: KernelLevel) -> KernelLevel {
 
 // ------------------------------------------------------------- dispatch
 
-/// Dispatch on a resolved level. Arms for foreign architectures are not
-/// compiled; hitting the wildcard would mean a [`ResolvedKernel`] invariant
-/// violation, which is a bug — hence `unreachable!`, never a silent scalar
-/// remap. The SIMD arms run in `unsafe`: a `ResolvedKernel` holds only a
-/// level its constructors found on this host, and every caller asserts the
-/// geometry its callee's contract names before dispatching.
+/// Runs `$body` with `$m` naming the resolved level's module, or calls that
+/// module's stamp `$f` (`stamp!`). Arms for foreign
+/// architectures are not compiled; hitting the wildcard would mean a
+/// [`ResolvedKernel`] invariant violation, which is a bug — hence
+/// `unreachable!`, never a silent scalar remap. Every arm runs in `unsafe`:
+/// a `ResolvedKernel` holds only a level its constructors found on this
+/// host, and every caller asserts the geometry its callee's contract names
+/// before dispatching.
 macro_rules! dispatch {
-    ($k:expr, $scalar:expr, $avx2:expr, $avx512:expr, $neon:expr) => {
+    ($k:expr, $m:ident => $body:expr) => {
         match $k.level() {
-            KernelLevel::Scalar => $scalar,
+            // SAFETY: the scalar level needs no ISA; geometry asserted by the caller.
+            KernelLevel::Scalar => unsafe { use self::scalar as $m; $body },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: resolved ⇒ the host has AVX2; geometry asserted by the caller.
-            KernelLevel::Avx2 => unsafe { $avx2 },
+            // SAFETY: resolved ⇒ the host has AVX2; geometry as above.
+            KernelLevel::Avx2 => unsafe { use self::avx2 as $m; $body },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: resolved ⇒ the host has AVX-512 F/BW/DQ/VL; geometry as above.
-            KernelLevel::Avx512 => unsafe { $avx512 },
+            KernelLevel::Avx512 => unsafe { use self::avx512 as $m; $body },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64; geometry as above.
-            KernelLevel::Neon => unsafe { $neon },
+            KernelLevel::Neon => unsafe { use self::neon as $m; $body },
             #[allow(unreachable_patterns)]
             other => unreachable!("kernel level {other:?} resolved on a foreign architecture"),
         }
+    };
+    ($k:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        dispatch!($k, level => level::$f($($arg),*))
     };
 }
 
@@ -527,15 +542,7 @@ macro_rules! dispatch {
 pub fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32], k: ResolvedKernel) {
     assert_eq!(dst.len(), src.len(), "DP step blocks differ in length");
     assert!(!step.is_empty() && dst.len().is_multiple_of(step.len()), "DP step: partial row");
-    dispatch!(
-        k,
-        // SAFETY: the scalar level needs no ISA; the asserts above are the
-        // body's geometry contract.
-        unsafe { scalar::dp_step_add_rows(dst, src, step) },
-        avx2::dp_step_add_rows(dst, src, step),
-        avx512::dp_step_add_rows(dst, src, step),
-        neon::dp_step_add_rows(dst, src, step)
-    )
+    dispatch!(k, dp_step_add_rows(dst, src, step))
 }
 
 /// The mirror half of the Algorithm 1 build: `dst` row `r` is the negation
@@ -550,15 +557,7 @@ pub fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32], k: ResolvedK
 pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: ResolvedKernel) {
     assert_eq!(dst.len(), src.len(), "mirror blocks differ in length");
     assert!(nb > 0 && dst.len().is_multiple_of(nb), "mirror: partial row");
-    dispatch!(
-        k,
-        // SAFETY: the scalar level needs no ISA; the asserts above are the
-        // body's geometry contract.
-        unsafe { scalar::negate_rows_reversed(dst, src, nb) },
-        avx2::negate_rows_reversed(dst, src, nb),
-        avx512::negate_rows_reversed(dst, src, nb),
-        neon::negate_rows_reversed(dst, src, nb)
-    )
+    dispatch!(k, negate_rows_reversed(dst, src, nb))
 }
 
 /// The width-1 Algorithm 1 build of a whole tile in **one** dispatch: `x`
@@ -574,18 +573,10 @@ pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: Resolved
 ///
 /// # Panics
 /// Panics when `µ ∉ 1..=16`, or when `out` ends before the last chunk's
-/// table does.
+/// table does (the body slices `out` with bounds checks).
 pub fn dp_build_tile(out: &mut [f32], x: &[f32], mu: usize, k: ResolvedKernel) {
     assert!((1..=16).contains(&mu), "sub-vector length must be in 1..=16");
-    dispatch!(
-        k,
-        // SAFETY: the scalar level needs no ISA, and the body slices `out`
-        // with bounds checks.
-        unsafe { scalar::dp_build_tile(out, x, mu) },
-        avx2::dp_build_tile(out, x, mu),
-        avx512::dp_build_tile(out, x, mu),
-        neon::dp_build_tile(out, x, mu)
-    )
+    dispatch!(k, dp_build_tile(out, x, mu))
 }
 
 /// One stored key width the bodies are instantiated for. Private: the
@@ -596,34 +587,10 @@ trait KeyElem: Copy + Into<usize> {
     fn idx(self) -> usize {
         self.into()
     }
-
-    /// Eight consecutive keys zero-extended into `i32` lanes.
-    ///
-    /// # Safety
-    /// AVX2 must be available and `p .. p + 8` readable.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i;
 }
 
-impl KeyElem for u8 {
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
-        // SAFETY: the caller vouches for AVX2 and 8 readable bytes.
-        unsafe { _mm256_cvtepu8_epi32(_mm_loadl_epi64(p as *const __m128i)) }
-    }
-}
-
-impl KeyElem for u16 {
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
-        // SAFETY: the caller vouches for AVX2 and 16 readable bytes.
-        unsafe { _mm256_cvtepu16_epi32(_mm_loadu_si128(p as *const __m128i)) }
-    }
-}
+impl KeyElem for u8 {}
+impl KeyElem for u16 {}
 
 /// Runs `$body` with `$ks` bound to the tile's key slab at its stored
 /// width (`&[u8]` or `&[u16]`).
@@ -632,20 +599,6 @@ macro_rules! with_keys {
         match $tile.keys() {
             Keys::U8($ks) => $body,
             Keys::U16($ks) => $body,
-        }
-    };
-}
-
-/// Calls the prefetching (`PF = true`) or the L1-resident (`PF = false`)
-/// monomorph of an x86 width-1 gather body on the dispatcher's one
-/// decision `$pf`: the choice is made once per call, never inside a loop.
-#[cfg(target_arch = "x86_64")]
-macro_rules! with_prefetch {
-    ($pf:expr, $($f:ident)::+ ($($arg:expr),* $(,)?)) => {
-        if $pf {
-            $($f)::+::<_, true>($($arg),*)
-        } else {
-            $($f)::+::<_, false>($($arg),*)
         }
     };
 }
@@ -681,7 +634,7 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
 /// `ci · table · nb`, each of its `table = 2^µ` entries is a contiguous
 /// `nb`-float batch vector. Every level accumulates each batch lane in the
 /// canonical tree order (see the module docs) and rounds the final
-/// multiply-add in two steps, so all levels — and [`lut_gather`] at
+/// multiply-add in two steps, so all levels — and [`lut_gather_rows`] at
 /// `nb == 1` — agree bit for bit, and a row tile equals its rows queried
 /// one at a time.
 ///
@@ -719,86 +672,56 @@ pub fn lut_query_fused_rows(
     assert_keys_fit(&keys, table);
     let pf = nc * table * nb * 4 > L1_LUT_BYTES;
     with_keys!(keys, ks => {
-        // Row `i` of the tile as the per-row bodies take it. Every row handed
-        // to a body is a row of a `KeyTile`, whose range invariant (every key
-        // `< 2^µ`) with the `table == 2^µ` check above bounds each entry
-        // offset by the `nc · table · nb` floats the bank-length assert
-        // established; output rows are `nb`-float slices (per-row arms) or
-        // covered by the output-geometry asserts (the AVX-512 rows body).
+        // Every row handed to a body is a row of a `KeyTile`, whose range
+        // invariant (every key `< 2^µ`) with the `table == 2^µ` check above
+        // bounds each entry offset by the `nc · table · nb` floats the
+        // bank-length assert established; output rows are `nb`-float slices
+        // (per-row bodies) or covered by the output-geometry asserts (the
+        // AVX-512 rows body).
+        #[cfg(target_arch = "x86_64")]
+        if k.level() == KernelLevel::Avx512 {
+            // SAFETY: resolved ⇒ the host has AVX-512 F/BW/DQ/VL; geometry as above.
+            return unsafe {
+                avx512::lut_query_fused_rows(
+                    y, y_stride, scales, bank, table, nb, ks, key_stride, nc, pf,
+                )
+            };
+        }
         let rows = (0..nr).map(|i| (i * y_stride, scales[i], &ks[i * key_stride..][..nc]));
-        dispatch!(
-            k,
-            for (yo, scale, row) in rows {
-                // SAFETY: the scalar level needs no ISA; bounds as stated
-                // for every arm above.
-                unsafe { scalar::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf) }
-            },
-            for (yo, scale, row) in rows {
-                avx2::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
-            },
-            avx512::lut_query_fused_rows(
-                y, y_stride, scales, bank, table, nb, ks, key_stride, nc, pf
-            ),
-            for (yo, scale, row) in rows {
-                neon::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
-            }
-        )
+        dispatch!(k, level => for (yo, scale, row) in rows {
+            level::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
+        })
     })
 }
 
-/// The width-1 query kernel: `Σ_ci bank[ci·table + keys[ci]]` in the
-/// canonical accumulation-tree order (see the module docs) — the b = 1
-/// latency path, where the KeyMajor and BatchMajor layouts coincide.
+/// The width-1 query kernel over one row tile: for each row `i` of the key
+/// tile, `y[i · y_stride] += scales[i] · Σ_c bank[c · chunk_stride +
+/// keys_i[c]]`, the sum in the canonical accumulation-tree order (module
+/// docs) — the b = 1 latency path, where the KeyMajor and BatchMajor
+/// layouts coincide (`chunk_stride == table`). A BatchMajor bank of `nb`
+/// batch columns is `nb` such queries: column `a` is the bank from
+/// `a · table` on, with `chunk_stride = nb · table`.
 ///
-/// On AVX2/AVX-512 the strided lookups become one hardware gather per 8
-/// chunks (the AVX-512 arm runs the 256-bit body: the canonical tree is 8
-/// lanes wide, so 512-bit gathers buy nothing at width 1); NEON runs the
-/// scalar emulation. All levels — and [`lut_query_fused_rows`] at `nb == 1` —
-/// agree bit for bit.
-///
-/// # Panics
-/// Panics unless `keys` is a one-row tile with `table == 2^µ`, or when the
-/// bank is too short for the key row.
-#[inline]
-pub fn lut_gather(bank: &[f32], table: usize, keys: KeyTile<'_>, k: ResolvedKernel) -> f32 {
-    assert_eq!(keys.rows(), 1, "the single-row gather takes one key row");
-    assert!(bank.len() >= keys.nc() * table, "bank shorter than the key row needs");
-    assert_keys_fit(&keys, table);
-    // The x86 gather computes entry offsets in i32 lanes.
-    #[cfg(target_arch = "x86_64")]
-    assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
-    // Only the x86 bodies prefetch.
-    #[cfg(target_arch = "x86_64")]
-    let pf = keys.nc() * table * 4 > L1_LUT_BYTES;
-    with_keys!(keys, ks => dispatch!(
-        k,
-        lut_gather_scalar(bank, table, ks),
-        with_prefetch!(pf, avx2::lut_gather(bank, table, ks)),
-        // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        with_prefetch!(pf, avx2::lut_gather(bank, table, ks)),
-        neon::lut_gather(bank, table, ks)
-    ))
-}
-
-/// Row-batched width-1 gather: for each row `i` of the key tile,
-/// `y[i · y_stride] += scales[i] · Σ bank[c·2^µ + keys_i[c]]`, each row
-/// summed in exactly [`lut_gather`]'s canonical tree order — the results
-/// are bit-identical to calling it row by row. Batching moves the level
-/// dispatch, the geometry checks, and the gather set-up out of the
-/// per-output-row loop (the b = 1 tile loop calls this once per row tile
-/// instead of once per row), and lets the x86 body interleave two rows'
-/// gathers: the gather unit's latency is the width-1 bottleneck, and
-/// consecutive rows are independent chains.
+/// Every level runs the one width-1 chain, 8 lanes wide because the
+/// canonical tree is: on AVX2 and AVX-512 one hardware gather per row per 8
+/// chunks, two consecutive rows' independent chains interleaved (the
+/// gather unit's latency is the width-1 bottleneck); on scalar and NEON
+/// per-lane loads. All levels — and [`lut_query_fused_rows`] at `nb == 1` —
+/// agree bit for bit, and a row tile equals its rows queried one at a
+/// time. Geometry checks and level dispatch happen once per row tile.
 ///
 /// # Panics
-/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
-/// is too short for the described geometry.
+/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`,
+/// `chunk_stride < table`, a slice is too short for the described
+/// geometry, or the bank exceeds the 32-bit offset range.
+#[allow(clippy::too_many_arguments)]
 pub fn lut_gather_rows(
     y: &mut [f32],
     y_stride: usize,
     scales: &[f32],
     bank: &[f32],
     table: usize,
+    chunk_stride: usize,
     keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
@@ -809,37 +732,30 @@ pub fn lut_gather_rows(
     }
     assert!(y_stride != 0, "y_stride must be positive");
     assert!(y.len() > (nr - 1) * y_stride, "output shorter than the row count needs");
-    assert!(bank.len() >= nc * table, "bank shorter than the key rows need");
+    assert!(chunk_stride >= table, "chunk tables overlap: chunk_stride shorter than the table");
+    assert!(
+        nc == 0 || bank.len() >= (nc - 1) * chunk_stride + table,
+        "bank shorter than the key rows need"
+    );
+    assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit lookup offset range");
     assert_keys_fit(&keys, table);
-    // The x86 gather computes entry offsets in i32 lanes.
-    #[cfg(target_arch = "x86_64")]
-    assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
-    // Only the x86 bodies prefetch.
-    #[cfg(target_arch = "x86_64")]
+    // The prefetch decision picks the monomorph here, once per call: a
+    // runtime flag tested inside the stamp measured ≈ 10 % slower per row.
     let pf = nc * table * 4 > L1_LUT_BYTES;
-    with_keys!(keys, ks => dispatch!(
-        k,
-        lut_gather_rows_scalar(y, y_stride, scales, bank, table, ks, key_stride, nc),
-        with_prefetch!(
-            pf,
-            avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
-        ),
-        // 8 tree lanes ⇒ the 256-bit body is already the canonical shape.
-        with_prefetch!(
-            pf,
-            avx2::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
-        ),
-        neon::lut_gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
-    ))
+    with_keys!(keys, ks => dispatch!(k, level => if pf {
+        level::gather_rows::<_, true>(y, y_stride, scales, bank, chunk_stride, ks, key_stride, nc)
+    } else {
+        level::gather_rows::<_, false>(y, y_stride, scales, bank, chunk_stride, ks, key_stride, nc)
+    }))
 }
 
-// ------------------------------------------------ canonical tree, width 1
+// ------------------------------------------------------- canonical tree
 
 /// Width of the canonical accumulation tree: the number of partial sums
 /// each output element carries through the chunk loop (module docs,
-/// "Bit-exactness and the canonical accumulation order"). Matches the
-/// 8-lane gather/accumulator shape of the AVX2 bodies; every other level
-/// emulates exactly this width.
+/// "Bit-exactness and the canonical accumulation order"). The width-1
+/// chain's lane count on every level, and the accumulator count of every
+/// fused lane group.
 pub const ACC_TREE_WIDTH: usize = 8;
 
 /// Chunks of software-prefetch lookahead in the per-row query loops: while
@@ -852,8 +768,8 @@ const PREFETCH_CHUNKS: usize = 16;
 
 /// The fixed pairwise fold of the canonical accumulation tree:
 /// `p[i] += p[i+4]`, then `p[i] += p[i+2]`, then `p[0] += p[1]` — the
-/// horizontal-add ladder of an 8-lane vector, written out so scalar code
-/// rounds identically to the SIMD reductions.
+/// horizontal-add ladder of an 8-lane vector, written out for the width-1
+/// chain's spilled partials.
 #[inline]
 fn tree_reduce8(mut p: [f32; ACC_TREE_WIDTH]) -> f32 {
     p[0] += p[4];
@@ -865,77 +781,23 @@ fn tree_reduce8(mut p: [f32; ACC_TREE_WIDTH]) -> f32 {
     p[0] + p[1]
 }
 
-/// Reference implementation of the canonical accumulation order: feed it
-/// values in ascending chunk order via [`TreeAccumulator::push`] and
-/// [`TreeAccumulator::finish`] folds the partials in the fixed tree.
-/// Accumulation loops that cannot route through [`lut_query_fused_rows`] /
-/// [`lut_gather`] (e.g. the BatchMajor per-element query) use this to
-/// round bit-identically to them.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TreeAccumulator {
-    partials: [f32; ACC_TREE_WIDTH],
-    count: usize,
-}
-
-impl TreeAccumulator {
-    /// An empty accumulator (sum of nothing is `0.0`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds the value of the next chunk (chunk index = number of prior
-    /// pushes) to its residue-class partial.
-    #[inline]
-    pub fn push(&mut self, v: f32) {
-        self.partials[self.count % ACC_TREE_WIDTH] += v;
-        self.count += 1;
-    }
-
-    /// Folds the partials in the canonical tree order.
-    #[inline]
-    pub fn finish(self) -> f32 {
-        tree_reduce8(self.partials)
-    }
-}
-
-/// Scalar emulation of the width-1 gather: 8 residue-class partials, then
-/// the canonical fold. Also the NEON body (no hardware gather there).
-fn lut_gather_scalar<K: KeyElem>(bank: &[f32], table: usize, keys: &[K]) -> f32 {
-    let mut p = [0.0f32; ACC_TREE_WIDTH];
-    for (c, &key) in keys.iter().enumerate() {
-        p[c % ACC_TREE_WIDTH] += bank[c * table + key.idx()];
-    }
-    tree_reduce8(p)
-}
-
-/// Row loop over [`lut_gather_scalar`] — per row exactly its sum, so the
-/// batched entry point changes no bits at the scalar level either. Also
-/// the NEON body.
-#[allow(clippy::too_many_arguments)]
-fn lut_gather_rows_scalar<K: KeyElem>(
-    y: &mut [f32],
-    y_stride: usize,
-    scales: &[f32],
-    bank: &[f32],
-    table: usize,
-    keys: &[K],
-    key_stride: usize,
-    nc: usize,
-) {
-    for (i, &scale) in scales.iter().enumerate() {
-        let row = &keys[i * key_stride..i * key_stride + nc];
-        y[i * y_stride] += scale * lut_gather_scalar(bank, table, row);
-    }
-}
-
 // ----------------------------------------------------------------- lanes
 
+/// Writes [`Lanes`] methods one line each: `fn name(args) -> R = body;`
+/// becomes `#[inline(always)] unsafe fn name(args) -> R { body }`.
+macro_rules! lanes_fns {
+    ($(fn $f:ident $(<$g:ident: $b:path>)? ($($a:ident: $t:ty),*) $(-> $r:ty)? = $e:expr;)*) => {
+        $(#[inline(always)] unsafe fn $f $(<$g: $b>)? ($($a: $t),*) $(-> $r)? { $e })*
+    };
+}
+
 /// One level's `f32` vector as the generic kernel bodies see it: the
-/// vector type, its lane count `W`, and the operations the row-shaped
-/// primitives are written in. Each level implements it once — scalar
+/// vector type, its offset vector, its lane count `W`, and the operations
+/// the primitives are written in. Each level implements it once — scalar
 /// `[f32; 8]`, AVX2 `__m256`, AVX-512 `__m512`, NEON `float32x4_t` — and
 /// each primitive is written once over it ([`fused_group`],
-/// [`fused_row_body`], [`dp_step_add_rows_body`],
+/// [`fused_row_body`], [`gather_chain`], [`gather_rows_body`],
+/// [`dp_step_add_rows_body`],
 /// [`negate_rows_reversed_body`]), so every level performs the same
 /// operations in the same per-lane order by construction. An
 /// implementation is one intrinsic, or one plain loop, per method.
@@ -946,15 +808,22 @@ fn lut_gather_rows_scalar<K: KeyElem>(
 /// `neg` flips the sign bit and nothing else, and `reverse` moves lanes bit
 /// for bit. The masked forms access lanes `0..n` only: a masked-out lane
 /// is never written and never read, and `load_masked` returns it as `+0.0`.
-/// The generic bodies rely on this for memory safety.
+/// `lookup` reads `base + off[i]` into lane `i` and nothing else;
+/// `load_keys` zero-extends `W` keys, `add_idx` adds offsets lane-wise
+/// (wrapping). The generic bodies rely on this for memory safety.
 ///
 /// *Calling:* the level's instruction set must be available — a body runs
 /// a level's methods only from that level's stamp (`stamp!`), which only a
-/// [`ResolvedKernel`] dispatch reaches. `load`/`store` need `W` readable /
-/// writable floats at `p`; the masked forms need `n ≤ W` of them.
+/// [`ResolvedKernel`] dispatch reaches. `load`/`store`/`load_idx`/
+/// `load_keys` need `W` readable / writable elements at `p`; the masked
+/// forms need `n ≤ W` of them; `lookup` needs every `base + off[i]`
+/// readable.
 unsafe trait Lanes {
     /// The vector of `W` floats.
     type V: Copy;
+    /// `W` table offsets, one per lane (32-bit: the hardware gathers' index
+    /// width).
+    type I: Copy;
     /// Lanes per vector.
     const W: usize;
     /// Every lane `x`.
@@ -971,6 +840,14 @@ unsafe trait Lanes {
     unsafe fn neg(a: Self::V) -> Self::V;
     /// Lane `i` ← lane `W − 1 − i` (the `nb == 1` mirror).
     unsafe fn reverse(a: Self::V) -> Self::V;
+    /// `W` offsets from `p` (set-up code, outside the lookup loops).
+    unsafe fn load_idx(p: *const u32) -> Self::I;
+    /// Lane-wise offset `a + b`, wrapping.
+    unsafe fn add_idx(a: Self::I, b: Self::I) -> Self::I;
+    /// `W` consecutive keys from `p`, zero-extended into offset lanes.
+    unsafe fn load_keys<K: KeyElem>(p: *const K) -> Self::I;
+    /// The table lookup: lane `i` ← `base[off[i]]`.
+    unsafe fn lookup(base: *const f32, off: Self::I) -> Self::V;
 
     /// All lanes `+0.0`.
     #[inline(always)]
@@ -979,9 +856,10 @@ unsafe trait Lanes {
     }
 
     /// Lanes `0..n` from `p`, the rest `+0.0` — by default through a stack
-    /// copy of exactly the `n` live floats; the x86 levels override it with
-    /// their hardware lane masks. The copy runs a fixed `W` steps, each
-    /// testing its lane: a copy of length `n` compiles to a `memcpy` call.
+    /// copy of exactly the `n` live floats (at most 16 lanes); the x86
+    /// levels override it with their hardware lane masks. The copy runs a
+    /// fixed `W` steps, each testing its lane: a copy of length `n`
+    /// compiles to a `memcpy` call.
     #[inline(always)]
     unsafe fn load_masked(p: *const f32, n: usize) -> Self::V {
         let mut lanes = [0.0f32; 16];
@@ -1007,29 +885,42 @@ unsafe trait Lanes {
     }
 }
 
-/// Stamps the generic row bodies for one level, inside that level's module:
-/// one entry per body under the level's `#[target_feature]` set (none for
-/// scalar), so the `#[inline(always)]` body and its [`Lanes`] calls compile
-/// to that level's instructions. The entries are what `dispatch!` calls.
+/// Stamps the generic bodies for one level, inside that level's module:
+/// one entry per primitive under the level's `#[target_feature]` set (none
+/// for scalar), so the `#[inline(always)]` bodies and their [`Lanes`] calls
+/// compile to that level's instructions. `$lanes` is the level's vector,
+/// `$chain` the 8-lane type of its width-1 chain. The entries are what
+/// `dispatch!` calls.
 macro_rules! stamp {
-    ($lanes:ty $(, $feature:literal)*) => {
+    ($lanes:ty, $chain:ty $(, $feature:literal)*) => {
         /// The per-row fused query at this level (`fused_row_body`).
         ///
         /// # Safety
         /// This level's ISA is available; otherwise the body's contract.
         $(#[target_feature(enable = $feature)])*
         pub unsafe fn fused_row<K: super::KeyElem>(
-            y: &mut [f32],
-            scale: f32,
-            bank: &[f32],
-            table: usize,
-            nb: usize,
-            keys: &[K],
+            y: &mut [f32], scale: f32, bank: &[f32], table: usize, nb: usize, keys: &[K],
             prefetch: bool,
         ) {
             // SAFETY: the features above provide the ISA; the rest is this
             // entry's contract, the body's.
             unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, nb, keys, prefetch) }
+        }
+
+        /// The width-1 row-tile query at this level (`gather_rows_body`),
+        /// one monomorph per prefetch decision `PF`.
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        #[allow(clippy::too_many_arguments)]
+        pub unsafe fn gather_rows<K: super::KeyElem, const PF: bool>(
+            y: &mut [f32], y_stride: usize, scales: &[f32], bank: &[f32], stride: usize,
+            keys: &[K], key_stride: usize, nc: usize,
+        ) {
+            let args = (y, y_stride, scales, bank, stride);
+            // SAFETY: as for `fused_row`.
+            unsafe { super::gather_rows_body::<$chain, K, PF>(args, keys, key_stride, nc) }
         }
 
         /// The DP step at this level (`dp_step_add_rows_body`).
@@ -1186,6 +1077,120 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
     }
 }
 
+/// The width-1 query of one row tile at level `L` ([`lut_gather_rows`]):
+/// full row *pairs* run their two independent chains in one loop
+/// ([`gather_chain`] on two rows), so each hides the other's latency — the
+/// gather unit, not the adds, bounds the b = 1 query; an odd last row runs
+/// the chain alone. Per row the sum is the one-row chain's, bit for bit.
+/// `PF` is the dispatcher's prefetch decision.
+///
+/// # Safety
+/// `L`'s ISA is available and `L::W == 8`; output geometry, the bank
+/// (`(nc − 1)·stride + 2^µ ≤ bank.len() ≤ i32::MAX`) and the key range as
+/// asserted by the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()`
+/// are the slab, stride, width and row count of a `KeyTile` whose
+/// `2^µ ≤ stride`.
+#[inline(always)]
+unsafe fn gather_rows_body<L: Lanes, K: KeyElem, const PF: bool>(
+    (y, y_stride, scales, bank, stride): (&mut [f32], usize, &[f32], &[f32], usize),
+    keys: &[K],
+    key_stride: usize,
+    nc: usize,
+) {
+    let (nr, base) = (scales.len(), bank.as_ptr());
+    // Row `i` of the tile, bounds-checked once per row.
+    let row = |i: usize| &keys[i * key_stride..][..nc];
+    let mut i = 0;
+    // SAFETY: every row handed on is a row of the `KeyTile`, and the bank
+    // and key range are as `gather_chain` needs (this function's contract);
+    // `y`/`scales` indices follow the dispatcher's output-geometry asserts.
+    unsafe {
+        let mut emit = |i: usize, p: Partials| {
+            *y.get_unchecked_mut(i * y_stride) += *scales.get_unchecked(i) * tree_reduce8(p.0);
+        };
+        while i + 2 <= nr {
+            let [pa, pb] = gather_chain::<L, K, PF, 2>(base, stride, [row(i), row(i + 1)]);
+            emit(i, pa);
+            emit(i + 1, pb);
+            i += 2;
+        }
+        if i < nr {
+            let [p] = gather_chain::<L, K, PF, 1>(base, stride, [row(i)]);
+            emit(i, p);
+        }
+    }
+}
+
+/// One key row's 8 canonical-tree partials as the width-1 chain hands
+/// them on: 32-byte aligned, so spilling an accumulator register into them
+/// is one store that never splits a cache line, wherever the stack lies.
+#[derive(Clone, Copy)]
+#[repr(C, align(32))]
+struct Partials([f32; ACC_TREE_WIDTH]);
+
+/// The width-1 chain of `R` key rows at once, each row's 8 canonical-tree
+/// partials: one `L::lookup` per row per 8 chunks pulls
+/// `base[c·stride + keys[c]]` into lanes, so lane `j` accumulates residue
+/// class `j` — the register layout *is* the canonical tree. The lane
+/// offsets `c·stride` live in one offset vector that advances by
+/// `8·stride` per group. The ragged chunk tail spills the partials and
+/// finishes scalar (a masked lookup would add `+0.0` to idle lanes, which
+/// is not bit-transparent when a partial is `-0.0`). With `PF`, the
+/// entries [`PREFETCH_CHUNKS`] ahead are requested for every row; without
+/// it the loop holds no prefetch code at all.
+///
+/// # Safety
+/// `L`'s ISA is available and `L::W == 8`; the `rows` are `nc`-key rows of
+/// a `KeyTile` whose `2^µ ≤ stride`, and `base` points at a bank spanning
+/// every `(chunk, key)` entry of them, `c·stride + key`, with at most
+/// `i32::MAX` floats.
+#[inline(always)]
+unsafe fn gather_chain<L: Lanes, K: KeyElem, const PF: bool, const R: usize>(
+    base: *const f32,
+    stride: usize,
+    rows: [&[K]; R],
+) -> [Partials; R] {
+    let nc = rows[0].len();
+    debug_assert!(L::W == ACC_TREE_WIDTH && rows.iter().all(|row| row.len() == nc));
+    // Lane `j` of `ct` is `(ci + j)·stride`; past `i32::MAX` only once no
+    // group is left to use it.
+    let lanes: [u32; ACC_TREE_WIDTH] = std::array::from_fn(|j| (j * stride) as u32);
+    let step_by = [(ACC_TREE_WIDTH * stride) as u32; ACC_TREE_WIDTH];
+    let mut ci = 0;
+    // SAFETY: every looked-up or prefetched offset is `c·stride + key` with
+    // `c < nc` and `key < 2^µ ≤ stride` — the `KeyTile` range invariant —
+    // so it is inside the bank and representable in 32-bit lanes; the
+    // 8-key loads read `row[ci..ci + 8]` under the `ci + 8 <= nc` bound.
+    unsafe {
+        let (mut ct, step) = (L::load_idx(lanes.as_ptr()), L::load_idx(step_by.as_ptr()));
+        let mut acc = [L::zero(); R];
+        let entry = |row: &[K], c: usize| base.add(c * stride + row.get_unchecked(c).idx());
+        while ci + 8 <= nc {
+            if PF && ci + PREFETCH_CHUNKS + 8 <= nc {
+                for row in rows {
+                    for c in ci + PREFETCH_CHUNKS..ci + PREFETCH_CHUNKS + 8 {
+                        prefetch_line(entry(row, c));
+                    }
+                }
+            }
+            for (a, row) in acc.iter_mut().zip(rows) {
+                let off = L::add_idx(ct, L::load_keys(row.as_ptr().add(ci)));
+                *a = L::add(*a, L::lookup(base, off));
+            }
+            ct = L::add_idx(ct, step);
+            ci += 8;
+        }
+        let mut p = [Partials([0.0; ACC_TREE_WIDTH]); R];
+        for ((p, a), row) in p.iter_mut().zip(acc).zip(rows) {
+            L::store(p.0.as_mut_ptr(), a);
+            for c in ci..nc {
+                p.0[c % ACC_TREE_WIDTH] += *entry(row, c);
+            }
+        }
+        p
+    }
+}
+
 /// The DP step at level `L` ([`dp_step_add_rows`]): per row, full `W`-lane
 /// groups, then one masked pass over the `nb mod W` lanes left, the step
 /// row's tail loaded once outside the row loop. At `nb == 1` the block is
@@ -1308,55 +1313,45 @@ unsafe fn dp_build_tile_body<L: Lanes>(out: &mut [f32], x: &[f32], mu: usize) {
 
 // ---------------------------------------------------------------- levels
 
-/// The portable level: [`Lanes`] over `[f32; 8]` in plain loops, so the
-/// scalar level runs the very bodies the SIMD levels run.
+/// The portable level: [`Lanes`] over `[f32; 8]` in plain loops and
+/// per-lane lookups, so the scalar level runs the very bodies the SIMD
+/// levels run — its width-1 chain is the canonical 8-slot tree.
 mod scalar {
-    use super::Lanes;
+    use super::{KeyElem, Lanes};
 
     /// Eight `f32` lanes in an array.
     pub enum Scalar {}
 
     // SAFETY: each method is the plain `f32` operation per lane (`-x` is
-    // Rust's sign-bit negation) or a lane move; the masked forms are the
-    // trait's stack copies.
+    // Rust's sign-bit negation), a lane move, or one load per lane from its
+    // own offset; the masked forms are the trait's stack copies.
     unsafe impl Lanes for Scalar {
         type V = [f32; 8];
+        type I = [u32; 8];
         const W: usize = 8;
 
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> [f32; 8] {
-            [x; 8]
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> [f32; 8] {
-            p.cast::<[f32; 8]>().read_unaligned()
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut f32, v: [f32; 8]) {
-            p.cast::<[f32; 8]>().write_unaligned(v)
-        }
-        #[inline(always)]
-        unsafe fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-            std::array::from_fn(|i| a[i] + b[i])
-        }
-        #[inline(always)]
-        unsafe fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-            std::array::from_fn(|i| a[i] * b[i])
-        }
-        #[inline(always)]
-        unsafe fn neg(a: [f32; 8]) -> [f32; 8] {
-            a.map(|x| -x)
-        }
-        #[inline(always)]
-        unsafe fn reverse(a: [f32; 8]) -> [f32; 8] {
-            std::array::from_fn(|i| a[7 - i])
+        lanes_fns! {
+            fn splat(x: f32) -> [f32; 8] = [x; 8];
+            fn load(p: *const f32) -> [f32; 8] = p.cast::<[f32; 8]>().read_unaligned();
+            fn store(p: *mut f32, v: [f32; 8]) = p.cast::<[f32; 8]>().write_unaligned(v);
+            fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[i] + b[i]);
+            fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[i] * b[i]);
+            fn neg(a: [f32; 8]) -> [f32; 8] = a.map(|x| -x);
+            fn reverse(a: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[7 - i]);
+            fn load_idx(p: *const u32) -> [u32; 8] = p.cast::<[u32; 8]>().read_unaligned();
+            fn add_idx(a: [u32; 8], b: [u32; 8]) -> [u32; 8] =
+                std::array::from_fn(|i| a[i].wrapping_add(b[i]));
+            fn load_keys<K: KeyElem>(p: *const K) -> [u32; 8] =
+                std::array::from_fn(|i| (*p.add(i)).idx() as u32);
+            fn lookup(base: *const f32, off: [u32; 8]) -> [f32; 8] =
+                off.map(|o| *base.add(o as usize));
         }
     }
 
-    stamp!(Scalar);
+    stamp!(Scalar, Scalar);
 }
 
-// ------------------------------------------------------------ AVX2 bodies
+// ------------------------------------------------------------------ AVX2
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -1365,7 +1360,7 @@ mod avx2 {
 
     /// Eight lanes in a ymm register; masked memory operations are
     /// `vmaskmovps`, which neither reads, writes nor faults on a
-    /// masked-out lane.
+    /// masked-out lane, and the lookup is `vgatherdps`.
     pub enum Avx2 {}
 
     /// The `vmaskmovps` mask selecting lanes `0..n` of an 8-lane group
@@ -1380,187 +1375,44 @@ mod avx2 {
     }
 
     // SAFETY: one AVX instruction per method: `vaddps`/`vmulps` are the
-    // IEEE operations, `neg` XORs the sign bit, `reverse` is a
-    // `vpermps` lane permute, and the masked forms are `vmaskmovps` under
-    // `lane_mask(n)`, which selects exactly lanes `0..n`.
+    // IEEE operations, `neg` XORs the sign bit, `reverse` is a `vpermps`
+    // lane permute, the masked forms are `vmaskmovps` under `lane_mask(n)`,
+    // which selects exactly lanes `0..n`, the keys are zero-extended
+    // (`vpmovzx`), and `lookup` is an all-lanes `vgatherdps` of
+    // `base + 4·off[i]` bytes.
     unsafe impl Lanes for Avx2 {
         type V = __m256;
+        type I = __m256i;
         const W: usize = 8;
 
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> __m256 {
-            _mm256_set1_ps(x)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> __m256 {
-            _mm256_loadu_ps(p)
-        }
-        #[inline(always)]
-        unsafe fn load_masked(p: *const f32, n: usize) -> __m256 {
-            _mm256_maskload_ps(p, lane_mask(n))
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut f32, v: __m256) {
-            _mm256_storeu_ps(p, v)
-        }
-        #[inline(always)]
-        unsafe fn store_masked(p: *mut f32, n: usize, v: __m256) {
-            _mm256_maskstore_ps(p, lane_mask(n), v)
-        }
-        #[inline(always)]
-        unsafe fn add(a: __m256, b: __m256) -> __m256 {
-            _mm256_add_ps(a, b)
-        }
-        #[inline(always)]
-        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
-            _mm256_mul_ps(a, b)
-        }
-        #[inline(always)]
-        unsafe fn neg(a: __m256) -> __m256 {
-            _mm256_xor_ps(a, _mm256_set1_ps(-0.0))
-        }
-        #[inline(always)]
-        unsafe fn reverse(a: __m256) -> __m256 {
-            _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0))
+        lanes_fns! {
+            fn splat(x: f32) -> __m256 = _mm256_set1_ps(x);
+            fn load(p: *const f32) -> __m256 = _mm256_loadu_ps(p);
+            fn load_masked(p: *const f32, n: usize) -> __m256 = _mm256_maskload_ps(p, lane_mask(n));
+            fn store(p: *mut f32, v: __m256) = _mm256_storeu_ps(p, v);
+            fn store_masked(p: *mut f32, n: usize, v: __m256) =
+                _mm256_maskstore_ps(p, lane_mask(n), v);
+            fn add(a: __m256, b: __m256) -> __m256 = _mm256_add_ps(a, b);
+            fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
+            fn neg(a: __m256) -> __m256 = _mm256_xor_ps(a, _mm256_set1_ps(-0.0));
+            fn reverse(a: __m256) -> __m256 =
+                _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+            fn load_idx(p: *const u32) -> __m256i = _mm256_loadu_si256(p.cast());
+            fn add_idx(a: __m256i, b: __m256i) -> __m256i = _mm256_add_epi32(a, b);
+            fn load_keys<K: KeyElem>(p: *const K) -> __m256i = if size_of::<K>() == 1 {
+                _mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast()))
+            } else {
+                _mm256_cvtepu16_epi32(_mm_loadu_si128(p.cast()))
+            };
+            fn lookup(base: *const f32, off: __m256i) -> __m256 =
+                _mm256_i32gather_ps::<4>(base, off);
         }
     }
 
-    stamp!(Avx2, "avx2");
-
-    /// Width-1 canonical gather of one key row: [`gather_partials`] on one
-    /// row, then the canonical fold. `PF` is the dispatcher's prefetch
-    /// decision (the tile exceeds `L1_LUT_BYTES`); the `false` monomorph
-    /// holds no prefetch code.
-    ///
-    /// # Safety
-    /// AVX2 must be available; the bank spans every `(chunk, key)` entry
-    /// for keys `< table`, `bank.len() ≤ i32::MAX`, and `keys` is one row
-    /// of a `KeyTile` whose `2^µ == table` (checked by the dispatcher).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather<K: KeyElem, const PF: bool>(
-        bank: &[f32],
-        table: usize,
-        keys: &[K],
-    ) -> f32 {
-        // SAFETY: the bank and key range are this function's contract,
-        // which is `gather_partials`'.
-        let [p] = unsafe { gather_partials::<K, PF, 1>(bank.as_ptr(), table, [keys]) };
-        super::tree_reduce8(p)
-    }
-
-    /// Row-batched width-1 gather: full row *pairs* run their two
-    /// independent gather chains in one loop ([`gather_partials`] on two
-    /// rows), so each hides the other's latency — the gather unit, not the
-    /// adds, bounds the b = 1 query; an odd last row runs the chain alone.
-    /// Per row the sum is [`lut_gather`]'s, bit for bit. `PF` as there.
-    ///
-    /// # Safety
-    /// AVX2 must be available; output geometry and `bank.len() ≤ i32::MAX`
-    /// as asserted by the dispatcher, and `keys`/`key_stride`/`nc`/
-    /// `scales.len()` are the slab, stride, width and row count of a
-    /// `KeyTile` whose `2^µ == table`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lut_gather_rows<K: KeyElem, const PF: bool>(
-        y: &mut [f32],
-        y_stride: usize,
-        scales: &[f32],
-        bank: &[f32],
-        table: usize,
-        keys: &[K],
-        key_stride: usize,
-        nc: usize,
-    ) {
-        let (nr, base) = (scales.len(), bank.as_ptr());
-        // Row `i` of the tile, bounds-checked once per row.
-        let row = |i: usize| &keys[i * key_stride..][..nc];
-        let mut i = 0;
-        // SAFETY: every row handed on is a row of the `KeyTile`, and the
-        // bank and key range are as `gather_partials` needs (this
-        // function's contract); `y`/`scales` indices follow the
-        // dispatcher's output-geometry asserts.
-        unsafe {
-            while i + 2 <= nr {
-                let [pa, pb] = gather_partials::<K, PF, 2>(base, table, [row(i), row(i + 1)]);
-                *y.get_unchecked_mut(i * y_stride) +=
-                    *scales.get_unchecked(i) * super::tree_reduce8(pa);
-                *y.get_unchecked_mut((i + 1) * y_stride) +=
-                    *scales.get_unchecked(i + 1) * super::tree_reduce8(pb);
-                i += 2;
-            }
-            if i < nr {
-                let [p] = gather_partials::<K, PF, 1>(base, table, [row(i)]);
-                *y.get_unchecked_mut(i * y_stride) +=
-                    *scales.get_unchecked(i) * super::tree_reduce8(p);
-            }
-        }
-    }
-
-    /// The width-1 gather chain of `R` key rows at once, each row's 8
-    /// canonical-tree partials: one `vgatherdps` per row per 8 chunks pulls
-    /// `bank[c·table + keys[c]]` into lanes, so lane `j` accumulates residue
-    /// class `j` — the register layout *is* the canonical tree. The lane
-    /// offsets `c·table` live in one vector that advances by `8·table` per
-    /// group. The ragged chunk tail spills the partials and finishes scalar
-    /// (a masked gather would add `+0.0` to idle lanes, which is not
-    /// bit-transparent when a partial is `-0.0`). With `PF`, the entries
-    /// `PREFETCH_CHUNKS` ahead are requested for every row; without it the
-    /// loop holds no prefetch code at all.
-    ///
-    /// # Safety
-    /// AVX2 must be available; the `rows` are `nc`-key rows of a `KeyTile`
-    /// whose `2^µ == table`, and `base` points at a bank spanning every
-    /// `(chunk, key)` entry of them with at most `i32::MAX` floats.
-    #[inline(always)]
-    unsafe fn gather_partials<K: KeyElem, const PF: bool, const R: usize>(
-        base: *const f32,
-        table: usize,
-        rows: [&[K]; R],
-    ) -> [[f32; super::ACC_TREE_WIDTH]; R] {
-        let nc = rows[0].len();
-        debug_assert!(rows.iter().all(|row| row.len() == nc));
-        let mut acc = [_mm256_setzero_ps(); R];
-        // Lane `j` of `ct` is `(ci + j)·table`.
-        let t = _mm256_set1_epi32(table as i32);
-        let mut ct = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), t);
-        let step = _mm256_slli_epi32::<3>(t);
-        let mut ci = 0;
-        // SAFETY: every gathered or prefetched offset is `c·table + key`
-        // with `c < nc` and `key < table` — the `KeyTile` range invariant
-        // (every key `< 2^µ`) with `table == 2^µ` — so it is inside the bank
-        // and representable in i32 lanes; the 8-key loads read
-        // `row[ci..ci + 8]` under the `ci + 8 <= nc` bound. `ct` past the
-        // last group may wrap; it is never used.
-        unsafe {
-            let entry = |row: &[K], c: usize| base.add(c * table + row.get_unchecked(c).idx());
-            while ci + 8 <= nc {
-                if PF && ci + super::PREFETCH_CHUNKS + 8 <= nc {
-                    for row in rows {
-                        for c in ci + super::PREFETCH_CHUNKS..ci + super::PREFETCH_CHUNKS + 8 {
-                            _mm_prefetch::<_MM_HINT_T0>(entry(row, c) as *const i8);
-                        }
-                    }
-                }
-                for (a, row) in acc.iter_mut().zip(rows) {
-                    let idx = _mm256_add_epi32(ct, K::load8(row.as_ptr().add(ci)));
-                    *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(base, idx));
-                }
-                ct = _mm256_add_epi32(ct, step);
-                ci += 8;
-            }
-            let mut p = [[0.0f32; super::ACC_TREE_WIDTH]; R];
-            for ((p, a), row) in p.iter_mut().zip(acc).zip(rows) {
-                _mm256_storeu_ps(p.as_mut_ptr(), a);
-                for c in ci..nc {
-                    p[c % super::ACC_TREE_WIDTH] += *entry(row, c);
-                }
-            }
-            p
-        }
-    }
+    stamp!(Avx2, Avx2, "avx2");
 }
 
-// ---------------------------------------------------------- AVX-512 bodies
+// --------------------------------------------------------------- AVX-512
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
@@ -1581,52 +1433,45 @@ mod avx512 {
 
     // SAFETY: one AVX-512 F/DQ instruction per method: `vaddps`/`vmulps`
     // are the IEEE operations, `neg` XORs the sign bit, `reverse` is a
-    // `vpermps` lane permute, and the masked forms run under
-    // `lane_mask(n)`, which selects exactly lanes `0..n`.
+    // `vpermps` lane permute, the masked forms run under `lane_mask(n)`,
+    // which selects exactly lanes `0..n`, the keys are zero-extended
+    // (`vpmovzx`), and `lookup` is an all-lanes `vgatherdps` of
+    // `base + 4·off[i]` bytes.
     unsafe impl Lanes for Avx512 {
         type V = __m512;
+        type I = __m512i;
         const W: usize = 16;
 
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> __m512 {
-            _mm512_set1_ps(x)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> __m512 {
-            _mm512_loadu_ps(p)
-        }
-        #[inline(always)]
-        unsafe fn load_masked(p: *const f32, n: usize) -> __m512 {
-            _mm512_maskz_loadu_ps(lane_mask(n), p)
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut f32, v: __m512) {
-            _mm512_storeu_ps(p, v)
-        }
-        #[inline(always)]
-        unsafe fn store_masked(p: *mut f32, n: usize, v: __m512) {
-            _mm512_mask_storeu_ps(p, lane_mask(n), v)
-        }
-        #[inline(always)]
-        unsafe fn add(a: __m512, b: __m512) -> __m512 {
-            _mm512_add_ps(a, b)
-        }
-        #[inline(always)]
-        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
-            _mm512_mul_ps(a, b)
-        }
-        #[inline(always)]
-        unsafe fn neg(a: __m512) -> __m512 {
-            _mm512_xor_ps(a, _mm512_set1_ps(-0.0))
-        }
-        #[inline(always)]
-        unsafe fn reverse(a: __m512) -> __m512 {
-            let rev = _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-            _mm512_permutexvar_ps(rev, a)
+        lanes_fns! {
+            fn splat(x: f32) -> __m512 = _mm512_set1_ps(x);
+            fn load(p: *const f32) -> __m512 = _mm512_loadu_ps(p);
+            fn load_masked(p: *const f32, n: usize) -> __m512 =
+                _mm512_maskz_loadu_ps(lane_mask(n), p);
+            fn store(p: *mut f32, v: __m512) = _mm512_storeu_ps(p, v);
+            fn store_masked(p: *mut f32, n: usize, v: __m512) =
+                _mm512_mask_storeu_ps(p, lane_mask(n), v);
+            fn add(a: __m512, b: __m512) -> __m512 = _mm512_add_ps(a, b);
+            fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
+            fn neg(a: __m512) -> __m512 = _mm512_xor_ps(a, _mm512_set1_ps(-0.0));
+            fn reverse(a: __m512) -> __m512 = _mm512_permutexvar_ps(
+                _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+                a,
+            );
+            fn load_idx(p: *const u32) -> __m512i = _mm512_loadu_si512(p.cast());
+            fn add_idx(a: __m512i, b: __m512i) -> __m512i = _mm512_add_epi32(a, b);
+            fn load_keys<K: KeyElem>(p: *const K) -> __m512i = if size_of::<K>() == 1 {
+                _mm512_cvtepu8_epi32(_mm_loadu_si128(p.cast()))
+            } else {
+                _mm512_cvtepu16_epi32(_mm256_loadu_si256(p.cast()))
+            };
+            fn lookup(base: *const f32, off: __m512i) -> __m512 =
+                _mm512_i32gather_ps::<4>(off, base.cast());
         }
     }
 
-    stamp!(Avx512, "avx512f", "avx512dq");
+    // The width-1 chain runs 8 lanes (the canonical tree's width), so
+    // 512-bit gathers buy nothing there.
+    stamp!(Avx512, super::avx2::Avx2, "avx512f", "avx512dq");
 
     /// The row-blocked wide query: every row of the tile, 32 batch lanes
     /// per pass while at least 32 remain, then the per-row body
@@ -1775,7 +1620,7 @@ mod avx512 {
     }
 }
 
-// ------------------------------------------------------------ NEON bodies
+// ------------------------------------------------------------------ NEON
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
@@ -1783,81 +1628,41 @@ mod neon {
     use std::arch::aarch64::*;
 
     /// Four lanes in a q register. NEON has no lane-masked memory
-    /// operation, so the masked forms are the trait's stack copies of
-    /// exactly the `n` live floats.
+    /// operation and no gather, so the masked forms are the trait's stack
+    /// copies of exactly the `n` live floats and the lookup is per lane.
     pub enum Neon {}
 
     // SAFETY: one NEON instruction per method (`fadd`, `fmul`, `fneg` — a
-    // sign-bit flip — `ld1`/`st1`, and `rev64` + `ext` for `reverse`).
+    // sign-bit flip — `ld1`/`st1`, and `rev64` + `ext` for `reverse`), or
+    // one load per lane from its own offset for the lookups.
     unsafe impl Lanes for Neon {
         type V = float32x4_t;
+        type I = [u32; 4];
         const W: usize = 4;
 
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> float32x4_t {
-            vdupq_n_f32(x)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> float32x4_t {
-            vld1q_f32(p)
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut f32, v: float32x4_t) {
-            vst1q_f32(p, v)
-        }
-        #[inline(always)]
-        unsafe fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t {
-            vaddq_f32(a, b)
-        }
-        #[inline(always)]
-        unsafe fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t {
-            vmulq_f32(a, b)
-        }
-        #[inline(always)]
-        unsafe fn neg(a: float32x4_t) -> float32x4_t {
-            vnegq_f32(a)
-        }
-        #[inline(always)]
-        unsafe fn reverse(a: float32x4_t) -> float32x4_t {
+        lanes_fns! {
+            fn splat(x: f32) -> float32x4_t = vdupq_n_f32(x);
+            fn load(p: *const f32) -> float32x4_t = vld1q_f32(p);
+            fn store(p: *mut f32, v: float32x4_t) = vst1q_f32(p, v);
+            fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t = vaddq_f32(a, b);
+            fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t = vmulq_f32(a, b);
+            fn neg(a: float32x4_t) -> float32x4_t = vnegq_f32(a);
             // vrev64 swaps within each half, vext swaps the halves.
-            let half_rev = vrev64q_f32(a);
-            vextq_f32::<2>(half_rev, half_rev)
+            fn reverse(a: float32x4_t) -> float32x4_t =
+                vextq_f32::<2>(vrev64q_f32(a), vrev64q_f32(a));
+            fn load_idx(p: *const u32) -> [u32; 4] = p.cast::<[u32; 4]>().read_unaligned();
+            fn add_idx(a: [u32; 4], b: [u32; 4]) -> [u32; 4] =
+                std::array::from_fn(|i| a[i].wrapping_add(b[i]));
+            fn load_keys<K: KeyElem>(p: *const K) -> [u32; 4] =
+                std::array::from_fn(|i| (*p.add(i)).idx() as u32);
+            fn lookup(base: *const f32, off: [u32; 4]) -> float32x4_t =
+                vld1q_f32(off.map(|o| *base.add(o as usize)).as_ptr());
         }
     }
 
-    stamp!(Neon, "neon");
-
-    /// Width-1 canonical gather. NEON has no hardware gather, and the
-    /// strided loads defeat its load-pair idioms, so this runs the scalar
-    /// emulation — bit-identical by construction.
-    ///
-    /// # Safety
-    /// NEON is baseline on aarch64; bounds as checked by the dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn lut_gather<K: KeyElem>(bank: &[f32], table: usize, keys: &[K]) -> f32 {
-        super::lut_gather_scalar(bank, table, keys)
-    }
-
-    /// Row-batched width-1 gather: the scalar row loop (see
-    /// [`lut_gather`] for why NEON does not vectorise this body); the
-    /// batching still amortises dispatch per row tile.
-    ///
-    /// # Safety
-    /// NEON is baseline on aarch64; geometry as checked by the dispatcher.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lut_gather_rows<K: KeyElem>(
-        y: &mut [f32],
-        y_stride: usize,
-        scales: &[f32],
-        bank: &[f32],
-        table: usize,
-        keys: &[K],
-        key_stride: usize,
-        nc: usize,
-    ) {
-        super::lut_gather_rows_scalar(y, y_stride, scales, bank, table, keys, key_stride, nc)
-    }
+    // The width-1 chain is the scalar 8-lane one: NEON has no gather, and
+    // the strided loads defeat its load pairs.
+    stamp!(Neon, super::scalar::Scalar, "neon");
 }
 
 #[cfg(test)]
@@ -1917,6 +1722,24 @@ mod tests {
         assert_eq!(KernelLevel::parse("sse9"), None);
     }
 
+    /// The canonical accumulation order written out longhand — the oracle
+    /// every chunk-accumulating kernel is checked against: value `ci`
+    /// (ascending) added to partial `ci % 8`, then the fixed `+4, +2, +1`
+    /// fold. No kernel calls it; the scalar level is itself an instance of
+    /// the generic bodies, so this is the independent statement.
+    fn canonical_sum(values: impl IntoIterator<Item = f32>) -> f32 {
+        let mut p = [0.0f32; ACC_TREE_WIDTH];
+        for (ci, v) in values.into_iter().enumerate() {
+            p[ci % ACC_TREE_WIDTH] += v;
+        }
+        for step in [4usize, 2, 1] {
+            for j in 0..step {
+                p[j] += p[j + step];
+            }
+        }
+        p[0]
+    }
+
     /// Oracle for [`dp_step_add_rows`]: the plain row loop.
     fn dp_step_oracle(dst: &mut [f32], src: &[f32], step: &[f32]) {
         let nb = step.len();
@@ -1938,10 +1761,10 @@ mod tests {
         }
     }
 
-    /// Oracle for one row of [`lut_query_fused_rows`]: per batch lane, 8
-    /// residue-class partials over ascending chunks, the fixed fold, then
-    /// multiply and add rounded separately. `nb` is the bank's batch
-    /// stride, `y.len()` the lanes computed.
+    /// Oracle for one row of [`lut_query_fused_rows`]: per batch lane, the
+    /// canonical sum of the looked-up values, then multiply and add rounded
+    /// separately. `nb` is the bank's batch stride, `y.len()` the lanes
+    /// computed.
     fn fused_oracle<K: KeyElem>(
         y: &mut [f32],
         scale: f32,
@@ -1951,16 +1774,8 @@ mod tests {
         keys: &[K],
     ) {
         for (a, yv) in y.iter_mut().enumerate() {
-            let mut p = [0.0f32; ACC_TREE_WIDTH];
-            for (ci, &key) in keys.iter().enumerate() {
-                p[ci % ACC_TREE_WIDTH] += bank[(ci * table + key.idx()) * nb + a];
-            }
-            for step in [4usize, 2, 1] {
-                for j in 0..step {
-                    p[j] += p[j + step];
-                }
-            }
-            *yv += scale * p[0];
+            let vals = keys.iter().enumerate().map(|(ci, k)| bank[(ci * table + k.idx()) * nb + a]);
+            *yv += scale * canonical_sum(vals);
         }
     }
 
@@ -1993,11 +1808,14 @@ mod tests {
     /// loads and stores at every `n` in `0..=W` (lanes `n..` of the
     /// destination keep their sentinel, and a masked load reads idle lanes
     /// as `+0.0`), then `zero`, `splat`, `add`, `mul`, `neg` and `reverse`
-    /// on ±0.0, NaN payloads, ±∞, subnormals and ordinary values. The
-    /// caller passes only a level the host supports.
+    /// on ±0.0, NaN payloads, ±∞, subnormals and ordinary values, then the
+    /// lookup of both key widths through the key-widening load plus lane
+    /// offsets against plain indexing. The caller passes only a level the
+    /// host supports.
     fn lanes_conformance<L: Lanes>(level: KernelLevel) {
         const SENTINEL: u32 = 0x7fc5_a5a5;
         let w = L::W;
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let src: Vec<f32> = (0..2 * w).map(|i| i as f32 + 0.5).collect();
         for n in 0..=w {
             let mut dst = vec![f32::from_bits(SENTINEL); 2 * w];
@@ -2009,13 +1827,12 @@ mod tests {
                 L::store_masked(dst.as_mut_ptr(), n, v);
                 L::store(whole.as_mut_ptr(), v);
             }
-            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
             let mut want = bits(&src[..n]);
             want.resize(2 * w, SENTINEL);
-            assert_eq!(bits(&dst), want, "{level} store_masked n={n}");
+            assert_eq!(bits(&dst), want, "{level} W={w} store_masked n={n}");
             let mut want = bits(&src[..n]);
             want.resize(w, 0);
-            assert_eq!(bits(&whole), want, "{level} load_masked n={n}");
+            assert_eq!(bits(&whole), want, "{level} W={w} load_masked n={n}");
         }
 
         let specials = [
@@ -2031,10 +1848,10 @@ mod tests {
             1.5,
             -2.75,
         ];
-        // 48 = a whole number of vectors at every width; `b` is never NaN,
+        // 96 = a whole number of vectors at every width; `b` is never NaN,
         // so a NaN result has one possible payload, and a lane whose
         // operands would *make* a NaN (∞ · 0, ∞ − ∞) takes `b = 1` instead.
-        let len = 48;
+        let len = 96;
         let a: Vec<f32> = (0..len).map(|i| specials[i % specials.len()]).collect();
         let b: Vec<f32> = (0..len)
             .map(|i| {
@@ -2070,11 +1887,34 @@ mod tests {
             for (op, (got, want)) in
                 ["add", "mul", "neg", "reverse"].iter().zip(out.iter().zip(want))
             {
-                assert_eq!(got[i].to_bits(), want.to_bits(), "{level} {op} lane {i}");
+                assert_eq!(got[i].to_bits(), want.to_bits(), "{level} W={w} {op} lane {i}");
             }
         }
-        assert!(consts[..w].iter().all(|v| v.to_bits() == 0), "{level} zero");
-        assert!(consts[w..].iter().all(|v| v.to_bits() == 0x8000_0000), "{level} splat");
+        assert!(consts[..w].iter().all(|v| v.to_bits() == 0), "{level} W={w} zero");
+        assert!(consts[w..].iter().all(|v| v.to_bits() == 0x8000_0000), "{level} W={w} splat");
+
+        // Byte keys past 127 and `u16` keys past 2^15 catch a sign-extending
+        // widening; distinct lane offsets catch a lane read from the wrong
+        // offset, and the table's distinct values any wrong index.
+        let offs: Vec<u32> = (0..w as u32).map(|j| 37 * j + j % 3).collect();
+        let k8: Vec<u8> = (0..w).map(|j| ((j * 97 + 200) % 256) as u8).collect();
+        let k16: Vec<u16> = (0..w).map(|j| (65535 - 1031 * j) as u16).collect();
+        let table: Vec<f32> = (0..65536 + 40 * w).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let mut got = vec![0.0f32; 2 * w];
+        // SAFETY: `level` is supported; `offs`, `k8` and `k16` hold `W`
+        // elements, `got` two vectors, and every offset plus key is below
+        // `37·W + 65536 ≤ table.len()`.
+        unsafe {
+            let off = L::load_idx(offs.as_ptr());
+            let t = table.as_ptr();
+            L::store(got.as_mut_ptr(), L::lookup(t, L::add_idx(off, L::load_keys(k8.as_ptr()))));
+            let v = L::lookup(t, L::add_idx(off, L::load_keys(k16.as_ptr())));
+            L::store(got.as_mut_ptr().add(w), v);
+        }
+        let want8 = (0..w).map(|j| table[offs[j] as usize + usize::from(k8[j])]);
+        let want16 = (0..w).map(|j| table[offs[j] as usize + usize::from(k16[j])]);
+        let want: Vec<f32> = want8.chain(want16).collect();
+        assert_eq!(bits(&got), bits(&want), "{level} W={w} lookup");
     }
 
     #[test]
@@ -2101,7 +1941,7 @@ mod tests {
     }
 
     /// A random bank in the line-aligned buffer real banks live in (the
-    /// wide AVX-512 body debug-asserts that alignment).
+    /// wide AVX-512 pass debug-asserts that alignment).
     fn random_bank(g: &mut MatrixRng, len: usize) -> LineAlignedBuf {
         let mut bank = LineAlignedBuf::default();
         bank.ensure_len(len);
@@ -2120,6 +1960,20 @@ mod tests {
         k: ResolvedKernel,
     ) {
         lut_query_fused_rows(y, nb, &[scale], bank, table, nb, keys, k);
+    }
+
+    /// One key row's width-1 sum over chunk tables `stride` floats apart: a
+    /// one-row [`lut_gather_rows`] onto `0.0` with scale 1 (exact).
+    fn gather(
+        bank: &[f32],
+        table: usize,
+        stride: usize,
+        keys: KeyTile<'_>,
+        k: ResolvedKernel,
+    ) -> f32 {
+        let mut y = [0.0f32];
+        lut_gather_rows(&mut y, 1, &[1.0], bank, table, stride, keys, k);
+        y[0]
     }
 
     #[test]
@@ -2157,7 +2011,7 @@ mod tests {
 
     #[test]
     fn fused_query_matches_canonical_tree_composition() {
-        // The fused kernel must equal, per lane, a TreeAccumulator fed the
+        // The fused kernel must equal, per lane, the canonical sum of the
         // looked-up values in ascending chunk order, then a two-step
         // multiply-add — the canonical order written out longhand.
         let mut g = MatrixRng::seed_from(41);
@@ -2170,11 +2024,8 @@ mod tests {
             let mut want = g.gaussian_vec(nb);
             let mut got = want.clone();
             for (a, yv) in want.iter_mut().enumerate() {
-                let mut acc = TreeAccumulator::new();
-                for ci in 0..chunks {
-                    acc.push(bank[(ci * table + keys.key(0, ci)) * nb + a]);
-                }
-                *yv += 2.5 * acc.finish();
+                let vals = (0..chunks).map(|ci| bank[(ci * table + keys.key(0, ci)) * nb + a]);
+                *yv += 2.5 * canonical_sum(vals);
             }
             fused_row(&mut got, 2.5, &bank, table, nb, keys, ResolvedKernel::scalar());
             assert_eq!(want, got, "chunks={chunks}");
@@ -2204,10 +2055,10 @@ mod tests {
             let bank = g.gaussian_vec(chunks * table);
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
-            let want = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
+            let want = gather(&bank, table, table, keys, ResolvedKernel::scalar());
             for level in supported_levels() {
                 let k = KernelRequest::Exact(level).resolve().unwrap();
-                let got = lut_gather(&bank, table, keys, k);
+                let got = gather(&bank, table, table, keys, k);
                 assert_eq!(want.to_bits(), got.to_bits(), "{level} chunks={chunks} µ={mu}");
                 let mut y = [0.0f32];
                 fused_row(&mut y, 1.0, &bank, table, 1, keys, k);
@@ -2216,20 +2067,32 @@ mod tests {
         }
     }
 
+    /// The width-1 chain is the canonical sum at every level, on a
+    /// contiguous bank and on one batch column of a BatchMajor bank (chunk
+    /// tables `nb · 2^µ` apart, the column's table `a · 2^µ` in) — the
+    /// strided form the BatchMajor b ≥ 2 query runs.
     #[test]
-    fn tree_accumulator_is_the_reference_order() {
+    fn gather_is_the_canonical_sum_at_every_chunk_stride() {
         let mut g = MatrixRng::seed_from(43);
-        let (chunks, mu) = (21usize, 4usize);
-        let table = 1usize << mu;
-        let bank = g.gaussian_vec(chunks * table);
-        let km = key_row(&mut g, chunks, mu);
-        let keys = km.tile(0..1, 0, chunks);
-        let mut acc = TreeAccumulator::new();
-        for c in 0..chunks {
-            acc.push(bank[c * table + keys.key(0, c)]);
+        for &(chunks, mu, nb) in &[(21usize, 4usize, 1usize), (21, 4, 3), (40, 8, 5), (9, 10, 2)] {
+            let table = 1usize << mu;
+            let bank = g.gaussian_vec(chunks * table * nb);
+            let km = key_row(&mut g, chunks, mu);
+            let keys = km.tile(0..1, 0, chunks);
+            for a in 0..nb {
+                let col = &bank[a * table..];
+                let want = canonical_sum((0..chunks).map(|c| col[c * nb * table + keys.key(0, c)]));
+                for level in supported_levels() {
+                    let k = KernelRequest::Exact(level).resolve().unwrap();
+                    let got = gather(col, table, nb * table, keys, k);
+                    assert_eq!(
+                        want.to_bits(),
+                        got.to_bits(),
+                        "{level} chunks={chunks} nb={nb} a={a}"
+                    );
+                }
+            }
         }
-        let got = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
-        assert_eq!(acc.finish().to_bits(), got.to_bits());
     }
 
     #[test]
@@ -2248,6 +2111,6 @@ mod tests {
     fn gather_rejects_a_table_narrower_than_the_keys() {
         let km = KeyMatrix::pack(&SignMatrix::ones(1, 8), 4);
         let bank = vec![0.0f32; 8];
-        lut_gather(&bank, 4, km.tile(0..1, 0, 2), ResolvedKernel::scalar());
+        gather(&bank, 4, 4, km.tile(0..1, 0, 2), ResolvedKernel::scalar());
     }
 }

@@ -20,11 +20,11 @@
 //! exact up to f32 rounding.
 
 use crate::arena::BiqArena;
-use crate::config::{BiqConfig, LutLayout};
+use crate::config::BiqConfig;
 use crate::layout::LutBank;
 use crate::parallel::run_schedule;
 use crate::profile::PhaseProfile;
-use crate::simd::{ResolvedKernel, TreeAccumulator};
+use crate::simd::ResolvedKernel;
 use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
 use biq_matrix::view::tile_ranges;
@@ -119,52 +119,20 @@ pub(crate) fn run_tiles(
                 for &(kr_start, kr_end) in key_row_ranges {
                     for (r0, nr) in tile_ranges(kr_end - kr_start, cfg.tile_rows) {
                         let (t0, t1) = (kr_start + r0, kr_start + r0 + nr);
-                        if nb == 1 || cfg.layout == LutLayout::KeyMajor {
-                            // One kernel dispatch per row tile. Key rows map
-                            // to output rows mod m (bit planes), so a tile is
-                            // split where the output row index wraps.
-                            let mut r = t0;
-                            while r < t1 {
-                                let run_end = t1.min((r / m + 1) * m);
-                                let out_row = r % m;
-                                debug_assert!(out_row >= y_row0);
-                                let yrows = &mut y[(out_row - y_row0) * b + b0..];
-                                let tile = keys.tile(r..run_end, c0, nc);
-                                let scales = &w.scales()[r..run_end];
-                                if nb == 1 {
-                                    // GEMV fast path: with one live batch
-                                    // column the two layouts coincide (entry
-                                    // (c, key) lives at c·2^µ + key) and the
-                                    // canonical-order gather runs row-batched,
-                                    // consecutive rows' gathers interleaved.
-                                    bank.gather_rows(tile, scales, yrows, b, kernel);
-                                } else {
-                                    // Fused lookup-accumulate: register
-                                    // accumulation across the tile's chunks,
-                                    // scale applied in-pass, the next row's
-                                    // entries prefetched behind the current.
-                                    bank.query_fused_rows(tile, scales, yrows, b, kernel);
-                                }
-                                r = run_end;
-                            }
-                            continue;
-                        }
-                        // BatchMajor, b ≥ 2: per-element gather; the
-                        // canonical tree keeps it bit-identical to the
-                        // KeyMajor fused kernel (`both_layouts_agree`).
-                        for r in t0..t1 {
-                            let scale = w.scale(r);
+                        // One query per row tile (`LutBank::query_rows`:
+                        // the width-1 gather, the fused KeyMajor query, or
+                        // BatchMajor's strided gathers). Key rows map to
+                        // output rows mod m (bit planes), so a tile is split
+                        // where the output row index wraps.
+                        let mut r = t0;
+                        while r < t1 {
+                            let run_end = t1.min((r / m + 1) * m);
                             let out_row = r % m;
                             debug_assert!(out_row >= y_row0);
-                            let yoff = (out_row - y_row0) * b + b0;
-                            let krow = keys.tile(r..r + 1, c0, nc);
-                            for (a, yv) in y[yoff..yoff + nb].iter_mut().enumerate() {
-                                let mut s = TreeAccumulator::new();
-                                for ci in 0..nc {
-                                    s.push(bank.entry(ci, a, krow.key(0, ci)));
-                                }
-                                *yv += scale * s.finish();
-                            }
+                            let yrows = &mut y[(out_row - y_row0) * b + b0..];
+                            let tile = keys.tile(r..run_end, c0, nc);
+                            bank.query_rows(tile, &w.scales()[r..run_end], yrows, b, kernel);
+                            r = run_end;
                         }
                     }
                 }
@@ -177,7 +145,7 @@ pub(crate) fn run_tiles(
 #[allow(clippy::needless_range_loop)] // index-style loops read clearer in reference checks
 mod tests {
     use super::*;
-    use crate::config::LutBuildMethod;
+    use crate::config::{LutBuildMethod, LutLayout};
     use biq_matrix::{assert_allclose, Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 

@@ -10,9 +10,11 @@
 //! timing. The invariant holds **by construction**: every accumulation
 //! that crosses chunk boundaries realises the one canonical order — the
 //! fixed 8-partial tree specified in `core::simd` (`partials[ci % 8]`,
-//! pairwise fold) — whether it runs as `lut_gather`'s vector lanes
-//! (width-1 tiles), `lut_query_fused_rows`'s register columns (wider tiles),
-//! `TreeAccumulator` (BatchMajor loops), or either parallel schedule.
+//! pairwise fold) — whether it runs as the lanes of `lut_gather_rows`'
+//! width-1 chain (width-1 tiles, and each batch column of a BatchMajor
+//! tile), `lut_query_fused_rows`' register columns (wider KeyMajor tiles),
+//! at any kernel level (scalar runs the same bodies over an `[f32; 8]`),
+//! or in either parallel schedule.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
@@ -176,8 +178,8 @@ fn every_serving_width_equals_its_columns_served_alone() {
 #[test]
 fn width_one_matches_both_parallel_schedules() {
     // The serial width-1 gather path and both parallel schedules must
-    // agree on real-valued inputs: whichever body answers — the vectorized
-    // `lut_gather`, the fused lane path, or a parallel driver — it
+    // agree on real-valued inputs: whichever body answers — the width-1
+    // chain of `lut_gather_rows`, the fused lane path, or a parallel driver — it
     // realises the same canonical accumulation tree.
     let (m, n) = (48, 64);
     let mut g = MatrixRng::seed_from(77);

@@ -181,17 +181,17 @@ fn golden_digests_from_parent_commits() {
     }
 }
 
-/// The width-1 gathers on a fixed grid across the prefetch threshold at
+/// The width-1 gather on a fixed grid across the prefetch threshold at
 /// µ = 8, where a tile of `nc` chunks is `nc` KiB: L1-resident (the body
 /// without prefetch) through 32 chunks, prefetched from 33. Chunk counts
 /// straddle the 8-chunk group, row counts include an unpaired last row, the
 /// key tile is a window of a wider matrix (stride > width) and the output
 /// is strided, its gaps compared too. At every level `lut_gather_rows`
-/// equals `Exact(Scalar)` bit for bit on the whole output, and `lut_gather`
-/// on every row.
+/// equals `Exact(Scalar)` bit for bit on the whole output, and so does
+/// each row's sum queried as a one-row tile.
 #[test]
 fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
-    use biqgemm_core::simd::{lut_gather, lut_gather_rows, L1_LUT_BYTES};
+    use biqgemm_core::simd::{lut_gather_rows, L1_LUT_BYTES};
     let (mu, table, y_stride) = (8usize, 256usize, 3usize);
     let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let mut g = MatrixRng::seed_from(7008);
@@ -205,23 +205,36 @@ fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
             let y0 = g.gaussian(1, rows * y_stride, 0.0, 1.0).as_slice().to_vec();
             let gather_rows = |k: ResolvedKernel| {
                 let mut y = y0.clone();
-                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, keys, k);
+                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, table, keys, k);
                 bits(&y)
             };
-            let gather = |k: ResolvedKernel| {
+            let sums = |k: ResolvedKernel| {
                 let sums: Vec<f32> =
-                    (0..rows).map(|i| lut_gather(&bank, table, keys.row(i), k)).collect();
+                    (0..rows).map(|i| gather(&bank, table, keys.row(i), k)).collect();
                 bits(&sums)
             };
             let (want_rows, want) =
-                (gather_rows(ResolvedKernel::scalar()), gather(ResolvedKernel::scalar()));
+                (gather_rows(ResolvedKernel::scalar()), sums(ResolvedKernel::scalar()));
             for level in supported_levels() {
                 let what = format!("level={level} nc={nc} rows={rows}");
                 assert_eq!(gather_rows(exact(level)), want_rows, "lut_gather_rows {what}");
-                assert_eq!(gather(exact(level)), want, "lut_gather {what}");
+                assert_eq!(sums(exact(level)), want, "one-row gather {what}");
             }
         }
     }
+}
+
+/// One key row's width-1 sum: `lut_gather_rows` on a one-row tile of a
+/// contiguous bank, onto `0.0` with scale 1 (exact).
+fn gather(
+    bank: &[f32],
+    table: usize,
+    keys: biq_quant::packing::KeyTile<'_>,
+    k: ResolvedKernel,
+) -> f32 {
+    let mut y = [0.0f32];
+    biqgemm_core::simd::lut_gather_rows(&mut y, 1, &[1.0], bank, table, table, keys, k);
+    y[0]
 }
 
 /// `len` random floats starting on a 64-byte boundary, as every real LUT
@@ -352,8 +365,10 @@ fn build_primitives_bit_exact_at_every_row_width() {
 /// Wide batches through the tile loop: b ≥ 32 with tiles wide enough to
 /// reach the 32-lane passes, row tiles that do not divide m (so they cross
 /// the bit-plane wrap and end in a short last tile), serial and both
-/// parallel schedules — the SharedLut query calls the rows entry directly
-/// on the shared bank.
+/// parallel schedules — the SharedLut query calls the row-tile query
+/// directly on the shared bank — and both layouts: BatchMajor runs the
+/// strided width-1 gathers, one per batch column, against KeyMajor's
+/// scalar output.
 #[test]
 fn wide_batch_tiles_bit_exact_vs_scalar() {
     let mut g = MatrixRng::seed_from(7006);
@@ -369,13 +384,17 @@ fn wide_batch_tiles_bit_exact_vs_scalar() {
         let cfg =
             BiqConfig { mu, tile_rows: 8, tile_chunks: 5, tile_batch: 64, ..BiqConfig::default() };
         let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
-        for level in supported_levels() {
-            let k = exact(level);
-            let what = format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) level={level}");
-            assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
-            for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-                let cfg = BiqConfig { schedule, ..cfg };
-                assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
+        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
+            let cfg = BiqConfig { layout, ..cfg };
+            for level in supported_levels() {
+                let k = exact(level);
+                let what =
+                    format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {layout:?} level={level}");
+                assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
+                for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+                    let cfg = BiqConfig { schedule, ..cfg };
+                    assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
+                }
             }
         }
     }
@@ -446,18 +465,18 @@ proptest! {
 
     /// The width-1 contract: across random shapes/µ — both key widths,
     /// chunk counts with ragged `% 8` tails, tiles on both sides of the
-    /// L1 prefetch threshold — the vectorized gather equals the fused
-    /// kernel at `nb = 1` bit for bit, at every supported level. This is
-    /// what lets `layout.rs` route width-1 tiles through the gather while
-    /// the batcher packs the same column into fused runs: both realise
-    /// the canonical accumulation tree.
+    /// L1 prefetch threshold — the width-1 gather on a one-row tile equals
+    /// the fused kernel at `nb = 1` bit for bit, at every supported level,
+    /// and every level equals scalar. This is what lets `layout.rs` route
+    /// width-1 tiles through the gather while the batcher packs the same
+    /// column into fused runs: both realise the canonical accumulation tree.
     #[test]
     fn gather_equals_fused_at_width_one(
         chunks in 1usize..40,
         mu in 1usize..=12,
         seed in 0u64..1_000_000,
     ) {
-        use biqgemm_core::simd::{lut_gather, lut_query_fused_rows};
+        use biqgemm_core::simd::lut_query_fused_rows;
         let table = 1usize << mu;
         let mut g = MatrixRng::seed_from(seed ^ 0xa11);
         // A width-1 bank: chunk c's table occupies bank[c*table..][..table].
@@ -466,10 +485,10 @@ proptest! {
         let km = KeyMatrix::pack(&g.signs(1, chunks * mu), mu);
         let keys = km.tile(0..1, 0, chunks);
         let scale = 1.0f32;
-        let scalar = lut_gather(&bank, table, keys, ResolvedKernel::scalar());
+        let scalar = gather(&bank, table, keys, ResolvedKernel::scalar());
         for level in supported_levels() {
             let k = exact(level);
-            let gathered = lut_gather(&bank, table, keys, k);
+            let gathered = gather(&bank, table, keys, k);
             prop_assert_eq!(
                 gathered.to_bits(), scalar.to_bits(),
                 "gather level={} vs scalar (chunks={}, mu={})", level, chunks, mu
@@ -486,10 +505,11 @@ proptest! {
     /// The row-batched gather is the per-row gather, bit for bit: for any
     /// tile geometry (a window narrower than the matrix, so stride >
     /// width; strided outputs; odd row counts that leave an unpaired row;
-    /// ragged `% 8` chunk tails), at every level, `lut_gather_rows`
-    /// accumulates exactly what a per-row `y += scale · lut_gather(row)`
-    /// loop would. This is what lets the width-1 tile loop batch whole
-    /// row tiles into one dispatch.
+    /// ragged `% 8` chunk tails; chunk tables `chunk_stride ≥ 2^µ` apart,
+    /// as a BatchMajor bank's columns are), at every level,
+    /// `lut_gather_rows` on the tile accumulates exactly what one-row calls
+    /// on each row would. This is what lets the width-1 tile loop batch
+    /// whole row tiles into one dispatch.
     #[test]
     fn gather_rows_equals_per_row_gather(
         rows in 1usize..12,
@@ -497,12 +517,15 @@ proptest! {
         extra_stride in 0usize..5,
         y_stride in 1usize..4,
         mu in 1usize..=12,
+        tables_apart in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        use biqgemm_core::simd::{lut_gather, lut_gather_rows};
+        use biqgemm_core::simd::lut_gather_rows;
         let table = 1usize << mu;
+        let chunk_stride = tables_apart * table;
         let mut g = MatrixRng::seed_from(seed ^ 0xb0b);
-        let bank: Vec<f32> = g.gaussian(1, chunks * table, 0.0, 1.0).as_slice().to_vec();
+        let bank: Vec<f32> =
+            g.gaussian(1, (chunks - 1) * chunk_stride + table, 0.0, 1.0).as_slice().to_vec();
         let km = KeyMatrix::pack(&g.signs(rows, (chunks + extra_stride) * mu), mu);
         let keys = km.tile(0..rows, seed as usize % (extra_stride + 1), chunks);
         let scales: Vec<f32> = g.gaussian(1, rows, 0.0, 1.0).as_slice().to_vec();
@@ -512,17 +535,20 @@ proptest! {
         for level in supported_levels() {
             let k = exact(level);
             let mut want = y_init.clone();
-            for (i, &scale) in scales.iter().enumerate() {
-                want[i * y_stride] += scale * lut_gather(&bank, table, keys.row(i), k);
+            for i in 0..rows {
+                lut_gather_rows(
+                    &mut want[i * y_stride..], y_stride, &scales[i..i + 1], &bank, table,
+                    chunk_stride, keys.row(i), k,
+                );
             }
             let mut got = y_init.clone();
-            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, keys, k);
+            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, chunk_stride, keys, k);
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(
                 gb, wb,
-                "level={} rows={} chunks={} stride={} y_stride={}",
-                level, rows, chunks, keys.stride(), y_stride
+                "level={} rows={} chunks={} stride={} y_stride={} chunk_stride={}",
+                level, rows, chunks, keys.stride(), y_stride, chunk_stride
             );
         }
     }

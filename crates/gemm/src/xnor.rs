@@ -27,6 +27,8 @@
 //! reduction is pure integer arithmetic, so every level is exactly equal,
 //! and the fp32 scale application is order-identical across levels.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use biq_matrix::store::PodStore;
 use biq_matrix::{ColMatrix, Matrix};
 use biq_quant::packing::{pack_signs_u64, PackedRowsU64};
@@ -138,8 +140,11 @@ fn matched_full(a: &[u64], b: &[u64], k: ResolvedKernel) -> u32 {
         // Portable body for Scalar and NEON (see the module docs).
         KernelLevel::Scalar | KernelLevel::Neon => matched_full_scalar(a, b),
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: resolved ⇒ the host has AVX2; both operands are packed from
+        // the same `n` bits, so equal-length (`debug_assert`ed in `xnor_dot`).
         KernelLevel::Avx2 => unsafe { x86::matched_full_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: resolved ⇒ the host has AVX-512 F/BW; lengths as above.
         KernelLevel::Avx512 => unsafe { x86::matched_full_avx512(a, b) },
         #[allow(unreachable_patterns)]
         other => unreachable!("kernel level {other:?} resolved on a foreign architecture"),
@@ -332,8 +337,11 @@ pub(crate) fn dot_i8(a: &[i8], b: &[i8], k: ResolvedKernel) -> i32 {
             s
         }
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: resolved ⇒ the host has AVX2; a weight row and an input
+        // column of the same `n` (`debug_assert`ed above).
         KernelLevel::Avx2 => unsafe { x86::dot_i8_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: resolved ⇒ the host has AVX-512 F/BW; lengths as above.
         KernelLevel::Avx512 => unsafe { x86::dot_i8_avx512(a, b) },
         #[allow(unreachable_patterns)]
         other => unreachable!("kernel level {other:?} resolved on a foreign architecture"),

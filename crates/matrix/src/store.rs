@@ -16,6 +16,8 @@
 //!   representation). Mutation copies-on-write, so read-only consumers —
 //!   all the kernels — never pay a copy.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use bytes::Bytes;
 use std::fmt;
 use std::ops::Deref;
@@ -28,11 +30,17 @@ use std::ops::Deref;
 /// this is implemented for).
 pub unsafe trait Pod: Copy + PartialEq + 'static {}
 
+// SAFETY: every 1-byte pattern is a `u8`.
 unsafe impl Pod for u8 {}
+// SAFETY: every 1-byte pattern is an `i8`.
 unsafe impl Pod for i8 {}
+// SAFETY: every 2-byte pattern is a `u16`.
 unsafe impl Pod for u16 {}
+// SAFETY: every 4-byte pattern is a `u32`.
 unsafe impl Pod for u32 {}
+// SAFETY: every 8-byte pattern is a `u64`.
 unsafe impl Pod for u64 {}
+// SAFETY: every 4-byte pattern is an `f32` (NaN payloads included).
 unsafe impl Pod for f32 {}
 
 /// Why a byte range could not be viewed as `&[T]`.
@@ -68,8 +76,9 @@ pub struct PodView<T> {
 }
 
 // SAFETY: the view is immutable and the owner is an `Arc`-backed buffer;
-// `&[T]` of a `Pod` type is freely shareable across threads.
+// `&[T]` of a `Pod` type may move to another thread with its owner.
 unsafe impl<T: Pod> Send for PodView<T> {}
+// SAFETY: as for `Send`: shared access only reads the immutable `&[T]`.
 unsafe impl<T: Pod> Sync for PodView<T> {}
 
 impl<T: Pod> PodView<T> {
