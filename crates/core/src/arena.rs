@@ -7,7 +7,7 @@
 //! regime, where per-call allocation is measurable — touches the heap only
 //! when a *larger* shape than ever seen arrives.
 //!
-//! One arena serves every way [`crate::biqgemm_into`] can run. It is a set
+//! One arena serves every way [`crate::biqgemm_group_into`] can run. It is a set
 //! of per-worker slots, one shared bank buffer for the
 //! [`Schedule::SharedLut`] build phase, and the persistent [`WorkerSet`]
 //! whose helper threads run the parallel schedules. The serial tile loop
@@ -51,18 +51,16 @@ impl BankCache {
     }
 }
 
-/// One worker's persistent scratch: the LUT bank plus the small per-task
-/// vectors of the parallel schedules.
+/// One worker's persistent scratch: the LUT bank plus the DP step vector
+/// of the SharedLut build phase.
 #[derive(Debug, Default)]
 pub(crate) struct Slot {
     pub(crate) bank: BankCache,
-    /// Key-row ranges of the current row block (one per weight plane).
-    pub(crate) ranges: Vec<(usize, usize)>,
     /// DP step scratch for the SharedLut KeyMajor build phase.
     pub(crate) steps: Vec<f32>,
 }
 
-/// Reusable scratch for [`crate::biqgemm_into`], serial and parallel.
+/// Reusable scratch for [`crate::biqgemm_group_into`], serial and parallel.
 ///
 /// Slots are created on demand (one for a serial run, one per worker for a
 /// parallel one) and persist, so steady-state runs reuse warm banks
@@ -92,25 +90,19 @@ impl BiqArena {
         }
     }
 
-    /// Pre-sizes every buffer for runs of `cfg` at batch `b` over `bits`
-    /// weight planes — a serial run when `workers` is `None`, a parallel
-    /// one on that many workers otherwise — so even the *first* run at
-    /// that shape allocates nothing (on the calling thread or inside a
-    /// task body).
-    pub fn reserve(&mut self, cfg: &BiqConfig, bits: usize, b: usize, workers: Option<usize>) {
+    /// Pre-sizes every buffer for runs of `cfg` at batch `b` — a serial run
+    /// when `workers` is `None`, a parallel one on that many workers
+    /// otherwise — so even the *first* run at that shape allocates nothing
+    /// (on the calling thread or inside a task body).
+    pub fn reserve(&mut self, cfg: &BiqConfig, b: usize, workers: Option<usize>) {
         let nb = cfg.tile_batch.min(b.max(1));
         let n = workers.map_or(1, |w| w.max(1));
         self.ensure_slots(n);
         for slot in &mut self.slots[..n] {
             let s = slot.get_mut().expect("arena slot poisoned");
             s.bank.get(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
-            if workers.is_some() {
-                // `Vec::reserve` is relative to `len`, so this guarantees
-                // capacity ≥ `bits` regardless of what earlier runs left.
-                s.ranges.reserve(bits.saturating_sub(s.ranges.len()));
-                if s.steps.len() < cfg.mu * nb {
-                    s.steps.resize(cfg.mu * nb, 0.0);
-                }
+            if workers.is_some() && s.steps.len() < cfg.mu * nb {
+                s.steps.resize(cfg.mu * nb, 0.0);
             }
         }
         if workers.is_some() && cfg.schedule == Schedule::SharedLut {

@@ -41,7 +41,7 @@ pub enum Schedule {
 }
 
 /// Full engine configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BiqConfig {
     /// LUT-unit µ (sub-vector length, 1..=16). The paper finds µ = 8
     /// empirically optimal across its machines.

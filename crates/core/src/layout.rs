@@ -623,7 +623,7 @@ mod tests {
         let mut pool = BiqArena::new();
         assert_line_aligned(&pool.shared_bank.lock().unwrap(), "pool new");
         for b in [3usize, 32, 1, 48] {
-            pool.reserve(&cfg, 1, b, Some(2));
+            pool.reserve(&cfg, b, Some(2));
             let shared = pool.shared_bank.lock().unwrap();
             assert_line_aligned(&shared, "pool reserve");
             assert!(shared.len() >= cfg.tile_chunks * 256 * b.min(cfg.tile_batch));

@@ -30,11 +30,13 @@
 //!
 //! ## Execution model
 //!
-//! There is one way to run the kernel: [`biqgemm_into`]. It takes packed
-//! [`BiqWeights`], a [`BiqConfig`], the [`ResolvedKernel`] and worker count
-//! its caller's plan pinned, and a reusable [`BiqArena`]; the serial tile
-//! loop ([`tiled`]) and both parallel schedules ([`parallel`]) live under
-//! it. Nothing in this crate reads a process-wide thread count or probes
+//! There is one way to run the kernel: [`biqgemm_group_into`], over one
+//! or more weight matrices that share an input (an attention block's Q/K/V
+//! build each lookup table once), with [`biqgemm_into`] its one-member
+//! case. It takes packed [`BiqWeights`], a [`BiqConfig`], the
+//! [`ResolvedKernel`] and worker count its caller's plan pinned, and a
+//! reusable [`BiqArena`]; the serial tile loop ([`tiled`]) and both
+//! parallel schedules ([`parallel`]) live under it. Nothing in this crate reads a process-wide thread count or probes
 //! CPU features at run time — both decisions are arguments.
 //!
 //! Applications do not call it directly: **`biq_runtime`** builds an
@@ -102,5 +104,5 @@ pub use config::{BiqConfig, LutBuildMethod, LutLayout, Schedule};
 pub use parallel::WorkerSet;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};
-pub use tiled::biqgemm_into;
+pub use tiled::{biqgemm_group_into, biqgemm_into};
 pub use weights::BiqWeights;

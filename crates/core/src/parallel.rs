@@ -8,7 +8,9 @@
 //!   over its rows, **building its own copy of every LUT tile**. No barriers
 //!   or shared mutable state; build work is replicated across tasks. Wins
 //!   when query work dominates (`m ≫ 2^µ`), which is the regime BiQGEMM
-//!   targets.
+//!   targets. A grouped run ([`crate::tiled::biqgemm_group_into`]) splits
+//!   the members' concatenated rows, so each copy serves every member's
+//!   rows in its block.
 //! * [`Schedule::SharedLut`] — per (batch-tile × chunk-tile): build the bank
 //!   once in parallel over chunks, then query in parallel over row blocks
 //!   that share the read-only bank. No replicated build, one barrier per
@@ -21,9 +23,9 @@
 //!
 //! The worker count is an argument, handed down from the plan that
 //! resolved it; nothing here (or anywhere in the workspace) reads a
-//! process-wide thread setting. Every per-task buffer (LUT bank, DP steps,
-//! key-row ranges) comes out of the caller's [`BiqArena`] slots, which
-//! persist across calls.
+//! process-wide thread setting. Every per-task buffer (LUT bank, DP steps)
+//! comes out of the caller's [`BiqArena`] slots, which persist across
+//! calls.
 //!
 //! ## The worker set
 //!
@@ -65,7 +67,7 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::arena::{BiqArena, Slot};
+use crate::arena::BiqArena;
 use crate::config::{BiqConfig, LutLayout, Schedule};
 use crate::profile::PhaseProfile;
 use crate::simd::ResolvedKernel;
@@ -402,10 +404,11 @@ fn rows_per_task(m: usize, workers: usize) -> usize {
     m.div_ceil(workers).max(16.min(m.max(1)))
 }
 
-/// `cfg.schedule` over a zeroed `y`, on up to `workers` (≥ 1) threads,
+/// `cfg.schedule` over a zeroed `y` (the members' outputs stacked, as in
+/// [`crate::tiled::biqgemm_group_into`]), on up to `workers` (≥ 1) threads,
 /// drawing per-task scratch from `arena`'s slots.
 pub(crate) fn run_schedule(
-    w: &BiqWeights,
+    ws: &[&BiqWeights],
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
@@ -414,13 +417,23 @@ pub(crate) fn run_schedule(
     y: &mut [f32],
 ) {
     match cfg.schedule {
-        Schedule::RowParallel => row_parallel(w, x, cfg, kernel, workers, arena, y),
-        Schedule::SharedLut => shared_lut(w, x, cfg, kernel, workers, arena, y),
+        Schedule::RowParallel => row_parallel(ws, x, cfg, kernel, workers, arena, y),
+        Schedule::SharedLut => {
+            let mut rest = y;
+            for w in ws {
+                let (yw, tail) = rest.split_at_mut(w.output_size() * x.cols());
+                shared_lut(w, x, cfg, kernel, workers, arena, yw);
+                rest = tail;
+            }
+        }
     }
 }
 
+/// Each task runs the serial tile loop over its block of the members'
+/// concatenated output rows, building its own copy of every LUT tile — one
+/// copy per task, whatever members its block covers.
 fn row_parallel(
-    w: &BiqWeights,
+    ws: &[&BiqWeights],
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
@@ -428,23 +441,19 @@ fn row_parallel(
     arena: &BiqArena,
     y: &mut [f32],
 ) {
-    let (m, b) = (w.output_size(), x.cols());
+    let b = x.cols();
+    let Some(first) = ws.first() else { return };
     if b == 0 {
         return;
     }
-    let rpt = rows_per_task(m, workers);
-    let bits = w.bits();
+    let rows: usize = ws.iter().map(|w| w.output_size()).sum();
+    let rpt = rows_per_task(rows, workers);
     arena.workers().for_each_chunk_mut(y, rpt * b, workers, |t, yblock| {
         let row0 = t * rpt;
-        let rows = yblock.len() / b;
         let mut slot = arena.checkout();
-        let Slot { bank, ranges, .. } = &mut *slot;
         let mut profile = PhaseProfile::new();
-        // Key rows for this block: every plane's copy of [row0, row0+rows).
-        ranges.clear();
-        ranges.extend((0..bits).map(|p| (p * m + row0, p * m + row0 + rows)));
-        let bank = bank.get(w.mu(), cfg.layout);
-        run_tiles(w, x, cfg, kernel, &mut profile, bank, ranges, yblock, row0);
+        let bank = slot.bank.get(first.mu(), cfg.layout);
+        run_tiles(ws, x, cfg, kernel, &mut profile, bank, row0..row0 + yblock.len() / b, yblock);
     });
 }
 
@@ -829,7 +838,7 @@ mod tests {
                 tile_batch: 3,
                 ..BiqConfig::default()
             };
-            arena.reserve(&cfg, w.bits(), x.cols(), workers);
+            arena.reserve(&cfg, x.cols(), workers);
             let mut y = vec![0.0f32; 48 * 5];
             biqgemm_into(&w, &x, &cfg, kernel_of(&cfg), workers, &mut p, &mut arena, &mut y);
             assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} {workers:?}");
@@ -858,7 +867,7 @@ mod tests {
             arena.ensure_slots(1);
             for workers in WORKERS {
                 let mut y = vec![0.0f32; 128 * 3];
-                run_schedule(&w, &x, &cfg, kernel_of(&cfg), workers, &arena, &mut y);
+                run_schedule(&[&w], &x, &cfg, kernel_of(&cfg), workers, &arena, &mut y);
                 assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} × {workers}");
             }
         }

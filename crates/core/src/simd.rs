@@ -579,6 +579,26 @@ pub fn dp_build_tile(out: &mut [f32], x: &[f32], mu: usize, k: ResolvedKernel) {
     dispatch!(k, dp_build_tile(out, x, mu))
 }
 
+/// A caller's loop nest, compiled at a kernel level by [`run_at`]: how code
+/// outside this module (`biq_nn`'s attention scores, GELU map, residual
+/// add + layer norm and transpose) runs its element loops at the level its
+/// plan resolved, written once as plain `f32` Rust like the scalar level of
+/// every primitive here.
+pub trait LevelBody {
+    /// The body. Mark it `#[inline(always)]`: it is inlined into the
+    /// level's `#[target_feature]` entry, so LLVM vectorises its
+    /// lane-independent loops with that level's registers. Plain Rust `f32`
+    /// operations are never fused or reassociated, so the body computes
+    /// the same bits at every level by construction.
+    fn run(self);
+}
+
+/// Runs `body` at the resolved level `k` — one dispatch, no feature probe
+/// (the level was resolved once, at plan time).
+pub fn run_at<B: LevelBody>(k: ResolvedKernel, body: B) {
+    dispatch!(k, run_body(body))
+}
+
 /// One stored key width the bodies are instantiated for. Private: the
 /// public entry points take a [`KeyTile`] and pick the instantiation.
 trait KeyElem: Copy + Into<usize> {
@@ -941,6 +961,15 @@ macro_rules! stamp {
         pub unsafe fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize) {
             // SAFETY: as for `fused_row`.
             unsafe { super::negate_rows_reversed_body::<$lanes>(dst, src, nb) }
+        }
+
+        /// A caller's loop nest compiled at this level (`run_at`).
+        ///
+        /// # Safety
+        /// This level's ISA is available.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn run_body<B: super::LevelBody>(body: B) {
+            body.run()
         }
 
         /// The width-1 tile build at this level (`dp_build_tile_body`).

@@ -3,21 +3,27 @@
 //! The loop nest follows Fig. 7 of the paper. Lookup tables are **not**
 //! precomputed and fetched from DRAM; each (batch-tile × chunk-tile) bank is
 //! built on the fly (Line 3 of Algorithm 2) and stays stationary while every
-//! key-matrix tile that needs it streams past (Lines 4–6):
+//! key-matrix tile that needs it streams past (Lines 4–6) — the tiles of
+//! every *member* of the run, when several weight matrices share the input
+//! ([`biqgemm_group_into`]: an attention block's `W_q`, `W_k`, `W_v`):
 //!
 //! ```text
 //! for each batch tile:
 //!   for each chunk tile TX:
 //!     build bank TQ from TX                  (Algorithm 1, build/replace)
-//!     for each row tile TK of the key matrix:
-//!       for each key row r in TK:
-//!         acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
-//!         Y[r mod m, ·] += α_r · acc
+//!     for each member W (its rows in the run's row window):
+//!       for each plane p of W:
+//!         for each row tile TK of plane p's key rows:
+//!           for each key row r in TK:
+//!             acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
+//!             Y_W[r mod m, ·] += α_r · acc
 //! ```
 //!
 //! Partial outputs from different chunk tiles accumulate into `Y`; the scale
 //! `α_r` distributes over partial sums, so applying it per chunk tile is
-//! exact up to f32 rounding.
+//! exact up to f32 rounding. A row's arithmetic reads only its own keys and
+//! the shared bank, so a member's rows round exactly as in a run of that
+//! member alone: grouping moves no bit, by construction.
 
 use crate::arena::BiqArena;
 use crate::config::BiqConfig;
@@ -29,14 +35,15 @@ use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
 use biq_matrix::view::tile_ranges;
 use biq_matrix::ColMatrix;
+use std::ops::Range;
 
-/// BiQGEMM into a caller-provided output buffer — the one way to run the
-/// kernel; the plan/executor layer (`biq_runtime`) sits directly on it.
-/// `y` is a row-major `m × b` buffer, overwritten. The build/query hot
-/// loops run at the resolved level `kernel` (pinned by the caller's plan —
-/// no feature probing happens here), and every scratch need is drawn from
-/// `arena`: once it has warmed to the workload's shape, repeat calls
-/// perform **no heap allocation** on the calling thread.
+/// BiQGEMM into a caller-provided output buffer — the one-member case of
+/// [`biqgemm_group_into`], which the plan/executor layer (`biq_runtime`)
+/// sits directly on. `y` is a row-major `m × b` buffer, overwritten. The
+/// build/query hot loops run at the resolved level `kernel` (pinned by the
+/// caller's plan — no feature probing happens here), and every scratch need
+/// is drawn from `arena`: once it has warmed to the workload's shape,
+/// repeat calls perform **no heap allocation** on the calling thread.
 ///
 /// `workers` is the plan's threading decision:
 ///
@@ -66,73 +73,107 @@ pub fn biqgemm_into(
     arena: &mut BiqArena,
     y: &mut [f32],
 ) {
+    biqgemm_group_into(&[w], x, cfg, kernel, workers, profile, arena, y);
+}
+
+/// BiQGEMM of several weight matrices that share the input `x` — one run
+/// whose lookup tables each serve the rows of every member (module docs).
+/// `y` is the members' outputs stacked row-major: member `i`'s `m_i × b`
+/// rows follow those of members `0..i` (`Σ m_i × b` floats, overwritten).
+/// Every row is bit-identical to a [`biqgemm_into`] run of its member
+/// alone, at every `workers` value.
+///
+/// `workers` as for [`biqgemm_into`]. Under `Some(n)`,
+/// [`crate::Schedule::RowParallel`] splits the members' concatenated rows
+/// over its tasks, so each task's replicated build serves rows of every
+/// member it covers; [`crate::Schedule::SharedLut`] runs the members one
+/// after another.
+///
+/// # Panics
+/// Panics if a member's input size differs from `x.rows()`, the members'
+/// µ differ, `y.len() != Σ m_i · b`, or the config is invalid.
+#[allow(clippy::too_many_arguments)]
+pub fn biqgemm_group_into(
+    ws: &[&BiqWeights],
+    x: &ColMatrix,
+    cfg: &BiqConfig,
+    kernel: ResolvedKernel,
+    workers: Option<usize>,
+    profile: &mut PhaseProfile,
+    arena: &mut BiqArena,
+    y: &mut [f32],
+) {
     cfg.validate();
-    assert_eq!(x.rows(), w.input_size(), "inner dimension mismatch");
-    let (m, b) = (w.output_size(), x.cols());
-    assert_eq!(y.len(), m * b, "output buffer must hold m·b floats");
+    let mu = ws.first().map_or(cfg.mu, |w| w.mu());
+    for w in ws {
+        assert_eq!(x.rows(), w.input_size(), "inner dimension mismatch");
+        assert_eq!(w.mu(), mu, "the members of one run share one µ");
+    }
+    let rows: usize = ws.iter().map(|w| w.output_size()).sum();
+    assert_eq!(y.len(), rows * x.cols(), "output buffer must hold m·b floats");
     y.fill(0.0);
     match workers {
         None => {
-            let bank = arena.local().bank.get(w.mu(), cfg.layout);
-            run_tiles(w, x, cfg, kernel, profile, bank, &[(0, w.key_rows())], y, 0);
+            let bank = arena.local().bank.get(mu, cfg.layout);
+            run_tiles(ws, x, cfg, kernel, profile, bank, 0..rows, y);
         }
         Some(n) => {
             let n = n.max(1);
             arena.ensure_slots(n);
             let arena = &*arena;
-            profile.time_query(|| run_schedule(w, x, cfg, kernel, n, arena, y));
+            profile.time_query(|| run_schedule(ws, x, cfg, kernel, n, arena, y));
         }
     }
 }
 
-/// The shared tile loop. Processes the given disjoint key-row ranges
-/// (ascending), writing into `y` (a row-major buffer whose row 0 is output
-/// row `y_row0`; callers hand either the full matrix (`y_row0 = 0`) or a
-/// thread's row block). Used by both the serial run and the row-parallel
-/// schedule — processing all ranges *inside* each tile keeps the
-/// floating-point accumulation order identical between the two, so parallel
-/// results are bit-exact w.r.t. serial.
+/// The shared tile loop over the output rows `rows` of the members' stacked
+/// output, writing into `y` — those rows only, `rows.start` first. Used by
+/// both the serial run (every row) and each row-parallel task (its row
+/// block). Per output element the accumulation order over (batch tile,
+/// chunk tile, plane) is the same whatever the window, so parallel results
+/// are bit-exact w.r.t. serial.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tiles(
-    w: &BiqWeights,
+    ws: &[&BiqWeights],
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
     profile: &mut PhaseProfile,
     bank: &mut LutBank,
-    key_row_ranges: &[(usize, usize)],
+    rows: Range<usize>,
     y: &mut [f32],
-    y_row0: usize,
 ) {
     let b = x.cols();
-    if b == 0 || key_row_ranges.iter().all(|&(s, e)| s >= e) {
+    let Some(first) = ws.first() else { return };
+    if b == 0 || rows.is_empty() {
         return;
     }
-    let input = ChunkedInput::new(x, w.mu());
-    let chunks = w.chunks();
-    let keys = w.keys();
-    let m = w.output_size();
+    let input = ChunkedInput::new(x, first.mu());
     for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
-        for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
+        for (c0, nc) in tile_ranges(first.chunks(), cfg.tile_chunks) {
             bank.build(&input, c0, nc, b0, nb, cfg.build, profile, kernel);
             profile.time_query(|| {
-                for &(kr_start, kr_end) in key_row_ranges {
-                    for (r0, nr) in tile_ranges(kr_end - kr_start, cfg.tile_rows) {
-                        let (t0, t1) = (kr_start + r0, kr_start + r0 + nr);
-                        // One query per row tile (`LutBank::query_rows`:
-                        // the width-1 gather, the fused KeyMajor query, or
-                        // BatchMajor's strided gathers). Key rows map to
-                        // output rows mod m (bit planes), so a tile is split
-                        // where the output row index wraps.
-                        let mut r = t0;
-                        while r < t1 {
-                            let run_end = t1.min((r / m + 1) * m);
-                            let out_row = r % m;
-                            debug_assert!(out_row >= y_row0);
-                            let yrows = &mut y[(out_row - y_row0) * b + b0..];
-                            let tile = keys.tile(r..run_end, c0, nc);
-                            bank.query_rows(tile, &w.scales()[r..run_end], yrows, b, kernel);
-                            r = run_end;
+                // `off`: the member's first row in the stacked output.
+                let mut off = 0;
+                for w in ws {
+                    let m = w.output_size();
+                    let (lo, hi) = (rows.start.max(off), rows.end.min(off + m));
+                    off += m;
+                    if lo >= hi {
+                        continue;
+                    }
+                    // Plane `p` keeps output row `r` in key row `p·m + r`.
+                    let (r_lo, r_hi) = (lo - (off - m), hi - (off - m));
+                    let yrows = &mut y[(lo - rows.start) * b + b0..];
+                    for p in 0..w.bits() {
+                        for (r0, nr) in tile_ranges(r_hi - r_lo, cfg.tile_rows) {
+                            // One query per row tile (`LutBank::query_rows`:
+                            // the width-1 gather, the fused KeyMajor query,
+                            // or BatchMajor's strided gathers).
+                            let t = p * m + r_lo + r0;
+                            let tile = w.keys().tile(t..t + nr, c0, nc);
+                            let y_tile = &mut yrows[r0 * b..];
+                            bank.query_rows(tile, &w.scales()[t..t + nr], y_tile, b, kernel);
                         }
                     }
                 }
@@ -332,6 +373,61 @@ mod tests {
         assert!(prof.query > std::time::Duration::ZERO);
         // Default layout is KeyMajor, so replace (scatter) must show up.
         assert!(prof.replace > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn a_grouped_run_equals_separate_runs_bit_for_bit() {
+        use crate::config::Schedule;
+        use crate::simd::{supported_levels, KernelRequest};
+        // Members of different m and 1–3 bits over one input of n = 45
+        // (n ∤ µ), at batch widths either side of the 16-column batch tile.
+        let mut g = MatrixRng::seed_from(239);
+        let n = 45;
+        let ws: Vec<BiqWeights> = [(24usize, 1usize), (40, 2), (17, 3)]
+            .iter()
+            .map(|&(m, bits)| {
+                let q = greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits);
+                BiqWeights::from_multibit(&q, 8)
+            })
+            .collect();
+        let members: Vec<&BiqWeights> = ws.iter().collect();
+        let rows: usize = ws.iter().map(BiqWeights::output_size).sum();
+        let runs = [
+            (Schedule::RowParallel, None),
+            (Schedule::RowParallel, Some(1)),
+            (Schedule::RowParallel, Some(2)),
+            (Schedule::RowParallel, Some(3)),
+            (Schedule::SharedLut, Some(2)),
+        ];
+        for b in [1usize, 2, 7, 32, 33] {
+            let x = g.gaussian_col(n, b, 0.0, 1.0);
+            for level in supported_levels() {
+                for (schedule, workers) in runs {
+                    let cfg = BiqConfig {
+                        tile_rows: 5,
+                        tile_chunks: 2,
+                        tile_batch: 16,
+                        schedule,
+                        kernel: KernelRequest::Exact(level),
+                        ..BiqConfig::default()
+                    };
+                    let kernel = cfg.kernel.resolve().expect("a host level resolves");
+                    let (mut p, mut arena) = (PhaseProfile::new(), BiqArena::new());
+                    let mut want = Vec::with_capacity(rows * b);
+                    for w in &ws {
+                        let mut y = vec![0.0f32; w.output_size() * b];
+                        biqgemm_into(w, &x, &cfg, kernel, workers, &mut p, &mut arena, &mut y);
+                        want.extend(y.iter().map(|v| v.to_bits()));
+                    }
+                    let mut y = vec![f32::NAN; rows * b];
+                    biqgemm_group_into(
+                        &members, &x, &cfg, kernel, workers, &mut p, &mut arena, &mut y,
+                    );
+                    let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                    assert!(got == want, "b = {b}, {level:?}, {schedule:?} on {workers:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,7 @@ fn exp_poly(z: f32) -> f32 {
 }
 
 /// Applies `f` to every element in place.
+#[inline]
 pub fn map_inplace(x: &mut [f32], f: impl Fn(f32) -> f32) {
     for v in x {
         *v = f(*v);

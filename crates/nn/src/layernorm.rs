@@ -84,7 +84,9 @@ impl LayerNorm {
     }
 
     /// Normalises each `dim()`-float column of a column-major block: the
-    /// per-column body a layer runs over any split of its columns.
+    /// per-column body a layer runs over any split of its columns (inlined
+    /// into the kernel-level body that calls it).
+    #[inline]
     pub(crate) fn normalize_columns(&self, block: &mut [f32]) {
         let d = self.dim() as f32;
         // `max(1)`: a zero-width norm owns no floats, so there is no column.

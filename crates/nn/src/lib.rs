@@ -25,13 +25,11 @@
 pub mod activations;
 pub mod attention;
 pub mod configs;
-pub mod conv;
 pub mod embedding;
 pub mod layernorm;
 pub mod linear;
 pub mod lstm;
 pub mod model;
-pub mod pooling;
 pub mod seq2seq;
 pub mod transformer;
 

@@ -25,6 +25,7 @@ use biq_runtime::{
     compile, BackendSpec, CompiledOp, ExecutionPlan, PlanBuilder, SharedExecutor, Threading,
     WeightSource,
 };
+use biqgemm_core::simd::{run_at, LevelBody};
 use biqgemm_core::BiqConfig;
 use std::sync::Arc;
 
@@ -222,23 +223,48 @@ impl Linear {
     pub fn forward(&self, x: &ColMatrix) -> ColMatrix {
         assert_eq!(x.rows(), self.in_features, "input feature mismatch");
         let y = self.exec.run(&self.op, x);
-        // The executor's output is row-major `out × batch`; activations
-        // travel column-major. Transpose and add the bias in the same pass:
-        // one read of `y`, one write of the output, one allocation.
-        let (m, b) = y.shape();
-        let src = y.as_slice();
-        let mut out = ColMatrix::zeros(m, b);
-        self.for_each_col_block(out.as_mut_slice(), m, |j0, block| {
-            for (j, col) in (j0..).zip(block.chunks_exact_mut(m)) {
-                match self.bias.as_deref() {
-                    Some(bias) => {
-                        for (i, (o, &bv)) in col.iter_mut().zip(bias).enumerate() {
-                            *o = src[i * b + j] + bv;
-                        }
-                    }
-                    None => col.iter_mut().enumerate().for_each(|(i, o)| *o = src[i * b + j]),
-                }
+        self.to_columns(y.as_slice(), x.cols())
+    }
+
+    /// `[W_0; W_1; …] · x` (no bias) of layers that share the input `x`:
+    /// their row-major outputs stacked, layer `i`'s rows after those of
+    /// layers `0..i`. One executor run through the first layer's executor
+    /// (`SharedExecutor::run_group`), which builds each LUT tile once for
+    /// every layer when their plans agree; each layer's rows are the bits
+    /// of its own run.
+    ///
+    /// # Panics
+    /// Panics if `x.rows()` differs from a layer's `in_features`, or
+    /// `layers` is empty.
+    pub(crate) fn run_group(layers: &[&Linear], x: &ColMatrix) -> Matrix {
+        for l in layers {
+            assert_eq!(x.rows(), l.in_features, "input feature mismatch");
+        }
+        let ops: Vec<&CompiledOp> = layers.iter().map(|l| &*l.op).collect();
+        layers[0].exec.run_group(&ops, x)
+    }
+
+    /// Adds the bias, if any, to every row of this layer's row-major
+    /// `out × b` output in place: `y[i·b + j] += bias[i]`, the same sum
+    /// [`Linear::to_columns`] forms.
+    pub(crate) fn add_bias_rows(&self, y: &mut [f32], b: usize) {
+        if let (Some(bias), true) = (self.bias(), b > 0) {
+            for (row, &bv) in y.chunks_exact_mut(b).zip(bias) {
+                row.iter_mut().for_each(|v| *v += bv);
             }
+        }
+    }
+
+    /// This layer's row-major `out × b` output `y` as a column-major
+    /// activation, plus the bias: the transpose `forward` ends with. Runs
+    /// as column regions on the plan's workers, each a row-blocked loop at
+    /// the plan's kernel level ([`Transpose`]).
+    pub(crate) fn to_columns(&self, y: &[f32], b: usize) -> ColMatrix {
+        let m = self.out_features;
+        let (kernel, bias) = (self.plan().kernel, self.bias());
+        let mut out = ColMatrix::zeros(m, b);
+        self.for_each_col_block(out.as_mut_slice(), m, |j0, cols| {
+            run_at(kernel, Transpose { y, b, j0, bias, cols });
         });
         out
     }
@@ -263,6 +289,47 @@ impl Linear {
                     .for_each_chunk_mut(data, per * rows, workers, |t, block| f(t * per, block));
             }
             _ => f(0, data),
+        }
+    }
+}
+
+/// The columns `j0..` of a row-major `m × b` output `y` written
+/// column-major into `cols` (`m` floats per column), plus the bias:
+/// `cols[(j − j0)·m + i] = y[i·b + j] (+ bias[i])`. Row-blocked: a block of
+/// [`Transpose::ROWS`] source rows stays in L1 while every column takes its
+/// slice of them, where a column-by-column pass over all `m` rows would
+/// re-read each source line from L2 once per column.
+struct Transpose<'a> {
+    y: &'a [f32],
+    b: usize,
+    j0: usize,
+    bias: Option<&'a [f32]>,
+    cols: &'a mut [f32],
+}
+
+impl Transpose<'_> {
+    /// Source rows per block.
+    const ROWS: usize = 16;
+}
+
+impl LevelBody for Transpose<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let Transpose { y, b, j0, bias, cols } = self;
+        let m = y.len() / b.max(1);
+        for i0 in (0..m).step_by(Self::ROWS) {
+            let i1 = m.min(i0 + Self::ROWS);
+            for (j, col) in (j0..).zip(cols.chunks_exact_mut(m)) {
+                let (col, src) = (&mut col[i0..i1], &y[i0 * b + j..]);
+                match bias {
+                    Some(bias) => {
+                        for (i, (o, &bv)) in col.iter_mut().zip(&bias[i0..i1]).enumerate() {
+                            *o = src[i * b] + bv;
+                        }
+                    }
+                    None => col.iter_mut().enumerate().for_each(|(i, o)| *o = src[i * b]),
+                }
+            }
         }
     }
 }

@@ -10,7 +10,9 @@
 //! linears: attention, GELU and both (decoder: all three) residual adds +
 //! layer norms are column regions (`Linear::for_each_col_block`), each
 //! column computed exactly as on one thread, so every worker count gives
-//! the serial bits.
+//! the serial bits. Each region's loops run at the kernel level of the
+//! plan that owns it (`biqgemm_core::simd::run_at`): plain `f32` Rust with
+//! no FMA and no reassociation, so every level gives the same bits too.
 
 use crate::activations::{gelu, map_inplace};
 use crate::attention::MultiHeadAttention;
@@ -18,6 +20,7 @@ use crate::layernorm::LayerNorm;
 use crate::linear::{Linear, QuantMethod};
 use biq_matrix::{ColMatrix, Matrix, MatrixRng};
 use biq_runtime::{BackendSpec, PlanBuilder, SharedExecutor, Threading, WeightSource};
+use biqgemm_core::simd::{run_at, LevelBody};
 use biqgemm_core::BiqConfig;
 
 /// How the weight matrices of a generated layer are executed.
@@ -431,24 +434,54 @@ impl Encoder {
     }
 }
 
-/// `x ← LN(x + residual)`, column by column on the workers of `lin`'s plan.
+/// `x ← LN(x + residual)`, column by column on the workers of `lin`'s plan,
+/// at its kernel level.
 fn add_norm_on(lin: &Linear, ln: &LayerNorm, x: &mut ColMatrix, residual: &ColMatrix) {
     assert_eq!(x.shape(), residual.shape(), "residual shape mismatch");
     assert_eq!(x.rows(), ln.dim(), "feature dimension mismatch");
-    let d = ln.dim();
+    let (d, kernel) = (ln.dim(), lin.plan().kernel);
     lin.for_each_col_block(x.as_mut_slice(), d, |j0, block| {
-        let res = &residual.as_slice()[j0 * d..j0 * d + block.len()];
-        for (v, r) in block.iter_mut().zip(res) {
-            *v += *r;
-        }
-        ln.normalize_columns(block);
+        let residual = &residual.as_slice()[j0 * d..j0 * d + block.len()];
+        run_at(kernel, AddNorm { ln, block, residual });
     });
 }
 
-/// GELU over every element of `x`, on the workers of `lin`'s plan.
+/// GELU over every element of `x`, on the workers of `lin`'s plan, at its
+/// kernel level.
 fn gelu_on(lin: &Linear, x: &mut ColMatrix) {
-    let rows = x.rows();
-    lin.for_each_col_block(x.as_mut_slice(), rows, |_, block| map_inplace(block, gelu));
+    let (rows, kernel) = (x.rows(), lin.plan().kernel);
+    lin.for_each_col_block(x.as_mut_slice(), rows, |_, block| run_at(kernel, Gelu(block)));
+}
+
+/// The GELU map over a block, compiled at a kernel level: the body is
+/// lane-independent `f32` arithmetic, so each level vectorises it at its
+/// own width and computes the same bits.
+struct Gelu<'a>(&'a mut [f32]);
+
+impl LevelBody for Gelu<'_> {
+    #[inline(always)]
+    fn run(self) {
+        map_inplace(self.0, gelu);
+    }
+}
+
+/// `block ← LN(block + residual)` over whole columns, compiled at a kernel
+/// level: the residual add and the norm's apply pass vectorise at the
+/// level's width; the mean and variance stay one ascending sum per column.
+struct AddNorm<'a> {
+    ln: &'a LayerNorm,
+    block: &'a mut [f32],
+    residual: &'a [f32],
+}
+
+impl LevelBody for AddNorm<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for (v, r) in self.block.iter_mut().zip(self.residual) {
+            *v += *r;
+        }
+        self.ln.normalize_columns(self.block);
+    }
 }
 
 #[cfg(test)]

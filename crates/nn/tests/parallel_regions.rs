@@ -3,8 +3,9 @@
 //! runs as column regions on the plan's workers. Every region partitions
 //! independent output columns, so every worker count must reproduce the
 //! serial plan's output bit for bit — checked here for workers
-//! {1, 2, 3, 7}, sequence lengths {1, 2, 7, 32, 33}, a BiQGEMM and a dense
-//! backend, and cross-attention over a memory of a different length.
+//! {1, 2, 3, 7}, sequence lengths {1, 2, 7, 15, 16, 17, 32, 33} (either
+//! side of the score loop's 16-key block), a BiQGEMM and a dense backend,
+//! and cross-attention over a memory of a different length.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_nn::attention::MultiHeadAttention;
@@ -14,7 +15,7 @@ use biq_nn::Linear;
 use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, SharedExecutor, Threading, WeightSource};
 
 const WORKERS: [usize; 4] = [1, 2, 3, 7];
-const SEQS: [usize; 5] = [1, 2, 7, 32, 33];
+const SEQS: [usize; 8] = [1, 2, 7, 15, 16, 17, 32, 33];
 const BACKENDS: [BackendSpec; 2] =
     [BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy }, BackendSpec::Fp32Blocked];
 const D: usize = 64;

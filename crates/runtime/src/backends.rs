@@ -16,7 +16,9 @@ use biq_gemm::{gemm_blocked_into, gemm_naive_into, par_gemm_blocked_into};
 use biq_matrix::{ColMatrix, Matrix, SignMatrix};
 use biq_quant::alternating::alternating_quantize_matrix_rowwise;
 use biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
-use biqgemm_core::{biqgemm_into, BiqConfig, BiqWeights, PhaseProfile, ResolvedKernel};
+use biqgemm_core::{
+    biqgemm_group_into, biqgemm_into, BiqConfig, BiqWeights, PhaseProfile, ResolvedKernel,
+};
 
 /// A matmul kernel family bound to one weight operand.
 ///
@@ -241,6 +243,80 @@ impl GemmBackend for BiqBackend {
     }
 }
 
+/// Most ops one grouped BiQGEMM run takes (an attention block's Q/K/V is
+/// three); longer lists run as consecutive groups of this many.
+const MAX_GROUP: usize = 4;
+
+/// `Y = [W_0; W_1; …] · X` for ops that share the input `x`, into `y`:
+/// the ops' row-major outputs stacked, op `i`'s `m_i × b` rows after those
+/// of ops `0..i`. Ops that [`biq_group`] accepts run as one grouped
+/// BiQGEMM run (`biqgemm_group_into`: one LUT build per tile serves every
+/// op's rows); any other list runs op by op. Either way each op's rows are
+/// bit-identical to its own `execute`.
+pub(crate) fn execute_group(
+    ops: &[&CompiledOp],
+    x: &ColMatrix,
+    arena: &mut Arena,
+    profile: &mut PhaseProfile,
+    y: &mut [f32],
+) {
+    let mut rest = y;
+    for group in ops.chunks(MAX_GROUP) {
+        let rows: usize = group.iter().map(|op| op.output_size()).sum();
+        let (yg, tail) = rest.split_at_mut(rows * x.cols());
+        rest = tail;
+        if let Some(ws) = biq_group(group) {
+            let plan = group[0].plan();
+            let ws = &ws[..group.len()];
+            biqgemm_group_into(
+                ws,
+                x,
+                &plan.cfg,
+                plan.kernel,
+                plan.workers,
+                profile,
+                &mut arena.biq,
+                yg,
+            );
+            continue;
+        }
+        let mut rest = yg;
+        for op in group {
+            let (yo, tail) = rest.split_at_mut(op.output_size() * x.cols());
+            op.backend().execute(x, arena, profile, yo);
+            rest = tail;
+        }
+    }
+}
+
+/// The weights of `ops` when they can run as one grouped BiQGEMM run: every
+/// op is a BiQ op and every plan agrees with the first on the config (µ,
+/// tiles, layout, build method, schedule), the resolved kernel level and
+/// the worker count — everything a run shares except `m` (and `n`, which
+/// the shared input already fixes). The config's kernel *request* may
+/// differ where the resolved level agrees. At most [`MAX_GROUP`] ops; the
+/// array's tail past `ops.len()` repeats the first op's weights.
+pub(crate) fn biq_group<'a>(ops: &[&'a CompiledOp]) -> Option<[&'a BiqWeights; MAX_GROUP]> {
+    let (first, _) = ops.split_first()?;
+    if ops.len() > MAX_GROUP {
+        return None;
+    }
+    let biq = |op: &'a CompiledOp| match op.payload() {
+        PackedPayload::Biq(w) => Some(w),
+        _ => None,
+    };
+    let p0 = first.plan();
+    let mut ws = [biq(first)?; MAX_GROUP];
+    for (slot, op) in ws.iter_mut().zip(ops) {
+        let p = op.plan();
+        let agree = p.cfg == BiqConfig { kernel: p.cfg.kernel, ..p0.cfg }
+            && p.kernel == p0.kernel
+            && p.workers == p0.workers;
+        *slot = biq(op).filter(|_| agree)?;
+    }
+    Some(ws)
+}
+
 /// Where a backend's weights come from at compile time.
 pub enum WeightSource<'a> {
     /// Dense fp32 weights (quantized by `compile` when the spec needs it).
@@ -450,6 +526,7 @@ mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
     use biq_matrix::MatrixRng;
+    use biqgemm_core::planner::Threading;
 
     fn run(op: &CompiledOp, x: &ColMatrix) -> Vec<f32> {
         let mut arena = Arena::new();
@@ -508,6 +585,78 @@ mod tests {
         let y = run(&op, &x);
         let y_ref = biq_gemm::gemm_naive(&signs.to_f32(), &x);
         assert_eq!(y, y_ref.as_slice());
+    }
+
+    /// Every op's rows of one `execute_group` call, as bits.
+    fn run_grouped(ops: &[&CompiledOp], x: &ColMatrix) -> Vec<u32> {
+        let rows: usize = ops.iter().map(|op| op.output_size()).sum();
+        let mut y = vec![f32::NAN; rows * x.cols()];
+        execute_group(ops, x, &mut Arena::new(), &mut PhaseProfile::new(), &mut y);
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each op run on its own, outputs stacked, as bits.
+    fn run_separately(ops: &[&CompiledOp], x: &ColMatrix) -> Vec<u32> {
+        ops.iter().flat_map(|op| run(op, x)).map(f32::to_bits).collect()
+    }
+
+    #[test]
+    fn ops_group_only_when_their_plans_agree() {
+        use biqgemm_core::simd::{host_best, supported_levels, KernelRequest};
+        use biqgemm_core::{LutBuildMethod, LutLayout, Schedule};
+        let mut g = MatrixRng::seed_from(93);
+        let n = 40;
+        let x = g.gaussian_col(n, 6, 0.0, 1.0);
+        let base =
+            BiqConfig { tile_rows: 8, tile_chunks: 2, tile_batch: 4, ..BiqConfig::default() };
+        // The level `AtMost` resolves to (a `BIQ_KERNEL` override moves it).
+        let at_most = KernelRequest::AtMost(host_best());
+        let level = at_most.resolve().expect("an at-most request resolves").level();
+        // Op `i`: m = 16 + 8i, i + 1 bits (1–3), on `cfg`, `workers`, `kernel`.
+        let mut op = |i: usize, cfg: BiqConfig, workers: Option<usize>, kernel: KernelRequest| {
+            let m = 16 + 8 * i;
+            let builder = PlanBuilder::new(m, n)
+                .backend(BackendSpec::Biq { bits: 1 + i % 3, method: QuantMethod::Greedy })
+                .config(cfg)
+                .kernel(kernel);
+            let plan = match workers {
+                Some(w) => builder.threads(w).threading(Threading::Parallel),
+                None => builder.threading(Threading::Serial),
+            }
+            .build();
+            compile(&plan, WeightSource::Dense(&g.gaussian(m, n, 0.0, 1.0)))
+        };
+        let exact = KernelRequest::Exact(level);
+        let (a, b, c) =
+            (op(0, base, None, exact), op(1, base, None, exact), op(2, base, None, exact));
+        // Another request for the same resolved level still groups, and a
+        // list longer than one group runs as consecutive groups.
+        let same_level = op(3, base, None, at_most);
+        let e = op(4, base, None, exact);
+        assert!(biq_group(&[&a, &b, &c, &same_level]).is_some());
+        let five = [&a, &b, &c, &same_level, &e];
+        assert_eq!(run_grouped(&five, &x), run_separately(&five, &x));
+
+        let mut odd = vec![
+            ("µ", op(1, BiqConfig { mu: 4, ..base }, None, exact)),
+            ("tile_rows", op(1, BiqConfig { tile_rows: 5, ..base }, None, exact)),
+            ("tile_chunks", op(1, BiqConfig { tile_chunks: 3, ..base }, None, exact)),
+            ("tile_batch", op(1, BiqConfig { tile_batch: 2, ..base }, None, exact)),
+            ("layout", op(1, BiqConfig { layout: LutLayout::BatchMajor, ..base }, None, exact)),
+            ("build", op(1, BiqConfig { build: LutBuildMethod::Gemm, ..base }, None, exact)),
+            ("schedule", op(1, BiqConfig { schedule: Schedule::SharedLut, ..base }, None, exact)),
+            ("workers", op(1, base, Some(2), exact)),
+        ];
+        if let Some(other) = supported_levels().into_iter().find(|&l| l != level) {
+            odd.push(("level", op(1, base, None, KernelRequest::Exact(other))));
+        }
+        let dense = PlanBuilder::new(24, n).backend(BackendSpec::Fp32Blocked).build();
+        odd.push(("backend", compile(&dense, WeightSource::Dense(&g.gaussian(24, n, 0.0, 1.0)))));
+        for (field, odd) in &odd {
+            let ops = [&a, odd, &c];
+            assert!(biq_group(&ops).is_none(), "a different {field} must not group");
+            assert_eq!(run_grouped(&ops, &x), run_separately(&ops, &x), "{field}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cheaply cloneable handle layers hold for exactly that pattern.
 
 use crate::arena::Arena;
-use crate::backends::CompiledOp;
+use crate::backends::{execute_group, CompiledOp};
 use biq_matrix::{ColMatrix, Matrix};
 use biqgemm_core::{PhaseProfile, WorkerSet};
 use std::sync::{Arc, Mutex};
@@ -49,11 +49,11 @@ impl Executor {
     pub fn warm_batch(&mut self, op: &CompiledOp, b: usize) {
         let plan = op.plan();
         match plan.spec {
-            crate::plan::BackendSpec::Biq { bits, .. } => {
+            crate::plan::BackendSpec::Biq { .. } => {
                 // One bank for a serial plan, one per worker of a parallel
                 // plan — the plan's count, so the slots exist before the
                 // first run — each sized for the chunks the input has.
-                self.arena.biq.reserve(&plan.cfg.fitted_to(plan.n), bits, b, plan.workers);
+                self.arena.biq.reserve(&plan.cfg.fitted_to(plan.n), b, plan.workers);
             }
             crate::plan::BackendSpec::Fp32Blocked => {
                 self.arena.warm_pack(plan.n, b);
@@ -65,26 +65,55 @@ impl Executor {
 
     /// `Y = W · X` into a fresh row-major matrix.
     pub fn run(&mut self, op: &CompiledOp, x: &ColMatrix) -> Matrix {
-        let mut y = Matrix::zeros(op.output_size(), x.cols());
-        self.run_into(op, x, y.as_mut_slice());
-        y
+        self.run_group(&[op], x)
     }
 
     /// `Y = W · X` into a caller-provided row-major `m × b` buffer
-    /// (overwritten). Once the arena has warmed to the shape (and, on a
-    /// parallel plan, the worker set has its helpers) this is the
-    /// allocation-free steady-state path.
+    /// (overwritten): the one-op case of [`Executor::run_group_into`].
+    /// Once the arena has warmed to the shape (and, on a parallel plan, the
+    /// worker set has its helpers) this is the allocation-free steady-state
+    /// path.
     ///
     /// # Panics
     /// Panics if `x.rows() != op.input_size()` or `y.len() != m·b`.
     pub fn run_into(&mut self, op: &CompiledOp, x: &ColMatrix, y: &mut [f32]) {
-        assert_eq!(x.rows(), op.input_size(), "inner dimension mismatch");
-        assert_eq!(y.len(), op.output_size() * x.cols(), "output buffer must hold m·b floats");
-        self.runs += 1;
+        self.run_group_into(&[op], x, y)
+    }
+
+    /// `Y = [W_0; W_1; …] · X` for ops that share the input `x` into a fresh
+    /// row-major matrix: op `i`'s `m_i` rows follow those of ops `0..i`
+    /// (see [`Executor::run_group_into`]).
+    pub fn run_group(&mut self, ops: &[&CompiledOp], x: &ColMatrix) -> Matrix {
+        let rows = ops.iter().map(|op| op.output_size()).sum();
+        let mut y = Matrix::zeros(rows, x.cols());
+        self.run_group_into(ops, x, y.as_mut_slice());
+        y
+    }
+
+    /// Runs ops that share the input `x` into one stacked row-major buffer
+    /// (op `i`'s `m_i × b` rows after those of ops `0..i`, overwritten) —
+    /// an attention block's Q/K/V. BiQ ops whose plans agree on everything
+    /// but `m` (µ, tiles, layout, build method, schedule, resolved level,
+    /// workers) run as **one** grouped run, which builds each LUT
+    /// tile once for all their rows; any other list runs op by op. Each
+    /// op's rows are bit-identical to a run of that op alone, and each op
+    /// counts as one run. Allocation-free once the arena has warmed to
+    /// every op's shape.
+    ///
+    /// # Panics
+    /// Panics if an op's input size differs from `x.rows()` or `y` does not
+    /// hold `Σ m_i · b` floats.
+    pub fn run_group_into(&mut self, ops: &[&CompiledOp], x: &ColMatrix, y: &mut [f32]) {
+        for op in ops {
+            assert_eq!(x.rows(), op.input_size(), "inner dimension mismatch");
+        }
+        let rows: usize = ops.iter().map(|op| op.output_size()).sum();
+        assert_eq!(y.len(), rows * x.cols(), "output buffer must hold m·b floats");
+        self.runs += ops.len() as u64;
         // One span per executor pass, not per phase — disabled tracing
         // costs a single relaxed load here.
         let _span = biq_obs::span!("exec.run");
-        op.backend().execute(x, &mut self.arena, &mut self.profile, y);
+        execute_group(ops, x, &mut self.arena, &mut self.profile, y);
     }
 
     /// The worker set this executor's parallel plans run on: its helpers
@@ -171,6 +200,12 @@ impl SharedExecutor {
     /// Runs `op` into a caller buffer (see [`Executor::run_into`]).
     pub fn run_into(&self, op: &CompiledOp, x: &ColMatrix, y: &mut [f32]) {
         self.lock().run_into(op, x, y)
+    }
+
+    /// Runs ops that share the input `x` through the shared executor (see
+    /// [`Executor::run_group`]).
+    pub fn run_group(&self, ops: &[&CompiledOp], x: &ColMatrix) -> Matrix {
+        self.lock().run_group(ops, x)
     }
 
     /// Pre-grows the shared arena for `op`.

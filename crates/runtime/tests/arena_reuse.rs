@@ -149,7 +149,7 @@ fn fp32_blocked_steady_state_allocates_nothing() {
 #[test]
 fn parallel_steady_state_allocates_nothing_per_worker() {
     // The parallel schedules draw every per-task buffer (LUT bank, DP
-    // steps, key-row ranges) from the executor's persistent per-worker
+    // steps) from the executor's persistent per-worker
     // slots. The plan's worker count is what executes: at `threads(1)` the
     // schedules run inline with no thread spawns — whatever the host's
     // core count — so the counting allocator can observe their own
@@ -249,6 +249,67 @@ fn warmed_two_worker_run_allocates_nothing_on_caller_or_helpers() {
             (on_caller, on_helper),
             (0, 0),
             "{schedule:?}: 8 warmed 2-worker runs allocated (caller, helper) times"
+        );
+    }
+}
+
+#[test]
+fn warmed_grouped_run_allocates_nothing_on_caller_or_helpers() {
+    // An attention block's Q/K/V shape: three ops over one input, run as one
+    // grouped run (one LUT build per tile for all three). Warmed per op, the
+    // group needs no scratch beyond what each op's own run would: serially,
+    // and on two workers with the caller and the helper both counted.
+    use biq_runtime::CompiledOp;
+    for workers in [None, Some(2)] {
+        let mut g = MatrixRng::seed_from(0xd0);
+        let (n, b) = (512, 32);
+        let ops: Vec<CompiledOp> = [512usize, 256, 128]
+            .iter()
+            .map(|&m| {
+                // One config for all three: the planner's own pick depends
+                // on m, and ops only group when their configs agree.
+                let builder = PlanBuilder::new(m, n)
+                    .batch_hint(b)
+                    .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+                    .config(biqgemm_core::BiqConfig::default());
+                let plan = match workers {
+                    Some(w) => builder.threads(w).threading(Threading::Parallel),
+                    None => builder.threading(Threading::Serial),
+                }
+                .build();
+                compile(&plan, WeightSource::Signs(&g.signs(m, n)))
+            })
+            .collect();
+        let group: Vec<&CompiledOp> = ops.iter().collect();
+        let mut exec = Executor::new();
+        for op in &ops {
+            exec.warm(op);
+        }
+        let x = g.small_int_col(n, b, 3);
+        let mut y = vec![0.0f32; (512 + 256 + 128) * b];
+        exec.run_group_into(&group, &x, &mut y); // warm-up run: starts any helper
+        let arm = || {
+            ALLOCS.with(|n| n.set(0));
+            ARMED.with(|a| a.set(true));
+            0
+        };
+        let read = || {
+            ARMED.with(|a| a.set(false));
+            ALLOCS.with(|n| n.get())
+        };
+        if workers.is_some() {
+            on_each_helper(exec.workers(), 2, arm);
+        }
+        let on_caller = count_allocs(|| {
+            for _ in 0..8 {
+                exec.run_group_into(&group, &x, &mut y);
+            }
+        });
+        let on_helper = if workers.is_some() { on_each_helper(exec.workers(), 2, read) } else { 0 };
+        assert_eq!(
+            (on_caller, on_helper),
+            (0, 0),
+            "{workers:?}: 8 warmed grouped runs allocated (caller, helper) times"
         );
     }
 }
