@@ -14,7 +14,7 @@
 
 use crate::container::{ArtifactError, SectionId};
 use biq_runtime::{BackendSpec, QuantMethod};
-use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, LutBuildMethod, LutLayout, Schedule};
+use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, LutBuildMethod, LutLayout};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Section `kind` tags referenced by manifests (free-form u32 namespace of
@@ -145,7 +145,7 @@ pub struct LayerManifest {
     pub batch_hint: usize,
     /// Kernel family + quantization recipe.
     pub spec: BackendSpec,
-    /// Full engine configuration (µ, tiles, layout, schedule, kernel
+    /// Full engine configuration (µ, tiles, layout, build method, kernel
     /// request).
     pub cfg: BiqConfig,
     /// The resolved threading decision (stored resolved so a loaded model
@@ -256,10 +256,9 @@ fn put_cfg(buf: &mut BytesMut, cfg: &BiqConfig) {
         LutLayout::KeyMajor => 0,
         LutLayout::BatchMajor => 1,
     });
-    buf.put_u8(match cfg.schedule {
-        Schedule::RowParallel => 0,
-        Schedule::SharedLut => 1,
-    });
+    // The schedule byte keeps its place; row-parallel is the only
+    // parallel driver, so it is always 0 (see `cfg` below).
+    buf.put_u8(0);
     let (req_tag, req_level) = match cfg.kernel {
         KernelRequest::Auto => (0u8, 0u8),
         KernelRequest::Exact(l) => (1, level_to_u8(l)),
@@ -477,11 +476,14 @@ impl Reader {
             1 => LutLayout::BatchMajor,
             other => return Err(bad(format!("unknown LUT layout {other}"))),
         };
-        let schedule = match self.u8()? {
-            0 => Schedule::RowParallel,
-            1 => Schedule::SharedLut,
+        // The schedule byte, its value retired: 0 is row-parallel and 1 the
+        // deleted `SharedLut` schedule. Both were bit-identical to serial by
+        // construction, so a file carrying either loads as row-parallel with
+        // the same output bits.
+        match self.u8()? {
+            0 | 1 => {}
             other => return Err(bad(format!("unknown schedule {other}"))),
-        };
+        }
         let req_tag = self.u8()?;
         let req_level = level_from_u8(self.u8()?)?;
         let kernel = match req_tag {
@@ -496,7 +498,7 @@ impl Reader {
         if tile_rows == 0 || tile_chunks == 0 || tile_batch == 0 {
             return Err(bad("zero tile dimension"));
         }
-        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, build, layout, schedule, kernel })
+        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, build, layout, kernel })
     }
 
     fn payload(&mut self) -> Result<PayloadRefs, ArtifactError> {

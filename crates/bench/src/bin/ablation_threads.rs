@@ -1,10 +1,9 @@
-//! Ablation: thread scaling of BiQGEMM (both schedules) vs blocked GEMM.
+//! Ablation: thread scaling of row-parallel BiQGEMM vs blocked GEMM.
 //!
 //! The paper (Section IV-D): "multithreading linearly improves performance
 //! of both BiQGEMM and GEMM that can be parallelized by tiling techniques."
-//! This sweep verifies that claim on the host, and contrasts the two
-//! parallel schedules (RowParallel replicates LUT builds per thread;
-//! SharedLut builds once with a barrier).
+//! This sweep verifies that claim on the host. Each BiQ task builds its own
+//! copy of every LUT tile and reuses it for its row block.
 
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
@@ -12,7 +11,6 @@ use biq_bench::timing::{auto_reps, measure};
 use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::par_gemm_blocked;
 use biq_runtime::WeightSource;
-use biqgemm_core::config::Schedule;
 use biqgemm_core::{BiqConfig, BiqWeights, WorkerSet};
 use std::time::Duration;
 
@@ -26,17 +24,12 @@ fn main() {
     println!("Thread-scaling ablation: {m}x{n} 1-bit weights, batch {b}\n");
     let w = binary_workload(m, n, b);
     let dense = w.signs.to_f32();
-    // One parallel plan per (schedule, worker count) — the count is a plan
-    // field, so the sweep is a sweep over plans — over keys packed once.
+    // One parallel plan per worker count — the count is a plan field, so
+    // the sweep is a sweep over plans — over keys packed once.
     let packed = BiqWeights::from_signs_unscaled(&w.signs, BiqConfig::default().mu);
-    let biq = |schedule, nt| {
-        let cfg = BiqConfig { schedule, ..BiqConfig::default() };
-        biq_op(WeightSource::Packed(packed.clone()), (m, n, 1), b, cfg, Some(nt))
-    };
     let mut t = Table::new(&[
         "threads",
         "BiQ row-par ms",
-        "BiQ shared-LUT ms",
         "blocked GEMM ms",
         "BiQ speedup vs 1T",
         "GEMM speedup vs 1T",
@@ -47,18 +40,21 @@ fn main() {
     // (BiQGEMM, GEMM) speedup vs one thread at the widest point measured.
     let mut widest = (1.0, 1.0);
     for &nt in &threads {
-        let (row_op, mut row_exec) = biq(Schedule::RowParallel, nt);
-        let (shared_op, mut shared_exec) = biq(Schedule::SharedLut, nt);
-        let reps = auto_reps(Duration::from_millis(400), 3, 15, || row_exec.run(&row_op, &w.x));
-        let m_row = measure(1, reps, || row_exec.run(&row_op, &w.x));
-        let m_shared = measure(1, reps, || shared_exec.run(&shared_op, &w.x));
+        let (op, mut exec) = biq_op(
+            WeightSource::Packed(packed.clone()),
+            (m, n, 1),
+            b,
+            BiqConfig::default(),
+            Some(nt),
+        );
+        let reps = auto_reps(Duration::from_millis(400), 3, 15, || exec.run(&op, &w.x));
+        let m_biq = measure(1, reps, || exec.run(&op, &w.x));
         let m_gemm = measure(1, reps, || par_gemm_blocked(&dense, &w.x, &pool, nt));
-        let (b_biq, b_gemm) = *base.get_or_insert((m_row.median_ms(), m_gemm.median_ms()));
-        widest = (b_biq / m_row.median_ms(), b_gemm / m_gemm.median_ms());
+        let (b_biq, b_gemm) = *base.get_or_insert((m_biq.median_ms(), m_gemm.median_ms()));
+        widest = (b_biq / m_biq.median_ms(), b_gemm / m_gemm.median_ms());
         t.row(&[
             nt.to_string(),
-            fmt_f(m_row.median_ms(), 2),
-            fmt_f(m_shared.median_ms(), 2),
+            fmt_f(m_biq.median_ms(), 2),
             fmt_f(m_gemm.median_ms(), 2),
             fmt_f(widest.0, 2),
             fmt_f(widest.1, 2),

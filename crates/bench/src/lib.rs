@@ -35,7 +35,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig9_unpack", "Fig. 9 — cost of unpacking bit-packed weights for a conventional GEMM"),
     ("fig10_speedup", "Fig. 10 — single-thread speedup over blocked fp32 GEMM"),
     ("mu_sweep", "Section III-C / Eq. 9 — runtime vs LUT-unit µ"),
-    ("ablation_threads", "Section IV-D — thread scaling of BiQGEMM and blocked GEMM"),
+    ("ablation_threads", "Section IV-D — thread scaling of row-parallel BiQGEMM and blocked GEMM"),
     ("ablation_int8", "Section II-A — INT8 fixed-point GEMM vs BiQGEMM"),
     ("ablation_batch_width", "Fig. 10 at serving widths — cost per batch width, per kernel level"),
 ];

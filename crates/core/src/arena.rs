@@ -7,16 +7,15 @@
 //! regime, where per-call allocation is measurable — touches the heap only
 //! when a *larger* shape than ever seen arrives.
 //!
-//! One arena serves every way [`crate::biqgemm_group_into`] can run. It is a set
-//! of per-worker slots, one shared bank buffer for the
-//! [`Schedule::SharedLut`] build phase, and the persistent [`WorkerSet`]
-//! whose helper threads run the parallel schedules. The serial tile loop
-//! runs on the calling thread out of slot 0; a parallel task checks a slot
-//! out for its lifetime, preferring its worker's own, so two tasks never
-//! share a live table ("one lookup table cannot be implemented by
-//! coordinating more than two threads" — each table is built and read
-//! through exactly one slot at a time) and a worker's bank stays in its
-//! core's cache.
+//! One arena serves every way [`crate::biqgemm_group_into`] can run. It is
+//! a set of per-worker slots, each holding one bank, and the persistent
+//! [`WorkerSet`] whose helper threads run the row-parallel driver
+//! ([`crate::parallel`]). The serial tile loop runs on the calling thread
+//! out of slot 0; a parallel task checks a slot out for its lifetime,
+//! preferring its worker's own, so two tasks never share a live table
+//! ("one lookup table cannot be implemented by coordinating more than two
+//! threads" — each table is built and read through exactly one slot at a
+//! time) and a worker's bank stays in its core's cache.
 //!
 //! A slot's bank is keyed by `(µ, layout)`: a bank built for one key width
 //! or physical layout cannot be reinterpreted under another, so changing
@@ -26,13 +25,14 @@
 //! `biq_runtime::Executor` wraps one `BiqArena` (plus baseline-kernel
 //! scratch) behind the workspace-wide `GemmBackend` trait.
 
-use crate::config::{BiqConfig, LutLayout, Schedule};
-use crate::layout::{LineAlignedBuf, LutBank};
+use crate::config::{BiqConfig, LutLayout};
+use crate::layout::LutBank;
 use crate::parallel::WorkerSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// A slot's LUT bank, kept while its `(µ, layout)` key stays the same.
+/// One worker's persistent scratch: a slot's LUT bank, kept while its
+/// `(µ, layout)` key stays the same.
 #[derive(Debug, Default)]
 pub(crate) struct BankCache(Option<LutBank>);
 
@@ -51,15 +51,6 @@ impl BankCache {
     }
 }
 
-/// One worker's persistent scratch: the LUT bank plus the DP step vector
-/// of the SharedLut build phase.
-#[derive(Debug, Default)]
-pub(crate) struct Slot {
-    pub(crate) bank: BankCache,
-    /// DP step scratch for the SharedLut KeyMajor build phase.
-    pub(crate) steps: Vec<f32>,
-}
-
 /// Reusable scratch for [`crate::biqgemm_group_into`], serial and parallel.
 ///
 /// Slots are created on demand (one for a serial run, one per worker for a
@@ -67,11 +58,8 @@ pub(crate) struct Slot {
 /// instead of allocating per call or per task.
 #[derive(Debug, Default)]
 pub struct BiqArena {
-    slots: Vec<Mutex<Slot>>,
+    slots: Vec<Mutex<BankCache>>,
     rr: AtomicUsize,
-    /// SharedLut phase-1 bank, built once per (batch-tile × chunk-tile) and
-    /// then read by every query task. Line-aligned like every LUT bank.
-    pub(crate) shared_bank: Mutex<LineAlignedBuf>,
     /// The helper threads parallel runs execute on, beside the slots their
     /// tasks draw from; no helper exists until a parallel run needs one.
     workers: WorkerSet,
@@ -99,15 +87,8 @@ impl BiqArena {
         let n = workers.map_or(1, |w| w.max(1));
         self.ensure_slots(n);
         for slot in &mut self.slots[..n] {
-            let s = slot.get_mut().expect("arena slot poisoned");
-            s.bank.get(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
-            if workers.is_some() && s.steps.len() < cfg.mu * nb {
-                s.steps.resize(cfg.mu * nb, 0.0);
-            }
-        }
-        if workers.is_some() && cfg.schedule == Schedule::SharedLut {
-            let needed = cfg.tile_chunks * (1usize << cfg.mu) * nb;
-            self.shared_bank.get_mut().expect("shared bank poisoned").ensure_len(needed);
+            let bank = slot.get_mut().expect("arena slot poisoned");
+            bank.get(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
         }
     }
 
@@ -118,7 +99,7 @@ impl BiqArena {
     }
 
     /// The calling thread's slot — the serial tile loop's bank lives here.
-    pub(crate) fn local(&mut self) -> &mut Slot {
+    pub(crate) fn local(&mut self) -> &mut BankCache {
         self.ensure_slots(1);
         self.slots[0].get_mut().expect("arena slot poisoned")
     }
@@ -129,7 +110,7 @@ impl BiqArena {
     /// free slot without blocking; when every slot is busy (more live tasks
     /// than slots) the task queues on a round-robin pick, which stays
     /// correct — just momentarily serialised.
-    pub(crate) fn checkout(&self) -> MutexGuard<'_, Slot> {
+    pub(crate) fn checkout(&self) -> MutexGuard<'_, BankCache> {
         let first = crate::parallel::place() % self.slots.len();
         for slot in self.slots[first..].iter().chain(&self.slots[..first]) {
             if let Ok(guard) = slot.try_lock() {
@@ -142,10 +123,7 @@ impl BiqArena {
 
     /// Bytes of lookup-table data currently resident across every slot.
     pub fn resident_lut_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.lock().expect("arena slot poisoned").bank.resident_bytes())
-            .sum()
+        self.slots.iter().map(|s| s.lock().expect("arena slot poisoned").resident_bytes()).sum()
     }
 }
 
@@ -156,17 +134,17 @@ mod tests {
     #[test]
     fn bank_is_cached_across_same_key_calls() {
         let mut a = BiqArena::new();
-        assert_eq!(a.local().bank.get(4, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        let before = a.local().bank.get(4, LutLayout::KeyMajor) as *const LutBank as usize;
-        let after = a.local().bank.get(4, LutLayout::KeyMajor) as *const LutBank as usize;
+        assert_eq!(a.local().get(4, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
+        let before = a.local().get(4, LutLayout::KeyMajor) as *const LutBank as usize;
+        let after = a.local().get(4, LutLayout::KeyMajor) as *const LutBank as usize;
         assert_eq!(before, after, "same (µ, layout) must not rebuild the bank");
     }
 
     #[test]
     fn key_change_rebuilds_bank() {
         let mut a = BiqArena::new();
-        let _ = a.local().bank.get(4, LutLayout::KeyMajor);
-        assert_eq!(a.local().bank.get(8, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        assert_eq!(a.local().bank.get(8, LutLayout::BatchMajor).layout(), LutLayout::BatchMajor);
+        let _ = a.local().get(4, LutLayout::KeyMajor);
+        assert_eq!(a.local().get(8, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
+        assert_eq!(a.local().get(8, LutLayout::BatchMajor).layout(), LutLayout::BatchMajor);
     }
 }

@@ -27,19 +27,6 @@ pub enum LutLayout {
     BatchMajor,
 }
 
-/// Thread scheduling strategy for the parallel driver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Split output rows across threads; every thread builds its own copy of
-    /// each LUT tile. No barriers; build work is replicated `T×`. Wins when
-    /// `m` is large relative to `2^µ · n/µ`.
-    RowParallel,
-    /// Two-phase per chunk tile: build the tile's tables once (parallel over
-    /// chunks), then query (parallel over row tiles). No replicated work;
-    /// one barrier per tile.
-    SharedLut,
-}
-
 /// Full engine configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BiqConfig {
@@ -56,8 +43,6 @@ pub struct BiqConfig {
     pub build: LutBuildMethod,
     /// Table layout.
     pub layout: LutLayout,
-    /// Parallel schedule (used by `biqgemm_into` when its plan is parallel).
-    pub schedule: Schedule,
     /// Which kernel level to run the hot loops at. This is a *request*
     /// (the successor of the old `simd: bool` toggle): plan builders
     /// resolve it exactly once into a pinned
@@ -80,7 +65,6 @@ impl Default for BiqConfig {
             tile_batch: 32,
             build: LutBuildMethod::DynamicProgramming,
             layout: LutLayout::KeyMajor,
-            schedule: Schedule::RowParallel,
             kernel: KernelRequest::Auto,
         }
     }

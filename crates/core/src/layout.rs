@@ -345,36 +345,6 @@ pub(crate) fn query_row_tile(
     }
 }
 
-/// Unprofiled batch-vectorised DP fill of one chunk's tables directly in the
-/// KeyMajor layout — the parallel SharedLut builder's per-task unit (the
-/// serial [`LutBank`] runs the same two halves tile-wide under its phase
-/// timers). `seg` must span `2^µ · nb` floats; `steps` is caller scratch
-/// (resized as needed).
-pub(crate) fn fill_chunk_key_major_dp(
-    seg: &mut [f32],
-    steps: &mut Vec<f32>,
-    input: &ChunkedInput<'_>,
-    chunk: usize,
-    batch_start: usize,
-    nb: usize,
-    k: ResolvedKernel,
-) {
-    let sub = input.chunk(batch_start, chunk);
-    let l = sub.len();
-    let entries = 1usize << l;
-    if nb == 1 {
-        // Single live batch column: the layout degenerates to one
-        // contiguous table — build it directly.
-        build_lut_dp_level(sub, &mut seg[..entries], k);
-        return;
-    }
-    if steps.len() < l * nb {
-        steps.resize(l * nb, 0.0);
-    }
-    gather_chunk_steps(&mut seg[..nb], steps, input, chunk, batch_start);
-    dp_fill_chunk(&mut seg[..entries * nb], steps, l, nb, k);
-}
-
 /// Gather half of the batched KeyMajor build for one chunk — the strided
 /// data movement charged to the replace phase: `steps[t·nb + a] =
 /// 2·x_a[L−1−t]` for the DP levels, and `−Σ x_a` into table entry 0
@@ -431,8 +401,6 @@ fn fill_table(method: LutBuildMethod, sub: &[f32], dst: &mut [f32], k: ResolvedK
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::BiqArena;
-    use crate::config::{BiqConfig, Schedule};
     use crate::mmu::key_dot;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
@@ -616,17 +584,6 @@ mod tests {
                 assert!(bank.data.len() >= nc * 256 * nb);
                 check_bank_contents(&bank, &input, 0, 0);
             }
-        }
-
-        // The SharedLut bank is the same buffer type.
-        let cfg = BiqConfig { schedule: Schedule::SharedLut, ..BiqConfig::default() };
-        let mut pool = BiqArena::new();
-        assert_line_aligned(&pool.shared_bank.lock().unwrap(), "pool new");
-        for b in [3usize, 32, 1, 48] {
-            pool.reserve(&cfg, b, Some(2));
-            let shared = pool.shared_bank.lock().unwrap();
-            assert_line_aligned(&shared, "pool reserve");
-            assert!(shared.len() >= cfg.tile_chunks * 256 * b.min(cfg.tile_batch));
         }
     }
 

@@ -19,7 +19,8 @@
 //!    (µ-bit keys, MSB-first) with per-row scales;
 //! 3. [`tiled`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`)
 //!    under the paper's LUT-stationary tiling (Algorithm 2), so live tables
-//!    fit in cache; [`parallel`] distributes tiles over threads.
+//!    fit in cache; [`parallel`] splits output rows over threads, each
+//!    task reusing its own tables for its whole row block.
 //!
 //! Time complexity (paper Eq. 8–10): `O(2^µ·(n/µ)·b + m·(n/µ)·b)`, i.e.
 //! `≈ GEMM/µ` when `2^µ ≪ m`. The analytic model lives in [`complexity`],
@@ -35,9 +36,10 @@
 //! build each lookup table once), with [`biqgemm_into`] its one-member
 //! case. It takes packed [`BiqWeights`], a [`BiqConfig`], the
 //! [`ResolvedKernel`] and worker count its caller's plan pinned, and a
-//! reusable [`BiqArena`]; the serial tile loop ([`tiled`]) and both
-//! parallel schedules ([`parallel`]) live under it. Nothing in this crate reads a process-wide thread count or probes
-//! CPU features at run time — both decisions are arguments.
+//! reusable [`BiqArena`]; the serial tile loop ([`tiled`]) and the
+//! row-parallel driver ([`parallel`]) live under it. Nothing in this crate
+//! reads a process-wide thread count or probes CPU features at run time —
+//! both decisions are arguments.
 //!
 //! Applications do not call it directly: **`biq_runtime`** builds an
 //! `ExecutionPlan` (a thin layer over [`planner`]) that resolves the kernel
@@ -77,7 +79,7 @@
 //!
 //! let (mut arena, mut profile) = (BiqArena::new(), PhaseProfile::new());
 //! let mut y = Matrix::zeros(128, 4);               // m × b output
-//! // `None`: serial on this thread; `Some(n)`: `cfg.schedule` on n workers.
+//! // `None`: serial on this thread; `Some(n)`: row-parallel on n workers.
 //! biqgemm_into(&packed, &x, &cfg, kernel, None, &mut profile, &mut arena, y.as_mut_slice());
 //! assert!(profile.query > std::time::Duration::ZERO);
 //! ```
@@ -100,7 +102,7 @@ pub mod tiled;
 pub mod weights;
 
 pub use arena::BiqArena;
-pub use config::{BiqConfig, LutBuildMethod, LutLayout, Schedule};
+pub use config::{BiqConfig, LutBuildMethod, LutLayout};
 pub use parallel::WorkerSet;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};

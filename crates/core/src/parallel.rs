@@ -1,39 +1,34 @@
-//! Multi-threaded BiQGEMM: the two parallel schedules under
-//! [`crate::biqgemm_into`], and the persistent [`WorkerSet`] they run on.
+//! Multi-threaded BiQGEMM: the row-parallel driver under
+//! [`crate::biqgemm_into`], and the persistent [`WorkerSet`] it runs on.
 //!
-//! Two schedules (Section III-B discusses both trade-offs):
+//! Output rows are partitioned into disjoint blocks, one task per block.
+//! Each task runs the serial tile loop over its rows, **building its own
+//! copy of every LUT tile** and reusing it for the whole block — the
+//! paper's premise that a table's build pays off across many output rows.
+//! No barriers or shared mutable state; build work is replicated across
+//! tasks, which wins when query work dominates (`m ≫ 2^µ`), the regime
+//! BiQGEMM targets. A grouped run ([`crate::tiled::biqgemm_group_into`])
+//! splits the members' concatenated rows, so each copy serves every
+//! member's rows in its block.
 //!
-//! * [`Schedule::RowParallel`] — output rows are partitioned into disjoint
-//!   blocks, one task per block. Each task runs the full serial tile loop
-//!   over its rows, **building its own copy of every LUT tile**. No barriers
-//!   or shared mutable state; build work is replicated across tasks. Wins
-//!   when query work dominates (`m ≫ 2^µ`), which is the regime BiQGEMM
-//!   targets. A grouped run ([`crate::tiled::biqgemm_group_into`]) splits
-//!   the members' concatenated rows, so each copy serves every member's
-//!   rows in its block.
-//! * [`Schedule::SharedLut`] — per (batch-tile × chunk-tile): build the bank
-//!   once in parallel over chunks, then query in parallel over row blocks
-//!   that share the read-only bank. No replicated build, one barrier per
-//!   tile.
-//!
-//! Both produce bit-identical results to the serial kernel, for every
-//! worker count: per output element the accumulation order over (plane,
+//! The result is bit-identical to the serial kernel, for every worker
+//! count: per output element the accumulation order over (plane,
 //! chunk-tile, chunk) is unchanged — threads only partition *independent*
 //! output elements.
 //!
 //! The worker count is an argument, handed down from the plan that
 //! resolved it; nothing here (or anywhere in the workspace) reads a
-//! process-wide thread setting. Every per-task buffer (LUT bank, DP steps)
-//! comes out of the caller's [`BiqArena`] slots, which persist across
-//! calls.
+//! process-wide thread setting. Every per-task LUT bank (DP steps
+//! included) comes out of the caller's [`BiqArena`] slots, which persist
+//! across calls.
 //!
 //! ## The worker set
 //!
 //! [`WorkerSet::for_each_chunk_mut`] is the workspace's one threading
-//! primitive: both schedules here, the `biq_gemm` parallel drivers and the
-//! `biq_nn` column regions (attention, GELU, residual add + layer norm,
-//! the linear transpose) run on it. A set belongs to whoever runs the plan: a
-//! [`BiqArena`] holds one next to its per-task slots, so every
+//! primitive: the row-parallel driver here, the `biq_gemm` parallel drivers
+//! and the `biq_nn` column regions (attention, GELU, residual add + layer
+//! norm, the linear transpose) run on it. A set belongs to whoever runs the
+//! plan: a [`BiqArena`] holds one next to its per-task slots, so every
 //! `biq_runtime::Executor` owns one. Nothing is process-global.
 //!
 //! * It holds at most `workers − 1` helper threads. They are spawned by
@@ -68,13 +63,11 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::arena::BiqArena;
-use crate::config::{BiqConfig, LutLayout, Schedule};
+use crate::config::BiqConfig;
 use crate::profile::PhaseProfile;
 use crate::simd::ResolvedKernel;
 use crate::tiled::run_tiles;
 use crate::weights::BiqWeights;
-use biq_matrix::reshape::ChunkedInput;
-use biq_matrix::view::tile_ranges;
 use biq_matrix::ColMatrix;
 use std::any::Any;
 use std::cell::Cell;
@@ -404,35 +397,13 @@ fn rows_per_task(m: usize, workers: usize) -> usize {
     m.div_ceil(workers).max(16.min(m.max(1)))
 }
 
-/// `cfg.schedule` over a zeroed `y` (the members' outputs stacked, as in
-/// [`crate::tiled::biqgemm_group_into`]), on up to `workers` (≥ 1) threads,
-/// drawing per-task scratch from `arena`'s slots.
-pub(crate) fn run_schedule(
-    ws: &[&BiqWeights],
-    x: &ColMatrix,
-    cfg: &BiqConfig,
-    kernel: ResolvedKernel,
-    workers: usize,
-    arena: &BiqArena,
-    y: &mut [f32],
-) {
-    match cfg.schedule {
-        Schedule::RowParallel => row_parallel(ws, x, cfg, kernel, workers, arena, y),
-        Schedule::SharedLut => {
-            let mut rest = y;
-            for w in ws {
-                let (yw, tail) = rest.split_at_mut(w.output_size() * x.cols());
-                shared_lut(w, x, cfg, kernel, workers, arena, yw);
-                rest = tail;
-            }
-        }
-    }
-}
-
-/// Each task runs the serial tile loop over its block of the members'
-/// concatenated output rows, building its own copy of every LUT tile — one
-/// copy per task, whatever members its block covers.
-fn row_parallel(
+/// The row-parallel run over a zeroed `y` (the members' outputs stacked,
+/// as in [`crate::tiled::biqgemm_group_into`]) on up to `workers` (≥ 1)
+/// threads: each task runs the serial tile loop over its block of the
+/// members' concatenated output rows, building its own copy of every LUT
+/// tile — one copy per task, whatever members its block covers — in a bank
+/// drawn from `arena`'s slots.
+pub(crate) fn row_parallel(
     ws: &[&BiqWeights],
     x: &ColMatrix,
     cfg: &BiqConfig,
@@ -452,96 +423,9 @@ fn row_parallel(
         let row0 = t * rpt;
         let mut slot = arena.checkout();
         let mut profile = PhaseProfile::new();
-        let bank = slot.bank.get(first.mu(), cfg.layout);
+        let bank = slot.get(first.mu(), cfg.layout);
         run_tiles(ws, x, cfg, kernel, &mut profile, bank, row0..row0 + yblock.len() / b, yblock);
     });
-}
-
-fn shared_lut(
-    w: &BiqWeights,
-    x: &ColMatrix,
-    cfg: &BiqConfig,
-    kernel: ResolvedKernel,
-    workers: usize,
-    arena: &BiqArena,
-    y: &mut [f32],
-) {
-    let (m, b) = (w.output_size(), x.cols());
-    if b == 0 {
-        return;
-    }
-    let input = ChunkedInput::new(x, w.mu());
-    let chunks = w.chunks();
-    let keys = w.keys();
-    let table = 1usize << w.mu();
-    let rpt = rows_per_task(m, workers);
-    // The shared bank buffer persists across tiles and calls; stale entries
-    // are harmless because every (chunk, key, batch) position a query reads
-    // is rewritten by this tile's build phase first.
-    let mut bank_buf = arena.shared_bank.lock().expect("shared bank poisoned");
-    for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
-        for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
-            // Phase 1: build the bank in parallel, one chunk per task
-            // ("one lookup table cannot be implemented by coordinating more
-            // than two threads" — each table is built by exactly one).
-            let needed = nc * table * nb;
-            bank_buf.ensure_len(needed);
-            let bank = &mut bank_buf.as_mut_slice()[..needed];
-            arena.workers().for_each_chunk_mut(bank, table * nb, workers, |c, seg| {
-                match cfg.layout {
-                    LutLayout::KeyMajor => {
-                        let mut slot = arena.checkout();
-                        crate::layout::fill_chunk_key_major_dp(
-                            seg,
-                            &mut slot.steps,
-                            &input,
-                            c0 + c,
-                            b0,
-                            nb,
-                            kernel,
-                        );
-                    }
-                    LutLayout::BatchMajor => {
-                        for a in 0..nb {
-                            let sub = input.chunk(b0 + a, c0 + c);
-                            let len = 1usize << sub.len();
-                            crate::lut::build_lut_dp_level(
-                                sub,
-                                &mut seg[a * table..a * table + len],
-                                kernel,
-                            );
-                        }
-                    }
-                }
-            });
-            // Phase 2: query in parallel over disjoint output-row blocks,
-            // one row-tile query per plane at the pinned kernel level, as
-            // in the serial tile loop.
-            let bank = &bank[..];
-            arena.workers().for_each_chunk_mut(y, rpt * b, workers, |t, yblock| {
-                let row0 = t * rpt;
-                let rows = yblock.len() / b;
-                for p in 0..w.bits() {
-                    // This block's rows of plane `p`: contiguous key rows
-                    // onto contiguous output rows.
-                    let (r_start, r_end) = (p * m + row0, p * m + row0 + rows);
-                    let tile = keys.tile(r_start..r_end, c0, nc);
-                    let scales = &w.scales()[r_start..r_end];
-                    crate::layout::query_row_tile(
-                        bank,
-                        table,
-                        nb,
-                        cfg.layout,
-                        tile,
-                        scales,
-                        &mut yblock[b0..],
-                        b,
-                        kernel,
-                    );
-                }
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -551,7 +435,7 @@ mod tests {
     use biq_matrix::{Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 
-    /// Worker counts every schedule test sweeps: inline, the common case,
+    /// Worker counts every parallel test sweeps: inline, the common case,
     /// an uneven split, and more workers than most shapes have row blocks.
     const WORKERS: [usize; 4] = [1, 2, 3, 7];
 
@@ -718,8 +602,7 @@ mod tests {
             assert_eq!(
                 run(w, x, cfg, Some(workers)).as_slice(),
                 serial.as_slice(),
-                "{what}: {:?} on {workers} workers",
-                cfg.schedule
+                "{what} on {workers} workers"
             );
         }
     }
@@ -727,63 +610,37 @@ mod tests {
     #[test]
     fn row_parallel_matches_serial_bit_exactly() {
         let mut g = MatrixRng::seed_from(250);
-        for &(m, n, b, bits) in
-            &[(40usize, 64usize, 6usize, 1usize), (100, 50, 3, 2), (17, 33, 9, 3)]
-        {
+        for &(m, n, b, bits, tile_chunks, tile_batch) in &[
+            (40usize, 64usize, 6usize, 1usize, 2usize, 4usize),
+            (100, 50, 3, 2, 2, 4),
+            (17, 33, 9, 3, 2, 4),
+            // Ragged chunk and batch tiles.
+            (40, 64, 6, 1, 3, 5),
+            (64, 80, 12, 2, 3, 5),
+        ] {
             let wf = g.small_int_matrix(m, n, 2);
             let q = greedy_quantize_matrix_rowwise(&wf, bits);
             let x = g.small_int_col(n, b, 2);
             let w = BiqWeights::from_multibit(&q, 8);
-            let cfg = BiqConfig {
-                schedule: Schedule::RowParallel,
-                tile_rows: 8,
-                tile_chunks: 2,
-                tile_batch: 4,
-                ..BiqConfig::default()
-            };
+            let cfg = BiqConfig { tile_rows: 8, tile_chunks, tile_batch, ..BiqConfig::default() };
             assert_parallel_matches_serial(
                 &w,
                 &x,
                 &cfg,
-                &format!("(m,n,b,bits)=({m},{n},{b},{bits})"),
+                &format!("(m,n,b,bits,tiles)=({m},{n},{b},{bits},{tile_chunks}x{tile_batch})"),
             );
         }
     }
 
     #[test]
-    fn shared_lut_matches_serial_bit_exactly() {
-        let mut g = MatrixRng::seed_from(251);
-        for &(m, n, b, bits) in &[(40usize, 64usize, 6usize, 1usize), (64, 80, 12, 2)] {
-            let wf = g.small_int_matrix(m, n, 2);
-            let q = greedy_quantize_matrix_rowwise(&wf, bits);
-            let x = g.small_int_col(n, b, 2);
-            let w = BiqWeights::from_multibit(&q, 8);
-            let cfg = BiqConfig {
-                schedule: Schedule::SharedLut,
-                tile_rows: 8,
-                tile_chunks: 3,
-                tile_batch: 5,
-                ..BiqConfig::default()
-            };
-            assert_parallel_matches_serial(
-                &w,
-                &x,
-                &cfg,
-                &format!("(m,n,b,bits)=({m},{n},{b},{bits})"),
-            );
-        }
-    }
-
-    #[test]
-    fn shared_lut_batchmajor_matches() {
+    fn row_parallel_batchmajor_matches() {
         let mut g = MatrixRng::seed_from(252);
         let signs = g.signs(30, 40);
         let x = g.small_int_col(40, 4, 3);
         let w = BiqWeights::from_signs_unscaled(&signs, 4);
         let cfg = BiqConfig {
             mu: 4,
-            schedule: Schedule::SharedLut,
-            layout: LutLayout::BatchMajor,
+            layout: crate::config::LutLayout::BatchMajor,
             tile_rows: 4,
             tile_chunks: 3,
             tile_batch: 2,
@@ -798,10 +655,7 @@ mod tests {
         let signs = g.signs(1, 64);
         let x = g.small_int_col(64, 2, 3);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-            let cfg = BiqConfig { schedule, ..BiqConfig::default() };
-            assert_parallel_matches_serial(&w, &x, &cfg, "m = 1");
-        }
+        assert_parallel_matches_serial(&w, &x, &BiqConfig::default(), "m = 1");
     }
 
     #[test]
@@ -810,38 +664,25 @@ mod tests {
         let signs = g.signs(4, 8);
         let x = ColMatrix::zeros(8, 0);
         let w = BiqWeights::from_signs_unscaled(&signs, 4);
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-            let cfg = BiqConfig { mu: 4, schedule, ..BiqConfig::default() };
-            assert_eq!(run(&w, &x, &cfg, Some(2)).shape(), (4, 0));
-        }
+        let cfg = BiqConfig { mu: 4, ..BiqConfig::default() };
+        assert_eq!(run(&w, &x, &cfg, Some(2)).shape(), (4, 0));
     }
 
     #[test]
-    fn one_arena_serves_repeat_calls_schedules_and_serial_runs() {
-        // One arena serves both schedules, the serial loop and repeated
-        // calls; results stay bit-identical throughout.
+    fn one_arena_serves_repeat_calls_and_serial_runs() {
+        // One arena serves parallel runs of different widths, the serial
+        // loop and repeated calls; results stay bit-identical throughout.
         let mut g = MatrixRng::seed_from(255);
         let signs = g.signs(48, 72);
         let x = g.small_int_col(72, 5, 2);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
         let (mut arena, mut p) = (BiqArena::new(), PhaseProfile::new());
-        for (schedule, workers) in [
-            (Schedule::RowParallel, Some(4)),
-            (Schedule::SharedLut, Some(4)),
-            (Schedule::RowParallel, None),
-            (Schedule::RowParallel, Some(2)),
-        ] {
-            let cfg = BiqConfig {
-                schedule,
-                tile_rows: 8,
-                tile_chunks: 2,
-                tile_batch: 3,
-                ..BiqConfig::default()
-            };
+        let cfg = BiqConfig { tile_rows: 8, tile_chunks: 2, tile_batch: 3, ..BiqConfig::default() };
+        for workers in [Some(4), Some(4), None, Some(2)] {
             arena.reserve(&cfg, x.cols(), workers);
             let mut y = vec![0.0f32; 48 * 5];
             biqgemm_into(&w, &x, &cfg, kernel_of(&cfg), workers, &mut p, &mut arena, &mut y);
-            assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} {workers:?}");
+            assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{workers:?}");
         }
         assert!(arena.resident_lut_bytes() > 0, "row-parallel banks stay resident");
     }
@@ -849,27 +690,19 @@ mod tests {
     #[test]
     fn fewer_slots_than_live_tasks_still_correct() {
         // `biqgemm_into` grows the arena to the worker count, so the
-        // schedules are driven directly here: one slot under several live
+        // driver is called directly here: one slot under several live
         // tasks forces `checkout`'s round-robin fallback.
         let mut g = MatrixRng::seed_from(256);
         let signs = g.signs(128, 64);
         let x = g.small_int_col(64, 3, 2);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-            let cfg = BiqConfig {
-                schedule,
-                tile_rows: 8,
-                tile_chunks: 2,
-                tile_batch: 2,
-                ..BiqConfig::default()
-            };
-            let mut arena = BiqArena::new();
-            arena.ensure_slots(1);
-            for workers in WORKERS {
-                let mut y = vec![0.0f32; 128 * 3];
-                run_schedule(&[&w], &x, &cfg, kernel_of(&cfg), workers, &arena, &mut y);
-                assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{schedule:?} × {workers}");
-            }
+        let cfg = BiqConfig { tile_rows: 8, tile_chunks: 2, tile_batch: 2, ..BiqConfig::default() };
+        let mut arena = BiqArena::new();
+        arena.ensure_slots(1);
+        for workers in WORKERS {
+            let mut y = vec![0.0f32; 128 * 3];
+            row_parallel(&[&w], &x, &cfg, kernel_of(&cfg), workers, &arena, &mut y);
+            assert_eq!(y, run(&w, &x, &cfg, None).as_slice(), "{workers} workers");
         }
     }
 }

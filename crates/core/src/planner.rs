@@ -13,16 +13,20 @@
 //! 3. sizes the chunk tile so the whole bank fits the budget.
 
 use crate::complexity::optimal_mu;
-use crate::config::{BiqConfig, Schedule};
+use crate::config::BiqConfig;
 use crate::simd::KernelLevel;
 
 /// Default LUT budget: half of a typical 1 MiB L2.
 pub const DEFAULT_LUT_BUDGET_BYTES: usize = 512 * 1024;
 
-/// Batches at or below this stay on the serial arena path under
-/// [`Threading::Auto`]: in the paper's small-batch serving regime the
-/// allocation-free arena beats the parallel drivers' per-task bank
-/// allocations unless the matrix is very large.
+/// Batches at or below this stay on the serial path under
+/// [`Threading::Auto`]. Allocation is not the reason: parallel tasks draw
+/// warm banks from the arena's slots, so a warmed parallel run allocates
+/// nothing either. What is known is the cost shape: every row-parallel
+/// task builds the whole bank for its rows, and a region costs ≈ 1 µs
+/// with a polling helper (≈ 25 µs with a parked one), both fixed against
+/// a query that shrinks with `b`. The value itself is a constant tuned on
+/// one host, not derived; ROADMAP item 15 replaces it with a cost model.
 pub const SMALL_BATCH_SERIAL_MAX: usize = 8;
 
 /// Output sizes below this never go parallel: a thread task wants at least
@@ -37,8 +41,7 @@ pub enum Threading {
     Auto,
     /// Force the serial arena path (allocation-free steady state).
     Serial,
-    /// Force the parallel schedules (`cfg.schedule` picks the variant) on
-    /// the plan's worker count.
+    /// Force the row-parallel driver on the plan's worker count.
     Parallel,
 }
 
@@ -75,24 +78,12 @@ pub fn scratch_spec(cfg: &BiqConfig, b: usize) -> ScratchSpec {
     }
 }
 
-/// Whether an `m × n` matmul at batch `b` should use the parallel drivers
-/// when `threads` workers are available. Serial wins for small batches
-/// (arena reuse, no per-task bank builds) and for outputs too short to give
-/// every worker a meaningful row block.
+/// Whether an `m × n` matmul at batch `b` should use the row-parallel
+/// driver when `threads` workers are available. Serial wins for small
+/// batches (no replicated per-task bank builds) and for outputs too short
+/// to give every worker a meaningful row block.
 pub fn recommend_parallel(m: usize, b: usize, threads: usize) -> bool {
     threads > 1 && b > SMALL_BATCH_SERIAL_MAX && m >= MIN_PARALLEL_OUTPUT
-}
-
-/// Picks the parallel schedule for an `m`-row output at LUT-unit `mu`:
-/// row-parallel when query work dominates (`m ≫ 2^µ`, the regime BiQGEMM
-/// targets), shared-LUT when tables are expensive relative to the row count
-/// and replicating their construction per task would dominate.
-pub fn choose_schedule(m: usize, mu: usize) -> Schedule {
-    if m >= (1usize << mu) {
-        Schedule::RowParallel
-    } else {
-        Schedule::SharedLut
-    }
 }
 
 /// Shape-aware refinement of an `Auto` kernel pick: at `batch_hint == 1`
@@ -142,14 +133,7 @@ pub fn plan(m: usize, n: usize, b: usize, lut_budget_bytes: usize) -> BiqConfig 
     let table_bytes = (1usize << mu) * tile_batch * 4;
     let chunks = n.div_ceil(mu);
     let tile_chunks = (lut_budget_bytes / table_bytes).clamp(1, chunks);
-    BiqConfig {
-        mu,
-        tile_rows: 64.min(m).max(1),
-        tile_chunks,
-        tile_batch,
-        schedule: choose_schedule(m, mu),
-        ..BiqConfig::default()
-    }
+    BiqConfig { mu, tile_rows: 64.min(m).max(1), tile_chunks, tile_batch, ..BiqConfig::default() }
 }
 
 #[cfg(test)]
@@ -223,12 +207,6 @@ mod runtime_planning_tests {
         assert!(recommend_parallel(4096, SMALL_BATCH_SERIAL_MAX + 1, 16));
         assert!(!recommend_parallel(4096, 64, 1), "one worker is never parallel");
         assert!(!recommend_parallel(64, 64, 16), "short outputs stay serial");
-    }
-
-    #[test]
-    fn schedule_follows_query_vs_build_balance() {
-        assert_eq!(choose_schedule(4096, 8), Schedule::RowParallel);
-        assert_eq!(choose_schedule(100, 8), Schedule::SharedLut);
     }
 
     #[test]

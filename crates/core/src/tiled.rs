@@ -28,7 +28,7 @@
 use crate::arena::BiqArena;
 use crate::config::BiqConfig;
 use crate::layout::LutBank;
-use crate::parallel::run_schedule;
+use crate::parallel::row_parallel;
 use crate::profile::PhaseProfile;
 use crate::simd::ResolvedKernel;
 use crate::weights::BiqWeights;
@@ -50,10 +50,10 @@ use std::ops::Range;
 /// * `None` — the serial LUT-stationary tile loop (Algorithm 2) on the
 ///   calling thread, its time split into `profile`'s build / query /
 ///   replace phases (Fig. 8);
-/// * `Some(n)` — `cfg.schedule` ([`crate::parallel`]) on the calling thread
-///   and up to `n − 1` helpers of the arena's persistent
+/// * `Some(n)` — the row-parallel driver ([`crate::parallel`]) on the
+///   calling thread and up to `n − 1` helpers of the arena's persistent
 ///   [`crate::parallel::WorkerSet`], the whole run charged to
-///   `profile.query`. `Some(1)` runs the same schedule inline, waking no
+///   `profile.query`. `Some(1)` runs the same driver inline, waking no
 ///   helper.
 ///
 /// Outputs are bit-identical for every `workers` value: threads partition
@@ -83,11 +83,9 @@ pub fn biqgemm_into(
 /// Every row is bit-identical to a [`biqgemm_into`] run of its member
 /// alone, at every `workers` value.
 ///
-/// `workers` as for [`biqgemm_into`]. Under `Some(n)`,
-/// [`crate::Schedule::RowParallel`] splits the members' concatenated rows
-/// over its tasks, so each task's replicated build serves rows of every
-/// member it covers; [`crate::Schedule::SharedLut`] runs the members one
-/// after another.
+/// `workers` as for [`biqgemm_into`]. Under `Some(n)` the row-parallel
+/// driver splits the members' concatenated rows over its tasks, so each
+/// task's replicated build serves rows of every member it covers.
 ///
 /// # Panics
 /// Panics if a member's input size differs from `x.rows()`, the members'
@@ -114,14 +112,14 @@ pub fn biqgemm_group_into(
     y.fill(0.0);
     match workers {
         None => {
-            let bank = arena.local().bank.get(mu, cfg.layout);
+            let bank = arena.local().get(mu, cfg.layout);
             run_tiles(ws, x, cfg, kernel, profile, bank, 0..rows, y);
         }
         Some(n) => {
             let n = n.max(1);
             arena.ensure_slots(n);
             let arena = &*arena;
-            profile.time_query(|| run_schedule(ws, x, cfg, kernel, n, arena, y));
+            profile.time_query(|| row_parallel(ws, x, cfg, kernel, n, arena, y));
         }
     }
 }
@@ -377,7 +375,6 @@ mod tests {
 
     #[test]
     fn a_grouped_run_equals_separate_runs_bit_for_bit() {
-        use crate::config::Schedule;
         use crate::simd::{supported_levels, KernelRequest};
         // Members of different m and 1–3 bits over one input of n = 45
         // (n ∤ µ), at batch widths either side of the 16-column batch tile.
@@ -392,22 +389,15 @@ mod tests {
             .collect();
         let members: Vec<&BiqWeights> = ws.iter().collect();
         let rows: usize = ws.iter().map(BiqWeights::output_size).sum();
-        let runs = [
-            (Schedule::RowParallel, None),
-            (Schedule::RowParallel, Some(1)),
-            (Schedule::RowParallel, Some(2)),
-            (Schedule::RowParallel, Some(3)),
-            (Schedule::SharedLut, Some(2)),
-        ];
+        let runs = [None, Some(1), Some(2), Some(3), Some(7)];
         for b in [1usize, 2, 7, 32, 33] {
             let x = g.gaussian_col(n, b, 0.0, 1.0);
             for level in supported_levels() {
-                for (schedule, workers) in runs {
+                for workers in runs {
                     let cfg = BiqConfig {
                         tile_rows: 5,
                         tile_chunks: 2,
                         tile_batch: 16,
-                        schedule,
                         kernel: KernelRequest::Exact(level),
                         ..BiqConfig::default()
                     };
@@ -424,7 +414,7 @@ mod tests {
                         &members, &x, &cfg, kernel, workers, &mut p, &mut arena, &mut y,
                     );
                     let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-                    assert!(got == want, "b = {b}, {level:?}, {schedule:?} on {workers:?}");
+                    assert!(got == want, "b = {b}, {level:?} on {workers:?}");
                 }
             }
         }

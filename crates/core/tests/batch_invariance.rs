@@ -14,14 +14,12 @@
 //! width-1 chain (width-1 tiles, and each batch column of a BatchMajor
 //! tile), `lut_query_fused_rows`' register columns (wider KeyMajor tiles),
 //! at any kernel level (scalar runs the same bodies over an `[f32; 8]`),
-//! or in either parallel schedule.
+//! or on the row-parallel driver.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biqgemm_core::simd::supported_levels;
-use biqgemm_core::{
-    biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelRequest, PhaseProfile, Schedule,
-};
+use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelRequest, PhaseProfile};
 
 /// Slices `x` into contiguous runs of every width in `1..=min(b, 10)`.
 fn check_widths(m: usize, n: usize, b: usize, bits: usize, cfg: &BiqConfig) {
@@ -139,7 +137,7 @@ fn every_serving_width_equals_its_columns_served_alone() {
     // batch width it can dispatch at the shipped cap (1..=16, and 17 just
     // past it) plus b = 35 (a 32-wide batch tile and a 3-wide one) gives
     // each column exactly the bits it gets alone at b = 1 — at every level,
-    // on the serial path and under both schedules. Widths 2–7 and 9–15 run
+    // on the serial path and the parallel driver. Widths 2–7 and 9–15 run
     // entirely in the remainder passes of the query and of the DP build;
     // 13 chunks leave a ragged chunk tail under every one of them.
     let (m, n, bits, widest) = (21usize, 100usize, 2usize, 35usize);
@@ -167,17 +165,14 @@ fn every_serving_width_equals_its_columns_served_alone() {
             let xb = ColMatrix::from_vec(n, b, x.as_slice()[..n * b].to_vec());
             let want: Vec<u32> = (0..m * b).map(|e| alone[e % b][e / b]).collect();
             assert_eq!(run(&cfg, &xb, None), want, "serial level={level} b={b}");
-            for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-                let cfg = BiqConfig { schedule, ..cfg };
-                assert_eq!(run(&cfg, &xb, Some(2)), want, "{schedule:?} level={level} b={b}");
-            }
+            assert_eq!(run(&cfg, &xb, Some(2)), want, "parallel level={level} b={b}");
         }
     }
 }
 
 #[test]
-fn width_one_matches_both_parallel_schedules() {
-    // The serial width-1 gather path and both parallel schedules must
+fn width_one_matches_the_parallel_driver() {
+    // The serial width-1 gather path and the row-parallel driver must
     // agree on real-valued inputs: whichever body answers — the width-1
     // chain of `lut_gather_rows`, the fused lane path, or a parallel driver — it
     // realises the same canonical accumulation tree.
@@ -196,14 +191,11 @@ fn width_one_matches_both_parallel_schedules() {
     let cfg = BiqConfig::default();
     biqgemm_into(&w, &x, &cfg, kernel, None, &mut profile, &mut arena, &mut y_serial);
 
-    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-        let cfg = BiqConfig { schedule, ..BiqConfig::default() };
-        let mut y = vec![0.0f32; m];
-        biqgemm_into(&w, &x, &cfg, kernel, Some(2), &mut profile, &mut arena, &mut y);
-        assert_eq!(
-            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            y_serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{schedule:?} drifted from serial at b=1"
-        );
-    }
+    let mut y = vec![0.0f32; m];
+    biqgemm_into(&w, &x, &cfg, kernel, Some(2), &mut profile, &mut arena, &mut y);
+    assert_eq!(
+        y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        y_serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "the parallel driver drifted from serial at b=1"
+    );
 }

@@ -79,8 +79,8 @@ proptest! {
         prop_assert!(eq9_factor(m, mu) < 1.0);
     }
 
-    /// Engine output is invariant to the tile/batch/chunk tiling and the
-    /// schedule, bit-exactly, on integer data.
+    /// Engine output is invariant to the tile/batch/chunk tiling and to
+    /// running serial or row-parallel, bit-exactly, on integer data.
     #[test]
     fn tiling_invariance(
         (m, n, b) in (1usize..=24, 1usize..=48, 1usize..=6),

@@ -1,8 +1,8 @@
 //! Per-level bit-exactness of the BiQGEMM kernels: every kernel level the
 //! host can run must produce **exactly** the scalar level's output — for
-//! the serial path, both parallel schedules at every worker count, both
-//! layouts, multi-bit weights, and ragged shapes (`n % µ ≠ 0`, batch widths that are not a
-//! multiple of any vector width). This is the contract that makes the
+//! the serial path, the row-parallel driver at every worker count, both
+//! layouts, multi-bit weights, and ragged shapes (`n % µ ≠ 0`, batch widths
+//! that are not a multiple of any vector width). This is the contract that makes the
 //! plan-pinned level a pure performance knob and lets BIQM artifacts
 //! re-resolve levels across machines without changing results.
 
@@ -12,7 +12,7 @@ use biq_quant::packing::KeyMatrix;
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::{
     biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, LutLayout,
-    PhaseProfile, ResolvedKernel, Schedule,
+    PhaseProfile, ResolvedKernel,
 };
 use proptest::prelude::*;
 
@@ -38,7 +38,7 @@ fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> 
     run(w, x, cfg, k, None)
 }
 
-/// `cfg.schedule` on 1 (inline), 2, 3 and 7 workers — on these shapes that
+/// The row-parallel driver on 1 (inline), 2, 3 and 7 workers — on these shapes that
 /// covers even and uneven row splits and more workers than row blocks.
 /// Returns the output after asserting it is the same for every count.
 fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
@@ -105,10 +105,7 @@ fn byte_key_edge_shapes_bit_exact_vs_scalar() {
                          {tile_chunks}) level={level}"
                     );
                     assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
-                    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-                        let cfg = BiqConfig { schedule, ..cfg };
-                        assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
-                    }
+                    assert_eq!(want, parallel(&w, &x, &cfg, k), "parallel {what}");
                 }
             }
         }
@@ -364,9 +361,8 @@ fn build_primitives_bit_exact_at_every_row_width() {
 
 /// Wide batches through the tile loop: b ≥ 32 with tiles wide enough to
 /// reach the 32-lane passes, row tiles that do not divide m (so they cross
-/// the bit-plane wrap and end in a short last tile), serial and both
-/// parallel schedules — the SharedLut query calls the row-tile query
-/// directly on the shared bank — and both layouts: BatchMajor runs the
+/// the bit-plane wrap and end in a short last tile), serial and
+/// row-parallel, and both layouts: BatchMajor runs the
 /// strided width-1 gathers, one per batch column, against KeyMajor's
 /// scalar output.
 #[test]
@@ -391,10 +387,7 @@ fn wide_batch_tiles_bit_exact_vs_scalar() {
                 let what =
                     format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {layout:?} level={level}");
                 assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
-                for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-                    let cfg = BiqConfig { schedule, ..cfg };
-                    assert_eq!(want, parallel(&w, &x, &cfg, k), "{schedule:?} {what}");
-                }
+                assert_eq!(want, parallel(&w, &x, &cfg, k), "parallel {what}");
             }
         }
     }
@@ -439,13 +432,13 @@ fn parallel_levels_bit_exact_vs_scalar_serial() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let w = BiqWeights::from_multibit(&q, mu);
         let x = g.gaussian_col(n, b, 0.0, 1.0);
-        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
             let cfg = BiqConfig {
                 mu,
                 tile_rows: 4,
                 tile_chunks: 2,
                 tile_batch: 6,
-                schedule,
+                layout,
                 ..BiqConfig::default()
             };
             let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
@@ -453,7 +446,7 @@ fn parallel_levels_bit_exact_vs_scalar_serial() {
                 let got = parallel(&w, &x, &cfg, exact(level));
                 assert_eq!(
                     want, got,
-                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {schedule:?} level={level}"
+                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {layout:?} level={level}"
                 );
             }
         }

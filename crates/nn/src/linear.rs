@@ -138,8 +138,8 @@ impl Linear {
         Self::quantized_threaded(weight, bits, method, cfg, bias, Threading::Serial)
     }
 
-    /// Like [`Self::quantized`] but on a parallel plan: `cfg.schedule` on one
-    /// worker per core.
+    /// Like [`Self::quantized`] but on a parallel plan: the row-parallel
+    /// driver on one worker per core.
     pub fn quantized_parallel(
         weight: &Matrix,
         bits: usize,

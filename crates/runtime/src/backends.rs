@@ -291,7 +291,7 @@ pub(crate) fn execute_group(
 
 /// The weights of `ops` when they can run as one grouped BiQGEMM run: every
 /// op is a BiQ op and every plan agrees with the first on the config (µ,
-/// tiles, layout, build method, schedule), the resolved kernel level and
+/// tiles, layout, build method), the resolved kernel level and
 /// the worker count — everything a run shares except `m` (and `n`, which
 /// the shared input already fixes). The config's kernel *request* may
 /// differ where the resolved level agrees. At most [`MAX_GROUP`] ops; the
@@ -603,7 +603,7 @@ mod tests {
     #[test]
     fn ops_group_only_when_their_plans_agree() {
         use biqgemm_core::simd::{host_best, supported_levels, KernelRequest};
-        use biqgemm_core::{LutBuildMethod, LutLayout, Schedule};
+        use biqgemm_core::{LutBuildMethod, LutLayout};
         let mut g = MatrixRng::seed_from(93);
         let n = 40;
         let x = g.gaussian_col(n, 6, 0.0, 1.0);
@@ -644,7 +644,6 @@ mod tests {
             ("tile_batch", op(1, BiqConfig { tile_batch: 2, ..base }, None, exact)),
             ("layout", op(1, BiqConfig { layout: LutLayout::BatchMajor, ..base }, None, exact)),
             ("build", op(1, BiqConfig { build: LutBuildMethod::Gemm, ..base }, None, exact)),
-            ("schedule", op(1, BiqConfig { schedule: Schedule::SharedLut, ..base }, None, exact)),
             ("workers", op(1, base, Some(2), exact)),
         ];
         if let Some(other) = supported_levels().into_iter().find(|&l| l != level) {

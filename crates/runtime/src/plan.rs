@@ -62,16 +62,16 @@ pub struct ExecutionPlan {
     pub batch_hint: usize,
     /// Kernel family.
     pub spec: BackendSpec,
-    /// BiQGEMM configuration: µ, tile shapes, LUT layout and build method,
-    /// parallel schedule. Ignored by the dense backends.
+    /// BiQGEMM configuration: µ, tile shapes, LUT layout and build method.
+    /// Ignored by the dense backends.
     pub cfg: BiqConfig,
     /// The threading request the plan was built with.
     pub threading: Threading,
     /// The resolved threading decision — like `kernel`, made exactly once
     /// at plan build and pinned: `None` runs the serial path on the calling
-    /// thread, `Some(n)` the parallel drivers on `n` workers (from
+    /// thread, `Some(n)` the row-parallel driver on `n` workers (from
     /// [`PlanBuilder::threads`], default the machine's available
-    /// parallelism; `Some(1)` runs them inline). Backends hand it down as
+    /// parallelism; `Some(1)` runs it inline). Backends hand it down as
     /// an argument; nothing reads a thread count at run time.
     pub workers: Option<usize>,
     /// The kernel level every hot loop of this plan runs at — resolved

@@ -148,40 +148,34 @@ fn fp32_blocked_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_steady_state_allocates_nothing_per_worker() {
-    // The parallel schedules draw every per-task buffer (LUT bank, DP
-    // steps) from the executor's persistent per-worker
-    // slots. The plan's worker count is what executes: at `threads(1)` the
-    // schedules run inline with no thread spawns — whatever the host's
-    // core count — so the counting allocator can observe their own
-    // behaviour: after warm-up, repeat parallel runs must not touch the
-    // heap at all.
-    use biqgemm_core::{BiqConfig, Schedule};
-    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-        let mut g = MatrixRng::seed_from(0xb0 + schedule as u64);
-        let (m, n, b) = (256, 512, 16);
-        let signs = g.signs(m, n);
-        let x = g.small_int_col(n, b, 3);
-        let plan = PlanBuilder::new(m, n)
-            .batch_hint(b)
-            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-            .config(BiqConfig { schedule, ..BiqConfig::default() })
-            .threads(1)
-            .threading(Threading::Parallel)
-            .build();
-        let op = compile(&plan, WeightSource::Signs(&signs));
-        let mut exec = Executor::warmed_for(&op);
-        let mut y = vec![0.0f32; m * b];
-        exec.run_into(&op, &x, &mut y); // warm-up run
-        let allocs = count_allocs(|| {
-            for _ in 0..8 {
-                exec.run_into(&op, &x, &mut y);
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "{schedule:?}: parallel steady state allocated {allocs} times in 8 runs"
-        );
-    }
+    // The row-parallel driver draws every per-task LUT bank (DP steps
+    // included) from the executor's persistent per-worker slots. The plan's
+    // worker count is what executes: at `threads(1)` the driver runs inline
+    // with no thread spawns — whatever the host's core count — so the
+    // counting allocator can observe its own behaviour: after warm-up,
+    // repeat parallel runs must not touch the heap at all.
+    use biqgemm_core::BiqConfig;
+    let mut g = MatrixRng::seed_from(0xb0);
+    let (m, n, b) = (256, 512, 16);
+    let signs = g.signs(m, n);
+    let x = g.small_int_col(n, b, 3);
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+        .config(BiqConfig::default())
+        .threads(1)
+        .threading(Threading::Parallel)
+        .build();
+    let op = compile(&plan, WeightSource::Signs(&signs));
+    let mut exec = Executor::warmed_for(&op);
+    let mut y = vec![0.0f32; m * b];
+    exec.run_into(&op, &x, &mut y); // warm-up run
+    let allocs = count_allocs(|| {
+        for _ in 0..8 {
+            exec.run_into(&op, &x, &mut y);
+        }
+    });
+    assert_eq!(allocs, 0, "parallel steady state allocated {allocs} times in 8 runs");
 }
 
 /// Runs `f` once on every helper of `set`'s next `workers`-wide region: the
@@ -213,44 +207,42 @@ fn warmed_two_worker_run_allocates_nothing_on_caller_or_helpers() {
     // persistent worker set, so once the helper exists and the slots are
     // warm, neither thread may touch the heap: no per-call chunk list, no
     // thread spawn, no per-task scratch.
-    use biqgemm_core::{BiqConfig, Schedule};
-    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-        let mut g = MatrixRng::seed_from(0xc0 + schedule as u64);
-        let (m, n, b) = (512, 512, 32);
-        let signs = g.signs(m, n);
-        let x = g.small_int_col(n, b, 3);
-        let plan = PlanBuilder::new(m, n)
-            .batch_hint(b)
-            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-            .config(BiqConfig { schedule, ..BiqConfig::default() })
-            .threads(2)
-            .threading(Threading::Parallel)
-            .build();
-        let op = compile(&plan, WeightSource::Signs(&signs));
-        let mut exec = Executor::warmed_for(&op);
-        let mut y = vec![0.0f32; m * b];
-        exec.run_into(&op, &x, &mut y); // warm-up run: starts the helper
-        assert_eq!(exec.workers().helpers(), 1);
-        on_each_helper(exec.workers(), 2, || {
-            ALLOCS.with(|n| n.set(0));
-            ARMED.with(|a| a.set(true));
-            0
-        });
-        let on_caller = count_allocs(|| {
-            for _ in 0..8 {
-                exec.run_into(&op, &x, &mut y);
-            }
-        });
-        let on_helper = on_each_helper(exec.workers(), 2, || {
-            ARMED.with(|a| a.set(false));
-            ALLOCS.with(|n| n.get())
-        });
-        assert_eq!(
-            (on_caller, on_helper),
-            (0, 0),
-            "{schedule:?}: 8 warmed 2-worker runs allocated (caller, helper) times"
-        );
-    }
+    use biqgemm_core::BiqConfig;
+    let mut g = MatrixRng::seed_from(0xc0);
+    let (m, n, b) = (512, 512, 32);
+    let signs = g.signs(m, n);
+    let x = g.small_int_col(n, b, 3);
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+        .config(BiqConfig::default())
+        .threads(2)
+        .threading(Threading::Parallel)
+        .build();
+    let op = compile(&plan, WeightSource::Signs(&signs));
+    let mut exec = Executor::warmed_for(&op);
+    let mut y = vec![0.0f32; m * b];
+    exec.run_into(&op, &x, &mut y); // warm-up run: starts the helper
+    assert_eq!(exec.workers().helpers(), 1);
+    on_each_helper(exec.workers(), 2, || {
+        ALLOCS.with(|n| n.set(0));
+        ARMED.with(|a| a.set(true));
+        0
+    });
+    let on_caller = count_allocs(|| {
+        for _ in 0..8 {
+            exec.run_into(&op, &x, &mut y);
+        }
+    });
+    let on_helper = on_each_helper(exec.workers(), 2, || {
+        ARMED.with(|a| a.set(false));
+        ALLOCS.with(|n| n.get())
+    });
+    assert_eq!(
+        (on_caller, on_helper),
+        (0, 0),
+        "8 warmed 2-worker runs allocated (caller, helper) times"
+    );
 }
 
 #[test]

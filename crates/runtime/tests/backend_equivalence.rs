@@ -1,5 +1,5 @@
-//! The unification property: every BiQGEMM plan — serial, and both
-//! parallel schedules on 1 (inline), 2, 3 and 7 workers — run through one
+//! The unification property: every BiQGEMM plan — serial, and
+//! row-parallel on 1 (inline), 2, 3 and 7 workers — run through one
 //! executor produces outputs **bit-identical** to the naive dense
 //! reference, for arbitrary shapes, µ, and batch sizes.
 //!
@@ -14,7 +14,7 @@ use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
-use biqgemm_core::{BiqConfig, LutLayout, Schedule};
+use biqgemm_core::{BiqConfig, LutLayout};
 use proptest::prelude::*;
 
 fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMatrix> {
@@ -23,7 +23,7 @@ fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMa
 }
 
 /// Runs `weights` against `x` under every threading of `cfg` — a serial
-/// plan, then each schedule at each worker count — through one shared
+/// plan, then a parallel plan at each worker count — through one shared
 /// executor (so arena reuse across plans and growing worker counts is
 /// exercised too). Asserts every parallel plan reproduces the serial
 /// plan's bits and returns them.
@@ -52,11 +52,8 @@ fn assert_all_plans_agree(
         y
     };
     let serial = run(cfg, None);
-    for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-        for workers in [1, 2, 3, 7] {
-            let y = run(BiqConfig { schedule, ..cfg }, Some(workers));
-            assert_eq!(y, serial, "{schedule:?} on {workers} workers");
-        }
+    for workers in [1, 2, 3, 7] {
+        assert_eq!(run(cfg, Some(workers)), serial, "{workers} workers");
     }
     serial
 }

@@ -10,7 +10,9 @@
 //! around it, so every mutation reaches the manifest decoder and the model
 //! rebuild behind it.
 
-use biqgemm_repro::biq_artifact::{Artifact, ArtifactBuilder, ArtifactError, SectionId};
+use biqgemm_repro::biq_artifact::{
+    Artifact, ArtifactBuilder, ArtifactError, ModelManifest, SectionId,
+};
 use biqgemm_repro::biq_matrix::MatrixRng;
 use biqgemm_repro::biq_nn::transformer::{Encoder, LayerBackend};
 use biqgemm_repro::biq_nn::{CompiledModel, QuantMethod};
@@ -49,6 +51,16 @@ fn artifacts() -> Vec<(&'static str, Vec<u8>)> {
     out
 }
 
+/// `artifact`'s sections sealed again around `manifest`.
+fn reseal(artifact: &Artifact, manifest: &[u8]) -> Vec<u8> {
+    let mut builder = ArtifactBuilder::new();
+    for (i, s) in artifact.sections().iter().enumerate() {
+        let payload = artifact.section_bytes(SectionId(i as u32)).unwrap().to_vec();
+        builder.add_section(s.kind, s.elem, s.layer, payload);
+    }
+    builder.finish(manifest).to_vec()
+}
+
 fn load(bytes: Vec<u8>) -> Result<CompiledModel, ArtifactError> {
     CompiledModel::from_artifact(&Artifact::from_bytes(Bytes::from(bytes))?)
 }
@@ -83,27 +95,70 @@ fn resealed_manifest_mutations_are_refused_or_load_a_working_model() {
     for (name, valid) in artifacts() {
         let artifact = Artifact::from_bytes(Bytes::from(valid)).unwrap();
         let manifest = artifact.manifest_bytes().to_vec();
-        let reseal = |manifest: &[u8]| {
-            let mut builder = ArtifactBuilder::new();
-            for (i, s) in artifact.sections().iter().enumerate() {
-                let payload = artifact.section_bytes(SectionId(i as u32)).unwrap().to_vec();
-                builder.add_section(s.kind, s.elem, s.layer, payload);
-            }
-            builder.finish(manifest).to_vec()
-        };
-        assert_eq!(reseal(&manifest), artifact.as_bytes().as_ref(), "{name}: reseal is exact");
+        let exact = reseal(&artifact, &manifest);
+        assert_eq!(exact, artifact.as_bytes().as_ref(), "{name}: reseal is exact");
         let mut loaded = 0;
         for off in 0..manifest.len() {
             for pattern in [0xFFu8, 0x80, 0x01] {
                 let mut m = manifest.clone();
                 m[off] ^= pattern;
                 let what = || format!("{name}: manifest byte {off} ^ {pattern:#x}");
-                loaded += usize::from(load_and_run(reseal(&m), what));
+                loaded += usize::from(load_and_run(reseal(&artifact, &m), what));
             }
         }
         // Some fields (batch hint, tile sizes, kernel level) tolerate a
         // flip; most of the manifest does not.
         assert!(loaded < 3 * manifest.len(), "{name}: every mutation loaded");
+    }
+}
+
+#[test]
+fn retired_schedule_byte_loads_with_the_same_bits() {
+    // Each layer's manifest entry keeps a schedule byte whose value is
+    // retired: 0 is row-parallel, 1 the deleted shared-LUT schedule that
+    // older builds could write. Both load as row-parallel; any other value
+    // is refused. Parallel plans are the ones the byte ever steered.
+    let mut g = MatrixRng::seed_from(0xc6);
+    let backend = LayerBackend::Biq {
+        bits: 2,
+        method: QuantMethod::Greedy,
+        cfg: BiqConfig::default(),
+        parallel: true,
+    };
+    let linear = backend.linear(g.gaussian(300, 40, 0.0, 1.0), None);
+    let encoder = Encoder::random(&mut g, 1, 8, 16, 2, backend);
+    for (name, model) in [
+        ("parallel biq linear", CompiledModel::Linear(linear)),
+        ("parallel transformer", CompiledModel::Transformer(encoder)),
+    ] {
+        let artifact = Artifact::from_bytes(model.snapshot()).unwrap();
+        let manifest = artifact.manifest_bytes().to_vec();
+        let want: Vec<u32> = model.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
+        // The schedule bytes, found by the decoder: the zero bytes that,
+        // set to 2, fail with exactly `unknown schedule 2`.
+        let with = |at: &[usize], byte: u8| {
+            let mut m = manifest.clone();
+            at.iter().for_each(|&i| m[i] = byte);
+            m
+        };
+        let at: Vec<usize> = (0..manifest.len())
+            .filter(|&i| manifest[i] == 0)
+            .filter(|&i| {
+                let err = ModelManifest::decode(Bytes::from(with(&[i], 2))).err();
+                err.is_some_and(|e| e.to_string() == "bad manifest: unknown schedule 2")
+            })
+            .collect();
+        let layers = ModelManifest::decode(Bytes::from(manifest.clone())).unwrap().layers.len();
+        assert_eq!(at.len(), layers, "{name}: one schedule byte per layer, all written 0");
+
+        let old = load(reseal(&artifact, &with(&at, 1))).expect("schedule byte 1 loads");
+        let got: Vec<u32> = old.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
+        assert!(got == want, "{name}: schedule byte 1 moved output bits");
+        let current = load(artifact.as_bytes().to_vec()).expect("the intact file loads");
+        assert_eq!(old.snapshot(), current.snapshot(), "{name}: a re-save writes byte 0");
+
+        let refused = load(reseal(&artifact, &with(&at, 2))).err().map(|e| e.to_string());
+        assert_eq!(refused.as_deref(), Some("bad manifest: unknown schedule 2"), "{name}");
     }
 }
 
