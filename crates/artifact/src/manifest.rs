@@ -14,7 +14,7 @@
 
 use crate::container::{ArtifactError, SectionId};
 use biq_runtime::{BackendSpec, QuantMethod};
-use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, LutBuildMethod, LutLayout};
+use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Section `kind` tags referenced by manifests (free-form u32 namespace of
@@ -145,8 +145,7 @@ pub struct LayerManifest {
     pub batch_hint: usize,
     /// Kernel family + quantization recipe.
     pub spec: BackendSpec,
-    /// Full engine configuration (µ, tiles, layout, build method, kernel
-    /// request).
+    /// Full engine configuration (µ, tiles, kernel request).
     pub cfg: BiqConfig,
     /// The resolved threading decision (stored resolved so a loaded model
     /// plans identically on any machine).
@@ -248,16 +247,12 @@ fn put_cfg(buf: &mut BytesMut, cfg: &BiqConfig) {
     buf.put_u32_le(cfg.tile_rows as u32);
     buf.put_u32_le(cfg.tile_chunks as u32);
     buf.put_u32_le(cfg.tile_batch as u32);
-    buf.put_u8(match cfg.build {
-        LutBuildMethod::DynamicProgramming => 0,
-        LutBuildMethod::Gemm => 1,
-    });
-    buf.put_u8(match cfg.layout {
-        LutLayout::KeyMajor => 0,
-        LutLayout::BatchMajor => 1,
-    });
-    // The schedule byte keeps its place; row-parallel is the only
-    // parallel driver, so it is always 0 (see `cfg` below).
+    // The LUT build, LUT layout and schedule bytes keep their places, their
+    // values retired: Algorithm 1 is the only build, the layout follows
+    // each tile's width and row-parallel is the only parallel driver, so
+    // all three are always 0 (see `cfg` below).
+    buf.put_u8(0);
+    buf.put_u8(0);
     buf.put_u8(0);
     let (req_tag, req_level) = match cfg.kernel {
         KernelRequest::Auto => (0u8, 0u8),
@@ -466,16 +461,22 @@ impl Reader {
         let tile_rows = self.u32()? as usize;
         let tile_chunks = self.u32()? as usize;
         let tile_batch = self.u32()? as usize;
-        let build = match self.u8()? {
-            0 => LutBuildMethod::DynamicProgramming,
-            1 => LutBuildMethod::Gemm,
+        // The LUT build byte, its value retired: 0 is Algorithm 1's DP
+        // build. 1 named the deleted brute-force build, whose tables round
+        // differently — loading it as DP would silently change output bits,
+        // so it is refused.
+        match self.u8()? {
+            0 => {}
+            1 => return Err(bad("LUT build 1 (the retired brute-force build) is not supported")),
             other => return Err(bad(format!("unknown LUT build method {other}"))),
-        };
-        let layout = match self.u8()? {
-            0 => LutLayout::KeyMajor,
-            1 => LutLayout::BatchMajor,
+        }
+        // The LUT layout byte, its value retired: 0 was KeyMajor and 1
+        // BatchMajor. Every layout realises the canonical accumulation
+        // tree, so a file carrying either loads with the same output bits.
+        match self.u8()? {
+            0 | 1 => {}
             other => return Err(bad(format!("unknown LUT layout {other}"))),
-        };
+        }
         // The schedule byte, its value retired: 0 is row-parallel and 1 the
         // deleted `SharedLut` schedule. Both were bit-identical to serial by
         // construction, so a file carrying either loads as row-parallel with
@@ -498,7 +499,7 @@ impl Reader {
         if tile_rows == 0 || tile_chunks == 0 || tile_batch == 0 {
             return Err(bad("zero tile dimension"));
         }
-        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, build, layout, kernel })
+        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, kernel })
     }
 
     fn payload(&mut self) -> Result<PayloadRefs, ArtifactError> {

@@ -5,18 +5,22 @@
 //! Expected shape: the *query* share grows with `m` and dominates once
 //! `m ≫ 2^µ` (the paper's point — most arithmetic becomes cheap retrievals).
 //!
-//! The same phase split then prices the two design choices the paper
-//! argues from it: the bank layout (Fig. 6 — KeyMajor vs BatchMajor, a
-//! query-phase difference) and the table-build method (Fig. 4 / Eq. 6 —
-//! Algorithm 1's dynamic programming vs brute-force `M_µ · x`, a
-//! build-phase difference).
+//! The same phase split then shows the build share growing with the batch
+//! (b = 1 → 32), and the standalone table builders price the build method
+//! the paper argues for (Fig. 4 / Eq. 6 — Algorithm 1's dynamic
+//! programming vs the brute-force `M_µ · x` product, one table at a time).
+//! Where the bank's layout changes with the batch width, `ablation_batch_width`
+//! shows it.
 
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
-use biq_bench::timing::auto_reps;
+use biq_bench::timing::{auto_reps, measure};
 use biq_bench::workloads::{binary_workload, biq_op, BinaryWorkload};
+use biq_matrix::MatrixRng;
 use biq_runtime::WeightSource;
-use biqgemm_core::{BiqConfig, LutBuildMethod, LutLayout};
+use biqgemm_core::lut::{build_lut_bruteforce, build_lut_dp, dp_op_count};
+use biqgemm_core::BiqConfig;
+use std::hint::black_box;
 use std::time::Duration;
 
 /// Per-run build / query / replace milliseconds of a serial plan of `cfg`
@@ -32,6 +36,20 @@ fn phase_ms(w: &BinaryWorkload, cfg: BiqConfig) -> [f64; 3] {
     }
     let p = exec.profile();
     [p.build, p.query, p.replace].map(|d| d.as_secs_f64() * 1e3 / reps as f64)
+}
+
+/// Nanoseconds per table of `build` at µ = `x.len()`: the median of 15
+/// timed batches, each of enough calls to fill about a millisecond.
+fn ns_per_table(build: fn(&[f32], &mut [f32]), x: &[f32]) -> f64 {
+    let mut q = vec![0.0f32; 1 << x.len()];
+    let mut batch = |calls: usize| {
+        for _ in 0..calls {
+            build(black_box(x), &mut q);
+            black_box(&mut q);
+        }
+    };
+    let calls = auto_reps(Duration::from_millis(1), 1, 1 << 20, || batch(1));
+    measure(2, 15, || batch(calls)).median_us() * 1e3 / calls as f64
 }
 
 fn main() {
@@ -61,39 +79,42 @@ fn main() {
     }
 
     let (m, n) = (2048, 1024);
-    println!("Layout (Fig. 6) and build method (Fig. 4 / Eq. 6) at {m}x{n}, in the same phases:\n");
-    let mut t = Table::new(&["b", "layout", "build", "build ms", "query ms", "replace ms"]);
-    // Build share of the default config (KeyMajor, DP) at b = 1 and b = 32.
+    println!("Phases at {m}x{n}, b = 1 and b = 32:\n");
+    let mut t = Table::new(&["b", "build ms", "query ms", "replace ms", "build %"]);
     let mut build_shares = Vec::new();
     for b in [1usize, 32] {
-        let w = binary_workload(m, n, b);
-        for (layout, build) in [
-            (LutLayout::KeyMajor, LutBuildMethod::DynamicProgramming),
-            (LutLayout::BatchMajor, LutBuildMethod::DynamicProgramming),
-            (LutLayout::KeyMajor, LutBuildMethod::Gemm),
-        ] {
-            let phases = phase_ms(&w, BiqConfig { layout, build, ..BiqConfig::default() });
-            if (layout, build) == (LutLayout::KeyMajor, LutBuildMethod::DynamicProgramming) {
-                build_shares.push(phases[0] / phases.iter().sum::<f64>());
-            }
-            let [build_ms, query_ms, replace_ms] = phases.map(|ms| fmt_f(ms, 3));
-            t.row(&[
-                b.to_string(),
-                format!("{layout:?}"),
-                format!("{build:?}"),
-                build_ms,
-                query_ms,
-                replace_ms,
-            ]);
-        }
+        let phases = phase_ms(&binary_workload(m, n, b), BiqConfig::default());
+        let share = phases[0] / phases.iter().sum::<f64>();
+        build_shares.push(share);
+        let [build_ms, query_ms, replace_ms] = phases.map(|ms| fmt_f(ms, 3));
+        t.row(&[b.to_string(), build_ms, query_ms, replace_ms, fmt_f(share * 100.0, 1)]);
+    }
+    println!("{}", if a.csv { t.render_csv() } else { t.render() });
+
+    println!("Table build (Fig. 4 / Eq. 6): Algorithm 1 vs brute-force M_µ · x, one table:\n");
+    let mut t = Table::new(&["mu", "DP ops", "brute ops", "DP ns", "brute ns", "brute / DP"]);
+    let mut dp_cheaper = true;
+    for mu in [4usize, 6, 8, 10, 12] {
+        let x = MatrixRng::seed_from(mu as u64).gaussian_vec(mu);
+        let (dp, brute) = (ns_per_table(build_lut_dp, &x), ns_per_table(build_lut_bruteforce, &x));
+        dp_cheaper &= dp < brute;
+        t.row(&[
+            mu.to_string(),
+            dp_op_count(mu).to_string(),
+            ((1usize << mu) * mu).to_string(),
+            fmt_f(dp, 1),
+            fmt_f(brute, 1),
+            fmt_f(brute / dp, 1),
+        ]);
     }
     println!("{}", if a.csv { t.render_csv() } else { t.render() });
     println!(
         "{}",
         biq_bench::claim(
-            "the query share grows with every step in m (the table build amortises), while \
-             the build share grows with the batch (b = 1 → 32)",
-            query_share_rises && build_shares[1] > build_shares[0],
+            "the query share grows with every step in m (the table build amortises), the \
+             build share grows with the batch (b = 1 → 32), and Algorithm 1 builds a table \
+             faster than M_µ · x at every µ",
+            query_share_rises && build_shares[1] > build_shares[0] && dp_cheaper,
         )
     );
 }

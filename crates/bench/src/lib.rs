@@ -31,7 +31,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("table2_memory", "Table II — memory usage of a 512×512 multiplication at batch 18"),
     ("table3_machine", "Table III — machine configuration (this host)"),
     ("table4_runtime", "Table IV — runtime vs the kGpu / cublas / xnor roles (CPU analogs)"),
-    ("fig8_profiling", "Fig. 8 — build / query / replace shares (plus Fig. 6 layout, Eq. 6 build)"),
+    ("fig8_profiling", "Fig. 8 — build / query / replace shares (plus Eq. 6: DP vs M_µ · x)"),
     ("fig9_unpack", "Fig. 9 — cost of unpacking bit-packed weights for a conventional GEMM"),
     ("fig10_speedup", "Fig. 10 — single-thread speedup over blocked fp32 GEMM"),
     ("mu_sweep", "Section III-C / Eq. 9 — runtime vs LUT-unit µ"),

@@ -17,31 +17,31 @@
 //! threads" — each table is built and read through exactly one slot at a
 //! time) and a worker's bank stays in its core's cache.
 //!
-//! A slot's bank is keyed by `(µ, layout)`: a bank built for one key width
-//! or physical layout cannot be reinterpreted under another, so changing
-//! either rebuilds the bank (an explicit, rare cost). All buffers grow
-//! monotonically and never shrink.
+//! A slot's bank is keyed by µ alone: a bank built for one key width cannot
+//! be reinterpreted under another, so changing µ rebuilds the bank (an
+//! explicit, rare cost); each build lays its tables out by its tile's
+//! width. All buffers grow monotonically and never shrink.
 //!
 //! `biq_runtime::Executor` wraps one `BiqArena` (plus baseline-kernel
 //! scratch) behind the workspace-wide `GemmBackend` trait.
 
-use crate::config::{BiqConfig, LutLayout};
+use crate::config::BiqConfig;
 use crate::layout::LutBank;
 use crate::parallel::WorkerSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// One worker's persistent scratch: a slot's LUT bank, kept while its
-/// `(µ, layout)` key stays the same.
+/// One worker's persistent scratch: a slot's LUT bank, kept while its µ
+/// stays the same.
 #[derive(Debug, Default)]
 pub(crate) struct BankCache(Option<LutBank>);
 
 impl BankCache {
-    /// The bank for one kernel run, (re)created when `(µ, layout)` differ
-    /// from the cached bank's.
-    pub(crate) fn get(&mut self, mu: usize, layout: LutLayout) -> &mut LutBank {
-        if !self.0.as_ref().is_some_and(|b| b.mu() == mu && b.layout() == layout) {
-            self.0 = Some(LutBank::new(mu, layout));
+    /// The bank for one kernel run, (re)created when µ differs from the
+    /// cached bank's.
+    pub(crate) fn get(&mut self, mu: usize) -> &mut LutBank {
+        if self.0.as_ref().is_none_or(|b| b.mu() != mu) {
+            self.0 = Some(LutBank::new(mu));
         }
         self.0.as_mut().expect("bank just ensured")
     }
@@ -88,7 +88,7 @@ impl BiqArena {
         self.ensure_slots(n);
         for slot in &mut self.slots[..n] {
             let bank = slot.get_mut().expect("arena slot poisoned");
-            bank.get(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
+            bank.get(cfg.mu).reserve(cfg.tile_chunks, nb);
         }
     }
 
@@ -134,17 +134,15 @@ mod tests {
     #[test]
     fn bank_is_cached_across_same_key_calls() {
         let mut a = BiqArena::new();
-        assert_eq!(a.local().get(4, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        let before = a.local().get(4, LutLayout::KeyMajor) as *const LutBank as usize;
-        let after = a.local().get(4, LutLayout::KeyMajor) as *const LutBank as usize;
-        assert_eq!(before, after, "same (µ, layout) must not rebuild the bank");
+        let before = a.local().get(4) as *const LutBank as usize;
+        let after = a.local().get(4) as *const LutBank as usize;
+        assert_eq!(before, after, "the same µ must not rebuild the bank");
     }
 
     #[test]
     fn key_change_rebuilds_bank() {
         let mut a = BiqArena::new();
-        let _ = a.local().get(4, LutLayout::KeyMajor);
-        assert_eq!(a.local().get(8, LutLayout::KeyMajor).layout(), LutLayout::KeyMajor);
-        assert_eq!(a.local().get(8, LutLayout::BatchMajor).layout(), LutLayout::BatchMajor);
+        assert_eq!(a.local().get(4).mu(), 4);
+        assert_eq!(a.local().get(8).mu(), 8);
     }
 }

@@ -2,32 +2,10 @@
 
 use crate::simd::KernelRequest;
 
-/// How lookup tables are filled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LutBuildMethod {
-    /// Algorithm 1 dynamic programming (`≈ 2^µ + µ − 1` ops/table). The
-    /// right choice on CPUs (paper Section III-B).
-    DynamicProgramming,
-    /// Brute-force `M_µ · x` products (`2^µ · µ` ops/table) — the Fig. 4(a)
-    /// construction the paper recommends for very wide-SIMD machines; kept
-    /// for the ablation benchmark.
-    Gemm,
-}
-
-/// Physical layout of a bank of lookup tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LutLayout {
-    /// `[chunk][key][batch]` — entries sharing a key are contiguous across
-    /// the batch (the paper's Fig. 6 arrangement). One lookup loads a
-    /// contiguous `b`-vector, so the accumulate loop vectorises.
-    KeyMajor,
-    /// `[chunk][batch][key]` — each `(chunk, batch)` table is contiguous,
-    /// which is the natural order the DP builder produces. Cheaper to build
-    /// (no scatter), slower to query for `b > 1`. Kept for the ablation.
-    BatchMajor,
-}
-
-/// Full engine configuration.
+/// Full engine configuration: five independent settings. How a LUT tile
+/// is built and laid out is not among them — Algorithm 1 builds every
+/// table, and the bank's layout follows each tile's batch width
+/// ([`crate::layout::COLUMN_TABLES_MAX`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BiqConfig {
     /// LUT-unit µ (sub-vector length, 1..=16). The paper finds µ = 8
@@ -39,10 +17,6 @@ pub struct BiqConfig {
     pub tile_chunks: usize,
     /// Batch columns processed per LUT bank, bounding live-table bytes.
     pub tile_batch: usize,
-    /// Table construction method.
-    pub build: LutBuildMethod,
-    /// Table layout.
-    pub layout: LutLayout,
     /// Which kernel level to run the hot loops at. This is a *request*
     /// (the successor of the old `simd: bool` toggle): plan builders
     /// resolve it exactly once into a pinned
@@ -58,15 +32,7 @@ impl Default for BiqConfig {
     /// tile (`tile_chunks · 2^µ · tile_batch · 4 B = 1 MB` at the defaults)
     /// stays within a typical L2.
     fn default() -> Self {
-        Self {
-            mu: 8,
-            tile_rows: 64,
-            tile_chunks: 32,
-            tile_batch: 32,
-            build: LutBuildMethod::DynamicProgramming,
-            layout: LutLayout::KeyMajor,
-            kernel: KernelRequest::Auto,
-        }
+        Self { mu: 8, tile_rows: 64, tile_chunks: 32, tile_batch: 32, kernel: KernelRequest::Auto }
     }
 }
 
@@ -111,8 +77,6 @@ mod tests {
     fn default_is_paper_sweet_spot() {
         let c = BiqConfig::default();
         assert_eq!(c.mu, 8);
-        assert_eq!(c.build, LutBuildMethod::DynamicProgramming);
-        assert_eq!(c.layout, LutLayout::KeyMajor);
         assert_eq!(c.kernel, KernelRequest::Auto);
         c.validate();
     }

@@ -3,19 +3,26 @@
 //! A bank holds the tables for `num_chunks` consecutive input chunks ×
 //! `nb` consecutive batch columns. Every chunk gets a full `2^µ`-entry
 //! stride even when its sub-vector is ragged (`L < µ`), keeping addressing
-//! uniform; only the first `2^L` entries are meaningful.
+//! uniform; only the first `2^L` entries are meaningful. Algorithm 1 (the
+//! dynamic-programming build) fills every table.
 //!
-//! Two layouts (see [`LutLayout`]):
+//! The layout follows the tile's width — no caller chooses it:
 //!
-//! * **KeyMajor** (paper Fig. 6): `data[(c·2^µ + key)·nb + a]` — one lookup
-//!   yields a contiguous batch vector, so query accumulation vectorises.
-//!   Building scatters each freshly computed table across the batch stride —
-//!   that movement is charged to the **replace** phase.
-//! * **BatchMajor**: `data[(c·nb + a)·2^µ + key]` — tables are built in
-//!   place with zero scatter, but queries for `b > 1` gather.
+//! * **Column tables** (`nb ≤` [`COLUMN_TABLES_MAX`]):
+//!   `data[(a·num_chunks + c)·2^µ + key]` — batch column `a`'s tables run
+//!   back to back, built by one width-1 DP dispatch
+//!   ([`simd::dp_build_tile`]) per column and queried by one width-1
+//!   gather dispatch ([`simd::lut_gather_rows`]) per row tile that walks
+//!   the columns in turn. b = 1 is the one-column case.
+//! * **KeyMajor** (paper Fig. 6, wider tiles): `data[(c·2^µ + key)·nb + a]`
+//!   — one lookup yields a contiguous batch vector, so the fused query
+//!   ([`simd::lut_query_fused_rows`]) accumulates whole lane groups.
+//!   Building gathers each chunk's sub-vector values across the batch
+//!   stride — that movement is charged to the **replace** phase.
+//!
+//! Both realise the canonical accumulation tree, so a column's bits do not
+//! depend on which side of the constant its tile falls.
 
-use crate::config::{LutBuildMethod, LutLayout};
-use crate::lut::{build_lut_bruteforce, build_lut_dp_level};
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use biq_matrix::reshape::ChunkedInput;
@@ -74,39 +81,44 @@ impl LineAlignedBuf {
     }
 }
 
+/// The widest LUT tile that builds column tables; wider tiles build the
+/// Fig. 6 KeyMajor bank. Measured, not derived: 2-bit serial runs at
+/// 512², 2048×512 and 512×2048 on AVX2 and AVX-512 (alternating blocks,
+/// low decile) found column tables faster in every cell up to this width
+/// — the table is in the crate README, "Known cliffs". ROADMAP item 15's
+/// cost model replaces it.
+pub const COLUMN_TABLES_MAX: usize = 3;
+
+/// Whether a tile of `nb` batch columns builds column tables.
+#[inline]
+fn column_tables(nb: usize) -> bool {
+    nb <= COLUMN_TABLES_MAX
+}
+
 /// A reusable bank of lookup tables for one (chunk-tile × batch-tile).
 #[derive(Debug)]
 pub struct LutBank {
     data: LineAlignedBuf,
-    scratch: Vec<f32>,
     /// Gathered DP step vectors, `µ × nb` per chunk of the resident tile
-    /// (KeyMajor batched build only).
+    /// (KeyMajor tiles only).
     steps: Vec<f32>,
     table: usize,
     num_chunks: usize,
     nb: usize,
-    layout: LutLayout,
 }
 
 impl LutBank {
-    /// Creates an empty bank for LUT-unit `mu` and layout `layout`.
-    pub fn new(mu: usize, layout: LutLayout) -> Self {
+    /// Creates an empty bank for LUT-unit `mu`; each build lays its tables
+    /// out by the tile's width (module docs).
+    pub fn new(mu: usize) -> Self {
         assert!((1..=16).contains(&mu), "µ must be in 1..=16");
         Self {
             data: LineAlignedBuf::default(),
-            scratch: vec![0.0; 1usize << mu],
             steps: Vec::new(),
             table: 1usize << mu,
             num_chunks: 0,
             nb: 0,
-            layout,
         }
-    }
-
-    /// The layout of this bank.
-    #[inline]
-    pub fn layout(&self) -> LutLayout {
-        self.layout
     }
 
     /// Pre-grows storage for `num_chunks` chunks × `nb` batch columns so a
@@ -117,7 +129,7 @@ impl LutBank {
         self.reserve_steps(num_chunks, nb);
     }
 
-    /// Step vectors for a whole tile: `µ × nb` floats per chunk.
+    /// Step vectors for a whole KeyMajor tile: `µ × nb` floats per chunk.
     fn reserve_steps(&mut self, num_chunks: usize, nb: usize) {
         let needed = num_chunks * self.mu() * nb;
         if self.steps.len() < needed {
@@ -144,9 +156,12 @@ impl LutBank {
 
     /// Builds tables for chunks `[chunk_start, chunk_start + num_chunks)` ×
     /// batch columns `[batch_start, batch_start + nb)` of `input`,
-    /// overwriting the bank, with DP arithmetic running at the resolved
-    /// kernel level `k`. Build arithmetic is charged to `profile.build`;
-    /// the KeyMajor scatter is charged to `profile.replace`.
+    /// overwriting the bank, with Algorithm 1 running at the resolved
+    /// kernel level `k`. Build arithmetic is charged to `profile.build`,
+    /// the KeyMajor step gather to `profile.replace`. Either way the clock
+    /// is read per *tile*, not per chunk or column, which matters for
+    /// small-µ banks on virtualised hosts where each `Instant::now()` is a
+    /// paravirtual clock read.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         &mut self,
@@ -155,74 +170,36 @@ impl LutBank {
         num_chunks: usize,
         batch_start: usize,
         nb: usize,
-        method: LutBuildMethod,
         profile: &mut PhaseProfile,
         k: ResolvedKernel,
     ) {
         debug_assert!(chunk_start + num_chunks <= input.num_chunks());
         debug_assert!(batch_start + nb <= input.batch());
+        debug_assert_eq!(input.mu(), self.mu());
         self.num_chunks = num_chunks;
         self.nb = nb;
         self.data.ensure_len(num_chunks * self.table * nb);
-        if method == LutBuildMethod::DynamicProgramming {
-            // GEMV fast path: with one live batch column the KeyMajor and
-            // BatchMajor layouts coincide (entry (c, key) at c·2^µ + key),
-            // so the tile is the column's chunks back to back, built by one
-            // kernel dispatch under one timing scope — clock reads and
-            // dispatches per *tile*, not per chunk, which matters for
-            // small-µ banks on virtualised hosts where each `Instant::now()`
-            // is a paravirtual clock read.
-            if nb == 1 {
-                let mu = self.mu();
-                debug_assert_eq!(input.mu(), mu);
-                let x = input.chunk_span(batch_start, chunk_start..chunk_start + num_chunks);
-                let data = self.data.as_mut_slice();
-                profile.time_build(|| simd::dp_build_tile(data, x, mu, k));
-                return;
-            }
-            if self.layout == LutLayout::KeyMajor {
-                self.build_key_major_batched(input, chunk_start, batch_start, profile, k);
-                return;
-            }
+        if !column_tables(nb) {
+            self.build_key_major(input, chunk_start, batch_start, profile, k);
+            return;
         }
+        let (mu, span) = (self.mu(), num_chunks * self.table);
         let data = self.data.as_mut_slice();
-        for c in 0..num_chunks {
+        profile.time_build(|| {
             for a in 0..nb {
-                let sub = input.chunk(batch_start + a, chunk_start + c);
-                let len = 1usize << sub.len();
-                match self.layout {
-                    LutLayout::BatchMajor => {
-                        let off = (c * nb + a) * self.table;
-                        let dst = &mut data[off..off + len];
-                        profile.time_build(|| fill_table(method, sub, dst, k));
-                    }
-                    // Only the brute-force method reaches here (KeyMajor DP
-                    // builds whole tiles above). It keeps the per-(chunk,
-                    // batch) scratch + scatter structure — it exists for
-                    // the ablation; the scatter is the replace phase.
-                    LutLayout::KeyMajor => {
-                        let scratch = &mut self.scratch[..len];
-                        profile.time_build(|| fill_table(method, sub, scratch, k));
-                        let base = c * self.table * nb + a;
-                        profile.time_replace(|| {
-                            for (key, &v) in scratch.iter().enumerate() {
-                                data[base + key * nb] = v;
-                            }
-                        });
-                    }
-                }
+                let x = input.chunk_span(batch_start + a, chunk_start..chunk_start + num_chunks);
+                simd::dp_build_tile(&mut data[a * span..][..span], x, mu, k);
             }
-        }
+        });
     }
 
     /// Batch-vectorised Algorithm 1 directly in the Fig. 6 layout for the
-    /// resident tile (`nb ≥ 2`): table entries are contiguous `nb`-vectors,
-    /// and the DP recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a
-    /// vector add per entry. The strided gather of sub-vector values across
-    /// batch columns is the residual "replace" (tiling data-movement) cost.
-    /// Both phases run over the whole tile under one timing scope each, so
-    /// the clock is read four times per tile, not per chunk.
-    fn build_key_major_batched(
+    /// resident tile: table entries are contiguous `nb`-vectors, and the
+    /// DP recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector
+    /// add per entry. The strided gather of sub-vector values across batch
+    /// columns is the residual "replace" (tiling data-movement) cost. Both
+    /// phases run over the whole tile under one timing scope each.
+    fn build_key_major(
         &mut self,
         input: &ChunkedInput<'_>,
         chunk_start: usize,
@@ -260,33 +237,25 @@ impl LutBank {
         });
     }
 
-    /// KeyMajor: the contiguous batch vector for `(chunk_local, key)`.
-    ///
-    /// # Panics
-    /// Debug-panics when called on a BatchMajor bank.
-    #[inline]
-    pub fn entry_vec(&self, chunk_local: usize, key: usize) -> &[f32] {
-        debug_assert_eq!(self.layout, LutLayout::KeyMajor);
-        debug_assert!(chunk_local < self.num_chunks);
-        let off = (chunk_local * self.table + key) * self.nb;
-        &self.data.as_slice()[off..off + self.nb]
-    }
-
     /// The Algorithm 2 query of one row tile against the resident tables:
     /// for each row `i` of the key tile and each resident batch lane `a`,
     /// `y[i · y_stride + a] += scales[i] · Σ_c entry(c, a, keys_i[c])`,
     /// every sum in the **canonical accumulation-tree order** at the
-    /// resolved kernel level: the width-1 gather at `nb == 1`
-    /// ([`crate::simd::lut_gather_rows`]), the fused query on a KeyMajor
-    /// bank ([`crate::simd::lut_query_fused_rows`]), and one strided
-    /// width-1 gather per batch column on a BatchMajor one. Whatever the
-    /// layout and width, a column rounds bit for bit alike (batch-packing
+    /// resolved kernel level — one kernel dispatch per row tile:
+    ///
+    /// * column tables: the width-1 gather ([`simd::lut_gather_rows`]) over
+    ///   each column's tables in turn, consecutive rows' lookups
+    ///   interleaved — at b = 1 the serving hot loop;
+    /// * KeyMajor: the fused lookup-accumulate
+    ///   ([`simd::lut_query_fused_rows`]), register accumulation across the
+    ///   tile's chunks, scale in-pass.
+    ///
+    /// Whatever the width, a column rounds bit for bit alike (batch-packing
     /// invariance; `batch_invariance.rs` pins it).
     ///
     /// # Panics
-    /// Panics (or debug-panics) on key rows longer than the resident
-    /// chunks, or tile/output geometry mismatches per the kernel
-    /// dispatchers.
+    /// Panics when the key tile does not span exactly the resident chunks,
+    /// or on tile/output geometry mismatches per the kernel dispatchers.
     #[inline]
     pub fn query_rows(
         &self,
@@ -296,52 +265,19 @@ impl LutBank {
         y_stride: usize,
         k: ResolvedKernel,
     ) {
-        debug_assert!(keys.nc() <= self.num_chunks);
-        let bank = &self.data.as_slice()[..self.num_chunks * self.table * self.nb];
-        query_row_tile(bank, self.table, self.nb, self.layout, keys, scales, y, y_stride, k);
+        assert_eq!(keys.nc(), self.num_chunks, "a key tile spans the resident chunks");
+        let (table, nb) = (self.table, self.nb);
+        let bank = &self.data.as_slice()[..self.num_chunks * table * nb];
+        if column_tables(nb) {
+            simd::lut_gather_rows(y, y_stride, scales, bank, table, nb, keys, k);
+        } else {
+            simd::lut_query_fused_rows(y, y_stride, scales, bank, table, nb, keys, k);
+        }
     }
 
     /// Bytes of live table data.
     pub fn resident_bytes(&self) -> usize {
         self.num_chunks * self.table * self.nb * 4
-    }
-}
-
-/// The Algorithm 2 query of one row tile over a resident bank of `nb`
-/// batch columns in `layout` — one kernel dispatch per row tile, or per
-/// batch column of a BatchMajor tile:
-///
-/// * `nb == 1`: both layouts store entry `(c, key)` at `c·2^µ + key`, and
-///   the row-batched width-1 gather ([`simd::lut_gather_rows`]) runs,
-///   consecutive rows' lookups interleaved — the b = 1 serving hot loop;
-/// * KeyMajor: the fused lookup-accumulate ([`simd::lut_query_fused_rows`]),
-///   register accumulation across the tile's chunks, scale in-pass;
-/// * BatchMajor: column `a`'s tables are `nb · 2^µ` floats apart from
-///   `a · 2^µ` on, so the query is `nb` strided width-1 gathers.
-///
-/// All three realise the canonical accumulation tree, so they agree bit
-/// for bit (`both_layouts_agree`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn query_row_tile(
-    bank: &[f32],
-    table: usize,
-    nb: usize,
-    layout: LutLayout,
-    keys: KeyTile<'_>,
-    scales: &[f32],
-    y: &mut [f32],
-    y_stride: usize,
-    k: ResolvedKernel,
-) {
-    if nb == 1 {
-        simd::lut_gather_rows(y, y_stride, scales, bank, table, table, keys, k);
-    } else if layout == LutLayout::KeyMajor {
-        simd::lut_query_fused_rows(y, y_stride, scales, bank, table, nb, keys, k);
-    } else {
-        for a in 0..nb {
-            let (ya, col) = (&mut y[a..], &bank[a * table..]);
-            simd::lut_gather_rows(ya, y_stride, scales, col, table, nb * table, keys, k);
-        }
     }
 }
 
@@ -390,24 +326,30 @@ fn dp_fill_chunk(seg: &mut [f32], steps: &[f32], l: usize, nb: usize, k: Resolve
     simd::negate_rows_reversed(hi, lo, nb, k);
 }
 
-#[inline]
-fn fill_table(method: LutBuildMethod, sub: &[f32], dst: &mut [f32], k: ResolvedKernel) {
-    match method {
-        LutBuildMethod::DynamicProgramming => build_lut_dp_level(sub, dst, k),
-        LutBuildMethod::Gemm => build_lut_bruteforce(sub, dst),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mmu::key_dot;
+    use crate::lut::build_lut_bruteforce;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
     use biq_quant::packing::KeyMatrix;
 
     fn sk() -> ResolvedKernel {
         ResolvedKernel::scalar()
+    }
+
+    /// Entry `key` of batch column `a`'s table for resident chunk `c`,
+    /// wherever the tile's width put it.
+    fn entry(bank: &LutBank, c: usize, a: usize, key: usize) -> f32 {
+        let (table, nc, nb) = (bank.table, bank.num_chunks, bank.nb);
+        let off =
+            if column_tables(nb) { (a * nc + c) * table + key } else { (c * table + key) * nb + a };
+        bank.data.as_slice()[off]
+    }
+
+    fn build(bank: &mut LutBank, input: &ChunkedInput<'_>, tile: [usize; 4], k: ResolvedKernel) {
+        let [c0, nc, b0, nb] = tile;
+        bank.build(input, c0, nc, b0, nb, &mut PhaseProfile::new(), k);
     }
 
     fn check_bank_contents(
@@ -419,18 +361,14 @@ mod tests {
         for c in 0..bank.num_chunks() {
             for a in 0..bank.batch() {
                 let sub = input.chunk(batch_start + a, chunk_start + c);
-                for k in 0..(1usize << sub.len()) {
-                    let expected = key_dot(k as u16, sub);
-                    let got = match bank.layout() {
-                        LutLayout::KeyMajor => bank.entry_vec(c, k)[a],
-                        LutLayout::BatchMajor => {
-                            bank.data.as_slice()[(c * bank.batch() + a) * bank.table + k]
-                        }
-                    };
+                let mut want = vec![0.0f32; 1 << sub.len()];
+                build_lut_bruteforce(sub, &mut want);
+                for (k, &expected) in want.iter().enumerate() {
+                    let got = entry(bank, c, a, k);
                     assert!(
                         (got - expected).abs() < 1e-4,
-                        "layout {:?} chunk {c} batch {a} key {k}: {got} vs {expected}",
-                        bank.layout()
+                        "nb {} chunk {c} batch {a} key {k}: {got} vs {expected}",
+                        bank.batch()
                     );
                 }
             }
@@ -440,13 +378,37 @@ mod tests {
     #[test]
     fn both_layouts_hold_correct_tables() {
         let mut g = MatrixRng::seed_from(220);
-        let x = g.gaussian_col(20, 5, 0.0, 1.0); // n=20, µ=4 -> 5 chunks
+        let x = g.gaussian_col(20, COLUMN_TABLES_MAX + 3, 0.0, 1.0); // n=20, µ=4 -> 5 chunks
         let input = ChunkedInput::new(&x, 4);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let mut bank = LutBank::new(4, layout);
-            let mut prof = PhaseProfile::new();
-            bank.build(&input, 0, 5, 0, 5, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        for nb in 1..=COLUMN_TABLES_MAX + 3 {
+            let mut bank = LutBank::new(4);
+            build(&mut bank, &input, [0, 5, 0, nb], sk());
             check_bank_contents(&bank, &input, 0, 0);
+        }
+    }
+
+    #[test]
+    fn the_tile_width_picks_the_layout() {
+        // Column tables up to the constant (b = 1 is the one-column case),
+        // KeyMajor from one column past it — each at its own addresses.
+        let mut g = MatrixRng::seed_from(228);
+        let nc = 3;
+        let x = g.small_int_col(4 * nc, COLUMN_TABLES_MAX + 1, 4);
+        let input = ChunkedInput::new(&x, 4);
+        for nb in [1, COLUMN_TABLES_MAX, COLUMN_TABLES_MAX + 1] {
+            let mut bank = LutBank::new(4);
+            build(&mut bank, &input, [0, nc, 0, nb], sk());
+            let data = bank.data.as_slice();
+            for (c, a) in (0..nc).flat_map(|c| (0..nb).map(move |a| (c, a))) {
+                let mut want = vec![0.0f32; 16];
+                build_lut_bruteforce(input.chunk(a, c), &mut want);
+                let got: Vec<f32> = if nb <= COLUMN_TABLES_MAX {
+                    data[(a * nc + c) * 16..][..16].to_vec()
+                } else {
+                    (0..16).map(|key| data[(c * 16 + key) * nb + a]).collect()
+                };
+                assert_eq!(got, want, "nb {nb} chunk {c} column {a}");
+            }
         }
     }
 
@@ -455,57 +417,42 @@ mod tests {
         let mut g = MatrixRng::seed_from(221);
         let x = g.gaussian_col(24, 8, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 4); // 6 chunks
-        let mut bank = LutBank::new(4, LutLayout::KeyMajor);
-        let mut prof = PhaseProfile::new();
-        bank.build(&input, 2, 3, 5, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-        assert_eq!(bank.num_chunks(), 3);
-        assert_eq!(bank.batch(), 2);
-        check_bank_contents(&bank, &input, 2, 5);
+        for (b0, nb) in [(5usize, 2usize), (1, 6)] {
+            let mut bank = LutBank::new(4);
+            build(&mut bank, &input, [2, 3, b0, nb], sk());
+            assert_eq!(bank.num_chunks(), 3);
+            assert_eq!(bank.batch(), nb);
+            check_bank_contents(&bank, &input, 2, b0);
+        }
     }
 
     #[test]
     fn ragged_tail_chunk_supported() {
         let mut g = MatrixRng::seed_from(222);
-        let x = g.gaussian_col(10, 3, 0.0, 1.0); // µ=4: chunks of 4,4,2
+        let x = g.gaussian_col(10, 6, 0.0, 1.0); // µ=4: chunks of 4,4,2
         let input = ChunkedInput::new(&x, 4);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let mut bank = LutBank::new(4, layout);
-            let mut prof = PhaseProfile::new();
-            bank.build(&input, 0, 3, 0, 3, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        for nb in 1..=6 {
+            let mut bank = LutBank::new(4);
+            build(&mut bank, &input, [0, 3, 0, nb], sk());
             check_bank_contents(&bank, &input, 0, 0);
         }
     }
 
     #[test]
-    fn gemm_method_matches_dp() {
-        let mut g = MatrixRng::seed_from(223);
-        let x = g.small_int_col(16, 4, 4);
-        let input = ChunkedInput::new(&x, 4);
-        let mut dp = LutBank::new(4, LutLayout::KeyMajor);
-        let mut bf = LutBank::new(4, LutLayout::KeyMajor);
-        let mut prof = PhaseProfile::new();
-        dp.build(&input, 0, 4, 0, 4, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-        bf.build(&input, 0, 4, 0, 4, LutBuildMethod::Gemm, &mut prof, sk());
-        for c in 0..4 {
-            for k in 0..16 {
-                assert_eq!(dp.entry_vec(c, k), bf.entry_vec(c, k));
-            }
-        }
-    }
-
-    #[test]
     fn keymajor_charges_replace_batchmajor_does_not() {
+        // KeyMajor (a wide tile) gathers step vectors across the batch;
+        // column tables (batch-major: `[batch][chunk][key]`) read each
+        // column's input in place.
         let mut g = MatrixRng::seed_from(224);
-        let x = g.gaussian_col(64, 16, 0.0, 1.0);
+        let x = g.gaussian_col(64, COLUMN_TABLES_MAX + 1, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 8);
-        let mut prof_km = PhaseProfile::new();
-        let mut km = LutBank::new(8, LutLayout::KeyMajor);
-        km.build(&input, 0, 8, 0, 16, LutBuildMethod::DynamicProgramming, &mut prof_km, sk());
-        assert!(prof_km.replace > std::time::Duration::ZERO);
-        let mut prof_bm = PhaseProfile::new();
-        let mut bm = LutBank::new(8, LutLayout::BatchMajor);
-        bm.build(&input, 0, 8, 0, 16, LutBuildMethod::DynamicProgramming, &mut prof_bm, sk());
-        assert_eq!(prof_bm.replace, std::time::Duration::ZERO);
+        for nb in 1..=COLUMN_TABLES_MAX + 1 {
+            let mut prof = PhaseProfile::new();
+            LutBank::new(8).build(&input, 0, 8, 0, nb, &mut prof, sk());
+            assert!(prof.build > std::time::Duration::ZERO, "nb {nb}");
+            let replaced = prof.replace > std::time::Duration::ZERO;
+            assert_eq!(replaced, nb > COLUMN_TABLES_MAX, "nb {nb}: replace charged");
+        }
     }
 
     #[test]
@@ -513,12 +460,11 @@ mod tests {
         let mut g = MatrixRng::seed_from(225);
         let x = g.gaussian_col(32, 4, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 8);
-        let mut bank = LutBank::new(8, LutLayout::BatchMajor);
-        let mut prof = PhaseProfile::new();
-        bank.build(&input, 0, 4, 0, 4, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        let mut bank = LutBank::new(8);
+        build(&mut bank, &input, [0, 4, 0, 4], sk());
         check_bank_contents(&bank, &input, 0, 0);
         // Rebuild a smaller region; stale data beyond it must not matter.
-        bank.build(&input, 1, 2, 1, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        build(&mut bank, &input, [1, 2, 1, 2], sk());
         check_bank_contents(&bank, &input, 1, 1);
     }
 
@@ -527,32 +473,30 @@ mod tests {
         let mut g = MatrixRng::seed_from(226);
         let x = g.gaussian_col(26, 7, 0.0, 1.0); // µ=4 → 6 full chunks + ragged
         let input = ChunkedInput::new(&x, 4);
-        let mut prof = PhaseProfile::new();
-        let mut reference = LutBank::new(4, LutLayout::KeyMajor);
-        reference.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, sk());
         let key_matrix = KeyMatrix::pack(&g.signs(1, 26), 4);
         let keys = key_matrix.tile(0..1, 0, 7);
-        let mut y_ref = vec![0.0f32; 7];
-        reference.query_rows(keys, &[1.25], &mut y_ref, 7, sk());
-        for level in crate::simd::supported_levels() {
-            let k = KernelRequest::Exact(level).resolve().unwrap();
-            let mut bank = LutBank::new(4, LutLayout::KeyMajor);
-            bank.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, k);
-            for c in 0..7 {
-                for key in 0..16usize {
-                    let sub = input.chunk(0, c);
-                    if key < (1usize << sub.len()) {
+        for nb in [1usize, 2, 3, 4, 7] {
+            let mut reference = LutBank::new(4);
+            build(&mut reference, &input, [0, 7, 0, nb], sk());
+            let mut y_ref = vec![0.0f32; nb];
+            reference.query_rows(keys, &[1.25], &mut y_ref, nb, sk());
+            for level in crate::simd::supported_levels() {
+                let k = KernelRequest::Exact(level).resolve().unwrap();
+                let mut bank = LutBank::new(4);
+                build(&mut bank, &input, [0, 7, 0, nb], k);
+                for (c, a) in (0..7).flat_map(|c| (0..nb).map(move |a| (c, a))) {
+                    for key in 0..1usize << input.chunk(a, c).len() {
                         assert_eq!(
-                            bank.entry_vec(c, key),
-                            reference.entry_vec(c, key),
-                            "level={level} chunk={c} key={key}"
+                            entry(&bank, c, a, key).to_bits(),
+                            entry(&reference, c, a, key).to_bits(),
+                            "level={level} nb={nb} chunk={c} column={a} key={key}"
                         );
                     }
                 }
+                let mut y = vec![0.0f32; nb];
+                bank.query_rows(keys, &[1.25], &mut y, nb, k);
+                assert_eq!(y, y_ref, "level={level} nb={nb}");
             }
-            let mut y = vec![0.0f32; 7];
-            bank.query_rows(keys, &[1.25], &mut y, 7, k);
-            assert_eq!(y, y_ref, "level={level}");
         }
     }
 
@@ -568,22 +512,19 @@ mod tests {
         let mut g = MatrixRng::seed_from(227);
         let x = g.gaussian_col(64, 48, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 8); // 8 chunks
-        let mut prof = PhaseProfile::new();
-        let dp = LutBuildMethod::DynamicProgramming;
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let mut bank = LutBank::new(8, layout);
-            assert_line_aligned(&bank.data, "new");
-            bank.reserve(1, 3);
-            assert_line_aligned(&bank.data, "reserve");
-            assert!(bank.data.len() >= 256 * 3);
-            // Growth through `build` (several reallocations, odd sizes),
-            // shrink to a small tile, then regrow past the high-water mark.
-            for (nc, nb) in [(2usize, 5usize), (4, 17), (1, 2), (8, 32), (3, 1), (8, 48)] {
-                bank.build(&input, 0, nc, 0, nb, dp, &mut prof, sk());
-                assert_line_aligned(&bank.data, "build");
-                assert!(bank.data.len() >= nc * 256 * nb);
-                check_bank_contents(&bank, &input, 0, 0);
-            }
+        let mut bank = LutBank::new(8);
+        assert_line_aligned(&bank.data, "new");
+        bank.reserve(1, 3);
+        assert_line_aligned(&bank.data, "reserve");
+        assert!(bank.data.len() >= 256 * 3);
+        // Growth through `build` (several reallocations, odd sizes, both
+        // layouts), shrink to a small tile, then regrow past the high-water
+        // mark.
+        for (nc, nb) in [(2usize, 5usize), (4, 17), (1, 2), (8, 32), (3, 1), (8, 48)] {
+            build(&mut bank, &input, [0, nc, 0, nb], sk());
+            assert_line_aligned(&bank.data, "build");
+            assert!(bank.data.len() >= nc * 256 * nb);
+            check_bank_contents(&bank, &input, 0, 0);
         }
     }
 
@@ -591,9 +532,8 @@ mod tests {
     fn resident_bytes_formula() {
         let x = ColMatrix::zeros(16, 2);
         let input = ChunkedInput::new(&x, 4);
-        let mut bank = LutBank::new(4, LutLayout::KeyMajor);
-        let mut prof = PhaseProfile::new();
-        bank.build(&input, 0, 4, 0, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        let mut bank = LutBank::new(4);
+        build(&mut bank, &input, [0, 4, 0, 2], sk());
         assert_eq!(bank.resident_bytes(), 4 * 16 * 2 * 4);
     }
 }

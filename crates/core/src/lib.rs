@@ -19,8 +19,11 @@
 //!    (µ-bit keys, MSB-first) with per-row scales;
 //! 3. [`tiled`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`)
 //!    under the paper's LUT-stationary tiling (Algorithm 2), so live tables
-//!    fit in cache; [`parallel`] splits output rows over threads, each
-//!    task reusing its own tables for its whole row block.
+//!    fit in cache; [`layout`] lays each tile's bank out by its batch
+//!    width (column tables for narrow tiles, b = 1 the one-column case;
+//!    the paper's Fig. 6 key-major bank for wider ones); [`parallel`]
+//!    splits output rows over threads, each task reusing its own tables
+//!    for its whole row block.
 //!
 //! Time complexity (paper Eq. 8–10): `O(2^µ·(n/µ)·b + m·(n/µ)·b)`, i.e.
 //! `≈ GEMM/µ` when `2^µ ≪ m`. The analytic model lives in [`complexity`],
@@ -93,7 +96,6 @@ pub mod complexity;
 pub mod config;
 pub mod layout;
 pub mod lut;
-pub mod mmu;
 pub mod parallel;
 pub mod planner;
 pub mod profile;
@@ -102,7 +104,7 @@ pub mod tiled;
 pub mod weights;
 
 pub use arena::BiqArena;
-pub use config::{BiqConfig, LutBuildMethod, LutLayout};
+pub use config::BiqConfig;
 pub use parallel::WorkerSet;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};

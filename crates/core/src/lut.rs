@@ -1,8 +1,10 @@
-//! Lookup-table construction — Algorithm 1 of the paper plus the GEMM-based
-//! alternative of Fig. 4(a).
+//! Lookup-table construction — Algorithm 1 of the paper, and the
+//! brute-force `M_µ · x` product of Fig. 4(a) it is tested against.
 //!
 //! For a sub-vector `x = (x_0 … x_{L−1})` the table holds
-//! `q[k] = ⟨pattern(k), x⟩` for every key `k ∈ [0, 2^L)`, patterns MSB-first.
+//! `q[k] = ⟨pattern(k), x⟩` for every key `k ∈ [0, 2^L)`: row `k` of the
+//! paper's `M_µ` (Definition 5), whose sign of element `t` is bit
+//! `L−1−t` of `k` (`1 ↦ +1`), MSB-first like the packed keys.
 //!
 //! **Dynamic programming** (Fig. 4(b)): start from
 //! `q[0] = −(x_0 + … + x_{L−1})` (the all-minus pattern), then flipping the
@@ -16,64 +18,51 @@
 //!
 //! Total: `(L−1) + (2^{L−1} − 1)` additions plus `2^{L−1}` negations —
 //! the paper's `2^µ + µ − 1` operation count (Eq. 6), a factor `µ` cheaper
-//! than the `2^µ · µ` GEMM construction.
+//! than the `2^µ · µ` brute-force construction.
 
-use crate::mmu::key_dot;
 use crate::simd::{self, ResolvedKernel};
 
 /// Builds the lookup table for `x` into `out` using Algorithm 1 (dynamic
 /// programming), scalar loops. `out.len()` must be `2^x.len()`.
 ///
-/// # Panics
-/// Panics if `x` is empty, longer than 16, or `out` has the wrong length.
-pub fn build_lut_dp(x: &[f32], out: &mut [f32]) {
-    build_lut_dp_level(x, out, ResolvedKernel::scalar());
-}
-
-/// [`build_lut_dp`] at a resolved kernel level: the one-chunk case of the
-/// width-1 tile builder [`simd::dp_build_tile`] (`µ = x.len()`), where the
-/// single-flip recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) runs as
-/// µ-wide vector adds over each `2^t`-entry half and the mirror as a
-/// vector sign-flip. Every level computes identical values (elementwise
-/// adds, no reassociation; negation and lane permutes move bits
-/// untouched) — bit-exact against scalar.
+/// This is the one-chunk case (`µ = x.len()`) of the width-1 tile builder
+/// [`simd::dp_build_tile`], which runs the same recurrence at every kernel
+/// level with identical values (elementwise adds, no reassociation;
+/// negation and lane permutes move bits untouched).
 ///
 /// # Panics
 /// Panics if `x` is empty, longer than 16, or `out` has the wrong length.
-pub fn build_lut_dp_level(x: &[f32], out: &mut [f32], k: ResolvedKernel) {
+pub fn build_lut_dp(x: &[f32], out: &mut [f32]) {
     let l = x.len();
     assert!((1..=16).contains(&l), "sub-vector length must be in 1..=16");
     assert_eq!(out.len(), 1usize << l, "output must have 2^L entries");
-    simd::dp_build_tile(out, x, l, k);
+    simd::dp_build_tile(out, x, l, ResolvedKernel::scalar());
 }
 
-/// Brute-force table construction (`q[k] = ⟨pattern(k), x⟩` one dot product
-/// at a time) — the reference the DP builder is tested against, and the
-/// `T_c,mm` cost model's operational realisation.
+/// Brute-force table construction (`q[k] = ⟨row k of M_µ, x⟩`, one dot
+/// product per entry, `2^µ · µ` operations) — the reference the DP builder
+/// is tested against, and the `T_c,mm` cost model's operational
+/// realisation.
+///
+/// # Panics
+/// Panics if `x` is empty, longer than 16, or `out` has the wrong length.
 pub fn build_lut_bruteforce(x: &[f32], out: &mut [f32]) {
     let l = x.len();
     assert!((1..=16).contains(&l), "sub-vector length must be in 1..=16");
     assert_eq!(out.len(), 1usize << l, "output must have 2^L entries");
     for (k, o) in out.iter_mut().enumerate() {
-        *o = key_dot(k as u16, x);
+        *o = key_dot(k, x);
     }
 }
 
-/// GEMM-style construction of *many* tables at once (Fig. 4(a)): one matrix
-/// product `M_µ · X^r_µ` where the columns of `X^r_µ` are the sub-vectors.
-/// `subvecs` yields the sub-vectors; tables are written consecutively into
-/// `out` (each `2^L` entries where `L` is that sub-vector's length — callers
-/// in this crate always pass full-µ slices plus at most one ragged tail).
-pub fn build_luts_gemm<'a>(subvecs: impl Iterator<Item = &'a [f32]>, mu: usize, out: &mut [f32]) {
-    let table = 1usize << mu;
-    let mut offset = 0;
-    for x in subvecs {
-        let l = x.len();
-        debug_assert!(l <= mu);
-        let len = 1usize << l;
-        build_lut_bruteforce(x, &mut out[offset..offset + len]);
-        offset += table;
+/// `⟨row key of M_µ, x⟩` with `µ = x.len()`, summed in element order.
+fn key_dot(key: usize, x: &[f32]) -> f32 {
+    let l = x.len();
+    let mut acc = 0.0f32;
+    for (t, &v) in x.iter().enumerate() {
+        acc += if (key >> (l - 1 - t)) & 1 == 1 { v } else { -v };
     }
+    acc
 }
 
 /// Exact number of floating-point *additions/negations* Algorithm 1 spends
@@ -157,30 +146,16 @@ mod tests {
     }
 
     #[test]
-    fn gemm_builder_writes_consecutive_tables() {
-        let mut g = MatrixRng::seed_from(203);
-        let a = g.gaussian_vec(3);
-        let b = g.gaussian_vec(3);
-        let mut out = vec![0.0f32; 16];
-        build_luts_gemm([a.as_slice(), b.as_slice()].into_iter(), 3, &mut out);
-        let mut ea = vec![0.0f32; 8];
-        let mut eb = vec![0.0f32; 8];
-        build_lut_bruteforce(&a, &mut ea);
-        build_lut_bruteforce(&b, &mut eb);
-        assert_eq!(&out[..8], &ea[..]);
-        assert_eq!(&out[8..], &eb[..]);
-    }
-
-    #[test]
-    fn gemm_builder_handles_ragged_tail() {
-        let mut g = MatrixRng::seed_from(204);
-        let full = g.gaussian_vec(4);
-        let ragged = g.gaussian_vec(2);
-        let mut out = vec![0.0f32; 32];
-        build_luts_gemm([full.as_slice(), ragged.as_slice()].into_iter(), 4, &mut out);
-        let mut er = vec![0.0f32; 4];
-        build_lut_bruteforce(&ragged, &mut er);
-        assert_eq!(&out[16..20], &er[..]);
+    fn complement_key_negates_dot() {
+        // Brute force, so the DP build's mirror half (`mirror_symmetry_holds`)
+        // stands on a property of `M_µ` itself.
+        let x = [1.0f32, -2.0, 3.0];
+        let mut q = vec![0.0f32; 8];
+        build_lut_bruteforce(&x, &mut q);
+        assert_eq!(q[6], 1.0 - 2.0 - 3.0, "key 110 is (+1, +1, −1), MSB-first");
+        for k in 0..8 {
+            assert_eq!(q[k], -q[7 - k], "key {k}");
+        }
     }
 
     #[test]
@@ -201,7 +176,7 @@ mod tests {
             for level in crate::simd::supported_levels() {
                 let k = crate::simd::KernelRequest::Exact(level).resolve().unwrap();
                 let mut got = vec![0.0f32; 1 << l];
-                build_lut_dp_level(&x, &mut got, k);
+                crate::simd::dp_build_tile(&mut got, &x, l, k);
                 assert_eq!(scalar, got, "L={l} level={level}");
             }
         }

@@ -423,7 +423,7 @@ pub(crate) fn row_parallel(
         let row0 = t * rpt;
         let mut slot = arena.checkout();
         let mut profile = PhaseProfile::new();
-        let bank = slot.get(first.mu(), cfg.layout);
+        let bank = slot.get(first.mu());
         run_tiles(ws, x, cfg, kernel, &mut profile, bank, row0..row0 + yblock.len() / b, yblock);
     });
 }
@@ -634,19 +634,25 @@ mod tests {
 
     #[test]
     fn row_parallel_batchmajor_matches() {
+        // Batch-major column tables and KeyMajor tiles alike: every batch
+        // width on both sides of the column-table bound, and a 2-wide tile
+        // split of each.
         let mut g = MatrixRng::seed_from(252);
         let signs = g.signs(30, 40);
-        let x = g.small_int_col(40, 4, 3);
         let w = BiqWeights::from_signs_unscaled(&signs, 4);
-        let cfg = BiqConfig {
-            mu: 4,
-            layout: crate::config::LutLayout::BatchMajor,
-            tile_rows: 4,
-            tile_chunks: 3,
-            tile_batch: 2,
-            ..BiqConfig::default()
-        };
-        assert_parallel_matches_serial(&w, &x, &cfg, "batch-major");
+        for b in 1..=crate::layout::COLUMN_TABLES_MAX + 2 {
+            let x = g.small_int_col(40, b, 3);
+            for tile_batch in [2, b] {
+                let cfg = BiqConfig {
+                    mu: 4,
+                    tile_rows: 4,
+                    tile_chunks: 3,
+                    tile_batch,
+                    ..BiqConfig::default()
+                };
+                assert_parallel_matches_serial(&w, &x, &cfg, &format!("b = {b}/{tile_batch}"));
+            }
+        }
     }
 
     #[test]

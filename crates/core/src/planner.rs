@@ -53,16 +53,15 @@ pub struct ScratchSpec {
     /// Lookup-table bank: `tile_chunks · 2^µ · min(tile_batch, b)`.
     pub lut_bank_floats: usize,
     /// Algorithm 1 step vectors, one set per chunk of the tile:
-    /// `tile_chunks · µ · min(tile_batch, b)`.
+    /// `tile_chunks · µ · min(tile_batch, b)` (used by KeyMajor tiles;
+    /// column tables need none, but the bank reserves them at any width).
     pub dp_steps_floats: usize,
-    /// Single-table build scratch (`2^µ`, GEMM build method only).
-    pub table_scratch_floats: usize,
 }
 
 impl ScratchSpec {
     /// Total scratch bytes.
     pub fn total_bytes(&self) -> usize {
-        (self.lut_bank_floats + self.dp_steps_floats + self.table_scratch_floats) * 4
+        (self.lut_bank_floats + self.dp_steps_floats) * 4
     }
 }
 
@@ -74,7 +73,6 @@ pub fn scratch_spec(cfg: &BiqConfig, b: usize) -> ScratchSpec {
     ScratchSpec {
         lut_bank_floats: cfg.tile_chunks * (1usize << cfg.mu) * nb,
         dp_steps_floats: cfg.tile_chunks * cfg.mu * nb,
-        table_scratch_floats: 1usize << cfg.mu,
     }
 }
 
@@ -190,15 +188,20 @@ mod tests {
 #[cfg(test)]
 mod runtime_planning_tests {
     use super::*;
+    use crate::layout::COLUMN_TABLES_MAX;
 
     #[test]
     fn scratch_spec_matches_bank_geometry() {
-        let cfg = BiqConfig { mu: 8, tile_chunks: 4, tile_batch: 16, ..BiqConfig::default() };
-        let s = scratch_spec(&cfg, 3); // batch smaller than the tile
-        assert_eq!(s.lut_bank_floats, 4 * 256 * 3);
-        assert_eq!(s.dp_steps_floats, 4 * 8 * 3);
-        assert_eq!(s.table_scratch_floats, 256);
-        assert_eq!(s.total_bytes(), (4 * 256 * 3 + 96 + 256) * 4);
+        let tile_batch = COLUMN_TABLES_MAX + 2;
+        let cfg = BiqConfig { mu: 8, tile_chunks: 4, tile_batch, ..BiqConfig::default() };
+        // Batches narrower than the tile, on both sides of the
+        // column-table bound.
+        for b in 1..=COLUMN_TABLES_MAX + 1 {
+            let s = scratch_spec(&cfg, b);
+            assert_eq!(s.lut_bank_floats, 4 * 256 * b);
+            assert_eq!(s.dp_steps_floats, 4 * 8 * b, "b = {b}");
+            assert_eq!(s.total_bytes(), (4 * 256 + 4 * 8) * b * 4);
+        }
     }
 
     #[test]

@@ -41,16 +41,15 @@
 //!   and apply the per-row scale in the same pass (no accumulator buffer
 //!   round-trip);
 //! * [`lut_gather_rows`] — the width-1 form of the same query, one row tile
-//!   per call: `bank[c·stride + keys[c]]` looked up into vector lanes (a
-//!   hardware gather on AVX2/AVX-512), the latency path of the paper's
-//!   b = 1 serving regime. With a chunk stride of `nb·2^µ` it is also one
-//!   batch column of a BatchMajor bank, so that layout's b ≥ 2 query is
-//!   `nb` strided calls;
+//!   per call over each batch column's tables in turn:
+//!   `bank[c·2^µ + keys[c]]` looked up into vector lanes (a hardware gather
+//!   on AVX2/AVX-512), the latency path of the paper's b = 1 serving regime
+//!   and the query of every narrow tile's column tables;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector
 //!   adds and the mirror negation of the Algorithm 1 LUT build: rows of
 //!   `nb` floats for the batched (KeyMajor) build, one flat block at
-//!   `nb == 1` for the single-table (BatchMajor / GEMV) build;
-//! * [`dp_build_tile`] — the whole single-table build of a width-1 tile in
+//!   `nb == 1` for one column's tables;
+//! * [`dp_build_tile`] — the whole build of one batch column's tables in
 //!   one dispatch: per chunk, `−Σ x`, the flat DP steps and the flat mirror
 //!   (the same bodies as the two primitives above, inlined).
 //!
@@ -568,7 +567,7 @@ pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: Resolved
 /// the mirror as the flat form of [`negate_rows_reversed`]. The same
 /// elementwise operations in the same order as building each chunk on its
 /// own, so every level is bit-exact against scalar and against
-/// [`crate::lut::build_lut_dp_level`], which is this builder's one-chunk
+/// [`crate::lut::build_lut_dp`], which is this builder's one-chunk scalar
 /// case (`µ = x.len()`).
 ///
 /// # Panics
@@ -714,13 +713,14 @@ pub fn lut_query_fused_rows(
     })
 }
 
-/// The width-1 query kernel over one row tile: for each row `i` of the key
-/// tile, `y[i · y_stride] += scales[i] · Σ_c bank[c · chunk_stride +
-/// keys_i[c]]`, the sum in the canonical accumulation-tree order (module
-/// docs) — the b = 1 latency path, where the KeyMajor and BatchMajor
-/// layouts coincide (`chunk_stride == table`). A BatchMajor bank of `nb`
-/// batch columns is `nb` such queries: column `a` is the bank from
-/// `a · table` on, with `chunk_stride = nb · table`.
+/// The width-1 query kernel over one row tile of `nb` batch columns: for
+/// each row `i` of the key tile and each column `a < nb`,
+/// `y[i · y_stride + a] += scales[i] · Σ_c bank[(a · nc + c) · table +
+/// keys_i[c]]` (`nc = keys.nc()`), the sum in the canonical
+/// accumulation-tree order (module docs) — each column's tables back to
+/// back, as a narrow tile's column tables hold them (`crate::layout`); at
+/// b = 1 the latency path. The columns run one after another inside one
+/// dispatch, each exactly the one-column query of its tables.
 ///
 /// Every level runs the one width-1 chain, 8 lanes wide because the
 /// canonical tree is: on AVX2 and AVX-512 one hardware gather per row per 8
@@ -728,12 +728,13 @@ pub fn lut_query_fused_rows(
 /// gather unit's latency is the width-1 bottleneck); on scalar and NEON
 /// per-lane loads. All levels — and [`lut_query_fused_rows`] at `nb == 1` —
 /// agree bit for bit, and a row tile equals its rows queried one at a
-/// time. Geometry checks and level dispatch happen once per row tile.
+/// time. Geometry checks and level dispatch happen once per row tile,
+/// whatever `nb`.
 ///
 /// # Panics
-/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`,
-/// `chunk_stride < table`, a slice is too short for the described
-/// geometry, or the bank exceeds the 32-bit offset range.
+/// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, a slice is
+/// too short for the described geometry, or the bank exceeds the 32-bit
+/// offset range.
 #[allow(clippy::too_many_arguments)]
 pub fn lut_gather_rows(
     y: &mut [f32],
@@ -741,31 +742,27 @@ pub fn lut_gather_rows(
     scales: &[f32],
     bank: &[f32],
     table: usize,
-    chunk_stride: usize,
+    nb: usize,
     keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
     let (nr, nc, key_stride) = (keys.rows(), keys.nc(), keys.stride());
     assert_eq!(scales.len(), nr, "one scale per key row");
-    if nr == 0 {
+    if nr == 0 || nb == 0 {
         return;
     }
     assert!(y_stride != 0, "y_stride must be positive");
-    assert!(y.len() > (nr - 1) * y_stride, "output shorter than the row count needs");
-    assert!(chunk_stride >= table, "chunk tables overlap: chunk_stride shorter than the table");
-    assert!(
-        nc == 0 || bank.len() >= (nc - 1) * chunk_stride + table,
-        "bank shorter than the key rows need"
-    );
+    assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
+    assert!(bank.len() >= nb * nc * table, "bank shorter than the key rows need");
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit lookup offset range");
     assert_keys_fit(&keys, table);
     // The prefetch decision picks the monomorph here, once per call: a
     // runtime flag tested inside the stamp measured ≈ 10 % slower per row.
     let pf = nc * table * 4 > L1_LUT_BYTES;
     with_keys!(keys, ks => dispatch!(k, level => if pf {
-        level::gather_rows::<_, true>(y, y_stride, scales, bank, chunk_stride, ks, key_stride, nc)
+        level::gather_rows::<_, true>(y, y_stride, scales, bank, table, nb, ks, key_stride, nc)
     } else {
-        level::gather_rows::<_, false>(y, y_stride, scales, bank, chunk_stride, ks, key_stride, nc)
+        level::gather_rows::<_, false>(y, y_stride, scales, bank, table, nb, ks, key_stride, nc)
     }))
 }
 
@@ -935,10 +932,10 @@ macro_rules! stamp {
         $(#[target_feature(enable = $feature)])*
         #[allow(clippy::too_many_arguments)]
         pub unsafe fn gather_rows<K: super::KeyElem, const PF: bool>(
-            y: &mut [f32], y_stride: usize, scales: &[f32], bank: &[f32], stride: usize,
-            keys: &[K], key_stride: usize, nc: usize,
+            y: &mut [f32], y_stride: usize, scales: &[f32], bank: &[f32], table: usize,
+            nb: usize, keys: &[K], key_stride: usize, nc: usize,
         ) {
-            let args = (y, y_stride, scales, bank, stride);
+            let args = (y, y_stride, scales, bank, table, nb);
             // SAFETY: as for `fused_row`.
             unsafe { super::gather_rows_body::<$chain, K, PF>(args, keys, key_stride, nc) }
         }
@@ -1111,41 +1108,47 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
 /// ([`gather_chain`] on two rows), so each hides the other's latency — the
 /// gather unit, not the adds, bounds the b = 1 query; an odd last row runs
 /// the chain alone. Per row the sum is the one-row chain's, bit for bit.
+/// The `nb` batch columns run one after another, each over its own tables.
 /// `PF` is the dispatcher's prefetch decision.
 ///
 /// # Safety
 /// `L`'s ISA is available and `L::W == 8`; output geometry, the bank
-/// (`(nc − 1)·stride + 2^µ ≤ bank.len() ≤ i32::MAX`) and the key range as
-/// asserted by the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()`
-/// are the slab, stride, width and row count of a `KeyTile` whose
-/// `2^µ ≤ stride`.
+/// (`nb · nc · table ≤ bank.len() ≤ i32::MAX`) and the key range as
+/// asserted by the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()` are the
+/// slab, stride, width and row count of a `KeyTile` whose `2^µ == table`.
 #[inline(always)]
 unsafe fn gather_rows_body<L: Lanes, K: KeyElem, const PF: bool>(
-    (y, y_stride, scales, bank, stride): (&mut [f32], usize, &[f32], &[f32], usize),
+    (y, y_stride, scales, bank, table, nb): (&mut [f32], usize, &[f32], &[f32], usize, usize),
     keys: &[K],
     key_stride: usize,
     nc: usize,
 ) {
-    let (nr, base) = (scales.len(), bank.as_ptr());
+    let nr = scales.len();
     // Row `i` of the tile, bounds-checked once per row.
     let row = |i: usize| &keys[i * key_stride..][..nc];
-    let mut i = 0;
-    // SAFETY: every row handed on is a row of the `KeyTile`, and the bank
-    // and key range are as `gather_chain` needs (this function's contract);
-    // `y`/`scales` indices follow the dispatcher's output-geometry asserts.
-    unsafe {
-        let mut emit = |i: usize, p: Partials| {
-            *y.get_unchecked_mut(i * y_stride) += *scales.get_unchecked(i) * tree_reduce8(p.0);
-        };
-        while i + 2 <= nr {
-            let [pa, pb] = gather_chain::<L, K, PF, 2>(base, stride, [row(i), row(i + 1)]);
-            emit(i, pa);
-            emit(i + 1, pb);
-            i += 2;
-        }
-        if i < nr {
-            let [p] = gather_chain::<L, K, PF, 1>(base, stride, [row(i)]);
-            emit(i, p);
+    for a in 0..nb {
+        // SAFETY: column `a`'s tables are inside the bank (`a < nb`), every
+        // row handed on is a row of the `KeyTile`, and the bank and key
+        // range are as `gather_chain` needs (this function's contract);
+        // `y`/`scales` indices follow the dispatcher's output-geometry
+        // asserts.
+        unsafe {
+            let base = bank.as_ptr().add(a * nc * table);
+            let mut emit = |i: usize, p: Partials| {
+                let yi = y.get_unchecked_mut(i * y_stride + a);
+                *yi += *scales.get_unchecked(i) * tree_reduce8(p.0);
+            };
+            let mut i = 0;
+            while i + 2 <= nr {
+                let [pa, pb] = gather_chain::<L, K, PF, 2>(base, table, [row(i), row(i + 1)]);
+                emit(i, pa);
+                emit(i + 1, pb);
+                i += 2;
+            }
+            if i < nr {
+                let [p] = gather_chain::<L, K, PF, 1>(base, table, [row(i)]);
+                emit(i, p);
+            }
         }
     }
 }
@@ -1159,10 +1162,10 @@ struct Partials([f32; ACC_TREE_WIDTH]);
 
 /// The width-1 chain of `R` key rows at once, each row's 8 canonical-tree
 /// partials: one `L::lookup` per row per 8 chunks pulls
-/// `base[c·stride + keys[c]]` into lanes, so lane `j` accumulates residue
+/// `base[c·table + keys[c]]` into lanes, so lane `j` accumulates residue
 /// class `j` — the register layout *is* the canonical tree. The lane
-/// offsets `c·stride` live in one offset vector that advances by
-/// `8·stride` per group. The ragged chunk tail spills the partials and
+/// offsets `c·table` live in one offset vector that advances by
+/// `8·table` per group. The ragged chunk tail spills the partials and
 /// finishes scalar (a masked lookup would add `+0.0` to idle lanes, which
 /// is not bit-transparent when a partial is `-0.0`). With `PF`, the
 /// entries [`PREFETCH_CHUNKS`] ahead are requested for every row; without
@@ -1170,30 +1173,30 @@ struct Partials([f32; ACC_TREE_WIDTH]);
 ///
 /// # Safety
 /// `L`'s ISA is available and `L::W == 8`; the `rows` are `nc`-key rows of
-/// a `KeyTile` whose `2^µ ≤ stride`, and `base` points at a bank spanning
-/// every `(chunk, key)` entry of them, `c·stride + key`, with at most
+/// a `KeyTile` whose `2^µ == table`, and `base` points at a bank spanning
+/// every `(chunk, key)` entry of them, `c·table + key`, with at most
 /// `i32::MAX` floats.
 #[inline(always)]
 unsafe fn gather_chain<L: Lanes, K: KeyElem, const PF: bool, const R: usize>(
     base: *const f32,
-    stride: usize,
+    table: usize,
     rows: [&[K]; R],
 ) -> [Partials; R] {
     let nc = rows[0].len();
     debug_assert!(L::W == ACC_TREE_WIDTH && rows.iter().all(|row| row.len() == nc));
-    // Lane `j` of `ct` is `(ci + j)·stride`; past `i32::MAX` only once no
+    // Lane `j` of `ct` is `(ci + j)·table`; past `i32::MAX` only once no
     // group is left to use it.
-    let lanes: [u32; ACC_TREE_WIDTH] = std::array::from_fn(|j| (j * stride) as u32);
-    let step_by = [(ACC_TREE_WIDTH * stride) as u32; ACC_TREE_WIDTH];
+    let lanes: [u32; ACC_TREE_WIDTH] = std::array::from_fn(|j| (j * table) as u32);
+    let step_by = [(ACC_TREE_WIDTH * table) as u32; ACC_TREE_WIDTH];
     let mut ci = 0;
-    // SAFETY: every looked-up or prefetched offset is `c·stride + key` with
-    // `c < nc` and `key < 2^µ ≤ stride` — the `KeyTile` range invariant —
+    // SAFETY: every looked-up or prefetched offset is `c·table + key` with
+    // `c < nc` and `key < 2^µ == table` — the `KeyTile` range invariant —
     // so it is inside the bank and representable in 32-bit lanes; the
     // 8-key loads read `row[ci..ci + 8]` under the `ci + 8 <= nc` bound.
     unsafe {
         let (mut ct, step) = (L::load_idx(lanes.as_ptr()), L::load_idx(step_by.as_ptr()));
         let mut acc = [L::zero(); R];
-        let entry = |row: &[K], c: usize| base.add(c * stride + row.get_unchecked(c).idx());
+        let entry = |row: &[K], c: usize| base.add(c * table + row.get_unchecked(c).idx());
         while ci + 8 <= nc {
             if PF && ci + PREFETCH_CHUNKS + 8 <= nc {
                 for row in rows {
@@ -1991,17 +1994,11 @@ mod tests {
         lut_query_fused_rows(y, nb, &[scale], bank, table, nb, keys, k);
     }
 
-    /// One key row's width-1 sum over chunk tables `stride` floats apart: a
-    /// one-row [`lut_gather_rows`] onto `0.0` with scale 1 (exact).
-    fn gather(
-        bank: &[f32],
-        table: usize,
-        stride: usize,
-        keys: KeyTile<'_>,
-        k: ResolvedKernel,
-    ) -> f32 {
+    /// One key row's width-1 sum over back-to-back chunk tables: a one-row
+    /// [`lut_gather_rows`] onto `0.0` with scale 1 (exact).
+    fn gather(bank: &[f32], table: usize, keys: KeyTile<'_>, k: ResolvedKernel) -> f32 {
         let mut y = [0.0f32];
-        lut_gather_rows(&mut y, 1, &[1.0], bank, table, stride, keys, k);
+        lut_gather_rows(&mut y, 1, &[1.0], bank, table, 1, keys, k);
         y[0]
     }
 
@@ -2084,10 +2081,10 @@ mod tests {
             let bank = g.gaussian_vec(chunks * table);
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
-            let want = gather(&bank, table, table, keys, ResolvedKernel::scalar());
+            let want = gather(&bank, table, keys, ResolvedKernel::scalar());
             for level in supported_levels() {
                 let k = KernelRequest::Exact(level).resolve().unwrap();
-                let got = gather(&bank, table, table, keys, k);
+                let got = gather(&bank, table, keys, k);
                 assert_eq!(want.to_bits(), got.to_bits(), "{level} chunks={chunks} µ={mu}");
                 let mut y = [0.0f32];
                 fused_row(&mut y, 1.0, &bank, table, 1, keys, k);
@@ -2096,30 +2093,29 @@ mod tests {
         }
     }
 
-    /// The width-1 chain is the canonical sum at every level, on a
-    /// contiguous bank and on one batch column of a BatchMajor bank (chunk
-    /// tables `nb · 2^µ` apart, the column's table `a · 2^µ` in) — the
-    /// strided form the BatchMajor b ≥ 2 query runs.
+    /// The width-1 chain is the canonical sum at every level, on every
+    /// batch column of a column-table bank (column `a`'s chunk tables back
+    /// to back from `a · chunks · 2^µ` on), all columns in one call — the
+    /// query a narrow tile runs.
     #[test]
-    fn gather_is_the_canonical_sum_at_every_chunk_stride() {
+    fn gather_is_the_canonical_sum_on_every_column_of_a_bank() {
         let mut g = MatrixRng::seed_from(43);
         for &(chunks, mu, nb) in &[(21usize, 4usize, 1usize), (21, 4, 3), (40, 8, 5), (9, 10, 2)] {
             let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table * nb);
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
-            for a in 0..nb {
-                let col = &bank[a * table..];
-                let want = canonical_sum((0..chunks).map(|c| col[c * nb * table + keys.key(0, c)]));
-                for level in supported_levels() {
-                    let k = KernelRequest::Exact(level).resolve().unwrap();
-                    let got = gather(col, table, nb * table, keys, k);
-                    assert_eq!(
-                        want.to_bits(),
-                        got.to_bits(),
-                        "{level} chunks={chunks} nb={nb} a={a}"
-                    );
-                }
+            let want: Vec<u32> = bank
+                .chunks_exact(chunks * table)
+                .map(|col| canonical_sum((0..chunks).map(|c| col[c * table + keys.key(0, c)])))
+                .map(f32::to_bits)
+                .collect();
+            for level in supported_levels() {
+                let k = KernelRequest::Exact(level).resolve().unwrap();
+                let mut y = vec![0.0f32; nb];
+                lut_gather_rows(&mut y, nb, &[1.0], &bank, table, nb, keys, k);
+                let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(want, got, "{level} chunks={chunks} nb={nb}");
             }
         }
     }
@@ -2140,6 +2136,6 @@ mod tests {
     fn gather_rejects_a_table_narrower_than_the_keys() {
         let km = KeyMatrix::pack(&SignMatrix::ones(1, 8), 4);
         let bank = vec![0.0f32; 8];
-        gather(&bank, 4, 4, km.tile(0..1, 0, 2), ResolvedKernel::scalar());
+        gather(&bank, 4, km.tile(0..1, 0, 2), ResolvedKernel::scalar());
     }
 }

@@ -112,7 +112,7 @@ pub fn biqgemm_group_into(
     y.fill(0.0);
     match workers {
         None => {
-            let bank = arena.local().get(mu, cfg.layout);
+            let bank = arena.local().get(mu);
             run_tiles(ws, x, cfg, kernel, profile, bank, 0..rows, y);
         }
         Some(n) => {
@@ -149,7 +149,7 @@ pub(crate) fn run_tiles(
     let input = ChunkedInput::new(x, first.mu());
     for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
         for (c0, nc) in tile_ranges(first.chunks(), cfg.tile_chunks) {
-            bank.build(&input, c0, nc, b0, nb, cfg.build, profile, kernel);
+            bank.build(&input, c0, nc, b0, nb, profile, kernel);
             profile.time_query(|| {
                 // `off`: the member's first row in the stacked output.
                 let mut off = 0;
@@ -166,8 +166,8 @@ pub(crate) fn run_tiles(
                     for p in 0..w.bits() {
                         for (r0, nr) in tile_ranges(r_hi - r_lo, cfg.tile_rows) {
                             // One query per row tile (`LutBank::query_rows`:
-                            // the width-1 gather, the fused KeyMajor query,
-                            // or BatchMajor's strided gathers).
+                            // the width-1 gather over each column's tables,
+                            // or the fused KeyMajor query).
                             let t = p * m + r_lo + r0;
                             let tile = w.keys().tile(t..t + nr, c0, nc);
                             let y_tile = &mut yrows[r0 * b..];
@@ -184,7 +184,7 @@ pub(crate) fn run_tiles(
 #[allow(clippy::needless_range_loop)] // index-style loops read clearer in reference checks
 mod tests {
     use super::*;
-    use crate::config::{LutBuildMethod, LutLayout};
+    use crate::layout::COLUMN_TABLES_MAX;
     use biq_matrix::{assert_allclose, Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 
@@ -240,22 +240,26 @@ mod tests {
 
     #[test]
     fn both_layouts_agree() {
+        // Batch tiles of every width on both sides of the column-table
+        // bound, on one input: each column's bits match whichever layout
+        // its tile takes.
         let mut g = MatrixRng::seed_from(231);
         let signs = g.signs(20, 32);
         let x = g.small_int_col(32, 6, 2);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        let mk = |layout| BiqConfig {
+        let mk = |tile_batch| BiqConfig {
             mu: 8,
             tile_rows: 8,
             tile_chunks: 2,
-            tile_batch: 3,
-            layout,
+            tile_batch,
             ..BiqConfig::default()
         };
         let mut p = PhaseProfile::new();
-        let ykm = biqgemm_tiled(&w, &x, &mk(LutLayout::KeyMajor), &mut p);
-        let ybm = biqgemm_tiled(&w, &x, &mk(LutLayout::BatchMajor), &mut p);
-        assert_eq!(ykm.as_slice(), ybm.as_slice());
+        let want = biqgemm_tiled(&w, &x, &mk(6), &mut p);
+        for tile_batch in 1..=COLUMN_TABLES_MAX + 2 {
+            let y = biqgemm_tiled(&w, &x, &mk(tile_batch), &mut p);
+            assert_eq!(y.as_slice(), want.as_slice(), "tile_batch = {tile_batch}");
+        }
     }
 
     #[test]
@@ -305,31 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_build_method_matches_dp() {
-        let mut g = MatrixRng::seed_from(234);
-        let signs = g.signs(12, 24);
-        let x = g.small_int_col(24, 3, 3);
-        let w = BiqWeights::from_signs_unscaled(&signs, 4);
-        let base = BiqConfig {
-            mu: 4,
-            tile_rows: 5,
-            tile_chunks: 2,
-            tile_batch: 2,
-            ..BiqConfig::default()
-        };
-        let mut p = PhaseProfile::new();
-        let y_dp = biqgemm_tiled(
-            &w,
-            &x,
-            &BiqConfig { build: LutBuildMethod::DynamicProgramming, ..base },
-            &mut p,
-        );
-        let y_mm =
-            biqgemm_tiled(&w, &x, &BiqConfig { build: LutBuildMethod::Gemm, ..base }, &mut p);
-        assert_eq!(y_dp.as_slice(), y_mm.as_slice());
-    }
-
-    #[test]
     fn scaled_one_bit_applies_row_scales() {
         let mut g = MatrixRng::seed_from(235);
         let signs = g.signs(6, 16);
@@ -363,13 +342,15 @@ mod tests {
     fn profile_accounts_all_phases() {
         let mut g = MatrixRng::seed_from(237);
         let signs = g.signs(256, 256);
-        let x = g.gaussian_col(256, 16, 0.0, 1.0);
+        // One KeyMajor tile, whose step gather is the replace phase.
+        let b = COLUMN_TABLES_MAX + 1;
+        let x = g.gaussian_col(256, b, 0.0, 1.0);
         let w = BiqWeights::from_signs_unscaled(&signs, 8);
         let mut prof = PhaseProfile::new();
-        let _ = biqgemm_tiled(&w, &x, &BiqConfig::default(), &mut prof);
+        let _ =
+            biqgemm_tiled(&w, &x, &BiqConfig { tile_batch: b, ..BiqConfig::default() }, &mut prof);
         assert!(prof.build > std::time::Duration::ZERO);
         assert!(prof.query > std::time::Duration::ZERO);
-        // Default layout is KeyMajor, so replace (scatter) must show up.
         assert!(prof.replace > std::time::Duration::ZERO);
     }
 
@@ -377,7 +358,8 @@ mod tests {
     fn a_grouped_run_equals_separate_runs_bit_for_bit() {
         use crate::simd::{supported_levels, KernelRequest};
         // Members of different m and 1–3 bits over one input of n = 45
-        // (n ∤ µ), at batch widths either side of the 16-column batch tile.
+        // (n ∤ µ), at batch widths either side of the column-table bound
+        // and of the 16-column batch tile.
         let mut g = MatrixRng::seed_from(239);
         let n = 45;
         let ws: Vec<BiqWeights> = [(24usize, 1usize), (40, 2), (17, 3)]
@@ -390,7 +372,7 @@ mod tests {
         let members: Vec<&BiqWeights> = ws.iter().collect();
         let rows: usize = ws.iter().map(BiqWeights::output_size).sum();
         let runs = [None, Some(1), Some(2), Some(3), Some(7)];
-        for b in [1usize, 2, 7, 32, 33] {
+        for b in [1usize, 2, 3, 4, 5, 7, 32, 33] {
             let x = g.gaussian_col(n, b, 0.0, 1.0);
             for level in supported_levels() {
                 for workers in runs {

@@ -11,8 +11,8 @@
 //! that crosses chunk boundaries realises the one canonical order — the
 //! fixed 8-partial tree specified in `core::simd` (`partials[ci % 8]`,
 //! pairwise fold) — whether it runs as the lanes of `lut_gather_rows`'
-//! width-1 chain (width-1 tiles, and each batch column of a BatchMajor
-//! tile), `lut_query_fused_rows`' register columns (wider KeyMajor tiles),
+//! width-1 chain (each batch column of a narrow tile's column tables),
+//! `lut_query_fused_rows`' register columns (wider KeyMajor tiles),
 //! at any kernel level (scalar runs the same bodies over an `[f32; 8]`),
 //! or on the row-parallel driver.
 
@@ -137,9 +137,11 @@ fn every_serving_width_equals_its_columns_served_alone() {
     // batch width it can dispatch at the shipped cap (1..=16, and 17 just
     // past it) plus b = 35 (a 32-wide batch tile and a 3-wide one) gives
     // each column exactly the bits it gets alone at b = 1 — at every level,
-    // on the serial path and the parallel driver. Widths 2–7 and 9–15 run
-    // entirely in the remainder passes of the query and of the DP build;
-    // 13 chunks leave a ragged chunk tail under every one of them.
+    // on the serial path and the parallel driver at every worker count.
+    // Widths up to `COLUMN_TABLES_MAX` build column tables, one width-1
+    // gather each; the wider ones up to 15 run entirely in the remainder
+    // passes of the fused query and of the DP build; 13 chunks leave a
+    // ragged chunk tail under every one of them.
     let (m, n, bits, widest) = (21usize, 100usize, 2usize, 35usize);
     let mut g = MatrixRng::seed_from(7100);
     let w = BiqWeights::from_multibit(
@@ -164,8 +166,9 @@ fn every_serving_width_equals_its_columns_served_alone() {
         for b in (1..=17).chain([widest]) {
             let xb = ColMatrix::from_vec(n, b, x.as_slice()[..n * b].to_vec());
             let want: Vec<u32> = (0..m * b).map(|e| alone[e % b][e / b]).collect();
-            assert_eq!(run(&cfg, &xb, None), want, "serial level={level} b={b}");
-            assert_eq!(run(&cfg, &xb, Some(2)), want, "parallel level={level} b={b}");
+            for workers in [None, Some(1), Some(2), Some(3), Some(7)] {
+                assert_eq!(run(&cfg, &xb, workers), want, "level={level} b={b} on {workers:?}");
+            }
         }
     }
 }

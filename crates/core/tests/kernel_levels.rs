@@ -1,7 +1,7 @@
 //! Per-level bit-exactness of the BiQGEMM kernels: every kernel level the
 //! host can run must produce **exactly** the scalar level's output — for
-//! the serial path, the row-parallel driver at every worker count, both
-//! layouts, multi-bit weights, and ragged shapes (`n % µ ≠ 0`, batch widths
+//! the serial path, the row-parallel driver at every worker count, batch
+//! tiles on both sides of the column-table bound, multi-bit weights, and ragged shapes (`n % µ ≠ 0`, batch widths
 //! that are not a multiple of any vector width). This is the contract that makes the
 //! plan-pinned level a pure performance knob and lets BIQM artifacts
 //! re-resolve levels across machines without changing results.
@@ -9,10 +9,11 @@
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_quant::packing::KeyMatrix;
+use biqgemm_core::layout::COLUMN_TABLES_MAX;
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::{
-    biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, LutLayout,
-    PhaseProfile, ResolvedKernel,
+    biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, PhaseProfile,
+    ResolvedKernel,
 };
 use proptest::prelude::*;
 
@@ -202,7 +203,7 @@ fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
             let y0 = g.gaussian(1, rows * y_stride, 0.0, 1.0).as_slice().to_vec();
             let gather_rows = |k: ResolvedKernel| {
                 let mut y = y0.clone();
-                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, table, keys, k);
+                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, 1, keys, k);
                 bits(&y)
             };
             let sums = |k: ResolvedKernel| {
@@ -230,7 +231,7 @@ fn gather(
     k: ResolvedKernel,
 ) -> f32 {
     let mut y = [0.0f32];
-    biqgemm_core::simd::lut_gather_rows(&mut y, 1, &[1.0], bank, table, table, keys, k);
+    biqgemm_core::simd::lut_gather_rows(&mut y, 1, &[1.0], bank, table, 1, keys, k);
     y[0]
 }
 
@@ -362,9 +363,9 @@ fn build_primitives_bit_exact_at_every_row_width() {
 /// Wide batches through the tile loop: b ≥ 32 with tiles wide enough to
 /// reach the 32-lane passes, row tiles that do not divide m (so they cross
 /// the bit-plane wrap and end in a short last tile), serial and
-/// row-parallel, and both layouts: BatchMajor runs the
-/// strided width-1 gathers, one per batch column, against KeyMajor's
-/// scalar output.
+/// row-parallel, and the same columns in batch tiles narrow enough for
+/// column tables — one width-1 gather per batch column — against the wide
+/// KeyMajor tiles' scalar output.
 #[test]
 fn wide_batch_tiles_bit_exact_vs_scalar() {
     let mut g = MatrixRng::seed_from(7006);
@@ -380,12 +381,12 @@ fn wide_batch_tiles_bit_exact_vs_scalar() {
         let cfg =
             BiqConfig { mu, tile_rows: 8, tile_chunks: 5, tile_batch: 64, ..BiqConfig::default() };
         let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let cfg = BiqConfig { layout, ..cfg };
+        for tile_batch in [64, COLUMN_TABLES_MAX.max(1)] {
+            let cfg = BiqConfig { tile_batch, ..cfg };
             for level in supported_levels() {
                 let k = exact(level);
                 let what =
-                    format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {layout:?} level={level}");
+                    format!("(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) /{tile_batch} level={level}");
                 assert_eq!(want, serial(&w, &x, &cfg, k), "serial {what}");
                 assert_eq!(want, parallel(&w, &x, &cfg, k), "parallel {what}");
             }
@@ -402,21 +403,22 @@ fn serial_levels_bit_exact_vs_scalar_across_shapes() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let w = BiqWeights::from_multibit(&q, mu);
         let x = g.gaussian_col(n, b, 0.0, 1.0);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let cfg = BiqConfig {
-                mu,
-                tile_rows: 8,
-                tile_chunks: 3,
-                tile_batch: 5,
-                layout,
-                ..BiqConfig::default()
-            };
-            let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
+        // Batch tiles of every width on both sides of the column-table
+        // bound: all of them reproduce the scalar run of the widest.
+        let cfg = |tile_batch| BiqConfig {
+            mu,
+            tile_rows: 8,
+            tile_chunks: 3,
+            tile_batch,
+            ..BiqConfig::default()
+        };
+        let want = serial(&w, &x, &cfg(COLUMN_TABLES_MAX + 2), ResolvedKernel::scalar());
+        for tile_batch in 1..=COLUMN_TABLES_MAX + 2 {
             for &level in &levels {
-                let got = serial(&w, &x, &cfg, exact(level));
+                let got = serial(&w, &x, &cfg(tile_batch), exact(level));
                 assert_eq!(
                     want, got,
-                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) layout={layout:?} level={level}"
+                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) /{tile_batch} level={level}"
                 );
             }
         }
@@ -432,21 +434,20 @@ fn parallel_levels_bit_exact_vs_scalar_serial() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let w = BiqWeights::from_multibit(&q, mu);
         let x = g.gaussian_col(n, b, 0.0, 1.0);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let cfg = BiqConfig {
-                mu,
-                tile_rows: 4,
-                tile_chunks: 2,
-                tile_batch: 6,
-                layout,
-                ..BiqConfig::default()
-            };
-            let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
+        let cfg = |tile_batch| BiqConfig {
+            mu,
+            tile_rows: 4,
+            tile_chunks: 2,
+            tile_batch,
+            ..BiqConfig::default()
+        };
+        let want = serial(&w, &x, &cfg(COLUMN_TABLES_MAX + 3), ResolvedKernel::scalar());
+        for tile_batch in 1..=COLUMN_TABLES_MAX + 3 {
             for &level in &levels {
-                let got = parallel(&w, &x, &cfg, exact(level));
+                let got = parallel(&w, &x, &cfg(tile_batch), exact(level));
                 assert_eq!(
                     want, got,
-                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) {layout:?} level={level}"
+                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) /{tile_batch} level={level}"
                 );
             }
         }
@@ -498,8 +499,7 @@ proptest! {
     /// The row-batched gather is the per-row gather, bit for bit: for any
     /// tile geometry (a window narrower than the matrix, so stride >
     /// width; strided outputs; odd row counts that leave an unpaired row;
-    /// ragged `% 8` chunk tails; chunk tables `chunk_stride ≥ 2^µ` apart,
-    /// as a BatchMajor bank's columns are), at every level,
+    /// ragged `% 8` chunk tails), at every level,
     /// `lut_gather_rows` on the tile accumulates exactly what one-row calls
     /// on each row would. This is what lets the width-1 tile loop batch
     /// whole row tiles into one dispatch.
@@ -510,15 +510,12 @@ proptest! {
         extra_stride in 0usize..5,
         y_stride in 1usize..4,
         mu in 1usize..=12,
-        tables_apart in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
         use biqgemm_core::simd::lut_gather_rows;
         let table = 1usize << mu;
-        let chunk_stride = tables_apart * table;
         let mut g = MatrixRng::seed_from(seed ^ 0xb0b);
-        let bank: Vec<f32> =
-            g.gaussian(1, (chunks - 1) * chunk_stride + table, 0.0, 1.0).as_slice().to_vec();
+        let bank: Vec<f32> = g.gaussian(1, chunks * table, 0.0, 1.0).as_slice().to_vec();
         let km = KeyMatrix::pack(&g.signs(rows, (chunks + extra_stride) * mu), mu);
         let keys = km.tile(0..rows, seed as usize % (extra_stride + 1), chunks);
         let scales: Vec<f32> = g.gaussian(1, rows, 0.0, 1.0).as_slice().to_vec();
@@ -530,18 +527,18 @@ proptest! {
             let mut want = y_init.clone();
             for i in 0..rows {
                 lut_gather_rows(
-                    &mut want[i * y_stride..], y_stride, &scales[i..i + 1], &bank, table,
-                    chunk_stride, keys.row(i), k,
+                    &mut want[i * y_stride..], y_stride, &scales[i..i + 1], &bank, table, 1,
+                    keys.row(i), k,
                 );
             }
             let mut got = y_init.clone();
-            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, chunk_stride, keys, k);
+            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, 1, keys, k);
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(
                 gb, wb,
-                "level={} rows={} chunks={} stride={} y_stride={} chunk_stride={}",
-                level, rows, chunks, keys.stride(), y_stride, chunk_stride
+                "level={} rows={} chunks={} stride={} y_stride={}",
+                level, rows, chunks, keys.stride(), y_stride
             );
         }
     }

@@ -291,11 +291,11 @@ pub(crate) fn execute_group(
 
 /// The weights of `ops` when they can run as one grouped BiQGEMM run: every
 /// op is a BiQ op and every plan agrees with the first on the config (µ,
-/// tiles, layout, build method), the resolved kernel level and
-/// the worker count — everything a run shares except `m` (and `n`, which
-/// the shared input already fixes). The config's kernel *request* may
-/// differ where the resolved level agrees. At most [`MAX_GROUP`] ops; the
-/// array's tail past `ops.len()` repeats the first op's weights.
+/// tiles), the resolved kernel level and the worker count — everything a
+/// run shares except `m` (and `n`, which the shared input already fixes).
+/// The config's kernel *request* may differ where the resolved level
+/// agrees. At most [`MAX_GROUP`] ops; the array's tail past `ops.len()`
+/// repeats the first op's weights.
 pub(crate) fn biq_group<'a>(ops: &[&'a CompiledOp]) -> Option<[&'a BiqWeights; MAX_GROUP]> {
     let (first, _) = ops.split_first()?;
     if ops.len() > MAX_GROUP {
@@ -603,7 +603,6 @@ mod tests {
     #[test]
     fn ops_group_only_when_their_plans_agree() {
         use biqgemm_core::simd::{host_best, supported_levels, KernelRequest};
-        use biqgemm_core::{LutBuildMethod, LutLayout};
         let mut g = MatrixRng::seed_from(93);
         let n = 40;
         let x = g.gaussian_col(n, 6, 0.0, 1.0);
@@ -642,8 +641,6 @@ mod tests {
             ("tile_rows", op(1, BiqConfig { tile_rows: 5, ..base }, None, exact)),
             ("tile_chunks", op(1, BiqConfig { tile_chunks: 3, ..base }, None, exact)),
             ("tile_batch", op(1, BiqConfig { tile_batch: 2, ..base }, None, exact)),
-            ("layout", op(1, BiqConfig { layout: LutLayout::BatchMajor, ..base }, None, exact)),
-            ("build", op(1, BiqConfig { build: LutBuildMethod::Gemm, ..base }, None, exact)),
             ("workers", op(1, base, Some(2), exact)),
         ];
         if let Some(other) = supported_levels().into_iter().find(|&l| l != level) {

@@ -93,7 +93,7 @@ impl Executor {
     /// Runs ops that share the input `x` into one stacked row-major buffer
     /// (op `i`'s `m_i × b` rows after those of ops `0..i`, overwritten) —
     /// an attention block's Q/K/V. BiQ ops whose plans agree on everything
-    /// but `m` (µ, tiles, layout, build method, resolved level, workers)
+    /// but `m` (µ, tiles, resolved level, workers)
     /// run as **one** grouped run, which builds each LUT tile once for all
     /// their rows; any other list runs op by op. Each
     /// op's rows are bit-identical to a run of that op alone, and each op

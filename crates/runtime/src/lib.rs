@@ -7,7 +7,7 @@
 //! a planner from stateful chunk writers with shared buffers:
 //!
 //! * an [`ExecutionPlan`] — the *decision record*: backend choice, µ, tile
-//!   shapes, LUT layout, worker count, and the scratch-buffer sizes it
+//!   shapes, kernel level, worker count, and the scratch-buffer sizes it
 //!   implies (built by [`PlanBuilder`], which extends
 //!   `biqgemm_core::planner`);
 //! * a [`CompiledOp`] — a plan bound to packed weights via the

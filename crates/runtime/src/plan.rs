@@ -62,8 +62,9 @@ pub struct ExecutionPlan {
     pub batch_hint: usize,
     /// Kernel family.
     pub spec: BackendSpec,
-    /// BiQGEMM configuration: µ, tile shapes, LUT layout and build method.
-    /// Ignored by the dense backends.
+    /// BiQGEMM configuration: µ, tile shapes and the kernel request (the
+    /// LUT bank's layout follows each tile's width, not the plan). Ignored
+    /// by the dense backends.
     pub cfg: BiqConfig,
     /// The threading request the plan was built with.
     pub threading: Threading,

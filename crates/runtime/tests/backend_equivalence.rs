@@ -14,7 +14,7 @@ use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
-use biqgemm_core::{BiqConfig, LutLayout};
+use biqgemm_core::BiqConfig;
 use proptest::prelude::*;
 
 fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMatrix> {
@@ -71,14 +71,14 @@ fn assert_all_paths_agree(signs: &SignMatrix, x: &ColMatrix, cfg: BiqConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes, µ, tile sizes, layouts and batches.
+    /// Random shapes, µ, tile sizes and batches — batch tiles of 1–6
+    /// columns, on both sides of the column-table bound.
     #[test]
     fn all_paths_bit_identical(
         signs in sign_matrix(33, 48),
         mu in 1usize..=12,
         (tr, tc, tb) in (1usize..=9, 1usize..=5, 1usize..=6),
         batch in 1usize..=7,
-        layout_key_major in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let n = signs.cols();
@@ -88,7 +88,6 @@ proptest! {
             tile_rows: tr,
             tile_chunks: tc,
             tile_batch: tb,
-            layout: if layout_key_major { LutLayout::KeyMajor } else { LutLayout::BatchMajor },
             ..BiqConfig::default()
         };
         assert_all_paths_agree(&signs, &x, cfg);
@@ -138,14 +137,25 @@ fn mu_larger_than_input() {
 #[test]
 fn multibit_weights_agree_across_paths() {
     // Multi-bit planes stress the key-row stacking (r mod m indexing);
-    // m = 21 leaves a ragged last row block at every worker count.
+    // m = 21 leaves a ragged last row block at every worker count. Batch
+    // tiles of 1–5 columns straddle the column-table bound.
     let mut g = MatrixRng::seed_from(0xb4);
     let wf = g.small_int_matrix(21, 40, 2);
-    let x = g.small_int_col(40, 4, 2);
+    let x = g.small_int_col(40, 5, 2);
     let q = greedy_quantize_matrix_rowwise(&wf, 3);
-    let cfg =
-        BiqConfig { mu: 8, tile_rows: 5, tile_chunks: 2, tile_batch: 3, ..BiqConfig::default() };
-    let packed = biqgemm_core::BiqWeights::from_multibit(&q, cfg.mu);
-    let y = assert_all_plans_agree((21, 40, 3), || WeightSource::Packed(packed.clone()), &x, cfg);
-    assert_eq!(y.len(), 21 * 4);
+    let packed = biqgemm_core::BiqWeights::from_multibit(&q, 8);
+    let ys: Vec<Vec<f32>> = (1..=5)
+        .map(|tile_batch| {
+            let cfg = BiqConfig {
+                mu: 8,
+                tile_rows: 5,
+                tile_chunks: 2,
+                tile_batch,
+                ..BiqConfig::default()
+            };
+            assert_all_plans_agree((21, 40, 3), || WeightSource::Packed(packed.clone()), &x, cfg)
+        })
+        .collect();
+    assert_eq!(ys[0].len(), 21 * 5);
+    assert!(ys.iter().all(|y| *y == ys[0]), "batch tiles of 1–5 columns disagree");
 }

@@ -114,10 +114,15 @@ fn resealed_manifest_mutations_are_refused_or_load_a_working_model() {
 
 #[test]
 fn retired_schedule_byte_loads_with_the_same_bits() {
-    // Each layer's manifest entry keeps a schedule byte whose value is
-    // retired: 0 is row-parallel, 1 the deleted shared-LUT schedule that
-    // older builds could write. Both load as row-parallel; any other value
-    // is refused. Parallel plans are the ones the byte ever steered.
+    // Each layer's manifest entry keeps three bytes whose values are
+    // retired, all written 0: the schedule (1 was the deleted shared-LUT
+    // schedule), the LUT layout (1 was BatchMajor) and the LUT build (1 was
+    // the deleted brute-force build). Schedule and layout byte 1 load with
+    // the byte-0 bits: every schedule and layout realised the canonical
+    // accumulation tree. Build byte 1 is refused, naming the build: its
+    // tables round differently, so loading it as Algorithm 1 would move
+    // bits silently. Any other value is `unknown`. Parallel plans are the
+    // ones the schedule byte ever steered.
     let mut g = MatrixRng::seed_from(0xc6);
     let backend = LayerBackend::Biq {
         bits: 2,
@@ -127,6 +132,7 @@ fn retired_schedule_byte_loads_with_the_same_bits() {
     };
     let linear = backend.linear(g.gaussian(300, 40, 0.0, 1.0), None);
     let encoder = Encoder::random(&mut g, 1, 8, 16, 2, backend);
+    let brute_force = "bad manifest: LUT build 1 (the retired brute-force build) is not supported";
     for (name, model) in [
         ("parallel biq linear", CompiledModel::Linear(linear)),
         ("parallel transformer", CompiledModel::Transformer(encoder)),
@@ -134,31 +140,43 @@ fn retired_schedule_byte_loads_with_the_same_bits() {
         let artifact = Artifact::from_bytes(model.snapshot()).unwrap();
         let manifest = artifact.manifest_bytes().to_vec();
         let want: Vec<u32> = model.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
-        // The schedule bytes, found by the decoder: the zero bytes that,
-        // set to 2, fail with exactly `unknown schedule 2`.
+        let layers = ModelManifest::decode(Bytes::from(manifest.clone())).unwrap().layers.len();
         let with = |at: &[usize], byte: u8| {
             let mut m = manifest.clone();
             at.iter().for_each(|&i| m[i] = byte);
             m
         };
-        let at: Vec<usize> = (0..manifest.len())
-            .filter(|&i| manifest[i] == 0)
-            .filter(|&i| {
-                let err = ModelManifest::decode(Bytes::from(with(&[i], 2))).err();
-                err.is_some_and(|e| e.to_string() == "bad manifest: unknown schedule 2")
-            })
-            .collect();
-        let layers = ModelManifest::decode(Bytes::from(manifest.clone())).unwrap().layers.len();
-        assert_eq!(at.len(), layers, "{name}: one schedule byte per layer, all written 0");
+        // `refused_one`: the error byte 1 meets, `None` when it loads.
+        for (field, refused_one) in
+            [("schedule", None), ("LUT layout", None), ("LUT build method", Some(brute_force))]
+        {
+            // The field's bytes, found by the decoder: the zero bytes that,
+            // set to 2, fail with exactly `unknown <field> 2`.
+            let unknown = format!("bad manifest: unknown {field} 2");
+            let at: Vec<usize> = (0..manifest.len())
+                .filter(|&i| manifest[i] == 0)
+                .filter(|&i| {
+                    let err = ModelManifest::decode(Bytes::from(with(&[i], 2))).err();
+                    err.is_some_and(|e| e.to_string() == unknown)
+                })
+                .collect();
+            assert_eq!(at.len(), layers, "{name}: one {field} byte per layer, all written 0");
 
-        let old = load(reseal(&artifact, &with(&at, 1))).expect("schedule byte 1 loads");
-        let got: Vec<u32> = old.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
-        assert!(got == want, "{name}: schedule byte 1 moved output bits");
-        let current = load(artifact.as_bytes().to_vec()).expect("the intact file loads");
-        assert_eq!(old.snapshot(), current.snapshot(), "{name}: a re-save writes byte 0");
+            let one = load(reseal(&artifact, &with(&at, 1)));
+            if let Some(msg) = refused_one {
+                let err = one.err().map(|e| e.to_string());
+                assert_eq!(err.as_deref(), Some(msg), "{name}: {field} byte 1");
+            } else {
+                let old = one.unwrap_or_else(|e| panic!("{name}: {field} byte 1 loads: {e}"));
+                let got: Vec<u32> = old.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{name}: {field} byte 1 moved output bits");
+                let current = load(artifact.as_bytes().to_vec()).expect("the intact file loads");
+                assert_eq!(old.snapshot(), current.snapshot(), "{name}: a re-save writes byte 0");
+            }
 
-        let refused = load(reseal(&artifact, &with(&at, 2))).err().map(|e| e.to_string());
-        assert_eq!(refused.as_deref(), Some("bad manifest: unknown schedule 2"), "{name}");
+            let refused = load(reseal(&artifact, &with(&at, 2))).err().map(|e| e.to_string());
+            assert_eq!(refused, Some(unknown), "{name}");
+        }
     }
 }
 

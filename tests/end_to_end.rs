@@ -11,7 +11,6 @@ use biqgemm_repro::biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
 use biqgemm_repro::biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
-use biqgemm_repro::biqgemm_core::config::LutLayout;
 use biqgemm_repro::biqgemm_core::{BiqConfig, WorkerSet};
 
 /// `W · x` by BiQGEMM through the plan/executor, under exactly `cfg`:
@@ -86,7 +85,8 @@ fn xnor_agrees_when_activations_are_signs() {
 }
 
 /// Multi-bit BiQGEMM equals dense GEMM on the dequantized weights for every
-/// bit width, layout, µ and threading.
+/// bit width, µ, batch tile (1–5 columns: column tables and KeyMajor) and
+/// threading.
 #[test]
 fn multibit_full_config_matrix() {
     let mut g = MatrixRng::seed_from(0xe30);
@@ -97,16 +97,15 @@ fn multibit_full_config_matrix() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let y_ref = gemm_naive(&q.dequantize(), &x);
         for mu in [3usize, 8] {
-            for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
+            for tile_batch in 1..=5 {
                 let cfg = BiqConfig {
                     mu,
-                    layout,
                     tile_rows: 16,
                     tile_chunks: 4,
-                    tile_batch: 3,
+                    tile_batch,
                     ..BiqConfig::default()
                 };
-                for workers in [None, Some(2)] {
+                for workers in [None, Some(1), Some(2), Some(3), Some(7)] {
                     let y = biq(WeightSource::Quantized(&q), (m, n, bits), &x, cfg, workers);
                     assert_allclose(&y, &y_ref, 1e-4, 1e-4);
                 }
