@@ -15,10 +15,10 @@
 //!   parameter sections, and per-layer plan parameters (backend spec,
 //!   `BiqConfig`, threading, batch hint) with payload section references;
 //! * [`model`] — layer snapshot/restore: [`snapshot_layer`] exports a
-//!   [`biq_runtime::CompiledOp`]'s packed payload through the runtime's
-//!   [`biq_runtime::PackedPayload`] hook; [`compile_layer`] rebuilds it
-//!   with every buffer (keys, scales, sign words, dense values) borrowed
-//!   from the loaded file via zero-copy [`biq_matrix::PodView`]s.
+//!   [`biq_runtime::CompiledOp`]'s [`biq_runtime::PackedPayload`];
+//!   [`compile_layer`] binds it back to the rebuilt plan with every
+//!   buffer (keys, scales, sign words, dense values) borrowed from the
+//!   loaded file via zero-copy [`biq_matrix::PodView`]s.
 //!
 //! ```text
 //!  build host                                   serving host
@@ -49,6 +49,4 @@ pub use container::{
 pub use manifest::{
     sec, sec_kind_name, LayerManifest, ModelKind, ModelManifest, PayloadRefs, MAX_BITS, MAX_DIM,
 };
-pub use model::{
-    compile_layer, load_bias, load_param, load_weights, snapshot_layer, LoadedWeights,
-};
+pub use model::{compile_layer, load_bias, load_param, load_weights, snapshot_layer};

@@ -1,13 +1,12 @@
 //! Layer-level snapshot and restore: compiled op ↔ sections.
 //!
-//! [`snapshot_layer`] exports a [`CompiledOp`]'s packed payload (via the
-//! runtime's [`PackedPayload`] hook) into container sections and returns
-//! the [`LayerManifest`] describing them. [`compile_layer`] is the inverse:
-//! it validates the referenced sections, wraps them in zero-copy views
-//! (keys, scales, sign words, dense values all stay borrowed from the file
-//! buffer) and rebuilds the op through the ordinary
-//! [`biq_runtime::PlanBuilder`] → [`biq_runtime::compile`] pipeline — so a
-//! loaded model runs the exact kernels a freshly quantized one does,
+//! [`snapshot_layer`] exports a [`CompiledOp`]'s [`PackedPayload`] into
+//! container sections and returns the [`LayerManifest`] describing them.
+//! [`compile_layer`] is the inverse: it validates the referenced sections,
+//! wraps them in zero-copy views (keys, scales, sign words, dense values
+//! all stay borrowed from the file buffer) and binds them to the plan
+//! [`biq_runtime::PlanBuilder`] rebuilds, through [`CompiledOp::new`] — so
+//! a loaded model runs the exact kernels a freshly quantized one does,
 //! without paying the quantize/pack cost.
 
 use crate::container::{Artifact, ArtifactBuilder, ArtifactError, ElemKind, SectionId};
@@ -18,8 +17,7 @@ use biq_matrix::store::PodStore;
 use biq_matrix::Matrix;
 use biq_quant::packing::{key_bytes, KeyMatrix, KeyStore, PackedRowsU64};
 use biq_runtime::{
-    compile, BackendSpec, CompiledOp, ExecutionPlan, KernelRequest, PackedPayload, PlanBuilder,
-    Threading, WeightSource,
+    BackendSpec, CompiledOp, ExecutionPlan, KernelRequest, PackedPayload, PlanBuilder, Threading,
 };
 use biqgemm_core::BiqWeights;
 
@@ -143,11 +141,11 @@ fn f32_view(
 }
 
 /// Loads and validates the packed weights a layer manifest references,
-/// producing a runtime [`WeightSource`] whose buffers borrow the artifact.
+/// producing a runtime [`PackedPayload`] whose buffers borrow the artifact.
 pub fn load_weights(
     artifact: &Artifact,
     lm: &LayerManifest,
-) -> Result<LoadedWeights, ArtifactError> {
+) -> Result<PackedPayload, ArtifactError> {
     let (m, n) = (lm.m, lm.n);
     match (&lm.payload, lm.spec) {
         (PayloadRefs::Dense { dense }, BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked) => {
@@ -158,7 +156,7 @@ pub fn load_weights(
                     view.as_slice().len()
                 )));
             }
-            Ok(LoadedWeights::Dense(Matrix::from_shared(m, n, view)))
+            Ok(PackedPayload::Dense(Matrix::from_shared(m, n, view)))
         }
         (PayloadRefs::Biq { keys, scales }, BackendSpec::Biq { bits, .. }) => {
             let mu = lm.cfg.mu;
@@ -175,7 +173,7 @@ pub fn load_weights(
             let keys =
                 KeyMatrix::try_new(key_rows, n, mu, store).map_err(|e| bad(e.to_string()))?;
             let scales = f32_view(artifact, *scales, key_rows, "biq scales")?;
-            Ok(LoadedWeights::Biq(BiqWeights::from_parts_store(keys, scales, m, n, bits)))
+            Ok(PackedPayload::Biq(BiqWeights::from_parts_store(keys, scales, m, n, bits)))
         }
         (PayloadRefs::Xnor { planes }, BackendSpec::Xnor { bits }) => {
             if planes.len() != bits {
@@ -188,7 +186,7 @@ pub fn load_weights(
                 let words = PackedRowsU64::try_from_shared(m, n, wview).map_err(bad)?;
                 stores.push((scales, words));
             }
-            Ok(LoadedWeights::Xnor(XnorWeights::from_plane_stores(stores)))
+            Ok(PackedPayload::Xnor(XnorWeights::from_plane_stores(stores)))
         }
         (PayloadRefs::Int8 { data, scales }, BackendSpec::Int8) => {
             let dview = artifact.section_view::<i8>(*data, ElemKind::I8)?;
@@ -199,7 +197,7 @@ pub fn load_weights(
                 )));
             }
             let scales = f32_view(artifact, *scales, m, "int8 scales")?;
-            Ok(LoadedWeights::Int8(Int8Weights::from_parts(m, n, dview.into(), scales)))
+            Ok(PackedPayload::Int8(Int8Weights::from_parts(m, n, dview.into(), scales)))
         }
         (payload, spec) => Err(bad(format!(
             "payload family {} does not fit backend spec {spec:?}",
@@ -213,31 +211,6 @@ pub fn load_weights(
     }
 }
 
-/// Packed weights reloaded from an artifact, buffers borrowed from the
-/// file.
-pub enum LoadedWeights {
-    /// Dense fp32 (shared-storage matrix).
-    Dense(Matrix),
-    /// BiQGEMM keys + scales.
-    Biq(BiqWeights),
-    /// XNOR planes.
-    Xnor(XnorWeights),
-    /// Int8 values + scales.
-    Int8(Int8Weights),
-}
-
-impl LoadedWeights {
-    /// The runtime weight source for [`biq_runtime::compile`].
-    pub fn source(&self) -> WeightSource<'_> {
-        match self {
-            LoadedWeights::Dense(w) => WeightSource::Dense(w),
-            LoadedWeights::Biq(w) => WeightSource::Packed(w.clone()),
-            LoadedWeights::Xnor(w) => WeightSource::PackedXnor(w.clone()),
-            LoadedWeights::Int8(w) => WeightSource::PackedInt8(w.clone()),
-        }
-    }
-}
-
 /// Rebuilds a layer's compiled op from the artifact: plan via
 /// [`LayerManifest::plan`], weights via [`load_weights`] (zero-copy).
 pub fn compile_layer(artifact: &Artifact, lm: &LayerManifest) -> Result<CompiledOp, ArtifactError> {
@@ -246,8 +219,7 @@ pub fn compile_layer(artifact: &Artifact, lm: &LayerManifest) -> Result<Compiled
     // `lm.plan()` (`PlanBuilder::build` panics on resolution failure).
     KernelRequest::AtMost(lm.kernel).resolve().map_err(|e| bad(e.to_string()))?;
     let plan = lm.plan();
-    let weights = load_weights(artifact, lm)?;
-    Ok(compile(&plan, weights.source()))
+    Ok(CompiledOp::new(plan, load_weights(artifact, lm)?))
 }
 
 /// Loads a layer's bias section (if any), validated to `m` floats.

@@ -7,7 +7,7 @@
 //! pre-byte-key container version — must come back as typed errors, never
 //! panics.
 
-use biq_artifact::{compile_layer, load_weights, sec, snapshot_layer, LoadedWeights};
+use biq_artifact::{compile_layer, load_weights, sec, snapshot_layer};
 use biq_artifact::{
     Artifact, ArtifactBuilder, ArtifactError, ElemKind, LayerManifest, ModelKind, ModelManifest,
     PayloadRefs,
@@ -63,7 +63,7 @@ fn every_mu_round_trips_through_biqm() {
         let section = artifact.section(*keys).unwrap();
         let want_elem = if mu <= 8 { ElemKind::U8 } else { ElemKind::U16 };
         assert_eq!((section.elem, section.len as usize), (want_elem, stored), "µ={mu}: section");
-        let LoadedWeights::Biq(loaded) = load_weights(&artifact, &lm).unwrap() else {
+        let PackedPayload::Biq(loaded) = load_weights(&artifact, &lm).unwrap() else {
             panic!("biq weights expected")
         };
         assert_eq!(loaded.keys(), w.keys(), "µ={mu}: BIQM keys");

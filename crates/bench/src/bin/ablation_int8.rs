@@ -10,7 +10,7 @@ use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
 use biq_bench::workloads::{binary_workload, biq_op, gaussian_weights};
 use biq_gemm::gemm_blocked;
-use biq_gemm::int8::{Int8Gemm, Int8Phases};
+use biq_gemm::int8::{Int8Phases, Int8Weights};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_runtime::WeightSource;
 use biqgemm_core::BiqConfig;
@@ -36,7 +36,7 @@ fn main() {
         for &b in &batches {
             let wload = binary_workload(n, n, b);
             let wf = gaussian_weights(n, n, 0x148 + n as u64);
-            let int8 = Int8Gemm::new(&wf);
+            let int8 = Int8Weights::quantize(&wf);
             let reps = auto_reps(Duration::from_millis(300), 3, 12, || gemm_blocked(&wf, &wload.x));
             let m_fp = measure(1, reps, || gemm_blocked(&wf, &wload.x));
             let mut phases = Int8Phases::default();

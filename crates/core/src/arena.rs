@@ -23,7 +23,7 @@
 //! width. All buffers grow monotonically and never shrink.
 //!
 //! `biq_runtime::Executor` wraps one `BiqArena` (plus baseline-kernel
-//! scratch) behind the workspace-wide `GemmBackend` trait.
+//! scratch) and runs every kernel family's compiled ops against it.
 
 use crate::config::BiqConfig;
 use crate::layout::LutBank;

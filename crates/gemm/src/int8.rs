@@ -9,7 +9,7 @@
 //!
 //! * dynamic activation quantization + format conversions add overhead the
 //!   binary-coding path avoids ("15%∼30% computational overhead" around
-//!   float-demanding ops); [`Int8Gemm::forward`] exposes the conversion and
+//!   float-demanding ops); [`Int8Weights::forward`] exposes the conversion and
 //!   kernel phases separately so the harness can report the split;
 //! * accuracy at ≤4 bits collapses (Table I), while binary-coding degrades
 //!   gracefully — see `biq-quant::uniform` and the Table I proxy.
@@ -93,6 +93,72 @@ impl Int8Weights {
         })
     }
 
+    /// [`Int8Weights::forward_level`] at the scalar kernel level (ablation
+    /// binaries and error-measurement paths; planned execution goes
+    /// through the runtime, which pins the level).
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()`.
+    pub fn forward(&self, x: &ColMatrix, phases: &mut Int8Phases) -> Matrix {
+        self.forward_level(x, phases, ResolvedKernel::scalar())
+    }
+
+    /// `Y ≈ W·X` through the fixed-point pipeline; phase timings are added
+    /// to `phases`. The `i8×i8 → i32` reduction runs at the resolved
+    /// kernel level `k` (integer arithmetic — every level is exactly
+    /// equal).
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()`.
+    pub fn forward_level(
+        &self,
+        x: &ColMatrix,
+        phases: &mut Int8Phases,
+        k: ResolvedKernel,
+    ) -> Matrix {
+        assert_eq!(x.rows(), self.cols, "inner dimension mismatch");
+        let (m, n, b) = (self.rows, self.cols, x.cols());
+        // Phase 1 (conversion): dynamic symmetric per-column activation
+        // quantization.
+        let t0 = std::time::Instant::now();
+        let mut xq = vec![0i8; n * b];
+        let mut col_scales = vec![0.0f32; b];
+        for alpha in 0..b {
+            let col = x.col(alpha);
+            let max_abs = col.iter().fold(0.0f32, |mm, &v| mm.max(v.abs()));
+            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+            col_scales[alpha] = scale;
+            let dst = &mut xq[alpha * n..(alpha + 1) * n];
+            for (d, &v) in dst.iter_mut().zip(col) {
+                *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
+            }
+        }
+        phases.conversion_s += t0.elapsed().as_secs_f64();
+        // Phase 2 (kernel): i8×i8 → i32 accumulation.
+        let t1 = std::time::Instant::now();
+        let mut acc = vec![0i32; m * b];
+        for i in 0..m {
+            let wrow = self.row(i);
+            for alpha in 0..b {
+                let xcol = &xq[alpha * n..(alpha + 1) * n];
+                acc[i * b + alpha] = dot_i8(wrow, xcol, k);
+            }
+        }
+        phases.kernel_s += t1.elapsed().as_secs_f64();
+        // Phase 1 again (conversion): rescale to fp32.
+        let t2 = std::time::Instant::now();
+        let mut y = Matrix::zeros(m, b);
+        for i in 0..m {
+            let ws = self.row_scales[i];
+            let yrow = y.row_mut(i);
+            for (alpha, yv) in yrow.iter_mut().enumerate() {
+                *yv = acc[i * b + alpha] as f32 * ws * col_scales[alpha];
+            }
+        }
+        phases.conversion_s += t2.elapsed().as_secs_f64();
+        y
+    }
+
     #[inline]
     fn row(&self, i: usize) -> &[i8] {
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -120,95 +186,6 @@ impl Int8Phases {
     }
 }
 
-/// An INT8 matmul operator.
-#[derive(Clone, Debug)]
-pub struct Int8Gemm {
-    weights: Int8Weights,
-}
-
-impl Int8Gemm {
-    /// Quantizes `w` offline.
-    pub fn new(w: &Matrix) -> Self {
-        Self { weights: Int8Weights::quantize(w) }
-    }
-
-    /// Wraps pre-quantized weights.
-    pub fn from_weights(weights: Int8Weights) -> Self {
-        Self { weights }
-    }
-
-    /// The weights.
-    pub fn weights(&self) -> &Int8Weights {
-        &self.weights
-    }
-
-    /// [`Int8Gemm::forward_level`] at the scalar kernel level (ablation
-    /// binaries and error-measurement paths; planned execution goes
-    /// through the runtime, which pins the level).
-    ///
-    /// # Panics
-    /// Panics if `x.rows() != weights.cols()`.
-    pub fn forward(&self, x: &ColMatrix, phases: &mut Int8Phases) -> Matrix {
-        self.forward_level(x, phases, ResolvedKernel::scalar())
-    }
-
-    /// `Y ≈ W·X` through the fixed-point pipeline; phase timings are added
-    /// to `phases`. The `i8×i8 → i32` reduction runs at the resolved
-    /// kernel level `k` (integer arithmetic — every level is exactly
-    /// equal).
-    ///
-    /// # Panics
-    /// Panics if `x.rows() != weights.cols()`.
-    pub fn forward_level(
-        &self,
-        x: &ColMatrix,
-        phases: &mut Int8Phases,
-        k: ResolvedKernel,
-    ) -> Matrix {
-        assert_eq!(x.rows(), self.weights.cols, "inner dimension mismatch");
-        let (m, n, b) = (self.weights.rows, self.weights.cols, x.cols());
-        // Phase 1 (conversion): dynamic symmetric per-column activation
-        // quantization.
-        let t0 = std::time::Instant::now();
-        let mut xq = vec![0i8; n * b];
-        let mut col_scales = vec![0.0f32; b];
-        for alpha in 0..b {
-            let col = x.col(alpha);
-            let max_abs = col.iter().fold(0.0f32, |mm, &v| mm.max(v.abs()));
-            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-            col_scales[alpha] = scale;
-            let dst = &mut xq[alpha * n..(alpha + 1) * n];
-            for (d, &v) in dst.iter_mut().zip(col) {
-                *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            }
-        }
-        phases.conversion_s += t0.elapsed().as_secs_f64();
-        // Phase 2 (kernel): i8×i8 → i32 accumulation.
-        let t1 = std::time::Instant::now();
-        let mut acc = vec![0i32; m * b];
-        for i in 0..m {
-            let wrow = self.weights.row(i);
-            for alpha in 0..b {
-                let xcol = &xq[alpha * n..(alpha + 1) * n];
-                acc[i * b + alpha] = dot_i8(wrow, xcol, k);
-            }
-        }
-        phases.kernel_s += t1.elapsed().as_secs_f64();
-        // Phase 1 again (conversion): rescale to fp32.
-        let t2 = std::time::Instant::now();
-        let mut y = Matrix::zeros(m, b);
-        for i in 0..m {
-            let ws = self.weights.row_scales[i];
-            let yrow = y.row_mut(i);
-            for (alpha, yv) in yrow.iter_mut().enumerate() {
-                *yv = acc[i * b + alpha] as f32 * ws * col_scales[alpha];
-            }
-        }
-        phases.conversion_s += t2.elapsed().as_secs_f64();
-        y
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,9 +198,9 @@ mod tests {
         let mut g = MatrixRng::seed_from(900);
         let w = g.gaussian(48, 96, 0.0, 0.1);
         let x = g.gaussian_col(96, 5, 0.0, 1.0);
-        let engine = Int8Gemm::new(&w);
+        let wq = Int8Weights::quantize(&w);
         let mut ph = Int8Phases::default();
-        let y = engine.forward(&x, &mut ph);
+        let y = wq.forward(&x, &mut ph);
         let y_ref = gemm_naive(&w, &x);
         let err = relative_l2(y.as_slice(), y_ref.as_slice());
         assert!(err < 0.02, "INT8 relative error {err}");
@@ -249,9 +226,9 @@ mod tests {
         // Weights/activations already on the i8 grid -> exact product.
         let w = Matrix::from_vec(2, 2, vec![127.0, -127.0, 64.0, 1.0]);
         let x = ColMatrix::from_vec(2, 1, vec![127.0, 127.0]);
-        let engine = Int8Gemm::new(&w);
+        let wq = Int8Weights::quantize(&w);
         let mut ph = Int8Phases::default();
-        let y = engine.forward(&x, &mut ph);
+        let y = wq.forward(&x, &mut ph);
         let y_ref = gemm_naive(&w, &x);
         for (a, b) in y.as_slice().iter().zip(y_ref.as_slice()) {
             assert!((a - b).abs() <= 1e-2 * b.abs().max(1.0), "{a} vs {b}");
@@ -264,12 +241,12 @@ mod tests {
         for n in [1usize, 31, 32, 33, 64, 65, 130] {
             let w = g.gaussian(9, n, 0.0, 1.0);
             let x = g.gaussian_col(n, 3, 0.0, 1.0);
-            let engine = Int8Gemm::new(&w);
+            let wq = Int8Weights::quantize(&w);
             let mut ph = Int8Phases::default();
-            let want = engine.forward(&x, &mut ph);
+            let want = wq.forward(&x, &mut ph);
             for level in biqgemm_core::simd::supported_levels() {
                 let k = biqgemm_core::KernelRequest::Exact(level).resolve().unwrap();
-                let got = engine.forward_level(&x, &mut ph, k);
+                let got = wq.forward_level(&x, &mut ph, k);
                 assert_eq!(want.as_slice(), got.as_slice(), "n={n} level={level}");
             }
         }
@@ -280,7 +257,7 @@ mod tests {
         let w = Matrix::zeros(3, 4);
         let x = ColMatrix::from_vec(4, 2, vec![1.0; 8]);
         let mut ph = Int8Phases::default();
-        let y = Int8Gemm::new(&w).forward(&x, &mut ph);
+        let y = Int8Weights::quantize(&w).forward(&x, &mut ph);
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
     }
 

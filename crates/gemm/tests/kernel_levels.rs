@@ -6,7 +6,7 @@
 //! `n % 64` for int8) where the vector kernels hand off to their scalar
 //! remainders.
 
-use biq_gemm::int8::{Int8Gemm, Int8Phases};
+use biq_gemm::int8::{Int8Phases, Int8Weights};
 use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_matrix::MatrixRng;
 use biq_quant::greedy_quantize_matrix_rowwise;
@@ -66,11 +66,11 @@ fn int8_levels_exactly_equal_scalar_across_lane_tails() {
     ] {
         let w = g.gaussian(m, n, 0.0, 1.0);
         let x = g.gaussian_col(n, b, 0.0, 1.0);
-        let engine = Int8Gemm::new(&w);
+        let wq = Int8Weights::quantize(&w);
         let mut ph = Int8Phases::default();
-        let want = engine.forward(&x, &mut ph);
+        let want = wq.forward(&x, &mut ph);
         for level in supported_levels() {
-            let got = engine.forward_level(&x, &mut ph, exact(level));
+            let got = wq.forward_level(&x, &mut ph, exact(level));
             assert_eq!(want.as_slice(), got.as_slice(), "(m,n,b)=({m},{n},{b}) {level}");
         }
     }
@@ -95,7 +95,7 @@ proptest! {
         let xw = XnorWeights::from_multibit(&q);
         let want_xnor = xnor_gemm(&xw, &x, ResolvedKernel::scalar());
 
-        let i8e = Int8Gemm::new(&wf);
+        let i8e = Int8Weights::quantize(&wf);
         let mut ph = Int8Phases::default();
         let want_i8 = i8e.forward(&x, &mut ph);
 

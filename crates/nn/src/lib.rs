@@ -33,5 +33,5 @@ pub mod model;
 pub mod seq2seq;
 pub mod transformer;
 
-pub use linear::{BackendKind, Linear, QuantMethod};
+pub use linear::{Linear, QuantMethod};
 pub use model::{CompiledModel, ModelBuilder};

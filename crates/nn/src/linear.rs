@@ -14,10 +14,10 @@
 //!   accumulators, pack panel). Models pass one [`SharedExecutor`] to all
 //!   their layers so arenas are reused across layers and time-steps.
 //!
-//! The historical constructors ([`Linear::fp32`], [`Linear::quantized`],
-//! [`Linear::xnor`], …) remain as thin shims over [`Linear::from_plan`];
-//! each creates a private executor, which is correct but forgoes
-//! cross-layer arena sharing.
+//! The two convenience constructors ([`Linear::fp32`],
+//! [`Linear::quantized`]) are thin shims over [`Linear::from_plan`]; each
+//! creates a private executor, which is correct but forgoes cross-layer
+//! arena sharing.
 
 use biq_matrix::store::PodStore;
 use biq_matrix::{ColMatrix, Matrix};
@@ -31,30 +31,6 @@ use std::sync::Arc;
 
 pub use biq_runtime::QuantMethod;
 
-/// Which engine a [`Linear`] uses (coarse tag, for reporting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Dense fp32 GEMM.
-    Fp32,
-    /// BiQGEMM over binary-coding quantized weights.
-    Biq,
-    /// XNOR-popcount (1-bit activations too).
-    Xnor,
-    /// INT8 fixed-point pipeline.
-    Int8,
-}
-
-impl BackendKind {
-    fn of(spec: &BackendSpec) -> Self {
-        match spec {
-            BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked => BackendKind::Fp32,
-            BackendSpec::Int8 => BackendKind::Int8,
-            BackendSpec::Xnor { .. } => BackendKind::Xnor,
-            BackendSpec::Biq { .. } => BackendKind::Biq,
-        }
-    }
-}
-
 /// A fully-connected layer with optional bias.
 ///
 /// `Clone` is cheap: the compiled op (packed weights) is reference-counted
@@ -64,9 +40,6 @@ pub struct Linear {
     op: Arc<CompiledOp>,
     exec: SharedExecutor,
     bias: Option<PodStore<f32>>,
-    out_features: usize,
-    in_features: usize,
-    kind: BackendKind,
 }
 
 impl Linear {
@@ -100,34 +73,21 @@ impl Linear {
             assert_eq!(b.len(), op.output_size(), "bias length must equal out_features");
         }
         exec.warm(&op);
-        Self {
-            out_features: op.output_size(),
-            in_features: op.input_size(),
-            kind: BackendKind::of(&op.plan().spec),
-            op,
-            exec,
-            bias,
-        }
+        Self { op, exec, bias }
     }
 
     /// Full-precision layer (serial blocked GEMM).
     pub fn fp32(weight: Matrix, bias: Option<Vec<f32>>) -> Self {
-        Self::fp32_with(weight, bias, false)
-    }
-
-    /// Full-precision layer, optionally on a parallel plan (one worker per
-    /// core).
-    pub fn fp32_with(weight: Matrix, bias: Option<Vec<f32>>, parallel: bool) -> Self {
         let (m, n) = weight.shape();
         let plan = PlanBuilder::new(m, n)
             .backend(BackendSpec::Fp32Blocked)
-            .threading(if parallel { Threading::Parallel } else { Threading::Serial })
+            .threading(Threading::Serial)
             .build();
         Self::from_plan(&plan, WeightSource::Dense(&weight), bias, SharedExecutor::new())
     }
 
     /// Quantizes `weight` to `bits` binary-coding planes and runs it through
-    /// BiQGEMM with the explicit engine config `cfg`.
+    /// serial BiQGEMM with the explicit engine config `cfg`.
     pub fn quantized(
         weight: &Matrix,
         bits: usize,
@@ -135,43 +95,12 @@ impl Linear {
         cfg: BiqConfig,
         bias: Option<Vec<f32>>,
     ) -> Self {
-        Self::quantized_threaded(weight, bits, method, cfg, bias, Threading::Serial)
-    }
-
-    /// Like [`Self::quantized`] but on a parallel plan: the row-parallel
-    /// driver on one worker per core.
-    pub fn quantized_parallel(
-        weight: &Matrix,
-        bits: usize,
-        method: QuantMethod,
-        cfg: BiqConfig,
-        bias: Option<Vec<f32>>,
-    ) -> Self {
-        Self::quantized_threaded(weight, bits, method, cfg, bias, Threading::Parallel)
-    }
-
-    fn quantized_threaded(
-        weight: &Matrix,
-        bits: usize,
-        method: QuantMethod,
-        cfg: BiqConfig,
-        bias: Option<Vec<f32>>,
-        threading: Threading,
-    ) -> Self {
         let (m, n) = weight.shape();
         let plan = PlanBuilder::new(m, n)
             .backend(BackendSpec::Biq { bits, method })
             .config(cfg)
-            .threading(threading)
+            .threading(Threading::Serial)
             .build();
-        Self::from_plan(&plan, WeightSource::Dense(weight), bias, SharedExecutor::new())
-    }
-
-    /// Quantizes to `bits` planes and runs XNOR-popcount (activations are
-    /// binarised dynamically each forward).
-    pub fn xnor(weight: &Matrix, bits: usize, bias: Option<Vec<f32>>) -> Self {
-        let (m, n) = weight.shape();
-        let plan = PlanBuilder::new(m, n).backend(BackendSpec::Xnor { bits }).build();
         Self::from_plan(&plan, WeightSource::Dense(weight), bias, SharedExecutor::new())
     }
 
@@ -182,17 +111,12 @@ impl Linear {
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.out_features
+        self.op.output_size()
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Which kind of engine this layer runs on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.kind
+        self.op.input_size()
     }
 
     /// The execution plan this layer was compiled from.
@@ -221,7 +145,7 @@ impl Linear {
     /// # Panics
     /// Panics if `x.rows() != in_features`.
     pub fn forward(&self, x: &ColMatrix) -> ColMatrix {
-        assert_eq!(x.rows(), self.in_features, "input feature mismatch");
+        assert_eq!(x.rows(), self.in_features(), "input feature mismatch");
         let y = self.exec.run(&self.op, x);
         self.to_columns(y.as_slice(), x.cols())
     }
@@ -238,7 +162,7 @@ impl Linear {
     /// `layers` is empty.
     pub(crate) fn run_group(layers: &[&Linear], x: &ColMatrix) -> Matrix {
         for l in layers {
-            assert_eq!(x.rows(), l.in_features, "input feature mismatch");
+            assert_eq!(x.rows(), l.in_features(), "input feature mismatch");
         }
         let ops: Vec<&CompiledOp> = layers.iter().map(|l| &*l.op).collect();
         layers[0].exec.run_group(&ops, x)
@@ -260,7 +184,7 @@ impl Linear {
     /// as column regions on the plan's workers, each a row-blocked loop at
     /// the plan's kernel level ([`Transpose`]).
     pub(crate) fn to_columns(&self, y: &[f32], b: usize) -> ColMatrix {
-        let m = self.out_features;
+        let m = self.out_features();
         let (kernel, bias) = (self.plan().kernel, self.bias());
         let mut out = ColMatrix::zeros(m, b);
         self.for_each_col_block(out.as_mut_slice(), m, |j0, cols| {
@@ -395,12 +319,17 @@ mod tests {
         let mut g = MatrixRng::seed_from(312);
         let w = g.small_int_matrix(40, 60, 2);
         let x = g.small_int_col(60, 5, 2);
-        let ys = Linear::fp32_with(w.clone(), None, false).forward(&x);
-        let yp = Linear::fp32_with(w.clone(), None, true).forward(&x);
-        assert_eq!(ys.as_slice(), yp.as_slice());
-        let qs = Linear::quantized(&w, 1, QuantMethod::Greedy, BiqConfig::default(), None);
-        let qp = Linear::quantized_parallel(&w, 1, QuantMethod::Greedy, BiqConfig::default(), None);
-        assert_eq!(qs.forward(&x).as_slice(), qp.forward(&x).as_slice());
+        let biq = BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy };
+        for spec in [BackendSpec::Fp32Blocked, biq] {
+            let run = |threading| {
+                let plan = PlanBuilder::new(40, 60).backend(spec).threading(threading).build();
+                let l =
+                    Linear::from_plan(&plan, WeightSource::Dense(&w), None, SharedExecutor::new());
+                l.forward(&x)
+            };
+            let (ys, yp) = (run(Threading::Serial), run(Threading::Parallel));
+            assert_eq!(ys.as_slice(), yp.as_slice(), "{spec:?}");
+        }
     }
 
     #[test]
@@ -408,8 +337,8 @@ mod tests {
         let mut g = MatrixRng::seed_from(313);
         let w = g.gaussian(32, 64, 0.0, 1.0);
         let x = g.gaussian_col(64, 2, 0.0, 1.0);
-        let l = Linear::xnor(&w, 1, None);
-        assert_eq!(l.backend_kind(), BackendKind::Xnor);
+        let plan = PlanBuilder::new(32, 64).backend(BackendSpec::Xnor { bits: 1 }).build();
+        let l = Linear::from_plan(&plan, WeightSource::Dense(&w), None, SharedExecutor::new());
         let y = l.forward(&x);
         assert_eq!(y.shape(), (32, 2));
         assert!(y.as_slice().iter().all(|v| v.is_finite()));

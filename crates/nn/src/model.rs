@@ -15,11 +15,11 @@
 //!   in the manifest's `dims`.
 //!
 //! Restoring rebuilds each plan via `PlanBuilder` with the *stored*
-//! resolved threading decision, compiles packed weights that **borrow the
-//! artifact buffer** (zero payload copies — see
-//! [`biq_artifact::load_weights`]), and routes every layer through one
-//! shared executor so arenas warm to the artifact's shapes exactly as a
-//! freshly constructed model's would. The round trip is bit-identical: a
+//! resolved threading decision, binds it to packed weights that **borrow
+//! the artifact buffer** (zero payload copies — the
+//! [`biq_runtime::PackedPayload`] [`biq_artifact::load_weights`] returns),
+//! and routes every layer through one shared executor so arenas warm to
+//! the artifact's shapes exactly as a freshly constructed model's would. The round trip is bit-identical: a
 //! loaded model produces the same outputs as the model it was snapshot
 //! from, for every backend family.
 
@@ -35,7 +35,7 @@ use biq_artifact::{
 };
 use biq_matrix::store::PodStore;
 use biq_matrix::{ColMatrix, Matrix, MatrixRng};
-use biq_runtime::SharedExecutor;
+use biq_runtime::{BackendSpec, SharedExecutor};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -341,7 +341,13 @@ impl CompiledModel {
     pub fn describe(&self) -> String {
         match self {
             CompiledModel::Linear(l) => {
-                format!("linear {}x{} [{:?}]", l.out_features(), l.in_features(), l.backend_kind())
+                let family = match l.plan().spec {
+                    BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked => "Fp32",
+                    BackendSpec::Int8 => "Int8",
+                    BackendSpec::Xnor { .. } => "Xnor",
+                    BackendSpec::Biq { .. } => "Biq",
+                };
+                format!("linear {}x{} [{family}]", l.out_features(), l.in_features())
             }
             CompiledModel::Transformer(_) => {
                 let d = self.dims();

@@ -9,7 +9,7 @@
 
 use biqgemm_core::BiqArena;
 
-/// Reusable scratch shared by all [`crate::GemmBackend`] implementations.
+/// Reusable scratch shared by every kernel family a [`crate::CompiledOp`] runs.
 #[derive(Debug, Default)]
 pub struct Arena {
     /// BiQGEMM scratch, serial and parallel.

@@ -1,246 +1,36 @@
-//! The [`GemmBackend`] trait and its implementations — every kernel family
-//! in the workspace behind one dispatchable interface.
+//! [`CompiledOp`] — an [`ExecutionPlan`] bound to one kernel family's
+//! packed weights, and [`compile`], which builds it.
 //!
-//! `compile` binds an [`ExecutionPlan`] to weights, performing all one-time
-//! work (quantization, key packing, int8/xnor packing) so that
-//! [`GemmBackend::execute`] on the resulting [`CompiledOp`] is pure
-//! compute. Backends write into caller-provided row-major `m × b` buffers
-//! and draw scratch from the executor's [`Arena`]; the serial BiQGEMM and
-//! dense paths are allocation-free once the arena has warmed.
+//! `compile` performs all one-time work (quantization, key packing,
+//! int8/xnor packing) and hands the resulting [`PackedPayload`] to
+//! [`CompiledOp::new`], so executing the op is pure compute. An op writes
+//! into a caller-provided row-major `m × b` buffer and draws scratch from
+//! the executor's [`Arena`]; the serial BiQGEMM and dense paths are
+//! allocation-free once the arena has warmed.
 
 use crate::arena::Arena;
 use crate::plan::{BackendSpec, ExecutionPlan, QuantMethod};
-use biq_gemm::int8::{Int8Gemm, Int8Phases, Int8Weights};
+use biq_gemm::int8::{Int8Phases, Int8Weights};
 use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_gemm::{gemm_blocked_into, gemm_naive_into, par_gemm_blocked_into};
 use biq_matrix::{ColMatrix, Matrix, SignMatrix};
 use biq_quant::alternating::alternating_quantize_matrix_rowwise;
 use biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
-use biqgemm_core::{
-    biqgemm_group_into, biqgemm_into, BiqConfig, BiqWeights, PhaseProfile, ResolvedKernel,
-};
+use biqgemm_core::{biqgemm_group_into, biqgemm_into, BiqConfig, BiqWeights, PhaseProfile};
 
-/// A matmul kernel family bound to one weight operand.
-///
-/// Implementations hold the packed weights (dense, int8, xnor planes, or a
-/// BiQGEMM key matrix); `execute` multiplies against `x` into `y`
-/// (row-major `m × b`, overwritten), drawing every scratch buffer from
-/// `arena`.
-pub trait GemmBackend: Send + Sync {
-    /// Stable kernel-family name (reporting / benchmarks).
-    fn name(&self) -> &'static str;
-
-    /// Output size `m`.
-    fn output_size(&self) -> usize;
-
-    /// Input size `n`.
-    fn input_size(&self) -> usize;
-
-    /// `Y = W · X` into `y`.
-    ///
-    /// # Panics
-    /// Panics if `x.rows() != input_size()` or `y.len() != m · x.cols()`.
-    fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]);
-
-    /// The packed weight operand this backend computes against — the export
-    /// hook a model artifact serializes. Round trip: feeding the returned
-    /// payload back through [`compile`] (via the matching packed
-    /// [`WeightSource`]) reproduces a bit-identical op without
-    /// re-quantizing.
-    fn payload(&self) -> PackedPayload<'_>;
-}
-
-/// A borrowed view of a backend's packed weights, one variant per kernel
-/// family's storage format.
-pub enum PackedPayload<'a> {
-    /// Dense fp32 weights (fp32 naive/blocked backends).
-    Dense(&'a Matrix),
+/// A compiled op's packed weights, one variant per kernel family's storage
+/// format — what a model artifact serializes, and what
+/// [`CompiledOp::new`] binds back to a plan without re-quantizing.
+#[derive(Clone, Debug)]
+pub enum PackedPayload {
+    /// Dense fp32 weights (fp32 naive/blocked plans).
+    Dense(Matrix),
     /// Offline-quantized int8 weights.
-    Int8(&'a Int8Weights),
+    Int8(Int8Weights),
     /// Per-bit-plane packed XNOR weights.
-    Xnor(&'a XnorWeights),
+    Xnor(XnorWeights),
     /// BiQGEMM key matrix + stacked scales.
-    Biq(&'a BiqWeights),
-}
-
-struct NaiveBackend {
-    w: Matrix,
-}
-
-impl GemmBackend for NaiveBackend {
-    fn name(&self) -> &'static str {
-        "fp32_naive"
-    }
-
-    fn output_size(&self) -> usize {
-        self.w.rows()
-    }
-
-    fn input_size(&self) -> usize {
-        self.w.cols()
-    }
-
-    fn execute(
-        &self,
-        x: &ColMatrix,
-        _arena: &mut Arena,
-        profile: &mut PhaseProfile,
-        y: &mut [f32],
-    ) {
-        profile.time_query(|| gemm_naive_into(&self.w, x, y));
-    }
-
-    fn payload(&self) -> PackedPayload<'_> {
-        PackedPayload::Dense(&self.w)
-    }
-}
-
-struct BlockedBackend {
-    w: Matrix,
-    /// The plan's threading decision (`ExecutionPlan::workers`).
-    workers: Option<usize>,
-}
-
-impl GemmBackend for BlockedBackend {
-    fn name(&self) -> &'static str {
-        if self.workers.is_some() {
-            "fp32_blocked_parallel"
-        } else {
-            "fp32_blocked"
-        }
-    }
-
-    fn output_size(&self) -> usize {
-        self.w.rows()
-    }
-
-    fn input_size(&self) -> usize {
-        self.w.cols()
-    }
-
-    fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
-        profile.time_query(|| match self.workers {
-            Some(n) => {
-                par_gemm_blocked_into(&self.w, x, arena.biq.workers(), n, &mut arena.pack, y)
-            }
-            None => gemm_blocked_into(&self.w, x, &mut arena.pack, y),
-        });
-    }
-
-    fn payload(&self) -> PackedPayload<'_> {
-        PackedPayload::Dense(&self.w)
-    }
-}
-
-struct Int8Backend {
-    engine: Int8Gemm,
-    kernel: ResolvedKernel,
-}
-
-impl GemmBackend for Int8Backend {
-    fn name(&self) -> &'static str {
-        "int8"
-    }
-
-    fn output_size(&self) -> usize {
-        self.engine.weights().rows()
-    }
-
-    fn input_size(&self) -> usize {
-        self.engine.weights().cols()
-    }
-
-    fn execute(
-        &self,
-        x: &ColMatrix,
-        _arena: &mut Arena,
-        profile: &mut PhaseProfile,
-        y: &mut [f32],
-    ) {
-        // The int8 pipeline allocates its integer staging internally — it is
-        // a comparison baseline, not a serving path; its conversion phase is
-        // charged to `replace` (data-movement), the kernel to `query`.
-        let mut phases = Int8Phases::default();
-        let out = self.engine.forward_level(x, &mut phases, self.kernel);
-        profile.replace += std::time::Duration::from_secs_f64(phases.conversion_s);
-        profile.query += std::time::Duration::from_secs_f64(phases.kernel_s);
-        y.copy_from_slice(out.as_slice());
-    }
-
-    fn payload(&self) -> PackedPayload<'_> {
-        PackedPayload::Int8(self.engine.weights())
-    }
-}
-
-struct XnorBackend {
-    w: XnorWeights,
-    kernel: ResolvedKernel,
-}
-
-impl GemmBackend for XnorBackend {
-    fn name(&self) -> &'static str {
-        "xnor"
-    }
-
-    fn output_size(&self) -> usize {
-        self.w.rows()
-    }
-
-    fn input_size(&self) -> usize {
-        self.w.cols()
-    }
-
-    fn execute(
-        &self,
-        x: &ColMatrix,
-        _arena: &mut Arena,
-        profile: &mut PhaseProfile,
-        y: &mut [f32],
-    ) {
-        // Dynamic activation binarisation allocates internally (baseline
-        // path, like int8 above).
-        let out = profile.time_query(|| xnor_gemm(&self.w, x, self.kernel));
-        y.copy_from_slice(out.as_slice());
-    }
-
-    fn payload(&self) -> PackedPayload<'_> {
-        PackedPayload::Xnor(&self.w)
-    }
-}
-
-struct BiqBackend {
-    w: BiqWeights,
-    cfg: BiqConfig,
-    kernel: ResolvedKernel,
-    /// The plan's threading decision (`ExecutionPlan::workers`).
-    workers: Option<usize>,
-}
-
-impl GemmBackend for BiqBackend {
-    fn name(&self) -> &'static str {
-        if self.workers.is_some() {
-            "biqgemm_parallel"
-        } else {
-            "biqgemm"
-        }
-    }
-
-    fn output_size(&self) -> usize {
-        self.w.output_size()
-    }
-
-    fn input_size(&self) -> usize {
-        self.w.input_size()
-    }
-
-    fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
-        let arena = &mut arena.biq;
-        biqgemm_into(&self.w, x, &self.cfg, self.kernel, self.workers, profile, arena, y);
-    }
-
-    fn payload(&self) -> PackedPayload<'_> {
-        PackedPayload::Biq(&self.w)
-    }
+    Biq(BiqWeights),
 }
 
 /// Most ops one grouped BiQGEMM run takes (an attention block's Q/K/V is
@@ -283,7 +73,7 @@ pub(crate) fn execute_group(
         let mut rest = yg;
         for op in group {
             let (yo, tail) = rest.split_at_mut(op.output_size() * x.cols());
-            op.backend().execute(x, arena, profile, yo);
+            op.execute(x, arena, profile, yo);
             rest = tail;
         }
     }
@@ -317,7 +107,7 @@ pub(crate) fn biq_group<'a>(ops: &[&'a CompiledOp]) -> Option<[&'a BiqWeights; M
     Some(ws)
 }
 
-/// Where a backend's weights come from at compile time.
+/// Where an op's weights come from at compile time.
 pub enum WeightSource<'a> {
     /// Dense fp32 weights (quantized by `compile` when the spec needs it).
     Dense(&'a Matrix),
@@ -326,61 +116,155 @@ pub enum WeightSource<'a> {
     /// A raw sign matrix with unit scales (1-bit, the paper's runtime
     /// experiments).
     Signs(&'a SignMatrix),
-    /// Pre-packed BiQGEMM weights (deserialized deployments). Only valid
-    /// for [`BackendSpec::Biq`]; the plan's µ must match the packing.
+    /// Pre-packed BiQGEMM weights, bound as they are
+    /// ([`CompiledOp::new`] with [`PackedPayload::Biq`]). Only valid for
+    /// [`BackendSpec::Biq`]; the plan's µ must match the packing.
     Packed(BiqWeights),
-    /// Pre-packed XNOR planes (deserialized deployments). Only valid for
-    /// [`BackendSpec::Xnor`]; the plane count must match the spec's bits.
-    PackedXnor(XnorWeights),
-    /// Pre-quantized int8 weights (deserialized deployments). Only valid
-    /// for [`BackendSpec::Int8`].
-    PackedInt8(Int8Weights),
 }
 
 /// An [`ExecutionPlan`] bound to packed weights — ready for any
-/// [`crate::Executor`].
+/// [`crate::Executor`]. The plan is the one record of the op's kernel
+/// family, config, kernel level and worker count; the payload holds only
+/// weights.
 pub struct CompiledOp {
     plan: ExecutionPlan,
-    backend: Box<dyn GemmBackend>,
+    payload: PackedPayload,
 }
 
 impl CompiledOp {
+    /// Binds `plan` to already-packed weights (a deserialized deployment,
+    /// or [`compile`]'s output) without re-quantizing: the one place a
+    /// plan and its weights are checked against each other.
+    ///
+    /// # Panics
+    /// Panics when the payload's kernel family is not the one the plan's
+    /// spec names, when its shape disagrees with the plan, or when its
+    /// bit count (XNOR, BiQGEMM) or µ (BiQGEMM) does — an op whose plan
+    /// disagreed with its payload would snapshot to an artifact that can
+    /// never be restored.
+    pub fn new(plan: ExecutionPlan, payload: PackedPayload) -> Self {
+        let (m, n) = match (plan.spec, &payload) {
+            (BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked, PackedPayload::Dense(w)) => {
+                w.shape()
+            }
+            (BackendSpec::Int8, PackedPayload::Int8(w)) => (w.rows(), w.cols()),
+            (BackendSpec::Xnor { bits }, PackedPayload::Xnor(w)) => {
+                assert_eq!(
+                    w.bits(),
+                    bits,
+                    "packed XNOR planes carry {} bits, plan expects {bits}",
+                    w.bits()
+                );
+                (w.rows(), w.cols())
+            }
+            (BackendSpec::Biq { bits, .. }, PackedPayload::Biq(w)) => {
+                assert_eq!(
+                    w.mu(),
+                    plan.cfg.mu,
+                    "packed weights use µ = {}, plan expects µ = {}",
+                    w.mu(),
+                    plan.cfg.mu
+                );
+                assert_eq!(
+                    w.bits(),
+                    bits,
+                    "packed weights carry {} bits, plan expects {bits}",
+                    w.bits()
+                );
+                (w.output_size(), w.input_size())
+            }
+            (spec, _) => panic!("payload family does not fit backend spec {spec:?}"),
+        };
+        assert_eq!((m, n), (plan.m, plan.n), "weight shape {m}x{n} disagrees with plan");
+        Self { plan, payload }
+    }
+
     /// The plan this op was compiled from.
     pub fn plan(&self) -> &ExecutionPlan {
         &self.plan
     }
 
-    /// The packed weight payload of the bound backend (artifact export
-    /// hook; see [`GemmBackend::payload`]).
-    pub fn payload(&self) -> PackedPayload<'_> {
-        self.backend.payload()
+    /// The packed weights (the artifact export hook: feeding a clone back
+    /// through [`CompiledOp::new`] with this plan reproduces a
+    /// bit-identical op).
+    pub fn payload(&self) -> &PackedPayload {
+        &self.payload
     }
 
-    /// Kernel-family name of the bound backend.
+    /// Stable kernel-family name of the plan (reporting / benchmarks).
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        let parallel = self.plan.workers.is_some();
+        match self.plan.spec {
+            BackendSpec::Fp32Naive => "fp32_naive",
+            BackendSpec::Fp32Blocked if parallel => "fp32_blocked_parallel",
+            BackendSpec::Fp32Blocked => "fp32_blocked",
+            BackendSpec::Int8 => "int8",
+            BackendSpec::Xnor { .. } => "xnor",
+            BackendSpec::Biq { .. } if parallel => "biqgemm_parallel",
+            BackendSpec::Biq { .. } => "biqgemm",
+        }
     }
 
     /// Output size `m`.
     pub fn output_size(&self) -> usize {
-        self.backend.output_size()
+        self.plan.m
     }
 
     /// Input size `n`.
     pub fn input_size(&self) -> usize {
-        self.backend.input_size()
+        self.plan.n
     }
 
-    /// The bound backend.
-    pub fn backend(&self) -> &dyn GemmBackend {
-        self.backend.as_ref()
+    /// `Y = W · X` into `y` (row-major `m × b`, overwritten), drawing every
+    /// scratch buffer from `arena`.
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != n` or `y.len() != m · x.cols()`.
+    pub(crate) fn execute(
+        &self,
+        x: &ColMatrix,
+        arena: &mut Arena,
+        profile: &mut PhaseProfile,
+        y: &mut [f32],
+    ) {
+        let plan = &self.plan;
+        match &self.payload {
+            PackedPayload::Dense(w) => profile.time_query(|| match (plan.spec, plan.workers) {
+                (BackendSpec::Fp32Naive, _) => gemm_naive_into(w, x, y),
+                (_, Some(n)) => {
+                    par_gemm_blocked_into(w, x, arena.biq.workers(), n, &mut arena.pack, y)
+                }
+                (_, None) => gemm_blocked_into(w, x, &mut arena.pack, y),
+            }),
+            PackedPayload::Int8(w) => {
+                // The int8 pipeline allocates its integer staging
+                // internally — it is a comparison baseline, not a serving
+                // path; its conversion phase is charged to `replace`
+                // (data-movement), the kernel to `query`.
+                let mut phases = Int8Phases::default();
+                let out = w.forward_level(x, &mut phases, plan.kernel);
+                profile.replace += std::time::Duration::from_secs_f64(phases.conversion_s);
+                profile.query += std::time::Duration::from_secs_f64(phases.kernel_s);
+                y.copy_from_slice(out.as_slice());
+            }
+            PackedPayload::Xnor(w) => {
+                // Dynamic activation binarisation allocates internally
+                // (baseline path, like int8 above).
+                let out = profile.time_query(|| xnor_gemm(w, x, plan.kernel));
+                y.copy_from_slice(out.as_slice());
+            }
+            PackedPayload::Biq(w) => {
+                let arena = &mut arena.biq;
+                biqgemm_into(w, x, &plan.cfg, plan.kernel, plan.workers, profile, arena, y);
+            }
+        }
     }
 }
 
 impl std::fmt::Debug for CompiledOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledOp")
-            .field("backend", &self.backend.name())
+            .field("backend", &self.backend_name())
             .field("plan", &self.plan)
             .finish()
     }
@@ -393,132 +277,45 @@ fn quantize_dense(w: &Matrix, bits: usize, method: QuantMethod) -> MultiBitMatri
     }
 }
 
-/// Binds a plan to weights, performing all one-time quantization and
-/// packing. This is the only place dispatch from [`BackendSpec`] to a
-/// concrete kernel family happens.
+/// Binds a plan to weights: quantizes or packs them into the plan's kernel
+/// family's [`PackedPayload`], then [`CompiledOp::new`]. The int8 and
+/// fp32 families accept `Quantized` and `Signs` sources by dequantizing.
 ///
 /// # Panics
-/// Panics when the weight shape disagrees with the plan, when a packed
-/// source's µ disagrees with the plan's, or when a dense-only spec
-/// ([`BackendSpec::Int8`], fp32) is given non-dense weights that cannot be
-/// dequantized losslessly enough to stand in (int8/fp32 accept `Quantized`
-/// and `Signs` by dequantizing).
+/// Panics where [`CompiledOp::new`] does: a shape, bit count or µ that
+/// disagrees with the plan, or [`WeightSource::Packed`] on a plan that is
+/// not BiQGEMM.
 pub fn compile(plan: &ExecutionPlan, weights: WeightSource<'_>) -> CompiledOp {
-    let check = |m: usize, n: usize| {
-        assert_eq!((m, n), (plan.m, plan.n), "weight shape {m}x{n} disagrees with plan");
+    let dense = |source: WeightSource<'_>| match source {
+        WeightSource::Dense(m) => m.clone(),
+        WeightSource::Quantized(q) => q.dequantize(),
+        WeightSource::Signs(s) => s.to_f32(),
+        WeightSource::Packed(_) => unreachable!("packed weights bind as they are"),
     };
-    let dense = |w: &WeightSource<'_>| -> Matrix {
-        match w {
-            WeightSource::Dense(m) => (*m).clone(),
-            WeightSource::Quantized(q) => q.dequantize(),
-            WeightSource::Signs(s) => s.to_f32(),
-            WeightSource::Packed(_) | WeightSource::PackedXnor(_) | WeightSource::PackedInt8(_) => {
-                panic!("packed weights cannot feed a dense backend")
-            }
+    let mu = plan.cfg.mu;
+    let payload = match (plan.spec, weights) {
+        (_, WeightSource::Packed(w)) => PackedPayload::Biq(w),
+        (BackendSpec::Biq { .. }, WeightSource::Quantized(q)) => {
+            PackedPayload::Biq(BiqWeights::from_multibit(q, mu))
         }
-    };
-    let backend: Box<dyn GemmBackend> = match plan.spec {
-        BackendSpec::Fp32Naive => {
-            let w = dense(&weights);
-            check(w.rows(), w.cols());
-            Box::new(NaiveBackend { w })
+        (BackendSpec::Biq { .. }, WeightSource::Signs(s)) => {
+            PackedPayload::Biq(BiqWeights::from_signs_unscaled(s, mu))
         }
-        BackendSpec::Fp32Blocked => {
-            let w = dense(&weights);
-            check(w.rows(), w.cols());
-            Box::new(BlockedBackend { w, workers: plan.workers })
+        (BackendSpec::Biq { bits, method }, WeightSource::Dense(d)) => {
+            PackedPayload::Biq(BiqWeights::from_multibit(&quantize_dense(d, bits, method), mu))
         }
-        BackendSpec::Int8 => {
-            let engine = match weights {
-                WeightSource::PackedInt8(w) => {
-                    check(w.rows(), w.cols());
-                    Int8Gemm::from_weights(w)
-                }
-                other => {
-                    let w = dense(&other);
-                    check(w.rows(), w.cols());
-                    Int8Gemm::new(&w)
-                }
-            };
-            Box::new(Int8Backend { engine, kernel: plan.kernel })
+        (BackendSpec::Xnor { .. }, WeightSource::Quantized(q)) => {
+            PackedPayload::Xnor(XnorWeights::from_multibit(q))
         }
-        BackendSpec::Xnor { bits } => {
-            let w = match weights {
-                WeightSource::PackedXnor(w) => {
-                    assert_eq!(
-                        w.bits(),
-                        bits,
-                        "packed XNOR planes carry {} bits, plan expects {bits}",
-                        w.bits()
-                    );
-                    check(w.rows(), w.cols());
-                    w
-                }
-                WeightSource::Quantized(q) => {
-                    assert_eq!(
-                        q.bits(),
-                        bits,
-                        "quantized weights carry {} planes, plan expects {bits} \
-                         (a snapshot of this op would not restore)",
-                        q.bits()
-                    );
-                    check(q.shape().0, q.shape().1);
-                    XnorWeights::from_multibit(q)
-                }
-                other => {
-                    let q = quantize_dense(&dense(&other), bits, QuantMethod::Greedy);
-                    check(q.shape().0, q.shape().1);
-                    XnorWeights::from_multibit(&q)
-                }
-            };
-            Box::new(XnorBackend { w, kernel: plan.kernel })
-        }
-        BackendSpec::Biq { bits, method } => {
-            // The spec's bit count must agree with what the source actually
-            // carries: an op whose plan disagreed with its payload would
-            // snapshot to an artifact that can never be restored.
-            let w = match weights {
-                WeightSource::Packed(w) => {
-                    assert_eq!(
-                        w.mu(),
-                        plan.cfg.mu,
-                        "packed weights use µ = {}, plan expects µ = {}",
-                        w.mu(),
-                        plan.cfg.mu
-                    );
-                    assert_eq!(
-                        w.bits(),
-                        bits,
-                        "packed weights carry {} bits, plan expects {bits}",
-                        w.bits()
-                    );
-                    w
-                }
-                WeightSource::Quantized(q) => {
-                    assert_eq!(
-                        q.bits(),
-                        bits,
-                        "quantized weights carry {} planes, plan expects {bits}",
-                        q.bits()
-                    );
-                    BiqWeights::from_multibit(q, plan.cfg.mu)
-                }
-                WeightSource::Signs(s) => {
-                    assert_eq!(bits, 1, "sign weights are 1-bit, plan expects {bits}");
-                    BiqWeights::from_signs_unscaled(s, plan.cfg.mu)
-                }
-                WeightSource::Dense(d) => {
-                    BiqWeights::from_multibit(&quantize_dense(d, bits, method), plan.cfg.mu)
-                }
-                WeightSource::PackedXnor(_) | WeightSource::PackedInt8(_) => {
-                    panic!("foreign packed weights cannot feed a BiQGEMM backend")
-                }
-            };
-            check(w.output_size(), w.input_size());
-            Box::new(BiqBackend { w, cfg: plan.cfg, kernel: plan.kernel, workers: plan.workers })
+        (BackendSpec::Xnor { bits }, source) => PackedPayload::Xnor(XnorWeights::from_multibit(
+            &quantize_dense(&dense(source), bits, QuantMethod::Greedy),
+        )),
+        (BackendSpec::Int8, source) => PackedPayload::Int8(Int8Weights::quantize(&dense(source))),
+        (BackendSpec::Fp32Naive | BackendSpec::Fp32Blocked, source) => {
+            PackedPayload::Dense(dense(source))
         }
     };
-    CompiledOp { plan: *plan, backend }
+    CompiledOp::new(*plan, payload)
 }
 
 #[cfg(test)]
@@ -532,7 +329,7 @@ mod tests {
         let mut arena = Arena::new();
         let mut profile = PhaseProfile::new();
         let mut y = vec![0.0f32; op.output_size() * x.cols()];
-        op.backend().execute(x, &mut arena, &mut profile, &mut y);
+        op.execute(x, &mut arena, &mut profile, &mut y);
         y
     }
 
@@ -553,6 +350,10 @@ mod tests {
             let y = run(&op, &x);
             assert_eq!(y.len(), 32 * 3);
             assert!(y.iter().all(|v| v.is_finite()), "{}", op.backend_name());
+            // The plan plus a copy of the payload is the same op, bit for bit.
+            let rebuilt = CompiledOp::new(*op.plan(), op.payload().clone());
+            let bits = |y: Vec<f32>| y.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(run(&rebuilt, &x)), bits(y), "{}", op.backend_name());
         }
     }
 
@@ -673,5 +474,26 @@ mod tests {
             .config(BiqConfig::with_mu(8))
             .build();
         let _ = compile(&plan, WeightSource::Packed(packed));
+    }
+
+    #[test]
+    #[should_panic(expected = "packed weights carry 1 bits, plan expects 2")]
+    fn packed_bits_mismatch_rejected() {
+        let packed = BiqWeights::from_signs_unscaled(&SignMatrix::ones(4, 16), 8);
+        let plan = PlanBuilder::new(4, 16)
+            .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+            .config(BiqConfig::with_mu(8))
+            .build();
+        let _ = CompiledOp::new(plan, PackedPayload::Biq(packed));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload family does not fit backend spec Biq")]
+    fn packed_family_mismatch_rejected() {
+        let q = greedy_quantize_matrix_rowwise(&Matrix::zeros(4, 16), 1);
+        let plan = PlanBuilder::new(4, 16)
+            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+            .build();
+        let _ = CompiledOp::new(plan, PackedPayload::Xnor(XnorWeights::from_multibit(&q)));
     }
 }

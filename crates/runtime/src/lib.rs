@@ -10,9 +10,10 @@
 //!   shapes, kernel level, worker count, and the scratch-buffer sizes it
 //!   implies (built by [`PlanBuilder`], which extends
 //!   `biqgemm_core::planner`);
-//! * a [`CompiledOp`] — a plan bound to packed weights via the
-//!   [`GemmBackend`] trait (one impl per kernel family: naive / blocked /
-//!   int8 / xnor dense paths, serial and parallel BiQGEMM);
+//! * a [`CompiledOp`] — a plan plus one kernel family's packed weights
+//!   ([`PackedPayload`]: dense fp32 for the naive / blocked paths, int8,
+//!   xnor planes, or BiQGEMM keys); its one `execute` dispatches on the
+//!   payload and reads µ, tiles, kernel level and workers from the plan;
 //! * an [`Executor`] — the *stateful runner*: owns a reusable [`Arena`]
 //!   (LUT bank, accumulators, DP steps, input-pack panel, and the
 //!   persistent [`WorkerSet`] parallel plans run on) and runs any compiled
@@ -21,11 +22,13 @@
 //!   serving regime cares about.
 //!
 //! ```text
-//!  shapes, batch, budget          weights (dense / quantized / packed)
+//!  shapes, batch, budget          weights (dense / quantized / signs)
 //!          │                                  │
-//!     PlanBuilder ──► ExecutionPlan ──► compile() ──► CompiledOp
-//!                                                        │
-//!                        Executor::run(&op, x) ──────────┘
+//!     PlanBuilder ──► ExecutionPlan ──► compile(): quantize / pack
+//!                                             │
+//!                       PackedPayload ──► CompiledOp::new(plan, payload)
+//!        (or one loaded from an artifact)            │
+//!                        Executor::run(&op, x) ──────┘
 //!                          │ owns Arena {LUT bank, acc, steps, pack}
 //!                          ▼
 //!                        Y = W·X
@@ -59,7 +62,7 @@ pub mod executor;
 pub mod plan;
 
 pub use arena::Arena;
-pub use backends::{compile, CompiledOp, GemmBackend, PackedPayload, WeightSource};
+pub use backends::{compile, CompiledOp, PackedPayload, WeightSource};
 pub use executor::{Executor, SharedExecutor};
 pub use plan::{BackendSpec, ExecutionPlan, PlanBuilder, QuantMethod};
 
