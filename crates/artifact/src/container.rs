@@ -21,14 +21,14 @@
 //! ```
 //!
 //! Sections are raw little-endian element arrays. The 64-byte alignment is
-//! the load-bearing property: a loaded file is one [`Bytes`] buffer, and
+//! the load-bearing property: a loaded file is one shared `Arc<[u8]>`, and
 //! every section can be reinterpreted in place as `&[u8]`/`&[f32]`/`&[u64]`
 //! ([`Artifact::section_view`]) — loading is a validation pass plus a
 //! handful of plan rebuilds, never a payload copy.
 
 use biq_matrix::store::{Pod, PodCastError, PodView};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic of a compiled-model artifact.
 pub const MAGIC_MODEL: &[u8; 4] = b"BIQM";
@@ -239,69 +239,56 @@ impl ArtifactBuilder {
     }
 
     /// Seals the container around `manifest` and returns the file bytes.
-    pub fn finish(self, manifest: &[u8]) -> Bytes {
-        // Layout: header | aligned sections | manifest | TOC.
-        let mut body = BytesMut::new();
-        let mut infos = Vec::with_capacity(self.sections.len());
-        let mut cursor = HEADER_LEN;
+    pub fn finish(self, manifest: &[u8]) -> Vec<u8> {
+        // Layout: header | aligned sections | manifest | TOC. The header
+        // is written zeroed and its fields patched in once the rest is laid.
+        let count = self.sections.len();
+        let payloads: usize = self.sections.iter().map(|s| s.3.len() + SECTION_ALIGN).sum();
+        let mut file =
+            Vec::with_capacity(HEADER_LEN + payloads + manifest.len() + count * TOC_ENTRY_LEN);
+        file.resize(HEADER_LEN, 0);
+        let mut toc = Vec::with_capacity(count * TOC_ENTRY_LEN);
         for (kind, elem, layer, payload) in &self.sections {
-            let aligned = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-            for _ in cursor..aligned {
-                body.put_u8(0);
+            file.resize(file.len().next_multiple_of(SECTION_ALIGN), 0);
+            for field in [*kind, *elem as u32, *layer, 0] {
+                toc.extend_from_slice(&field.to_le_bytes());
             }
-            cursor = aligned;
-            infos.push(SectionInfo {
-                kind: *kind,
-                elem: *elem,
-                layer: *layer,
-                offset: cursor as u64,
-                len: payload.len() as u64,
-                checksum: fnv1a64(payload),
-            });
-            body.put_slice(payload);
-            cursor += payload.len();
+            for field in [file.len() as u64, payload.len() as u64, fnv1a64(payload)] {
+                toc.extend_from_slice(&field.to_le_bytes());
+            }
+            file.extend_from_slice(payload);
         }
-        let manifest_off = cursor as u64;
-        body.put_slice(manifest);
-        cursor += manifest.len();
-        let toc_off = cursor as u64;
-        for info in &infos {
-            body.put_u32_le(info.kind);
-            body.put_u32_le(info.elem as u32);
-            body.put_u32_le(info.layer);
-            body.put_u32_le(0);
-            body.put_u64_le(info.offset);
-            body.put_u64_le(info.len);
-            body.put_u64_le(info.checksum);
-        }
-        cursor += infos.len() * TOC_ENTRY_LEN;
-
-        let mut file = BytesMut::with_capacity(cursor);
-        file.put_slice(MAGIC_MODEL);
-        file.put_u16_le(VERSION);
-        file.put_u16_le(0);
-        file.put_u64_le(cursor as u64);
-        file.put_u64_le(manifest_off);
-        file.put_u64_le(manifest.len() as u64);
-        file.put_u64_le(toc_off);
-        file.put_u32_le(infos.len() as u32);
-        file.put_u32_le(0);
-        // The body checksum covers manifest + TOC only; each section is
-        // covered by its own TOC checksum, so loading hashes every payload
-        // byte exactly once.
-        file.put_u64_le(fnv1a64(&body[manifest_off as usize - HEADER_LEN..]));
-        file.put_slice(&[0u8; 8]);
-        debug_assert_eq!(file.len(), HEADER_LEN);
-        file.put_slice(&body);
-        file.freeze()
+        let manifest_off = file.len();
+        file.extend_from_slice(manifest);
+        let toc_off = file.len();
+        file.extend_from_slice(&toc);
+        let fields: [&[u8]; 10] = [
+            MAGIC_MODEL,
+            &VERSION.to_le_bytes(),
+            &[0; 2],
+            &(file.len() as u64).to_le_bytes(),
+            &(manifest_off as u64).to_le_bytes(),
+            &(manifest.len() as u64).to_le_bytes(),
+            &(toc_off as u64).to_le_bytes(),
+            &(count as u32).to_le_bytes(),
+            &[0; 4],
+            // The body checksum covers manifest + TOC only; each section is
+            // covered by its own TOC checksum, so loading hashes every
+            // payload byte exactly once.
+            &fnv1a64(&file[manifest_off..]).to_le_bytes(),
+        ];
+        let header = fields.concat();
+        debug_assert_eq!(header.len() + 8, HEADER_LEN, "the header ends in 8 zero bytes");
+        file[..header.len()].copy_from_slice(&header);
+        file
     }
 }
 
 /// A validated, loaded `BIQM` container. Every accessor hands out views
-/// into the one owned buffer.
+/// into the one shared buffer.
 #[derive(Debug)]
 pub struct Artifact {
-    data: Bytes,
+    data: Arc<[u8]>,
     sections: Vec<SectionInfo>,
     manifest_off: usize,
     manifest_len: usize,
@@ -310,34 +297,31 @@ pub struct Artifact {
 impl Artifact {
     /// Validates `data` as a `BIQM` file: magic, version, bounds, the
     /// whole-body checksum, and every TOC entry (alignment, bounds, payload
-    /// checksum). No payload is copied.
-    pub fn from_bytes(data: Bytes) -> Result<Self, ArtifactError> {
+    /// checksum). No payload is copied: the artifact keeps `data` and
+    /// hands out views into it.
+    pub fn from_bytes(data: impl Into<Arc<[u8]>>) -> Result<Self, ArtifactError> {
+        let data: Arc<[u8]> = data.into();
         if data.len() < HEADER_LEN {
             return Err(ArtifactError::Truncated);
         }
-        let mut hdr = data.clone();
-        let mut magic = [0u8; 4];
-        hdr.copy_to_slice(&mut magic);
+        let magic = le::<4>(&data, 0);
         if &magic != MAGIC_MODEL {
             return Err(ArtifactError::BadMagic(magic));
         }
-        let version = hdr.get_u16_le();
+        let version = u16::from_le_bytes(le(&data, 4));
         if version != VERSION {
             return Err(ArtifactError::BadVersion(version));
         }
-        let reserved = hdr.get_u16_le();
-        let file_len = hdr.get_u64_le() as usize;
-        let manifest_off = hdr.get_u64_le() as usize;
-        let manifest_len = hdr.get_u64_le() as usize;
-        let toc_off = hdr.get_u64_le() as usize;
-        let toc_count = hdr.get_u32_le() as usize;
-        let reserved2 = hdr.get_u32_le();
-        let checksum = hdr.get_u64_le();
-        let mut padding = [0u8; 8];
-        hdr.copy_to_slice(&mut padding);
+        let u64_at = |at| u64::from_le_bytes(le(&data, at)) as usize;
+        let (file_len, manifest_off, manifest_len) = (u64_at(8), u64_at(16), u64_at(24));
+        let toc_off = u64_at(32);
+        let toc_count = u32::from_le_bytes(le(&data, 40)) as usize;
+        let checksum = u64::from_le_bytes(le(&data, 48));
         // The header sits outside the body checksum; its reserved bytes
-        // must be zero so a bit flip anywhere in the file is detectable.
-        if reserved != 0 || reserved2 != 0 || padding != [0u8; 8] {
+        // (6..8, 44..48 and the padding 56..64) must be zero so a bit flip
+        // anywhere in the file is detectable.
+        let reserved = [&data[6..8], &data[44..48], &data[56..HEADER_LEN]];
+        if reserved.into_iter().flatten().any(|&b| b != 0) {
             return Err(ArtifactError::Corrupt("reserved header bytes must be zero".into()));
         }
 
@@ -377,22 +361,19 @@ impl Artifact {
         if toc_end != file_len {
             return Err(ArtifactError::Corrupt("TOC must end the file".into()));
         }
-        if fnv1a64(&data.as_ref()[manifest_off..file_len]) != checksum {
+        if fnv1a64(&data[manifest_off..file_len]) != checksum {
             return Err(ArtifactError::ChecksumMismatch { what: "file body".into() });
         }
 
-        let raw = data.as_ref();
-        let mut toc = data.slice(toc_off..toc_end);
+        let raw = &data[..];
         let mut sections = Vec::with_capacity(toc_count);
         let mut cursor = HEADER_LEN;
-        for idx in 0..toc_count {
-            let kind = toc.get_u32_le();
-            let elem = ElemKind::from_u32(toc.get_u32_le())?;
-            let layer = toc.get_u32_le();
-            let _reserved = toc.get_u32_le();
-            let offset = toc.get_u64_le();
-            let len = toc.get_u64_le();
-            let sec_checksum = toc.get_u64_le();
+        for (idx, entry) in raw[toc_off..toc_end].chunks_exact(TOC_ENTRY_LEN).enumerate() {
+            let u32_at = |at| u32::from_le_bytes(le(entry, at));
+            let u64_at = |at| u64::from_le_bytes(le(entry, at));
+            let (kind, layer) = (u32_at(0), u32_at(8));
+            let elem = ElemKind::from_u32(u32_at(4))?;
+            let (offset, len, sec_checksum) = (u64_at(16), u64_at(24), u64_at(32));
             let off = offset as usize;
             let end = off
                 .checked_add(len as usize)
@@ -429,11 +410,11 @@ impl Artifact {
 
     /// Reads and validates an artifact file.
     pub fn open(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        Self::from_bytes(Bytes::from(std::fs::read(path)?))
+        Self::from_bytes(std::fs::read(path)?)
     }
 
     /// The whole file buffer (for pointer-identity checks and re-serving).
-    pub fn as_bytes(&self) -> &Bytes {
+    pub fn as_bytes(&self) -> &[u8] {
         &self.data
     }
 
@@ -454,10 +435,15 @@ impl Artifact {
         &self.sections
     }
 
-    /// Raw payload of section `id` — a zero-copy slice of the file buffer.
-    pub fn section_bytes(&self, id: SectionId) -> Result<Bytes, ArtifactError> {
+    /// Raw payload of section `id` — a slice of the file buffer.
+    pub fn section_bytes(&self, id: SectionId) -> Result<&[u8], ArtifactError> {
+        Ok(&self.data[self.section_range(id)?])
+    }
+
+    /// Byte range of section `id` within the file buffer.
+    fn section_range(&self, id: SectionId) -> Result<std::ops::Range<usize>, ArtifactError> {
         let info = self.section(id)?;
-        Ok(self.data.slice(info.offset as usize..(info.offset + info.len) as usize))
+        Ok(info.offset as usize..(info.offset + info.len) as usize)
     }
 
     /// Typed zero-copy view of section `id`; the element kind in the TOC
@@ -480,20 +466,25 @@ impl Artifact {
                 id.0
             )));
         }
-        Ok(PodView::new(self.section_bytes(id)?)?)
+        Ok(PodView::new(Arc::clone(&self.data), self.section_range(id)?)?)
     }
 
     /// The manifest payload.
-    pub fn manifest_bytes(&self) -> Bytes {
-        self.data.slice(self.manifest_off..self.manifest_off + self.manifest_len)
+    pub fn manifest_bytes(&self) -> &[u8] {
+        &self.data[self.manifest_off..self.manifest_off + self.manifest_len]
     }
+}
+
+/// The `N` bytes of `buf` at `at`; the caller has checked the length.
+fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    buf[at..at + N].try_into().expect("length checked by the caller")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn two_section_file() -> Bytes {
+    fn two_section_file() -> Vec<u8> {
         let mut b = ArtifactBuilder::new();
         let payload: Vec<u8> = (0u16..100).flat_map(|v| v.to_le_bytes()).collect();
         b.add_section(1, ElemKind::U16, 0, payload);
@@ -506,7 +497,7 @@ mod tests {
         let file = two_section_file();
         let a = Artifact::from_bytes(file).unwrap();
         assert_eq!(a.section_count(), 2);
-        assert_eq!(a.manifest_bytes().as_ref(), b"MANIFEST!");
+        assert_eq!(a.manifest_bytes(), b"MANIFEST!");
         let s0 = a.section(SectionId(0)).unwrap();
         assert_eq!(s0.kind, 1);
         assert_eq!(s0.offset % SECTION_ALIGN as u64, 0);
@@ -519,7 +510,7 @@ mod tests {
     #[test]
     fn section_views_point_into_the_file_buffer() {
         let a = Artifact::from_bytes(two_section_file()).unwrap();
-        let base = a.as_bytes().as_ref().as_ptr() as usize;
+        let base = a.as_bytes().as_ptr() as usize;
         let end = base + a.as_bytes().len();
         let view = a.section_view::<u16>(SectionId(0), ElemKind::U16).unwrap();
         let p = view.as_slice().as_ptr() as usize;
@@ -528,37 +519,43 @@ mod tests {
 
     #[test]
     fn bit_flip_anywhere_is_detected() {
-        let file = two_section_file().to_vec();
+        let file = two_section_file();
         for idx in [4usize, 20, HEADER_LEN + 3, file.len() - 2] {
             let mut corrupt = file.clone();
             corrupt[idx] ^= 0x40;
-            assert!(
-                Artifact::from_bytes(Bytes::from(corrupt)).is_err(),
-                "flip at byte {idx} must be caught"
-            );
+            assert!(Artifact::from_bytes(corrupt).is_err(), "flip at byte {idx} must be caught");
         }
     }
 
     #[test]
     fn truncation_is_detected() {
-        let file = two_section_file().to_vec();
+        let file = two_section_file();
         for cut in [0usize, 3, HEADER_LEN - 1, HEADER_LEN + 10, file.len() - 1] {
-            let t = Bytes::from(file[..cut].to_vec());
-            assert!(Artifact::from_bytes(t).is_err(), "cut at {cut} must fail");
+            assert!(Artifact::from_bytes(&file[..cut]).is_err(), "cut at {cut} must fail");
         }
     }
 
     #[test]
     fn wrong_magic_and_version_rejected() {
-        let file = two_section_file().to_vec();
+        let file = two_section_file();
         let mut m = file.clone();
         m[0] = b'X';
-        assert!(matches!(Artifact::from_bytes(Bytes::from(m)), Err(ArtifactError::BadMagic(_))));
+        assert!(matches!(Artifact::from_bytes(m), Err(ArtifactError::BadMagic(_))));
         // A version flip also perturbs the file bytes, but the header is
         // outside the checksum region, so the version check fires first.
         let mut v = file;
         v[4] = 99;
-        assert!(matches!(Artifact::from_bytes(Bytes::from(v)), Err(ArtifactError::BadVersion(99))));
+        assert!(matches!(Artifact::from_bytes(v), Err(ArtifactError::BadVersion(99))));
+    }
+
+    #[test]
+    fn nan_bits_preserved() {
+        let bits = [0x7FC0_1234u32, 0xFFA0_0001, 0x7F80_0001];
+        let mut b = ArtifactBuilder::new();
+        b.add_f32_section(1, 0, &bits.map(f32::from_bits));
+        let a = Artifact::from_bytes(b.finish(b"")).unwrap();
+        let view = a.section_view::<f32>(SectionId(0), ElemKind::F32).unwrap();
+        assert_eq!(view.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use crate::container::{ArtifactError, SectionId};
 use biq_runtime::{BackendSpec, QuantMethod};
 use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Section `kind` tags referenced by manifests (free-form u32 namespace of
 /// the container TOC).
@@ -194,73 +193,45 @@ fn bad(msg: impl Into<String>) -> ArtifactError {
 
 // ---------------------------------------------------------------- encoding
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_spec(buf: &mut BytesMut, spec: &BackendSpec) {
-    match spec {
-        BackendSpec::Fp32Naive => {
-            buf.put_u8(0);
-            buf.put_u8(0);
-            buf.put_u8(0);
-            buf.put_u32_le(0);
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn put_spec(buf: &mut Vec<u8>, spec: &BackendSpec) {
+    let (tag, bits, method, iters) = match *spec {
+        BackendSpec::Fp32Naive => (0, 0, 0, 0),
+        BackendSpec::Fp32Blocked => (1, 0, 0, 0),
+        BackendSpec::Int8 => (2, 0, 0, 0),
+        BackendSpec::Xnor { bits } => (3, bits, 0, 0),
+        BackendSpec::Biq { bits, method: QuantMethod::Greedy } => (4, bits, 0, 0),
+        BackendSpec::Biq { bits, method: QuantMethod::Alternating { iters } } => {
+            (4, bits, 1, iters)
         }
-        BackendSpec::Fp32Blocked => {
-            buf.put_u8(1);
-            buf.put_u8(0);
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-        }
-        BackendSpec::Int8 => {
-            buf.put_u8(2);
-            buf.put_u8(0);
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-        }
-        BackendSpec::Xnor { bits } => {
-            buf.put_u8(3);
-            buf.put_u8(*bits as u8);
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-        }
-        BackendSpec::Biq { bits, method } => {
-            buf.put_u8(4);
-            buf.put_u8(*bits as u8);
-            match method {
-                QuantMethod::Greedy => {
-                    buf.put_u8(0);
-                    buf.put_u32_le(0);
-                }
-                QuantMethod::Alternating { iters } => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(*iters as u32);
-                }
-            }
-        }
+    };
+    buf.extend_from_slice(&[tag, bits as u8, method]);
+    put_u32(buf, iters as u32);
+}
+
+fn put_cfg(buf: &mut Vec<u8>, cfg: &BiqConfig) {
+    buf.push(cfg.mu as u8);
+    for dim in [cfg.tile_rows, cfg.tile_chunks, cfg.tile_batch] {
+        put_u32(buf, dim as u32);
     }
-}
-
-fn put_cfg(buf: &mut BytesMut, cfg: &BiqConfig) {
-    buf.put_u8(cfg.mu as u8);
-    buf.put_u32_le(cfg.tile_rows as u32);
-    buf.put_u32_le(cfg.tile_chunks as u32);
-    buf.put_u32_le(cfg.tile_batch as u32);
-    // The LUT build, LUT layout and schedule bytes keep their places, their
-    // values retired: Algorithm 1 is the only build, the layout follows
-    // each tile's width and row-parallel is the only parallel driver, so
-    // all three are always 0 (see `cfg` below).
-    buf.put_u8(0);
-    buf.put_u8(0);
-    buf.put_u8(0);
     let (req_tag, req_level) = match cfg.kernel {
         KernelRequest::Auto => (0u8, 0u8),
         KernelRequest::Exact(l) => (1, level_to_u8(l)),
         KernelRequest::AtMost(l) => (2, level_to_u8(l)),
     };
-    buf.put_u8(req_tag);
-    buf.put_u8(req_level);
+    // The LUT build, LUT layout and schedule bytes keep their places, their
+    // values retired: Algorithm 1 is the only build, the layout follows
+    // each tile's width and row-parallel is the only parallel driver, so
+    // all three are always 0 (see `cfg` below).
+    buf.extend_from_slice(&[0, 0, 0, req_tag, req_level]);
 }
 
 fn level_to_u8(l: KernelLevel) -> u8 {
@@ -282,73 +253,56 @@ fn level_from_u8(v: u8) -> Result<KernelLevel, ArtifactError> {
     })
 }
 
-fn put_payload(buf: &mut BytesMut, payload: &PayloadRefs) {
-    match payload {
-        PayloadRefs::Dense { dense } => {
-            buf.put_u8(0);
-            buf.put_u32_le(dense.0);
-        }
-        PayloadRefs::Biq { keys, scales } => {
-            buf.put_u8(1);
-            buf.put_u32_le(keys.0);
-            buf.put_u32_le(scales.0);
-        }
+fn put_payload(buf: &mut Vec<u8>, payload: &PayloadRefs) {
+    let (tag, ids) = match payload {
+        PayloadRefs::Dense { dense } => (0, vec![dense.0]),
+        PayloadRefs::Biq { keys, scales } => (1, vec![keys.0, scales.0]),
         PayloadRefs::Xnor { planes } => {
-            buf.put_u8(2);
-            buf.put_u32_le(planes.len() as u32);
-            for (scales, words) in planes {
-                buf.put_u32_le(scales.0);
-                buf.put_u32_le(words.0);
-            }
+            let ids = planes.iter().flat_map(|(scales, words)| [scales.0, words.0]);
+            (2, [planes.len() as u32].into_iter().chain(ids).collect())
         }
-        PayloadRefs::Int8 { data, scales } => {
-            buf.put_u8(3);
-            buf.put_u32_le(data.0);
-            buf.put_u32_le(scales.0);
-        }
-    }
+        PayloadRefs::Int8 { data, scales } => (3, vec![data.0, scales.0]),
+    };
+    buf.push(tag);
+    ids.into_iter().for_each(|id| put_u32(buf, id));
 }
 
 impl ModelManifest {
     /// Serializes the manifest (the byte payload the container stores).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u8(self.kind.to_u8());
-        buf.put_u32_le(self.dims.len() as u32);
-        for &d in &self.dims {
-            buf.put_u64_le(d);
-        }
-        buf.put_u32_le(self.params.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = vec![self.kind.to_u8()];
+        put_u32(&mut buf, self.dims.len() as u32);
+        self.dims.iter().for_each(|d| buf.extend_from_slice(&d.to_le_bytes()));
+        put_u32(&mut buf, self.params.len() as u32);
         for (name, id) in &self.params {
             put_string(&mut buf, name);
-            buf.put_u32_le(id.0);
+            put_u32(&mut buf, id.0);
         }
-        buf.put_u32_le(self.layers.len() as u32);
+        put_u32(&mut buf, self.layers.len() as u32);
         for layer in &self.layers {
             put_string(&mut buf, &layer.name);
-            buf.put_u64_le(layer.m as u64);
-            buf.put_u64_le(layer.n as u64);
-            buf.put_u64_le(layer.batch_hint as u64);
+            for dim in [layer.m, layer.n, layer.batch_hint] {
+                buf.extend_from_slice(&(dim as u64).to_le_bytes());
+            }
             put_spec(&mut buf, &layer.spec);
             put_cfg(&mut buf, &layer.cfg);
-            buf.put_u8(u8::from(layer.parallel));
-            buf.put_u8(level_to_u8(layer.kernel));
+            buf.extend_from_slice(&[u8::from(layer.parallel), level_to_u8(layer.kernel)]);
             match layer.bias {
                 Some(id) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(id.0);
+                    buf.push(1);
+                    put_u32(&mut buf, id.0);
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
             put_payload(&mut buf, &layer.payload);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a manifest payload. Hostile input yields
     /// [`ArtifactError::Manifest`] — never a panic or an oversized
     /// allocation.
-    pub fn decode(data: Bytes) -> Result<Self, ArtifactError> {
+    pub fn decode(data: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = Reader(data);
         let kind = ModelKind::from_u8(r.u8()?)?;
         let dim_count = r.count("dims", 8)?;
@@ -367,8 +321,8 @@ impl ModelManifest {
         for _ in 0..layer_count {
             layers.push(r.layer()?);
         }
-        if r.0.remaining() != 0 {
-            return Err(bad(format!("{} trailing manifest bytes", r.0.remaining())));
+        if !r.0.is_empty() {
+            return Err(bad(format!("{} trailing manifest bytes", r.0.len())));
         }
         Ok(Self { kind, dims, params, layers })
     }
@@ -376,32 +330,34 @@ impl ModelManifest {
 
 // ---------------------------------------------------------------- decoding
 
-/// Bounds-checked little-endian reader (the `Buf` accessors panic on
-/// underflow; hostile input must instead surface errors).
-struct Reader(Bytes);
+/// Bounds-checked little-endian cursor over the unread bytes: a read past
+/// the end is an error, never a panic.
+struct Reader<'a>(&'a [u8]);
 
-impl Reader {
-    fn need(&self, n: usize) -> Result<(), ArtifactError> {
-        if self.0.remaining() < n {
-            Err(bad("manifest truncated"))
-        } else {
-            Ok(())
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
+        if self.0.len() < n {
+            return Err(bad("manifest truncated"));
         }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ArtifactError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
     }
 
     fn u8(&mut self) -> Result<u8, ArtifactError> {
-        self.need(1)?;
-        Ok(self.0.get_u8())
+        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, ArtifactError> {
-        self.need(4)?;
-        Ok(self.0.get_u32_le())
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, ArtifactError> {
-        self.need(8)?;
-        Ok(self.0.get_u64_le())
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an entry count and bounds it by the bytes actually present
@@ -409,7 +365,7 @@ impl Reader {
     /// count cannot drive allocation.
     fn count(&mut self, what: &str, min_entry_bytes: usize) -> Result<usize, ArtifactError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(min_entry_bytes) > self.0.remaining() {
+        if n.saturating_mul(min_entry_bytes) > self.0.len() {
             return Err(bad(format!("{what} count {n} exceeds manifest size")));
         }
         Ok(n)
@@ -420,10 +376,8 @@ impl Reader {
         if len > 4096 {
             return Err(bad(format!("string length {len} too large")));
         }
-        self.need(len)?;
-        let mut raw = vec![0u8; len];
-        self.0.copy_to_slice(&mut raw);
-        String::from_utf8(raw).map_err(|_| bad("string is not UTF-8"))
+        let raw = self.take(len)?;
+        std::str::from_utf8(raw).map(str::to_owned).map_err(|_| bad("string is not UTF-8"))
     }
 
     fn spec(&mut self) -> Result<BackendSpec, ArtifactError> {
@@ -601,7 +555,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let m = sample();
-        let rt = ModelManifest::decode(m.encode()).unwrap();
+        let rt = ModelManifest::decode(&m.encode()).unwrap();
         assert_eq!(rt.kind, m.kind);
         assert_eq!(rt.dims, m.dims);
         assert_eq!(rt.params, m.params);
@@ -625,22 +579,22 @@ mod tests {
     fn truncations_error_never_panic() {
         let enc = sample().encode();
         for cut in 0..enc.len() {
-            assert!(ModelManifest::decode(enc.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(ModelManifest::decode(&enc[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn oversized_counts_rejected_without_allocation() {
-        let mut raw = sample().encode().to_vec();
+        let mut raw = sample().encode();
         // dims count lives at offset 1 (after the kind byte).
         raw[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(ModelManifest::decode(Bytes::from(raw)).is_err());
+        assert!(ModelManifest::decode(&raw).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut raw = sample().encode().to_vec();
+        let mut raw = sample().encode();
         raw.push(0);
-        assert!(ModelManifest::decode(Bytes::from(raw)).is_err());
+        assert!(ModelManifest::decode(&raw).is_err());
     }
 }

@@ -148,10 +148,7 @@ fn version_2_files_are_refused_with_bad_version() {
     let mut builder = ArtifactBuilder::new();
     let lm = snapshot_layer(&mut builder, 0, "fc", &biq_op(4, 16, 8, 9400), None);
     let (artifact, _) = one_layer_artifact(builder, lm);
-    let mut old = artifact.as_bytes().as_ref().to_vec();
+    let mut old = artifact.as_bytes().to_vec();
     old[4..6].copy_from_slice(&2u16.to_le_bytes());
-    assert!(matches!(
-        Artifact::from_bytes(bytes::Bytes::from(old)),
-        Err(ArtifactError::BadVersion(2))
-    ));
+    assert!(matches!(Artifact::from_bytes(old), Err(ArtifactError::BadVersion(2))));
 }

@@ -90,7 +90,6 @@
 //! (`biq_runtime::{PlanBuilder, compile, Executor}` wrap exactly this; see
 //! that crate's docs for the application-level quick start.)
 
-pub mod actquant;
 pub mod arena;
 pub mod complexity;
 pub mod config;

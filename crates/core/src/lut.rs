@@ -79,7 +79,6 @@ pub fn dp_op_count(l: usize) -> usize {
 mod tests {
     use super::*;
     use biq_matrix::MatrixRng;
-    use rand::Rng as _;
 
     #[test]
     fn dp_matches_bruteforce_for_all_lengths() {
@@ -101,7 +100,7 @@ mod tests {
         // Integer inputs: DP and brute force must agree bit-exactly.
         let mut g = MatrixRng::seed_from(201);
         for l in [1usize, 4, 8] {
-            let x: Vec<f32> = (0..l).map(|_| g.rng().random_range(-8i32..=8) as f32).collect();
+            let x = g.small_int_col(l, 1, 8).into_vec();
             let mut dp = vec![0.0f32; 1 << l];
             let mut bf = vec![0.0f32; 1 << l];
             build_lut_dp(&x, &mut dp);
@@ -188,7 +187,7 @@ mod tests {
         for mu in [1usize, 3, 8, 12] {
             // Four full chunks and a ragged fifth (µ = 1 has no ragged one).
             let n = 4 * mu + mu.div_ceil(2);
-            let ints: Vec<f32> = (0..n).map(|_| g.rng().random_range(-8i32..=8) as f32).collect();
+            let ints = g.small_int_col(n, 1, 8).into_vec();
             for (x, exact_products) in [(g.gaussian_vec(n), false), (ints, true)] {
                 for level in crate::simd::supported_levels() {
                     let k = crate::simd::KernelRequest::Exact(level).resolve().unwrap();

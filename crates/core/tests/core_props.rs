@@ -1,8 +1,7 @@
 //! Property tests for the BiQGEMM engine beyond the workspace-level suite:
-//! Eq. 3 identities, planner feasibility, and cost-model sanity.
+//! planner feasibility, cost-model sanity and tiling invariance.
 
 use biq_matrix::{ColMatrix, MatrixRng};
-use biqgemm_core::actquant::{biqgemm_quantized_activations, QuantizedActivations};
 use biqgemm_core::complexity::{biqgemm_ops, eq9_factor, gemm_ops, optimal_mu};
 use biqgemm_core::planner::plan;
 use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, PhaseProfile};
@@ -19,27 +18,6 @@ fn run(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, workers: Option<usize>) -
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Eq. 3 with pre-quantized activations equals plain BiQGEMM on the
-    /// dequantized activations (the identity is exact; only f32 rounding
-    /// from reordering differs).
-    #[test]
-    fn eq3_identity(
-        (m, n, b) in (2usize..=16, 4usize..=32, 1usize..=4),
-        bits_a in 1usize..=3,
-        seed in any::<u64>(),
-    ) {
-        let mut g = MatrixRng::seed_from(seed);
-        let w = BiqWeights::from_signs_unscaled(&g.signs(m, n), 4);
-        let x = g.gaussian_col(n, b, 0.0, 1.0);
-        let xq = QuantizedActivations::quantize(&x, bits_a);
-        let cfg = BiqConfig::with_mu(4);
-        let y_eq3 = biqgemm_quantized_activations(&w, &xq, &cfg);
-        let y_deq = run(&w, &xq.dequantize(), &cfg, None);
-        for (a, bv) in y_eq3.as_slice().iter().zip(&y_deq) {
-            prop_assert!((a - bv).abs() <= 1e-3 * (1.0 + bv.abs()), "{} vs {}", a, bv);
-        }
-    }
 
     /// The planner always returns a valid config whose LUT tile fits the
     /// budget and whose µ never exceeds the input size.

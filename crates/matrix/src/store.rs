@@ -1,15 +1,15 @@
 //! Shared typed storage over byte buffers — the substrate of zero-copy
 //! artifact loading.
 //!
-//! A compiled-model artifact is one owned byte buffer ([`bytes::Bytes`]);
-//! every packed payload inside it (keys, scales, sign planes, dense
-//! weights) is a *view* into that buffer, not a fresh allocation. Two types
-//! carry that through the workspace's data structures:
+//! A compiled-model artifact is one shared, immutable byte buffer (an
+//! `Arc<[u8]>`); every packed payload inside it (keys, scales, sign planes,
+//! dense weights) is a *view* into that buffer, not a fresh allocation. Two
+//! types carry that through the workspace's data structures:
 //!
-//! * [`PodView<T>`] — an immutable `&[T]` reinterpretation of a `Bytes`
-//!   range. Construction validates alignment, element-size divisibility and
-//!   byte order at runtime, so the cast is sound; the view keeps the owner
-//!   alive.
+//! * [`PodView<T>`] — an immutable `&[T]` reinterpretation of a byte range
+//!   of that buffer. Construction validates the range, alignment,
+//!   element-size divisibility and byte order at runtime, so the cast is
+//!   sound; the view keeps the buffer alive.
 //! * [`PodStore<T>`] — what container types actually hold: either an owned
 //!   `Vec<T>` (the historical representation, used by every constructor
 //!   that computes its data) or a shared [`PodView<T>`] (the deserialized
@@ -18,9 +18,9 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use bytes::Bytes;
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Element types that may be reinterpreted from little-endian bytes.
 ///
@@ -46,6 +46,8 @@ unsafe impl Pod for f32 {}
 /// Why a byte range could not be viewed as `&[T]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PodCastError {
+    /// The byte range does not lie inside the buffer.
+    OutOfBounds,
     /// The buffer's base pointer is not aligned for `T`.
     Misaligned,
     /// The buffer length is not a multiple of `size_of::<T>()`.
@@ -57,6 +59,7 @@ pub enum PodCastError {
 impl fmt::Display for PodCastError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PodCastError::OutOfBounds => write!(f, "byte range outside the buffer"),
             PodCastError::Misaligned => write!(f, "buffer misaligned for element type"),
             PodCastError::BadLength => write!(f, "buffer length not a multiple of element size"),
             PodCastError::BigEndianHost => {
@@ -68,33 +71,35 @@ impl fmt::Display for PodCastError {
 
 impl std::error::Error for PodCastError {}
 
-/// An immutable `&[T]` view over a [`Bytes`] buffer (which it keeps alive).
+/// An immutable `&[T]` view over a byte range of a shared buffer (which it
+/// keeps alive).
 pub struct PodView<T> {
-    owner: Bytes,
+    owner: Arc<[u8]>,
     ptr: *const T,
     len: usize,
 }
 
-// SAFETY: the view is immutable and the owner is an `Arc`-backed buffer;
+// SAFETY: the view is immutable and the owner is an `Arc`-shared buffer;
 // `&[T]` of a `Pod` type may move to another thread with its owner.
 unsafe impl<T: Pod> Send for PodView<T> {}
 // SAFETY: as for `Send`: shared access only reads the immutable `&[T]`.
 unsafe impl<T: Pod> Sync for PodView<T> {}
 
 impl<T: Pod> PodView<T> {
-    /// Views the unconsumed bytes of `owner` as `&[T]`.
+    /// Views bytes `range` of `owner` as `&[T]`.
     ///
-    /// Fails (rather than copying or panicking) when the base pointer is
-    /// misaligned for `T`, the length is ragged, or the host is big-endian.
+    /// Fails (rather than copying or panicking) when the range leaves the
+    /// buffer, its start is misaligned for `T`, its length is ragged, or
+    /// the host is big-endian.
     /// There is no silent copy fallback: callers propagate the error (an
     /// artifact that cannot be viewed zero-copy fails to load), keeping
     /// "loading never copies payloads" an invariant rather than a fast
     /// path.
-    pub fn new(owner: Bytes) -> Result<Self, PodCastError> {
+    pub fn new(owner: Arc<[u8]>, range: Range<usize>) -> Result<Self, PodCastError> {
         if cfg!(target_endian = "big") && std::mem::size_of::<T>() > 1 {
             return Err(PodCastError::BigEndianHost);
         }
-        let bytes: &[u8] = owner.as_ref();
+        let bytes = owner.get(range).ok_or(PodCastError::OutOfBounds)?;
         let size = std::mem::size_of::<T>();
         if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
             return Err(PodCastError::Misaligned);
@@ -110,14 +115,9 @@ impl<T: Pod> PodView<T> {
     /// The viewed elements.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: `new` checked alignment and length; `owner` pins the
-        // allocation for the lifetime of `self`.
+        // SAFETY: `new` checked the range, alignment and length; `owner`
+        // pins the allocation for the lifetime of `self`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// The byte buffer backing this view.
-    pub fn owner(&self) -> &Bytes {
-        &self.owner
     }
 }
 
@@ -236,34 +236,44 @@ mod tests {
     #[test]
     fn view_reinterprets_without_copying() {
         let vals = [1u16, 2, 0xBEEF, 65535];
-        let owner = Bytes::from(le_bytes_u16(&vals));
-        let base = owner.as_ref().as_ptr() as usize;
-        let view = PodView::<u16>::new(owner).unwrap();
+        let owner: Arc<[u8]> = le_bytes_u16(&vals).into();
+        let base = owner.as_ptr() as usize;
+        let view = PodView::<u16>::new(owner, 0..8).unwrap();
         assert_eq!(view.as_slice(), &vals);
         assert_eq!(view.as_slice().as_ptr() as usize, base, "no copy");
     }
 
     #[test]
     fn ragged_length_rejected() {
-        let owner = Bytes::from(vec![0u8; 7]);
-        assert_eq!(PodView::<u16>::new(owner).unwrap_err(), PodCastError::BadLength);
+        let owner: Arc<[u8]> = vec![0u8; 7].into();
+        assert_eq!(PodView::<u16>::new(owner, 0..7).unwrap_err(), PodCastError::BadLength);
     }
 
     #[test]
     fn misaligned_offset_rejected_or_viewed_consistently() {
         // An odd offset into an even-aligned allocation must fail for u16.
-        let owner = Bytes::from(vec![0u8; 64]);
-        let base = owner.as_ref().as_ptr() as usize;
-        let odd = owner.slice(1..9);
+        let owner: Arc<[u8]> = vec![0u8; 64].into();
+        let base = owner.as_ptr() as usize;
         if base.is_multiple_of(2) {
-            assert_eq!(PodView::<u16>::new(odd).unwrap_err(), PodCastError::Misaligned);
+            assert_eq!(PodView::<u16>::new(owner, 1..9).unwrap_err(), PodCastError::Misaligned);
         }
     }
 
     #[test]
+    fn range_outside_the_buffer_rejected() {
+        let owner: Arc<[u8]> = vec![0u8; 8].into();
+        for range in [4..10, 0..9, 9..9] {
+            let err = PodView::<u8>::new(owner.clone(), range.clone()).unwrap_err();
+            assert_eq!(err, PodCastError::OutOfBounds, "{range:?}");
+        }
+        let tail = PodView::<u16>::new(owner, 4..8).unwrap();
+        assert_eq!(tail.len(), 2);
+    }
+
+    #[test]
     fn store_copy_on_write_preserves_reads() {
-        let owner = Bytes::from(le_bytes_u16(&[10, 20, 30]));
-        let mut store: PodStore<u16> = PodView::new(owner).unwrap().into();
+        let owner: Arc<[u8]> = le_bytes_u16(&[10, 20, 30]).into();
+        let mut store: PodStore<u16> = PodView::new(owner, 0..6).unwrap().into();
         assert!(store.is_shared());
         assert_eq!(&store[..], &[10, 20, 30]);
         store.as_mut_slice()[1] = 99;
@@ -275,7 +285,7 @@ mod tests {
     fn stores_compare_by_contents_across_representations() {
         let owned: PodStore<u16> = vec![7u16, 8].into();
         let shared: PodStore<u16> =
-            PodView::new(Bytes::from(le_bytes_u16(&[7, 8]))).unwrap().into();
+            PodView::new(le_bytes_u16(&[7, 8]).into(), 0..4).unwrap().into();
         assert_eq!(owned, shared);
     }
 }

@@ -36,7 +36,6 @@ use biq_artifact::{
 use biq_matrix::store::PodStore;
 use biq_matrix::{ColMatrix, Matrix, MatrixRng};
 use biq_runtime::{BackendSpec, SharedExecutor};
-use bytes::Bytes;
 use std::sync::Arc;
 
 use crate::attention::MultiHeadAttention;
@@ -96,10 +95,10 @@ impl ModelBuilder {
     }
 
     /// Seals the artifact around the manifest.
-    pub fn finish(self, kind: ModelKind, dims: Vec<u64>) -> Bytes {
+    pub fn finish(self, kind: ModelKind, dims: Vec<u64>) -> Vec<u8> {
         let manifest =
             ModelManifest { kind, dims, params: self.params, layers: self.layers }.encode();
-        self.builder.finish(manifest.as_ref())
+        self.builder.finish(&manifest)
     }
 }
 
@@ -237,7 +236,7 @@ impl CompiledModel {
     /// parameter orders come from [`CompiledModel::named_linears`] /
     /// `named_layernorms`, so snapshot, restore and serve registration all
     /// share one definition of the walk.
-    pub fn snapshot(&self) -> Bytes {
+    pub fn snapshot(&self) -> Vec<u8> {
         let mut b = ModelBuilder::new();
         if let CompiledModel::Seq2Seq(s) = self {
             b.add_param("embed.table", s.embed().table().as_slice());
@@ -253,7 +252,7 @@ impl CompiledModel {
 
     /// Writes the artifact to a file.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.snapshot().as_ref())
+        std::fs::write(path, self.snapshot())
     }
 
     /// Reconstructs a model from a loaded artifact: plans rebuilt through

@@ -13,7 +13,6 @@ use biq_runtime::{
     BackendSpec, PackedPayload, PlanBuilder, SharedExecutor, Threading, WeightSource,
 };
 use biqgemm_core::BiqConfig;
-use bytes::Bytes;
 use proptest::prelude::*;
 
 fn linear_on(spec: BackendSpec, m: usize, n: usize, bias: bool, seed: u64) -> Linear {
@@ -60,7 +59,7 @@ fn loaded_biq_payload_borrows_the_artifact_buffer() {
     let spec = BackendSpec::Biq { bits: 3, method: QuantMethod::Greedy };
     let model = CompiledModel::Linear(linear_on(spec, 32, 50, false, 42));
     let (artifact, loaded) = round_trip(&model);
-    let base = artifact.as_bytes().as_ref().as_ptr() as usize;
+    let base = artifact.as_bytes().as_ptr() as usize;
     let end = base + artifact.as_bytes().len();
     let CompiledModel::Linear(l) = &loaded else { panic!("kind changed") };
     let op = l.compiled_op();
@@ -80,7 +79,7 @@ fn loaded_dense_int8_and_xnor_payloads_borrow_the_artifact_buffer() {
     for &spec in &[BackendSpec::Fp32Blocked, BackendSpec::Int8, BackendSpec::Xnor { bits: 2 }] {
         let model = CompiledModel::Linear(linear_on(spec, 16, 30, false, 77));
         let (artifact, loaded) = round_trip(&model);
-        let base = artifact.as_bytes().as_ref().as_ptr() as usize;
+        let base = artifact.as_bytes().as_ptr() as usize;
         let end = base + artifact.as_bytes().len();
         let CompiledModel::Linear(l) = &loaded else { panic!("kind changed") };
         let op = l.compiled_op();
@@ -206,7 +205,7 @@ fn hostile_huge_dimensions_error_instead_of_overflowing() {
         layers: vec![layer],
     }
     .encode();
-    let artifact = Artifact::from_bytes(b.finish(manifest.as_ref())).unwrap();
+    let artifact = Artifact::from_bytes(b.finish(&manifest)).unwrap();
     assert!(CompiledModel::from_artifact(&artifact).is_err(), "2^32-dim layer must be rejected");
 
     // Same for model-level dims whose *product* would overflow (the
@@ -219,7 +218,7 @@ fn hostile_huge_dimensions_error_instead_of_overflowing() {
         layers: vec![],
     }
     .encode();
-    let artifact = Artifact::from_bytes(b.finish(manifest.as_ref())).unwrap();
+    let artifact = Artifact::from_bytes(b.finish(&manifest)).unwrap();
     assert!(CompiledModel::from_artifact(&artifact).is_err(), "2^30 dims must be rejected");
 }
 
@@ -258,16 +257,16 @@ proptest! {
     ) {
         let spec = BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy };
         let model = CompiledModel::Linear(linear_on(spec, 9, 21, true, seed));
-        let bytes = model.snapshot().to_vec();
+        let bytes = model.snapshot();
 
         let cut = ((bytes.len() as f64 * cut_frac) as usize).min(bytes.len() - 1);
-        let truncated = Bytes::from(bytes[..cut].to_vec());
+        let truncated = bytes[..cut].to_vec();
         prop_assert!(Artifact::from_bytes(truncated).is_err(), "cut at {} must error", cut);
 
         let mut flipped = bytes.clone();
         let at = ((bytes.len() as f64 * flip_frac) as usize).min(bytes.len() - 1);
         flipped[at] ^= 1 << (seed % 8);
-        let res = Artifact::from_bytes(Bytes::from(flipped))
+        let res = Artifact::from_bytes(flipped)
             .and_then(|a| CompiledModel::from_artifact(&a).map(|_| ()));
         prop_assert!(res.is_err(), "flip at byte {} must be caught", at);
     }

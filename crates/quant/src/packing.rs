@@ -19,7 +19,6 @@
 
 use biq_matrix::store::{PodStore, PodView};
 use biq_matrix::SignMatrix;
-use bytes::BufMut;
 use std::fmt;
 use std::ops::Range;
 
@@ -241,10 +240,10 @@ impl KeyMatrix {
     /// Appends the keys little-endian, [`key_bytes`]`(µ)` bytes each
     /// ([`KeyMatrix::storage_bytes`] bytes) — the BIQM key-section form
     /// [`KeyMatrix::try_new`] validates on load.
-    pub fn encode_le(&self, out: &mut impl BufMut) {
+    pub fn encode_le(&self, out: &mut Vec<u8>) {
         match &self.keys {
-            KeyStore::U8(k) => out.put_slice(k.as_slice()),
-            KeyStore::U16(k) => k.iter().for_each(|&key| out.put_u16_le(key)),
+            KeyStore::U8(k) => out.extend_from_slice(k.as_slice()),
+            KeyStore::U16(k) => out.extend(k.iter().flat_map(|key| key.to_le_bytes())),
         }
     }
 

@@ -17,7 +17,6 @@ use biqgemm_repro::biq_matrix::MatrixRng;
 use biqgemm_repro::biq_nn::transformer::{Encoder, LayerBackend};
 use biqgemm_repro::biq_nn::{CompiledModel, QuantMethod};
 use biqgemm_repro::biqgemm_core::BiqConfig;
-use bytes::Bytes;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// 2-bit greedy BiQGEMM on the shipped config (µ = 8, 32 chunks a tile —
@@ -44,10 +43,10 @@ fn artifacts() -> Vec<(&'static str, Vec<u8>)> {
     ] {
         let bias = (name == "biq linear").then(|| vec![0.5; 9]);
         let linear = backend.linear(g.gaussian(9, 21, 0.0, 1.0), bias);
-        out.push((name, CompiledModel::Linear(linear).snapshot().to_vec()));
+        out.push((name, CompiledModel::Linear(linear).snapshot()));
     }
     let encoder = Encoder::random(&mut g, 1, 8, 16, 2, biq());
-    out.push(("transformer", CompiledModel::Transformer(encoder).snapshot().to_vec()));
+    out.push(("transformer", CompiledModel::Transformer(encoder).snapshot()));
     out
 }
 
@@ -58,11 +57,11 @@ fn reseal(artifact: &Artifact, manifest: &[u8]) -> Vec<u8> {
         let payload = artifact.section_bytes(SectionId(i as u32)).unwrap().to_vec();
         builder.add_section(s.kind, s.elem, s.layer, payload);
     }
-    builder.finish(manifest).to_vec()
+    builder.finish(manifest)
 }
 
 fn load(bytes: Vec<u8>) -> Result<CompiledModel, ArtifactError> {
-    CompiledModel::from_artifact(&Artifact::from_bytes(Bytes::from(bytes))?)
+    CompiledModel::from_artifact(&Artifact::from_bytes(bytes)?)
 }
 
 /// Loads `bytes` and runs whatever loads; panics with `what` if either
@@ -93,10 +92,10 @@ fn truncated_and_bit_flipped_files_are_refused_not_crashed() {
 #[test]
 fn resealed_manifest_mutations_are_refused_or_load_a_working_model() {
     for (name, valid) in artifacts() {
-        let artifact = Artifact::from_bytes(Bytes::from(valid)).unwrap();
+        let artifact = Artifact::from_bytes(valid).unwrap();
         let manifest = artifact.manifest_bytes().to_vec();
         let exact = reseal(&artifact, &manifest);
-        assert_eq!(exact, artifact.as_bytes().as_ref(), "{name}: reseal is exact");
+        assert_eq!(exact, artifact.as_bytes(), "{name}: reseal is exact");
         let mut loaded = 0;
         for off in 0..manifest.len() {
             for pattern in [0xFFu8, 0x80, 0x01] {
@@ -140,7 +139,7 @@ fn retired_schedule_byte_loads_with_the_same_bits() {
         let artifact = Artifact::from_bytes(model.snapshot()).unwrap();
         let manifest = artifact.manifest_bytes().to_vec();
         let want: Vec<u32> = model.run_seeded(3, 33).iter().map(|v| v.to_bits()).collect();
-        let layers = ModelManifest::decode(Bytes::from(manifest.clone())).unwrap().layers.len();
+        let layers = ModelManifest::decode(&manifest).unwrap().layers.len();
         let with = |at: &[usize], byte: u8| {
             let mut m = manifest.clone();
             at.iter().for_each(|&i| m[i] = byte);
@@ -156,7 +155,7 @@ fn retired_schedule_byte_loads_with_the_same_bits() {
             let at: Vec<usize> = (0..manifest.len())
                 .filter(|&i| manifest[i] == 0)
                 .filter(|&i| {
-                    let err = ModelManifest::decode(Bytes::from(with(&[i], 2))).err();
+                    let err = ModelManifest::decode(&with(&[i], 2)).err();
                     err.is_some_and(|e| e.to_string() == unknown)
                 })
                 .collect();
