@@ -1,10 +1,10 @@
 //! # biq_obs — the live observability substrate
 //!
 //! Everything a running `biq serve` daemon exposes about itself flows
-//! through this crate: a lock-free [`Registry`] of named counters, gauges,
-//! and power-of-two histograms with mergeable [`MetricsSnapshot`]s and a
-//! Prometheus text-format renderer ([`metrics`]), plus a cheap always-on
-//! span layer — [`span!`] RAII guards writing fixed-size events into
+//! through this crate: named metric [`Sample`]s (counters, gauges, and
+//! lock-free power-of-two histograms) gathered into [`MetricsSnapshot`]s
+//! with Prometheus text and JSON renderers ([`metrics`]), plus a cheap
+//! always-on span layer — [`span!`] RAII guards writing fixed-size events into
 //! per-thread ring buffers, exported as Chrome trace-event JSON loadable
 //! in Perfetto ([`trace`]).
 //!
@@ -15,8 +15,8 @@
 //! ## Cost model (why the hot path doesn't notice)
 //!
 //! * Recording a counter or histogram sample is one or two relaxed
-//!   `fetch_add`s — no locks, no allocation. Handles are `Arc`'d atomics
-//!   cloned out of the registry once at startup.
+//!   `fetch_add`s — no locks, no allocation. Each owner keeps plain
+//!   atomics and turns them into samples only when a snapshot is taken.
 //! * A [`span!`] whose tracing is disabled (the default) costs **one
 //!   relaxed atomic load** — no clock read. This matters on this repo's
 //!   reference VM, where `Instant::now()` under a paravirtual clock costs
@@ -28,12 +28,12 @@
 //! ## Tail attribution & exemplars
 //!
 //! Aggregates explain means; tails need witnesses. The [`record`] module
-//! captures a fixed-size [`RequestRecord`] per completed request — a
-//! phase breakdown (queue / batch window / exec / ticket / write) built
-//! from clock stamps the serving layer already takes — into a lock-free
-//! ring plus a slowest-N reservoir, and the [`series`] module keeps a
-//! rolling ring of per-interval delta snapshots so rates are windowed
-//! truths instead of lifetime averages. [`render`] turns both into the
+//! builds a fixed-size [`RequestRecord`] per completed request — a phase
+//! breakdown (queue / batch window / exec / ticket / write) from clock
+//! stamps the serving layer already takes — and keeps the slowest N (the
+//! `SlowLog` verb's store). The [`series`] module keeps a rolling ring of
+//! per-interval delta snapshots so rates are windowed truths instead of
+//! lifetime averages. [`render`] turns both into the
 //! `biq top` terminal dashboard.
 
 pub mod metrics;
@@ -43,10 +43,9 @@ pub mod series;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, HistogramSnapshot, MetricValue, MetricsSnapshot, Pow2Histogram, Registry,
-    Sample, BUCKETS,
+    HistogramSnapshot, MetricValue, MetricsSnapshot, Pow2Histogram, Sample, BUCKETS,
 };
-pub use record::{RecordRing, RecordSink, RequestRecord, SlowHit, SlowLog, PHASES};
+pub use record::{RequestRecord, SlowHit, SlowLog, PHASES};
 pub use render::{
     human_bytes, phase_bar, render_dashboard, render_models_section, sparkline, ModelRow,
 };

@@ -1,10 +1,11 @@
-//! The metrics registry: named counters, gauges, and power-of-two
-//! histograms with lock-free recording, mergeable snapshots, and a
-//! Prometheus text-format renderer.
+//! Metric samples and their renderers: power-of-two histograms with
+//! lock-free recording, point-in-time [`MetricsSnapshot`]s of named
+//! [`Sample`]s, and Prometheus text / JSON renderers.
 //!
-//! Registration (cold: server startup) takes a mutex; the handles it
-//! returns are `Arc`'d atomics, so recording (hot: every request) is pure
-//! `fetch_add`/`store` with relaxed ordering. Snapshots read the same
+//! Each owner of live state (per-op stats, fleet gauges, the kernel
+//! profile, the transport counters, trace health) keeps plain atomics and
+//! pushes its samples into one `Vec` on demand; recording (hot: every
+//! request) is a relaxed `fetch_add`/`store`. Snapshots read the same
 //! atomics — observation never blocks a recorder.
 //!
 //! ## Histogram quantile accuracy
@@ -17,60 +18,11 @@
 //! the bucket's raw upper edge, `2^(b+1)` — biased high by up to 2×;
 //! `quantile_reports_geometric_midpoint` pins the fix.)
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two histogram buckets (covers 1 .. 2^31, with the
 /// last bucket open-ended; in microseconds that is 1 µs .. ~36 min).
 pub const BUCKETS: usize = 32;
-
-/// A monotonically increasing `u64` counter handle. Cloning shares the
-/// underlying atomic.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed gauge handle (queue depths, open-connection counts). Cloning
-/// shares the underlying atomic.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `d` (negative to decrease).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// A power-of-two histogram over `u64` samples. Recording is two relaxed
 /// `fetch_add`s; the sample count is derived from the buckets at snapshot
@@ -177,14 +129,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Adds another snapshot's buckets and sum into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum += other.sum;
-    }
-
     /// Bucket-wise difference `self − prev`, saturating at zero — the
     /// distribution of samples recorded *between* two cumulative
     /// snapshots of the same histogram.
@@ -228,7 +172,7 @@ impl MetricValue {
 pub struct Sample {
     /// Metric name (`biq_serve_completed_total` style).
     pub name: String,
-    /// Label pairs, in registration order.
+    /// Label pairs, in the order the owner pushed them.
     pub labels: Vec<(String, String)>,
     /// The value.
     pub value: MetricValue,
@@ -241,149 +185,15 @@ impl Sample {
     }
 }
 
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Arc<Pow2Histogram>),
-}
-
-impl Instrument {
-    fn sample(&self) -> MetricValue {
-        match self {
-            Instrument::Counter(c) => MetricValue::Counter(c.get()),
-            Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-            Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-        }
-    }
-}
-
-/// A registry of named instruments. Registration is mutex-guarded (cold
-/// path — server startup); the returned handles record lock-free.
-/// Registering the same `(name, labels)` twice returns the **same**
-/// underlying instrument, so independent components can share a metric.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<Vec<Entry>>,
-}
-
-/// One registered instrument: name, label pairs, live handle.
-type Entry = (String, Vec<(String, String)>, Instrument);
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register<T: Clone>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Instrument,
-        get: impl Fn(&Instrument) -> Option<T>,
-    ) -> T {
-        let labels: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, _, ins)) = inner.iter().find(|(n, l, _)| n == name && *l == labels) {
-            return get(ins).unwrap_or_else(|| {
-                panic!("metric '{name}' re-registered as a different instrument kind")
-            });
-        }
-        let ins = make();
-        let handle = get(&ins).expect("freshly made instrument matches its own kind");
-        inner.push((name.to_string(), labels, ins));
-        handle
-    }
-
-    /// Registers (or retrieves) a counter.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.register(
-            name,
-            labels,
-            || Instrument::Counter(Counter::default()),
-            |i| match i {
-                Instrument::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or retrieves) a gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.register(
-            name,
-            labels,
-            || Instrument::Gauge(Gauge::default()),
-            |i| match i {
-                Instrument::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or retrieves) a power-of-two histogram.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Pow2Histogram> {
-        self.register(
-            name,
-            labels,
-            || Instrument::Histogram(Arc::new(Pow2Histogram::default())),
-            |i| match i {
-                Instrument::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
-    }
-
-    /// A point-in-time snapshot of every registered instrument, in
-    /// registration order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            samples: inner
-                .iter()
-                .map(|(name, labels, ins)| Sample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: ins.sample(),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// A point-in-time set of [`Sample`]s — what the `Stats` wire verb
-/// carries, what merges across replicas, and what renders to Prometheus
-/// text or JSON.
+/// carries and what renders to Prometheus text or JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Every sample, in registration order.
+    /// Every sample, in the order the owners pushed them.
     pub samples: Vec<Sample>,
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self` by `(name, labels)`: counters and gauges
-    /// add, histograms merge bucket-wise; unmatched samples append. Merging
-    /// N disjoint recorders' snapshots equals one shared recorder's
-    /// snapshot (merge == sum — the concurrency property test pins this).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for s in &other.samples {
-            match self
-                .samples
-                .iter_mut()
-                .find(|mine| mine.name == s.name && mine.labels == s.labels)
-            {
-                Some(mine) => match (&mut mine.value, &s.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    _ => {} // kind clash across snapshots: keep ours
-                },
-                None => self.samples.push(s.clone()),
-            }
-        }
-    }
-
     /// The per-interval delta `self − prev` by `(name, labels)`: counters
     /// and histograms subtract (saturating at zero, so a restarted
     /// recorder reads as quiet rather than wrapping), gauges keep `self`'s
@@ -665,79 +475,29 @@ mod tests {
         assert!((s.mean() - 24.4).abs() < 1e-9);
     }
 
-    #[test]
-    fn registry_handles_share_and_snapshot() {
-        let reg = Registry::new();
-        let c1 = reg.counter("biq_test_total", &[("op", "a")]);
-        let c2 = reg.counter("biq_test_total", &[("op", "a")]);
-        let cb = reg.counter("biq_test_total", &[("op", "b")]);
-        c1.inc();
-        c2.add(2);
-        cb.add(10);
-        let g = reg.gauge("biq_test_depth", &[]);
-        g.set(4);
-        g.add(-1);
-        let h = reg.histogram("biq_test_lat", &[("op", "a")]);
-        h.record(8);
-        let snap = reg.snapshot();
-        assert_eq!(snap.samples.len(), 4);
-        assert_eq!(snap.find("biq_test_total", "op", "a").unwrap().value, MetricValue::Counter(3));
-        assert_eq!(snap.counter_total("biq_test_total"), 13);
-        assert_eq!(snap.samples[2].value, MetricValue::Gauge(3));
+    fn sample(name: &str, labels: &[(&str, &str)], value: MetricValue) -> Sample {
+        let labels = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        Sample { name: name.to_string(), labels, value }
     }
 
-    #[test]
-    #[should_panic(expected = "different instrument kind")]
-    fn registry_rejects_kind_clash() {
-        let reg = Registry::new();
-        let _ = reg.counter("biq_clash", &[]);
-        let _ = reg.gauge("biq_clash", &[]);
-    }
-
-    #[test]
-    fn merge_adds_by_key_and_appends_unknown() {
-        let mut a = MetricsSnapshot {
-            samples: vec![Sample {
-                name: "c".into(),
-                labels: vec![("op".into(), "x".into())],
-                value: MetricValue::Counter(5),
-            }],
-        };
-        let mut hist = HistogramSnapshot::default();
-        hist.buckets[3] = 2;
-        hist.sum = 20;
-        let b = MetricsSnapshot {
-            samples: vec![
-                Sample {
-                    name: "c".into(),
-                    labels: vec![("op".into(), "x".into())],
-                    value: MetricValue::Counter(7),
-                },
-                Sample { name: "h".into(), labels: vec![], value: MetricValue::Histogram(hist) },
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.samples.len(), 2);
-        assert_eq!(a.samples[0].value, MetricValue::Counter(12));
-        a.merge(&b);
-        match &a.samples[1].value {
-            MetricValue::Histogram(h) => {
-                assert_eq!(h.count(), 4);
-                assert_eq!(h.sum, 40);
-            }
-            other => panic!("expected histogram, got {other:?}"),
+    fn histogram(values: &[u64]) -> MetricValue {
+        let h = Pow2Histogram::default();
+        for &v in values {
+            h.record(v);
         }
+        MetricValue::Histogram(h.snapshot())
     }
 
     #[test]
     fn prometheus_rendering_is_well_formed() {
-        let reg = Registry::new();
-        reg.counter("biq_req_total", &[("op", "lin\"ear")]).add(3);
-        reg.gauge("biq_depth", &[]).set(-2);
-        let h = reg.histogram("biq_lat_us", &[("op", "a")]);
-        h.record(3);
-        h.record(100);
-        let text = reg.snapshot().render_prometheus();
+        let mut snap = MetricsSnapshot {
+            samples: vec![
+                sample("biq_req_total", &[("op", "lin\"ear")], MetricValue::Counter(3)),
+                sample("biq_depth", &[], MetricValue::Gauge(-2)),
+                sample("biq_lat_us", &[("op", "a")], histogram(&[3, 100])),
+            ],
+        };
+        let text = snap.render_prometheus();
         assert!(text.contains("# TYPE biq_req_total counter\n"), "{text}");
         assert!(text.contains("biq_req_total{op=\"lin\\\"ear\"} 3\n"), "{text}");
         assert!(text.contains("# TYPE biq_depth gauge\n"), "{text}");
@@ -748,17 +508,20 @@ mod tests {
         assert!(text.contains("biq_lat_us_sum{op=\"a\"} 103\n"), "{text}");
         assert!(text.contains("biq_lat_us_count{op=\"a\"} 2\n"), "{text}");
         // One # TYPE line per name, even with several label sets.
-        reg.counter("biq_req_total", &[("op", "b")]).inc();
-        let text = reg.snapshot().render_prometheus();
+        snap.samples.push(sample("biq_req_total", &[("op", "b")], MetricValue::Counter(1)));
+        let text = snap.render_prometheus();
         assert_eq!(text.matches("# TYPE biq_req_total").count(), 1, "{text}");
     }
 
     #[test]
     fn json_rendering_is_shaped() {
-        let reg = Registry::new();
-        reg.counter("biq_c", &[("op", "a")]).add(2);
-        reg.histogram("biq_h", &[]).record(9);
-        let json = reg.snapshot().render_json();
+        let snap = MetricsSnapshot {
+            samples: vec![
+                sample("biq_c", &[("op", "a")], MetricValue::Counter(2)),
+                sample("biq_h", &[], histogram(&[9])),
+            ],
+        };
+        let json = snap.render_json();
         assert!(json.starts_with("{\"metrics\": ["), "{json}");
         assert!(json.contains("\"type\": \"counter\", \"value\": 2"), "{json}");
         assert!(json.contains("\"type\": \"histogram\", \"count\": 1"), "{json}");

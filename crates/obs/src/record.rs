@@ -1,27 +1,18 @@
 //! Per-request lifecycle records: fixed-size phase breakdowns captured at
-//! reply time, kept in a lock-free ring (recent traffic) plus a
-//! slowest-N reservoir (tail exemplars).
+//! reply time, of which a reservoir keeps the slowest N (tail exemplars).
 //!
 //! A cumulative latency histogram says *that* p99 is high; a
 //! [`RequestRecord`] says *which* request was slow and *where* its time
 //! went: queue wait, batch-window wait, kernel execution, reply-ticket
 //! wait, and socket write. Records are built from clock stamps the serving
-//! layer already takes (see `crates/serve`), so capturing one costs a few
-//! relaxed atomic stores — no locks and no extra `Instant::now()` reads on
-//! the hot path.
+//! layer already takes (see `crates/serve`), so capturing one costs no
+//! extra `Instant::now()` read on the hot path.
 //!
-//! The two containers trade differently:
-//!
-//! * [`RecordRing`] — a multi-producer overwrite-oldest ring. Writers
-//!   claim a slot with one `fetch_add` and publish through a per-slot
-//!   sequence word (seqlock); readers skip slots that are mid-write or
-//!   were overwritten while being read, so a snapshot never blocks a
-//!   recorder and never observes a torn record.
-//! * [`SlowLog`] — the N slowest requests ever seen. The fast path is a
-//!   single relaxed load of the current admission floor; only a request
-//!   slow enough to displace an entry takes the mutex.
+//! [`SlowLog`] keeps the N slowest requests ever seen. The fast path is a
+//! single relaxed load of the current admission floor; only a request slow
+//! enough to displace an entry takes the mutex.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The phase labels of a [`RequestRecord`] breakdown, in lifecycle order.
@@ -115,130 +106,6 @@ pub struct SlowHit {
     pub rec: RequestRecord,
 }
 
-// ------------------------------------------------------------------- ring
-
-/// `RequestRecord` packed into atomics: 8 u64 words plus `op`/`cols`
-/// folded into one.
-const SLOT_WORDS: usize = 9;
-
-fn pack(rec: &RequestRecord) -> [u64; SLOT_WORDS] {
-    [
-        rec.req_id,
-        (rec.op as u64) << 32 | rec.cols as u64,
-        rec.start_ns,
-        rec.total_ns,
-        rec.queue_ns,
-        rec.window_ns,
-        rec.exec_ns,
-        rec.ticket_ns,
-        rec.write_ns,
-    ]
-}
-
-fn unpack(w: &[u64; SLOT_WORDS]) -> RequestRecord {
-    RequestRecord {
-        req_id: w[0],
-        op: (w[1] >> 32) as u32,
-        cols: w[1] as u32,
-        start_ns: w[2],
-        total_ns: w[3],
-        queue_ns: w[4],
-        window_ns: w[5],
-        exec_ns: w[6],
-        ticket_ns: w[7],
-        write_ns: w[8],
-    }
-}
-
-/// One ring slot: a seqlock sequence word plus the packed record. For the
-/// record written at global index `h`, `seq` holds `2h + 1` while the
-/// write is in flight and `2h + 2` once published — a reader that sees an
-/// odd or unexpected sequence skips the slot.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-/// A multi-producer, overwrite-oldest ring of [`RequestRecord`]s.
-///
-/// Writers claim a global index with one `fetch_add` and publish via the
-/// slot's sequence word; two writers lapping each other on the same slot
-/// leave at most a skipped (never torn) record. Readers validate the
-/// sequence before and after copying, so [`RecordRing::recent`] is safe
-/// against concurrent recording.
-pub struct RecordRing {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl std::fmt::Debug for RecordRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordRing")
-            .field("cap", &self.slots.len())
-            .field("pushed", &self.pushed())
-            .finish()
-    }
-}
-
-impl RecordRing {
-    /// A ring holding the most recent `cap` records (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        let slots = (0..cap.max(1))
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                words: std::array::from_fn(|_| AtomicU64::new(0)),
-            })
-            .collect();
-        RecordRing { head: AtomicU64::new(0), slots }
-    }
-
-    /// Records `rec`, overwriting the oldest entry when full. Lock-free:
-    /// one `fetch_add` plus relaxed stores.
-    pub fn push(&self, rec: &RequestRecord) {
-        let cap = self.slots.len() as u64;
-        let h = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(h % cap) as usize];
-        slot.seq.store(2 * h + 1, Ordering::Relaxed);
-        // Order the busy mark before the payload stores: a reader that
-        // observes any payload word also observes the odd sequence.
-        fence(Ordering::Release);
-        for (w, v) in slot.words.iter().zip(pack(rec)) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * h + 2, Ordering::Release);
-    }
-
-    /// Records ever pushed (not capped by the ring size).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// The most recent `max` records, oldest first. Slots being written
-    /// or overwritten concurrently are skipped, never returned torn.
-    pub fn recent(&self, max: usize) -> Vec<RequestRecord> {
-        let cap = self.slots.len() as u64;
-        let head = self.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(cap.min(max as u64));
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for i in lo..head {
-            let slot = &self.slots[(i % cap) as usize];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != 2 * i + 2 {
-                continue; // mid-write, overwritten, or not yet published
-            }
-            let mut words = [0u64; SLOT_WORDS];
-            for (v, w) in words.iter_mut().zip(&slot.words) {
-                *v = w.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == s1 {
-                out.push(unpack(&words));
-            }
-        }
-        out
-    }
-}
-
 // --------------------------------------------------------------- slow log
 
 /// The N slowest requests observed, by `total_ns`. Offering a record that
@@ -280,38 +147,6 @@ impl SlowLog {
     pub fn slowest(&self, max: usize) -> Vec<RequestRecord> {
         let entries = self.entries.lock().expect("slow log poisoned");
         entries.iter().take(max).copied().collect()
-    }
-}
-
-// ------------------------------------------------------------------- sink
-
-/// The per-server record destination: every completed request lands in
-/// both the recent-traffic ring and the slowest-N reservoir.
-#[derive(Debug)]
-pub struct RecordSink {
-    /// Recent traffic, overwrite-oldest.
-    pub ring: RecordRing,
-    /// Tail exemplars.
-    pub slow: SlowLog,
-}
-
-impl Default for RecordSink {
-    /// 1024 recent records + 32 slowest — a few hundred KiB per daemon.
-    fn default() -> Self {
-        RecordSink::with_capacity(1024, 32)
-    }
-}
-
-impl RecordSink {
-    /// A sink with explicit ring / reservoir capacities.
-    pub fn with_capacity(ring_cap: usize, slow_cap: usize) -> Self {
-        RecordSink { ring: RecordRing::new(ring_cap), slow: SlowLog::new(slow_cap) }
-    }
-
-    /// Records one completed request into both containers.
-    pub fn record(&self, rec: &RequestRecord) {
-        self.ring.push(rec);
-        self.slow.offer(rec);
     }
 }
 
@@ -367,51 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_and_roundtrips_fields() {
-        let ring = RecordRing::new(4);
-        for i in 0..6u64 {
-            ring.push(&rec(i, 10 * (i + 1)));
-        }
-        assert_eq!(ring.pushed(), 6);
-        let recent = ring.recent(16);
-        assert_eq!(recent.len(), 4, "oldest two overwritten");
-        assert_eq!(recent.first().unwrap().req_id, 2);
-        assert_eq!(recent.last().unwrap().req_id, 5);
-        assert_eq!(recent.last().unwrap().total_ns, 60);
-        assert_eq!((recent[0].op, recent[0].cols), (1, 2));
-        // `max` trims from the old end.
-        let two = ring.recent(2);
-        assert_eq!(two.iter().map(|r| r.req_id).collect::<Vec<_>>(), vec![4, 5]);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producers() {
-        use std::sync::Arc;
-        let ring = Arc::new(RecordRing::new(64));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let ring = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..500u64 {
-                        ring.push(&rec(t * 1000 + i, i + 1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ring.pushed(), 2000);
-        let recent = ring.recent(64);
-        assert!(!recent.is_empty());
-        for r in &recent {
-            // No torn records: every field pattern is one a producer wrote.
-            assert_eq!(r.total_ns, r.phase_sum());
-            assert_eq!(r.exec_ns, r.total_ns, "exec carries the whole total in rec()");
-        }
-    }
-
-    #[test]
     fn slow_log_keeps_the_n_slowest() {
         let log = SlowLog::new(3);
         for (id, total) in [(1, 50), (2, 500), (3, 10), (4, 300), (5, 700), (6, 40)] {
@@ -426,17 +216,5 @@ mod tests {
         log.offer(&rec(9, 1));
         assert_eq!(log.slowest(10).len(), 3);
         assert_eq!(log.slowest(10)[2].total_ns, 300);
-    }
-
-    #[test]
-    fn sink_records_into_both_containers() {
-        let sink = RecordSink::with_capacity(8, 2);
-        for i in 0..5u64 {
-            sink.record(&rec(i, 100 * (i + 1)));
-        }
-        assert_eq!(sink.ring.recent(8).len(), 5);
-        let slow = sink.slow.slowest(8);
-        assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].total_ns, 500);
     }
 }

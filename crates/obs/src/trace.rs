@@ -274,12 +274,7 @@ pub struct TraceHealth {
 }
 
 impl TraceHealth {
-    /// Total events dropped across every ring.
-    pub fn dropped_total(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped).sum()
-    }
-
-    /// The health as metric samples, mergeable into any
+    /// The health as metric samples, appendable to any
     /// [`crate::MetricsSnapshot`]: a `biq_trace_enabled` gauge, a
     /// `biq_trace_rings` gauge, and one `biq_trace_ring_dropped{tid=…}`
     /// counter per ring.
@@ -430,9 +425,9 @@ mod tests {
             samples.iter().filter(|s| s.name == "biq_trace_ring_dropped").collect();
         assert_eq!(dropped.len(), h.rings.len());
         assert!(dropped.iter().all(|s| s.label("tid").is_some()));
-        let mut snap = crate::MetricsSnapshot::default();
-        snap.merge(&crate::MetricsSnapshot { samples });
-        assert_eq!(snap.counter_total("biq_trace_ring_dropped"), h.dropped_total());
+        let snap = crate::MetricsSnapshot { samples };
+        let dropped_total: u64 = h.rings.iter().map(|r| r.dropped).sum();
+        assert_eq!(snap.counter_total("biq_trace_ring_dropped"), dropped_total);
     }
 
     #[test]

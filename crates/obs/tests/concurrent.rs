@@ -1,10 +1,9 @@
-//! Concurrency properties of the metrics layer: values recorded from many
-//! threads into shared instruments are never torn or lost, and merging
-//! per-recorder snapshots equals one shared recorder — the invariant the
-//! serving layer leans on when every worker publishes into the same
-//! [`biq_obs::Registry`]-shaped counters.
+//! Concurrency property of the metrics layer: values recorded from many
+//! threads into one shared histogram are never torn or lost — the
+//! invariant the serving layer leans on when every worker records into the
+//! same per-op latency and batch-width histograms.
 
-use biq_obs::{Pow2Histogram, Registry};
+use biq_obs::Pow2Histogram;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -34,69 +33,5 @@ proptest! {
         let snap = h.snapshot();
         prop_assert_eq!(snap.count(), values.len() as u64);
         prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
-    }
-
-    /// Disjoint recorders merged after the fact equal one shared recorder
-    /// fed the same stream — the multi-worker aggregation the `Stats`
-    /// verb performs.
-    #[test]
-    fn merging_disjoint_recorders_equals_one_shared_recorder(
-        parts in proptest::collection::vec(
-            proptest::collection::vec(1u64..100_000, 0..64),
-            1..4,
-        ),
-    ) {
-        let record_into = |registry: &Registry, values: &[u64]| {
-            let c = registry.counter("biq_test_events_total", &[("op", "x")]);
-            let g = registry.gauge("biq_test_depth", &[]);
-            let h = registry.histogram("biq_test_latency_us", &[("op", "x")]);
-            for &v in values {
-                c.inc();
-                g.add(v as i64 % 7 - 3);
-                h.record(v);
-            }
-        };
-        let merged = parts
-            .iter()
-            .map(|p| {
-                let r = Registry::new();
-                record_into(&r, p);
-                r.snapshot()
-            })
-            .reduce(|mut acc, next| {
-                acc.merge(&next);
-                acc
-            })
-            .expect("at least one part");
-        let shared = Registry::new();
-        for p in &parts {
-            record_into(&shared, p);
-        }
-        prop_assert_eq!(merged, shared.snapshot());
-    }
-
-    /// Counters incremented concurrently from many threads total exactly.
-    #[test]
-    fn concurrent_counter_increments_total_exactly(
-        per_thread in 1u64..5_000,
-        threads in 1usize..6,
-    ) {
-        let registry = Registry::new();
-        let c = registry.counter("biq_test_hits_total", &[]);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..per_thread {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        prop_assert_eq!(c.get(), per_thread * threads as u64);
-        prop_assert_eq!(
-            registry.snapshot().counter_total("biq_test_hits_total"),
-            per_thread * threads as u64
-        );
     }
 }

@@ -162,9 +162,7 @@ impl Executor {
 /// other caller's matmul. This is by design (one arena, one run at a time),
 /// but it makes a shared handle the wrong tool for concurrent traffic. The
 /// sanctioned concurrent path is one **owned** [`Executor`] per worker
-/// thread, which is exactly what the `biq_serve` worker pool does; use
-/// [`SharedExecutor::try_run`] when a caller would rather fail fast (and,
-/// say, fall back to a private executor) than queue on the lock.
+/// thread, which is exactly what the `biq_serve` worker pool does.
 #[derive(Clone, Debug, Default)]
 pub struct SharedExecutor(Arc<Mutex<Executor>>);
 
@@ -180,21 +178,6 @@ impl SharedExecutor {
     /// Panics if the executor lock was poisoned by a panicking run.
     pub fn run(&self, op: &CompiledOp, x: &ColMatrix) -> Matrix {
         self.lock().run(op, x)
-    }
-
-    /// Non-blocking [`SharedExecutor::run`]: returns `None` without
-    /// computing anything when another thread currently holds the
-    /// executor, instead of queueing on the lock (see the contention
-    /// hazard note on this type).
-    ///
-    /// # Panics
-    /// Panics if the executor lock was poisoned by a panicking run.
-    pub fn try_run(&self, op: &CompiledOp, x: &ColMatrix) -> Option<Matrix> {
-        match self.0.try_lock() {
-            Ok(mut exec) => Some(exec.run(op, x)),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("executor lock poisoned"),
-        }
     }
 
     /// Runs `op` into a caller buffer (see [`Executor::run_into`]).
@@ -293,34 +276,6 @@ mod tests {
         let _ = a.run(&op, &x);
         let _ = b.run(&op, &x);
         assert_eq!(a.runs(), 2, "clones share one executor");
-    }
-
-    #[test]
-    fn try_run_computes_when_uncontended_and_skips_when_held() {
-        let mut g = MatrixRng::seed_from(99);
-        let w = g.gaussian(8, 8, 0.0, 1.0);
-        let x = g.gaussian_col(8, 1, 0.0, 1.0);
-        let plan = PlanBuilder::new(8, 8).backend(BackendSpec::Fp32Naive).build();
-        let op = compile(&plan, WeightSource::Dense(&w));
-        let shared = SharedExecutor::new();
-        let direct = shared.run(&op, &x);
-        let tried = shared.try_run(&op, &x).expect("uncontended try_run must run");
-        assert_eq!(tried.as_slice(), direct.as_slice());
-        // Hold the lock on another thread; try_run must refuse, not queue.
-        let held = shared.clone();
-        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let holder = std::thread::spawn(move || {
-            let guard = held.0.lock().unwrap();
-            locked_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-            drop(guard);
-        });
-        locked_rx.recv().unwrap();
-        assert!(shared.try_run(&op, &x).is_none(), "contended try_run must not block");
-        release_tx.send(()).unwrap();
-        holder.join().unwrap();
-        assert_eq!(shared.runs(), 2, "the refused attempt must not count as a run");
     }
 
     #[test]

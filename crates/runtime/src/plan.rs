@@ -114,7 +114,6 @@ pub struct PlanBuilder {
     batch_hint: usize,
     spec: BackendSpec,
     threading: Threading,
-    lut_budget: usize,
     threads: Option<usize>,
     cfg_override: Option<BiqConfig>,
     kernel: Option<KernelRequest>,
@@ -135,7 +134,6 @@ impl PlanBuilder {
             batch_hint: 1,
             spec: BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy },
             threading: Threading::Auto,
-            lut_budget: DEFAULT_LUT_BUDGET_BYTES,
             threads: None,
             cfg_override: None,
             kernel: None,
@@ -158,12 +156,6 @@ impl PlanBuilder {
     /// Threading policy (default [`Threading::Auto`]).
     pub fn threading(mut self, threading: Threading) -> Self {
         self.threading = threading;
-        self
-    }
-
-    /// SRAM budget for live lookup tables, in bytes.
-    pub fn lut_budget(mut self, bytes: usize) -> Self {
-        self.lut_budget = bytes;
         self
     }
 
@@ -204,7 +196,7 @@ impl PlanBuilder {
                 cfg.validate();
                 cfg
             }
-            None => plan_cfg(self.m, self.n, self.batch_hint, self.lut_budget),
+            None => plan_cfg(self.m, self.n, self.batch_hint, DEFAULT_LUT_BUDGET_BYTES),
         };
         if let Some(request) = self.kernel {
             cfg.kernel = request;

@@ -42,12 +42,12 @@ use crate::server::{Client, Server, StatsHandle, Ticket};
 use crate::stats::StatsSnapshot;
 use crate::ServeError;
 use biq_obs::{
-    span, Counter, Gauge, MetricsSnapshot, Pow2Histogram, Registry, RequestRecord, SeriesRing,
+    span, MetricValue, MetricsSnapshot, Pow2Histogram, RequestRecord, Sample, SeriesRing,
 };
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,53 +97,62 @@ impl Default for NetConfig {
 /// Transport-layer counters, one set per [`NetServer`]. Every update is a
 /// relaxed atomic op on a reactor thread — nothing here touches a worker
 /// or takes a lock on the hot path.
+#[derive(Default)]
 pub(crate) struct NetMetrics {
-    registry: Registry,
-    frames_in: Counter,
-    frames_out: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    checksum_failures: Counter,
-    malformed: Counter,
-    busy_rejects: Counter,
-    connections_opened: Counter,
-    connections_open: Gauge,
-    stats_queries: Counter,
-    history_queries: Counter,
-    slowlog_queries: Counter,
-    reactor_wakeups: Counter,
-    read_syscalls: Counter,
-    write_syscalls: Counter,
-    write_queue_depth: Arc<Pow2Histogram>,
+    frames_in: AtomicU64,
+    frames_out: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
+    checksum_failures: AtomicU64,
+    malformed: AtomicU64,
+    busy_rejects: AtomicU64,
+    connections_opened: AtomicU64,
+    connections_open: AtomicI64,
+    stats_queries: AtomicU64,
+    history_queries: AtomicU64,
+    slowlog_queries: AtomicU64,
+    reactor_wakeups: AtomicU64,
+    read_syscalls: AtomicU64,
+    write_syscalls: AtomicU64,
+    write_queue_depth: Pow2Histogram,
 }
 
 impl NetMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        NetMetrics {
-            frames_in: registry.counter("biq_net_frames_in_total", &[]),
-            frames_out: registry.counter("biq_net_frames_out_total", &[]),
-            bytes_in: registry.counter("biq_net_bytes_in_total", &[]),
-            bytes_out: registry.counter("biq_net_bytes_out_total", &[]),
-            checksum_failures: registry.counter("biq_net_checksum_failures_total", &[]),
-            malformed: registry.counter("biq_net_malformed_total", &[]),
-            busy_rejects: registry.counter("biq_net_busy_rejects_total", &[]),
-            connections_opened: registry.counter("biq_net_connections_opened_total", &[]),
-            connections_open: registry.gauge("biq_net_connections_open", &[]),
-            stats_queries: registry.counter("biq_net_stats_queries_total", &[]),
-            history_queries: registry.counter("biq_net_history_queries_total", &[]),
-            slowlog_queries: registry.counter("biq_net_slowlog_queries_total", &[]),
-            reactor_wakeups: registry.counter("biq_net_reactor_wakeups_total", &[]),
-            read_syscalls: registry.counter("biq_net_read_syscalls_total", &[]),
-            write_syscalls: registry.counter("biq_net_write_syscalls_total", &[]),
-            write_queue_depth: registry.histogram("biq_net_write_queue_depth", &[]),
-            registry,
-        }
+    /// Appends the transport samples, all unlabeled, in field order.
+    fn push_samples(&self, samples: &mut Vec<Sample>) {
+        let sample =
+            |name: &str, value| Sample { name: name.to_string(), labels: Vec::new(), value };
+        let counter =
+            |name, c: &AtomicU64| sample(name, MetricValue::Counter(c.load(Ordering::Relaxed)));
+        samples.extend([
+            counter("biq_net_frames_in_total", &self.frames_in),
+            counter("biq_net_frames_out_total", &self.frames_out),
+            counter("biq_net_bytes_in_total", &self.bytes_in),
+            counter("biq_net_bytes_out_total", &self.bytes_out),
+            counter("biq_net_checksum_failures_total", &self.checksum_failures),
+            counter("biq_net_malformed_total", &self.malformed),
+            counter("biq_net_busy_rejects_total", &self.busy_rejects),
+            counter("biq_net_connections_opened_total", &self.connections_opened),
+            sample(
+                "biq_net_connections_open",
+                MetricValue::Gauge(self.connections_open.load(Ordering::Relaxed)),
+            ),
+            counter("biq_net_stats_queries_total", &self.stats_queries),
+            counter("biq_net_history_queries_total", &self.history_queries),
+            counter("biq_net_slowlog_queries_total", &self.slowlog_queries),
+            counter("biq_net_reactor_wakeups_total", &self.reactor_wakeups),
+            counter("biq_net_read_syscalls_total", &self.read_syscalls),
+            counter("biq_net_write_syscalls_total", &self.write_syscalls),
+            sample(
+                "biq_net_write_queue_depth",
+                MetricValue::Histogram(self.write_queue_depth.snapshot()),
+            ),
+        ]);
     }
 }
 
 /// Everything a `Stats` frame is answered from: the serving layer's
-/// counters (via [`StatsHandle`]) merged with the transport counters.
+/// counters (via [`StatsHandle`]) followed by the transport counters.
 /// Shared by every connection; snapshotting reads atomics only.
 pub(crate) struct MetricsHub {
     serve: StatsHandle,
@@ -157,7 +166,7 @@ pub(crate) struct MetricsHub {
 impl MetricsHub {
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut m = self.serve.metrics();
-        m.merge(&self.net.registry.snapshot());
+        self.net.push_samples(&mut m.samples);
         // Observability of the observability: trace-ring drop counts and
         // the enabled flag ride along with every snapshot, so the CI smoke
         // can assert drops stayed zero under load.
@@ -320,7 +329,7 @@ impl NetServer {
         let client = server.client();
         let hub = Arc::new(MetricsHub {
             serve: server.stats_handle(),
-            net: NetMetrics::new(),
+            net: NetMetrics::default(),
             series: SeriesRing::new(HISTORY_POINTS),
         });
         // Create every poller before spawning anything so a failure here
@@ -368,8 +377,9 @@ impl NetServer {
         self.server.as_ref().expect("server present until shutdown").stats()
     }
 
-    /// Live metric samples: the serving layer's counters merged with the
-    /// transport counters — exactly what a `Stats` frame is answered with.
+    /// Live metric samples: the serving layer's counters, the transport
+    /// counters and trace health — exactly what a `Stats` frame is
+    /// answered with.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.hub.snapshot()
     }
@@ -476,7 +486,7 @@ fn io_loop(ctx: IoCtx) {
             // spinning (the timeout sweep below still makes progress).
             std::thread::sleep(Duration::from_millis(5));
         }
-        ctx.hub.net.reactor_wakeups.inc();
+        ctx.hub.net.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
 
         // Drain the inbox: new sockets, resolved-ticket hints, shutdown.
         let (new_conns, ready, drain_req) = {
@@ -543,8 +553,8 @@ fn register(conns: &mut Vec<Option<Conn>>, free: &mut Vec<usize>, stream: TcpStr
         free.push(idx);
         return; // dropping the stream closes it
     }
-    ctx.hub.net.connections_opened.inc();
-    ctx.hub.net.connections_open.add(1);
+    ctx.hub.net.connections_opened.fetch_add(1, Ordering::Relaxed);
+    ctx.hub.net.connections_open.fetch_add(1, Ordering::Relaxed);
     let shared = Arc::clone(&ctx.shared);
     let notify_fn: Arc<dyn Fn() + Send + Sync> = Arc::new(move || shared.notify_ready(token));
     conns[idx] = Some(Conn {
@@ -607,7 +617,7 @@ fn service(
     flush(conn, ctx);
     if conn.finished() {
         ctx.poller.delete(conn.fd);
-        ctx.hub.net.connections_open.add(-1);
+        ctx.hub.net.connections_open.fetch_add(-1, Ordering::Relaxed);
         conns[idx] = None;
         free.push(idx);
     } else {
@@ -627,8 +637,8 @@ fn read_ready(conn: &mut Conn, ctx: &IoCtx) {
                 break;
             }
             Ok(n) => {
-                ctx.hub.net.read_syscalls.inc();
-                ctx.hub.net.bytes_in.add(n as u64);
+                ctx.hub.net.read_syscalls.fetch_add(1, Ordering::Relaxed);
+                ctx.hub.net.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 conn.rbuf.extend_from_slice(&chunk[..n]);
                 if n < chunk.len() {
                     break; // socket drained
@@ -653,9 +663,9 @@ fn read_ready(conn: &mut Conn, ctx: &IoCtx) {
             Err(e) => {
                 // Best-effort error report, then close: a peer that sends
                 // garbage cannot be resynchronized mid-stream.
-                ctx.hub.net.malformed.inc();
+                ctx.hub.net.malformed.fetch_add(1, Ordering::Relaxed);
                 if e.is_checksum_mismatch() {
-                    ctx.hub.net.checksum_failures.inc();
+                    ctx.hub.net.checksum_failures.fetch_add(1, Ordering::Relaxed);
                 }
                 let WireError::Malformed(mut m) = e else { unreachable!("decode_frame is pure") };
                 wire::clip_msg(&mut m);
@@ -682,22 +692,22 @@ fn read_ready(conn: &mut Conn, ctx: &IoCtx) {
 
 /// One decoded client frame: validate, submit or queue the obligation.
 fn handle_message(conn: &mut Conn, ctx: &IoCtx, msg: Message) {
-    ctx.hub.net.frames_in.inc();
+    ctx.hub.net.frames_in.fetch_add(1, Ordering::Relaxed);
     match msg {
         Message::Request { req_id, op, rows, cols, data } => {
             handle_request(conn, ctx, req_id, &op, rows, cols, data);
         }
         Message::ListOps => conn.pending.push_back(PendingOut::Ops),
         Message::Stats => {
-            ctx.hub.net.stats_queries.inc();
+            ctx.hub.net.stats_queries.fetch_add(1, Ordering::Relaxed);
             conn.pending.push_back(PendingOut::Stats);
         }
         Message::History { max_points } => {
-            ctx.hub.net.history_queries.inc();
+            ctx.hub.net.history_queries.fetch_add(1, Ordering::Relaxed);
             conn.pending.push_back(PendingOut::History { max: max_points });
         }
         Message::SlowLog { max } => {
-            ctx.hub.net.slowlog_queries.inc();
+            ctx.hub.net.slowlog_queries.fetch_add(1, Ordering::Relaxed);
             conn.pending.push_back(PendingOut::SlowLog { max });
         }
         // Model-fleet admin verbs run inline on the reactor thread: a load
@@ -738,7 +748,7 @@ fn handle_message(conn: &mut Conn, ctx: &IoCtx, msg: Message) {
         _ => {
             // Server-to-client kinds arriving at the server violate the
             // protocol just like garbage bytes do.
-            ctx.hub.net.malformed.inc();
+            ctx.hub.net.malformed.fetch_add(1, Ordering::Relaxed);
             conn.pending.push_back(PendingOut::Reject {
                 req_id: 0,
                 code: RejectCode::Malformed,
@@ -888,13 +898,13 @@ fn pump(conn: &mut Conn, ctx: &IoCtx) {
             (PendingOut::Ticket { req_id, .. }, Some(Err(e))) => {
                 let code = reject_code(&e);
                 if code == RejectCode::Busy {
-                    ctx.hub.net.busy_rejects.inc();
+                    ctx.hub.net.busy_rejects.fetch_add(1, Ordering::Relaxed);
                 }
                 wire::encode_into(&mut buf, &Message::Reject { req_id, code, msg: e.to_string() });
             }
             (PendingOut::Reject { req_id, code, msg }, _) => {
                 if code == RejectCode::Busy {
-                    ctx.hub.net.busy_rejects.inc();
+                    ctx.hub.net.busy_rejects.fetch_add(1, Ordering::Relaxed);
                 }
                 wire::encode_into(&mut buf, &Message::Reject { req_id, code, msg });
             }
@@ -979,8 +989,8 @@ fn flush(conn: &mut Conn, ctx: &IoCtx) {
                 }
             }
         };
-        ctx.hub.net.write_syscalls.inc();
-        ctx.hub.net.bytes_out.add(n as u64);
+        ctx.hub.net.write_syscalls.fetch_add(1, Ordering::Relaxed);
+        ctx.hub.net.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
         let mut rem = n;
         while rem > 0 {
             let front_left = conn.wq.front().expect("bytes imply a frame").buf.len() - conn.woff;
@@ -992,10 +1002,10 @@ fn flush(conn: &mut Conn, ctx: &IoCtx) {
             let w = conn.wq.pop_front().expect("front exists");
             conn.wq_bytes -= w.buf.len();
             conn.woff = 0;
-            ctx.hub.net.frames_out.inc();
+            ctx.hub.net.frames_out.fetch_add(1, Ordering::Relaxed);
             if let Some((req_id, lap, wait_end)) = w.rec {
                 let end = *write_end.get_or_insert_with(Instant::now);
-                ctx.hub.serve.sink().record(&RequestRecord::from_timeline(
+                ctx.hub.serve.sink().offer(&RequestRecord::from_timeline(
                     req_id,
                     lap.op,
                     lap.cols,
@@ -1021,5 +1031,53 @@ fn set_interest(conn: &mut Conn, ctx: &IoCtx) {
             return;
         }
         conn.intr = want;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelRegistry;
+    use crate::server::ServerConfig;
+
+    #[test]
+    fn net_samples_keep_their_names_kinds_and_order() {
+        let server = Server::start(ModelRegistry::new(), ServerConfig::default());
+        let net = NetServer::bind("127.0.0.1:0", server).unwrap();
+        let samples = net.metrics().samples;
+        // The transport block sits whole between the serve samples and the
+        // trace-health samples.
+        let net_at: Vec<usize> =
+            (0..samples.len()).filter(|&i| samples[i].name.starts_with("biq_net_")).collect();
+        let first_trace = samples.iter().position(|s| s.name.starts_with("biq_trace_")).unwrap();
+        assert!(net_at[0] > 0, "serve samples come first");
+        assert_eq!(net_at.last().unwrap() + 1, first_trace, "trace health follows");
+        assert_eq!(net_at.last().unwrap() - net_at[0] + 1, net_at.len(), "one contiguous block");
+        let net_samples: Vec<(String, &str, bool)> = samples
+            .iter()
+            .filter(|s| s.name.starts_with("biq_net_"))
+            .map(|s| (s.name.clone(), s.value.kind(), s.labels.is_empty()))
+            .collect();
+        let expected = [
+            ("biq_net_frames_in_total", "counter"),
+            ("biq_net_frames_out_total", "counter"),
+            ("biq_net_bytes_in_total", "counter"),
+            ("biq_net_bytes_out_total", "counter"),
+            ("biq_net_checksum_failures_total", "counter"),
+            ("biq_net_malformed_total", "counter"),
+            ("biq_net_busy_rejects_total", "counter"),
+            ("biq_net_connections_opened_total", "counter"),
+            ("biq_net_connections_open", "gauge"),
+            ("biq_net_stats_queries_total", "counter"),
+            ("biq_net_history_queries_total", "counter"),
+            ("biq_net_slowlog_queries_total", "counter"),
+            ("biq_net_reactor_wakeups_total", "counter"),
+            ("biq_net_read_syscalls_total", "counter"),
+            ("biq_net_write_syscalls_total", "counter"),
+            ("biq_net_write_queue_depth", "histogram"),
+        ]
+        .map(|(name, kind)| (name.to_string(), kind, true));
+        assert_eq!(net_samples, expected);
+        net.shutdown();
     }
 }

@@ -291,7 +291,6 @@ impl StatsHandle {
     /// display names — what the `SlowLog` wire verb answers with.
     pub(crate) fn slow_hits(&self, max: usize) -> Vec<SlowHit> {
         self.stats
-            .sink
             .slow
             .slowest(max)
             .into_iter()
@@ -299,9 +298,9 @@ impl StatsHandle {
             .collect()
     }
 
-    /// The per-server record sink (the net writer records into it).
-    pub(crate) fn sink(&self) -> &biq_obs::RecordSink {
-        &self.stats.sink
+    /// The per-server slow log (the net writer offers its records to it).
+    pub(crate) fn sink(&self) -> &biq_obs::SlowLog {
+        &self.stats.slow
     }
 }
 
@@ -579,7 +578,7 @@ fn run_job(
         if !req.deferred {
             // In-process request: its lifecycle ends here (no ticket/write
             // phases); wire requests are recorded by the net writer instead.
-            stats.sink.record(&RequestRecord::from_timeline(
+            stats.slow.offer(&RequestRecord::from_timeline(
                 0,
                 lap.op,
                 lap.cols,
@@ -1070,7 +1069,7 @@ mod tests {
             client.submit(id, x).unwrap().wait().unwrap();
         }
         let handle = server.stats_handle();
-        let recent = handle.sink().ring.recent(16);
+        let recent: Vec<_> = handle.slow_hits(16).into_iter().map(|h| h.rec).collect();
         assert_eq!(recent.len(), 3, "every completed request is captured");
         for r in &recent {
             assert_eq!(r.phase_sum(), r.total_ns, "phases telescope to the total");

@@ -5,8 +5,8 @@
 //! Per-op counters live inside the [`crate::registry::LiveRegistry`]'s
 //! slots (an op's counters follow it through load/swap/retire and survive
 //! retirement as retention stats); this module owns the counter type, the
-//! sample rendering, and the server-wide blocks (kernel profile, record
-//! sink).
+//! sample rendering, and the server-wide blocks (kernel profile, slow
+//! log).
 //!
 //! Latency and batch-size distributions are [`biq_obs::Pow2Histogram`]s —
 //! recording from the hot path is two relaxed `fetch_add`s, and quantiles
@@ -22,7 +22,7 @@
 
 use crate::batcher::FlushReason;
 use crate::registry::{LiveRegistry, SlotView};
-use biq_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, RecordSink, Sample};
+use biq_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, Sample, SlowLog};
 use biqgemm_core::{KernelLevel, PhaseProfile};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -80,15 +80,18 @@ impl OpStats {
     }
 }
 
+/// Requests the slow log keeps: the `SlowLog` verb's depth.
+const SLOW_LOG_CAP: usize = 32;
+
 /// The shared mutable statistics block (one per server): everything that
 /// is server-wide rather than per-op.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ServerStats {
     /// Kernel phase profile merged from every worker executor.
     pub(crate) profile: Mutex<PhaseProfile>,
-    /// Per-request lifecycle records: recent-traffic ring + slowest-N
-    /// reservoir (the `SlowLog` verb's store).
-    pub(crate) sink: RecordSink,
+    /// The slowest completed requests' lifecycle records (the `SlowLog`
+    /// verb's store); every completed request is offered to it.
+    pub(crate) slow: SlowLog,
 }
 
 fn counter(name: &str, op: &str, v: u64) -> Sample {
@@ -148,7 +151,7 @@ pub(crate) fn push_op_samples(samples: &mut Vec<Sample>, slot: &SlotView) {
 
 impl ServerStats {
     pub(crate) fn new() -> Self {
-        Self::default()
+        Self { profile: Mutex::default(), slow: SlowLog::new(SLOW_LOG_CAP) }
     }
 
     /// Appends the merged kernel phase profile as nanosecond counters.
