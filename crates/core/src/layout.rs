@@ -11,9 +11,11 @@
 //! * **Column tables** (`nb ≤` [`COLUMN_TABLES_MAX`]):
 //!   `data[(a·num_chunks + c)·2^µ + key]` — batch column `a`'s tables run
 //!   back to back, built by one width-1 DP dispatch
-//!   ([`simd::dp_build_tile`]) per column and queried by one width-1
-//!   gather dispatch ([`simd::lut_gather_rows`]) per row tile that walks
-//!   the columns in turn. b = 1 is the one-column case.
+//!   ([`simd::dp_build_tile`]) per column and queried column by column
+//!   ([`LutBank::passes`]): one width-1 gather dispatch
+//!   ([`simd::lut_gather_rows`]) per row tile per column, so the tile loop
+//!   runs one column across every row before the next and that column's
+//!   tables stay in L1. b = 1 is the one-column case.
 //! * **KeyMajor** (paper Fig. 6, wider tiles): `data[(c·2^µ + key)·nb + a]`
 //!   — one lookup yields a contiguous batch vector, so the fused query
 //!   ([`simd::lut_query_fused_rows`]) accumulates whole lane groups.
@@ -82,12 +84,14 @@ impl LineAlignedBuf {
 }
 
 /// The widest LUT tile that builds column tables; wider tiles build the
-/// Fig. 6 KeyMajor bank. Measured, not derived: 2-bit serial runs at
-/// 512², 2048×512 and 512×2048 on AVX2 and AVX-512 (alternating blocks,
-/// low decile) found column tables faster in every cell up to this width
-/// — the table is in the crate README, "Known cliffs". ROADMAP item 15's
-/// cost model replaces it.
-pub const COLUMN_TABLES_MAX: usize = 3;
+/// Fig. 6 KeyMajor bank. Measured, not derived, with the column-outer
+/// query and AVX-512's ymm remainders: 2-bit serial runs at 512²,
+/// 2048×512 and 512×2048 on AVX2 and AVX-512 (alternating blocks, low
+/// decile, two runs) found column tables faster in all 12 cells at b = 4
+/// (0.84–0.99× KeyMajor's time) and slower in 10 of 12 at b = 5, so the
+/// bound is the same on both levels — the table is in the crate README,
+/// "Known cliffs". ROADMAP item 15's cost model replaces it.
+pub const COLUMN_TABLES_MAX: usize = 4;
 
 /// Whether a tile of `nb` batch columns builds column tables.
 #[inline]
@@ -237,16 +241,30 @@ impl LutBank {
         });
     }
 
-    /// The Algorithm 2 query of one row tile against the resident tables:
-    /// for each row `i` of the key tile and each resident batch lane `a`,
-    /// `y[i · y_stride + a] += scales[i] · Σ_c entry(c, a, keys_i[c])`,
-    /// every sum in the **canonical accumulation-tree order** at the
-    /// resolved kernel level — one kernel dispatch per row tile:
+    /// The query passes the resident tile takes, each over every row:
+    /// column tables one per batch column (column `a` is pass `a`), so a
+    /// pass reads one column's tables only; the KeyMajor bank one, over
+    /// every column at once.
+    #[inline]
+    pub fn passes(&self) -> usize {
+        if column_tables(self.nb) {
+            self.nb
+        } else {
+            1
+        }
+    }
+
+    /// Query pass `pass` ([`LutBank::passes`]) of one row tile against the
+    /// resident tables: for each row `i` of the key tile and each batch
+    /// lane `a` of the pass, `y[i · y_stride + a] += scales[i] · Σ_c
+    /// entry(c, a, keys_i[c])`, every sum in the **canonical
+    /// accumulation-tree order** at the resolved kernel level — one kernel
+    /// dispatch per row tile:
     ///
     /// * column tables: the width-1 gather ([`simd::lut_gather_rows`]) over
-    ///   each column's tables in turn, consecutive rows' lookups
-    ///   interleaved — at b = 1 the serving hot loop;
-    /// * KeyMajor: the fused lookup-accumulate
+    ///   column `pass`'s tables, consecutive rows' lookups interleaved — at
+    ///   b = 1 the serving hot loop;
+    /// * KeyMajor (`pass` 0): the fused lookup-accumulate
     ///   ([`simd::lut_query_fused_rows`]), register accumulation across the
     ///   tile's chunks, scale in-pass.
     ///
@@ -255,10 +273,12 @@ impl LutBank {
     ///
     /// # Panics
     /// Panics when the key tile does not span exactly the resident chunks,
-    /// or on tile/output geometry mismatches per the kernel dispatchers.
+    /// when `pass ≥ self.passes()`, or on tile/output geometry mismatches
+    /// per the kernel dispatchers.
     #[inline]
     pub fn query_rows(
         &self,
+        pass: usize,
         keys: KeyTile<'_>,
         scales: &[f32],
         y: &mut [f32],
@@ -266,11 +286,15 @@ impl LutBank {
         k: ResolvedKernel,
     ) {
         assert_eq!(keys.nc(), self.num_chunks, "a key tile spans the resident chunks");
+        assert!(pass < self.passes(), "query pass {pass} of a {}-pass tile", self.passes());
         let (table, nb) = (self.table, self.nb);
-        let bank = &self.data.as_slice()[..self.num_chunks * table * nb];
+        let data = self.data.as_slice();
         if column_tables(nb) {
-            simd::lut_gather_rows(y, y_stride, scales, bank, table, nb, keys, k);
+            let span = self.num_chunks * table;
+            let bank = &data[pass * span..][..span];
+            simd::lut_gather_rows(&mut y[pass..], y_stride, scales, bank, table, keys, k);
         } else {
+            let bank = &data[..self.num_chunks * table * nb];
             simd::lut_query_fused_rows(y, y_stride, scales, bank, table, nb, keys, k);
         }
     }
@@ -478,8 +502,13 @@ mod tests {
         for nb in [1usize, 2, 3, 4, 7] {
             let mut reference = LutBank::new(4);
             build(&mut reference, &input, [0, 7, 0, nb], sk());
-            let mut y_ref = vec![0.0f32; nb];
-            reference.query_rows(keys, &[1.25], &mut y_ref, nb, sk());
+            let query = |bank: &LutBank, k| {
+                let mut y = vec![0.0f32; nb];
+                (0..bank.passes())
+                    .for_each(|pass| bank.query_rows(pass, keys, &[1.25], &mut y, nb, k));
+                y
+            };
+            let y_ref = query(&reference, sk());
             for level in crate::simd::supported_levels() {
                 let k = KernelRequest::Exact(level).resolve().unwrap();
                 let mut bank = LutBank::new(4);
@@ -493,9 +522,7 @@ mod tests {
                         );
                     }
                 }
-                let mut y = vec![0.0f32; nb];
-                bank.query_rows(keys, &[1.25], &mut y, nb, k);
-                assert_eq!(y, y_ref, "level={level} nb={nb}");
+                assert_eq!(query(&bank, k), y_ref, "level={level} nb={nb}");
             }
         }
     }

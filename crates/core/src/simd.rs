@@ -41,7 +41,7 @@
 //!   and apply the per-row scale in the same pass (no accumulator buffer
 //!   round-trip);
 //! * [`lut_gather_rows`] — the width-1 form of the same query, one row tile
-//!   per call over each batch column's tables in turn:
+//!   of one batch column's tables per call:
 //!   `bank[c·2^µ + keys[c]]` looked up into vector lanes (a hardware gather
 //!   on AVX2/AVX-512), the latency path of the paper's b = 1 serving regime
 //!   and the query of every narrow tile's column tables;
@@ -187,8 +187,12 @@
 //!   all 32 lanes. AVX2 has 16 registers in total: 16 accumulators would
 //!   leave none for loads, so that level (and NEON, and scalar) keep the
 //!   per-row 8-/4-lane bodies. The lanes left after the last full group of
-//!   32 (`nb mod 32`, and every `nb < 32`) run the per-row 16-lane body:
-//!   full groups of 16, then one masked pass ("Ragged lanes" above);
+//!   32 (`nb mod 32`, and every `nb < 32`) run a per-row body: up to 8 of
+//!   them AVX2's (one ymm group or masked ymm pass, cheaper than a zmm
+//!   window over a ≤ 8-float entry: `crates/core/README.md`, "Known
+//!   cliffs"), more the 16-lane one (full groups of 16, then one masked
+//!   pass: "Ragged lanes" above). Both are the same generic body, so the
+//!   bits are the same;
 //! * **next-row prefetch**: while row `i` accumulates, the entries row
 //!   `i + 1` will read are requested — the whole key tile is in hand, so
 //!   the look-ahead is a full row (`nc` entries), not a few chunks;
@@ -658,10 +662,10 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
 /// one at a time.
 ///
 /// On AVX-512, lanes are taken 32 at a time while at least 32 remain (the
-/// row-blocked wide body, module docs "Wide batch"); remaining lanes, and
-/// every other level, run the per-row body: full lane groups of the
-/// level's width, then one masked pass over the lanes left (module docs
-/// "Ragged lanes").
+/// row-blocked wide body, module docs "Wide batch"), and up to 8 lanes
+/// left run AVX2's per-row body; other remaining lanes, and every other
+/// level, run the per-row body: full lane groups of the level's width,
+/// then one masked pass over the lanes left (module docs "Ragged lanes").
 ///
 /// # Panics
 /// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
@@ -713,14 +717,15 @@ pub fn lut_query_fused_rows(
     })
 }
 
-/// The width-1 query kernel over one row tile of `nb` batch columns: for
-/// each row `i` of the key tile and each column `a < nb`,
-/// `y[i · y_stride + a] += scales[i] · Σ_c bank[(a · nc + c) · table +
-/// keys_i[c]]` (`nc = keys.nc()`), the sum in the canonical
-/// accumulation-tree order (module docs) — each column's tables back to
-/// back, as a narrow tile's column tables hold them (`crate::layout`); at
-/// b = 1 the latency path. The columns run one after another inside one
-/// dispatch, each exactly the one-column query of its tables.
+/// The width-1 query kernel over one row tile of one batch column: for
+/// each row `i` of the key tile,
+/// `y[i · y_stride] += scales[i] · Σ_c bank[c · table + keys_i[c]]`
+/// (`c < keys.nc()`), the sum in the canonical accumulation-tree order
+/// (module docs) — one column's chunk tables back to back, as a narrow
+/// tile's column tables hold each column (`crate::layout`); at b = 1 the
+/// latency path. A narrow tile of several columns calls it once per
+/// column, each column across every row tile before the next, so one
+/// column's tables stay in L1 (`crate::tiled`).
 ///
 /// Every level runs the one width-1 chain, 8 lanes wide because the
 /// canonical tree is: on AVX2 and AVX-512 one hardware gather per row per 8
@@ -728,8 +733,7 @@ pub fn lut_query_fused_rows(
 /// gather unit's latency is the width-1 bottleneck); on scalar and NEON
 /// per-lane loads. All levels — and [`lut_query_fused_rows`] at `nb == 1` —
 /// agree bit for bit, and a row tile equals its rows queried one at a
-/// time. Geometry checks and level dispatch happen once per row tile,
-/// whatever `nb`.
+/// time. Geometry checks and level dispatch happen once per row tile.
 ///
 /// # Panics
 /// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, a slice is
@@ -742,27 +746,26 @@ pub fn lut_gather_rows(
     scales: &[f32],
     bank: &[f32],
     table: usize,
-    nb: usize,
     keys: KeyTile<'_>,
     k: ResolvedKernel,
 ) {
     let (nr, nc, key_stride) = (keys.rows(), keys.nc(), keys.stride());
     assert_eq!(scales.len(), nr, "one scale per key row");
-    if nr == 0 || nb == 0 {
+    if nr == 0 {
         return;
     }
     assert!(y_stride != 0, "y_stride must be positive");
-    assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
-    assert!(bank.len() >= nb * nc * table, "bank shorter than the key rows need");
+    assert!(y.len() > (nr - 1) * y_stride, "output shorter than the row tile needs");
+    assert!(bank.len() >= nc * table, "bank shorter than the key rows need");
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit lookup offset range");
     assert_keys_fit(&keys, table);
     // The prefetch decision picks the monomorph here, once per call: a
     // runtime flag tested inside the stamp measured ≈ 10 % slower per row.
     let pf = nc * table * 4 > L1_LUT_BYTES;
     with_keys!(keys, ks => dispatch!(k, level => if pf {
-        level::gather_rows::<_, true>(y, y_stride, scales, bank, table, nb, ks, key_stride, nc)
+        level::gather_rows::<_, true>(y, y_stride, scales, bank, table, ks, key_stride, nc)
     } else {
-        level::gather_rows::<_, false>(y, y_stride, scales, bank, table, nb, ks, key_stride, nc)
+        level::gather_rows::<_, false>(y, y_stride, scales, bank, table, ks, key_stride, nc)
     }))
 }
 
@@ -933,9 +936,9 @@ macro_rules! stamp {
         #[allow(clippy::too_many_arguments)]
         pub unsafe fn gather_rows<K: super::KeyElem, const PF: bool>(
             y: &mut [f32], y_stride: usize, scales: &[f32], bank: &[f32], table: usize,
-            nb: usize, keys: &[K], key_stride: usize, nc: usize,
+            keys: &[K], key_stride: usize, nc: usize,
         ) {
-            let args = (y, y_stride, scales, bank, table, nb);
+            let args = (y, y_stride, scales, bank, table);
             // SAFETY: as for `fused_row`.
             unsafe { super::gather_rows_body::<$chain, K, PF>(args, keys, key_stride, nc) }
         }
@@ -1108,47 +1111,42 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
 /// ([`gather_chain`] on two rows), so each hides the other's latency — the
 /// gather unit, not the adds, bounds the b = 1 query; an odd last row runs
 /// the chain alone. Per row the sum is the one-row chain's, bit for bit.
-/// The `nb` batch columns run one after another, each over its own tables.
 /// `PF` is the dispatcher's prefetch decision.
 ///
 /// # Safety
 /// `L`'s ISA is available and `L::W == 8`; output geometry, the bank
-/// (`nb · nc · table ≤ bank.len() ≤ i32::MAX`) and the key range as
-/// asserted by the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()` are the
+/// (`nc · table ≤ bank.len() ≤ i32::MAX`) and the key range as asserted by
+/// the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()` are the
 /// slab, stride, width and row count of a `KeyTile` whose `2^µ == table`.
 #[inline(always)]
 unsafe fn gather_rows_body<L: Lanes, K: KeyElem, const PF: bool>(
-    (y, y_stride, scales, bank, table, nb): (&mut [f32], usize, &[f32], &[f32], usize, usize),
+    (y, y_stride, scales, bank, table): (&mut [f32], usize, &[f32], &[f32], usize),
     keys: &[K],
     key_stride: usize,
     nc: usize,
 ) {
     let nr = scales.len();
+    let base = bank.as_ptr();
     // Row `i` of the tile, bounds-checked once per row.
     let row = |i: usize| &keys[i * key_stride..][..nc];
-    for a in 0..nb {
-        // SAFETY: column `a`'s tables are inside the bank (`a < nb`), every
-        // row handed on is a row of the `KeyTile`, and the bank and key
-        // range are as `gather_chain` needs (this function's contract);
-        // `y`/`scales` indices follow the dispatcher's output-geometry
-        // asserts.
-        unsafe {
-            let base = bank.as_ptr().add(a * nc * table);
-            let mut emit = |i: usize, p: Partials| {
-                let yi = y.get_unchecked_mut(i * y_stride + a);
-                *yi += *scales.get_unchecked(i) * tree_reduce8(p.0);
-            };
-            let mut i = 0;
-            while i + 2 <= nr {
-                let [pa, pb] = gather_chain::<L, K, PF, 2>(base, table, [row(i), row(i + 1)]);
-                emit(i, pa);
-                emit(i + 1, pb);
-                i += 2;
-            }
-            if i < nr {
-                let [p] = gather_chain::<L, K, PF, 1>(base, table, [row(i)]);
-                emit(i, p);
-            }
+    // SAFETY: every row handed on is a row of the `KeyTile`, and the bank
+    // and key range are as `gather_chain` needs (this function's contract);
+    // `y`/`scales` indices follow the dispatcher's output-geometry asserts.
+    unsafe {
+        let mut emit = |i: usize, p: Partials| {
+            let yi = y.get_unchecked_mut(i * y_stride);
+            *yi += *scales.get_unchecked(i) * tree_reduce8(p.0);
+        };
+        let mut i = 0;
+        while i + 2 <= nr {
+            let [pa, pb] = gather_chain::<L, K, PF, 2>(base, table, [row(i), row(i + 1)]);
+            emit(i, pa);
+            emit(i + 1, pb);
+            i += 2;
+        }
+        if i < nr {
+            let [p] = gather_chain::<L, K, PF, 1>(base, table, [row(i)]);
+            emit(i, p);
         }
     }
 }
@@ -1506,11 +1504,12 @@ mod avx512 {
     stamp!(Avx512, super::avx2::Avx2, "avx512f", "avx512dq");
 
     /// The row-blocked wide query: every row of the tile, 32 batch lanes
-    /// per pass while at least 32 remain, then the per-row body
-    /// ([`fused_row`]: 16-lane groups, then one masked pass) on the lanes
-    /// left over. While row `i` accumulates, the entries row `i + 1` will
-    /// read are prefetched (when `prefetch`: the tile exceeds L1) — the
-    /// keys are known a tile ahead.
+    /// per pass while at least 32 remain, then a per-row body on the lanes
+    /// left over — AVX2's ([`super::avx2::fused_row`]: one 8-lane group or
+    /// masked pass) when at most 8 are left, else this level's
+    /// ([`fused_row`]: 16-lane groups, then one masked pass). While row `i`
+    /// accumulates, the entries row `i + 1` will read are prefetched (when
+    /// `prefetch`: the tile exceeds L1) — the keys are known a tile ahead.
     ///
     /// # Safety
     /// AVX-512F/DQ must be available; output geometry (`y_stride ≥ nb`,
@@ -1560,12 +1559,16 @@ mod avx512 {
                 }
                 a0 += 32;
             }
-            if a0 < nb {
-                // SAFETY: same feature set; the per-row body gets the live
-                // lanes `a0 .. nb` and the bank pre-offset by the same `a0`.
-                unsafe {
-                    fused_row(&mut yrow[a0..], scale, &bank[a0..], table, nb, row, prefetch);
-                }
+            // The per-row body gets the live lanes `a0 .. nb` and the bank
+            // pre-offset by the same `a0`: up to 8 of them at AVX2's width
+            // (one ymm group or masked pass), more at this level's.
+            let (tail, tail_bank) = (&mut yrow[a0..], &bank[a0..]);
+            if tail.len() > 8 {
+                // SAFETY: same feature set; geometry as above.
+                unsafe { fused_row(tail, scale, tail_bank, table, nb, row, prefetch) };
+            } else if !tail.is_empty() {
+                // SAFETY: AVX-512F implies AVX2; geometry as above.
+                unsafe { super::avx2::fused_row(tail, scale, tail_bank, table, nb, row, prefetch) };
             }
         }
     }
@@ -1998,7 +2001,7 @@ mod tests {
     /// [`lut_gather_rows`] onto `0.0` with scale 1 (exact).
     fn gather(bank: &[f32], table: usize, keys: KeyTile<'_>, k: ResolvedKernel) -> f32 {
         let mut y = [0.0f32];
-        lut_gather_rows(&mut y, 1, &[1.0], bank, table, 1, keys, k);
+        lut_gather_rows(&mut y, 1, &[1.0], bank, table, keys, k);
         y[0]
     }
 
@@ -2009,7 +2012,14 @@ mod tests {
             (1usize, 2usize, 1usize),
             (3, 4, 5),
             (7, 4, 8),
+            (6, 4, 4),
+            (9, 6, 6),
+            (10, 8, 7),
             (5, 6, 9),
+            (12, 8, 20), // AVX-512: 16-lane group + masked 4
+            (11, 6, 24), // AVX-512: 16-lane group + masked 8
+            (9, 8, 36),  // AVX-512: 32-lane pass + AVX2 masked 4
+            (10, 6, 40), // AVX-512: 32-lane pass + one AVX2 group
             (9, 8, 16),
             (4, 8, 33),
             (40, 8, 8),  // tile > L1: the prefetching arm
@@ -2095,8 +2105,8 @@ mod tests {
 
     /// The width-1 chain is the canonical sum at every level, on every
     /// batch column of a column-table bank (column `a`'s chunk tables back
-    /// to back from `a · chunks · 2^µ` on), all columns in one call — the
-    /// query a narrow tile runs.
+    /// to back from `a · chunks · 2^µ` on), one call per column — the
+    /// queries a narrow tile runs.
     #[test]
     fn gather_is_the_canonical_sum_on_every_column_of_a_bank() {
         let mut g = MatrixRng::seed_from(43);
@@ -2112,9 +2122,10 @@ mod tests {
                 .collect();
             for level in supported_levels() {
                 let k = KernelRequest::Exact(level).resolve().unwrap();
-                let mut y = vec![0.0f32; nb];
-                lut_gather_rows(&mut y, nb, &[1.0], &bank, table, nb, keys, k);
-                let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u32> = bank
+                    .chunks_exact(chunks * table)
+                    .map(|col| gather(col, table, keys, k).to_bits())
+                    .collect();
                 assert_eq!(want, got, "{level} chunks={chunks} nb={nb}");
             }
         }

@@ -11,19 +11,21 @@
 //! for each batch tile:
 //!   for each chunk tile TX:
 //!     build bank TQ from TX                  (Algorithm 1, build/replace)
-//!     for each member W (its rows in the run's row window):
-//!       for each plane p of W:
-//!         for each row tile TK of plane p's key rows:
-//!           for each key row r in TK:
-//!             acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
-//!             Y_W[r mod m, ·] += α_r · acc
+//!     for each query pass of TQ (a narrow tile's columns one by one):
+//!       for each member W (its rows in the run's row window):
+//!         for each plane p of W:
+//!           for each row tile TK of plane p's key rows:
+//!             for each key row r in TK:
+//!               acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
+//!               Y_W[r mod m, ·] += α_r · acc
 //! ```
 //!
 //! Partial outputs from different chunk tiles accumulate into `Y`; the scale
 //! `α_r` distributes over partial sums, so applying it per chunk tile is
 //! exact up to f32 rounding. A row's arithmetic reads only its own keys and
 //! the shared bank, so a member's rows round exactly as in a run of that
-//! member alone: grouping moves no bit, by construction.
+//! member alone: grouping moves no bit, by construction. Nor does the pass
+//! order: a pass reads and writes its own batch columns only.
 
 use crate::arena::BiqArena;
 use crate::config::BiqConfig;
@@ -151,27 +153,32 @@ pub(crate) fn run_tiles(
         for (c0, nc) in tile_ranges(first.chunks(), cfg.tile_chunks) {
             bank.build(&input, c0, nc, b0, nb, profile, kernel);
             profile.time_query(|| {
-                // `off`: the member's first row in the stacked output.
-                let mut off = 0;
-                for w in ws {
-                    let m = w.output_size();
-                    let (lo, hi) = (rows.start.max(off), rows.end.min(off + m));
-                    off += m;
-                    if lo >= hi {
-                        continue;
-                    }
-                    // Plane `p` keeps output row `r` in key row `p·m + r`.
-                    let (r_lo, r_hi) = (lo - (off - m), hi - (off - m));
-                    let yrows = &mut y[(lo - rows.start) * b + b0..];
-                    for p in 0..w.bits() {
-                        for (r0, nr) in tile_ranges(r_hi - r_lo, cfg.tile_rows) {
-                            // One query per row tile (`LutBank::query_rows`:
-                            // the width-1 gather over each column's tables,
-                            // or the fused KeyMajor query).
-                            let t = p * m + r_lo + r0;
-                            let tile = w.keys().tile(t..t + nr, c0, nc);
-                            let y_tile = &mut yrows[r0 * b..];
-                            bank.query_rows(tile, &w.scales()[t..t + nr], y_tile, b, kernel);
+                // Column tables: one pass per column, so that column's
+                // tables stay in L1 across every row; KeyMajor: one pass.
+                for pass in 0..bank.passes() {
+                    // `off`: the member's first row in the stacked output.
+                    let mut off = 0;
+                    for w in ws {
+                        let m = w.output_size();
+                        let (lo, hi) = (rows.start.max(off), rows.end.min(off + m));
+                        off += m;
+                        if lo >= hi {
+                            continue;
+                        }
+                        // Plane `p` keeps output row `r` in key row `p·m + r`.
+                        let (r_lo, r_hi) = (lo - (off - m), hi - (off - m));
+                        let yrows = &mut y[(lo - rows.start) * b + b0..];
+                        for p in 0..w.bits() {
+                            for (r0, nr) in tile_ranges(r_hi - r_lo, cfg.tile_rows) {
+                                // One query per row tile (`LutBank::query_rows`:
+                                // the width-1 gather over the pass's column,
+                                // or the fused KeyMajor query).
+                                let t = p * m + r_lo + r0;
+                                let tile = w.keys().tile(t..t + nr, c0, nc);
+                                let (scales, y_tile) =
+                                    (&w.scales()[t..t + nr], &mut yrows[r0 * b..]);
+                                bank.query_rows(pass, tile, scales, y_tile, b, kernel);
+                            }
                         }
                     }
                 }

@@ -18,6 +18,7 @@
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
+use biqgemm_core::layout::COLUMN_TABLES_MAX;
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelRequest, PhaseProfile};
 
@@ -139,9 +140,11 @@ fn every_serving_width_equals_its_columns_served_alone() {
     // each column exactly the bits it gets alone at b = 1 — at every level,
     // on the serial path and the parallel driver at every worker count.
     // Widths up to `COLUMN_TABLES_MAX` build column tables, one width-1
-    // gather each; the wider ones up to 15 run entirely in the remainder
-    // passes of the fused query and of the DP build; 13 chunks leave a
-    // ragged chunk tail under every one of them.
+    // gather pass each; the wider ones up to 15 run entirely in the
+    // remainder passes of the fused query and of the DP build (on AVX-512,
+    // up to 8 lanes in AVX2's body); 13 chunks leave a ragged chunk tail
+    // under every one of them. The widths run past the column-table bound
+    // whatever its value.
     let (m, n, bits, widest) = (21usize, 100usize, 2usize, 35usize);
     let mut g = MatrixRng::seed_from(7100);
     let w = BiqWeights::from_multibit(
@@ -163,7 +166,7 @@ fn every_serving_width_equals_its_columns_served_alone() {
         let alone: Vec<Vec<u32>> = (0..widest)
             .map(|j| run(&cfg, &ColMatrix::from_vec(n, 1, x.col(j).to_vec()), None))
             .collect();
-        for b in (1..=17).chain([widest]) {
+        for b in (1..=17.max(COLUMN_TABLES_MAX + 1)).chain([widest]) {
             let xb = ColMatrix::from_vec(n, b, x.as_slice()[..n * b].to_vec());
             let want: Vec<u32> = (0..m * b).map(|e| alone[e % b][e / b]).collect();
             for workers in [None, Some(1), Some(2), Some(3), Some(7)] {

@@ -203,7 +203,7 @@ fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
             let y0 = g.gaussian(1, rows * y_stride, 0.0, 1.0).as_slice().to_vec();
             let gather_rows = |k: ResolvedKernel| {
                 let mut y = y0.clone();
-                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, 1, keys, k);
+                lut_gather_rows(&mut y, y_stride, &scales, &bank, table, keys, k);
                 bits(&y)
             };
             let sums = |k: ResolvedKernel| {
@@ -231,7 +231,7 @@ fn gather(
     k: ResolvedKernel,
 ) -> f32 {
     let mut y = [0.0f32];
-    biqgemm_core::simd::lut_gather_rows(&mut y, 1, &[1.0], bank, table, 1, keys, k);
+    biqgemm_core::simd::lut_gather_rows(&mut y, 1, &[1.0], bank, table, keys, k);
     y[0]
 }
 
@@ -249,7 +249,8 @@ fn aligned_bank(g: &mut MatrixRng, len: usize) -> (Vec<f32>, usize) {
 /// on a row tile equals one call per row (each of those is a last-row tile:
 /// no next row to prefetch). Lane counts are every width through 33 — each
 /// remainder of the 8- and 16-lane groups, alone and after full groups and
-/// a 32-lane pass — plus 48 and 64; chunk counts straddle the 8-chunk
+/// a 32-lane pass (on AVX-512 a remainder of ≤ 8 lanes, widths 1–8 and 33,
+/// runs AVX2's body) — plus 48 and 64; chunk counts straddle the 8-chunk
 /// group, µ both key widths and both sides of the L1 prefetch threshold.
 /// Tiles are a window of a wider key matrix (stride > width); the bank
 /// slice ends with the last entry, and the *whole* strided output is
@@ -527,12 +528,12 @@ proptest! {
             let mut want = y_init.clone();
             for i in 0..rows {
                 lut_gather_rows(
-                    &mut want[i * y_stride..], y_stride, &scales[i..i + 1], &bank, table, 1,
+                    &mut want[i * y_stride..], y_stride, &scales[i..i + 1], &bank, table,
                     keys.row(i), k,
                 );
             }
             let mut got = y_init.clone();
-            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, 1, keys, k);
+            lut_gather_rows(&mut got, y_stride, &scales, &bank, table, keys, k);
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(

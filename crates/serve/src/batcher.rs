@@ -14,9 +14,13 @@
 //!   at once (zero added latency);
 //! * **window**: its **oldest** request has waited `window` — the longest a
 //!   bucket is held *while every worker is busy*. Nothing watches the clock
-//!   for it: the next push into the bucket seals it and opens a fresh one,
-//!   and a worker that takes it after its deadline labels it so. A zero
-//!   window seals every push: a plain queue in front of the workers;
+//!   for it: while nothing sealed waits, the next push into the bucket
+//!   seals it and opens a fresh one; behind a backlog of sealed work the
+//!   push joins it instead (sealing it would only queue it behind that
+//!   backlog, while the workers take an expired bucket in deadline order
+//!   anyway — below), so batches under load grow toward `max_cols`. A
+//!   worker that takes it after its deadline labels it so. A zero window
+//!   seals every push: a plain queue in front of the workers;
 //! * **idle**: a worker is free with nothing sealed for it, so it takes the
 //!   oldest open bucket. A lone request on an idle server therefore never
 //!   waits for company; under load batches form because requests queue
@@ -236,7 +240,9 @@ impl Batcher {
     }
 
     /// Buckets one request at `now`. A bucket whose window ran out by `now`
-    /// is sealed first and the request opens a fresh one; a bucket the
+    /// is sealed first and the request opens a fresh one — unless sealed
+    /// work is waiting, in which case the request joins the expired bucket
+    /// and [`Batcher::next`] takes it in deadline order. A bucket the
     /// request fills to `max_cols` is sealed with it — so a request wide on
     /// its own leaves at once, with whatever was waiting.
     pub(crate) fn push(&mut self, mut p: Pending, now: Instant) {
@@ -245,7 +251,7 @@ impl Batcher {
         self.queued += 1;
         let key = p.op.0;
         if let Some(due) = self.buckets.get(&key).map(|b| b.opened + self.window) {
-            if due <= now {
+            if due <= now && self.sealed.is_empty() {
                 self.seal(key, due, FlushReason::Window);
             }
         }
@@ -440,6 +446,49 @@ mod tests {
                 (OpId(2), FlushReason::Size, t0 + 6 * ms),
             ]
         );
+    }
+
+    #[test]
+    fn behind_a_backlog_a_late_push_joins_the_expired_bucket() {
+        let c = tiny_op();
+        let t0 = Instant::now();
+        let ms = Duration::from_millis(1);
+        let mut b = Batcher::new(5 * ms, 4);
+        let mut rxs = Vec::new();
+        let mut push = |b: &mut Batcher, op: usize, cols: usize, at: Instant| {
+            let (p, rx) = pending(&c, op, cols, at);
+            rxs.push(rx);
+            b.push(p, at);
+        };
+        // Op 0 opens at t0 (deadline t0 + 5 ms); op 1 fills to the cap at
+        // t0 + 1 ms, so a sealed job waits when op 0's late push arrives.
+        push(&mut b, 0, 1, t0);
+        push(&mut b, 1, 4, t0 + ms);
+        push(&mut b, 0, 1, t0 + 6 * ms);
+        assert_eq!(b.sealed.len(), 1, "the late push sealed nothing");
+        assert_eq!(b.buckets[&0].requests.len(), 2, "it joined the expired bucket");
+        // Op 2 fills at t0 + 7 ms: sealed after op 0's deadline.
+        push(&mut b, 2, 4, t0 + 7 * ms);
+        let order: Vec<_> = std::iter::from_fn(|| b.next(|| t0 + 8 * ms))
+            .map(|job| (job.op, job.requests.len(), job.reason, job.dispatched))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (OpId(1), 1, FlushReason::Size, t0 + ms),
+                (OpId(0), 2, FlushReason::Window, t0 + 5 * ms),
+                (OpId(2), 1, FlushReason::Size, t0 + 7 * ms),
+            ]
+        );
+        // With nothing sealed, a late push still seals and reopens.
+        push(&mut b, 0, 1, t0 + 10 * ms);
+        push(&mut b, 0, 1, t0 + 16 * ms);
+        assert_eq!(b.sealed.len(), 1, "the expired bucket sealed");
+        let sealed = b.next(|| panic!("sealed work needs no clock")).expect("the old bucket");
+        assert_eq!((sealed.requests.len(), sealed.reason), (1, FlushReason::Window));
+        let fresh = b.next(|| t0 + 16 * ms).expect("the bucket the late push opened");
+        assert_eq!((fresh.requests.len(), fresh.reason), (1, FlushReason::Idle));
+        assert_eq!(b.queued(), 0);
     }
 
     #[test]

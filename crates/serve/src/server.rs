@@ -945,10 +945,12 @@ mod tests {
         // The packing contract with the batch widths forced by construction:
         // each op's requests go through `Batcher::push`, leave through an
         // idle `Batcher::next` as ONE job of exactly `width` columns and run
-        // through the worker's `run_job` — every width from 9 to 15 (past one 8-lane
-        // group, below the shipped cap of 16, so the size trigger stays
-        // quiet) on a serial and a parallel BiQGEMM op, against each
-        // request's own direct executor run.
+        // through the worker's `run_job` — every width from 2 to 15 (column
+        // tables through `COLUMN_TABLES_MAX`, then KeyMajor tiles with every
+        // lane remainder: AVX-512 hands ≤ 8 of them to AVX2's body; below
+        // the shipped cap of 16, so the size trigger stays quiet) on a
+        // serial and a parallel BiQGEMM op, against each request's own
+        // direct executor run.
         let mut g = MatrixRng::seed_from(0x1d1e);
         let ops: Vec<Arc<biq_runtime::CompiledOp>> =
             [(24, 32, 1, Threading::Serial), (17, 40, 2, Threading::Parallel)]
@@ -967,7 +969,7 @@ mod tests {
         let (mut exec, mut xbuf, mut ybuf) = (Executor::new(), Vec::new(), Vec::new());
         let mut batcher = Batcher::new(NEVER, ServerConfig::default().max_batch_cols);
         let mut g = MatrixRng::seed_from(0x1d1f);
-        for width in 9usize..=15 {
+        for width in 2usize..=15 {
             let mut submitted = 0usize;
             for (i, op) in ops.iter().enumerate() {
                 // 1- and 2-column requests adding up to `width`.
