@@ -20,7 +20,11 @@
 //!   — one lookup yields a contiguous batch vector, so the fused query
 //!   ([`simd::lut_query_fused_rows`]) accumulates whole lane groups.
 //!   Building gathers each chunk's sub-vector values across the batch
-//!   stride — that movement is charged to the **replace** phase.
+//!   stride into entry 0 and the DP step rows — that movement is charged
+//!   to the **replace** phase. It is one dispatch per tile
+//!   ([`simd::gather_key_major_steps`]) with the batch columns as vector
+//!   lanes: one lookup per chunk position pulls a lane group's values at
+//!   lane offsets `a·n`.
 //!
 //! Both realise the canonical accumulation tree, so a column's bits do not
 //! depend on which side of the constant its tile falls.
@@ -201,8 +205,10 @@ impl LutBank {
     /// resident tile: table entries are contiguous `nb`-vectors, and the
     /// DP recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector
     /// add per entry. The strided gather of sub-vector values across batch
-    /// columns is the residual "replace" (tiling data-movement) cost. Both
-    /// phases run over the whole tile under one timing scope each.
+    /// columns — entry 0 and the step rows, one
+    /// [`simd::gather_key_major_steps`] dispatch with the columns as lanes —
+    /// is the residual "replace" (tiling data-movement) cost. Both phases
+    /// run over the whole tile under one timing scope each.
     fn build_key_major(
         &mut self,
         input: &ChunkedInput<'_>,
@@ -211,21 +217,16 @@ impl LutBank {
         profile: &mut PhaseProfile,
         k: ResolvedKernel,
     ) {
-        let (num_chunks, nb, table) = (self.num_chunks, self.nb, self.table);
+        let (num_chunks, nb, table, mu) = (self.num_chunks, self.nb, self.table, self.mu());
         self.reserve_steps(num_chunks, nb);
-        let step_stride = self.mu() * nb;
+        let step_stride = mu * nb;
         let steps = &mut self.steps;
         let data = self.data.as_mut_slice();
+        let n = input.input_size();
+        let x = &input.matrix().as_slice()[batch_start * n..];
+        let chunks = chunk_start..chunk_start + num_chunks;
         profile.time_replace(|| {
-            for c in 0..num_chunks {
-                gather_chunk_steps(
-                    &mut data[c * table * nb..][..nb],
-                    &mut steps[c * step_stride..][..step_stride],
-                    input,
-                    chunk_start + c,
-                    batch_start,
-                );
-            }
+            simd::gather_key_major_steps(data, steps, x, n, mu, chunks, nb, k);
         });
         profile.time_build(|| {
             for c in 0..num_chunks {
@@ -302,33 +303,6 @@ impl LutBank {
     /// Bytes of live table data.
     pub fn resident_bytes(&self) -> usize {
         self.num_chunks * self.table * self.nb * 4
-    }
-}
-
-/// Gather half of the batched KeyMajor build for one chunk — the strided
-/// data movement charged to the replace phase: `steps[t·nb + a] =
-/// 2·x_a[L−1−t]` for the DP levels, and `−Σ x_a` into table entry 0
-/// (`entry0`, one float per batch column: `nb = entry0.len()`).
-fn gather_chunk_steps(
-    entry0: &mut [f32],
-    steps: &mut [f32],
-    input: &ChunkedInput<'_>,
-    chunk: usize,
-    batch_start: usize,
-) {
-    let nb = entry0.len();
-    for (a, e0) in entry0.iter_mut().enumerate() {
-        let sub = input.chunk(batch_start + a, chunk);
-        let l = sub.len();
-        debug_assert!(l >= 1);
-        let mut neg = 0.0f32;
-        for &v in sub {
-            neg -= v;
-        }
-        *e0 = neg;
-        for t in 0..l - 1 {
-            steps[t * nb + a] = 2.0 * sub[l - 1 - t];
-        }
     }
 }
 
@@ -523,6 +497,79 @@ mod tests {
                     }
                 }
                 assert_eq!(query(&bank, k), y_ref, "level={level} nb={nb}");
+            }
+        }
+    }
+
+    /// The KeyMajor step gather written out as a scalar per-column chain —
+    /// the independent statement of its order: per column,
+    /// entry 0 is `0 − x_0 − x_1 − …` in ascending order and step row `t`
+    /// is `2·x_{l−1−t}`. Fills the tile's entry 0 of every chunk
+    /// (`bank[i·2^µ·nb + a]`) and its step rows (`steps[i·µ·nb + t·nb + a]`),
+    /// nothing else.
+    fn steps_oracle(
+        bank: &mut [f32],
+        steps: &mut [f32],
+        input: &ChunkedInput<'_>,
+        chunks: std::ops::Range<usize>,
+        batch_start: usize,
+        nb: usize,
+    ) {
+        let mu = input.mu();
+        for (i, c) in chunks.enumerate() {
+            for a in 0..nb {
+                let sub = input.chunk(batch_start + a, c);
+                let l = sub.len();
+                let mut neg = 0.0f32;
+                for &v in sub {
+                    neg -= v;
+                }
+                bank[(i << mu) * nb + a] = neg;
+                for t in 0..l - 1 {
+                    steps[i * mu * nb + t * nb + a] = 2.0 * sub[l - 1 - t];
+                }
+            }
+        }
+    }
+
+    /// The lane step gather at every level equals the scalar chain bit for
+    /// bit — entry 0 and every step row — and writes nothing else (the
+    /// rest of both buffers keeps its sentinel, so a masked group that
+    /// stored an idle lane fails). Batch widths straddle the 8- and 16-lane
+    /// groups, the tile starts at a column and a chunk past 0, the last
+    /// chunk is ragged (n ∤ µ), and µ = 12 (the width whose keys are `u16`)
+    /// runs chunks longer than a lane group of 8.
+    #[test]
+    fn lane_step_gather_equals_the_scalar_chain() {
+        const SENTINEL: u32 = 0x7fc5_a5a5;
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut g = MatrixRng::seed_from(229);
+        for mu in [4usize, 8, 12] {
+            let n = 5 * mu + 3;
+            let total = n.div_ceil(mu);
+            for nb in [5usize, 8, 9, 15, 16, 17, 31, 32, 33] {
+                let b0 = 2;
+                let x = g.gaussian_col(n, b0 + nb + 1, 0.0, 1.0);
+                let input = ChunkedInput::new(&x, mu);
+                for chunks in [0..total, 1..total, 2..4] {
+                    let len = [chunks.len() << mu, chunks.len() * mu].map(|per| per * nb);
+                    let fresh = || len.map(|l| vec![f32::from_bits(SENTINEL); l]);
+                    let [mut bank, mut steps] = fresh();
+                    steps_oracle(&mut bank, &mut steps, &input, chunks.clone(), b0, nb);
+                    let want = [bits(&bank), bits(&steps)];
+                    let cols = &x.as_slice()[b0 * n..];
+                    for level in crate::simd::supported_levels() {
+                        let k = KernelRequest::Exact(level).resolve().unwrap();
+                        let [mut bank, mut steps] = fresh();
+                        let range = chunks.clone();
+                        simd::gather_key_major_steps(
+                            &mut bank, &mut steps, cols, n, mu, range, nb, k,
+                        );
+                        let what = format!("level={level} µ={mu} nb={nb} chunks={chunks:?}");
+                        assert_eq!(bits(&bank), want[0], "entry 0, {what}");
+                        assert_eq!(bits(&steps), want[1], "step rows, {what}");
+                    }
+                }
             }
         }
     }

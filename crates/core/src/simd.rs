@@ -51,7 +51,11 @@
 //!   `nb == 1` for one column's tables;
 //! * [`dp_build_tile`] — the whole build of one batch column's tables in
 //!   one dispatch: per chunk, `−Σ x`, the flat DP steps and the flat mirror
-//!   (the same bodies as the two primitives above, inlined).
+//!   (the same bodies as the two primitives above, inlined);
+//! * [`gather_key_major_steps`] — the batched build's input side, one
+//!   KeyMajor tile per dispatch: each chunk's entry 0 (`−Σ x`) and DP step
+//!   rows (`2·x`) for a lane group of batch columns at once, one lookup per
+//!   chunk position at lane offsets `a·n` (the replace phase).
 //!
 //! ## Bit-exactness and the canonical accumulation order
 //!
@@ -99,26 +103,27 @@
 //! throughout and are discarded. The row-shaped steps of the batched DP
 //! build ([`dp_step_add_rows`], [`negate_rows_reversed`]) finish each row
 //! the same way. Scalar (8 lanes in an array) and NEON (4 lanes) run the
-//! same masked pass: NEON has no lane-masked memory operation, so its
-//! masked loads and stores copy exactly the live floats through a 4-float
-//! stack array. NEON is only compile-checked in this repository (there is
-//! no aarch64 host to test or measure it on); it is the same source as the
-//! levels that are tested.
+//! same masked pass: neither has a lane-masked memory operation, so their
+//! masked loads and stores move exactly the `n` live floats one lane at a
+//! time (scalar into and out of its array, NEON with single-lane loads and
+//! stores), never through a stack buffer. NEON is only compile-checked in
+//! this repository (there is no aarch64 host to test or measure it on); it
+//! is the same source as the levels that are tested.
 //!
 //! ## One body per primitive: `Lanes`
 //!
 //! Each primitive is written **once**, as a generic `#[inline(always)]`
 //! body over a private `Lanes` trait: a level's vector type `V`, its
 //! offset vector `I`, its width `W`, and its operations — `zero`, `splat`,
-//! `load`, `load_masked(n)`, `store`, `store_masked(n)`, `add`, `mul`,
-//! `neg` (a sign-bit flip), `reverse`, and for lookups `load_idx`,
+//! `load`, `load_masked(n)`, `store`, `store_masked(n)`, `add`, `sub`,
+//! `mul`, `neg` (a sign-bit flip), `reverse`, and for lookups `load_idx`,
 //! `add_idx`, `load_keys` (`W` keys widened into offsets) and `lookup`
 //! (`W` table entries at `W` lane offsets). The bodies are `fused_group`
 //! (one lane group of one key row, its 8 canonical accumulators held as
 //! `[V; 8]`), the per-row fused query (full groups, then one masked pass),
 //! the width-1 chain (`R` key rows' lookups at once) and its row-tile
-//! driver, the DP step and mirror of the build, and the width-1 tile build
-//! over those two.
+//! driver, the DP step and mirror of the build, the width-1 tile build
+//! over those two, and the KeyMajor step gather.
 //!
 //! Each level implements `Lanes` once — scalar `[f32; 8]` with per-lane
 //! loads for lookups, AVX2 `__m256` with `vmaskmovps` and `vgatherdps`,
@@ -144,7 +149,7 @@
 //! `biq_runtime`) assert bit-exact equality of every supported level
 //! against scalar across random shapes, µ values and ragged tails.
 //!
-//! ## Keys, their range, and LUT prefetch
+//! ## Keys, their range, and no software prefetch
 //!
 //! The query kernels never see a raw key slice. They take a
 //! [`KeyTile`] — the window type only a validated
@@ -158,22 +163,15 @@
 //! every key on every call, and the unchecked lookups rest on the type; a
 //! `debug_assert` scan is the checked twin.
 //!
-//! LUT entries are software-prefetched only when the resident tile
-//! (`nc · table · nb · 4 B`, geometry the kernel is handed anyway) exceeds
-//! [`L1_LUT_BYTES`]: a tile that fits L1 is already where a prefetch would
-//! put it, and the b = 1 default tile (32 chunks × 2^8 × 4 B = 32 KiB) is
-//! exactly that case. The dispatcher decides once per call. For the
-//! width-1 chain the decision is a const generic of the body, so a call
-//! runs one of two monomorphs, and the L1-resident one holds no prefetch
-//! code at all: its 8-chunk loop is the two rows' key loads, offset adds,
-//! gathers and accumulates, one offset-vector advance and the loop
-//! control, with nothing spilled (a runtime flag tested inside that loop
-//! cost ≈ 30 % of the b = 1 query; `scripts/gather_loop.sh` checks the
-//! compiled loop). The fused bodies keep a runtime flag: every default
-//! b ≥ 2 tile exceeds L1, so it is always set there. The per-row bodies
-//! (the width-1 chain, and fused lane groups narrower than 32) look ahead
-//! *within* the row, a fixed number of chunks; the wide AVX-512 body looks
-//! ahead by a whole *row* instead (below).
+//! No query loop issues a software prefetch, so each query body has one
+//! form and its only memory traffic is its loads. Prefetching the entries
+//! ahead of use (chunks ahead within a row, or the next row's entries)
+//! measured slower on every tile it was tried on: 0.69–0.95× without it on
+//! KeyMajor tiles at b = 5–32, 0.52–0.89× on width-1 chains over banks past
+//! 32 KiB (in-process A/B, `crates/core/README.md`, "Keys"). The width-1
+//! chain's 8-chunk loop is the two rows' key loads, offset adds, gathers
+//! and accumulates, one offset-vector advance and the loop control, with
+//! nothing spilled (`scripts/gather_loop.sh` checks the compiled loop).
 //!
 //! ## Wide batch: the row-blocked 32-lane body
 //!
@@ -193,9 +191,8 @@
 //!   cliffs"), more the 16-lane one (full groups of 16, then one masked
 //!   pass: "Ragged lanes" above). Both are the same generic body, so the
 //!   bits are the same;
-//! * **next-row prefetch**: while row `i` accumulates, the entries row
-//!   `i + 1` will read are requested — the whole key tile is in hand, so
-//!   the look-ahead is a full row (`nc` entries), not a few chunks;
+//! * **one row tile per dispatch**: geometry asserts, the key-range check
+//!   and level dispatch happen once per row tile, not once per row;
 //! * **line-aligned entries**: with `nb ≡ 0 (mod 16)` every entry is whole
 //!   cache lines *iff* the bank's first float is 64-byte aligned. That is a
 //!   property of the bank's buffer type (`layout.rs`), not of the caller or
@@ -210,10 +207,9 @@
 //!    [`KernelLevel::is_supported`] and [`host_best`] to detect it;
 //! 2. in a `#[cfg(target_arch = …)]` submodule, implement `Lanes` for the
 //!    level (each operation the plain `f32` one per lane, never FMA
-//!    contraction; masked forms touching lanes `0..n` only — the trait's
-//!    stack-copy defaults are correct for up to 16 lanes; `lookup` reading
-//!    each lane's own offset only), add its `stamp!` line with the level's
-//!    two lane types and its target features (the width-1 chain type must
+//!    contraction; masked forms touching lanes `0..n` only; `lookup`
+//!    reading each lane's own offset only), add its `stamp!` line with the
+//!    level's two lane types and its target features (the width-1 chain type must
 //!    have the tree's 8 lanes: a wider level names an 8-lane type, as
 //!    AVX-512 names `Avx2`), and add the cfg-gated arm to `dispatch!`.
 //!    `lanes_conformance_at_every_level` and the suites below then cover
@@ -626,10 +622,6 @@ macro_rules! with_keys {
     };
 }
 
-/// LUT tiles up to this many bytes count as L1-resident: the query loops
-/// issue entry prefetches only for larger tiles (module docs).
-pub const L1_LUT_BYTES: usize = 32 * 1024;
-
 /// The O(1) form of the per-call key validation: a [`KeyTile`] proves
 /// every key `< 2^µ`, so keys index a table in bounds iff the table stride
 /// is `2^µ`. Debug builds re-scan the tile as the checked twin.
@@ -693,7 +685,6 @@ pub fn lut_query_fused_rows(
     assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
     assert!(bank.len() >= nc * table * nb, "bank shorter than the key rows need");
     assert_keys_fit(&keys, table);
-    let pf = nc * table * nb * 4 > L1_LUT_BYTES;
     with_keys!(keys, ks => {
         // Every row handed to a body is a row of a `KeyTile`, whose range
         // invariant (every key `< 2^µ`) with the `table == 2^µ` check above
@@ -706,13 +697,13 @@ pub fn lut_query_fused_rows(
             // SAFETY: resolved ⇒ the host has AVX-512 F/BW/DQ/VL; geometry as above.
             return unsafe {
                 avx512::lut_query_fused_rows(
-                    y, y_stride, scales, bank, table, nb, ks, key_stride, nc, pf,
+                    y, y_stride, scales, bank, table, nb, ks, key_stride, nc,
                 )
             };
         }
         let rows = (0..nr).map(|i| (i * y_stride, scales[i], &ks[i * key_stride..][..nc]));
         dispatch!(k, level => for (yo, scale, row) in rows {
-            level::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row, pf);
+            level::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row);
         })
     })
 }
@@ -759,14 +750,56 @@ pub fn lut_gather_rows(
     assert!(bank.len() >= nc * table, "bank shorter than the key rows need");
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit lookup offset range");
     assert_keys_fit(&keys, table);
-    // The prefetch decision picks the monomorph here, once per call: a
-    // runtime flag tested inside the stamp measured ≈ 10 % slower per row.
-    let pf = nc * table * 4 > L1_LUT_BYTES;
-    with_keys!(keys, ks => dispatch!(k, level => if pf {
-        level::gather_rows::<_, true>(y, y_stride, scales, bank, table, ks, key_stride, nc)
-    } else {
-        level::gather_rows::<_, false>(y, y_stride, scales, bank, table, ks, key_stride, nc)
-    }))
+    with_keys!(keys, ks => dispatch!(
+        k,
+        gather_rows(y, y_stride, scales, bank, table, ks, key_stride, nc)
+    ))
+}
+
+/// The input side of the batched (KeyMajor) Algorithm 1 build for a whole
+/// tile in **one** dispatch — the strided data movement the profile charges
+/// to the replace phase. Column `a` of the tile is `x[a·n ..][..n]`; chunk
+/// `c` of `chunks` (global index) covers its floats `c·µ ..`, `l` of them
+/// (`l < µ` only for a ragged last chunk). For the tile's `i`-th chunk
+/// and every column `a < nb`:
+///
+/// * `bank[i·2^µ·nb + a] = 0 − x_0 − x_1 − … − x_{l−1}` (entry 0, the
+///   all-minus pattern, subtracted in ascending order);
+/// * `steps[i·µ·nb + t·nb + a] = 2·x_{l−1−t}` for the DP levels `t < l − 1`
+///   (the step rows [`dp_step_add_rows`] adds).
+///
+/// Batch columns are the lanes: per lane group and chunk position `j`, one
+/// lookup pulls `x_j` of every column of the group at lane offsets `a·n`,
+/// and a group narrower than the level's width stores only its live lanes.
+/// Per lane the operations are the scalar chain's, in its order, so every
+/// level writes the same bits.
+///
+/// # Panics
+/// Panics when `µ ∉ 1..=16`, `n == 0`, a chunk of `chunks` starts at or
+/// past `n`, `x` is shorter than `nb` columns, `x` exceeds the 32-bit lookup
+/// offset range, or `bank`/`steps` are shorter than the tile needs.
+#[allow(clippy::too_many_arguments)]
+pub fn gather_key_major_steps(
+    bank: &mut [f32],
+    steps: &mut [f32],
+    x: &[f32],
+    n: usize,
+    mu: usize,
+    chunks: std::ops::Range<usize>,
+    nb: usize,
+    k: ResolvedKernel,
+) {
+    assert!((1..=16).contains(&mu), "sub-vector length must be in 1..=16");
+    let num_chunks = chunks.len();
+    if num_chunks == 0 || nb == 0 {
+        return;
+    }
+    assert!(n > 0 && (chunks.end - 1) * mu < n, "chunk range past the input");
+    assert!(x.len() >= nb * n, "input shorter than the tile's columns");
+    assert!(x.len() <= i32::MAX as usize, "input exceeds the 32-bit lookup offset range");
+    assert!(bank.len() >= ((num_chunks - 1) << mu) * nb + nb, "bank shorter than the tile needs");
+    assert!(steps.len() >= num_chunks * mu * nb, "step rows shorter than the tile needs");
+    dispatch!(k, gather_steps(bank, steps, x, n, mu, chunks, nb))
 }
 
 // ------------------------------------------------------- canonical tree
@@ -777,14 +810,6 @@ pub fn lut_gather_rows(
 /// chain's lane count on every level, and the accumulator count of every
 /// fused lane group.
 pub const ACC_TREE_WIDTH: usize = 8;
-
-/// Chunks of software-prefetch lookahead in the per-row query loops: while
-/// the chunk group at `ci` accumulates, the LUT entries of chunks
-/// `ci + PREFETCH_CHUNKS ..` are requested into L1 — the keys are known
-/// ahead of time, so the access pattern is perfectly predictable to us
-/// and perfectly opaque to the hardware prefetcher. Issued only for tiles
-/// larger than [`L1_LUT_BYTES`], and only on x86 ([`prefetch_line`]).
-const PREFETCH_CHUNKS: usize = 16;
 
 /// The fixed pairwise fold of the canonical accumulation tree:
 /// `p[i] += p[i+4]`, then `p[i] += p[i+2]`, then `p[0] += p[1]` — the
@@ -817,13 +842,13 @@ macro_rules! lanes_fns {
 /// `[f32; 8]`, AVX2 `__m256`, AVX-512 `__m512`, NEON `float32x4_t` — and
 /// each primitive is written once over it ([`fused_group`],
 /// [`fused_row_body`], [`gather_chain`], [`gather_rows_body`],
-/// [`dp_step_add_rows_body`],
-/// [`negate_rows_reversed_body`]), so every level performs the same
+/// [`dp_step_add_rows_body`], [`negate_rows_reversed_body`],
+/// [`gather_steps_body`]), so every level performs the same
 /// operations in the same per-lane order by construction. An
 /// implementation is one intrinsic, or one plain loop, per method.
 ///
 /// # Safety
-/// *Implementing:* per lane, `add` and `mul` are exactly the IEEE-754
+/// *Implementing:* per lane, `add`, `sub` and `mul` are exactly the IEEE-754
 /// `f32` operation plain Rust performs (never fused, never reassociated),
 /// `neg` flips the sign bit and nothing else, and `reverse` moves lanes bit
 /// for bit. The masked forms access lanes `0..n` only: a masked-out lane
@@ -854,6 +879,8 @@ unsafe trait Lanes {
     unsafe fn store(p: *mut f32, v: Self::V);
     /// Lane-wise `a + b`.
     unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `a − b`.
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `a · b`.
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `−a`: the sign bit flipped, NaN payloads included.
@@ -869,39 +896,15 @@ unsafe trait Lanes {
     /// The table lookup: lane `i` ← `base[off[i]]`.
     unsafe fn lookup(base: *const f32, off: Self::I) -> Self::V;
 
+    /// Lanes `0..n` from `p`, the rest `+0.0`.
+    unsafe fn load_masked(p: *const f32, n: usize) -> Self::V;
+    /// Lanes `0..n` to `p`, the floats after them untouched.
+    unsafe fn store_masked(p: *mut f32, n: usize, v: Self::V);
+
     /// All lanes `+0.0`.
     #[inline(always)]
     unsafe fn zero() -> Self::V {
         Self::splat(0.0)
-    }
-
-    /// Lanes `0..n` from `p`, the rest `+0.0` — by default through a stack
-    /// copy of exactly the `n` live floats (at most 16 lanes); the x86
-    /// levels override it with their hardware lane masks. The copy runs a
-    /// fixed `W` steps, each testing its lane: a copy of length `n`
-    /// compiles to a `memcpy` call.
-    #[inline(always)]
-    unsafe fn load_masked(p: *const f32, n: usize) -> Self::V {
-        let mut lanes = [0.0f32; 16];
-        for (i, lane) in lanes[..Self::W].iter_mut().enumerate() {
-            if i < n {
-                *lane = *p.add(i);
-            }
-        }
-        Self::load(lanes.as_ptr())
-    }
-
-    /// Lanes `0..n` to `p`, the floats after them untouched — by default
-    /// through a stack copy, like [`Lanes::load_masked`].
-    #[inline(always)]
-    unsafe fn store_masked(p: *mut f32, n: usize, v: Self::V) {
-        let mut lanes = [0.0f32; 16];
-        Self::store(lanes[..Self::W].as_mut_ptr(), v);
-        for (i, &lane) in lanes[..Self::W].iter().enumerate() {
-            if i < n {
-                *p.add(i) = lane;
-            }
-        }
     }
 }
 
@@ -920,27 +923,38 @@ macro_rules! stamp {
         $(#[target_feature(enable = $feature)])*
         pub unsafe fn fused_row<K: super::KeyElem>(
             y: &mut [f32], scale: f32, bank: &[f32], table: usize, nb: usize, keys: &[K],
-            prefetch: bool,
         ) {
             // SAFETY: the features above provide the ISA; the rest is this
             // entry's contract, the body's.
-            unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, nb, keys, prefetch) }
+            unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, nb, keys) }
         }
 
-        /// The width-1 row-tile query at this level (`gather_rows_body`),
-        /// one monomorph per prefetch decision `PF`.
+        /// The width-1 row-tile query at this level (`gather_rows_body`).
         ///
         /// # Safety
         /// This level's ISA is available; otherwise the body's contract.
         $(#[target_feature(enable = $feature)])*
         #[allow(clippy::too_many_arguments)]
-        pub unsafe fn gather_rows<K: super::KeyElem, const PF: bool>(
+        pub unsafe fn gather_rows<K: super::KeyElem>(
             y: &mut [f32], y_stride: usize, scales: &[f32], bank: &[f32], table: usize,
             keys: &[K], key_stride: usize, nc: usize,
         ) {
             let args = (y, y_stride, scales, bank, table);
             // SAFETY: as for `fused_row`.
-            unsafe { super::gather_rows_body::<$chain, K, PF>(args, keys, key_stride, nc) }
+            unsafe { super::gather_rows_body::<$chain, K>(args, keys, key_stride, nc) }
+        }
+
+        /// The KeyMajor step gather at this level (`gather_steps_body`).
+        ///
+        /// # Safety
+        /// This level's ISA is available; otherwise the body's contract.
+        $(#[target_feature(enable = $feature)])*
+        pub unsafe fn gather_steps(
+            bank: &mut [f32], steps: &mut [f32], x: &[f32], n: usize, mu: usize,
+            chunks: std::ops::Range<usize>, nb: usize,
+        ) {
+            // SAFETY: as for `fused_row`.
+            unsafe { super::gather_steps_body::<$lanes>(bank, steps, x, n, mu, chunks, nb) }
         }
 
         /// The DP step at this level (`dp_step_add_rows_body`).
@@ -984,19 +998,6 @@ macro_rules! stamp {
     };
 }
 
-/// Requests the cache line holding `p` into L1 — a hint that never faults
-/// and reads nothing. A no-op off x86.
-#[inline(always)]
-fn prefetch_line(p: *const f32) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE is baseline on x86_64, and a prefetch accesses nothing.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 // -------------------------------------------------------- generic bodies
 
 /// The per-row fused query at level `L` — one key row of
@@ -1020,7 +1021,6 @@ unsafe fn fused_row_body<L: Lanes, K: KeyElem>(
     table: usize,
     nb: usize,
     keys: &[K],
-    prefetch: bool,
 ) {
     let full = y.len() - y.len() % L::W;
     // SAFETY: group `a0` reads lanes `a0 ..` of every entry
@@ -1033,11 +1033,11 @@ unsafe fn fused_row_body<L: Lanes, K: KeyElem>(
     unsafe {
         for a0 in (0..full).step_by(L::W) {
             let (yg, base) = (&mut y[a0..a0 + L::W], bank.as_ptr().add(a0));
-            fused_group::<L, K, false>(yg, scale, base, table, nb, keys, prefetch);
+            fused_group::<L, K, false>(yg, scale, base, table, nb, keys);
         }
         if full < y.len() {
             let base = bank.as_ptr().add(full);
-            fused_group::<L, K, true>(&mut y[full..], scale, base, table, nb, keys, prefetch);
+            fused_group::<L, K, true>(&mut y[full..], scale, base, table, nb, keys);
         }
     }
 }
@@ -1064,7 +1064,6 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
     table: usize,
     nb: usize,
     keys: &[K],
-    prefetch: bool,
 ) {
     let (n, klen) = (y.len(), keys.len());
     debug_assert!(if MASKED { (1..L::W).contains(&n) } else { n == L::W });
@@ -1073,7 +1072,7 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
     // unmasked, else through the masked forms, which touch lanes `0..n`
     // only (the `Lanes` contract) — a masked-out lane may lie past the bank
     // or belong to the next output row. `y` is read and written for its own
-    // `n` lanes. Prefetches only form addresses of in-bounds entries.
+    // `n` lanes.
     unsafe {
         let load = |p: *const f32| if MASKED { L::load_masked(p, n) } else { L::load(p) };
         let store = |p: *mut f32, v| if MASKED { L::store_masked(p, n, v) } else { L::store(p, v) };
@@ -1081,9 +1080,6 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
         let mut acc = [L::zero(); ACC_TREE_WIDTH];
         let mut ci = 0;
         while ci + 8 <= klen {
-            if prefetch && ci + PREFETCH_CHUNKS + 8 <= klen {
-                (0..8).for_each(|j| prefetch_line(ent(ci + PREFETCH_CHUNKS + j)));
-            }
             for (j, a) in acc.iter_mut().enumerate() {
                 *a = L::add(*a, load(ent(ci + j)));
             }
@@ -1111,7 +1107,6 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
 /// ([`gather_chain`] on two rows), so each hides the other's latency — the
 /// gather unit, not the adds, bounds the b = 1 query; an odd last row runs
 /// the chain alone. Per row the sum is the one-row chain's, bit for bit.
-/// `PF` is the dispatcher's prefetch decision.
 ///
 /// # Safety
 /// `L`'s ISA is available and `L::W == 8`; output geometry, the bank
@@ -1119,7 +1114,7 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
 /// the dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()` are the
 /// slab, stride, width and row count of a `KeyTile` whose `2^µ == table`.
 #[inline(always)]
-unsafe fn gather_rows_body<L: Lanes, K: KeyElem, const PF: bool>(
+unsafe fn gather_rows_body<L: Lanes, K: KeyElem>(
     (y, y_stride, scales, bank, table): (&mut [f32], usize, &[f32], &[f32], usize),
     keys: &[K],
     key_stride: usize,
@@ -1139,13 +1134,13 @@ unsafe fn gather_rows_body<L: Lanes, K: KeyElem, const PF: bool>(
         };
         let mut i = 0;
         while i + 2 <= nr {
-            let [pa, pb] = gather_chain::<L, K, PF, 2>(base, table, [row(i), row(i + 1)]);
+            let [pa, pb] = gather_chain::<L, K, 2>(base, table, [row(i), row(i + 1)]);
             emit(i, pa);
             emit(i + 1, pb);
             i += 2;
         }
         if i < nr {
-            let [p] = gather_chain::<L, K, PF, 1>(base, table, [row(i)]);
+            let [p] = gather_chain::<L, K, 1>(base, table, [row(i)]);
             emit(i, p);
         }
     }
@@ -1165,9 +1160,7 @@ struct Partials([f32; ACC_TREE_WIDTH]);
 /// offsets `c·table` live in one offset vector that advances by
 /// `8·table` per group. The ragged chunk tail spills the partials and
 /// finishes scalar (a masked lookup would add `+0.0` to idle lanes, which
-/// is not bit-transparent when a partial is `-0.0`). With `PF`, the
-/// entries [`PREFETCH_CHUNKS`] ahead are requested for every row; without
-/// it the loop holds no prefetch code at all.
+/// is not bit-transparent when a partial is `-0.0`).
 ///
 /// # Safety
 /// `L`'s ISA is available and `L::W == 8`; the `rows` are `nc`-key rows of
@@ -1175,7 +1168,7 @@ struct Partials([f32; ACC_TREE_WIDTH]);
 /// every `(chunk, key)` entry of them, `c·table + key`, with at most
 /// `i32::MAX` floats.
 #[inline(always)]
-unsafe fn gather_chain<L: Lanes, K: KeyElem, const PF: bool, const R: usize>(
+unsafe fn gather_chain<L: Lanes, K: KeyElem, const R: usize>(
     base: *const f32,
     table: usize,
     rows: [&[K]; R],
@@ -1187,7 +1180,7 @@ unsafe fn gather_chain<L: Lanes, K: KeyElem, const PF: bool, const R: usize>(
     let lanes: [u32; ACC_TREE_WIDTH] = std::array::from_fn(|j| (j * table) as u32);
     let step_by = [(ACC_TREE_WIDTH * table) as u32; ACC_TREE_WIDTH];
     let mut ci = 0;
-    // SAFETY: every looked-up or prefetched offset is `c·table + key` with
+    // SAFETY: every looked-up offset is `c·table + key` with
     // `c < nc` and `key < 2^µ == table` — the `KeyTile` range invariant —
     // so it is inside the bank and representable in 32-bit lanes; the
     // 8-key loads read `row[ci..ci + 8]` under the `ci + 8 <= nc` bound.
@@ -1196,13 +1189,6 @@ unsafe fn gather_chain<L: Lanes, K: KeyElem, const PF: bool, const R: usize>(
         let mut acc = [L::zero(); R];
         let entry = |row: &[K], c: usize| base.add(c * table + row.get_unchecked(c).idx());
         while ci + 8 <= nc {
-            if PF && ci + PREFETCH_CHUNKS + 8 <= nc {
-                for row in rows {
-                    for c in ci + PREFETCH_CHUNKS..ci + PREFETCH_CHUNKS + 8 {
-                        prefetch_line(entry(row, c));
-                    }
-                }
-            }
             for (a, row) in acc.iter_mut().zip(rows) {
                 let off = L::add_idx(ct, L::load_keys(row.as_ptr().add(ci)));
                 *a = L::add(*a, L::lookup(base, off));
@@ -1341,6 +1327,77 @@ unsafe fn dp_build_tile_body<L: Lanes>(out: &mut [f32], x: &[f32], mu: usize) {
     }
 }
 
+/// The KeyMajor step gather at level `L` ([`gather_key_major_steps`]): per
+/// lane group of batch columns — full `W`-lane groups, then one narrower
+/// group whose stores are masked — and per chunk, one `L::lookup` per
+/// chunk position `j` pulls `x_j` of every column of the group at lane
+/// offsets `a·n` from the group's first column. Entry 0 subtracts the
+/// values from `+0.0` in ascending `j`; step row `t = l − 1 − j` is
+/// `2·x_j`. An idle lane of the narrow group looks up its group's first
+/// column (offset 0) and is never stored.
+///
+/// # Safety
+/// `L`'s ISA is available; the geometry as asserted by the dispatcher
+/// (`n > 0`, every chunk starts before `n`, `nb` columns of `n` floats in
+/// `x`, `x.len() ≤ i32::MAX`, `bank` and `steps` long enough).
+#[inline(always)]
+unsafe fn gather_steps_body<L: Lanes>(
+    bank: &mut [f32],
+    steps: &mut [f32],
+    x: &[f32],
+    n: usize,
+    mu: usize,
+    chunks: std::ops::Range<usize>,
+    nb: usize,
+) {
+    const { assert!(L::W <= 16, "lane offsets are staged in 16 slots") };
+    let (table, step_stride) = (1usize << mu, mu * nb);
+    let (b, s) = (bank.as_mut_ptr(), steps.as_mut_ptr());
+    let mut lanes = [0u32; 16];
+    for a0 in (0..nb).step_by(L::W) {
+        let live = L::W.min(nb - a0);
+        // Idle lanes keep offset 0: in bounds, computed, never stored.
+        for (a, lane) in lanes[..live].iter_mut().enumerate() {
+            *lane = (a * n) as u32;
+        }
+        lanes[live..].fill(0);
+        // SAFETY: lane `a < live` reads `x[(a0 + a)·n + c·µ + j]` with
+        // `j < l ≤ n − c·µ`, inside column `a0 + a < nb` of `x`; an idle
+        // lane reads column `a0`'s float; offsets fit 32 bits by the
+        // dispatcher's `x.len()` assert. Stores write `live` floats at
+        // lane `a0` of entry 0 of chunk `i` (`i·table·nb + a0 + live ≤
+        // (i·table + 1)·nb`) and of step row `t < l − 1 < µ` of chunk `i`
+        // (`i·µ·nb + t·nb + a0 + live ≤ (i + 1)·µ·nb`), in the lengths
+        // asserted; a masked store touches lanes `0..live` only.
+        unsafe {
+            let off = L::load_idx(lanes.as_ptr());
+            let two = L::splat(2.0);
+            let store = |p: *mut f32, v| {
+                if live == L::W {
+                    L::store(p, v)
+                } else {
+                    L::store_masked(p, live, v)
+                }
+            };
+            for (i, c) in chunks.clone().enumerate() {
+                let start = c * mu;
+                let l = mu.min(n - start);
+                let col = x.as_ptr().add(a0 * n + start);
+                let srow = s.add(i * step_stride + a0);
+                let mut neg = L::zero();
+                for j in 0..l {
+                    let v = L::lookup(col.add(j), off);
+                    neg = L::sub(neg, v);
+                    if j > 0 {
+                        store(srow.add((l - 1 - j) * nb), L::mul(two, v));
+                    }
+                }
+                store(b.add(i * table * nb + a0), neg);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------- levels
 
 /// The portable level: [`Lanes`] over `[f32; 8]` in plain loops and
@@ -1352,9 +1409,34 @@ mod scalar {
     /// Eight `f32` lanes in an array.
     pub enum Scalar {}
 
+    /// Lanes `0..N` from `p`, the rest `+0.0`: a copy of constant length
+    /// into a register-held array, so it compiles to one or two plain loads
+    /// (`Scalar::load_masked` picks `N` by one jump on `n`).
+    ///
+    /// # Safety
+    /// `N` floats readable at `p`.
+    #[inline(always)]
+    unsafe fn load_first<const N: usize>(p: *const f32) -> [f32; 8] {
+        let mut v = [0.0f32; 8];
+        // SAFETY: the caller's `N` readable floats; `v` holds 8 ≥ N.
+        unsafe { std::ptr::copy_nonoverlapping(p, v.as_mut_ptr(), N) };
+        v
+    }
+
+    /// Lanes `0..N` of `v` to `p`, the floats after them untouched.
+    ///
+    /// # Safety
+    /// `N` floats writable at `p`.
+    #[inline(always)]
+    unsafe fn store_first<const N: usize>(p: *mut f32, v: [f32; 8]) {
+        // SAFETY: the caller's `N` writable floats; `v` holds 8 ≥ N.
+        unsafe { std::ptr::copy_nonoverlapping(v.as_ptr(), p, N) };
+    }
+
     // SAFETY: each method is the plain `f32` operation per lane (`-x` is
     // Rust's sign-bit negation), a lane move, or one load per lane from its
-    // own offset; the masked forms are the trait's stack copies.
+    // own offset; the masked forms read or write lanes `0..n` only, one
+    // float each, and leave the other lanes `+0.0` / untouched.
     unsafe impl Lanes for Scalar {
         type V = [f32; 8];
         type I = [u32; 8];
@@ -1364,7 +1446,30 @@ mod scalar {
             fn splat(x: f32) -> [f32; 8] = [x; 8];
             fn load(p: *const f32) -> [f32; 8] = p.cast::<[f32; 8]>().read_unaligned();
             fn store(p: *mut f32, v: [f32; 8]) = p.cast::<[f32; 8]>().write_unaligned(v);
+            fn load_masked(p: *const f32, n: usize) -> [f32; 8] = match n {
+                0 => [0.0; 8],
+                1 => load_first::<1>(p),
+                2 => load_first::<2>(p),
+                3 => load_first::<3>(p),
+                4 => load_first::<4>(p),
+                5 => load_first::<5>(p),
+                6 => load_first::<6>(p),
+                7 => load_first::<7>(p),
+                _ => Self::load(p),
+            };
+            fn store_masked(p: *mut f32, n: usize, v: [f32; 8]) = match n {
+                0 => {}
+                1 => store_first::<1>(p, v),
+                2 => store_first::<2>(p, v),
+                3 => store_first::<3>(p, v),
+                4 => store_first::<4>(p, v),
+                5 => store_first::<5>(p, v),
+                6 => store_first::<6>(p, v),
+                7 => store_first::<7>(p, v),
+                _ => Self::store(p, v),
+            };
             fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[i] + b[i]);
+            fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[i] - b[i]);
             fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[i] * b[i]);
             fn neg(a: [f32; 8]) -> [f32; 8] = a.map(|x| -x);
             fn reverse(a: [f32; 8]) -> [f32; 8] = std::array::from_fn(|i| a[7 - i]);
@@ -1404,7 +1509,7 @@ mod avx2 {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
-    // SAFETY: one AVX instruction per method: `vaddps`/`vmulps` are the
+    // SAFETY: one AVX instruction per method: `vaddps`/`vsubps`/`vmulps` are the
     // IEEE operations, `neg` XORs the sign bit, `reverse` is a `vpermps`
     // lane permute, the masked forms are `vmaskmovps` under `lane_mask(n)`,
     // which selects exactly lanes `0..n`, the keys are zero-extended
@@ -1423,6 +1528,7 @@ mod avx2 {
             fn store_masked(p: *mut f32, n: usize, v: __m256) =
                 _mm256_maskstore_ps(p, lane_mask(n), v);
             fn add(a: __m256, b: __m256) -> __m256 = _mm256_add_ps(a, b);
+            fn sub(a: __m256, b: __m256) -> __m256 = _mm256_sub_ps(a, b);
             fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
             fn neg(a: __m256) -> __m256 = _mm256_xor_ps(a, _mm256_set1_ps(-0.0));
             fn reverse(a: __m256) -> __m256 =
@@ -1461,7 +1567,7 @@ mod avx512 {
         ((1u32 << n) - 1) as __mmask16
     }
 
-    // SAFETY: one AVX-512 F/DQ instruction per method: `vaddps`/`vmulps`
+    // SAFETY: one AVX-512 F/DQ instruction per method: `vaddps`/`vsubps`/`vmulps`
     // are the IEEE operations, `neg` XORs the sign bit, `reverse` is a
     // `vpermps` lane permute, the masked forms run under `lane_mask(n)`,
     // which selects exactly lanes `0..n`, the keys are zero-extended
@@ -1481,6 +1587,7 @@ mod avx512 {
             fn store_masked(p: *mut f32, n: usize, v: __m512) =
                 _mm512_mask_storeu_ps(p, lane_mask(n), v);
             fn add(a: __m512, b: __m512) -> __m512 = _mm512_add_ps(a, b);
+            fn sub(a: __m512, b: __m512) -> __m512 = _mm512_sub_ps(a, b);
             fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
             fn neg(a: __m512) -> __m512 = _mm512_xor_ps(a, _mm512_set1_ps(-0.0));
             fn reverse(a: __m512) -> __m512 = _mm512_permutexvar_ps(
@@ -1507,9 +1614,7 @@ mod avx512 {
     /// per pass while at least 32 remain, then a per-row body on the lanes
     /// left over — AVX2's ([`super::avx2::fused_row`]: one 8-lane group or
     /// masked pass) when at most 8 are left, else this level's
-    /// ([`fused_row`]: 16-lane groups, then one masked pass). While row `i`
-    /// accumulates, the entries row `i + 1` will read are prefetched (when
-    /// `prefetch`: the tile exceeds L1) — the keys are known a tile ahead.
+    /// ([`fused_row`]: 16-lane groups, then one masked pass).
     ///
     /// # Safety
     /// AVX-512F/DQ must be available; output geometry (`y_stride ≥ nb`,
@@ -1529,7 +1634,6 @@ mod avx512 {
         keys: &[K],
         key_stride: usize,
         nc: usize,
-        prefetch: bool,
     ) {
         // Entries of `nb ≡ 0 (mod 16)` floats are whole cache lines exactly
         // when the bank base is line-aligned — which the bank's buffer type
@@ -1540,22 +1644,17 @@ mod avx512 {
         );
         for (i, &scale) in scales.iter().enumerate() {
             let row = &keys[i * key_stride..][..nc];
-            let next: &[K] = if prefetch && i + 1 < scales.len() {
-                &keys[(i + 1) * key_stride..][..nc]
-            } else {
-                &[]
-            };
             let yrow = &mut y[i * y_stride..][..nb];
             let mut a0 = 0;
             while a0 + 32 <= nb {
                 // SAFETY: `a0 + 32 <= nb` keeps the 32 lanes inside `yrow`
-                // and inside every `nb`-float entry; `row`/`next` are rows
-                // of a `KeyTile` (every key `< 2^µ == table`), so entry
+                // and inside every `nb`-float entry; `row` is a row of a
+                // `KeyTile` (every key `< 2^µ == table`), so entry
                 // `(ci, key)` lies within the `nc·table·nb` floats the
                 // dispatcher asserted the bank holds.
                 unsafe {
                     let (yp, bp) = (yrow.as_mut_ptr().add(a0), bank.as_ptr().add(a0));
-                    query32(yp, scale, bp, table, nb, row, next);
+                    query32(yp, scale, bp, table, nb, row);
                 }
                 a0 += 32;
             }
@@ -1565,10 +1664,10 @@ mod avx512 {
             let (tail, tail_bank) = (&mut yrow[a0..], &bank[a0..]);
             if tail.len() > 8 {
                 // SAFETY: same feature set; geometry as above.
-                unsafe { fused_row(tail, scale, tail_bank, table, nb, row, prefetch) };
+                unsafe { fused_row(tail, scale, tail_bank, table, nb, row) };
             } else if !tail.is_empty() {
                 // SAFETY: AVX-512F implies AVX2; geometry as above.
-                unsafe { super::avx2::fused_row(tail, scale, tail_bank, table, nb, row, prefetch) };
+                unsafe { super::avx2::fused_row(tail, scale, tail_bank, table, nb, row) };
             }
         }
     }
@@ -1578,15 +1677,12 @@ mod avx512 {
     /// group in the bank. Two zmm per canonical accumulator (16 of the 32
     /// vector registers), so both lines of a 128-byte entry are consumed
     /// together and each key is decoded once for all 32 lanes; per lane the
-    /// order is the canonical tree, as in the 16-lane loop. `next`, when
-    /// non-empty, is the following key row: its entries are prefetched
-    /// chunk group by chunk group.
+    /// order is the canonical tree, as in the 16-lane loop.
     ///
     /// # Safety
     /// AVX-512F must be available; `y .. y + 32` writable; for every
-    /// `ci < keys.len()` and key `k` in `keys`/`next`,
-    /// `base + (ci·table + k)·nb .. + 32` readable; `next` is empty or as
-    /// long as `keys`.
+    /// `ci < keys.len()` and key `k` in `keys`,
+    /// `base + (ci·table + k)·nb .. + 32` readable.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn query32<K: KeyElem>(
@@ -1596,31 +1692,20 @@ mod avx512 {
         table: usize,
         nb: usize,
         keys: &[K],
-        next: &[K],
     ) {
         let klen = keys.len();
-        debug_assert!(next.is_empty() || next.len() == klen);
         // SAFETY: every pointer formed is `base + (ci·table + key)·nb`
-        // (+16) with `ci < klen` and `key` read from `keys`/`next` at
-        // `ci` — readable for 32 floats per the caller's contract (the
-        // `KeyTile` range invariant plus the dispatcher's bank-length
-        // assert). Prefetches only form such in-bounds addresses.
+        // (+16) with `ci < klen` and `key` read from `keys` at `ci` —
+        // readable for 32 floats per the caller's contract (the `KeyTile`
+        // range invariant plus the dispatcher's bank-length assert).
         unsafe {
-            let ent =
-                |row: &[K], ci: usize| base.add((ci * table + row.get_unchecked(ci).idx()) * nb);
+            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
             let mut lo = [_mm512_setzero_ps(); 8];
             let mut hi = [_mm512_setzero_ps(); 8];
             let mut ci = 0;
             while ci + 8 <= klen {
-                if !next.is_empty() {
-                    for j in 0..8 {
-                        let p = ent(next, ci + j);
-                        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
-                        _mm_prefetch::<_MM_HINT_T0>(p.add(16) as *const i8);
-                    }
-                }
                 for j in 0..8 {
-                    let p = ent(keys, ci + j);
+                    let p = ent(ci + j);
                     lo[j] = _mm512_add_ps(lo[j], _mm512_loadu_ps(p));
                     hi[j] = _mm512_add_ps(hi[j], _mm512_loadu_ps(p.add(16)));
                 }
@@ -1630,12 +1715,7 @@ mod avx512 {
             // `(ci + j) % 8 == j` (`ci` is a multiple of 8 here).
             for j in 0..8 {
                 if ci + j < klen {
-                    if !next.is_empty() {
-                        let p = ent(next, ci + j);
-                        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
-                        _mm_prefetch::<_MM_HINT_T0>(p.add(16) as *const i8);
-                    }
-                    let p = ent(keys, ci + j);
+                    let p = ent(ci + j);
                     lo[j] = _mm512_add_ps(lo[j], _mm512_loadu_ps(p));
                     hi[j] = _mm512_add_ps(hi[j], _mm512_loadu_ps(p.add(16)));
                 }
@@ -1663,13 +1743,15 @@ mod neon {
     use std::arch::aarch64::*;
 
     /// Four lanes in a q register. NEON has no lane-masked memory
-    /// operation and no gather, so the masked forms are the trait's stack
-    /// copies of exactly the `n` live floats and the lookup is per lane.
+    /// operation and no gather, so the masked forms load or store the `n`
+    /// live floats one lane each and the lookup is per lane.
     pub enum Neon {}
 
-    // SAFETY: one NEON instruction per method (`fadd`, `fmul`, `fneg` — a
-    // sign-bit flip — `ld1`/`st1`, and `rev64` + `ext` for `reverse`), or
-    // one load per lane from its own offset for the lookups.
+    // SAFETY: one NEON instruction per method (`fadd`, `fsub`, `fmul`,
+    // `fneg` — a sign-bit flip — `ld1`/`st1`, and `rev64` + `ext` for
+    // `reverse`), single-lane `ld1`/`st1` of lanes `0..n` only for the masked
+    // forms (the others stay `+0.0` / untouched), or one load per lane from
+    // its own offset for the lookups.
     unsafe impl Lanes for Neon {
         type V = float32x4_t;
         type I = [u32; 4];
@@ -1679,7 +1761,38 @@ mod neon {
             fn splat(x: f32) -> float32x4_t = vdupq_n_f32(x);
             fn load(p: *const f32) -> float32x4_t = vld1q_f32(p);
             fn store(p: *mut f32, v: float32x4_t) = vst1q_f32(p, v);
+            fn load_masked(p: *const f32, n: usize) -> float32x4_t = {
+                let mut v = vdupq_n_f32(0.0);
+                if n > 0 {
+                    v = vld1q_lane_f32::<0>(p, v);
+                }
+                if n > 1 {
+                    v = vld1q_lane_f32::<1>(p.add(1), v);
+                }
+                if n > 2 {
+                    v = vld1q_lane_f32::<2>(p.add(2), v);
+                }
+                if n > 3 {
+                    v = vld1q_lane_f32::<3>(p.add(3), v);
+                }
+                v
+            };
+            fn store_masked(p: *mut f32, n: usize, v: float32x4_t) = {
+                if n > 0 {
+                    vst1q_lane_f32::<0>(p, v);
+                }
+                if n > 1 {
+                    vst1q_lane_f32::<1>(p.add(1), v);
+                }
+                if n > 2 {
+                    vst1q_lane_f32::<2>(p.add(2), v);
+                }
+                if n > 3 {
+                    vst1q_lane_f32::<3>(p.add(3), v);
+                }
+            };
             fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t = vaddq_f32(a, b);
+            fn sub(a: float32x4_t, b: float32x4_t) -> float32x4_t = vsubq_f32(a, b);
             fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t = vmulq_f32(a, b);
             fn neg(a: float32x4_t) -> float32x4_t = vnegq_f32(a);
             // vrev64 swaps within each half, vext swaps the halves.
@@ -2022,11 +2135,11 @@ mod tests {
             (10, 6, 40), // AVX-512: 32-lane pass + one AVX2 group
             (9, 8, 16),
             (4, 8, 33),
-            (40, 8, 8),  // tile > L1: the prefetching arm
+            (40, 8, 8),  // tile > 32 KiB
             (11, 10, 5), // u16 keys
             (13, 8, 32), // one 32-lane pass, ragged chunk tail
             (9, 6, 48),  // 32-lane pass + 16-lane remainder
-            (3, 4, 64),  // two 32-lane passes, tile ≤ L1 (no prefetch)
+            (3, 4, 64),  // two 32-lane passes, tile ≤ 32 KiB
         ] {
             let table = 1usize << mu;
             let bank = random_bank(&mut g, chunks * table * nb);
@@ -2073,7 +2186,7 @@ mod tests {
         // Every level's gather must agree with scalar AND with the fused
         // kernel run at nb == 1 (scale 1 onto a zero output is exact), on
         // ragged chunk counts straddling the 8-chunk group width, both key
-        // widths, and both sides of the L1 prefetch threshold.
+        // widths, and banks of ≤ 32 KiB and > 32 KiB.
         let mut g = MatrixRng::seed_from(42);
         for &(chunks, mu) in &[
             (1usize, 2usize),
@@ -2084,8 +2197,8 @@ mod tests {
             (16, 8),
             (23, 8),
             (40, 3),
-            (57, 8),  // tile > L1
-            (19, 12), // u16 keys, tile > L1
+            (57, 8),  // bank > 32 KiB
+            (19, 12), // u16 keys, bank > 32 KiB
         ] {
             let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table);

@@ -179,9 +179,9 @@ fn golden_digests_from_parent_commits() {
     }
 }
 
-/// The width-1 gather on a fixed grid across the prefetch threshold at
-/// µ = 8, where a tile of `nc` chunks is `nc` KiB: L1-resident (the body
-/// without prefetch) through 32 chunks, prefetched from 33. Chunk counts
+/// The width-1 gather on a fixed grid at µ = 8, where a tile of `nc`
+/// chunks is `nc` KiB: banks that fit a 32 KiB L1 through 32 chunks, and
+/// larger ones from 33 (earlier builds prefetched only those). Chunk counts
 /// straddle the 8-chunk group, row counts include an unpaired last row, the
 /// key tile is a window of a wider matrix (stride > width) and the output
 /// is strided, its gaps compared too. At every level `lut_gather_rows`
@@ -189,12 +189,15 @@ fn golden_digests_from_parent_commits() {
 /// each row's sum queried as a one-row tile.
 #[test]
 fn width1_gathers_bit_exact_across_the_prefetch_threshold() {
-    use biqgemm_core::simd::{lut_gather_rows, L1_LUT_BYTES};
+    use biqgemm_core::simd::lut_gather_rows;
     let (mu, table, y_stride) = (8usize, 256usize, 3usize);
     let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let mut g = MatrixRng::seed_from(7008);
-    for nc in [1usize, 7, 8, 9, 31, 32, 33, 40] {
-        assert_eq!(nc * table * 4 > L1_LUT_BYTES, nc > 32, "the grid straddles the threshold");
+    let grid = [1usize, 7, 8, 9, 31, 32, 33, 40];
+    let bank_bytes = |nc: usize| nc * table * 4;
+    assert!(grid.iter().any(|&nc| bank_bytes(nc) <= 32 * 1024), "the grid has banks ≤ 32 KiB");
+    assert!(grid.iter().any(|&nc| bank_bytes(nc) > 32 * 1024), "the grid has banks > 32 KiB");
+    for nc in grid {
         let bank = g.gaussian(1, nc * table, 0.0, 1.0).as_slice().to_vec();
         for rows in [1usize, 2, 3, 65] {
             let km = KeyMatrix::pack(&g.signs(rows, (nc + 5) * mu), mu);
@@ -246,12 +249,12 @@ fn aligned_bank(g: &mut MatrixRng, len: usize) -> (Vec<f32>, usize) {
 
 /// The row-tile entry point against its two references, bit for bit, over
 /// the lane/chunk/µ grid: every level equals `Exact(Scalar)`, and one call
-/// on a row tile equals one call per row (each of those is a last-row tile:
-/// no next row to prefetch). Lane counts are every width through 33 — each
+/// on a row tile equals one call per row (each of those is a one-row
+/// tile). Lane counts are every width through 33 — each
 /// remainder of the 8- and 16-lane groups, alone and after full groups and
 /// a 32-lane pass (on AVX-512 a remainder of ≤ 8 lanes, widths 1–8 and 33,
 /// runs AVX2's body) — plus 48 and 64; chunk counts straddle the 8-chunk
-/// group, µ both key widths and both sides of the L1 prefetch threshold.
+/// group, µ both key widths, and tiles of ≤ 32 KiB and > 32 KiB.
 /// Tiles are a window of a wider key matrix (stride > width); the bank
 /// slice ends with the last entry, and the *whole* strided output is
 /// compared, so a remainder pass that stored into the 3-float gap after a
@@ -459,8 +462,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The width-1 contract: across random shapes/µ — both key widths,
-    /// chunk counts with ragged `% 8` tails, tiles on both sides of the
-    /// L1 prefetch threshold — the width-1 gather on a one-row tile equals
+    /// chunk counts with ragged `% 8` tails, tiles of ≤ 32 KiB and
+    /// > 32 KiB — the width-1 gather on a one-row tile equals
     /// the fused kernel at `nb = 1` bit for bit, at every supported level,
     /// and every level equals scalar. This is what lets `layout.rs` route
     /// width-1 tiles through the gather while the batcher packs the same

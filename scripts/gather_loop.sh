@@ -2,8 +2,9 @@
 # Inspects the b = 1 query's hot loop in a release binary: the innermost
 # loop of the AVX2 width-1 gather that holds two `vgatherdps` and two byte
 # key loads (`vpmovzxbd`) and no prefetch — the row-paired chain of the
-# L1-resident u8 monomorph. Prints, per such loop, its instructions per 16
-# lookups (two 8-lane gathers) and how many of them touch the stack.
+# u8-key monomorph (the chain's only form for byte keys). Prints, per such
+# loop, its instructions per 16 lookups (two 8-lane gathers) and how many
+# of them touch the stack.
 #
 # Exits 1 when no such loop is found or when one touches the stack (a
 # spilled accumulator or offset vector: the regression this guards).
