@@ -2,9 +2,10 @@
 //!
 //! The paper optimises µ analytically (`argmin_µ (2^µ + m)/(m·µ)`, ≈ 8 for
 //! its sizes) and confirms empirically. This sweep reproduces that check:
-//! for each µ we re-pack the weights, re-plan tiles so the LUT bank stays in
-//! cache, and time the serial kernel; the model column is Eq. 9's factor
-//! normalised to µ = 8.
+//! for each µ we re-pack the weights and time the serial kernel on the
+//! default tiles (`BiqConfig { mu, ..BiqConfig::default() }`); the model
+//! column is Eq. 9's factor normalised to µ = 8. The bank grows as `2^µ`, so
+//! each row prints its LUT bank's KiB: a row whose bank leaves L2 shows it.
 
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
@@ -12,7 +13,6 @@ use biq_bench::timing::{auto_reps, measure};
 use biq_bench::workloads::{binary_workload, biq_op};
 use biq_runtime::WeightSource;
 use biqgemm_core::complexity::{eq9_factor, optimal_mu};
-use biqgemm_core::planner::{plan, DEFAULT_LUT_BUDGET_BYTES};
 use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
@@ -24,27 +24,30 @@ fn main() {
     println!("µ sweep ablation: m = {m}, n = {n}, b = {b}, 1-bit weights, 1 thread");
     println!("(model optimum for m = {m}: µ* = {})\n", optimal_mu(m));
     let w = binary_workload(m, n, b);
-    let mut t = Table::new(&["µ", "runtime ms", "speedup vs µ=8", "Eq.9 model (rel)"]);
+    let mut t = Table::new(&["µ", "bank KiB", "runtime ms", "speedup vs µ=8", "Eq.9 model (rel)"]);
     let mut baseline_ms = None;
     let mut rows = Vec::new();
     for &mu in &mus {
-        let planned = plan(m, n, b, DEFAULT_LUT_BUDGET_BYTES);
-        let cfg = BiqConfig { mu, ..planned };
+        let cfg = BiqConfig { mu, ..BiqConfig::default() };
         let (op, mut exec) = biq_op(WeightSource::Signs(&w.signs), (m, n, 1), b, cfg, None);
         let reps = auto_reps(Duration::from_millis(250), 3, 15, || exec.run(&op, &w.x));
         let meas = measure(1, reps, || exec.run(&op, &w.x));
         if mu == 8 {
             baseline_ms = Some(meas.median_ms());
         }
-        rows.push((mu, meas.median_ms()));
+        rows.push((mu, op.plan().scratch.lut_bank_floats * 4 / 1024, meas.median_ms()));
     }
-    let base = baseline_ms.unwrap_or(rows[rows.len() / 2].1);
+    let base = baseline_ms.unwrap_or(rows[rows.len() / 2].2);
     let model_base = eq9_factor(m, 8);
-    let fastest_mu =
-        rows.iter().min_by(|x, y| x.1.total_cmp(&y.1)).map(|&(mu, _)| mu).expect("non-empty sweep");
-    for (mu, ms) in rows {
+    let fastest_mu = rows
+        .iter()
+        .min_by(|x, y| x.2.total_cmp(&y.2))
+        .map(|&(mu, ..)| mu)
+        .expect("non-empty sweep");
+    for (mu, kib, ms) in rows {
         t.row(&[
             mu.to_string(),
+            kib.to_string(),
             fmt_f(ms, 3),
             fmt_f(base / ms, 2),
             fmt_f(eq9_factor(m, mu) / model_base, 2),

@@ -35,8 +35,8 @@ pub fn binary_workload(m: usize, n: usize, b: usize) -> BinaryWorkload {
 }
 
 /// A BiQGEMM op over `bits`-plane `m × n` `weights` under exactly `cfg`
-/// (the experiments sweep configs, so the planner's µ/tile search is
-/// bypassed), planned for batch `b`, with the executor that runs it warmed.
+/// (the experiments sweep configs), planned for batch `b`, with the
+/// executor that runs it warmed.
 /// `workers`: `None` plans serial, `Some(n)` parallel on `n` workers.
 pub fn biq_op(
     weights: WeightSource<'_>,

@@ -27,10 +27,10 @@
 //!
 //! Time complexity (paper Eq. 8–10): `O(2^µ·(n/µ)·b + m·(n/µ)·b)`, i.e.
 //! `≈ GEMM/µ` when `2^µ ≪ m`. The analytic model lives in [`complexity`],
-//! including the optimal-µ search; [`planner`] turns it plus a cache budget
-//! into a concrete [`config::BiqConfig`], and additionally computes the
-//! scratch-buffer sizes and serial/parallel recommendation the runtime
-//! layer plans with.
+//! including Eq. 9's optimal µ; [`config::BiqConfig::default()`] holds the
+//! measured answer (µ = 8) and its tiles. [`planner`] computes the
+//! scratch-buffer sizes, the serial/parallel recommendation and the
+//! width-1 kernel clamp the runtime layer plans with.
 //!
 //! ## Execution model
 //!

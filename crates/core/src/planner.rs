@@ -1,23 +1,15 @@
-//! Turns the analytic model plus a cache budget into a concrete
-//! [`BiqConfig`].
+//! Run-time decisions a plan makes around its [`BiqConfig`]: the threading
+//! request and its shape rule ([`Threading`], [`recommend_parallel`]), the
+//! scratch a config needs at a batch ([`ScratchSpec`], [`scratch_spec`]) and
+//! the width-1 refinement of an `Auto` kernel pick ([`auto_width1_clamp`]).
 //!
-//! Section III-C of the paper: BiQGEMM's live lookup tables (usually larger
-//! than the input tile) must fit in SRAM, so the feasible tile range is much
-//! more constrained than GEMM's. The planner:
-//!
-//! 1. picks µ by minimising Eq. 9's factor ([`crate::complexity::optimal_mu`]),
-//!    then lowers it while a single table (`2^µ · tile_batch · 4` bytes) would
-//!    blow the budget;
-//! 2. caps the batch tile at 32 columns (beyond that, accumulate bandwidth
-//!    dominates and the paper's large-batch regression kicks in);
-//! 3. sizes the chunk tile so the whole bank fits the budget.
+//! µ and the tile shapes are not chosen here. Section III-C of the paper
+//! derives µ from Eq. 9 ([`crate::complexity::optimal_mu`]) and then settles
+//! on µ = 8 by measurement; [`BiqConfig::default()`] is that measured answer,
+//! and a plan built without a config runs it.
 
-use crate::complexity::optimal_mu;
 use crate::config::BiqConfig;
 use crate::simd::KernelLevel;
-
-/// Default LUT budget: half of a typical 1 MiB L2.
-pub const DEFAULT_LUT_BUDGET_BYTES: usize = 512 * 1024;
 
 /// Batches at or below this stay on the serial path under
 /// [`Threading::Auto`]. Allocation is not the reason: parallel tasks draw
@@ -109,79 +101,6 @@ pub fn auto_width1_clamp(
         ))
     } else {
         None
-    }
-}
-
-/// Plans a configuration for an `m × n` weight matrix at batch `b`.
-///
-/// # Panics
-/// Panics if any dimension is zero or the budget is smaller than one
-/// two-entry table.
-pub fn plan(m: usize, n: usize, b: usize, lut_budget_bytes: usize) -> BiqConfig {
-    assert!(m > 0 && n > 0, "degenerate weight shape {m}x{n}");
-    assert!(lut_budget_bytes >= 8, "budget too small for any table");
-    let b = b.max(1);
-    let tile_batch = b.min(32);
-    // Start from the model optimum, clamp to the key width we support, then
-    // shrink until one table fits the budget.
-    let mut mu = optimal_mu(m).clamp(1, 16).min(n.max(1));
-    while mu > 1 && (1usize << mu) * tile_batch * 4 > lut_budget_bytes {
-        mu -= 1;
-    }
-    let table_bytes = (1usize << mu) * tile_batch * 4;
-    let chunks = n.div_ceil(mu);
-    let tile_chunks = (lut_budget_bytes / table_bytes).clamp(1, chunks);
-    BiqConfig { mu, tile_rows: 64.min(m).max(1), tile_chunks, tile_batch, ..BiqConfig::default() }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_fits_budget() {
-        for &(m, n, b) in &[(512usize, 1024usize, 1usize), (4096, 4096, 256), (64, 64, 8)] {
-            let cfg = plan(m, n, b, DEFAULT_LUT_BUDGET_BYTES);
-            cfg.validate();
-            assert!(
-                cfg.lut_tile_bytes() <= DEFAULT_LUT_BUDGET_BYTES,
-                "(m,n,b)=({m},{n},{b}): {} bytes",
-                cfg.lut_tile_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn plan_prefers_paper_mu_for_paper_sizes() {
-        let cfg = plan(1024, 1024, 32, DEFAULT_LUT_BUDGET_BYTES);
-        assert_eq!(cfg.mu, 8);
-    }
-
-    #[test]
-    fn tiny_budget_shrinks_mu() {
-        let cfg = plan(4096, 4096, 256, 4096);
-        assert!(cfg.mu < 8, "µ = {}", cfg.mu);
-        assert!(cfg.lut_tile_bytes() <= 4096);
-    }
-
-    #[test]
-    fn batch_tile_capped_at_32() {
-        let cfg = plan(1024, 1024, 256, DEFAULT_LUT_BUDGET_BYTES);
-        assert_eq!(cfg.tile_batch, 32);
-        let cfg = plan(1024, 1024, 4, DEFAULT_LUT_BUDGET_BYTES);
-        assert_eq!(cfg.tile_batch, 4);
-    }
-
-    #[test]
-    fn mu_never_exceeds_input_size() {
-        let cfg = plan(4096, 3, 1, DEFAULT_LUT_BUDGET_BYTES);
-        assert!(cfg.mu <= 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn zero_shape_rejected() {
-        let _ = plan(0, 4, 1, DEFAULT_LUT_BUDGET_BYTES);
     }
 }
 

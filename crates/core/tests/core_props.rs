@@ -1,9 +1,8 @@
 //! Property tests for the BiQGEMM engine beyond the workspace-level suite:
-//! planner feasibility, cost-model sanity and tiling invariance.
+//! cost-model sanity and tiling invariance.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biqgemm_core::complexity::{biqgemm_ops, eq9_factor, gemm_ops, optimal_mu};
-use biqgemm_core::planner::plan;
 use biqgemm_core::{biqgemm_into, BiqArena, BiqConfig, BiqWeights, PhaseProfile};
 use proptest::prelude::*;
 
@@ -18,27 +17,6 @@ fn run(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, workers: Option<usize>) -
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The planner always returns a valid config whose LUT tile fits the
-    /// budget and whose µ never exceeds the input size.
-    #[test]
-    fn planner_feasible(
-        m in 1usize..=8192,
-        n in 1usize..=8192,
-        b in 0usize..=512,
-        budget in 64usize..=4_000_000,
-    ) {
-        let cfg = plan(m, n, b, budget.max(8));
-        cfg.validate();
-        prop_assert!(cfg.mu <= 16);
-        prop_assert!(cfg.mu <= n.max(1));
-        // Either the tile fits, or µ bottomed out at 1 chunk × µ=1.
-        prop_assert!(
-            cfg.lut_tile_bytes() <= budget.max(8)
-                || (cfg.mu == 1 && cfg.tile_chunks == 1),
-            "tile {} bytes vs budget {}", cfg.lut_tile_bytes(), budget
-        );
-    }
 
     /// Cost model: BiQGEMM ops are always below GEMM ops at the model
     /// optimum µ (for m large enough that the optimum exists meaningfully),

@@ -6,7 +6,6 @@
 //! uses this as the honest "quantized weights on an unmodified GEMM" baseline
 //! in Fig. 9/10 and Table IV (both `cublas` and `kGpu` are run this way).
 
-use crate::blocked::gemm_blocked;
 use crate::naive::gemm_naive;
 use biq_matrix::{ColMatrix, Matrix, SignMatrix};
 
@@ -43,16 +42,12 @@ impl DenseBinaryWeights {
     pub fn sgemm_naive(&self, x: &ColMatrix) -> Matrix {
         gemm_naive(&self.dense, x)
     }
-
-    /// `sGEMM` with the blocked kernel.
-    pub fn sgemm_blocked(&self, x: &ColMatrix) -> Matrix {
-        gemm_blocked(&self.dense, x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocked::gemm_blocked;
     use biq_matrix::MatrixRng;
 
     #[test]
@@ -80,6 +75,6 @@ mod tests {
         let scales = vec![1.0f32; 30];
         let x = g.small_int_col(64, 6, 2);
         let w = DenseBinaryWeights::new(&scales, &signs);
-        assert_eq!(w.sgemm_naive(&x).as_slice(), w.sgemm_blocked(&x).as_slice());
+        assert_eq!(w.sgemm_naive(&x).as_slice(), gemm_blocked(w.dense(), &x).as_slice());
     }
 }

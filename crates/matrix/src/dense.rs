@@ -212,11 +212,6 @@ impl Matrix {
             *a *= s;
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt() as f32
-    }
 }
 
 /// A dense column-major `rows × cols` matrix of `f32`.
@@ -330,12 +325,6 @@ impl ColMatrix {
         Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
     }
 
-    /// Reinterprets the same data as a row-major matrix of the transposed
-    /// shape without copying.
-    pub fn into_row_major_transposed(self) -> Matrix {
-        Matrix { rows: self.cols, cols: self.rows, data: self.data.into() }
-    }
-
     /// Consumes the matrix, returning the backing column-major buffer
     /// (batching layers reclaim pack buffers this way instead of
     /// reallocating per batch).
@@ -415,8 +404,6 @@ mod tests {
                 assert_eq!(ct.get(j, i), m.get(i, j));
             }
         }
-        let back = ct.into_row_major_transposed();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -451,12 +438,6 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn from_vec_wrong_len_panics() {
         let _ = Matrix::from_vec(2, 2, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Compact pretty-printing for small matrices (examples and debugging).
 
-use crate::dense::{ColMatrix, Matrix};
-use crate::sign::SignMatrix;
+use crate::dense::Matrix;
 use std::fmt::Write as _;
 
 /// Formats at most `max_rows × max_cols` of a row-major matrix, eliding the
@@ -28,34 +27,6 @@ pub fn format_matrix(m: &Matrix, max_rows: usize, max_cols: usize) -> String {
     s
 }
 
-/// Formats a column-major matrix the same way.
-pub fn format_col_matrix(m: &ColMatrix, max_rows: usize, max_cols: usize) -> String {
-    format_matrix(&m.to_row_major(), max_rows, max_cols)
-}
-
-/// Formats a sign matrix with `+`/`-` glyphs.
-pub fn format_sign_matrix(m: &SignMatrix, max_rows: usize, max_cols: usize) -> String {
-    let mut s = String::new();
-    let rows = m.rows().min(max_rows);
-    let cols = m.cols().min(max_cols);
-    let _ = writeln!(s, "SignMatrix {}x{} [", m.rows(), m.cols());
-    for i in 0..rows {
-        s.push_str("  ");
-        for j in 0..cols {
-            s.push(if m.get(i, j) > 0 { '+' } else { '-' });
-        }
-        if m.cols() > cols {
-            s.push_str(" ...");
-        }
-        s.push('\n');
-    }
-    if m.rows() > rows {
-        s.push_str("  ...\n");
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,20 +39,5 @@ mod tests {
         assert!(s.contains("..."));
         // 2 shown rows only
         assert_eq!(s.lines().count(), 5); // header + 2 rows + "..." + "]"
-    }
-
-    #[test]
-    fn format_sign_matrix_uses_glyphs() {
-        let s = SignMatrix::from_fn(2, 2, |i, j| (i + j) % 2 == 0);
-        let out = format_sign_matrix(&s, 4, 4);
-        assert!(out.contains("+-"));
-        assert!(out.contains("-+"));
-    }
-
-    #[test]
-    fn format_col_matrix_matches_row_major_rendering() {
-        let c = ColMatrix::from_fn(2, 2, |i, j| (i * 2 + j) as f32);
-        let r = c.to_row_major();
-        assert_eq!(format_col_matrix(&c, 4, 4), format_matrix(&r, 4, 4));
     }
 }

@@ -26,10 +26,6 @@ impl TransformerConfig {
     pub const BIG: Self =
         Self { d_model: 1024, d_ff: 4096, encoder_layers: 6, decoder_layers: 6, heads: 16 };
 
-    /// BERT-large (paper: 24 encoder layers, hidden 1024).
-    pub const BERT_LARGE: Self =
-        Self { d_model: 1024, d_ff: 4096, encoder_layers: 24, decoder_layers: 0, heads: 16 };
-
     /// Weight-matrix shapes of one encoder layer: four `(n × n)` attention
     /// projections plus `(4n × n)` and `(n × 4n)` feed-forward matrices.
     pub fn encoder_layer_matrices(&self) -> Vec<(usize, usize)> {
@@ -41,12 +37,6 @@ impl TransformerConfig {
             (self.d_ff, self.d_model),
             (self.d_model, self.d_ff),
         ]
-    }
-
-    /// Total weight parameters of the encoder stack.
-    pub fn encoder_params(&self) -> usize {
-        self.encoder_layers
-            * self.encoder_layer_matrices().iter().map(|&(r, c)| r * c).sum::<usize>()
     }
 }
 
@@ -76,11 +66,6 @@ pub const LAS: LasConfig = LasConfig {
     decoder_matrix: (1280, 1280),
 };
 
-/// Fp32 megabytes (decimal) of a matrix of this shape.
-pub fn matrix_fp32_mb(shape: (usize, usize)) -> f64 {
-    shape.0 as f64 * shape.1 as f64 * 4.0 / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +75,6 @@ mod tests {
         assert_eq!(TransformerConfig::BASE.d_model, 512);
         assert_eq!(TransformerConfig::BASE.encoder_layers, 6);
         assert_eq!(TransformerConfig::BIG.d_model, 1024);
-        assert_eq!(TransformerConfig::BERT_LARGE.encoder_layers, 24);
-        assert_eq!(TransformerConfig::BERT_LARGE.decoder_layers, 0);
     }
 
     #[test]
@@ -105,15 +88,8 @@ mod tests {
     #[test]
     fn albert_matrix_is_256mb_fp32() {
         // Paper: "(4K×16K), which requires 256 MB (with FP32)".
-        let mb = matrix_fp32_mb(ALBERT_XXLARGE_FF);
-        assert!((mb - 268.435456).abs() < 1e-6); // 4096·16384·4 bytes
-    }
-
-    #[test]
-    fn encoder_params_formula() {
-        let c = TransformerConfig::BASE;
-        let per_layer = 4 * 512 * 512 + 2 * 512 * 2048;
-        assert_eq!(c.encoder_params(), 6 * per_layer);
+        let (rows, cols) = ALBERT_XXLARGE_FF;
+        assert_eq!(rows * cols * 4, 256 << 20);
     }
 
     #[test]

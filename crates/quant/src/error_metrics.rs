@@ -13,11 +13,6 @@ pub fn mse(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| ((x - y) as f64).powi(2)).sum::<f64>() / a.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(a: &[f32], b: &[f32]) -> f64 {
-    mse(a, b).sqrt()
-}
-
 /// Signal-to-quantization-noise ratio in dB:
 /// `10·log10(‖signal‖² / ‖signal − approx‖²)`. Returns `f64::INFINITY` for an
 /// exact match.
@@ -65,12 +60,6 @@ pub fn relative_l2(a: &[f32], b: &[f32]) -> f64 {
     }
 }
 
-/// Matrix wrappers around the slice metrics.
-pub fn matrix_mse(a: &Matrix, b: &Matrix) -> f64 {
-    assert_eq!(a.shape(), b.shape(), "shape mismatch");
-    mse(a.as_slice(), b.as_slice())
-}
-
 /// SQNR (dB) between a reference matrix and its approximation.
 pub fn matrix_sqnr_db(signal: &Matrix, approx: &Matrix) -> f64 {
     assert_eq!(signal.shape(), approx.shape(), "shape mismatch");
@@ -90,7 +79,6 @@ mod tests {
     fn mse_known_value() {
         // diffs = [1, -1] -> mse = 1
         assert_eq!(mse(&[1.0, 1.0], &[0.0, 2.0]), 1.0);
-        assert_eq!(rmse(&[1.0, 1.0], &[0.0, 2.0]), 1.0);
     }
 
     #[test]
@@ -126,7 +114,6 @@ mod tests {
     fn matrix_metrics_match_slice_metrics() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![1.0, 2.5, 3.0, 3.5]);
-        assert_eq!(matrix_mse(&a, &b), mse(a.as_slice(), b.as_slice()));
         assert_eq!(matrix_sqnr_db(&a, &b), sqnr_db(a.as_slice(), b.as_slice()));
     }
 

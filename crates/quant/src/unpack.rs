@@ -8,8 +8,7 @@
 //!     for i ← 0 to 31: w_i ← (((x >> i) & 1) · 2) − 1
 //! ```
 //!
-//! This module implements that loop (and a 64-bit variant) exactly as
-//! written; `biq-gemm`'s unpack-GEMM baseline calls it in its inner loop so
+//! This module implements that loop exactly as written; `biq-gemm`'s unpack-GEMM baseline calls it in its inner loop so
 //! the Fig. 9 experiment measures the true decompression overhead.
 
 /// Unpacks one 32-bit container into 32 signs (`bit i ↦ element i`,
@@ -19,16 +18,6 @@ pub fn unpack_word_u32(x: u32) -> [f32; 32] {
     let mut w = [0.0f32; 32];
     for (i, wi) in w.iter_mut().enumerate() {
         *wi = (((x >> i) & 1) as i32 * 2 - 1) as f32;
-    }
-    w
-}
-
-/// 64-bit variant of [`unpack_word_u32`].
-#[inline]
-pub fn unpack_word_u64(x: u64) -> [f32; 64] {
-    let mut w = [0.0f32; 64];
-    for (i, wi) in w.iter_mut().enumerate() {
-        *wi = (((x >> i) & 1) as i64 * 2 - 1) as f32;
     }
     w
 }
@@ -50,29 +39,17 @@ pub fn unpack_row_u32(words: &[u32], out: &mut [f32]) {
     }
 }
 
-/// Unpacks into `i8` signs instead of `f32`.
-pub fn unpack_row_u32_i8(words: &[u32], out: &mut [i8]) {
-    let n = out.len();
-    debug_assert!(words.len() * 32 >= n, "not enough packed words");
-    for (j, o) in out.iter_mut().enumerate() {
-        let w = words[j / 32];
-        *o = (((w >> (j % 32)) & 1) as i8) * 2 - 1;
-    }
-    let _ = n;
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index-style loops read clearer in reference checks
 mod tests {
     use super::*;
-    use crate::packing::{PackedRowsU32, PackedRowsU64};
+    use crate::packing::PackedRowsU32;
     use biq_matrix::MatrixRng;
 
     #[test]
     fn unpack_word_all_zeros_and_ones() {
         assert!(unpack_word_u32(0).iter().all(|&v| v == -1.0));
         assert!(unpack_word_u32(u32::MAX).iter().all(|&v| v == 1.0));
-        assert!(unpack_word_u64(u64::MAX).iter().all(|&v| v == 1.0));
     }
 
     #[test]
@@ -98,31 +75,6 @@ mod tests {
                     assert_eq!(v, s.get(i, j) as f32, "mismatch at ({i}, {j}), cols={cols}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn unpack_i8_matches_f32() {
-        let mut g = MatrixRng::seed_from(45);
-        let s = g.signs(1, 50);
-        let p = PackedRowsU32::pack(&s);
-        let mut f = vec![0.0f32; 50];
-        let mut i = vec![0i8; 50];
-        unpack_row_u32(p.row(0), &mut f);
-        unpack_row_u32_i8(p.row(0), &mut i);
-        for (a, b) in f.iter().zip(&i) {
-            assert_eq!(*a, *b as f32);
-        }
-    }
-
-    #[test]
-    fn unpack_word_u64_round_trip() {
-        let mut g = MatrixRng::seed_from(46);
-        let s = g.signs(1, 64);
-        let p = PackedRowsU64::pack(&s);
-        let w = unpack_word_u64(p.row(0)[0]);
-        for j in 0..64 {
-            assert_eq!(w[j], s.get(0, j) as f32);
         }
     }
 }

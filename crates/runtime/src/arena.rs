@@ -36,11 +36,6 @@ impl Arena {
     pub fn resident_lut_bytes(&self) -> usize {
         self.biq.resident_lut_bytes()
     }
-
-    /// Bytes of the dense input-pack panel.
-    pub fn pack_bytes(&self) -> usize {
-        self.pack.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -51,8 +46,8 @@ mod tests {
     fn warm_pack_grows_monotonically() {
         let mut a = Arena::new();
         a.warm_pack(8, 4);
-        assert_eq!(a.pack_bytes(), 8 * 4 * 4);
+        assert_eq!(a.pack.len(), 8 * 4);
         a.warm_pack(2, 2);
-        assert_eq!(a.pack_bytes(), 8 * 4 * 4, "never shrinks");
+        assert_eq!(a.pack.len(), 8 * 4, "never shrinks");
     }
 }

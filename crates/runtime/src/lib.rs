@@ -7,9 +7,10 @@
 //! a planner from stateful chunk writers with shared buffers:
 //!
 //! * an [`ExecutionPlan`] — the *decision record*: backend choice, µ, tile
-//!   shapes, kernel level, worker count, and the scratch-buffer sizes it
-//!   implies (built by [`PlanBuilder`], which extends
-//!   `biqgemm_core::planner`);
+//!   shapes (`BiqConfig::default()` unless the caller passes a config),
+//!   kernel level, worker count, and the scratch-buffer sizes it implies
+//!   (built by [`PlanBuilder`] from `biqgemm_core::planner`'s threading,
+//!   scratch and kernel-clamp rules);
 //! * a [`CompiledOp`] — a plan plus one kernel family's packed weights
 //!   ([`PackedPayload`]: dense fp32 for the naive / blocked paths, int8,
 //!   xnor planes, or BiQGEMM keys); its one `execute` dispatches on the
@@ -22,7 +23,7 @@
 //!   serving regime cares about.
 //!
 //! ```text
-//!  shapes, batch, budget          weights (dense / quantized / signs)
+//!  shapes, batch, config          weights (dense / quantized / signs)
 //!          │                                  │
 //!     PlanBuilder ──► ExecutionPlan ──► compile(): quantize / pack
 //!                                             │

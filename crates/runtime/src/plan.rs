@@ -8,8 +8,7 @@
 //! models build their plans once and re-run them every forward pass.
 
 use biqgemm_core::planner::{
-    auto_width1_clamp, plan as plan_cfg, recommend_parallel, scratch_spec, ScratchSpec, Threading,
-    DEFAULT_LUT_BUDGET_BYTES,
+    auto_width1_clamp, recommend_parallel, scratch_spec, ScratchSpec, Threading,
 };
 use biqgemm_core::simd::env_override_active;
 use biqgemm_core::{BiqConfig, KernelRequest, ResolvedKernel};
@@ -106,7 +105,7 @@ impl ExecutionPlan {
     }
 }
 
-/// Builder for [`ExecutionPlan`] — the single front door to the planner.
+/// Builder for [`ExecutionPlan`] — the single front door to plan resolution.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanBuilder {
     m: usize,
@@ -115,14 +114,14 @@ pub struct PlanBuilder {
     spec: BackendSpec,
     threading: Threading,
     threads: Option<usize>,
-    cfg_override: Option<BiqConfig>,
+    cfg: BiqConfig,
     kernel: Option<KernelRequest>,
 }
 
 impl PlanBuilder {
     /// Starts a plan for an `m × n` weight operand. Defaults: batch 1,
-    /// 1-bit greedy BiQGEMM backend, automatic threading, half-L2 LUT
-    /// budget.
+    /// 1-bit greedy BiQGEMM backend, automatic threading,
+    /// [`BiqConfig::default()`] (µ = 8 and its tiles, whatever the shape).
     ///
     /// # Panics
     /// Panics when either dimension is zero.
@@ -135,13 +134,13 @@ impl PlanBuilder {
             spec: BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy },
             threading: Threading::Auto,
             threads: None,
-            cfg_override: None,
+            cfg: BiqConfig::default(),
             kernel: None,
         }
     }
 
-    /// Expected batch size (`b`): drives tile sizing and the serial/parallel
-    /// decision.
+    /// Expected batch size (`b`): drives the serial/parallel decision, the
+    /// width-1 kernel clamp and the scratch record.
     pub fn batch_hint(mut self, b: usize) -> Self {
         self.batch_hint = b.max(1);
         self
@@ -167,15 +166,15 @@ impl PlanBuilder {
         self
     }
 
-    /// Full `BiqConfig` override, bypassing the planner's µ/tile search
-    /// (expert knob; the config is still validated at build).
+    /// Replaces the default [`BiqConfig`] (µ, tile shapes, kernel request);
+    /// the config is validated at build.
     pub fn config(mut self, cfg: BiqConfig) -> Self {
-        self.cfg_override = Some(cfg);
+        self.cfg = cfg;
         self
     }
 
     /// Kernel-level request (default: the config's `kernel` field, i.e.
-    /// [`KernelRequest::Auto`] unless a config override says otherwise).
+    /// [`KernelRequest::Auto`] unless [`PlanBuilder::config`] says otherwise).
     /// Resolution happens once, in [`PlanBuilder::build`].
     pub fn kernel(mut self, request: KernelRequest) -> Self {
         self.kernel = Some(request);
@@ -185,19 +184,14 @@ impl PlanBuilder {
     /// Resolves the plan.
     ///
     /// # Panics
-    /// Panics on an invalid config override, or — with the kernel layer's
+    /// Panics on an invalid config, or — with the kernel layer's
     /// message — when the kernel request (or a `BIQ_KERNEL` override)
     /// names a level this host cannot execute. Callers that want a
     /// recoverable error validate the request with
     /// [`KernelRequest::resolve`] first (the CLI does).
     pub fn build(self) -> ExecutionPlan {
-        let mut cfg = match self.cfg_override {
-            Some(cfg) => {
-                cfg.validate();
-                cfg
-            }
-            None => plan_cfg(self.m, self.n, self.batch_hint, DEFAULT_LUT_BUDGET_BYTES),
-        };
+        let mut cfg = self.cfg;
+        cfg.validate();
         if let Some(request) = self.kernel {
             cfg.kernel = request;
         }
@@ -240,12 +234,40 @@ mod tests {
     use biqgemm_core::planner::SMALL_BATCH_SERIAL_MAX;
 
     #[test]
-    fn defaults_follow_planner() {
+    fn a_plan_without_a_config_is_the_default_config() {
+        use crate::{compile, Executor, WeightSource};
+        use biq_matrix::MatrixRng;
+        use biqgemm_core::simd::supported_levels;
         let p = PlanBuilder::new(1024, 1024).batch_hint(32).threads(8).build();
-        assert_eq!(p.cfg.mu, 8, "paper's empirical µ for paper-sized shapes");
+        assert_eq!(p.cfg, BiqConfig::default());
         assert_eq!(p.workers, Some(8), "large batch on many workers should parallelise");
-        assert!(p.lut_tile_bytes() <= DEFAULT_LUT_BUDGET_BYTES);
         assert!(p.kernel.level().is_supported(), "resolved level must be executable");
+        // n = 3 < µ runs as one ragged chunk, m = 1 under a 64-row tile.
+        let mut g = MatrixRng::seed_from(0x46);
+        for (m, n, b) in [(1, 3, 1), (5, 3, 2), (1, 40, 6), (32, 64, 1), (512, 512, 1)] {
+            assert_eq!(PlanBuilder::new(m, n).batch_hint(b).build().cfg, BiqConfig::default());
+            let signs = g.signs(m, n);
+            let x = g.small_int_col(n, b, 3);
+            let y_ref = biq_gemm::gemm_naive(&signs.to_f32(), &x);
+            for level in supported_levels() {
+                let run = |builder: PlanBuilder| {
+                    let plan = builder
+                        .batch_hint(b)
+                        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+                        .kernel(KernelRequest::Exact(level))
+                        .build();
+                    let y = Executor::new().run(&compile(&plan, WeightSource::Signs(&signs)), &x);
+                    y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let implicit = run(PlanBuilder::new(m, n));
+                let explicit = run(PlanBuilder::new(m, n).config(BiqConfig::default()));
+                assert_eq!(implicit, explicit, "{m}x{n} b={b} at {}", level.name());
+                for (got, want) in implicit.iter().zip(y_ref.as_slice()) {
+                    let got = f32::from_bits(*got);
+                    assert!((got - want).abs() <= 1e-4, "{m}x{n} b={b}: {got} vs {want}");
+                }
+            }
+        }
     }
 
     #[test]

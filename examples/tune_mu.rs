@@ -1,8 +1,9 @@
 //! Choosing the LUT-unit µ: analytic model vs measurement.
 //!
-//! Walks µ over 2..=12 for a 4096×1024 matrix at batch 32, printing the
-//! Eq. 9 cost factor, the planner's cache-aware tile choice, and measured
-//! runtime — showing why the paper lands on µ = 8.
+//! Walks µ over 2..=12 for a 4096×1024 matrix at batch 32 on the default
+//! tiles, printing the Eq. 9 cost factor, the LUT bank's KiB (it grows as
+//! `2^µ`, so a row whose bank leaves L2 shows it) and measured runtime —
+//! showing why the paper lands on µ = 8.
 //!
 //! Run with: `cargo run --release --example tune_mu`
 
@@ -11,7 +12,6 @@ use biqgemm_repro::biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource,
 };
 use biqgemm_repro::biqgemm_core::complexity::{eq9_factor, model_speedup, optimal_mu};
-use biqgemm_repro::biqgemm_core::planner::{plan, DEFAULT_LUT_BUDGET_BYTES};
 use biqgemm_repro::biqgemm_core::BiqConfig;
 use std::time::Instant;
 
@@ -24,11 +24,10 @@ fn main() {
     let x = g.gaussian_col(n, b, 0.0, 1.0);
     println!(
         "{:>3} {:>12} {:>14} {:>12} {:>12}",
-        "µ", "Eq.9 factor", "model speedup", "tile chunks", "measured ms"
+        "µ", "Eq.9 factor", "model speedup", "bank KiB", "measured ms"
     );
     for mu in 2..=12usize {
-        let planned = plan(m, n, b, DEFAULT_LUT_BUDGET_BYTES);
-        let cfg = BiqConfig { mu, ..planned };
+        let cfg = BiqConfig { mu, ..BiqConfig::default() };
         let plan = PlanBuilder::new(m, n)
             .batch_hint(b)
             .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
@@ -46,7 +45,7 @@ fn main() {
             "{mu:>3} {:>12.5} {:>14.2} {:>12} {:>12.2}",
             eq9_factor(m, mu),
             model_speedup(m, n, mu, b, 1),
-            cfg.tile_chunks,
+            plan.scratch.lut_bank_floats * 4 / 1024,
             ms
         );
     }

@@ -8,7 +8,6 @@ use biqgemm_repro::biq_nn::linear::{Linear, QuantMethod};
 use biqgemm_repro::biq_nn::lstm::{Lstm, LstmState};
 use biqgemm_repro::biq_nn::transformer::{DecoderLayer, EncoderLayer, LayerBackend};
 use biqgemm_repro::biq_quant::error_metrics::cosine_similarity;
-use biqgemm_repro::biqgemm_core::planner::{plan, DEFAULT_LUT_BUDGET_BYTES};
 use biqgemm_repro::biqgemm_core::BiqConfig;
 
 const FP: LayerBackend = LayerBackend::Fp32 { parallel: false };
@@ -34,14 +33,13 @@ fn transformer_base_shapes_run_end_to_end() {
 #[test]
 fn quantized_linear_on_albert_shaped_slice() {
     // A proportional slice of the ALBERT xx-large 4K×16K matrix (1/16 scale)
-    // through the planner-chosen config.
+    // through the default config.
     let (rows, cols) = (ALBERT_XXLARGE_FF.0 / 16, ALBERT_XXLARGE_FF.1 / 16);
     let mut g = MatrixRng::seed_from(0x222);
     let w = g.gaussian(rows, cols, 0.0, 0.02);
     let x = g.gaussian_col(cols, 4, 0.0, 1.0);
-    let cfg = plan(rows, cols, 4, DEFAULT_LUT_BUDGET_BYTES);
     let fp = Linear::fp32(w.clone(), None).forward(&x);
-    let q = Linear::quantized(&w, 3, QuantMethod::Greedy, cfg, None).forward(&x);
+    let q = Linear::quantized(&w, 3, QuantMethod::Greedy, BiqConfig::default(), None).forward(&x);
     let cs = cosine_similarity(q.as_slice(), fp.as_slice());
     assert!(cs > 0.95, "cosine similarity {cs}");
 }
