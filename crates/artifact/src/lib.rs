@@ -38,6 +38,8 @@
 //! `ModelRegistry::load_artifact`, and the `biq` CLI drives the whole path
 //! (`biq compile` / `biq run-model` / `biq inspect`).
 
+#![forbid(unsafe_code)]
+
 pub mod container;
 pub mod manifest;
 pub mod model;

@@ -175,7 +175,11 @@ pub fn cmd_run_model(
 }
 
 /// `biq inspect`: dumps the container header, per-section TOC, and the
-/// manifest's layer graph.
+/// manifest's layer graph. A BiQ layer shows its recorded LUT tile
+/// (`tile=rows×chunks×batch`); one whose `tile_batch` is below
+/// [`BiqConfig::default`]'s gets a hint line, since every batch wider than
+/// its tile then runs in tiles that narrow (at `tile_batch = 1`, one column
+/// at a time).
 pub fn cmd_inspect(path: &Path) -> Result<String, CliError> {
     let artifact = Artifact::open(path).map_err(|e| CliError(format!("{path:?}: {e}")))?;
     let manifest = ModelManifest::decode(artifact.manifest_bytes())
@@ -227,18 +231,33 @@ pub fn cmd_inspect(path: &Path) -> Result<String, CliError> {
                 kernel.push_str(&format!(" ({why})"));
             }
         }
+        let biq = matches!(l.spec, BackendSpec::Biq { .. });
+        let tile = if biq {
+            format!(" tile={}x{}x{}", l.cfg.tile_rows, l.cfg.tile_chunks, l.cfg.tile_batch)
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "  {:<16} {:>5}x{:<5} {:?} µ={} batch_hint={} {}{}{}\n",
+            "  {:<16} {:>5}x{:<5} {:?} µ={}{} batch_hint={} {}{}{}\n",
             l.name,
             l.m,
             l.n,
             l.spec,
             l.cfg.mu,
+            tile,
             l.batch_hint,
             kernel,
             if l.parallel { " parallel" } else { "" },
             if l.bias.is_some() { " +bias" } else { "" },
         ));
+        let default_batch = BiqConfig::default().tile_batch;
+        if biq && l.cfg.tile_batch < default_batch {
+            out.push_str(&format!(
+                "    hint: tile_batch={} < {default_batch}: wider batches run {} column(s) at a \
+                 time — recompile for wide batches\n",
+                l.cfg.tile_batch, l.cfg.tile_batch,
+            ));
+        }
     }
     if !manifest.params.is_empty() {
         out.push_str(&format!(
@@ -291,6 +310,30 @@ mod tests {
         assert!(report.contains("lstm model"), "{report}");
         assert!(report.contains("lstm.w_ih"), "{report}");
         assert!(report.contains("keys"), "{report}");
+        let d = BiqConfig::default();
+        let tile = format!("tile={}x{}x{}", d.tile_rows, d.tile_chunks, d.tile_batch);
+        assert!(report.contains(&tile), "{report}");
+        assert!(!report.contains("recompile"), "{report}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A file compiled at `tile_batch = 1` (as old builds' planner could
+    /// record) runs every batch one column at a time: `inspect` says so on
+    /// each BiQ layer, with the recompile hint.
+    #[test]
+    fn inspect_flags_a_one_column_tile() {
+        let mut g = MatrixRng::seed_from(9);
+        let cfg = BiqConfig { tile_batch: 1, ..BiqConfig::default() };
+        let backend =
+            LayerBackend::Biq { bits: 2, method: QuantMethod::Greedy, cfg, parallel: false };
+        let model = CompiledModel::Transformer(Encoder::random(&mut g, 1, 16, 32, 2, backend));
+        let path = tmp("inspect_tile1.biqmod");
+        model.save(&path).unwrap();
+        let report = cmd_inspect(&path).unwrap();
+        let layers = report.lines().filter(|l| l.contains("tile=")).count();
+        let hints = report.lines().filter(|l| l.contains("recompile for wide batches")).count();
+        assert!(layers > 0 && hints == layers, "{report}");
+        assert!(report.contains(&format!("tile={}x{}x1 ", cfg.tile_rows, cfg.tile_chunks)));
         let _ = std::fs::remove_file(path);
     }
 

@@ -16,15 +16,22 @@
 //!   ([`simd::lut_gather_rows`]) per row tile per column, so the tile loop
 //!   runs one column across every row before the next and that column's
 //!   tables stay in L1. b = 1 is the one-column case.
-//! * **KeyMajor** (paper Fig. 6, wider tiles): `data[(c·2^µ + key)·nb + a]`
-//!   — one lookup yields a contiguous batch vector, so the fused query
-//!   ([`simd::lut_query_fused_rows`]) accumulates whole lane groups.
+//! * **KeyMajor** (paper Fig. 6, wider tiles):
+//!   `data[(c·2^µ + key)·s + a]` with the entry stride `s =`
+//!   [`entry_stride`]`(nb)` — `nb` padded to a whole lane group (8 through
+//!   `nb = 8`, a multiple of 16 past it). One lookup yields a contiguous
+//!   batch vector of whole vectors, so the fused query
+//!   ([`simd::lut_query_fused_rows`]) loads every lane group of an entry
+//!   unmasked, and only its store to `y` is masked to the `nb` live lanes.
 //!   Building gathers each chunk's sub-vector values across the batch
-//!   stride into entry 0 and the DP step rows — that movement is charged
-//!   to the **replace** phase. It is one dispatch per tile
-//!   ([`simd::gather_key_major_steps`]) with the batch columns as vector
-//!   lanes: one lookup per chunk position pulls a lane group's values at
-//!   lane offsets `a·n`.
+//!   stride into entry 0 and the DP step rows (`steps[(c·µ + t)·s + a]`)
+//!   — that movement is charged to the **replace** phase. It is one
+//!   dispatch per tile ([`simd::gather_key_major_steps`]) with the batch
+//!   columns as vector lanes: one lookup per chunk position pulls a lane
+//!   group's values at lane offsets `a·n`. It writes `0.0` into every
+//!   padded lane `nb ≤ a < s` of entry 0 and of the step rows, so the DP
+//!   steps and the mirror — whole padded rows — leave `±0.0` in every
+//!   padded lane of every built entry: never a NaN or a subnormal.
 //!
 //! Both realise the canonical accumulation tree, so a column's bits do not
 //! depend on which side of the constant its tile falls.
@@ -38,9 +45,10 @@ use biq_quant::packing::KeyTile;
 const LINE_BYTES: usize = 64;
 
 /// Backing store of a LUT bank: an `f32` buffer whose first live float sits
-/// on a cache-line boundary. With KeyMajor entries of `nb ≡ 0 (mod 16)`
-/// floats every entry is then a whole number of lines, so an entry load in
-/// the query and an entry store in the DP build never straddle two lines —
+/// on a cache-line boundary. With KeyMajor entry strides of 8 floats or a
+/// multiple of 16 every entry is then half a line or a whole number of
+/// lines, so an entry load in the query and an entry store in the DP build
+/// never straddle two lines —
 /// a plain `Vec<f32>` of tile size is an mmap'd chunk whose payload starts
 /// at 16 mod 64, which splits *every* 64-byte access.
 ///
@@ -88,19 +96,49 @@ impl LineAlignedBuf {
 }
 
 /// The widest LUT tile that builds column tables; wider tiles build the
-/// Fig. 6 KeyMajor bank. Measured, not derived, with the column-outer
-/// query and AVX-512's ymm remainders: 2-bit serial runs at 512²,
-/// 2048×512 and 512×2048 on AVX2 and AVX-512 (alternating blocks, low
-/// decile, two runs) found column tables faster in all 12 cells at b = 4
-/// (0.84–0.99× KeyMajor's time) and slower in 10 of 12 at b = 5, so the
-/// bound is the same on both levels — the table is in the crate README,
-/// "Known cliffs". ROADMAP item 15's cost model replaces it.
-pub const COLUMN_TABLES_MAX: usize = 4;
+/// Fig. 6 KeyMajor bank. Measured, not derived, against the padded
+/// KeyMajor bank ([`entry_stride`]): 2-bit serial runs at 512², 2048×512
+/// and 512×2048 on AVX2 and AVX-512 (21 alternating blocks in one process,
+/// low decile per block, medians) found KeyMajor faster in all 6 cells at
+/// b = 4 (0.67–0.92× the column tables' time) and slower in 4 of 6 at
+/// b = 3 (0.88–1.24×), so the bound is the same on both levels — the table
+/// is in the crate README, "Known cliffs". ROADMAP item 15's cost model
+/// replaces it.
+pub const COLUMN_TABLES_MAX: usize = 3;
 
 /// Whether a tile of `nb` batch columns builds column tables.
 #[inline]
 fn column_tables(nb: usize) -> bool {
     nb <= COLUMN_TABLES_MAX
+}
+
+/// Floats one KeyMajor entry spans for a tile of `nb` batch columns: `nb`
+/// rounded up to 8 through `nb = 8`, to a multiple of 16 past it — a whole
+/// ymm, or whole zmm and cache lines. Every level's lane group (4, 8 or 16
+/// lanes; AVX-512 runs a stride of 8 at AVX2's width) divides it, so no
+/// bank access is masked; the lanes `nb..` are padding the build zeroes and
+/// the query never stores. The one stride rule: the build, the query and
+/// every reservation ([`tile_lanes`]) go through it.
+#[inline]
+pub fn entry_stride(nb: usize) -> usize {
+    if nb <= 8 {
+        8
+    } else {
+        nb.next_multiple_of(16)
+    }
+}
+
+/// Floats per table entry (and per DP step row) of a tile `nb` columns
+/// wide, whichever layout its width picks: `nb` for column tables, the
+/// [`entry_stride`] for KeyMajor. Non-decreasing in `nb`, so scratch sized
+/// at one width holds every narrower tile.
+#[inline]
+pub fn tile_lanes(nb: usize) -> usize {
+    if column_tables(nb) {
+        nb
+    } else {
+        entry_stride(nb)
+    }
 }
 
 /// A reusable bank of lookup tables for one (chunk-tile × batch-tile).
@@ -133,13 +171,14 @@ impl LutBank {
     /// following [`LutBank::build`] of that size (or smaller) allocates
     /// nothing. Buffers never shrink.
     pub fn reserve(&mut self, num_chunks: usize, nb: usize) {
-        self.data.ensure_len(num_chunks * self.table * nb);
+        self.data.ensure_len(num_chunks * self.table * tile_lanes(nb));
         self.reserve_steps(num_chunks, nb);
     }
 
-    /// Step vectors for a whole KeyMajor tile: `µ × nb` floats per chunk.
+    /// Step vectors for a whole KeyMajor tile: `µ` rows of the entry stride
+    /// per chunk.
     fn reserve_steps(&mut self, num_chunks: usize, nb: usize) {
-        let needed = num_chunks * self.mu() * nb;
+        let needed = num_chunks * self.mu() * tile_lanes(nb);
         if self.steps.len() < needed {
             self.steps.resize(needed, 0.0);
         }
@@ -186,7 +225,7 @@ impl LutBank {
         debug_assert_eq!(input.mu(), self.mu());
         self.num_chunks = num_chunks;
         self.nb = nb;
-        self.data.ensure_len(num_chunks * self.table * nb);
+        self.data.ensure_len(num_chunks * self.table * tile_lanes(nb));
         if !column_tables(nb) {
             self.build_key_major(input, chunk_start, batch_start, profile, k);
             return;
@@ -202,13 +241,14 @@ impl LutBank {
     }
 
     /// Batch-vectorised Algorithm 1 directly in the Fig. 6 layout for the
-    /// resident tile: table entries are contiguous `nb`-vectors, and the
-    /// DP recurrence (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector
-    /// add per entry. The strided gather of sub-vector values across batch
-    /// columns — entry 0 and the step rows, one
-    /// [`simd::gather_key_major_steps`] dispatch with the columns as lanes —
-    /// is the residual "replace" (tiling data-movement) cost. Both phases
-    /// run over the whole tile under one timing scope each.
+    /// resident tile: table entries are contiguous padded batch vectors
+    /// ([`entry_stride`]), and the DP recurrence (`q[2^t + j] = q[j] +
+    /// 2·x_{L−1−t}`) becomes a whole-row vector add per entry. The strided
+    /// gather of sub-vector values across batch columns — entry 0 and the
+    /// step rows, one [`simd::gather_key_major_steps`] dispatch with the
+    /// columns as lanes — is the residual "replace" (tiling data-movement)
+    /// cost. Both phases run over the whole tile under one timing scope
+    /// each.
     fn build_key_major(
         &mut self,
         input: &ChunkedInput<'_>,
@@ -218,8 +258,9 @@ impl LutBank {
         k: ResolvedKernel,
     ) {
         let (num_chunks, nb, table, mu) = (self.num_chunks, self.nb, self.table, self.mu());
+        let stride = entry_stride(nb);
         self.reserve_steps(num_chunks, nb);
-        let step_stride = mu * nb;
+        let step_stride = mu * stride;
         let steps = &mut self.steps;
         let data = self.data.as_mut_slice();
         let n = input.input_size();
@@ -232,10 +273,10 @@ impl LutBank {
             for c in 0..num_chunks {
                 let l = input.chunk(batch_start, chunk_start + c).len();
                 dp_fill_chunk(
-                    &mut data[c * table * nb..][..(1usize << l) * nb],
+                    &mut data[c * table * stride..][..(1usize << l) * stride],
                     &steps[c * step_stride..][..step_stride],
                     l,
-                    nb,
+                    stride,
                     k,
                 );
             }
@@ -295,33 +336,34 @@ impl LutBank {
             let bank = &data[pass * span..][..span];
             simd::lut_gather_rows(&mut y[pass..], y_stride, scales, bank, table, keys, k);
         } else {
-            let bank = &data[..self.num_chunks * table * nb];
+            let bank = &data[..self.num_chunks * table * entry_stride(nb)];
             simd::lut_query_fused_rows(y, y_stride, scales, bank, table, nb, keys, k);
         }
     }
 
-    /// Bytes of live table data.
+    /// Bytes the resident tables occupy, KeyMajor padding included.
     pub fn resident_bytes(&self) -> usize {
-        self.num_chunks * self.table * self.nb * 4
+        self.num_chunks * self.table * tile_lanes(self.nb) * 4
     }
 }
 
 /// DP half of the batched KeyMajor build for one chunk: `seg` spans the
-/// chunk's `2^l` entries of `nb` floats with entry 0 already in place.
-/// Vector adds over contiguous `nb`-rows at the resolved kernel level —
-/// one dispatch per DP level / per mirror, so call overhead never scales
-/// with `2^µ`.
-fn dp_fill_chunk(seg: &mut [f32], steps: &[f32], l: usize, nb: usize, k: ResolvedKernel) {
+/// chunk's `2^l` entries of `stride` floats with entry 0 already in place.
+/// Vector adds over whole padded rows at the resolved kernel level — one
+/// dispatch per DP level / per mirror, so call overhead never scales with
+/// `2^µ`.
+fn dp_fill_chunk(seg: &mut [f32], steps: &[f32], l: usize, stride: usize, k: ResolvedKernel) {
     for t in 0..l - 1 {
         let rows = 1usize << t;
-        let (lo, hi) = seg.split_at_mut(rows * nb);
-        simd::dp_step_add_rows(&mut hi[..rows * nb], lo, &steps[t * nb..t * nb + nb], k);
+        let (lo, hi) = seg.split_at_mut(rows * stride);
+        let step = &steps[t * stride..][..stride];
+        simd::dp_step_add_rows(&mut hi[..rows * stride], lo, step, k);
     }
     // Mirror: upper-half row r (global index 2^{l−1}+r) is the negation of
     // lower-half row 2^{l−1}−1−r.
     let half = 1usize << (l - 1);
-    let (lo, hi) = seg.split_at_mut(half * nb);
-    simd::negate_rows_reversed(hi, lo, nb, k);
+    let (lo, hi) = seg.split_at_mut(half * stride);
+    simd::negate_rows_reversed(hi, lo, stride, k);
 }
 
 #[cfg(test)]
@@ -340,8 +382,11 @@ mod tests {
     /// wherever the tile's width put it.
     fn entry(bank: &LutBank, c: usize, a: usize, key: usize) -> f32 {
         let (table, nc, nb) = (bank.table, bank.num_chunks, bank.nb);
-        let off =
-            if column_tables(nb) { (a * nc + c) * table + key } else { (c * table + key) * nb + a };
+        let off = if column_tables(nb) {
+            (a * nc + c) * table + key
+        } else {
+            (c * table + key) * entry_stride(nb) + a
+        };
         bank.data.as_slice()[off]
     }
 
@@ -403,7 +448,7 @@ mod tests {
                 let got: Vec<f32> = if nb <= COLUMN_TABLES_MAX {
                     data[(a * nc + c) * 16..][..16].to_vec()
                 } else {
-                    (0..16).map(|key| data[(c * 16 + key) * nb + a]).collect()
+                    (0..16).map(|key| data[(c * 16 + key) * entry_stride(nb) + a]).collect()
                 };
                 assert_eq!(got, want, "nb {nb} chunk {c} column {a}");
             }
@@ -504,9 +549,9 @@ mod tests {
     /// The KeyMajor step gather written out as a scalar per-column chain —
     /// the independent statement of its order: per column,
     /// entry 0 is `0 − x_0 − x_1 − …` in ascending order and step row `t`
-    /// is `2·x_{l−1−t}`. Fills the tile's entry 0 of every chunk
-    /// (`bank[i·2^µ·nb + a]`) and its step rows (`steps[i·µ·nb + t·nb + a]`),
-    /// nothing else.
+    /// is `2·x_{l−1−t}`, and every padded lane `nb ≤ a < s` of both is
+    /// `+0.0`. Fills the tile's entry 0 of every chunk (`bank[i·2^µ·s + a]`)
+    /// and its step rows (`steps[i·µ·s + t·s + a]`), nothing else.
     fn steps_oracle(
         bank: &mut [f32],
         steps: &mut [f32],
@@ -515,30 +560,35 @@ mod tests {
         batch_start: usize,
         nb: usize,
     ) {
-        let mu = input.mu();
+        let (mu, s) = (input.mu(), entry_stride(nb));
         for (i, c) in chunks.enumerate() {
-            for a in 0..nb {
-                let sub = input.chunk(batch_start + a, c);
-                let l = sub.len();
-                let mut neg = 0.0f32;
-                for &v in sub {
-                    neg -= v;
+            for a in 0..s {
+                let (mut neg, mut rows) = (0.0f32, vec![0.0f32; mu]);
+                let l = input.chunk(batch_start, c).len();
+                if a < nb {
+                    let sub = input.chunk(batch_start + a, c);
+                    for &v in sub {
+                        neg -= v;
+                    }
+                    for (t, row) in rows.iter_mut().enumerate().take(l - 1) {
+                        *row = 2.0 * sub[l - 1 - t];
+                    }
                 }
-                bank[(i << mu) * nb + a] = neg;
-                for t in 0..l - 1 {
-                    steps[i * mu * nb + t * nb + a] = 2.0 * sub[l - 1 - t];
+                bank[(i << mu) * s + a] = neg;
+                for (t, &row) in rows.iter().enumerate().take(l - 1) {
+                    steps[i * mu * s + t * s + a] = row;
                 }
             }
         }
     }
 
     /// The lane step gather at every level equals the scalar chain bit for
-    /// bit — entry 0 and every step row — and writes nothing else (the
-    /// rest of both buffers keeps its sentinel, so a masked group that
-    /// stored an idle lane fails). Batch widths straddle the 8- and 16-lane
-    /// groups, the tile starts at a column and a chunk past 0, the last
-    /// chunk is ragged (n ∤ µ), and µ = 12 (the width whose keys are `u16`)
-    /// runs chunks longer than a lane group of 8.
+    /// bit — entry 0 and every step row, their padded lanes `+0.0` — and
+    /// writes nothing else (the rest of both buffers keeps its sentinel).
+    /// Batch widths straddle the 8- and 16-lane groups, the tile starts at a
+    /// column and a chunk past 0, the last chunk is ragged (n ∤ µ), and
+    /// µ = 12 (the width whose keys are `u16`) runs chunks longer than a lane
+    /// group of 8.
     #[test]
     fn lane_step_gather_equals_the_scalar_chain() {
         const SENTINEL: u32 = 0x7fc5_a5a5;
@@ -552,7 +602,8 @@ mod tests {
                 let x = g.gaussian_col(n, b0 + nb + 1, 0.0, 1.0);
                 let input = ChunkedInput::new(&x, mu);
                 for chunks in [0..total, 1..total, 2..4] {
-                    let len = [chunks.len() << mu, chunks.len() * mu].map(|per| per * nb);
+                    let s = entry_stride(nb);
+                    let len = [chunks.len() << mu, chunks.len() * mu].map(|per| per * s);
                     let fresh = || len.map(|l| vec![f32::from_bits(SENTINEL); l]);
                     let [mut bank, mut steps] = fresh();
                     steps_oracle(&mut bank, &mut steps, &input, chunks.clone(), b0, nb);
@@ -570,6 +621,102 @@ mod tests {
                         assert_eq!(bits(&steps), want[1], "step rows, {what}");
                     }
                 }
+            }
+        }
+    }
+
+    fn exact(level: crate::simd::KernelLevel) -> ResolvedKernel {
+        KernelRequest::Exact(level).resolve().unwrap()
+    }
+
+    /// Every tile width 1..=35 — column tables, and KeyMajor entry strides
+    /// of 8, 16, 32 and 48 with every count of padded lanes — at every
+    /// level, through the bank: each level equals the scalar level bit for
+    /// bit, and each column equals its own one-column (b = 1) run. Output
+    /// rows are strided past the tile (`y_stride > nb`); the floats between
+    /// them hold a sentinel that must come back unchanged.
+    #[test]
+    fn every_width_matches_scalar_and_its_own_column() {
+        const SENTINEL: u32 = 0x7fc5_a5a5;
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut g = MatrixRng::seed_from(230);
+        let (rows, widest, b0) = (5usize, 35usize, 1usize);
+        for mu in [4usize, 8] {
+            let n = 9 * mu + 3; // the last chunk ragged
+            let nc = n.div_ceil(mu);
+            let x = g.gaussian_col(n, b0 + widest, 0.0, 1.0);
+            let input = ChunkedInput::new(&x, mu);
+            let km = KeyMatrix::pack(&g.signs(rows, n), mu);
+            let keys = km.tile(0..rows, 0, nc);
+            let scales = g.gaussian_vec(rows);
+            for nb in 1..=widest {
+                let y_stride = nb + 3;
+                let y0: Vec<f32> = (0..rows * y_stride)
+                    .map(|i| {
+                        if i % y_stride < nb {
+                            i as f32 * 0.25 - 3.0
+                        } else {
+                            f32::from_bits(SENTINEL)
+                        }
+                    })
+                    .collect();
+                let run = |k: ResolvedKernel| {
+                    let mut bank = LutBank::new(mu);
+                    build(&mut bank, &input, [0, nc, b0, nb], k);
+                    let mut y = y0.clone();
+                    for pass in 0..bank.passes() {
+                        bank.query_rows(pass, keys, &scales, &mut y, y_stride, k);
+                    }
+                    bits(&y)
+                };
+                let want = run(sk());
+                let what = format!("µ={mu} nb={nb}");
+                for (i, &b) in want.iter().enumerate().filter(|(i, _)| i % y_stride >= nb) {
+                    assert_eq!(b, SENTINEL, "{what}: gap float {i} written");
+                }
+                for a in 0..nb {
+                    let mut bank = LutBank::new(mu);
+                    build(&mut bank, &input, [0, nc, b0 + a, 1], sk());
+                    let mut y: Vec<f32> = (0..rows).map(|i| y0[i * y_stride + a]).collect();
+                    bank.query_rows(0, keys, &scales, &mut y, 1, sk());
+                    let col: Vec<u32> = (0..rows).map(|i| want[i * y_stride + a]).collect();
+                    assert_eq!(bits(&y), col, "{what}: column {a} vs its b = 1 run");
+                }
+                for level in crate::simd::supported_levels() {
+                    assert_eq!(run(exact(level)), want, "{what} level={level} vs scalar");
+                }
+            }
+        }
+    }
+
+    /// A built KeyMajor bank's padded lanes (`nb ≤ a < entry_stride(nb)`)
+    /// are `±0.0` in every entry the build writes, at every level — also
+    /// over a buffer that held NaNs before the build.
+    #[test]
+    fn built_padded_lanes_are_signed_zeros() {
+        let mut g = MatrixRng::seed_from(231);
+        let (mu, n, b0) = (4usize, 4 * 6 + 3usize, 2usize); // 7 chunks, the last of 3
+        let nc = n.div_ceil(mu);
+        let x = g.gaussian_col(n, b0 + 35, 0.0, 1.0);
+        let input = ChunkedInput::new(&x, mu);
+        for level in crate::simd::supported_levels() {
+            for nb in COLUMN_TABLES_MAX + 1..=35 {
+                let mut bank = LutBank::new(mu);
+                bank.reserve(nc, nb);
+                bank.data.as_mut_slice().fill(f32::NAN);
+                bank.steps.fill(f32::NAN);
+                build(&mut bank, &input, [0, nc, b0, nb], exact(level));
+                let s = entry_stride(nb);
+                for c in 0..nc {
+                    for key in 0..1usize << input.chunk(b0, c).len() {
+                        let pad = &bank.data.as_slice()[(c * 16 + key) * s..][nb..s];
+                        assert!(
+                            pad.iter().all(|&v| v == 0.0),
+                            "level={level} nb={nb} chunk {c} key {key}: padding {pad:?}"
+                        );
+                    }
+                }
+                check_bank_contents(&bank, &input, 0, b0);
             }
         }
     }
@@ -604,10 +751,15 @@ mod tests {
 
     #[test]
     fn resident_bytes_formula() {
-        let x = ColMatrix::zeros(16, 2);
+        // Column tables hold `nb` floats per entry, a KeyMajor bank its
+        // padded entry stride.
+        let x = ColMatrix::zeros(16, 9);
         let input = ChunkedInput::new(&x, 4);
         let mut bank = LutBank::new(4);
-        build(&mut bank, &input, [0, 4, 0, 2], sk());
-        assert_eq!(bank.resident_bytes(), 4 * 16 * 2 * 4);
+        for nb in [2, 9] {
+            build(&mut bank, &input, [0, 4, 0, nb], sk());
+            let lanes = if nb <= COLUMN_TABLES_MAX { nb } else { entry_stride(nb) };
+            assert_eq!(bank.resident_bytes(), 4 * 16 * lanes * 4, "nb {nb}");
+        }
     }
 }

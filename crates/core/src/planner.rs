@@ -9,6 +9,7 @@
 //! and a plan built without a config runs it.
 
 use crate::config::BiqConfig;
+use crate::layout::tile_lanes;
 use crate::simd::KernelLevel;
 
 /// Batches at or below this stay on the serial path under
@@ -42,11 +43,13 @@ pub enum Threading {
 /// without touching the allocator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScratchSpec {
-    /// Lookup-table bank: `tile_chunks · 2^µ · min(tile_batch, b)`.
+    /// Lookup-table bank: `tile_chunks · 2^µ · tile_lanes(nb)`, `nb =
+    /// min(tile_batch, b)` ([`crate::layout::tile_lanes`]: `nb` for column
+    /// tables, the padded KeyMajor entry stride past them).
     pub lut_bank_floats: usize,
     /// Algorithm 1 step vectors, one set per chunk of the tile:
-    /// `tile_chunks · µ · min(tile_batch, b)` (used by KeyMajor tiles;
-    /// column tables need none, but the bank reserves them at any width).
+    /// `tile_chunks · µ · tile_lanes(nb)` (used by KeyMajor tiles; column
+    /// tables need none, but the bank reserves them at any width).
     pub dp_steps_floats: usize,
 }
 
@@ -59,12 +62,12 @@ impl ScratchSpec {
 
 /// Computes the scratch a serial run of `cfg` needs at batch `b`.
 pub fn scratch_spec(cfg: &BiqConfig, b: usize) -> ScratchSpec {
-    let nb = cfg.tile_batch.min(b.max(1));
+    let lanes = tile_lanes(cfg.tile_batch.min(b.max(1)));
     // The query phase itself needs no separate accumulator: the fused
     // kernel (`simd::lut_query_fused_rows`) accumulates in registers.
     ScratchSpec {
-        lut_bank_floats: cfg.tile_chunks * (1usize << cfg.mu) * nb,
-        dp_steps_floats: cfg.tile_chunks * cfg.mu * nb,
+        lut_bank_floats: cfg.tile_chunks * (1usize << cfg.mu) * lanes,
+        dp_steps_floats: cfg.tile_chunks * cfg.mu * lanes,
     }
 }
 
@@ -107,19 +110,21 @@ pub fn auto_width1_clamp(
 #[cfg(test)]
 mod runtime_planning_tests {
     use super::*;
-    use crate::layout::COLUMN_TABLES_MAX;
+    use crate::layout::{entry_stride, COLUMN_TABLES_MAX};
 
     #[test]
     fn scratch_spec_matches_bank_geometry() {
         let tile_batch = COLUMN_TABLES_MAX + 2;
         let cfg = BiqConfig { mu: 8, tile_chunks: 4, tile_batch, ..BiqConfig::default() };
         // Batches narrower than the tile, on both sides of the
-        // column-table bound.
+        // column-table bound: column tables hold `b` floats per entry, the
+        // KeyMajor bank one padded entry stride.
         for b in 1..=COLUMN_TABLES_MAX + 1 {
+            let lanes = if b <= COLUMN_TABLES_MAX { b } else { entry_stride(b) };
             let s = scratch_spec(&cfg, b);
-            assert_eq!(s.lut_bank_floats, 4 * 256 * b);
-            assert_eq!(s.dp_steps_floats, 4 * 8 * b, "b = {b}");
-            assert_eq!(s.total_bytes(), (4 * 256 + 4 * 8) * b * 4);
+            assert_eq!(s.lut_bank_floats, 4 * 256 * lanes);
+            assert_eq!(s.dp_steps_floats, 4 * 8 * lanes, "b = {b}");
+            assert_eq!(s.total_bytes(), (4 * 256 + 4 * 8) * lanes * 4);
         }
     }
 

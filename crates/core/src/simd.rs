@@ -46,9 +46,9 @@
 //!   on AVX2/AVX-512), the latency path of the paper's b = 1 serving regime
 //!   and the query of every narrow tile's column tables;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector
-//!   adds and the mirror negation of the Algorithm 1 LUT build: rows of
-//!   `nb` floats for the batched (KeyMajor) build, one flat block at
-//!   `nb == 1` for one column's tables;
+//!   adds and the mirror negation of the Algorithm 1 LUT build: whole
+//!   padded rows of the entry stride for the batched (KeyMajor) build, one
+//!   flat block at `nb == 1` for one column's tables;
 //! * [`dp_build_tile`] — the whole build of one batch column's tables in
 //!   one dispatch: per chunk, `−Σ x`, the flat DP steps and the flat mirror
 //!   (the same bodies as the two primitives above, inlined);
@@ -89,26 +89,31 @@
 //! slow sequential order everywhere.
 //!
 //! **Ragged lanes.** A row of `nb` batch lanes is processed in lane groups
-//! of the level's vector width `g` (8 on AVX2, 16 on AVX-512), and the
-//! `nb mod g` lanes left over take **one masked pass of the same group
-//! body** — the same 8 accumulators, the same fold, the same two-step
-//! multiply then add, with every load and the final store under one lane
-//! mask (`vmaskmovps` on AVX2, a `__mmask16` on AVX-512). Per live lane the
-//! order therefore *is* the canonical tree: a remainder pass cannot round
-//! differently from a full group, by construction rather than by test. The
-//! masked-out lanes are **never stored** (in a strided output they are the
-//! next row's first columns) and **never read unmasked** (after the last
-//! entry they lie past the bank; the hardware suppresses faults on, and
-//! does not access, a masked-out lane); their idle accumulators hold `+0.0`
-//! throughout and are discarded. The row-shaped steps of the batched DP
-//! build ([`dp_step_add_rows`], [`negate_rows_reversed`]) finish each row
-//! the same way. Scalar (8 lanes in an array) and NEON (4 lanes) run the
-//! same masked pass: neither has a lane-masked memory operation, so their
-//! masked loads and stores move exactly the `n` live floats one lane at a
-//! time (scalar into and out of its array, NEON with single-lane loads and
-//! stores), never through a stack buffer. NEON is only compile-checked in
-//! this repository (there is no aarch64 host to test or measure it on); it
-//! is the same source as the levels that are tested.
+//! of the level's vector width `g` (4 on NEON, 8 on scalar and AVX2, 16 on
+//! AVX-512). A KeyMajor entry is padded to a whole number of groups — the
+//! entry stride [`crate::layout::entry_stride`] is 8 through `nb = 8` and a
+//! multiple of 16 past it, and AVX-512 runs a stride of 8 at AVX2's width —
+//! so **every bank access is a whole vector**: the query's entry loads,
+//! the DP step and mirror of the build (whole padded rows), and the step
+//! gather's stores. Only the output is ragged: when `nb mod g` lanes are
+//! left, the last group runs **the same group body** — the same loads, 8
+//! accumulators, fold and two-step multiply then add — with its `y` load
+//! and store under one lane mask (`vmaskmovps` on AVX2, a `__mmask16` on
+//! AVX-512). Per live lane the order therefore *is* the canonical tree: a
+//! ragged group cannot round differently from a full one, by construction
+//! rather than by test. The idle lanes accumulate the bank's padding, which
+//! the build keeps at `±0.0` (never a NaN or a subnormal), and are **never
+//! stored** (in a strided output they are the next row's first columns).
+//! The step gather's last group looks up its live columns only
+//! (`lookup_masked`: the idle lanes read `+0.0` and touch no memory), so
+//! its whole-vector stores write the padding's zeros. Scalar (8 lanes in
+//! an array) and NEON (4 lanes) have no lane-masked memory operation, so
+//! their masked loads, stores and lookups move exactly the `n` live floats
+//! one lane at a time (scalar into and out of its array, NEON with
+//! single-lane loads and stores), never through a stack buffer. NEON is
+//! only compile-checked in this repository (there is no aarch64 host to
+//! test or measure it on); it is the same source as the levels that are
+//! tested.
 //!
 //! ## One body per primitive: `Lanes`
 //!
@@ -117,10 +122,11 @@
 //! offset vector `I`, its width `W`, and its operations — `zero`, `splat`,
 //! `load`, `load_masked(n)`, `store`, `store_masked(n)`, `add`, `sub`,
 //! `mul`, `neg` (a sign-bit flip), `reverse`, and for lookups `load_idx`,
-//! `add_idx`, `load_keys` (`W` keys widened into offsets) and `lookup`
-//! (`W` table entries at `W` lane offsets). The bodies are `fused_group`
-//! (one lane group of one key row, its 8 canonical accumulators held as
-//! `[V; 8]`), the per-row fused query (full groups, then one masked pass),
+//! `add_idx`, `load_keys` (`W` keys widened into offsets), `lookup` (`W`
+//! table entries at `W` lane offsets) and `lookup_masked(n)`. The bodies
+//! are `fused_group` (one lane group of one key row, its 8 canonical
+//! accumulators held as `[V; 8]`), the per-row fused query (lane groups,
+//! the last one's output access masked),
 //! the width-1 chain (`R` key rows' lookups at once) and its row-tile
 //! driver, the DP step and mirror of the build, the width-1 tile build
 //! over those two, and the KeyMajor step gather.
@@ -175,28 +181,29 @@
 //!
 //! ## Wide batch: the row-blocked 32-lane body
 //!
-//! At `nb ≥ 32` an entry is two or more cache lines and the query is a
+//! Past 16 lanes an entry is two or more cache lines and the query is a
 //! stream of L2 reads, so the AVX-512 arm of [`lut_query_fused_rows`] is
 //! shaped for bandwidth, not latency:
 //!
-//! * **32 lanes per pass** while at least 32 remain — two zmm per canonical
-//!   accumulator, 16 of the 32 vector registers — so both lines of a
-//!   128-byte entry are consumed together and each key is decoded once for
-//!   all 32 lanes. AVX2 has 16 registers in total: 16 accumulators would
-//!   leave none for loads, so that level (and NEON, and scalar) keep the
-//!   per-row 8-/4-lane bodies. The lanes left after the last full group of
-//!   32 (`nb mod 32`, and every `nb < 32`) run a per-row body: up to 8 of
-//!   them AVX2's (one ymm group or masked ymm pass, cheaper than a zmm
-//!   window over a ≤ 8-float entry: `crates/core/README.md`, "Known
-//!   cliffs"), more the 16-lane one (full groups of 16, then one masked
-//!   pass: "Ragged lanes" above). Both are the same generic body, so the
-//!   bits are the same;
+//! * **32 lanes per pass** while more than 16 remain — two zmm per
+//!   canonical accumulator, 16 of the 32 vector registers — so both lines
+//!   of a 128-byte entry are consumed together and each key is decoded once
+//!   for all 32 lanes; a pass with 17–31 live lanes loads the padded entry
+//!   whole and masks only its `y` access. AVX2 has 16 registers in total:
+//!   16 accumulators would leave none for loads, so that level (and NEON,
+//!   and scalar) keep the per-row 8-/4-lane bodies. The ≤ 16 lanes left
+//!   after the passes run a per-row body: up to 8 of them AVX2's (one ymm
+//!   per lookup — every `nb ≤ 8` tile, whose stride of 8 is one ymm), more
+//!   the 16-lane one (one zmm per lookup). Both are the same generic body,
+//!   so the bits are the same;
 //! * **one row tile per dispatch**: geometry asserts, the key-range check
 //!   and level dispatch happen once per row tile, not once per row;
-//! * **line-aligned entries**: with `nb ≡ 0 (mod 16)` every entry is whole
-//!   cache lines *iff* the bank's first float is 64-byte aligned. That is a
-//!   property of the bank's buffer type (`layout.rs`), not of the caller or
-//!   the allocator; the body `debug_assert`s it.
+//! * **line-aligned entries**: with an entry stride of 8 every entry is half
+//!   a cache line, and with a multiple of 16 whole lines, *iff* the bank's
+//!   first float is 64-byte aligned. That is a property of the bank's buffer
+//!   type (`layout.rs`), not of the caller or the allocator; the dispatcher
+//!   `debug_assert`s it for line-sized entries, and checks every entry a
+//!   key row reads against the bank's end.
 //!
 //! Per lane the order is still the canonical tree, so the wide body, the
 //! per-row bodies and every other level agree bit for bit.
@@ -541,7 +548,7 @@ macro_rules! dispatch {
 pub fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32], k: ResolvedKernel) {
     assert_eq!(dst.len(), src.len(), "DP step blocks differ in length");
     assert!(!step.is_empty() && dst.len().is_multiple_of(step.len()), "DP step: partial row");
-    dispatch!(k, dp_step_add_rows(dst, src, step))
+    dispatch!(rows_at(k, step.len()), dp_step_add_rows(dst, src, step))
 }
 
 /// The mirror half of the Algorithm 1 build: `dst` row `r` is the negation
@@ -556,7 +563,22 @@ pub fn dp_step_add_rows(dst: &mut [f32], src: &[f32], step: &[f32], k: ResolvedK
 pub fn negate_rows_reversed(dst: &mut [f32], src: &[f32], nb: usize, k: ResolvedKernel) {
     assert_eq!(dst.len(), src.len(), "mirror blocks differ in length");
     assert!(nb > 0 && dst.len().is_multiple_of(nb), "mirror: partial row");
-    dispatch!(k, negate_rows_reversed(dst, src, nb))
+    dispatch!(rows_at(k, nb), negate_rows_reversed(dst, src, nb))
+}
+
+/// The level that runs rows of `row > 1` floats: AVX-512 runs a row
+/// narrower than its 16 lanes at AVX2's 8, so a KeyMajor row of the
+/// 8-float [`crate::layout::entry_stride`] is one whole vector at every
+/// x86 level. Bits do not depend on the pick: every level performs the
+/// same per-lane operations.
+#[inline]
+fn rows_at(k: ResolvedKernel, row: usize) -> ResolvedKernel {
+    if k.0 == KernelLevel::Avx512 && (2..16).contains(&row) {
+        // Resolved AVX-512 implies AVX2 (`KernelLevel::is_supported`).
+        ResolvedKernel(KernelLevel::Avx2)
+    } else {
+        k
+    }
 }
 
 /// The width-1 Algorithm 1 build of a whole tile in **one** dispatch: `x`
@@ -641,30 +663,33 @@ fn assert_keys_fit(keys: &KeyTile<'_>, table: usize) {
 /// tile: for each row `i` of the key tile, accumulate the looked-up batch
 /// vectors of every chunk in registers and apply the row's scale in the
 /// same pass —
-/// `y[i·y_stride + a] += scales[i] · Σ_ci bank[(ci·table + keys_i[ci])·nb + a]`
-/// for `a < nb`. The b ≥ 2 twin of [`lut_gather_rows`]: geometry checks,
-/// the key-range check and level dispatch happen once per row tile.
+/// `y[i·y_stride + a] += scales[i] · Σ_ci bank[(ci·table + keys_i[ci])·s + a]`
+/// for `a < nb`, with `s = `[`crate::layout::entry_stride`]`(nb)`. The
+/// b ≥ 2 twin of [`lut_gather_rows`]: geometry checks, the key-range check
+/// and level dispatch happen once per row tile.
 ///
 /// `bank` is a KeyMajor tile base: chunk `ci`'s table starts at
-/// `ci · table · nb`, each of its `table = 2^µ` entries is a contiguous
-/// `nb`-float batch vector. Every level accumulates each batch lane in the
-/// canonical tree order (see the module docs) and rounds the final
-/// multiply-add in two steps, so all levels — and [`lut_gather_rows`] at
-/// `nb == 1` — agree bit for bit, and a row tile equals its rows queried
-/// one at a time.
+/// `ci · table · s`, each of its `table = 2^µ` entries is a contiguous
+/// `s`-float batch vector whose first `nb` lanes are live. Every level
+/// accumulates each batch lane in the canonical tree order (see the module
+/// docs) and rounds the final multiply-add in two steps, so all levels —
+/// and [`lut_gather_rows`] at `nb == 1` — agree bit for bit, and a row tile
+/// equals its rows queried one at a time. The padded lanes `nb..s` are read
+/// (whole vectors) but never stored, so their contents reach no output.
 ///
-/// On AVX-512, lanes are taken 32 at a time while at least 32 remain (the
-/// row-blocked wide body, module docs "Wide batch"), and up to 8 lanes
-/// left run AVX2's per-row body; other remaining lanes, and every other
-/// level, run the per-row body: full lane groups of the level's width,
-/// then one masked pass over the lanes left (module docs "Ragged lanes").
+/// On AVX-512, lanes are taken 32 at a time while more than 16 remain (the
+/// row-blocked wide body, module docs "Wide batch"), up to 8 lanes left run
+/// AVX2's per-row body (one ymm per lookup), and 9–16 one zmm group. Every
+/// other level runs the per-row body: lane groups of the level's width,
+/// the last one's `y` access masked to the live lanes (module docs "Ragged
+/// lanes").
 ///
 /// # Panics
 /// Panics when `scales.len() != keys.rows()`, `table != 2^µ`, or a slice
-/// is too short for the described geometry. Debug-panics when the AVX-512
-/// wide body is entered with line-sized entries (`nb % 16 == 0`) on a bank
-/// that is not 64-byte aligned — a split-line layout the bank type rules
-/// out.
+/// is too short for the described geometry. Debug builds also check every
+/// entry a key row reads against the bank's end, and that a bank of
+/// line-sized entries (`s % 16 == 0`) starts on a 64-byte boundary — a
+/// split-line layout the bank type rules out.
 #[allow(clippy::too_many_arguments)]
 pub fn lut_query_fused_rows(
     y: &mut [f32],
@@ -683,15 +708,28 @@ pub fn lut_query_fused_rows(
     }
     assert!(y_stride >= nb, "output rows overlap: y_stride shorter than the batch tile");
     assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the row tile needs");
-    assert!(bank.len() >= nc * table * nb, "bank shorter than the key rows need");
     assert_keys_fit(&keys, table);
+    let stride = crate::layout::entry_stride(nb);
+    assert!(bank.len() >= nc * table * stride, "bank shorter than the key rows need");
+    // The checked twin of the unmasked entry loads: each reads a whole
+    // stride from its offset.
+    debug_assert!(
+        (0..nr).all(|i| (0..nc).all(|c| (c * table + keys.key(i, c) + 1) * stride <= bank.len())),
+        "a KeyMajor entry runs past the bank"
+    );
+    debug_assert!(
+        !stride.is_multiple_of(16) || (bank.as_ptr() as usize).is_multiple_of(64),
+        "KeyMajor bank of line-sized entries is not cache-line aligned"
+    );
+    let k = rows_at(k, stride);
     with_keys!(keys, ks => {
         // Every row handed to a body is a row of a `KeyTile`, whose range
         // invariant (every key `< 2^µ`) with the `table == 2^µ` check above
-        // bounds each entry offset by the `nc · table · nb` floats the
-        // bank-length assert established; output rows are `nb`-float slices
-        // (per-row bodies) or covered by the output-geometry asserts (the
-        // AVX-512 rows body).
+        // bounds each entry `[off, off + s)` by the `nc · table · s` floats
+        // the bank-length assert established; a body's lane groups tile the
+        // stride (`rows_at`: 8 lanes on a stride of 8). Output rows are
+        // `nb`-float slices (per-row bodies) or covered by the
+        // output-geometry asserts (the AVX-512 rows body).
         #[cfg(target_arch = "x86_64")]
         if k.level() == KernelLevel::Avx512 {
             // SAFETY: resolved ⇒ the host has AVX-512 F/BW/DQ/VL; geometry as above.
@@ -703,7 +741,7 @@ pub fn lut_query_fused_rows(
         }
         let rows = (0..nr).map(|i| (i * y_stride, scales[i], &ks[i * key_stride..][..nc]));
         dispatch!(k, level => for (yo, scale, row) in rows {
-            level::fused_row(&mut y[yo..yo + nb], scale, bank, table, nb, row);
+            level::fused_row(&mut y[yo..yo + nb], scale, bank, table, stride, row);
         })
     })
 }
@@ -763,16 +801,20 @@ pub fn lut_gather_rows(
 /// (`l < µ` only for a ragged last chunk). For the tile's `i`-th chunk
 /// and every column `a < nb`:
 ///
-/// * `bank[i·2^µ·nb + a] = 0 − x_0 − x_1 − … − x_{l−1}` (entry 0, the
+/// * `bank[i·2^µ·s + a] = 0 − x_0 − x_1 − … − x_{l−1}` (entry 0, the
 ///   all-minus pattern, subtracted in ascending order);
-/// * `steps[i·µ·nb + t·nb + a] = 2·x_{l−1−t}` for the DP levels `t < l − 1`
-///   (the step rows [`dp_step_add_rows`] adds).
+/// * `steps[i·µ·s + t·s + a] = 2·x_{l−1−t}` for the DP levels `t < l − 1`
+///   (the step rows [`dp_step_add_rows`] adds),
+///
+/// with `s = `[`crate::layout::entry_stride`]`(nb)`; the padded lanes
+/// `nb ≤ a < s` of both get `+0.0`, and nothing else is written.
 ///
 /// Batch columns are the lanes: per lane group and chunk position `j`, one
-/// lookup pulls `x_j` of every column of the group at lane offsets `a·n`,
-/// and a group narrower than the level's width stores only its live lanes.
-/// Per lane the operations are the scalar chain's, in its order, so every
-/// level writes the same bits.
+/// lookup pulls `x_j` of every column of the group at lane offsets `a·n`;
+/// a group narrower than the level's width looks up its live lanes only
+/// and reads `+0.0` into the rest, and every store is a whole vector. Per
+/// lane the operations are the scalar chain's, in its order, so every level
+/// writes the same bits.
 ///
 /// # Panics
 /// Panics when `µ ∉ 1..=16`, `n == 0`, a chunk of `chunks` starts at or
@@ -797,9 +839,11 @@ pub fn gather_key_major_steps(
     assert!(n > 0 && (chunks.end - 1) * mu < n, "chunk range past the input");
     assert!(x.len() >= nb * n, "input shorter than the tile's columns");
     assert!(x.len() <= i32::MAX as usize, "input exceeds the 32-bit lookup offset range");
-    assert!(bank.len() >= ((num_chunks - 1) << mu) * nb + nb, "bank shorter than the tile needs");
-    assert!(steps.len() >= num_chunks * mu * nb, "step rows shorter than the tile needs");
-    dispatch!(k, gather_steps(bank, steps, x, n, mu, chunks, nb))
+    let stride = crate::layout::entry_stride(nb);
+    let bank_needs = ((num_chunks - 1) << mu) * stride + stride;
+    assert!(bank.len() >= bank_needs, "bank shorter than the tile needs");
+    assert!(steps.len() >= num_chunks * mu * stride, "step rows shorter than the tile needs");
+    dispatch!(rows_at(k, stride), gather_steps(bank, steps, x, n, mu, chunks, nb))
 }
 
 // ------------------------------------------------------- canonical tree
@@ -853,16 +897,18 @@ macro_rules! lanes_fns {
 /// `neg` flips the sign bit and nothing else, and `reverse` moves lanes bit
 /// for bit. The masked forms access lanes `0..n` only: a masked-out lane
 /// is never written and never read, and `load_masked` returns it as `+0.0`.
-/// `lookup` reads `base + off[i]` into lane `i` and nothing else;
-/// `load_keys` zero-extends `W` keys, `add_idx` adds offsets lane-wise
-/// (wrapping). The generic bodies rely on this for memory safety.
+/// `lookup` reads `base + off[i]` into lane `i` and nothing else, and
+/// `lookup_masked` does so for lanes `0..n` only, returning the rest as
+/// `+0.0` without reading memory for them; `load_keys` zero-extends `W`
+/// keys, `add_idx` adds offsets lane-wise (wrapping). The generic bodies
+/// rely on this for memory safety.
 ///
 /// *Calling:* the level's instruction set must be available — a body runs
 /// a level's methods only from that level's stamp (`stamp!`), which only a
 /// [`ResolvedKernel`] dispatch reaches. `load`/`store`/`load_idx`/
 /// `load_keys` need `W` readable / writable elements at `p`; the masked
 /// forms need `n ≤ W` of them; `lookup` needs every `base + off[i]`
-/// readable.
+/// readable, `lookup_masked` those of lanes `0..n`.
 unsafe trait Lanes {
     /// The vector of `W` floats.
     type V: Copy;
@@ -895,6 +941,8 @@ unsafe trait Lanes {
     unsafe fn load_keys<K: KeyElem>(p: *const K) -> Self::I;
     /// The table lookup: lane `i` ← `base[off[i]]`.
     unsafe fn lookup(base: *const f32, off: Self::I) -> Self::V;
+    /// [`Lanes::lookup`] for lanes `0..n`, the rest `+0.0`.
+    unsafe fn lookup_masked(base: *const f32, off: Self::I, n: usize) -> Self::V;
 
     /// Lanes `0..n` from `p`, the rest `+0.0`.
     unsafe fn load_masked(p: *const f32, n: usize) -> Self::V;
@@ -922,11 +970,11 @@ macro_rules! stamp {
         /// This level's ISA is available; otherwise the body's contract.
         $(#[target_feature(enable = $feature)])*
         pub unsafe fn fused_row<K: super::KeyElem>(
-            y: &mut [f32], scale: f32, bank: &[f32], table: usize, nb: usize, keys: &[K],
+            y: &mut [f32], scale: f32, bank: &[f32], table: usize, stride: usize, keys: &[K],
         ) {
             // SAFETY: the features above provide the ISA; the rest is this
             // entry's contract, the body's.
-            unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, nb, keys) }
+            unsafe { super::fused_row_body::<$lanes, K>(y, scale, bank, table, stride, keys) }
         }
 
         /// The width-1 row-tile query at this level (`gather_rows_body`).
@@ -1002,42 +1050,43 @@ macro_rules! stamp {
 
 /// The per-row fused query at level `L` — one key row of
 /// [`lut_query_fused_rows`]: `y[a] += scale · Σ_ci bank[(ci·table +
-/// keys[ci])·nb + a]` for the lanes `a < y.len()`, in full `L::W`-lane
-/// groups, then one masked pass of the same group body over the lanes left
-/// (module docs, "Ragged lanes"). `nb` is the bank's batch stride; the
-/// AVX-512 wide body hands in the tail of a row, with `bank` pre-offset by
-/// the same lane index.
+/// keys[ci])·stride + a]` for the lanes `a < y.len()`, in `L::W`-lane
+/// groups whose bank loads are whole vectors; the last group, when fewer
+/// than `W` lanes are left, masks its `y` load and store to them (module
+/// docs, "Ragged lanes"). `stride` is the bank's entry stride; the AVX-512
+/// wide body hands in the tail of a row, with `bank` pre-offset by the same
+/// lane index.
 ///
 /// # Safety
 /// `L`'s ISA is available; `keys` is a row of a `KeyTile` whose
-/// `2^µ == table`, `y.len() ≤ nb`, and `bank` holds
-/// `(ci·table + key)·nb + a` for every chunk `ci < keys.len()`, key
-/// `< table` and lane `a < y.len()`.
+/// `2^µ == table`, and `bank` holds `(ci·table + key)·stride + a` for every
+/// chunk `ci < keys.len()`, key `< table` and lane
+/// `a < y.len().next_multiple_of(W)`.
 #[inline(always)]
 unsafe fn fused_row_body<L: Lanes, K: KeyElem>(
     y: &mut [f32],
     scale: f32,
     bank: &[f32],
     table: usize,
-    nb: usize,
+    stride: usize,
     keys: &[K],
 ) {
     let full = y.len() - y.len() % L::W;
-    // SAFETY: group `a0` reads lanes `a0 ..` of every entry
-    // `(ci·table + key)·nb`, with `key < table` by the `KeyTile` range
+    // SAFETY: group `a0` reads lanes `a0 .. a0 + W` of every entry
+    // `(ci·table + key)·stride`, with `key < table` by the `KeyTile` range
     // invariant (every key `< 2^µ`, established when the `KeyMatrix` was
-    // built) and `table == 2^µ` — in `bank` by the caller's contract. A
-    // full group spans lanes `a0 .. a0 + W ≤ full`; the masked group is
-    // handed exactly the `y.len() − full` live lanes of `y` and masks every
-    // access to them (`fused_group`).
+    // built) and `table == 2^µ` — in `bank` by the caller's contract, the
+    // last group included. A full group spans lanes `a0 .. a0 + W ≤ full`
+    // of `y`; the last group is handed exactly the `y.len() − full` live
+    // lanes of `y` and masks its access to them (`fused_group`).
     unsafe {
         for a0 in (0..full).step_by(L::W) {
             let (yg, base) = (&mut y[a0..a0 + L::W], bank.as_ptr().add(a0));
-            fused_group::<L, K, false>(yg, scale, base, table, nb, keys);
+            fused_group::<L, K, false>(yg, scale, base, table, stride, keys);
         }
         if full < y.len() {
             let base = bank.as_ptr().add(full);
-            fused_group::<L, K, true>(&mut y[full..], scale, base, table, nb, keys);
+            fused_group::<L, K, true>(&mut y[full..], scale, base, table, stride, keys);
         }
     }
 }
@@ -1047,41 +1096,48 @@ unsafe fn fused_row_body<L: Lanes, K: KeyElem>(
 /// the group's lane 0 in the bank. The canonical tree's 8 accumulators are
 /// `[L::V; 8]`: chunk `ci` lands in accumulator `ci % 8`, they fold in the
 /// fixed `+4, +2, +1` ladder, then multiply and add round separately.
-/// `MASKED = false` is a full group (`y.len() == W`); `MASKED = true` is
-/// the remainder pass (`1 ≤ y.len() < W`), the same accumulators, fold and
-/// multiply-add with every load and the store masked to the live lanes —
-/// so per lane the order *is* the full group's. An idle lane's
-/// accumulators hold `+0.0` throughout and are discarded.
+/// Every entry load is a whole vector. `MASKED = false` is a full group
+/// (`y.len() == W`); `MASKED = true` is the last group of a ragged row
+/// (`1 ≤ y.len() < W`), the same loads, accumulators, fold and multiply-add
+/// with the `y` load and store masked to the live lanes — so per lane the
+/// order *is* the full group's. An idle lane accumulates the bank's padding
+/// and is discarded, never stored.
 ///
 /// # Safety
 /// `L`'s ISA is available; for every `ci < keys.len()`,
-/// `base + (ci·table + keys[ci])·nb .. + y.len()` is readable.
+/// `base + (ci·table + keys[ci])·stride .. + W` is readable.
 #[inline(always)]
 unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
     y: &mut [f32],
     scale: f32,
     base: *const f32,
     table: usize,
-    nb: usize,
+    stride: usize,
     keys: &[K],
 ) {
     let (n, klen) = (y.len(), keys.len());
     debug_assert!(if MASKED { (1..L::W).contains(&n) } else { n == L::W });
     // SAFETY: every entry pointer is one the caller vouched for (`ci <
-    // klen` for each unchecked key read), read for `n` lanes: all `W` when
-    // unmasked, else through the masked forms, which touch lanes `0..n`
-    // only (the `Lanes` contract) — a masked-out lane may lie past the bank
-    // or belong to the next output row. `y` is read and written for its own
-    // `n` lanes.
+    // klen` for each unchecked key read), read for `W` lanes. `y` is read
+    // and written for its own `n` lanes: all `W` when unmasked, else
+    // through the masked forms, which touch lanes `0..n` only (the `Lanes`
+    // contract) — a masked-out lane belongs to the next output row.
     unsafe {
-        let load = |p: *const f32| if MASKED { L::load_masked(p, n) } else { L::load(p) };
-        let store = |p: *mut f32, v| if MASKED { L::store_masked(p, n, v) } else { L::store(p, v) };
-        let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
+        // Chunk `ci`'s table starts `ci·table·stride` floats past `base`:
+        // one running pointer, advanced per chunk, keeps the loop's
+        // addressing in two registers.
+        let span = table * stride;
+        let mut tbl = base;
+        let mut ent = |ci: usize| {
+            let v = L::load(tbl.add(keys.get_unchecked(ci).idx() * stride));
+            tbl = tbl.add(span);
+            v
+        };
         let mut acc = [L::zero(); ACC_TREE_WIDTH];
         let mut ci = 0;
         while ci + 8 <= klen {
             for (j, a) in acc.iter_mut().enumerate() {
-                *a = L::add(*a, load(ent(ci + j)));
+                *a = L::add(*a, ent(ci + j));
             }
             ci += 8;
         }
@@ -1089,7 +1145,7 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
         // `(ci + j) % 8 == j` (`ci` is a multiple of 8 here).
         for (j, a) in acc.iter_mut().enumerate() {
             if ci + j < klen {
-                *a = L::add(*a, load(ent(ci + j)));
+                *a = L::add(*a, ent(ci + j));
             }
         }
         for step in [4usize, 2, 1] {
@@ -1097,8 +1153,13 @@ unsafe fn fused_group<L: Lanes, K: KeyElem, const MASKED: bool>(
                 acc[j] = L::add(acc[j], acc[j + step]);
             }
         }
-        let sum = L::add(load(y.as_ptr()), L::mul(L::splat(scale), acc[0]));
-        store(y.as_mut_ptr(), sum);
+        let scaled = L::mul(L::splat(scale), acc[0]);
+        if MASKED {
+            let sum = L::add(L::load_masked(y.as_ptr(), n), scaled);
+            L::store_masked(y.as_mut_ptr(), n, sum);
+        } else {
+            L::store(y.as_mut_ptr(), L::add(L::load(y.as_ptr()), scaled));
+        }
     }
 }
 
@@ -1328,18 +1389,21 @@ unsafe fn dp_build_tile_body<L: Lanes>(out: &mut [f32], x: &[f32], mu: usize) {
 }
 
 /// The KeyMajor step gather at level `L` ([`gather_key_major_steps`]): per
-/// lane group of batch columns — full `W`-lane groups, then one narrower
-/// group whose stores are masked — and per chunk, one `L::lookup` per
-/// chunk position `j` pulls `x_j` of every column of the group at lane
-/// offsets `a·n` from the group's first column. Entry 0 subtracts the
-/// values from `+0.0` in ascending `j`; step row `t = l − 1 − j` is
-/// `2·x_j`. An idle lane of the narrow group looks up its group's first
-/// column (offset 0) and is never stored.
+/// lane group of batch columns and per chunk, one `L::lookup` per chunk
+/// position `j` pulls `x_j` of every column of the group at lane offsets
+/// `a·n` from the group's first column. Entry 0 subtracts the values from
+/// `+0.0` in ascending `j`; step row `t = l − 1 − j` is `2·x_j`. The last
+/// group, when fewer than `W` columns are left, looks them up with
+/// `L::lookup_masked`, so its idle lanes hold `+0.0` (and `0 − 0`,
+/// `2·0` keep it so); every store is a whole vector. Lane groups of the
+/// stride past the last live one (a stride of 16 over 8- or 4-lane groups)
+/// are zero-filled.
 ///
 /// # Safety
-/// `L`'s ISA is available; the geometry as asserted by the dispatcher
-/// (`n > 0`, every chunk starts before `n`, `nb` columns of `n` floats in
-/// `x`, `x.len() ≤ i32::MAX`, `bank` and `steps` long enough).
+/// `L`'s ISA is available and `L::W` divides the entry stride; the geometry
+/// as asserted by the dispatcher (`n > 0`, every chunk starts before `n`,
+/// `nb` columns of `n` floats in `x`, `x.len() ≤ i32::MAX`, `bank` and
+/// `steps` long enough for the padded tile).
 #[inline(always)]
 unsafe fn gather_steps_body<L: Lanes>(
     bank: &mut [f32],
@@ -1351,32 +1415,34 @@ unsafe fn gather_steps_body<L: Lanes>(
     nb: usize,
 ) {
     const { assert!(L::W <= 16, "lane offsets are staged in 16 slots") };
-    let (table, step_stride) = (1usize << mu, mu * nb);
+    let stride = crate::layout::entry_stride(nb);
+    debug_assert!(stride.is_multiple_of(L::W));
+    let (table, step_stride) = (1usize << mu, mu * stride);
     let (b, s) = (bank.as_mut_ptr(), steps.as_mut_ptr());
     let mut lanes = [0u32; 16];
     for a0 in (0..nb).step_by(L::W) {
         let live = L::W.min(nb - a0);
-        // Idle lanes keep offset 0: in bounds, computed, never stored.
+        // Idle lanes keep offset 0; the masked lookup reads nothing for them.
         for (a, lane) in lanes[..live].iter_mut().enumerate() {
             *lane = (a * n) as u32;
         }
         lanes[live..].fill(0);
         // SAFETY: lane `a < live` reads `x[(a0 + a)·n + c·µ + j]` with
         // `j < l ≤ n − c·µ`, inside column `a0 + a < nb` of `x`; an idle
-        // lane reads column `a0`'s float; offsets fit 32 bits by the
-        // dispatcher's `x.len()` assert. Stores write `live` floats at
-        // lane `a0` of entry 0 of chunk `i` (`i·table·nb + a0 + live ≤
-        // (i·table + 1)·nb`) and of step row `t < l − 1 < µ` of chunk `i`
-        // (`i·µ·nb + t·nb + a0 + live ≤ (i + 1)·µ·nb`), in the lengths
-        // asserted; a masked store touches lanes `0..live` only.
+        // lane reads nothing; offsets fit 32 bits by the dispatcher's
+        // `x.len()` assert. Stores write the `W` floats at lane `a0` of
+        // entry 0 of chunk `i` (`i·table·s + a0 + W ≤ (i·table + 1)·s`, as
+        // `W` divides `s ≥ nb`) and of step row `t < l − 1 < µ` of chunk
+        // `i` (`i·µ·s + t·s + a0 + W ≤ (i + 1)·µ·s`), in the lengths
+        // asserted.
         unsafe {
             let off = L::load_idx(lanes.as_ptr());
             let two = L::splat(2.0);
-            let store = |p: *mut f32, v| {
+            let look = |p: *const f32| {
                 if live == L::W {
-                    L::store(p, v)
+                    L::lookup(p, off)
                 } else {
-                    L::store_masked(p, live, v)
+                    L::lookup_masked(p, off, live)
                 }
             };
             for (i, c) in chunks.clone().enumerate() {
@@ -1386,13 +1452,22 @@ unsafe fn gather_steps_body<L: Lanes>(
                 let srow = s.add(i * step_stride + a0);
                 let mut neg = L::zero();
                 for j in 0..l {
-                    let v = L::lookup(col.add(j), off);
+                    let v = look(col.add(j));
                     neg = L::sub(neg, v);
                     if j > 0 {
-                        store(srow.add((l - 1 - j) * nb), L::mul(two, v));
+                        L::store(srow.add((l - 1 - j) * stride), L::mul(two, v));
                     }
                 }
-                store(b.add(i * table * nb + a0), neg);
+                L::store(b.add(i * table * stride + a0), neg);
+            }
+        }
+    }
+    let padded = nb.next_multiple_of(L::W);
+    if padded < stride {
+        for (i, c) in chunks.enumerate() {
+            bank[i * table * stride..][padded..stride].fill(0.0);
+            for t in 0..mu.min(n - c * mu) - 1 {
+                steps[i * step_stride + t * stride..][padded..stride].fill(0.0);
             }
         }
     }
@@ -1435,8 +1510,9 @@ mod scalar {
 
     // SAFETY: each method is the plain `f32` operation per lane (`-x` is
     // Rust's sign-bit negation), a lane move, or one load per lane from its
-    // own offset; the masked forms read or write lanes `0..n` only, one
-    // float each, and leave the other lanes `+0.0` / untouched.
+    // own offset; the masked forms (the lookup's included) read or write
+    // lanes `0..n` only, one float each, and leave the other lanes `+0.0` /
+    // untouched.
     unsafe impl Lanes for Scalar {
         type V = [f32; 8];
         type I = [u32; 8];
@@ -1480,6 +1556,8 @@ mod scalar {
                 std::array::from_fn(|i| (*p.add(i)).idx() as u32);
             fn lookup(base: *const f32, off: [u32; 8]) -> [f32; 8] =
                 off.map(|o| *base.add(o as usize));
+            fn lookup_masked(base: *const f32, off: [u32; 8], n: usize) -> [f32; 8] =
+                std::array::from_fn(|i| if i < n { *base.add(off[i] as usize) } else { 0.0 });
         }
     }
 
@@ -1514,7 +1592,8 @@ mod avx2 {
     // lane permute, the masked forms are `vmaskmovps` under `lane_mask(n)`,
     // which selects exactly lanes `0..n`, the keys are zero-extended
     // (`vpmovzx`), and `lookup` is an all-lanes `vgatherdps` of
-    // `base + 4·off[i]` bytes.
+    // `base + 4·off[i]` bytes — `lookup_masked` the same under
+    // `lane_mask(n)` onto a zero source, which reads no masked-out lane.
     unsafe impl Lanes for Avx2 {
         type V = __m256;
         type I = __m256i;
@@ -1542,6 +1621,13 @@ mod avx2 {
             };
             fn lookup(base: *const f32, off: __m256i) -> __m256 =
                 _mm256_i32gather_ps::<4>(base, off);
+            fn lookup_masked(base: *const f32, off: __m256i, n: usize) -> __m256 =
+                _mm256_mask_i32gather_ps::<4>(
+                    _mm256_setzero_ps(),
+                    base,
+                    off,
+                    _mm256_castsi256_ps(lane_mask(n)),
+                );
         }
     }
 
@@ -1572,7 +1658,8 @@ mod avx512 {
     // `vpermps` lane permute, the masked forms run under `lane_mask(n)`,
     // which selects exactly lanes `0..n`, the keys are zero-extended
     // (`vpmovzx`), and `lookup` is an all-lanes `vgatherdps` of
-    // `base + 4·off[i]` bytes.
+    // `base + 4·off[i]` bytes — `lookup_masked` the same under
+    // `lane_mask(n)` onto a zero source, which reads no masked-out lane.
     unsafe impl Lanes for Avx512 {
         type V = __m512;
         type I = __m512i;
@@ -1603,6 +1690,8 @@ mod avx512 {
             };
             fn lookup(base: *const f32, off: __m512i) -> __m512 =
                 _mm512_i32gather_ps::<4>(off, base.cast());
+            fn lookup_masked(base: *const f32, off: __m512i, n: usize) -> __m512 =
+                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), lane_mask(n), off, base.cast());
         }
     }
 
@@ -1611,17 +1700,19 @@ mod avx512 {
     stamp!(Avx512, super::avx2::Avx2, "avx512f", "avx512dq");
 
     /// The row-blocked wide query: every row of the tile, 32 batch lanes
-    /// per pass while at least 32 remain, then a per-row body on the lanes
-    /// left over — AVX2's ([`super::avx2::fused_row`]: one 8-lane group or
-    /// masked pass) when at most 8 are left, else this level's
-    /// ([`fused_row`]: 16-lane groups, then one masked pass).
+    /// per pass while more than 16 are left (the last such pass masking its
+    /// `y` access to the live lanes), then a per-row body on the lanes left
+    /// over — AVX2's ([`super::avx2::fused_row`]: one ymm per lookup) when
+    /// at most 8 are left, else this level's ([`fused_row`]: one zmm per
+    /// lookup).
     ///
     /// # Safety
     /// AVX-512F/DQ must be available; output geometry (`y_stride ≥ nb`,
     /// `y.len() ≥ (rows − 1)·y_stride + nb`) and `bank.len() ≥
-    /// nc·table·nb` as asserted by the dispatcher, and `keys`/`key_stride`/
-    /// `nc`/`scales.len()` are the slab, stride, width and row count of a
-    /// `KeyTile` whose `2^µ == table`.
+    /// nc·table·s` (`s = entry_stride(nb) ≥ 16`) as asserted by the
+    /// dispatcher, and `keys`/`key_stride`/`nc`/`scales.len()` are the
+    /// slab, stride, width and row count of a `KeyTile` whose
+    /// `2^µ == table`.
     #[target_feature(enable = "avx512f", enable = "avx512dq")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn lut_query_fused_rows<K: KeyElem>(
@@ -1635,71 +1726,75 @@ mod avx512 {
         key_stride: usize,
         nc: usize,
     ) {
-        // Entries of `nb ≡ 0 (mod 16)` floats are whole cache lines exactly
-        // when the bank base is line-aligned — which the bank's buffer type
-        // guarantees; a split-line bank halves this body's throughput.
-        debug_assert!(
-            nb < 32 || !nb.is_multiple_of(16) || (bank.as_ptr() as usize).is_multiple_of(64),
-            "wide fused query on a bank that is not cache-line aligned"
-        );
+        let stride = crate::layout::entry_stride(nb);
         for (i, &scale) in scales.iter().enumerate() {
             let row = &keys[i * key_stride..][..nc];
             let yrow = &mut y[i * y_stride..][..nb];
             let mut a0 = 0;
-            while a0 + 32 <= nb {
-                // SAFETY: `a0 + 32 <= nb` keeps the 32 lanes inside `yrow`
-                // and inside every `nb`-float entry; `row` is a row of a
-                // `KeyTile` (every key `< 2^µ == table`), so entry
-                // `(ci, key)` lies within the `nc·table·nb` floats the
-                // dispatcher asserted the bank holds.
+            while a0 + 16 < nb {
+                let live = (nb - a0).min(32);
+                // SAFETY: `live ≤ nb − a0` keeps the stored lanes inside
+                // `yrow`; more than 16 live lanes past `a0` (a multiple of
+                // 32) put the stride, a multiple of 16 at or past `nb`, at
+                // `a0 + 32` or beyond, so every entry's 32 lanes from `a0`
+                // lie inside it; `row` is a row of a `KeyTile` (every key
+                // `< 2^µ == table`), so entry `(ci, key)` lies within the
+                // `nc·table·s` floats the dispatcher asserted the bank holds.
                 unsafe {
                     let (yp, bp) = (yrow.as_mut_ptr().add(a0), bank.as_ptr().add(a0));
-                    query32(yp, scale, bp, table, nb, row);
+                    query32(yp, live, scale, bp, table, stride, row);
                 }
-                a0 += 32;
+                a0 += live;
             }
-            // The per-row body gets the live lanes `a0 .. nb` and the bank
-            // pre-offset by the same `a0`: up to 8 of them at AVX2's width
-            // (one ymm group or masked pass), more at this level's.
+            // The per-row body gets the live lanes `a0 .. nb` (at most 16)
+            // and the bank pre-offset by the same `a0`: up to 8 of them at
+            // AVX2's width, more at this level's; either lane group lies
+            // inside the stride.
             let (tail, tail_bank) = (&mut yrow[a0..], &bank[a0..]);
             if tail.len() > 8 {
                 // SAFETY: same feature set; geometry as above.
-                unsafe { fused_row(tail, scale, tail_bank, table, nb, row) };
+                unsafe { fused_row(tail, scale, tail_bank, table, stride, row) };
             } else if !tail.is_empty() {
                 // SAFETY: AVX-512F implies AVX2; geometry as above.
-                unsafe { super::avx2::fused_row(tail, scale, tail_bank, table, nb, row) };
+                unsafe { super::avx2::fused_row(tail, scale, tail_bank, table, stride, row) };
             }
         }
     }
 
-    /// One key row × 32 batch lanes: `y[0..32] += scale · Σ_ci
-    /// entry(ci, keys[ci])[0..32]` with `base` pointing at lane 0 of the
-    /// group in the bank. Two zmm per canonical accumulator (16 of the 32
-    /// vector registers), so both lines of a 128-byte entry are consumed
-    /// together and each key is decoded once for all 32 lanes; per lane the
-    /// order is the canonical tree, as in the 16-lane loop.
+    /// One key row × 32 batch lanes, `live` (17..=32) of them stored:
+    /// `y[0..live] += scale · Σ_ci entry(ci, keys[ci])[0..live]` with `base`
+    /// pointing at lane 0 of the group in the bank. Two zmm per canonical
+    /// accumulator (16 of the 32 vector registers), so both lines of a
+    /// 128-byte entry are consumed together and each key is decoded once for
+    /// all 32 lanes; per lane the order is the canonical tree, as in the
+    /// 16-lane loop. Entry loads are whole; the upper half's `y` access is
+    /// masked to the live lanes.
     ///
     /// # Safety
-    /// AVX-512F must be available; `y .. y + 32` writable; for every
-    /// `ci < keys.len()` and key `k` in `keys`,
-    /// `base + (ci·table + k)·nb .. + 32` readable.
+    /// AVX-512F must be available; `y .. y + live` writable, `live` in
+    /// `17..=32`; for every `ci < keys.len()` and key `k` in `keys`,
+    /// `base + (ci·table + k)·stride .. + 32` readable.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn query32<K: KeyElem>(
         y: *mut f32,
+        live: usize,
         scale: f32,
         base: *const f32,
         table: usize,
-        nb: usize,
+        stride: usize,
         keys: &[K],
     ) {
+        debug_assert!((17..=32).contains(&live));
         let klen = keys.len();
-        // SAFETY: every pointer formed is `base + (ci·table + key)·nb`
+        // SAFETY: every pointer formed is `base + (ci·table + key)·stride`
         // (+16) with `ci < klen` and `key` read from `keys` at `ci` —
         // readable for 32 floats per the caller's contract (the `KeyTile`
-        // range invariant plus the dispatcher's bank-length assert).
+        // range invariant plus the dispatcher's bank-length assert). `y` is
+        // accessed for lanes `0..16` whole and `16..live` under a mask that
+        // selects exactly them.
         unsafe {
-            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * nb);
+            let ent = |ci: usize| base.add((ci * table + keys.get_unchecked(ci).idx()) * stride);
             let mut lo = [_mm512_setzero_ps(); 8];
             let mut hi = [_mm512_setzero_ps(); 8];
             let mut ci = 0;
@@ -1727,10 +1822,12 @@ mod avx512 {
                 }
             }
             let sv = _mm512_set1_ps(scale);
+            let mask = lane_mask(live - 16);
             let y_lo = _mm512_add_ps(_mm512_loadu_ps(y), _mm512_mul_ps(sv, lo[0]));
-            let y_hi = _mm512_add_ps(_mm512_loadu_ps(y.add(16)), _mm512_mul_ps(sv, hi[0]));
+            let y_hi =
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, y.add(16)), _mm512_mul_ps(sv, hi[0]));
             _mm512_storeu_ps(y, y_lo);
-            _mm512_storeu_ps(y.add(16), y_hi);
+            _mm512_mask_storeu_ps(y.add(16), mask, y_hi);
         }
     }
 }
@@ -1805,6 +1902,10 @@ mod neon {
                 std::array::from_fn(|i| (*p.add(i)).idx() as u32);
             fn lookup(base: *const f32, off: [u32; 4]) -> float32x4_t =
                 vld1q_f32(off.map(|o| *base.add(o as usize)).as_ptr());
+            fn lookup_masked(base: *const f32, off: [u32; 4], n: usize) -> float32x4_t = vld1q_f32(
+                std::array::from_fn::<f32, 4, _>(|i| if i < n { *base.add(off[i] as usize) } else { 0.0 })
+                    .as_ptr(),
+            );
         }
     }
 
@@ -1911,18 +2012,19 @@ mod tests {
 
     /// Oracle for one row of [`lut_query_fused_rows`]: per batch lane, the
     /// canonical sum of the looked-up values, then multiply and add rounded
-    /// separately. `nb` is the bank's batch stride, `y.len()` the lanes
+    /// separately. `stride` is the bank's entry stride, `y.len()` the lanes
     /// computed.
     fn fused_oracle<K: KeyElem>(
         y: &mut [f32],
         scale: f32,
         bank: &[f32],
         table: usize,
-        nb: usize,
+        stride: usize,
         keys: &[K],
     ) {
         for (a, yv) in y.iter_mut().enumerate() {
-            let vals = keys.iter().enumerate().map(|(ci, k)| bank[(ci * table + k.idx()) * nb + a]);
+            let vals =
+                keys.iter().enumerate().map(|(ci, k)| bank[(ci * table + k.idx()) * stride + a]);
             *yv += scale * canonical_sum(vals);
         }
     }
@@ -1958,8 +2060,8 @@ mod tests {
     /// as `+0.0`), then `zero`, `splat`, `add`, `mul`, `neg` and `reverse`
     /// on ±0.0, NaN payloads, ±∞, subnormals and ordinary values, then the
     /// lookup of both key widths through the key-widening load plus lane
-    /// offsets against plain indexing. The caller passes only a level the
-    /// host supports.
+    /// offsets against plain indexing, and the masked lookup at every `n`.
+    /// The caller passes only a level the host supports.
     fn lanes_conformance<L: Lanes>(level: KernelLevel) {
         const SENTINEL: u32 = 0x7fc5_a5a5;
         let w = L::W;
@@ -2063,6 +2165,18 @@ mod tests {
         let want16 = (0..w).map(|j| table[offs[j] as usize + usize::from(k16[j])]);
         let want: Vec<f32> = want8.chain(want16).collect();
         assert_eq!(bits(&got), bits(&want), "{level} W={w} lookup");
+        // The masked lookup: lanes `0..n` as above, the rest `+0.0`.
+        for n in 0..=w {
+            let mut got = vec![f32::from_bits(SENTINEL); w];
+            // SAFETY: as above; lanes `0..n ≤ W` read in-range offsets.
+            unsafe {
+                let off = L::add_idx(L::load_idx(offs.as_ptr()), L::load_keys(k8.as_ptr()));
+                L::store(got.as_mut_ptr(), L::lookup_masked(table.as_ptr(), off, n));
+            }
+            let mut want = bits(&want[..n]);
+            want.resize(w, 0);
+            assert_eq!(bits(&got), want, "{level} W={w} lookup_masked n={n}");
+        }
     }
 
     #[test]
@@ -2088,13 +2202,31 @@ mod tests {
         KeyMatrix::pack(&g.signs(1, chunks * mu), mu)
     }
 
-    /// A random bank in the line-aligned buffer real banks live in (the
-    /// wide AVX-512 pass debug-asserts that alignment).
-    fn random_bank(g: &mut MatrixRng, len: usize) -> LineAlignedBuf {
+    /// A KeyMajor bank of `entries` entries of `nb` live lanes in the
+    /// line-aligned buffer real banks live in (the query debug-asserts that
+    /// alignment for line-sized entries): lane `a` of entry `e` is
+    /// `live(e, a)`, and every padded lane of the entry stride a quiet NaN,
+    /// which a padded lane leaking into a live output would show.
+    fn keymajor_bank(
+        entries: usize,
+        nb: usize,
+        mut live: impl FnMut(usize, usize) -> f32,
+    ) -> LineAlignedBuf {
+        let stride = crate::layout::entry_stride(nb);
         let mut bank = LineAlignedBuf::default();
-        bank.ensure_len(len);
-        bank.as_mut_slice()[..len].copy_from_slice(&g.gaussian_vec(len));
+        bank.ensure_len(entries * stride);
+        for (e, entry) in bank.as_mut_slice().chunks_exact_mut(stride).take(entries).enumerate() {
+            for (a, v) in entry.iter_mut().enumerate() {
+                *v = if a < nb { live(e, a) } else { f32::NAN };
+            }
+        }
         bank
+    }
+
+    /// [`keymajor_bank`] with random live lanes.
+    fn random_bank(g: &mut MatrixRng, entries: usize, nb: usize) -> LineAlignedBuf {
+        let values = g.gaussian_vec(entries * nb);
+        keymajor_bank(entries, nb, |e, a| values[e * nb + a])
     }
 
     /// The rows entry on a one-row tile.
@@ -2142,13 +2274,14 @@ mod tests {
             (3, 4, 64),  // two 32-lane passes, tile ≤ 32 KiB
         ] {
             let table = 1usize << mu;
-            let bank = random_bank(&mut g, chunks * table * nb);
+            let bank = random_bank(&mut g, chunks * table, nb);
             let bank = bank.as_slice();
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
             let y0 = g.gaussian_vec(nb);
             let mut want = y0.clone();
-            with_keys!(keys, ks => fused_oracle(&mut want, -0.75, bank, table, nb, ks));
+            let stride = crate::layout::entry_stride(nb);
+            with_keys!(keys, ks => fused_oracle(&mut want, -0.75, bank, table, stride, ks));
             for k in supported_levels() {
                 let k = KernelRequest::Exact(k).resolve().unwrap();
                 let mut got = y0.clone();
@@ -2167,16 +2300,18 @@ mod tests {
         for chunks in [1usize, 6, 8, 9, 19] {
             let (mu, nb) = (4usize, 11usize);
             let table = 1usize << mu;
-            let bank = g.gaussian_vec(chunks * table * nb);
+            let bank = random_bank(&mut g, chunks * table, nb);
+            let bank = bank.as_slice();
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
             let mut want = g.gaussian_vec(nb);
             let mut got = want.clone();
+            let stride = crate::layout::entry_stride(nb);
             for (a, yv) in want.iter_mut().enumerate() {
-                let vals = (0..chunks).map(|ci| bank[(ci * table + keys.key(0, ci)) * nb + a]);
+                let vals = (0..chunks).map(|ci| bank[(ci * table + keys.key(0, ci)) * stride + a]);
                 *yv += 2.5 * canonical_sum(vals);
             }
-            fused_row(&mut got, 2.5, &bank, table, nb, keys, ResolvedKernel::scalar());
+            fused_row(&mut got, 2.5, bank, table, nb, keys, ResolvedKernel::scalar());
             assert_eq!(want, got, "chunks={chunks}");
         }
     }
@@ -2202,6 +2337,8 @@ mod tests {
         ] {
             let table = 1usize << mu;
             let bank = g.gaussian_vec(chunks * table);
+            // The same tables as a one-column KeyMajor bank (padded entries).
+            let padded = keymajor_bank(chunks * table, 1, |e, _| bank[e]);
             let km = key_row(&mut g, chunks, mu);
             let keys = km.tile(0..1, 0, chunks);
             let want = gather(&bank, table, keys, ResolvedKernel::scalar());
@@ -2210,7 +2347,7 @@ mod tests {
                 let got = gather(&bank, table, keys, k);
                 assert_eq!(want.to_bits(), got.to_bits(), "{level} chunks={chunks} µ={mu}");
                 let mut y = [0.0f32];
-                fused_row(&mut y, 1.0, &bank, table, 1, keys, k);
+                fused_row(&mut y, 1.0, padded.as_slice(), table, 1, keys, k);
                 assert_eq!(want.to_bits(), y[0].to_bits(), "fused@1 {level} chunks={chunks}");
             }
         }
@@ -2253,6 +2390,21 @@ mod tests {
         let bank = vec![0.0f32; 16];
         let mut y = vec![0.0f32; 2];
         fused_row(&mut y, 1.0, &bank, 4, 2, km.tile(0..1, 0, 1), ResolvedKernel::scalar());
+    }
+
+    /// The checked twin of the query's line-sized entries: a bank of
+    /// 16-float entries that does not start on a cache line is refused in
+    /// debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not cache-line aligned")]
+    fn fused_query_refuses_a_split_line_bank_in_debug() {
+        let mut g = MatrixRng::seed_from(44);
+        let km = key_row(&mut g, 2, 4);
+        let bank = random_bank(&mut g, 2 * 16 + 1, 16);
+        let mut y = vec![0.0f32; 16];
+        let k = ResolvedKernel::scalar();
+        fused_row(&mut y, 1.0, &bank.as_slice()[1..], 16, 16, km.tile(0..1, 0, 2), k);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biq_quant::packing::KeyMatrix;
-use biqgemm_core::layout::COLUMN_TABLES_MAX;
+use biqgemm_core::layout::{entry_stride, COLUMN_TABLES_MAX};
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::{
     biqgemm_into, BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, PhaseProfile,
@@ -256,9 +256,10 @@ fn aligned_bank(g: &mut MatrixRng, len: usize) -> (Vec<f32>, usize) {
 /// runs AVX2's body) — plus 48 and 64; chunk counts straddle the 8-chunk
 /// group, µ both key widths, and tiles of ≤ 32 KiB and > 32 KiB.
 /// Tiles are a window of a wider key matrix (stride > width); the bank
-/// slice ends with the last entry, and the *whole* strided output is
-/// compared, so a remainder pass that stored into the 3-float gap after a
-/// row (its idle lanes) fails here.
+/// slice (entries of the padded `entry_stride(nb)`) ends with the last
+/// entry, and the *whole* strided output is compared, so a remainder pass
+/// that stored into the 3-float gap after a row (its idle lanes) fails
+/// here.
 #[test]
 fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
     use biqgemm_core::simd::lut_query_fused_rows;
@@ -269,7 +270,7 @@ fn fused_rows_bit_exact_vs_scalar_and_vs_row_by_row() {
         let table = 1usize << mu;
         for nc in [1usize, 7, 8, 9, 32] {
             for nb in (1usize..=33).chain([48, 64]) {
-                let bank = &pool[off..off + nc * table * nb];
+                let bank = &pool[off..off + nc * table * entry_stride(nb)];
                 for rows in [1usize, 5] {
                     let km = KeyMatrix::pack(&g.signs(rows, (nc + 3) * mu), mu);
                     let keys = km.tile(0..rows, 2, nc);
@@ -480,6 +481,11 @@ proptest! {
         // A width-1 bank: chunk c's table occupies bank[c*table..][..table].
         let bank: Vec<f32> =
             g.gaussian(1, chunks * table, 0.0, 1.0).as_slice().to_vec();
+        // The same tables as a one-column KeyMajor bank: each entry padded
+        // to the entry stride, lane 0 live.
+        let s = entry_stride(1);
+        let padded: Vec<f32> =
+            (0..chunks * table * s).map(|i| if i % s == 0 { bank[i / s] } else { 0.0 }).collect();
         let km = KeyMatrix::pack(&g.signs(1, chunks * mu), mu);
         let keys = km.tile(0..1, 0, chunks);
         let scale = 1.0f32;
@@ -492,7 +498,7 @@ proptest! {
                 "gather level={} vs scalar (chunks={}, mu={})", level, chunks, mu
             );
             let mut fused = [0.0f32];
-            lut_query_fused_rows(&mut fused, 1, &[scale], &bank, table, 1, keys, k);
+            lut_query_fused_rows(&mut fused, 1, &[scale], &padded, table, 1, keys, k);
             prop_assert_eq!(
                 fused[0].to_bits(), gathered.to_bits(),
                 "fused@nb=1 level={} vs gather (chunks={}, mu={})", level, chunks, mu

@@ -22,6 +22,8 @@
 //! `ModelRegistry` (`register_linear`), and the server packs concurrent
 //! single-column requests so one LUT build serves a whole bucket.
 
+#![forbid(unsafe_code)]
+
 pub mod activations;
 pub mod attention;
 pub mod configs;

@@ -36,6 +36,8 @@
 //! lifetime averages. [`render`] turns both into the
 //! `biq top` terminal dashboard.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod record;
 pub mod render;

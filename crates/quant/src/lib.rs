@@ -24,6 +24,8 @@
 //! * [`error_metrics`] — MSE / SQNR / cosine fidelity measures;
 //! * [`memory`] — the Table II memory-usage model.
 
+#![forbid(unsafe_code)]
+
 pub mod alternating;
 pub mod binary_coding;
 pub mod error_metrics;

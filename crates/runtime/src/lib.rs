@@ -57,6 +57,8 @@
 //! assert_eq!(y.as_slice(), y2.as_slice());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod backends;
 pub mod executor;

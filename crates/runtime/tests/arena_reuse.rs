@@ -74,8 +74,9 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn serial_small_batch_steady_state_allocates_nothing() {
-    // The paper's serving regime: small batch against a large-ish matrix.
-    for b in [1usize, 4, 8] {
+    // The paper's serving regime: small batch against a large-ish matrix —
+    // column tables, and KeyMajor banks of padded entry strides 8 and 16.
+    for b in [1usize, 4, 5, 7, 8, 9, 13] {
         let mut g = MatrixRng::seed_from(0xa0 + b as u64);
         let (m, n) = (256, 512);
         let signs = g.signs(m, n);
@@ -106,20 +107,24 @@ fn serial_small_batch_steady_state_allocates_nothing() {
 
 #[test]
 fn warmed_executor_is_allocation_free_from_the_first_run() {
-    let mut g = MatrixRng::seed_from(0xa9);
-    let (m, n, b) = (128, 384, 4);
-    let signs = g.signs(m, n);
-    let x = g.small_int_col(n, b, 3);
-    let plan = PlanBuilder::new(m, n)
-        .batch_hint(b)
-        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-        .threading(Threading::Serial)
-        .build();
-    let op = compile(&plan, WeightSource::Signs(&signs));
-    let mut exec = Executor::warmed_for(&op);
-    let mut y = vec![0.0f32; m * b];
-    let allocs = count_allocs(|| exec.run_into(&op, &x, &mut y));
-    assert_eq!(allocs, 0, "warmed first run allocated {allocs} times");
+    // The bank `warmed_for` reserves through the one entry-stride rule must
+    // hold the padded KeyMajor tile of every width.
+    for b in [4usize, 5, 7, 9, 13] {
+        let mut g = MatrixRng::seed_from(0xa9);
+        let (m, n) = (128, 384);
+        let signs = g.signs(m, n);
+        let x = g.small_int_col(n, b, 3);
+        let plan = PlanBuilder::new(m, n)
+            .batch_hint(b)
+            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+            .threading(Threading::Serial)
+            .build();
+        let op = compile(&plan, WeightSource::Signs(&signs));
+        let mut exec = Executor::warmed_for(&op);
+        let mut y = vec![0.0f32; m * b];
+        let allocs = count_allocs(|| exec.run_into(&op, &x, &mut y));
+        assert_eq!(allocs, 0, "b = {b}: warmed first run allocated {allocs} times");
+    }
 }
 
 #[test]

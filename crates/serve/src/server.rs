@@ -946,9 +946,9 @@ mod tests {
         // each op's requests go through `Batcher::push`, leave through an
         // idle `Batcher::next` as ONE job of exactly `width` columns and run
         // through the worker's `run_job` — every width from 2 to 15 (column
-        // tables through `COLUMN_TABLES_MAX`, then KeyMajor tiles with every
-        // lane remainder: AVX-512 hands ≤ 8 of them to AVX2's body; below
-        // the shipped cap of 16, so the size trigger stays quiet) on a
+        // tables through `COLUMN_TABLES_MAX`, then KeyMajor tiles of entry
+        // strides 8 and 16 with every count of padded lanes; below the
+        // shipped cap of 16, so the size trigger stays quiet) on a
         // serial and a parallel BiQGEMM op, against each request's own
         // direct executor run.
         let mut g = MatrixRng::seed_from(0x1d1e);
